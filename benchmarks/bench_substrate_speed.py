@@ -3,12 +3,14 @@
 The substrate optimization contract is "same numbers, much faster": the
 batched/native replay engines, stream memoization and plan caching must
 leave every measured figure value bit-identical while cutting the time
-to produce it.  This benchmark times the *fixed Fig. 6 point* -- a full
-MWD auto-tune at 384^3 / 18 threads, the most expensive single point of
-the thread-scaling figure -- once through the seed configuration (the
-``"reference"`` per-access engine) and once through the optimized path,
-asserts the tuned points are identical, and records the speedup as JSON
-under ``benchmarks/output/substrate_speed.json``.
+to produce it.  This benchmark times the *fixed Fig. 6 point* -- 384^3 /
+18 threads, the most expensive single point of the thread-scaling figure
+-- for both halves of the substrate: the full MWD auto-tune (tile streams
+through ``measure.tiled`` and the DES) and the spatial-blocking tune (row
+schedules through ``measure.sweep``).  Each runs once through the seed
+configuration (the ``"reference"`` per-access engine) and once through
+the optimized path; the tuned points must be identical, and the speedups
+are recorded as JSON under ``benchmarks/output/substrate_speed.json``.
 
 Runs standalone (``python benchmarks/bench_substrate_speed.py``) or as a
 pytest test; CI runs the pytest form as the speed smoke.
@@ -22,40 +24,35 @@ import time
 
 FIXED_GRID = 384
 FIXED_THREADS = 18
-#: Acceptance floor for seed/optimized wall-clock on the fixed point
-#: (the observed ratio is ~10x; 5x leaves room for machine noise).
-MIN_SPEEDUP = 5.0
+#: Acceptance floors for seed/optimized wall-clock on the fixed point, per
+#: tuner, at about half the ratios observed with whole-schedule replay
+#: (MWD 13-18x, where the DES now bounds the fast side; spatial 50-70x):
+#: room for machine noise, none for a path that falls back to one engine
+#: call per row.
+MIN_SPEEDUP = {"tune_tiled": 7.0, "tune_spatial": 25.0}
 
 
-def clear_substrate_caches() -> None:
-    """Drop every memoization layer so a timing run starts cold."""
-    from repro.core import autotuner, diamond, plan
-    from repro.machine import measure, streams
-
-    autotuner.tune_tiled.cache_clear()
-    autotuner.tune_spatial.cache_clear()
-    measure._measure_tiled_cached.cache_clear()
-    measure._measure_sweep_cached.cache_clear()
-    diamond._enumerate_tiles_cached.cache_clear()
-    plan._tile_dag.cache_clear()
-    streams._RAW_SEGMENT_CACHE.clear()
-
-
-def time_fixed_point(engine: str):
+def time_fixed_point(tuner: str, engine: str):
     """Cold wall-clock of the fixed Fig. 6 point under one replay engine."""
-    from repro.core.autotuner import tune_tiled
-    from repro.machine import HASWELL_EP, SUBSTRATE_COUNTERS
+    from repro.core import autotuner
+    from repro.machine import (HASWELL_EP, SUBSTRATE_COUNTERS,
+                               clear_substrate_caches)
 
     clear_substrate_caches()
     SUBSTRATE_COUNTERS.reset()
-    prev = {k: os.environ.get(k) for k in ("REPRO_STREAM_ENGINE", "REPRO_TUNE_CACHE")}
+    prev = {k: os.environ.get(k) for k in (
+        "REPRO_STREAM_ENGINE", "REPRO_TUNE_CACHE", "REPRO_TUNE_WORKERS")}
     os.environ["REPRO_STREAM_ENGINE"] = engine
     # The persisted tuning cache would satisfy the second run from disk
-    # and time nothing; this benchmark measures the replay engines.
+    # and time nothing; this benchmark measures the replay engines -- one
+    # process on both sides, so the ratio does not depend on the core
+    # count a fork pool would divide the seed side by.
     os.environ.pop("REPRO_TUNE_CACHE", None)
+    os.environ["REPRO_TUNE_WORKERS"] = "1"
     try:
+        tune = getattr(autotuner, tuner)
         t0 = time.perf_counter()
-        point = tune_tiled(HASWELL_EP, FIXED_GRID, FIXED_THREADS)
+        point = tune(HASWELL_EP, FIXED_GRID, FIXED_THREADS)
         seconds = time.perf_counter() - t0
     finally:
         for k, v in prev.items():
@@ -68,18 +65,32 @@ def time_fixed_point(engine: str):
 
 def collect() -> dict:
     """Seed-vs-optimized timings of the fixed point, plus telemetry."""
-    seed_seconds, seed_point, _ = time_fixed_point("reference")
-    fast_seconds, fast_point, counters = time_fixed_point("auto")
-    return {
-        "fixed_point": {"grid_n": FIXED_GRID, "threads": FIXED_THREADS,
-                        "variant": "MWD (Fig. 6 rightmost point)"},
-        "seed_seconds": seed_seconds,
-        "fast_seconds": fast_seconds,
-        "speedup": seed_seconds / fast_seconds if fast_seconds else 0.0,
-        "identical_result": seed_point == fast_point,
-        "tuned": seed_point.describe() if seed_point else None,
-        "substrate_counters": counters,
-    }
+    rows = {"fixed_point": {"grid_n": FIXED_GRID, "threads": FIXED_THREADS}}
+    for tuner in MIN_SPEEDUP:
+        seed_seconds, seed_point, _ = time_fixed_point(tuner, "reference")
+        fast_seconds, fast_point, counters = time_fixed_point(tuner, "auto")
+        rows[tuner] = {
+            "seed_seconds": seed_seconds,
+            "fast_seconds": fast_seconds,
+            "speedup": seed_seconds / fast_seconds if fast_seconds else 0.0,
+            "min_speedup": MIN_SPEEDUP[tuner],
+            "identical_result": seed_point == fast_point,
+            "tuned": seed_point.describe() if seed_point else None,
+            "substrate_counters": counters,
+        }
+    return rows
+
+
+def failures(rows: dict) -> list:
+    out = []
+    for tuner, floor in MIN_SPEEDUP.items():
+        row = rows[tuner]
+        if not row["identical_result"]:
+            out.append(f"{tuner}: optimized engines changed the tuned point")
+        if row["speedup"] < floor:
+            out.append(f"{tuner}: substrate speedup {row['speedup']:.2f}x "
+                       f"below the {floor:g}x acceptance floor")
+    return out
 
 
 def test_substrate_speed(output_dir):
@@ -87,20 +98,19 @@ def test_substrate_speed(output_dir):
     path = os.path.join(output_dir, "substrate_speed.json")
     with open(path, "w", encoding="utf-8") as f:
         json.dump(rows, f, indent=2)
-    print(f"\n[substrate speed: seed {rows['seed_seconds']:.2f}s -> "
-          f"fast {rows['fast_seconds']:.2f}s = {rows['speedup']:.1f}x; "
-          f"saved -> {path}]")
-    assert rows["identical_result"], "optimized engines changed the tuned point"
-    assert rows["speedup"] >= MIN_SPEEDUP, (
-        f"substrate speedup {rows['speedup']:.2f}x below the "
-        f"{MIN_SPEEDUP:.0f}x acceptance floor"
-    )
+    for tuner in MIN_SPEEDUP:
+        row = rows[tuner]
+        print(f"\n[substrate speed, {tuner}: seed {row['seed_seconds']:.2f}s -> "
+              f"fast {row['fast_seconds']:.3f}s = {row['speedup']:.1f}x]")
+    print(f"[saved -> {path}]")
+    failed = failures(rows)
+    assert not failed, failed
 
 
 def main() -> int:
     rows = collect()
     print(json.dumps(rows, indent=2))
-    return 0 if rows["identical_result"] and rows["speedup"] >= MIN_SPEEDUP else 1
+    return 1 if failures(rows) else 0
 
 
 if __name__ == "__main__":

@@ -609,31 +609,18 @@ def _bench_cases(args) -> dict:
     }
 
 
-def _clear_substrate_caches() -> None:
-    """Cold-start every memoization layer so the profile reflects real work."""
-    from .core import autotuner, diamond, plan
-    from .machine import measure, streams
-
-    autotuner.tune_tiled.cache_clear()
-    autotuner.tune_spatial.cache_clear()
-    measure._measure_tiled_cached.cache_clear()
-    measure._measure_sweep_cached.cache_clear()
-    diamond._enumerate_tiles_cached.cache_clear()
-    plan._tile_dag.cache_clear()
-    streams._RAW_SEGMENT_CACHE.clear()
-
-
 def _cmd_bench(args) -> int:
     import cProfile
     import io
     import os
     import pstats
 
-    from .machine import SUBSTRATE_COUNTERS
+    from .machine import SUBSTRATE_COUNTERS, clear_substrate_caches
 
     if args.engine:
         os.environ["REPRO_STREAM_ENGINE"] = args.engine
-    _clear_substrate_caches()
+    # Cold-start every memoization layer so the profile reflects real work.
+    clear_substrate_caches()
     SUBSTRATE_COUNTERS.reset()
     fn = _bench_cases(args)[args.name]
 
@@ -660,7 +647,7 @@ def _cmd_counters(args) -> int:
     import json
     import os
 
-    from .machine import measure
+    from .machine import clear_substrate_caches, measure
     from .machine.pmu import GLOBAL_PMU
     from .machine.spec import HASWELL_EP
 
@@ -668,8 +655,7 @@ def _cmd_counters(args) -> int:
         os.environ["REPRO_STREAM_ENGINE"] = args.engine
     # Cold-start so the marker regions actually fire (memoized results
     # skip the replay, and with it the region enter/exit).
-    measure._measure_tiled_cached.cache_clear()
-    measure._measure_sweep_cached.cache_clear()
+    clear_substrate_caches()
     GLOBAL_PMU.reset()
 
     n = args.grid
@@ -688,9 +674,9 @@ def _cmd_counters(args) -> int:
 def _cmd_trace(args) -> int:
     from .core import tracing
     from .core.autotuner import tune_tiled
-    from .machine import HASWELL_EP
+    from .machine import HASWELL_EP, clear_substrate_caches
 
-    _clear_substrate_caches()
+    clear_substrate_caches()
     tracing.start_trace(args.out)
     point = tune_tiled(HASWELL_EP, args.grid, args.threads)
     rec, written = tracing.stop_trace()

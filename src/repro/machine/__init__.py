@@ -14,6 +14,7 @@ from .calibration import CalibrationReport, validate_calibration
 from .counters import SUBSTRATE_COUNTERS, SubstrateCounters, timed_section
 from .measure import (
     TrafficResult,
+    clear_substrate_caches,
     measure_sweep_code_balance,
     measure_tiled_code_balance,
     resolve_engine,
@@ -71,6 +72,7 @@ __all__ = [
     "StreamEmitter",
     "SubstrateCounters",
     "TrafficResult",
+    "clear_substrate_caches",
     "make_lru",
     "measure_sweep_code_balance",
     "measure_tiled_code_balance",

@@ -151,11 +151,13 @@ class BatchLRU:
     any access sequence (asserted by the property tests) -- but the unit of
     work is a *segment* of packed relative keys instead of one access, so
     the per-access Python overhead (method dispatch, dataclass counter
-    updates, list-valued entries) disappears from the hot loop.
+    updates, list-valued entries) disappears from the hot loop.  Whole
+    schedules arrive through :meth:`replay_jobs`, as runs of the
+    process-wide shape table shared with the native engine.
 
     Entries are stored as ``key -> (size << 1) | dirty`` in an ordered
     dict; statistics are accumulated in local integers for the duration of
-    one :meth:`replay` call and folded into :attr:`stats` on exit, so
+    one replay call and folded into :attr:`stats` on exit, so
     :meth:`reset_stats` epochs (which the measurement campaigns place at
     job-stream boundaries) behave exactly as with the reference cache.
     """
@@ -197,10 +199,29 @@ class BatchLRU:
         tuples: each segment touches chunks ``prebase + base + r`` for
         ``r`` in ``rel_keys`` (a plain list of ints), all with the same
         byte ``size`` and read/write direction.  ``base`` translates a
-        memoized relative stream to its absolute position (the tile's
-        anchor), which is what makes one packed stream serve every
-        congruent tile of a plan.
+        relative stream to its absolute position (the job's anchor).
         """
+        return self._replay(((segments, base),))
+
+    def replay_jobs(self, table, group_base, group_size,
+                    job_lo, job_hi, job_base) -> int:
+        """Replay a whole schedule: job ``j`` is the run ``[job_lo[j],
+        job_hi[j])`` of the shared segment table (see
+        :class:`repro.machine.streams.ShapeTable`) translated by
+        ``job_base[j]``; ``group_base`` / ``group_size`` place a segment's
+        array group in the emitter's key space and give its chunk size."""
+        runs = list(zip(job_lo.tolist(), job_hi.tolist()))
+        distinct = set(runs)
+        segs = table.python_segments(distinct)
+        gbase, gsize = group_base.tolist(), group_size.tolist()
+        placed = {
+            (lo, hi): [(gbase[g], gsize[g], w, rel) for g, w, rel in segs[lo:hi]]
+            for lo, hi in distinct
+        }
+        return self._replay(zip(map(placed.__getitem__, runs), job_base.tolist()))
+
+    def _replay(self, jobs) -> int:
+        """The LRU loop over ``(segments, base)`` jobs."""
         entries = self._entries
         get = entries.get
         move = entries.move_to_end
@@ -210,47 +231,48 @@ class BatchLRU:
         rh = rm = wh = wm = wb = 0
         mrb = mwb = 0
         n = 0
-        for prebase, size, write, rel in segments:
-            b = prebase + base
-            n += len(rel)
-            if write:
-                dval = (size << 1) | 1
-                for r in rel:
-                    k = b + r
-                    if get(k) is not None:
-                        move(k)
-                        entries[k] = dval
-                        wh += 1
-                    else:
-                        wm += 1
-                        entries[k] = dval
-                        used += size
-                        while used > cap:
-                            v = pop(False)[1]
-                            es = v >> 1
-                            used -= es
-                            if v & 1:
-                                wb += 1
-                                mwb += es
-            else:
-                cval = size << 1
-                for r in rel:
-                    k = b + r
-                    if get(k) is not None:
-                        move(k)
-                        rh += 1
-                    else:
-                        rm += 1
-                        mrb += size
-                        entries[k] = cval
-                        used += size
-                        while used > cap:
-                            v = pop(False)[1]
-                            es = v >> 1
-                            used -= es
-                            if v & 1:
-                                wb += 1
-                                mwb += es
+        for segments, base in jobs:
+            for prebase, size, write, rel in segments:
+                b = prebase + base
+                n += len(rel)
+                if write:
+                    dval = (size << 1) | 1
+                    for r in rel:
+                        k = b + r
+                        if get(k) is not None:
+                            move(k)
+                            entries[k] = dval
+                            wh += 1
+                        else:
+                            wm += 1
+                            entries[k] = dval
+                            used += size
+                            while used > cap:
+                                v = pop(False)[1]
+                                es = v >> 1
+                                used -= es
+                                if v & 1:
+                                    wb += 1
+                                    mwb += es
+                else:
+                    cval = size << 1
+                    for r in rel:
+                        k = b + r
+                        if get(k) is not None:
+                            move(k)
+                            rh += 1
+                        else:
+                            rm += 1
+                            mrb += size
+                            entries[k] = cval
+                            used += size
+                            while used > cap:
+                                v = pop(False)[1]
+                                es = v >> 1
+                                used -= es
+                                if v & 1:
+                                    wb += 1
+                                    mwb += es
         self._used_bytes = used
         s = self.stats
         s.read_hits += rh

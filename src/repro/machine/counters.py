@@ -8,8 +8,8 @@ much wall-clock the replay consumed.  The substrate speed benchmark
 these so perf regressions in the substrate are visible as data, not
 anecdotes.
 
-Counting is deliberately coarse (one increment per *job*, never per
-access) so the counters themselves stay out of the hot loop.
+Counting is deliberately coarse (one update per replayed *schedule*,
+never per access) so the counters themselves stay out of the hot loop.
 
 Multiprocessing: each ``REPRO_TUNE_WORKERS`` fork-pool worker counts in
 its own copy-on-write copy of :data:`SUBSTRATE_COUNTERS`; the autotuner
@@ -84,9 +84,10 @@ class SubstrateCounters:
         self._section_depth = {}
 
 
-#: Process-global counters (the substrate is single-threaded per process;
-#: multiprocessing tuner workers each count in their own copy and are
-#: merged back by the autotuner).
+#: Process-global counters.  The batched emitters add a replayed schedule's
+#: totals under the shape-table lock of :mod:`repro.machine.streams`, so
+#: concurrent tuning threads lose no update; multiprocessing tuner workers
+#: each count in their own copy and are merged back by the autotuner.
 SUBSTRATE_COUNTERS = SubstrateCounters()
 
 

@@ -18,7 +18,9 @@ Reduction to a representative window (documented in DESIGN.md):
   on it) and a shortened z extent.
 
 Results are memoized: the auto-tuner and the figure benchmarks revisit
-the same configurations many times.
+the same configurations many times.  Traffic depends on the machine only
+through its usable L3 capacity, so that is what the memo is keyed on:
+bandwidth- and core-count variants of one machine share measurements.
 
 Replay engines
 --------------
@@ -27,11 +29,20 @@ Three interchangeable engines produce byte-identical traffic counts
 
 * ``"reference"`` -- the original per-access Python loop
   (:class:`~repro.machine.streams.StreamEmitter` over
-  :class:`~repro.machine.cache.LRUCache`); the correctness oracle.
-* ``"batch"`` -- signature-memoized packed streams replayed through the
-  pure-Python :class:`~repro.machine.cache.BatchLRU`.
-* ``"native"`` -- the same packed streams through the compiled kernel of
+  :class:`~repro.machine.cache.LRUCache`), one emitter call per row job;
+  the correctness oracle.
+* ``"batch"`` -- whole schedules replayed through the pure-Python
+  :class:`~repro.machine.cache.BatchLRU`.
+* ``"native"`` -- the same schedules through the compiled kernel of
   :mod:`repro.machine.native` (falls back to ``"batch"`` transparently).
+
+The two fast engines never see a single job: a measurement resolves each
+phase of its schedule -- a band of interleaved tiles, the warm-up step or
+all measured steps of a sweep -- to job arrays over the process-wide
+:class:`~repro.machine.streams.ShapeTable` and replays it in one engine
+call, in exactly the reference's access order.  The table holds the
+stream of every shape class and tile congruence class once for all
+candidates of a tuning run.
 
 The default ``"auto"`` picks the fastest available; override per call or
 process-wide via ``REPRO_STREAM_ENGINE``.
@@ -41,7 +52,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, List
+from typing import Iterator, List, Tuple
+
+import numpy as np
 
 from .. import config
 from ..core import tracing
@@ -57,10 +70,14 @@ from .streams import (
     BatchStreamEmitter,
     ComponentStreamEmitter,
     StreamEmitter,
+    SWEEP_COMPONENTS,
+    clear_shape_table,
+    round_robin,
 )
 
 __all__ = [
     "TrafficResult",
+    "clear_substrate_caches",
     "measure_tiled_code_balance",
     "measure_sweep_code_balance",
     "resolve_engine",
@@ -165,13 +182,14 @@ def measure_tiled_code_balance(
         Replay engine (see module docstring); default: fastest available.
     """
     return _measure_tiled_cached(
-        spec, nx, dw, bz, n_streams, nz_sim, measure_bands, resolve_engine(engine)
+        spec.usable_l3_bytes, nx, dw, bz, n_streams, nz_sim, measure_bands,
+        resolve_engine(engine),
     )
 
 
 @lru_cache(maxsize=4096)
 def _measure_tiled_cached(
-    spec: MachineSpec,
+    capacity: float,
     nx: int,
     dw: int,
     bz: int,
@@ -190,7 +208,7 @@ def _measure_tiled_cached(
     plan = TilingPlan.build(ny=ny_sim, nz=nz_sim, timesteps=timesteps, dw=dw, bz=bz)
 
     cache, emitter = _make_group_emitter(
-        engine, spec.usable_l3_bytes, ny=ny_sim, nz=nz_sim, nx=nx
+        engine, capacity, ny=ny_sim, nz=nz_sim, nx=nx
     )
 
     def emit_band(band: int) -> None:
@@ -226,15 +244,13 @@ def _measure_tiled_cached(
 
 
 def _sweep_rows(
-    emitter,
-    ny: int,
-    nz: int,
-    timesteps: int,
-    block_y: int | None,
-    threads: int,
-) -> None:
-    """Emit the baseline sweep: one loop nest per component per half step
-    (the paper's Listings), with ``threads`` static y-slabs interleaved.
+    ny: int, nz: int, block_y: int | None, threads: int
+) -> Tuple[np.ndarray, ...]:
+    """The row schedule of one baseline time step, as ``(comp, y_lo, y_hi,
+    z_lo, z_hi)`` arrays (``comp`` indexes :data:`SWEEP_COMPONENTS`): one
+    loop nest per component per half step (the paper's Listings), with
+    ``threads`` static y-slabs interleaved round-robin, a slab dropping
+    out when its loop nest is done.
 
     Naive order (``block_y=None``) is z-outer / y-inner: the z-shifted
     far rows are evicted before reuse at large grids.  Spatial blocking
@@ -242,35 +258,23 @@ def _sweep_rows(
     rows stay resident between consecutive z planes -- the "layer
     condition" of Section III-B.
     """
-    from ..fdfd.specs import E_COMPONENTS, H_COMPONENTS
-
     slab = -(-ny // threads)
-    slabs = [(t * slab, min((t + 1) * slab, ny)) for t in range(threads)]
-    slabs = [s for s in slabs if s[0] < s[1]]
-
-    def slab_steps(comp: str, y0: int, y1: int):
-        if block_y is None:
-            for z in range(nz):
-                yield (comp, y0, y1, z)
-        else:
-            for yb in range(y0, y1, block_y):
-                ye = min(yb + block_y, y1)
-                for z in range(nz):
-                    yield (comp, yb, ye, z)
-
-    for _ in range(timesteps):
-        for comps in (H_COMPONENTS, E_COMPONENTS):
-            for comp in comps:
-                streams = [slab_steps(comp, y0, y1) for (y0, y1) in slabs]
-                while streams:
-                    alive = []
-                    for s in streams:
-                        item = next(s, None)
-                        if item is not None:
-                            c, ya, yb_, z = item
-                            emitter.emit_component_rows(c, ya, yb_, z, z + 1)
-                            alive.append(s)
-                    streams = alive
+    y_lo, y_hi, z = [], [], []
+    for t in range(threads):
+        y0, y1 = t * slab, min((t + 1) * slab, ny)
+        if y0 >= y1:
+            continue
+        by = block_y or y1 - y0
+        blocks = np.arange(y0, y1, by, dtype=np.int64)
+        y_lo.append(np.repeat(blocks, nz))
+        y_hi.append(np.repeat(np.minimum(blocks + by, y1), nz))
+        z.append(np.tile(np.arange(nz, dtype=np.int64), len(blocks)))
+    order = round_robin([len(a) for a in z])
+    y_lo, y_hi, z = (np.concatenate(a)[order] for a in (y_lo, y_hi, z))
+    n_comp = len(SWEEP_COMPONENTS)
+    comp = np.repeat(np.arange(n_comp, dtype=np.int64), len(z))
+    y_lo, y_hi, z = (np.tile(a, n_comp) for a in (y_lo, y_hi, z))
+    return comp, y_lo, y_hi, z, z + 1
 
 
 def measure_sweep_code_balance(
@@ -285,13 +289,14 @@ def measure_sweep_code_balance(
 ) -> TrafficResult:
     """Measured bytes/LUP of the naive or spatially blocked sweep."""
     return _measure_sweep_cached(
-        spec, nx, ny, block_y, threads, nz_sim, timesteps, resolve_engine(engine)
+        spec.usable_l3_bytes, nx, ny, block_y, threads, nz_sim, timesteps,
+        resolve_engine(engine),
     )
 
 
 @lru_cache(maxsize=1024)
 def _measure_sweep_cached(
-    spec: MachineSpec,
+    capacity: float,
     nx: int,
     ny: int,
     block_y: int | None,
@@ -303,7 +308,7 @@ def _measure_sweep_cached(
     if threads < 1:
         raise ValueError("threads must be >= 1")
     cache, emitter = _make_component_emitter(
-        engine, spec.usable_l3_bytes, ny=ny, nz=nz_sim, nx=nx
+        engine, capacity, ny=ny, nz=nz_sim, nx=nx
     )
     region = PerfRegion("measure.sweep")
     with timed_section("measure.sweep"), tracing.span(
@@ -311,12 +316,13 @@ def _measure_sweep_cached(
         args={"nx": nx, "ny": ny, "block_y": block_y, "threads": threads,
               "engine": engine},
     ):
+        rows = _sweep_rows(ny, nz_sim, block_y, threads)
         with tracing.span("warmup step", "measure"):
-            _sweep_rows(emitter, ny, nz_sim, 1, block_y, threads)
+            emitter.emit_rows(*rows)
         cache.reset_stats()
         cells0 = emitter.cells
         with region(cache, emitter), tracing.span("measured steps", "measure"):
-            _sweep_rows(emitter, ny, nz_sim, timesteps - 1, block_y, threads)
+            emitter.emit_rows(*rows, repeat=timesteps - 1)
     stats = cache.stats
     cells = emitter.cells - cells0
     GLOBAL_PMU.add_sample("measure.sweep", region.sample)
@@ -327,3 +333,19 @@ def _measure_sweep_cached(
         hit_rate=stats.hit_rate,
         perf=region.sample,
     )
+
+
+def clear_substrate_caches() -> None:
+    """Cold-start every memoization layer of the substrate and the tuner
+    on top of it: tuned points, measurements, tile enumerations, tile DAGs
+    and the shared shape table.  What cold-path benchmarks, ``repro bench``
+    and order-independence tests call between runs."""
+    from ..core import autotuner, diamond, plan
+
+    autotuner.tune_tiled.cache_clear()
+    autotuner.tune_spatial.cache_clear()
+    _measure_tiled_cached.cache_clear()
+    _measure_sweep_cached.cache_clear()
+    diamond._enumerate_tiles_cached.cache_clear()
+    plan._tile_dag.cache_clear()
+    clear_shape_table()

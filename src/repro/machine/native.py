@@ -18,7 +18,7 @@ import ctypes
 import hashlib
 import os
 import subprocess
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -39,8 +39,16 @@ _LIB = None
 _LIB_TRIED = False
 
 
+_P64 = ctypes.POINTER(ctypes.c_int64)
+_PU8 = ctypes.POINTER(ctypes.c_uint8)
+
+
 class _LruState(ctypes.Structure):
     _fields_ = [
+        ("next", _P64),
+        ("prev", _P64),
+        ("size", _P64),
+        ("flags", _PU8),
         ("capacity", ctypes.c_double),
         ("used", ctypes.c_int64),
         ("mru", ctypes.c_int64),
@@ -76,21 +84,16 @@ def _build_library():
         )
         os.replace(tmp, so_path)  # atomic vs concurrent builders
     lib = ctypes.CDLL(so_path)
-    p64 = ctypes.POINTER(ctypes.c_int64)
-    pu8 = ctypes.POINTER(ctypes.c_uint8)
-    lib.lru_replay.restype = ctypes.c_int64
-    lib.lru_replay.argtypes = [
+    table = [
         ctypes.POINTER(_LruState),
-        p64, p64, p64, pu8,  # next, prev, size, flags
-        p64, p64, p64, p64, pu8,  # rel, seg_start, seg_base, seg_size, seg_write
-        ctypes.c_int64, ctypes.c_int64,  # n_seg, base
+        _P64, _P64, _P64, _PU8,  # rel, seg_start, seg_group, seg_write
+        _P64, _P64,  # group_base, group_size
     ]
+    lib.lru_replay.restype = ctypes.c_int64
+    lib.lru_replay.argtypes = table + [ctypes.c_int64, ctypes.c_int64]  # n_seg, base
     lib.lru_replay_jobs.restype = ctypes.c_int64
-    lib.lru_replay_jobs.argtypes = [
-        ctypes.POINTER(_LruState),
-        p64, p64, p64, pu8,  # next, prev, size, flags
-        p64, p64, p64, p64, pu8,  # rel, seg_start, seg_base, seg_size, seg_write
-        p64, p64, p64,  # job_lo, job_hi, job_base
+    lib.lru_replay_jobs.argtypes = table + [
+        _P64, _P64, _P64,  # job_lo, job_hi, job_base
         ctypes.c_int64,  # n_jobs
     ]
     return lib
@@ -122,6 +125,15 @@ def _as_i64(x) -> np.ndarray:
     return np.ascontiguousarray(x, dtype=np.int64)
 
 
+class _Prepared(NamedTuple):
+    """A packed segment table: the table arguments of one ``lru_replay``
+    call (raw pointers, segment count) and the arrays that keep the
+    pointers valid."""
+
+    arrays: tuple
+    args: tuple
+
+
 class NativeLRU:
     """Direct-mapped exact-LRU replay engine backed by the C kernel.
 
@@ -151,22 +163,12 @@ class NativeLRU:
         self._st.capacity = self.capacity_bytes
         self._st.mru = -1
         self._st.lru = -1
-        p64 = ctypes.POINTER(ctypes.c_int64)
-        pu8 = ctypes.POINTER(ctypes.c_uint8)
-        self._ptrs = (
-            self._next.ctypes.data_as(p64),
-            self._prev.ctypes.data_as(p64),
-            self._size.ctypes.data_as(p64),
-            self._flags.ctypes.data_as(pu8),
-        )
+        self._st.next = self._next.ctypes.data_as(_P64)
+        self._st.prev = self._prev.ctypes.data_as(_P64)
+        self._st.size = self._size.ctypes.data_as(_P64)
+        self._st.flags = self._flags.ctypes.data_as(_PU8)
         self._st_ref = ctypes.byref(self._st)
-        # Growable shared segment table (see table_add / replay_jobs).
-        self._tab_rel: List[np.ndarray] = []
-        self._tab_base: List[int] = []
-        self._tab_size: List[int] = []
-        self._tab_write: List[int] = []
-        self._tab_nseg = 0
-        self._tab_ptrs = None
+        self._lru_replay = lib.lru_replay
 
     # -- properties ---------------------------------------------------------
 
@@ -206,44 +208,28 @@ class NativeLRU:
 
     def prepare(self, segments: Sequence[Tuple[int, int, bool, Sequence[int]]]):
         """Pack generic ``(prebase, size, write, rel_keys)`` segments into
-        the flat arrays one kernel call consumes."""
+        the flat arrays one kernel call consumes (every segment its own
+        "group", carrying its prebase and size)."""
         n_seg = len(segments)
-        seg_start = np.zeros(n_seg + 1, dtype=np.int64)
-        seg_base = np.zeros(n_seg, dtype=np.int64)
-        seg_size = np.zeros(n_seg, dtype=np.int64)
-        seg_write = np.zeros(n_seg, dtype=np.uint8)
-        rels = []
-        for s, (prebase, size, write, rel) in enumerate(segments):
-            seg_base[s] = prebase
-            seg_size[s] = size
-            seg_write[s] = 1 if write else 0
-            rels.append(_as_i64(rel))
-            seg_start[s + 1] = seg_start[s] + len(rels[-1])
+        rels = [_as_i64(seg[3]) for seg in segments]
         rel = np.concatenate(rels) if rels else np.zeros(0, dtype=np.int64)
-        p64 = ctypes.POINTER(ctypes.c_int64)
-        pu8 = ctypes.POINTER(ctypes.c_uint8)
-        # Keep the arrays alive alongside the raw pointers the call uses.
-        return (
-            rel, seg_start, seg_base, seg_size, seg_write,
-            rel.ctypes.data_as(p64), seg_start.ctypes.data_as(p64),
-            seg_base.ctypes.data_as(p64), seg_size.ctypes.data_as(p64),
-            seg_write.ctypes.data_as(pu8), n_seg,
+        seg_start = np.zeros(n_seg + 1, dtype=np.int64)
+        np.cumsum(np.array([len(r) for r in rels], dtype=np.int64), out=seg_start[1:])
+        arrays = (
+            rel, seg_start, np.arange(n_seg, dtype=np.int64),
+            np.array([seg[2] for seg in segments], dtype=np.uint8),
+            np.array([seg[0] for seg in segments], dtype=np.int64),
+            np.array([seg[1] for seg in segments], dtype=np.int64),
         )
+        return _Prepared(arrays, tuple(
+            a.ctypes.data_as(_PU8 if a.dtype == np.uint8 else _P64) for a in arrays
+        ) + (n_seg,))
 
     def replay(self, prepared, base: int = 0) -> int:
         """Replay a prepared segment table at an absolute base offset."""
-        if isinstance(prepared, (list, tuple)) and (
-            not prepared or isinstance(prepared[0], tuple)
-        ):
+        if type(prepared) is not _Prepared:
             prepared = self.prepare(prepared)
-        (_, _, _, _, _, rel_p, start_p, base_p, size_p, write_p, n_seg) = prepared
-        nxt, prv, siz, flg = self._ptrs
-        return int(
-            self._lib.lru_replay(
-                ctypes.byref(self._st), nxt, prv, siz, flg,
-                rel_p, start_p, base_p, size_p, write_p, n_seg, base,
-            )
-        )
+        return int(self._lru_replay(self._st_ref, *prepared.args, base))
 
     def access(self, key: int, size: int, write: bool) -> bool:
         """Single-access compatibility shim (not the hot path)."""
@@ -251,64 +237,28 @@ class NativeLRU:
         self.replay([(0, size, write, [key])])
         return hit
 
-    # -- shared segment table + job batching --------------------------------
-
-    def table_add(self, segments: Sequence[Tuple[int, int, bool, Sequence[int]]]):
-        """Append segments to the shared table; returns ``(lo, hi, n)`` --
-        the segment index range and the total accesses it covers.  Jobs of
-        the same shape class all reference one such range (translated per
-        job by their base), so the table grows only per *distinct* shape."""
-        lo = self._tab_nseg
-        n = 0
-        for prebase, size, write, rel in segments:
-            a = _as_i64(rel)
-            self._tab_rel.append(a)
-            self._tab_base.append(prebase)
-            self._tab_size.append(size)
-            self._tab_write.append(1 if write else 0)
-            n += len(a)
-        self._tab_nseg += len(segments)
-        self._tab_ptrs = None  # re-materialize on next replay
-        return lo, self._tab_nseg, n
-
-    def _table_arrays(self):
-        if self._tab_ptrs is None:
-            nseg = self._tab_nseg
-            rel = (
-                np.concatenate(self._tab_rel)
-                if self._tab_rel
-                else np.zeros(0, dtype=np.int64)
-            )
-            seg_start = np.zeros(nseg + 1, dtype=np.int64)
-            np.cumsum([len(a) for a in self._tab_rel], out=seg_start[1:])
-            seg_base = np.asarray(self._tab_base, dtype=np.int64)
-            seg_size = np.asarray(self._tab_size, dtype=np.int64)
-            seg_write = np.asarray(self._tab_write, dtype=np.uint8)
-            p64 = ctypes.POINTER(ctypes.c_int64)
-            pu8 = ctypes.POINTER(ctypes.c_uint8)
-            self._tab_ptrs = (
-                rel, seg_start, seg_base, seg_size, seg_write,
-                rel.ctypes.data_as(p64), seg_start.ctypes.data_as(p64),
-                seg_base.ctypes.data_as(p64), seg_size.ctypes.data_as(p64),
-                seg_write.ctypes.data_as(pu8),
-            )
-        return self._tab_ptrs
-
-    def replay_jobs(self, job_lo, job_hi, job_base) -> int:
-        """Replay a batch of jobs -- table ranges ``[lo, hi)`` translated
-        by per-job bases -- in one kernel call."""
-        tab = self._table_arrays()
-        jl = _as_i64(job_lo)
-        jh = _as_i64(job_hi)
-        jb = _as_i64(job_base)
-        p64 = ctypes.POINTER(ctypes.c_int64)
-        nxt, prv, siz, flg = self._ptrs
+    def replay_jobs(self, table, group_base, group_size,
+                    job_lo, job_hi, job_base) -> int:
+        """Replay a whole schedule in one kernel call: job ``j`` is the
+        run ``[job_lo[j], job_hi[j])`` of the shared segment table (see
+        :class:`repro.machine.streams.ShapeTable`) translated by
+        ``job_base[j]``; ``group_base`` / ``group_size`` place a segment's
+        array group in this cache's key space and give its chunk size."""
+        rel, seg_start, seg_group, seg_write = table.arrays()
+        gb, gs = _as_i64(group_base), _as_i64(group_size)
+        jl, jh, jb = _as_i64(job_lo), _as_i64(job_hi), _as_i64(job_base)
+        if not (len(jl) == len(jh) == len(jb)) or len(gb) != len(gs):
+            raise ValueError("job / group arrays differ in length")
+        if len(jl) and (jl.min() < 0 or jh.max() > table.n_segments):
+            raise ValueError("job run outside the segment table")
         return int(
             self._lib.lru_replay_jobs(
-                self._st_ref, nxt, prv, siz, flg,
-                tab[5], tab[6], tab[7], tab[8], tab[9],
-                jl.ctypes.data_as(p64), jh.ctypes.data_as(p64),
-                jb.ctypes.data_as(p64), len(jl),
+                self._st_ref,
+                rel.ctypes.data_as(_P64), seg_start.ctypes.data_as(_P64),
+                seg_group.ctypes.data_as(_P64), seg_write.ctypes.data_as(_PU8),
+                gb.ctypes.data_as(_P64), gs.ctypes.data_as(_P64),
+                jl.ctypes.data_as(_P64), jh.ctypes.data_as(_P64),
+                jb.ctypes.data_as(_P64), len(jl),
             )
         )
 

@@ -26,8 +26,10 @@ Write counting follows the paper's Section III-A convention (see
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -55,6 +57,11 @@ __all__ = [
     "ComponentStreamEmitter",
     "BatchStreamEmitter",
     "BatchComponentStreamEmitter",
+    "SWEEP_COMPONENTS",
+    "ShapeTable",
+    "shape_table",
+    "clear_shape_table",
+    "round_robin",
 ]
 
 
@@ -199,6 +206,10 @@ def _build_component_recipes() -> Dict[str, Tuple[AccessOp, ...]]:
 
 COMPONENT_RECIPES = _build_component_recipes()
 
+#: Component order of one baseline time step: the six H loop nests, then
+#: the six E loop nests (the paper's Listings).
+SWEEP_COMPONENTS: Tuple[str, ...] = tuple(H_COMPONENTS) + tuple(E_COMPONENTS)
+
 
 class StreamEmitter:
     """Feeds row-job streams into an LRU cache and accounts LUPs.
@@ -287,6 +298,15 @@ class ComponentStreamEmitter:
                     cache.access(row + z, size, write)
         self.cells += (y_hi - y_lo) * (z_hi - z_lo)
 
+    def emit_rows(self, comp, y_lo, y_hi, z_lo, z_hi, repeat: int = 1) -> None:
+        """Replay a schedule of component rows (arrays; ``comp`` indexes
+        :data:`SWEEP_COMPONENTS`) row by row, ``repeat`` times over."""
+        rows = list(zip(comp.tolist(), y_lo.tolist(), y_hi.tolist(),
+                        z_lo.tolist(), z_hi.tolist()))
+        for _ in range(repeat):
+            for c, ya, yb, za, zb in rows:
+                self.emit_component_rows(SWEEP_COMPONENTS[c], ya, yb, za, zb)
+
     @property
     def lups(self) -> float:
         """Full LUPs: 12 component-cell updates each."""
@@ -294,34 +314,234 @@ class ComponentStreamEmitter:
 
 
 # ---------------------------------------------------------------------------
-# Batched emitters: signature-memoized packed streams.
+# Batched emitters: whole schedules over one process-wide shape table.
 #
 # The reference emitters above regenerate every chunk key with nested
 # Python loops and push them through the cache one call at a time.  But a
-# TilingPlan contains thousands of *congruent* jobs -- same half-step
-# class, same box extents, same adjacency to the domain edges -- whose
-# access streams are identical up to a translation by the job's (y_lo,
-# z_lo) anchor (see :meth:`repro.core.wavefront.RowJob.shape_key`).  The
-# batched emitters generate the packed relative stream once per shape
-# class with NumPy, memoize it, and hand whole segments plus a base
-# offset to :meth:`repro.machine.cache.BatchLRU.replay`.  Key order
-# inside a segment is exactly the reference loop order (recipe op, then
-# y, then z), so the replay is access-for-access identical.
+# schedule contains thousands of *congruent* jobs -- same half-step class,
+# same box extents, same adjacency to the domain edges -- whose access
+# streams are identical up to a translation by the job's (y_lo, z_lo)
+# anchor (see :meth:`repro.core.wavefront.RowJob.shape_key`).  The batched
+# emitters generate the relative stream of a shape class once with NumPy,
+# keep it in the shape table below, resolve a whole schedule (one band of
+# interleaved tiles, one phase of a sweep) to ``(segment range, base)``
+# job arrays and hand it to the engine's ``replay_jobs`` in one call.  Key
+# order inside a segment is exactly the reference loop order (recipe op,
+# then y, then z) and job order is the reference interleave, so the replay
+# is access-for-access identical.
 # ---------------------------------------------------------------------------
 
 
-def _rect_rel_keys(ry0: int, ry1: int, rz0: int, rz1: int, nz: int) -> List[int]:
+def _rect_rel_keys(ry0: int, ry1: int, rz0: int, rz1: int, nz: int) -> np.ndarray:
     """Relative keys ``ry * nz + rz`` of a rectangle, y-major like the
-    reference emit loops; a plain list so the replay loop iterates ints."""
+    reference emit loops."""
     rel = np.arange(ry0, ry1, dtype=np.int64) * nz
-    return (rel[:, None] + np.arange(rz0, rz1, dtype=np.int64)[None, :]).ravel().tolist()
+    return (rel[:, None] + np.arange(rz0, rz1, dtype=np.int64)[None, :]).ravel()
 
 
-#: Generated relative segment lists, shared across emitters: the segments
-#: of a shape class depend only on (ny, nz, nx, shape_key), and autotuning
-#: sweeps create many emitters over the same simulated domains.
-_RAW_SEGMENT_CACHE: Dict[tuple, list] = {}
-_RAW_SEGMENT_CACHE_MAX = 1 << 16
+def _clipped_segments(recipe, y_lo: int, y_hi: int, z_lo: int, z_hi: int,
+                      ny: int, nz: int) -> List[Tuple[int, bool, np.ndarray]]:
+    """``(group, write, rel_keys)`` per recipe op of a box, clipped to the
+    domain; keys are relative to the box anchor ``(y_lo, z_lo)``."""
+    segments = []
+    for op in recipe:
+        y0 = max(y_lo + op.dy, 0)
+        y1 = min(y_hi + op.dy, ny)
+        z0 = max(z_lo + op.dz, 0)
+        z1 = min(z_hi + op.dz, nz)
+        if y0 >= y1 or z0 >= z1:
+            continue
+        segments.append((op.gid, op.write, _rect_rel_keys(
+            y0 - y_lo, y1 - y_lo, z0 - z_lo, z1 - z_lo, nz)))
+    return segments
+
+
+#: Byte budget of the shape table.  A cold pass over Fig. 6/7 tunes fills
+#: about a third of it on the native engine (entries depend on ``D_w``,
+#: ``B_z`` and block sizes, not on the grid, so more points add little);
+#: a table that outgrows it is replaced by an empty one, see
+#: :func:`shape_table`.
+SHAPE_TABLE_MAX_BYTES = 32 * 2**20
+
+#: Approximate bytes per key of a materialized Python key list (pointer
+#: plus int object), for the byte accounting of :class:`ShapeTable`.
+_PY_KEY_BYTES = 40
+
+#: Guards every mutation of the shape table and of the replay counters.
+_TABLE_LOCK = threading.Lock()
+
+
+class ShapeTable:
+    """Access streams of shape classes and tile congruence classes, shared
+    by every batched emitter of the process.
+
+    A *shape* is stored once as a run of segments ``[lo, hi)`` in flat
+    arrays: per segment an array group, a read/write flag and the keys
+    relative to the job anchor, ``ry * nz + rz``.  Nothing in an entry
+    depends on the emitter's ``ny`` or ``nx`` -- the group's plane offset
+    and row size enter per replay call -- so shapes are keyed by
+    ``(nz, shape_key)`` and shared by all candidates of a tuning run.  A
+    *tile stream* is a tile's whole serialized job sequence resolved to
+    such runs, keyed by the tile's congruence class.
+
+    Entries are only ever appended, under :data:`_TABLE_LOCK`; readers take
+    :meth:`arrays` / :meth:`python_segments` after resolving their jobs and
+    hold that view for the duration of the replay, so a concurrent append
+    (which may move the flat arrays to larger buffers) never invalidates
+    it.
+    """
+
+    def __init__(self) -> None:
+        #: ``(nz, shape_key) -> (lo, hi, n_accesses)``; read without the lock.
+        self.shapes: Dict[tuple, Tuple[int, int, int]] = {}
+        #: tile congruence class -> ``(lo, hi, rel_base, accesses, cells)``.
+        self.tiles: Dict[tuple, tuple] = {}
+        self._rel = np.empty(1 << 14, dtype=np.int64)
+        self._start = np.zeros((1 << 10) + 1, dtype=np.int64)
+        self._group = np.empty(1 << 10, dtype=np.int64)
+        self._write = np.empty(1 << 10, dtype=np.uint8)
+        self._n_rel = 0
+        self.n_segments = 0
+        # Per segment ``(group, write, key list)`` for the pure-Python
+        # engine, materialized on demand.
+        self._py: List[tuple | None] = []
+        self._extra_bytes = 0
+
+    @property
+    def nbytes(self) -> int:
+        return (self._rel.nbytes + self._start.nbytes + self._group.nbytes
+                + self._write.nbytes + self._extra_bytes)
+
+    def _reserve(self, n_rel: int, n_seg: int) -> None:
+        if n_rel > len(self._rel):
+            grown = np.empty(max(n_rel, 2 * len(self._rel)), dtype=np.int64)
+            grown[: self._n_rel] = self._rel[: self._n_rel]
+            self._rel = grown
+        if n_seg > len(self._group):
+            cap = max(n_seg, 2 * len(self._group))
+            for name, extra in (("_start", 1), ("_group", 0), ("_write", 0)):
+                old = getattr(self, name)
+                grown = np.zeros(cap + extra, dtype=old.dtype)
+                grown[: self.n_segments + extra] = old[: self.n_segments + extra]
+                setattr(self, name, grown)
+
+    def add_shape(self, key: tuple,
+                  segments: Sequence[Tuple[int, bool, np.ndarray]]):
+        """Store the segments of shape class ``key`` (unless another thread
+        got there first) and return its ``(lo, hi, n_accesses)``."""
+        with _TABLE_LOCK:
+            entry = self.shapes.get(key)
+            if entry is None:
+                n = sum(len(rel) for _, _, rel in segments)
+                self._reserve(self._n_rel + n, self.n_segments + len(segments))
+                lo = s = self.n_segments
+                at = self._n_rel
+                for group, write, rel in segments:
+                    self._rel[at : at + len(rel)] = rel
+                    at += len(rel)
+                    self._group[s] = group
+                    self._write[s] = write
+                    s += 1
+                    self._start[s] = at
+                self._py.extend([None] * len(segments))
+                self._n_rel = at
+                self.n_segments = s
+                entry = self.shapes[key] = (lo, s, n)
+            return entry
+
+    def add_tile(self, key: tuple, stream: tuple) -> tuple:
+        """Store a tile congruence class's resolved job stream."""
+        with _TABLE_LOCK:
+            entry = self.tiles.get(key)
+            if entry is None:
+                entry = self.tiles[key] = stream
+                self._extra_bytes += sum(a.nbytes for a in stream[:3])
+            return entry
+
+    def arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(rel, seg_start, seg_group, seg_write)``, valid for every entry
+        added before the call (growth copies into new buffers and leaves
+        the old ones to their holders)."""
+        return self._rel, self._start, self._group, self._write
+
+    def python_segments(self, runs: Iterable[Tuple[int, int]]) -> List[tuple]:
+        """The per-segment ``(group, write, key list)`` table with every
+        segment of ``runs`` materialized."""
+        py = self._py
+        for lo, hi in runs:
+            if None in py[lo:hi]:
+                with _TABLE_LOCK:
+                    for s in range(lo, hi):
+                        if py[s] is None:
+                            a, b = self._start[s], self._start[s + 1]
+                            py[s] = (int(self._group[s]), bool(self._write[s]),
+                                     self._rel[a:b].tolist())
+                            self._extra_bytes += _PY_KEY_BYTES * int(b - a)
+        return py
+
+
+_TABLE = ShapeTable()
+
+
+def shape_table() -> ShapeTable:
+    """The process-wide shape table.
+
+    An emitter resolves one schedule against the table it got here and
+    replays from that same object, so replacing an over-budget table with
+    an empty one (here, or in :func:`clear_shape_table`) never invalidates
+    indices in flight; the old table is freed with its last user.
+    """
+    global _TABLE
+    table = _TABLE
+    if table.nbytes > SHAPE_TABLE_MAX_BYTES:
+        with _TABLE_LOCK:
+            if _TABLE is table:
+                _TABLE = ShapeTable()
+            table = _TABLE
+    return table
+
+
+def clear_shape_table() -> None:
+    """Drop every shared stream (cold-start benchmarks, tests)."""
+    global _TABLE
+    with _TABLE_LOCK:
+        _TABLE = ShapeTable()
+
+
+def _after_fork_in_child() -> None:
+    # The forking thread never holds the lock, but a sibling thread may
+    # have been mid-append: then the inherited table may be torn and the
+    # inherited lock is held by a thread that does not exist here.
+    global _TABLE, _TABLE_LOCK
+    if _TABLE_LOCK.locked():
+        _TABLE = ShapeTable()
+    _TABLE_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_after_fork_in_child)
+
+
+def _count_replay(jobs: int, accesses: int, misses: int) -> None:
+    """Account one replayed schedule (emitters of concurrent tuning threads
+    share the process-global counters)."""
+    with _TABLE_LOCK:
+        c = SUBSTRATE_COUNTERS
+        c.jobs_replayed += jobs
+        c.accesses_replayed += accesses
+        c.stream_memo_misses += misses
+        c.stream_memo_hits += jobs - misses
+
+
+def round_robin(lengths: Sequence[int]) -> np.ndarray:
+    """Order that interleaves concatenated streams of the given lengths
+    round-robin -- every live stream's k-th item before any stream's
+    (k+1)-th, a stream dropping out when it is exhausted: concurrent
+    threads (or thread groups) sharing the L3."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    stream = np.repeat(np.arange(len(lengths)), lengths)
+    ends = np.cumsum(lengths)
+    step = np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - lengths, lengths)
+    return np.lexsort((stream, step))
 
 
 class BatchStreamEmitter:
@@ -336,13 +556,9 @@ class BatchStreamEmitter:
         self.nz = nz
         self.nx = nx
         self._row_bytes = [g.row_bytes(nx) for g in ARRAY_GROUPS]
+        self._group_base = np.arange(len(ARRAY_GROUPS), dtype=np.int64) * (ny * nz)
+        self._group_size = np.array(self._row_bytes, dtype=np.int64)
         self.cells = 0
-        # shape_key -> (prepared segments, n_accesses); see segments_for().
-        # With a job-batching engine the entry is (table_lo, table_hi, n).
-        self._memo: Dict[tuple, tuple] = {}
-        # tile congruence class -> its whole resolved job stream.
-        self._tile_memo: Dict[tuple, tuple] = {}
-        self._batched = hasattr(cache, "replay_jobs")
 
     @staticmethod
     def key_space(ny: int, nz: int) -> int:
@@ -350,188 +566,117 @@ class BatchStreamEmitter:
         return len(ARRAY_GROUPS) * ny * nz
 
     def raw_segments_for(self, job: RowJob):
-        """Unprepared ``(prebase, size, write, rel_keys)`` segments of a
-        job (regenerated every call -- the memoized path is emit_job)."""
-        ny, nz = self.ny, self.nz
-        plane = ny * nz
-        segments = []
-        for op in CLASS_RECIPES[job.field]:
-            y0 = max(job.y_lo + op.dy, 0)
-            y1 = min(job.y_hi + op.dy, ny)
-            z0 = max(job.z_lo + op.dz, 0)
-            z1 = min(job.z_hi + op.dz, nz)
-            if y0 >= y1 or z0 >= z1:
-                continue
-            rel = _rect_rel_keys(y0 - job.y_lo, y1 - job.y_lo,
-                                 z0 - job.z_lo, z1 - job.z_lo, nz)
-            segments.append((op.gid * plane, self._row_bytes[op.gid], op.write, rel))
-        return segments
+        """Generic ``(prebase, size, write, rel_keys)`` segments of a job
+        at this emitter's domain, regenerated every call (the form
+        ``prepare`` / ``replay`` of the engines consume)."""
+        plane = self.ny * self.nz
+        return [
+            (gid * plane, self._row_bytes[gid], write, rel.tolist())
+            for gid, write, rel in _clipped_segments(
+                CLASS_RECIPES[job.field], job.y_lo, job.y_hi,
+                job.z_lo, job.z_hi, self.ny, self.nz)
+        ]
 
-    def _raw_for_sig(self, sig: tuple, job: RowJob):
-        """Raw segments of a shape class, via the cross-emitter cache."""
-        key = (self.ny, self.nz, self.nx, sig)
-        segs = _RAW_SEGMENT_CACHE.get(key)
-        if segs is None:
-            if len(_RAW_SEGMENT_CACHE) >= _RAW_SEGMENT_CACHE_MAX:
-                _RAW_SEGMENT_CACHE.clear()
-            segs = self.raw_segments_for(job)
-            _RAW_SEGMENT_CACHE[key] = segs
-        return segs
+    def _shape(self, table: ShapeTable, job: RowJob):
+        """``((lo, hi, n), was_miss)`` of a job's shape class."""
+        key = (self.nz, job.shape_key(self.ny, self.nz))
+        entry = table.shapes.get(key)
+        if entry is not None:
+            return entry, 0
+        return table.add_shape(key, _clipped_segments(
+            CLASS_RECIPES[job.field], job.y_lo, job.y_hi,
+            job.z_lo, job.z_hi, self.ny, self.nz)), 1
 
     def segments_for(self, job: RowJob):
-        """The prepared packed segments of a job's shape class (memoized)."""
-        sig = job.shape_key(self.ny, self.nz)
-        hit = self._memo.get(sig)
-        if hit is not None:
-            SUBSTRATE_COUNTERS.stream_memo_hits += 1
-            return hit
-        SUBSTRATE_COUNTERS.stream_memo_misses += 1
-        segments = self._raw_for_sig(sig, job)
-        entry = (self.cache.prepare(segments), sum(len(s[3]) for s in segments))
-        self._memo[sig] = entry
-        return entry
+        """The shared-table stream of a job's shape class, resolved to this
+        emitter's domain in :meth:`raw_segments_for` form, and its access
+        count (what a replay of the job consumes; diagnostics and tests)."""
+        table = shape_table()
+        (lo, hi, n), _ = self._shape(table, job)
+        plane = self.ny * self.nz
+        py = table.python_segments([(lo, hi)])
+        return [(g * plane, self._row_bytes[g], w, rel) for g, w, rel in py[lo:hi]], n
 
-    def emit_job(self, job: RowJob) -> None:
-        """Replay one row job's chunk accesses (batched)."""
-        if self._batched:
-            self.emit_jobs((job,))
-            return
-        segments, n = self.segments_for(job)
-        self.cache.replay(segments, base=job.y_lo * self.nz + job.z_lo)
-        self.cells += job.cells_per_x
-        c = SUBSTRATE_COUNTERS
-        c.jobs_replayed += 1
-        c.accesses_replayed += n
-
-    def emit_jobs(self, jobs: Iterable[RowJob]) -> None:
-        if not self._batched:
-            emit = self.emit_job
-            for job in jobs:
-                emit(job)
-            return
-        # Job-batching engine: resolve every job to its memoized table
-        # range + base, then hand the whole batch to one kernel call.
-        ny, nz = self.ny, self.nz
-        memo = self._memo
-        table_add = self.cache.table_add
-        lows: List[int] = []
-        highs: List[int] = []
-        bases: List[int] = []
-        total = 0
-        cells = 0
-        misses = 0
+    def _resolve(self, table: ShapeTable, jobs: Iterable[RowJob], y0: int = 0):
+        """A job sequence as ``(lo, hi, base)`` arrays over the table's
+        shape runs (bases relative to row ``y0``), followed by its
+        accesses, cells and the shape misses resolving it cost."""
+        nz = self.nz
+        runs, bases = [], []
+        total = cells = misses = 0
         for job in jobs:
-            sig = job.shape_key(ny, nz)
-            e = memo.get(sig)
-            if e is None:
-                misses += 1
-                e = table_add(self._raw_for_sig(sig, job))
-                memo[sig] = e
-            lo, hi, n = e
-            lows.append(lo)
-            highs.append(hi)
-            bases.append(job.y_lo * nz + job.z_lo)
+            (lo, hi, n), miss = self._shape(table, job)
+            runs.append((lo, hi))
+            bases.append((job.y_lo - y0) * nz + job.z_lo)
             total += n
             cells += job.cells_per_x
-        if lows:
-            self.cache.replay_jobs(lows, highs, bases)
-        self.cells += cells
-        c = SUBSTRATE_COUNTERS
-        c.jobs_replayed += len(lows)
-        c.accesses_replayed += total
-        c.stream_memo_misses += misses
-        c.stream_memo_hits += len(lows) - misses
+            misses += miss
+        lohi = np.array(runs, dtype=np.int64).reshape(-1, 2)
+        return (np.ascontiguousarray(lohi[:, 0]), np.ascontiguousarray(lohi[:, 1]),
+                np.array(bases, dtype=np.int64), total, cells, misses)
 
-    def _tile_stream(self, tile, bz: int):
-        """The tile's whole serialized job stream, resolved to table
-        ranges, cached per tile *congruence class*: tiles whose rows agree
-        up to a y translation (and in domain-boundary adjacency) produce
-        identical job sequences up to the ``y0 * nz`` base shift."""
+    def _replay(self, table: ShapeTable, lo, hi, base) -> None:
+        if len(lo):
+            self.cache.replay_jobs(table, self._group_base, self._group_size,
+                                   lo, hi, base)
+
+    def emit_job(self, job: RowJob) -> None:
+        """Replay one row job's chunk accesses."""
+        self.emit_jobs((job,))
+
+    def emit_jobs(self, jobs: Iterable[RowJob]) -> None:
+        """Replay a job sequence in one engine call."""
+        table = shape_table()
+        lo, hi, base, total, cells, misses = self._resolve(table, jobs)
+        self._replay(table, lo, hi, base)
+        self.cells += cells
+        _count_replay(len(lo), total, misses)
+
+    def _tile_stream(self, table: ShapeTable, tile, bz: int):
+        """The tile's whole serialized job stream, resolved to shape runs,
+        shared per tile *congruence class*: tiles whose rows agree up to a
+        y translation (and in domain-boundary adjacency) produce identical
+        job sequences up to the ``y0 * nz`` base shift.  Returns the
+        stream, that shift, and the shape misses building it cost."""
         ny, nz = self.ny, self.nz
         y0 = min(r.y_lo for r in tile.rows)
         key = (
-            bz,
+            nz, bz,
             tuple(
                 (r.tau & 1, r.y_lo - y0, r.y_hi - y0, r.y_lo == 0, r.y_hi == ny)
                 for r in tile.rows
             ),
         )
-        entry = self._tile_memo.get(key)
-        if entry is None:
-            memo = self._memo
-            table_add = self.cache.table_add
-            c = SUBSTRATE_COUNTERS
-            los: List[int] = []
-            his: List[int] = []
-            rels: List[int] = []
-            total = 0
-            cells = 0
-            for job in tile_row_jobs(tile, nz, bz):
-                sig = job.shape_key(ny, nz)
-                e = memo.get(sig)
-                if e is None:
-                    c.stream_memo_misses += 1
-                    e = table_add(self._raw_for_sig(sig, job))
-                    memo[sig] = e
-                else:
-                    c.stream_memo_hits += 1
-                lo, hi, n = e
-                los.append(lo)
-                his.append(hi)
-                rels.append((job.y_lo - y0) * nz + job.z_lo)
-                total += n
-                cells += job.cells_per_x
-            entry = (los, his, rels, total, cells)
-            self._tile_memo[key] = entry
-        else:
-            SUBSTRATE_COUNTERS.stream_memo_hits += len(entry[0])
-        return entry, y0 * nz
+        stream = table.tiles.get(key)
+        misses = 0
+        if stream is None:
+            *stream, misses = self._resolve(table, tile_row_jobs(tile, nz, bz), y0)
+            stream = table.add_tile(key, tuple(stream))
+        return stream, y0 * nz, misses
 
     def emit_tiles_interleaved(self, tiles, bz: int) -> None:
         """Round-robin interleave the job streams of concurrently executing
-        tiles (thread groups sharing the L3) and replay them -- in one
-        kernel call when the engine supports job batching."""
-        if not self._batched:
-            streams = [tile_row_jobs(t, self.nz, bz) for t in tiles]
-            while streams:
-                alive = []
-                for s in streams:
-                    job = next(s, None)
-                    if job is not None:
-                        self.emit_job(job)
-                        alive.append(s)
-                streams = alive
-            return
-        lows: List[int] = []
-        highs: List[int] = []
-        bases: List[int] = []
-        total = 0
-        cells = 0
-        alive = []
+        tiles (thread groups sharing the L3) and replay them in one engine
+        call."""
+        table = shape_table()
+        los, his, bases, lengths = [], [], [], []
+        total = cells = misses = 0
         for t in tiles:
-            (los, his, rels, n, cl), off = self._tile_stream(t, bz)
+            (lo, hi, rel, n, cl), shift, miss = self._tile_stream(table, t, bz)
+            los.append(lo)
+            his.append(hi)
+            bases.append(rel + shift)
+            lengths.append(len(lo))
             total += n
             cells += cl
-            if los:
-                alive.append((los, his, rels, off, len(los)))
-        r = 0
-        while alive:
-            nxt = []
-            for tup in alive:
-                los, his, rels, off, length = tup
-                lows.append(los[r])
-                highs.append(his[r])
-                bases.append(off + rels[r])
-                if r + 1 < length:
-                    nxt.append(tup)
-            alive = nxt
-            r += 1
-        if lows:
-            self.cache.replay_jobs(lows, highs, bases)
+            misses += miss
+        if not los:
+            return
+        order = round_robin(lengths)
+        self._replay(table, np.concatenate(los)[order],
+                     np.concatenate(his)[order], np.concatenate(bases)[order])
         self.cells += cells
-        c = SUBSTRATE_COUNTERS
-        c.jobs_replayed += len(lows)
-        c.accesses_replayed += total
+        _count_replay(len(order), total, misses)
 
     @property
     def lups(self) -> float:
@@ -540,8 +685,8 @@ class BatchStreamEmitter:
 
 
 class BatchComponentStreamEmitter:
-    """Drop-in fast counterpart of :class:`ComponentStreamEmitter`
-    (single-array granularity, per-component loop nests)."""
+    """Fast counterpart of :class:`ComponentStreamEmitter` (single-array
+    granularity, per-component loop nests) replaying whole row schedules."""
 
     def __init__(self, cache, ny: int, nz: int, nx: int):
         if ny < 1 or nz < 1 or nx < 1:
@@ -550,49 +695,56 @@ class BatchComponentStreamEmitter:
         self.ny = ny
         self.nz = nz
         self.nx = nx
-        self._row_bytes = BYTES_PER_NUMBER * nx
+        self._group_base = np.arange(len(ALL_ARRAYS), dtype=np.int64) * (ny * nz)
+        self._group_size = np.full(len(ALL_ARRAYS), BYTES_PER_NUMBER * nx,
+                                   dtype=np.int64)
         self.cells = 0
-        self._memo: Dict[tuple, tuple] = {}
 
     @staticmethod
     def key_space(ny: int, nz: int) -> int:
         """Upper bound (exclusive) of the dense chunk-key space."""
         return len(ALL_ARRAYS) * ny * nz
 
-    def _segments_for(self, comp: str, y_lo: int, y_hi: int, z_lo: int, z_hi: int):
+    def emit_rows(self, comp, y_lo, y_hi, z_lo, z_hi, repeat: int = 1) -> None:
+        """Replay a schedule of component rows -- row ``i`` is component
+        ``SWEEP_COMPONENTS[comp[i]]`` over ``[y_lo[i], y_hi[i]) x
+        [z_lo[i], z_hi[i])`` -- ``repeat`` times over, in one engine call."""
+        if repeat < 1 or not len(comp):
+            return
         ny, nz = self.ny, self.nz
-        sig = (comp, y_hi - y_lo, z_hi - z_lo,
-               y_lo == 0, y_hi == ny, z_lo == 0, z_hi == nz)
-        hit = self._memo.get(sig)
-        if hit is not None:
-            SUBSTRATE_COUNTERS.stream_memo_hits += 1
-            return hit
-        SUBSTRATE_COUNTERS.stream_memo_misses += 1
-        plane = ny * nz
-        size = self._row_bytes
-        segments = []
-        n = 0
-        for op in COMPONENT_RECIPES[comp]:
-            y0 = max(y_lo + op.dy, 0)
-            y1 = min(y_hi + op.dy, ny)
-            z0 = max(z_lo + op.dz, 0)
-            z1 = min(z_hi + op.dz, nz)
-            if y0 >= y1 or z0 >= z1:
-                continue
-            rel = _rect_rel_keys(y0 - y_lo, y1 - y_lo, z0 - z_lo, z1 - z_lo, nz)
-            segments.append((op.gid * plane, size, op.write, rel))
-            n += len(rel)
-        entry = (self.cache.prepare(segments), n)
-        self._memo[sig] = entry
-        return entry
-
-    def emit_component_rows(self, comp: str, y_lo: int, y_hi: int, z_lo: int, z_hi: int) -> None:
-        segments, n = self._segments_for(comp, y_lo, y_hi, z_lo, z_hi)
-        self.cache.replay(segments, base=y_lo * self.nz + z_lo)
-        self.cells += (y_hi - y_lo) * (z_hi - z_lo)
-        c = SUBSTRATE_COUNTERS
-        c.jobs_replayed += 1
-        c.accesses_replayed += n
+        dy = y_hi - y_lo
+        dz = z_hi - z_lo
+        # One integer per shape class: component, extents and adjacency to
+        # the four domain edges (cf. RowJob.shape_key).
+        edges = ((y_lo == 0) * 8 + (y_hi == ny) * 4
+                 + (z_lo == 0) * 2 + (z_hi == nz))
+        code = ((comp * (ny + 1) + dy) * (nz + 1) + dz) * 16 + edges
+        classes, first, inverse = np.unique(
+            code, return_index=True, return_inverse=True)
+        table = shape_table()
+        runs = np.empty((len(classes), 3), dtype=np.int64)
+        missed = np.zeros(len(classes), dtype=np.int64)
+        for c, i in enumerate(first.tolist()):
+            name = SWEEP_COMPONENTS[comp[i]]
+            key = (nz, (name, int(dy[i]), int(dz[i]), int(edges[i])))
+            entry = table.shapes.get(key)
+            if entry is None:
+                missed[c] = 1
+                entry = table.add_shape(key, _clipped_segments(
+                    COMPONENT_RECIPES[name], int(y_lo[i]), int(y_hi[i]),
+                    int(z_lo[i]), int(z_hi[i]), ny, nz))
+            runs[c] = entry
+        per_class = np.bincount(inverse, minlength=len(classes))
+        lo, hi = runs[inverse, 0], runs[inverse, 1]
+        base = y_lo * nz + z_lo
+        if repeat != 1:
+            lo, hi, base = (np.tile(a, repeat) for a in (lo, hi, base))
+        self.cache.replay_jobs(table, self._group_base, self._group_size,
+                               lo, hi, base)
+        self.cells += repeat * int((dy * dz).sum())
+        # A class generated by this call missed once; its other rows hit.
+        _count_replay(repeat * len(code), repeat * int(per_class @ runs[:, 2]),
+                      int(missed.sum()))
 
     @property
     def lups(self) -> float:

@@ -107,38 +107,151 @@ class TestTimedSection:
         assert c._section_depth == {}
 
 
-class TestForkPoolTelemetry:
-    def test_worker_counters_reach_parent(self, monkeypatch):
-        """With REPRO_TUNE_WORKERS=2 the replay happens in fork children;
-        the merged parent counters must still see the jobs."""
-        from repro.core import autotuner
-        from repro.machine import measure, streams
-        from repro.machine.spec import HASWELL_EP
+def _tune(machine, grid, threads):
+    """One spatial + one 1WD tune: every candidate is a distinct
+    measurement, so replay counts add up the same however they are
+    scheduled."""
+    from repro.core import autotuner
 
-        monkeypatch.setenv("REPRO_TUNE_WORKERS", "2")
-        monkeypatch.delenv("REPRO_TUNE_CACHE", raising=False)
-        autotuner.tune_tiled.cache_clear()
-        measure._measure_tiled_cached.cache_clear()
-        streams._RAW_SEGMENT_CACHE.clear()
+    return (
+        autotuner.tune_spatial(machine, grid, threads),
+        autotuner.tune_tiled(machine, grid, threads, tg_size=1, variant="1WD"),
+    )
+
+
+def _cold_tune(grid, threads):
+    """``(points, jobs_replayed, accesses_replayed)`` of a cold tune."""
+    from repro.machine import HASWELL_EP, clear_substrate_caches
+
+    clear_substrate_caches()
+    SUBSTRATE_COUNTERS.reset()
+    points = _tune(HASWELL_EP, grid, threads)
+    return (points, SUBSTRATE_COUNTERS.jobs_replayed,
+            SUBSTRATE_COUNTERS.accesses_replayed)
+
+
+@pytest.fixture
+def cold_substrate(monkeypatch):
+    from repro.machine import clear_substrate_caches
+
+    monkeypatch.delenv("REPRO_TUNE_CACHE", raising=False)
+    monkeypatch.setenv("REPRO_TUNE_WORKERS", "1")
+    yield
+    # leave no tuned points or streams behind for other tests
+    clear_substrate_caches()
+    SUBSTRATE_COUNTERS.reset()
+
+
+class TestSharedShapeTable:
+    """The process-wide shape table is shared by every candidate, emitter
+    and thread; none of that may show in a tuned point or a replay count."""
+
+    POINTS = ((96, 6), (128, 8), (160, 9), (192, 12))
+
+    def test_tuning_order_does_not_matter(self, cold_substrate):
+        from repro.machine import HASWELL_EP, clear_substrate_caches
+        from repro.machine.streams import shape_table
+
+        a, b = self.POINTS[:2]
+        alone = {p: _cold_tune(*p) for p in (a, b)}
+        for order in ((a, b), (b, a)):
+            clear_substrate_caches()
+            SUBSTRATE_COUNTERS.reset()
+            assert not shape_table().shapes
+            got = {p: _tune(HASWELL_EP, *p) for p in order}
+            # the second tune found the first one's streams in the table
+            assert shape_table().shapes
+            for p in order:
+                assert got[p] == alone[p][0], (order, p)
+            assert SUBSTRATE_COUNTERS.jobs_replayed == alone[a][1] + alone[b][1]
+            assert SUBSTRATE_COUNTERS.accesses_replayed == alone[a][2] + alone[b][2]
+
+    def test_bandwidth_variants_share_measurements(self, cold_substrate):
+        """Traffic depends on the machine through its cache capacity only:
+        a bandwidth variant re-scores without replaying anything."""
+        from repro.machine import HASWELL_EP
+
+        grid, threads = self.POINTS[0]
+        base, jobs, accesses = _cold_tune(grid, threads)
+        starved = _tune(HASWELL_EP.with_bandwidth(5.0), grid, threads)
+        assert (SUBSTRATE_COUNTERS.jobs_replayed,
+                SUBSTRATE_COUNTERS.accesses_replayed) == (jobs, accesses)
+        assert starved[0].mlups < base[0].mlups
+
+    def test_concurrent_tunes_equal_serial(self, cold_substrate):
+        """Four threads tuning different points at once, on a shortened
+        switch interval, give the serial points and the serial totals: a
+        lost counter update or a torn table entry would break either."""
+        import sys
+        import threading
+
+        from repro.machine import HASWELL_EP, clear_substrate_caches
+
+        serial = {p: _cold_tune(*p) for p in self.POINTS}
+        clear_substrate_caches()
         SUBSTRATE_COUNTERS.reset()
-        point = autotuner.tune_tiled(HASWELL_EP, 64, 4)
-        assert point is not None
-        assert SUBSTRATE_COUNTERS.jobs_replayed > 0
-        assert SUBSTRATE_COUNTERS.accesses_replayed > 0
-        assert "tune.score" in SUBSTRATE_COUNTERS.section_seconds
-        # leave no cross-test contamination from the tuned lru_cache entry
-        autotuner.tune_tiled.cache_clear()
+        got, errors = {}, []
+        start = threading.Barrier(len(self.POINTS))
 
-    def test_serial_and_parallel_pick_same_winner(self, monkeypatch):
+        def work(point):
+            try:
+                start.wait(timeout=30)
+                got[point] = _tune(HASWELL_EP, *point)
+            except BaseException as exc:  # surfaced below, in the test thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(p,)) for p in self.POINTS]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        assert not any(t.is_alive() for t in threads)
+        for p in self.POINTS:
+            assert got[p] == serial[p][0], p
+        assert SUBSTRATE_COUNTERS.jobs_replayed == sum(s[1] for s in serial.values())
+        assert SUBSTRATE_COUNTERS.accesses_replayed == sum(s[2] for s in serial.values())
+
+    def test_table_is_replaced_when_over_budget(self, cold_substrate, monkeypatch):
+        """Past its byte budget the table starts over; a tune under a
+        budget every schedule exceeds still gives the same point."""
+        from repro.machine import HASWELL_EP, clear_substrate_caches, streams
+
+        point = self.POINTS[0]
+        want = _cold_tune(*point)
+        clear_substrate_caches()
+        SUBSTRATE_COUNTERS.reset()
+        monkeypatch.setattr(streams, "SHAPE_TABLE_MAX_BYTES", 1)
+        first = streams.shape_table()
+        assert _tune(HASWELL_EP, *point) == want[0]
+        assert streams.shape_table() is not first
+        assert (SUBSTRATE_COUNTERS.jobs_replayed,
+                SUBSTRATE_COUNTERS.accesses_replayed) == want[1:]
+
+
+class TestForkPoolTelemetry:
+    def test_worker_counters_reach_parent(self, cold_substrate, monkeypatch):
+        """With REPRO_TUNE_WORKERS=2 the replay happens in fork children;
+        the merged parent counters must see exactly the serial jobs."""
+        point = TestSharedShapeTable.POINTS[0]
+        serial = _cold_tune(*point)
+        monkeypatch.setenv("REPRO_TUNE_WORKERS", "2")
+        parallel = _cold_tune(*point)
+        assert parallel == serial
+        assert serial[1] > 0 and serial[2] > 0
+        assert "tune.score" in SUBSTRATE_COUNTERS.section_seconds
+
+    def test_serial_and_parallel_pick_same_winner(self, cold_substrate, monkeypatch):
         from repro.core import autotuner
         from repro.machine.spec import HASWELL_EP
 
-        monkeypatch.delenv("REPRO_TUNE_CACHE", raising=False)
-        monkeypatch.setenv("REPRO_TUNE_WORKERS", "1")
-        autotuner.tune_tiled.cache_clear()
         serial = autotuner.tune_tiled(HASWELL_EP, 64, 4)
         monkeypatch.setenv("REPRO_TUNE_WORKERS", "2")
         autotuner.tune_tiled.cache_clear()
         parallel = autotuner.tune_tiled(HASWELL_EP, 64, 4)
-        autotuner.tune_tiled.cache_clear()
         assert serial == parallel
