@@ -74,6 +74,8 @@ def package_version() -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .fdfd.presets import PRESETS
+
     p = argparse.ArgumentParser(
         prog="repro",
         description="THIIM electromagnetics + multicore wavefront diamond blocking (IPDPS'16 reproduction)",
@@ -83,8 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("solve", help="run a THIIM solve on a preset scene")
-    s.add_argument("--preset", choices=("vacuum", "absorber", "mirror", "tandem"),
-                   default="absorber")
+    s.add_argument("--preset", choices=PRESETS, default="absorber")
     s.add_argument("--grid", type=int, default=48, help="cells per axis (z gets 2x)")
     s.add_argument("--wavelength", type=float, default=12.0)
     s.add_argument("--tol", type=float, default=1e-5)
@@ -384,26 +385,18 @@ def _add_perf_group(sp: argparse.ArgumentParser) -> None:
 
 def _cmd_solve(args) -> int:
     from .core.tiled_solver import TiledTHIIM
-    from .fdfd import (
-        Grid, PMLSpec, PlaneWaveSource, THIIMSolver, absorbed_power,
-        poynting_flux_z, preset_scene,
-    )
+    from .fdfd import THIIMSolver, absorbed_power, poynting_flux_z
+    from .service.jobs import JobSpec, _solve_geometry
 
-    n = args.grid
-    nz = 2 * n
-    # Tiled traversal needs non-periodic y/z.
-    periodic = (False, not args.tiled, not args.tiled)
-    grid = Grid(nz=nz, ny=n, nx=n, periodic=periodic)
-    omega = 2 * np.pi / args.wavelength
-    # The same construction path the solve service uses (bit-identical
+    # The construction path of the solve service itself (bit-identical
     # scenes between `repro solve` and served jobs).
-    scene = preset_scene(args.preset, nz)
-
-    solver = THIIMSolver(
-        grid, omega, scene=scene,
-        source=PlaneWaveSource(z_plane=max(nz // 8, 12), z_width=2.0),
-        pml={"z": PMLSpec(thickness=max(nz // 10, 6))},
-    )
+    spec = JobSpec(kind="solve", preset=args.preset, grid=args.grid,
+                   wavelength=args.wavelength, tol=args.tol,
+                   max_steps=args.max_steps, tiled=args.tiled,
+                   dw=args.dw, bz=args.bz)
+    grid, scene, source_plane, source, pml = _solve_geometry(spec)
+    omega = 2 * np.pi / args.wavelength
+    solver = THIIMSolver(grid, omega, scene=scene, source=source, pml=pml)
     print(f"solve: preset={args.preset} grid={grid.shape} omega={omega:.4f} "
           f"tau={solver.tau:.4f} tiled={args.tiled}")
 
@@ -418,7 +411,7 @@ def _cmd_solve(args) -> int:
     print(f"{status} after {result.iterations} steps (residual {result.residual:.3e})")
     if scene is not None:
         total = absorbed_power(solver.fields, solver.sigma)
-        inc = poynting_flux_z(solver.fields, max(nz // 8, 12) + 4)
+        inc = poynting_flux_z(solver.fields, source_plane + 4)
         print(f"absorbed power: {total:.4f} (incident {inc:.4f})")
 
     if args.save:

@@ -13,19 +13,21 @@ Bit-identity with the single-domain sweep is preserved by construction:
 * Ranks are forked from a parent that already built the full global
   :class:`~repro.fdfd.thiim.THIIMSolver`, so every slab is cut from the
   *same* coefficient arrays a scalar solve uses.
-* Ranks never compute residuals.  At every convergence boundary the
-  parent gathers the owned slabs over the control pipes, assembles the
-  global :class:`~repro.fdfd.fields.FieldState` and evaluates
-  :func:`~repro.fdfd.observables.relative_change` /
-  :func:`~repro.fdfd.thiim.divergence_reason` on it -- the same
-  full-domain reduction order as :meth:`THIIMSolver.solve`, which is
-  what makes the residual history (and hence the stop step) identical.
+* Ranks never compute residuals.  The parent runs the same convergence
+  loop as every other entry point (:func:`repro.fdfd.thiim._converge`);
+  its ``advance`` tells the ranks to step and gathers the owned slabs
+  over the control pipes into the parent's global
+  :class:`~repro.fdfd.fields.FieldState` -- so the residual is the
+  full-domain reduction of :meth:`THIIMSolver.solve`, which is what
+  makes the residual history (and hence the stop step) identical.
 
 Resilience: each rank snapshots its slab through the ordinary
 :class:`~repro.resilience.checkpoint.CheckpointManager` (name and token
 namespaced by layout and coordinate), and the parent commits a *marker*
 file once every rank has acknowledged a boundary -- a group checkpoint
-is only resumable when all of its members exist at the same step.  A
+is only resumable when all of its members exist at the same step.
+:class:`_GroupCheckpoint` puts that behind the manager's
+``resume/due/save``, which is all the loop knows.  A
 rank death surfaces as :class:`~repro.resilience.errors.RankCrash`
 (retryable); the scheduler's retry re-enters this module, reads the
 marker, and resumes every rank from the committed boundary.
@@ -37,7 +39,7 @@ import hashlib
 import os
 import time
 from types import SimpleNamespace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -45,17 +47,16 @@ from .. import config, telemetry
 from ..core import tracing
 from ..fdfd.fields import FieldState
 from ..fdfd.kernels import update_component
-from ..fdfd.observables import relative_change
 from ..fdfd.specs import (
     ALL_COMPONENTS,
     BYTES_PER_NUMBER,
     E_COMPONENTS,
     H_COMPONENTS,
 )
-from ..fdfd.thiim import SolveResult, divergence_reason
+from ..fdfd.thiim import SolveResult, _converge
 from ..ioutil import atomic_write_json, read_json
 from ..resilience import faults
-from ..resilience.checkpoint import CheckpointManager, note_report, solver_token
+from ..resilience.checkpoint import Checkpoint, CheckpointManager, solver_token
 from ..resilience.errors import RankCrash, SolverDiverged, error_from_kind
 from .decomposition import Coord, RankLayout
 from .distributed import CommStats, _Rank, component_region
@@ -63,7 +64,8 @@ from .transport import SYNC_TIMEOUT_S, face_shape, make_transport
 
 __all__ = ["run_distributed", "clear_checkpoints", "MARKER_VERSION"]
 
-MARKER_VERSION = 1
+#: 2: per-lane histories and loop extras, as in checkpoint payload v2.
+MARKER_VERSION = 2
 
 
 def _marker_path(directory: str, name: str) -> str:
@@ -159,7 +161,7 @@ def _pin_rank(index: int) -> Optional[int]:
 
 def _rank_main(index: int, coord: Coord, layout: RankLayout, solver,
                transport, conn, attempt: int, trace_on: bool,
-               ckpt_cfg: Optional[dict]) -> None:
+               group: Optional[CheckpointManager]) -> None:
     """Entry point of one rank process (fork: everything is inherited)."""
     faults.set_in_child(True)
     faults.set_attempt(attempt)
@@ -237,11 +239,10 @@ def _rank_main(index: int, coord: Coord, layout: RankLayout, solver,
 
         ckpt: Optional[CheckpointManager] = None
         snap: Optional[_SlabSnapshot] = None
-        if ckpt_cfg is not None:
+        if group is not None:
             ckpt = CheckpointManager(
-                ckpt_cfg["directory"], name=_rank_name(ckpt_cfg["name"], coord),
-                token=_rank_token(ckpt_cfg["token"], coord),
-                every=max(int(ckpt_cfg.get("every", 1)), 1))
+                group.directory, name=_rank_name(group.name, coord),
+                token=_rank_token(group.token, coord), every=group.every)
             grid_meta = SimpleNamespace(
                 shape=tuple(my_shape), spacing=tuple(layout.grid.spacing),
                 periodic=tuple(layout.grid.periodic))
@@ -353,16 +354,11 @@ def _check_payload(msg: dict, coord: Coord) -> dict:
     return msg
 
 
-def _assemble(layout: RankLayout,
-              slabs: Dict[Coord, Dict[str, np.ndarray]]) -> FieldState:
-    out = FieldState(layout.grid)
-    for coord, arrays in slabs.items():
-        sub = layout.subdomain(coord)
-        own = (slice(sub.z[0], sub.z[1]), slice(sub.y[0], sub.y[1]),
-               slice(sub.x[0], sub.x[1]))
-        for name in ALL_COMPONENTS:
-            out[name][own] = arrays[name]
-    return out
+def _own(layout: RankLayout, coord: Coord):
+    """Index of ``coord``'s owned slab in the global arrays."""
+    sub = layout.subdomain(coord)
+    return (slice(sub.z[0], sub.z[1]), slice(sub.y[0], sub.y[1]),
+            slice(sub.x[0], sub.x[1]))
 
 
 def _slab_residual(arrays: Dict[str, np.ndarray], previous: FieldState,
@@ -379,6 +375,63 @@ def _slab_residual(arrays: Dict[str, np.ndarray], previous: FieldState,
     return float(np.sqrt(num / den))
 
 
+class _GroupCheckpoint(CheckpointManager):
+    """A rank group's snapshots as one :class:`CheckpointManager`, which
+    is all the convergence loop knows: cadence, resume bookkeeping and
+    reports are inherited, anchored on the group *marker* file.
+
+    ``save`` has every rank snapshot its own slab and commits the marker
+    (the loop state: steps, histories, extras) once all acknowledged;
+    ``load`` is the committed boundary :meth:`agree` accepted because
+    the marker and *every* rank snapshot name the same step -- anything
+    else restarts from sweep 0 (safe and still bit-identical:
+    determinism makes restarts free).
+    """
+
+    def __init__(self, directory: str, name: str, token: str, every: int,
+                 layout: RankLayout, fields: FieldState, command):
+        super().__init__(directory, name, token, every)
+        self.path = _marker_path(directory, name)
+        self.layout = layout
+        #: The parent's global fields (the restored state is gathered
+        #: there) and ``command(msg) -> {coord: reply}`` to the ranks.
+        self.fields = fields
+        self.command = command
+        self.committed: Optional[dict] = None
+
+    def agree(self, rank_steps) -> bool:
+        """Whether to restore: every rank loaded the committed boundary."""
+        doc = read_json(self.path)
+        if (isinstance(doc, dict) and doc.get("version") == MARKER_VERSION
+                and doc.get("token") == self.token
+                and isinstance(doc.get("steps"), int)
+                and all(s == doc["steps"] for s in rank_steps)):
+            self.committed = doc
+        return self.committed is not None
+
+    def load(self) -> Optional[Checkpoint]:
+        doc = self.committed
+        if doc is None:
+            return None
+        return Checkpoint(
+            arrays=self.fields.components(), steps=doc["steps"],
+            history=doc["history"], token=doc["token"], extras=doc["extras"])
+
+    def save(self, stack, steps: int, history: list, extras: dict) -> None:
+        acks = self.command({"type": "save", "steps": steps,
+                             "history": history})
+        if all(ack.get("ok") for ack in acks.values()):
+            atomic_write_json(
+                self.path,
+                {"version": MARKER_VERSION, "token": self.token,
+                 "steps": steps, "history": history, "extras": extras,
+                 "layout": list(self.layout.dims)},
+                checksum=True)
+            self.saves += 1
+            self.last_saved_steps = steps
+            self._publish()
+
+
 def run_distributed(
     layout: RankLayout,
     solver,
@@ -390,12 +443,12 @@ def run_distributed(
     every: int = 0,
     attempt: int = 1,
     timeout_s: float = SYNC_TIMEOUT_S,
-    on_divergence: str = "raise",
+    on_divergence: str = "return",
 ) -> Tuple[SolveResult, Dict]:
     """Solve ``solver``'s problem across real rank processes.
 
     Returns ``(result, info)`` where ``result`` is a plain
-    :class:`SolveResult` (global fields, bit-identical to the scalar
+    :class:`SolveResult` (``solver.fields``, bit-identical to the scalar
     sweep) and ``info`` carries the cluster provenance: pids, transport,
     merged halo stats, resume point and group-checkpoint saves.
     """
@@ -405,49 +458,46 @@ def run_distributed(
         raise ValueError("solver grid does not match the layout's grid")
     if tuple(solver.grid.periodic) != tuple(layout.grid.periodic):
         raise ValueError("solver periodicity does not match the layout's grid")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if check_every < 1:
         raise ValueError("check_every must be >= 1")
-    if on_divergence not in ("return", "raise"):
-        raise ValueError("on_divergence must be 'return' or 'raise'")
 
-    grid = layout.grid
     coords = list(layout.coords())
-
-    # Group-checkpoint configuration: one token namespace per layout, so
-    # a 2x2x1 run can never resume a 1x1x2 run's slabs (or a scalar
-    # solve's snapshot).
-    ckpt_cfg = None
-    marker = None
-    resumed_steps: Optional[int] = None
-    resumed_history: List[float] = []
-    if checkpoint_dir and every >= 1:
-        base = solver_token(solver, tol=tol, max_steps=max_steps,
-                            check_every=check_every,
-                            ranks="x".join(str(d) for d in layout.dims))
-        ckpt_cfg = {"directory": checkpoint_dir, "name": name,
-                    "token": base, "every": every}
-        marker = _marker_path(checkpoint_dir, name)
-        doc = read_json(marker)
-        if (isinstance(doc, dict) and doc.get("version") == MARKER_VERSION
-                and doc.get("token") == base
-                and isinstance(doc.get("steps"), int)):
-            resumed_steps = int(doc["steps"])
-            resumed_history = [float(v) for v in doc.get("history") or []]
-
+    fields = solver.fields
     transport = make_transport(layout, timeout_s=timeout_s)
     ctx = mp.get_context("fork")
     trace_on = tracing.active() is not None
     procs: Dict[Coord, object] = {}
     conns: Dict[Coord, object] = {}
     stats = CommStats()
-    saves = 0
-    last_saved: Optional[int] = None
 
-    def report(resumed_from: Optional[int]) -> None:
-        if ckpt_cfg is not None and marker is not None:
-            note_report(marker, saves, resumed_from)
+    def gather(into_fields: bool = False) -> Dict[Coord, dict]:
+        """One checked reply per rank; ``into_fields`` also lays each
+        rank's owned slab into the parent's global fields."""
+        replies = {
+            coord: _check_payload(
+                _recv(coord, conns, procs, timeout_s), coord)
+            for coord in coords
+        }
+        if into_fields:
+            for coord, reply in replies.items():
+                own = _own(layout, coord)
+                for name in ALL_COMPONENTS:
+                    fields[name][own] = reply["fields"][name]
+        return replies
+
+    def command(msg: dict, into_fields: bool = False) -> Dict[Coord, dict]:
+        for coord in coords:
+            conns[coord].send(msg)
+        return gather(into_fields)
+
+    group = None
+    if checkpoint_dir and every >= 1:
+        group = _GroupCheckpoint(
+            checkpoint_dir, name,
+            solver_token(solver, tol=tol, max_steps=max_steps,
+                         check_every=check_every,
+                         ranks="x".join(str(d) for d in layout.dims)),
+            every, layout, fields, command)
 
     def stop_ranks() -> None:
         """Graceful stop: collect stats + trace lanes from every rank."""
@@ -471,7 +521,7 @@ def run_distributed(
             proc = ctx.Process(
                 target=_rank_main,
                 args=(index, coord, layout, solver, transport, child_conn,
-                      attempt, trace_on, ckpt_cfg),
+                      attempt, trace_on, group),
                 daemon=True,
                 name=f"repro-rank-{coord[0]}-{coord[1]}-{coord[2]}",
             )
@@ -480,45 +530,20 @@ def run_distributed(
             procs[coord] = proc
             conns[coord] = parent_conn
 
-        hellos = {
-            coord: _check_payload(
-                _recv(coord, conns, procs, timeout_s), coord)
-            for coord in coords
-        }
+        hellos = gather()
         pids = [int(hellos[c]["pid"]) for c in coords]
         cpu_pins = [hellos[c].get("cpu") for c in coords]
-
-        # Resume only when the marker and *every* rank snapshot agree on
-        # the boundary; anything else restarts from sweep 0 (safe and
-        # still bit-identical -- determinism makes restarts free).
-        restore = resumed_steps is not None and all(
-            hellos[c]["resumed"] == resumed_steps for c in coords)
-        steps = resumed_steps if restore else 0
-        history = list(resumed_history) if restore else []
-        resumed_from = steps if restore and steps else None
-        report(resumed_from)
-        for coord in coords:
-            conns[coord].send({"type": "begin", "restore": restore})
-        slabs = {
-            coord: _check_payload(
-                _recv(coord, conns, procs, timeout_s), coord)["fields"]
-            for coord in coords
-        }
-        previous = _assemble(layout, slabs)
-        current = previous
-        if restore and resumed_from:
-            from ..resilience.errors import RESILIENCE_COUNTERS
-
-            RESILIENCE_COUNTERS.bump("checkpoints_resumed")
-            if telemetry.enabled():
-                telemetry.checkpoint_resumes().inc()
+        restore = group is not None and group.agree(
+            [hellos[c]["resumed"] for c in coords])
+        command({"type": "begin", "restore": restore}, into_fields=True)
+        resumed_from = (group.committed["steps"] or None) if restore else None
 
         if telemetry.enabled():
             telemetry.cluster_ranks().set(layout.n_ranks)
             telemetry.publish(
                 "cluster", phase="start", ranks=layout.n_ranks,
                 layout=list(layout.dims), transport=transport.name,
-                pids=pids, sweeps=steps,
+                pids=pids, sweeps=resumed_from or 0,
                 resumed_from=resumed_from)
         rec = tracing.active()
         if rec is not None:
@@ -526,102 +551,69 @@ def run_distributed(
                 {"ranks": layout.n_ranks, "layout": list(layout.dims),
                  "transport": transport.name}))
 
+        checks: Dict[Coord, dict] = {}
         prev_bytes_axis = {0: 0, 1: 0, 2: 0}
         prev_messages = 0
 
-        def publish_boundary(res: float, current_slabs) -> None:
+        def advance(n: int) -> None:
+            checks.update(command({"type": "step", "n": n},
+                                  into_fields=True))
+
+        def publish_boundary(steps, residuals, n, previous, **event) -> None:
+            nonlocal prev_messages
+            if not telemetry.enabled():
+                return
             merged = CommStats()
             for coord in coords:
-                merged.merge(CommStats.from_dict(current_slabs[coord]["stats"]))
-            nonlocal prev_messages
-            if telemetry.enabled():
-                for axis in (0, 1, 2):
-                    delta = merged.bytes_by_axis[axis] - prev_bytes_axis[axis]
-                    if delta > 0:
-                        telemetry.cluster_halo_bytes().labels(
-                            axis="zyx"[axis]).inc(delta)
-                    prev_bytes_axis[axis] = merged.bytes_by_axis[axis]
-                if merged.messages > prev_messages:
-                    telemetry.cluster_halo_messages().inc(
-                        merged.messages - prev_messages)
-                rank_res = {}
-                for coord in coords:
-                    sub = layout.subdomain(coord)
-                    own = (slice(sub.z[0], sub.z[1]),
-                           slice(sub.y[0], sub.y[1]),
-                           slice(sub.x[0], sub.x[1]))
-                    z, y, x = coord
-                    rank_res[f"{z},{y},{x}"] = _slab_residual(
-                        current_slabs[coord]["fields"], previous, own) / n
-                telemetry.publish(
-                    "cluster", sweeps=steps, residual=float(res),
-                    ranks=layout.n_ranks, rank_residuals=rank_res,
-                    halo_bytes=merged.bytes_total,
-                    halo_messages=merged.messages)
+                merged.merge(CommStats.from_dict(checks[coord]["stats"]))
+            for axis in (0, 1, 2):
+                delta = merged.bytes_by_axis[axis] - prev_bytes_axis[axis]
+                if delta > 0:
+                    telemetry.cluster_halo_bytes().labels(
+                        axis="zyx"[axis]).inc(delta)
+                prev_bytes_axis[axis] = merged.bytes_by_axis[axis]
+            if merged.messages > prev_messages:
+                telemetry.cluster_halo_messages().inc(
+                    merged.messages - prev_messages)
             prev_messages = merged.messages
-
-        while steps < max_steps:
-            n = min(check_every, max_steps - steps)
-            faults.hit("solver.sweep")
-            for coord in coords:
-                conns[coord].send({"type": "step", "n": n})
-            checks = {
-                coord: _check_payload(
-                    _recv(coord, conns, procs, timeout_s), coord)
+            rank_res = {
+                f"{coord[0]},{coord[1]},{coord[2]}": _slab_residual(
+                    checks[coord]["fields"], previous,
+                    _own(layout, coord)) / n
                 for coord in coords
             }
-            steps += n
-            current = _assemble(
-                layout, {c: checks[c]["fields"] for c in coords})
-            res = relative_change(current, previous) / n
-            history.append(res)
-            publish_boundary(res, checks)
-            reason = divergence_reason(res, history)
-            if reason is not None:
-                stop_ranks()
-                if on_divergence == "raise":
-                    raise SolverDiverged(
-                        f"THIIM iteration diverged after {steps} steps: "
-                        f"{reason}",
-                        steps=steps, residual=float(res),
-                        history_tail=[float(r) for r in history[-6:]])
-                return _finish(current, steps, res, False, history,
-                               layout, stats, pids, cpu_pins, transport,
-                               resumed_from, saves)
-            if res < tol:
-                stop_ranks()
-                return _finish(current, steps, res, True, history,
-                               layout, stats, pids, cpu_pins, transport,
-                               resumed_from, saves)
-            previous = current
-            anchor = last_saved if last_saved is not None else (
-                resumed_from or 0)
-            if ckpt_cfg is not None and steps - anchor >= every:
-                for coord in coords:
-                    conns[coord].send(
-                        {"type": "save", "steps": steps,
-                         "history": [float(r) for r in history]})
-                acks = {
-                    coord: _check_payload(
-                        _recv(coord, conns, procs, timeout_s), coord)
-                    for coord in coords
-                }
-                if all(acks[c].get("ok") for c in coords):
-                    atomic_write_json(
-                        marker,
-                        {"version": MARKER_VERSION, "token": ckpt_cfg["token"],
-                         "steps": steps,
-                         "history": [float(r) for r in history],
-                         "layout": list(layout.dims)},
-                        checksum=True)
-                    saves += 1
-                    last_saved = steps
-                    report(resumed_from)
+            telemetry.publish(
+                "cluster", sweeps=steps, residual=residuals["0"],
+                ranks=layout.n_ranks, rank_residuals=rank_res,
+                halo_bytes=merged.bytes_total,
+                halo_messages=merged.messages)
 
+        try:
+            result = _converge(
+                fields, solver.coefficients, advance,
+                step_size=lambda steps: min(check_every, max_steps - steps),
+                tol=tol, max_steps=max_steps, checkpoint=group,
+                publish=publish_boundary, on_divergence=on_divergence,
+            ).results[0]
+        except SolverDiverged:
+            stop_ranks()
+            raise
         stop_ranks()
-        final_res = history[-1] if history else float(np.inf)
-        return _finish(current, steps, final_res, False, history, layout,
-                       stats, pids, cpu_pins, transport, resumed_from, saves)
+        info = {
+            "layout": list(layout.dims),
+            "ranks": layout.n_ranks,
+            "pids": pids,
+            "transport": transport.name,
+            "halo": stats.to_dict(),
+            "resumed_from": resumed_from,
+            "saves": group.saves if group is not None else 0,
+        }
+        if any(cpu is not None for cpu in cpu_pins):
+            # REPRO_CLUSTER_PIN was on and at least one rank pinned:
+            # surface the per-rank CPU ids (rank order) for benches and
+            # tests.
+            info["cpu_pins"] = cpu_pins
+        return result, info
     except RankCrash:
         if telemetry.enabled():
             telemetry.cluster_rank_failures().inc()
@@ -640,25 +632,3 @@ def run_distributed(
             except OSError:
                 pass
         transport.shutdown()
-
-
-def _finish(fields: FieldState, steps: int, res: float, converged: bool,
-            history: List[float], layout: RankLayout, stats: CommStats,
-            pids: List[int], cpu_pins: List[Optional[int]], transport,
-            resumed_from: Optional[int],
-            saves: int) -> Tuple[SolveResult, Dict]:
-    result = SolveResult(fields, steps, float(res), converged, list(history))
-    info = {
-        "layout": list(layout.dims),
-        "ranks": layout.n_ranks,
-        "pids": pids,
-        "transport": transport.name,
-        "halo": stats.to_dict(),
-        "resumed_from": resumed_from,
-        "saves": saves,
-    }
-    if any(cpu is not None for cpu in cpu_pins):
-        # REPRO_CLUSTER_PIN was on and at least one rank pinned: surface
-        # the per-rank CPU ids (rank order) for benches and tests.
-        info["cpu_pins"] = cpu_pins
-    return result, info

@@ -14,29 +14,89 @@ numbers a performance engineer feeds to the machine model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from .. import telemetry
-from ..fdfd.observables import relative_change
 from ..fdfd.thiim import (
     BatchedTHIIMSolver,
     BatchSolveResult,
     SolveResult,
     THIIMSolver,
-    divergence_reason,
+    _converge,
     run_batched_loop,
 )
-from ..resilience import faults
-from ..resilience.errors import SolverDiverged
 from .executor import TiledExecutor
 from .plan import TilingPlan
 
 __all__ = ["TiledTHIIM", "BatchedTiledTHIIM"]
 
 
-class TiledTHIIM:
+def _publish_tiled_progress(steps: int, residuals, **event) -> None:
+    telemetry.publish("progress", sweeps=steps, residual=residuals["0"],
+                      tiled=True)
+
+
+class _TiledDriver:
+    """What the scalar and the batched wavefront driver share: one
+    :class:`TilingPlan` covering ``chunk`` steps (spatial/temporal, not
+    per-lane, which is why one autotuned plan serves a whole batch), the
+    executor that re-runs it over the owner's fields -- stacked lanes
+    drop straight in, and compaction keeps their identity -- and the
+    executed-work counters a checkpoint carries, so a resumed run
+    reports the same traffic statistics as an uninterrupted one.
+    """
+
+    def _build(self, owner, dw: int, bz: int, chunk: int | None) -> None:
+        grid = owner.grid
+        self.chunk = chunk if chunk is not None else max(dw, 1)
+        if self.chunk < 1:
+            raise ValueError("chunk must be >= 1")
+        self.plan = TilingPlan.build(
+            ny=grid.ny, nz=grid.nz, timesteps=self.chunk, dw=dw, bz=bz
+        )
+        # Fails fast on periodic y/z.
+        self.executor = TiledExecutor(owner.fields, owner.coefficients, self.plan)
+        self.steps_done = 0
+
+    def _advance(self, n: int) -> None:
+        """One plan execution: exactly ``chunk`` steps (the loop's
+        ``step_size`` always hands back one chunk)."""
+        self.executor.run()
+        self.steps_done += self.chunk
+
+    def _traversal(self) -> dict:
+        """The ``advance`` / ``step_size`` / ``counters`` arguments of
+        the convergence loop for this driver."""
+        return {"advance": self._advance,
+                "step_size": lambda steps: self.chunk,
+                "counters": (self._counters, self._restore_counters)}
+
+    def _counters(self) -> dict:
+        return {"steps_done": self.steps_done,
+                "lups_done": self.executor.lups_done,
+                "jobs_done": self.executor.jobs_done}
+
+    def _restore_counters(self, extras: dict) -> None:
+        self.steps_done = int(extras["steps_done"])
+        self.executor.lups_done = int(extras["lups_done"])
+        self.executor.jobs_done = int(extras["jobs_done"])
+
+    def run(self, nsteps: int) -> None:
+        """Advance all active lanes ``nsteps`` time steps (rounded up to
+        whole chunks)."""
+        if nsteps < 0:
+            raise ValueError("nsteps must be >= 0")
+        for _ in range(-(-nsteps // self.chunk)):
+            self._advance(self.chunk)
+
+    @property
+    def lups_done(self) -> int:
+        return self.executor.lups_done
+
+    @property
+    def jobs_done(self) -> int:
+        return self.executor.jobs_done
+
+
+class TiledTHIIM(_TiledDriver):
     """Wavefront-diamond-blocked THIIM solve.
 
     Parameters
@@ -54,25 +114,7 @@ class TiledTHIIM:
 
     def __init__(self, solver: THIIMSolver, dw: int, bz: int = 1, chunk: int | None = None):
         self.solver = solver
-        grid = solver.grid
-        self.chunk = chunk if chunk is not None else max(dw, 1)
-        if self.chunk < 1:
-            raise ValueError("chunk must be >= 1")
-        self.plan = TilingPlan.build(
-            ny=grid.ny, nz=grid.nz, timesteps=self.chunk, dw=dw, bz=bz
-        )
-        # Fails fast on periodic y/z.
-        self.executor = TiledExecutor(solver.fields, solver.coefficients, self.plan)
-        self.steps_done = 0
-
-    def run(self, nsteps: int) -> None:
-        """Advance ``nsteps`` time steps (rounded up to whole chunks)."""
-        if nsteps < 0:
-            raise ValueError("nsteps must be >= 0")
-        chunks = -(-nsteps // self.chunk)
-        for _ in range(chunks):
-            self.executor.run()
-            self.steps_done += self.chunk
+        self._build(solver, dw, bz, chunk)
 
     def solve(
         self,
@@ -85,66 +127,19 @@ class TiledTHIIM:
 
         ``checkpoint``/``on_divergence`` mirror
         :meth:`repro.fdfd.thiim.THIIMSolver.solve`.  Checkpoints land at
-        chunk boundaries and also carry the executed-work counters
-        (``steps_done``, ``lups_done``, ``jobs_done``), so a resumed run
-        reports the same traffic statistics as an uninterrupted one.
+        chunk boundaries and also carry the executed-work counters.
         """
-        if tol <= 0:
-            raise ValueError("tol must be positive")
-        if on_divergence not in ("return", "raise"):
-            raise ValueError("on_divergence must be 'return' or 'raise'")
-        history: list[float] = []
-        steps = 0
-        if checkpoint is not None:
-            restored = checkpoint.resume(self.solver.fields)
-            if restored is not None:
-                steps = restored.steps
-                history = list(restored.history)
-                extras = restored.extras
-                self.steps_done = int(extras.get("steps_done", self.steps_done))
-                self.executor.lups_done = int(
-                    extras.get("lups_done", self.executor.lups_done))
-                self.executor.jobs_done = int(
-                    extras.get("jobs_done", self.executor.jobs_done))
-        previous = self.solver.fields.copy()
-        while steps < max_steps:
-            faults.hit("solver.sweep")
-            self.executor.run()
-            steps += self.chunk
-            self.steps_done += self.chunk
-            res = relative_change(self.solver.fields, previous) / self.chunk
-            history.append(res)
-            telemetry.publish("progress", sweeps=steps, residual=float(res),
-                              tiled=True)
-            reason = divergence_reason(res, history)
-            if reason is not None:
-                if on_divergence == "raise":
-                    raise SolverDiverged(
-                        f"tiled THIIM iteration diverged after {steps} steps: "
-                        f"{reason}",
-                        steps=steps, residual=float(res),
-                        history_tail=[float(r) for r in history[-6:]])
-                return SolveResult(self.solver.fields, steps, res, False, history)
-            if res < tol:
-                return SolveResult(self.solver.fields, steps, res, True, history)
-            previous = self.solver.fields.copy()
-            if checkpoint is not None and checkpoint.due(steps):
-                checkpoint.save(
-                    self.solver.fields, steps, history,
-                    extras={"steps_done": self.steps_done,
-                            "lups_done": self.executor.lups_done,
-                            "jobs_done": self.executor.jobs_done})
-        return SolveResult(
-            self.solver.fields, steps, history[-1] if history else np.inf, False, history
-        )
-
-    @property
-    def lups_done(self) -> int:
-        return self.executor.lups_done
-
-    @property
-    def jobs_done(self) -> int:
-        return self.executor.jobs_done
+        return _converge(
+            self.solver.fields,
+            self.solver.coefficients,
+            tol=tol,
+            max_steps=max_steps,
+            checkpoint=checkpoint,
+            publish=_publish_tiled_progress,
+            on_divergence=on_divergence,
+            label="tiled THIIM",
+            **self._traversal(),
+        ).results[0]
 
     def describe(self) -> str:
         return (
@@ -153,86 +148,35 @@ class TiledTHIIM:
         )
 
 
-class BatchedTiledTHIIM:
+class BatchedTiledTHIIM(_TiledDriver):
     """Wavefront-diamond-blocked solve of a whole wavelength batch.
 
     One :class:`TilingPlan` (built exactly as for a scalar solve of the
-    same grid -- the plan is spatial/temporal, not per-lane, which is why
-    one autotuned plan serves the whole campaign batch) drives the tiled
-    executor over the ``12 x k`` stacked fields; every tile touch updates
-    all ``k`` wavelengths while the stencil working set is hot.
-    Convergence is monitored per point between chunks, finished lanes are
-    compacted away, and checkpoints carry the batch axis plus per-point
-    loop state (see :func:`repro.fdfd.thiim.run_batched_loop`).
+    same grid) drives the tiled executor over the ``12 x k`` stacked
+    fields; every tile touch updates all ``k`` wavelengths while the
+    stencil working set is hot.  Convergence is monitored per point
+    between chunks, finished lanes are compacted away, and checkpoints
+    carry the batch axis plus per-point loop state (see
+    :func:`repro.fdfd.thiim.run_batched_loop`).
     """
 
     def __init__(self, batched: BatchedTHIIMSolver, dw: int, bz: int = 1,
                  chunk: int | None = None):
         self.batched = batched
-        grid = batched.grid
-        self.chunk = chunk if chunk is not None else max(dw, 1)
-        if self.chunk < 1:
-            raise ValueError("chunk must be >= 1")
-        self.plan = TilingPlan.build(
-            ny=grid.ny, nz=grid.nz, timesteps=self.chunk, dw=dw, bz=bz
-        )
-        # The executor duck-types the field/coefficient protocol, so the
-        # batched stacks drop straight in (and compaction keeps object
-        # identity, so the references below stay live).
-        self.executor = TiledExecutor(batched.fields, batched.coefficients, self.plan)
-        self.steps_done = 0
-
-    def _counters(self) -> dict:
-        return {"steps_done": self.steps_done,
-                "lups_done": self.executor.lups_done,
-                "jobs_done": self.executor.jobs_done}
-
-    def _restore_counters(self, extras: dict) -> None:
-        self.steps_done = int(extras.get("steps_done", self.steps_done))
-        self.executor.lups_done = int(
-            extras.get("lups_done", self.executor.lups_done))
-        self.executor.jobs_done = int(
-            extras.get("jobs_done", self.executor.jobs_done))
-
-    def run(self, nsteps: int) -> None:
-        """Advance all active lanes ``nsteps`` steps (whole chunks)."""
-        if nsteps < 0:
-            raise ValueError("nsteps must be >= 0")
-        chunks = -(-nsteps // self.chunk)
-        for _ in range(chunks):
-            self.executor.run()
-            self.steps_done += self.chunk
+        self._build(batched, dw, bz, chunk)
 
     def solve(self, tol: float = 1e-6, max_steps: int = 5000,
               checkpoint=None) -> BatchSolveResult:
         """Iterate the batch to convergence; every lane bit-identical to
         a scalar :meth:`TiledTHIIM.solve` of that point."""
-
-        def advance(n: int) -> None:
-            # step_size always hands back one chunk; the plan advances
-            # exactly that many steps per execution.
-            self.executor.run()
-            self.steps_done += self.chunk
-
         return run_batched_loop(
             self.batched.fields,
             self.batched.coefficients,
-            advance=advance,
-            step_size=lambda steps: self.chunk,
             tol=tol,
             max_steps=max_steps,
             checkpoint=checkpoint,
-            extras_get=self._counters,
-            extras_set=self._restore_counters,
+            **self._traversal(),
         )
-
-    @property
-    def lups_done(self) -> int:
-        return self.executor.lups_done
-
-    @property
-    def jobs_done(self) -> int:
-        return self.executor.jobs_done
 
     def describe(self) -> str:
         return (

@@ -9,9 +9,10 @@ bundles them with convenience accessors for the recombined physical fields
 of a campaign) into ``12 x k`` arrays of shape ``(k,) + grid.shape`` so
 the kernels update every scenario in one pass over the shared stencil
 working set.  Lanes are views (``lane``) or copies (``extract``) that
-round-trip through plain :class:`FieldState`, and ``compact`` drops
-converged lanes in place so a long-running batch only spends sweeps on
-the points that still need them.
+round-trip through plain :class:`FieldState` (which answers the same two
+methods as a width-1 stack, so one convergence loop serves both), and
+``compact`` drops converged lanes in place so a long-running batch only
+spends sweeps on the points that still need them.
 """
 
 from __future__ import annotations
@@ -154,6 +155,17 @@ class FieldState:
     def batch_width(self) -> int:
         return 1
 
+    def lane(self, i: int) -> "FieldState":
+        """The lane protocol of :class:`BatchedFieldState` at k = 1: the
+        only lane is the state itself, viewed (``lane``) or frozen
+        (``extract``) -- so a point solve's result *is* its solver's
+        fields, never a copy."""
+        if i != 0:
+            raise IndexError(f"lane index {i} out of range for width 1")
+        return self
+
+    extract = lane
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FieldState(grid={self.grid.shape}, |E|={self.field_norm('E'):.3e}, |H|={self.field_norm('H'):.3e})"
 
@@ -263,13 +275,6 @@ class BatchedFieldState:
         if any(i < 0 or i >= width for i in idx):
             raise IndexError(f"lane index out of range for width {width}")
         self._arrays = {n: a[idx] for n, a in self._arrays.items()}
-
-    def adopt(self, arrays: Dict[str, np.ndarray]) -> None:
-        """Replace the whole lane stack **in place** (checkpoint resume
-        restores the active lanes into the same object the executor and
-        solver already reference).  Validates like the constructor."""
-        replacement = BatchedFieldState(self.grid, arrays=dict(arrays))
-        self._arrays = replacement._arrays
 
     # -- lifecycle --------------------------------------------------------------
 

@@ -6,6 +6,11 @@ the time-harmonic solution.  The driver can run the naive sweep, the
 spatially blocked sweep, or (through :class:`repro.core.executor`) a
 wavefront-diamond tiled traversal -- all numerically equivalent.
 
+Every solve entry point -- scalar and batched here, their tiled drivers
+in :mod:`repro.core.tiled_solver`, the rank-decomposed
+:func:`repro.cluster.runtime.run_distributed` -- is a shell over the one
+convergence loop :func:`_converge`.
+
 The *inverse iteration* view: the leapfrog scheme with the ``e^{i w tau}``
 phase factors is a fixed-point iteration whose fixed point satisfies the
 discrete frequency-domain Maxwell equations (Eqs. 6-7 of the paper).
@@ -18,7 +23,7 @@ equations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,6 +79,10 @@ class SolveResult:
     residual: float
     converged: bool
     residual_history: list[float] = dc_field(default_factory=list)
+    #: Sweeps restored from a checkpoint rather than run by this call
+    #: (0 for a fresh solve): ``iterations - resumed_from`` is the work
+    #: this attempt did.
+    resumed_from: int = 0
 
 
 class THIIMSolver:
@@ -156,18 +165,20 @@ class THIIMSolver:
         """Zero the fields (restart the inverse iteration)."""
         self.fields = FieldState(self.grid)
 
-    def run(self, nsteps: int, traversal: str = "naive", **kw) -> FieldState:
+    def run(self, nsteps: int, traversal: str = "naive", *,
+            block_y: int = 16, block_z: int | None = None) -> FieldState:
         """Advance ``nsteps`` time steps with a chosen traversal.
 
-        ``traversal`` is ``"naive"`` or ``"spatial"`` here; the diamond
-        traversal lives in :class:`repro.core.executor.TiledExecutor`
-        (which operates on the same ``fields``/``coefficients``).
+        ``traversal`` is ``"naive"`` or ``"spatial"`` (blocked by
+        ``block_y`` / ``block_z``) here; the diamond traversal lives in
+        :class:`repro.core.executor.TiledExecutor` (which operates on
+        the same ``fields``/``coefficients``).
         """
         if traversal == "naive":
             naive_sweep(self.fields, self.coefficients, nsteps)
         elif traversal == "spatial":
             spatial_blocked_sweep(
-                self.fields, self.coefficients, nsteps, kw.pop("block_y", 16), kw.pop("block_z", None)
+                self.fields, self.coefficients, nsteps, block_y, block_z
             )
         else:
             raise ValueError(f"unknown traversal {traversal!r}")
@@ -178,7 +189,6 @@ class THIIMSolver:
         tol: float = 1e-6,
         max_steps: int = 5000,
         check_every: int = 20,
-        callback: Callable[[int, float], None] | None = None,
         checkpoint=None,
         on_divergence: str = "return",
     ) -> SolveResult:
@@ -197,44 +207,18 @@ class THIIMSolver:
         diagnostic payload -- what the solve service uses to fail jobs
         fast instead of iterating a blown-up state to ``max_steps``).
         """
-        if tol <= 0:
-            raise ValueError("tol must be positive")
         if check_every < 1:
             raise ValueError("check_every must be >= 1")
-        if on_divergence not in ("return", "raise"):
-            raise ValueError("on_divergence must be 'return' or 'raise'")
-        history: list[float] = []
-        steps = 0
-        if checkpoint is not None:
-            restored = checkpoint.resume(self.fields)
-            if restored is not None:
-                steps = restored.steps
-                history = list(restored.history)
-        previous = self.fields.copy()
-        while steps < max_steps:
-            n = min(check_every, max_steps - steps)
-            faults.hit("solver.sweep")
-            naive_sweep(self.fields, self.coefficients, n)
-            steps += n
-            res = relative_change(self.fields, previous) / n
-            history.append(res)
-            telemetry.publish("progress", sweeps=steps, residual=float(res))
-            if callback is not None:
-                callback(steps, res)
-            reason = divergence_reason(res, history)
-            if reason is not None:
-                if on_divergence == "raise":
-                    raise SolverDiverged(
-                        f"THIIM iteration diverged after {steps} steps: {reason}",
-                        steps=steps, residual=float(res),
-                        history_tail=[float(r) for r in history[-6:]])
-                return SolveResult(self.fields, steps, res, False, history)
-            if res < tol:
-                return SolveResult(self.fields, steps, res, True, history)
-            previous = self.fields.copy()
-            if checkpoint is not None and checkpoint.due(steps):
-                checkpoint.save(self.fields, steps, history)
-        return SolveResult(self.fields, steps, history[-1] if history else np.inf, False, history)
+        return _converge(
+            self.fields,
+            self.coefficients,
+            advance=lambda n: naive_sweep(self.fields, self.coefficients, n),
+            step_size=lambda steps: min(check_every, max_steps - steps),
+            tol=tol,
+            max_steps=max_steps,
+            checkpoint=checkpoint,
+            on_divergence=on_divergence,
+        ).results[0]
 
     # -- diagnostics ----------------------------------------------------------------
 
@@ -294,74 +278,160 @@ class BatchSolveResult:
         return all(r.converged for r in self.results)
 
 
-class _BatchSnapshotView:
-    """Full-width ``(k,) + grid.shape`` snapshot adapter.
+def _publish_progress(steps: int, residuals: Dict[str, float], **event) -> None:
+    """The per-check event of a point solve."""
+    telemetry.publish("progress", sweeps=steps, residual=residuals["0"])
 
-    Duck-types the ``fields`` protocol :class:`CheckpointManager` expects
-    (grid attribute, iteration over component names, item get/set), so a
-    batched snapshot rides the exact same atomic ``.npz`` machinery as a
-    scalar one -- token guard, quarantine, fault sites and all.
+
+def _publish_batch(steps: int, residuals: Dict[str, float], width: int,
+                   active: int, finished: int, **event) -> None:
+    """The per-check event of a batch: every active lane's residual plus
+    how many lanes just froze/compacted away."""
+    if telemetry.enabled():
+        telemetry.publish("batch", sweeps=steps, residuals=residuals,
+                          active=active, frozen=width - active,
+                          compacted=finished)
+        telemetry.batch_occupancy().set(active)
+        if finished:
+            telemetry.lanes_compacted().inc(finished)
+
+
+def _converge(
+    fields,
+    coeffs,
+    advance: Callable[[int], None],
+    step_size: Callable[[int], int],
+    tol: float,
+    max_steps: int,
+    checkpoint=None,
+    counters: Optional[Tuple[Callable[[], Dict], Callable[[Dict], None]]] = None,
+    publish: Callable[..., None] = _publish_progress,
+    on_divergence: str = "return",
+    label: str = "THIIM",
+) -> BatchSolveResult:
+    """The one convergence loop under every solve entry point: step ->
+    per-lane residual -> divergence guard -> freeze finished lanes ->
+    event -> checkpoint.
+
+    *Traversal*: ``advance(n)`` sweeps all *currently active* lanes ``n``
+    steps (naive sweep, one tiling-plan execution, or "tell the ranks and
+    gather"); ``step_size(steps)`` is its chunk policy.  *Lanes*:
+    ``fields`` answers ``batch_width`` / ``lane`` / ``extract`` (a
+    :class:`FieldState` is the k = 1 case); each lane's residual is the
+    lane-view :func:`relative_change` -- the reduction order of a scalar
+    solve of that point -- and lanes that converge or diverge are frozen
+    and compacted out of ``fields`` / ``coeffs`` in place, so the rest
+    stop paying for them.  *Persistence*: ``checkpoint`` answers
+    ``resume`` / ``due`` / ``save``; the snapshot is always full width
+    (every lane's arrays and history, divergence reasons, finished
+    lanes, the driver's ``counters`` ``(get, restore)`` pair), so a
+    resumed run continues bit-identically.
+
+    ``publish`` is the entry point's per-check event; ``on_divergence``
+    ``"raise"`` turns a diverged lane into
+    :class:`~repro.resilience.errors.SolverDiverged`.
     """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if on_divergence not in ("return", "raise"):
+        raise ValueError("on_divergence must be 'return' or 'raise'")
+    width = fields.batch_width
+    grid = fields.grid
+    active: List[int] = list(range(width))
+    histories: List[List[float]] = [[] for _ in range(width)]
+    results: List[Optional[SolveResult]] = [None] * width
+    reasons: List[Optional[str]] = [None] * width
+    steps = start = 0
 
-    __slots__ = ("grid", "_arrays")
+    # ``fields`` is still full width here, so the full-width snapshot
+    # restores straight into it (a point solve's arrays take the unit
+    # lane axis by broadcasting); lanes it lists as done are then frozen
+    # and compacted away exactly as the loop below would have.
+    restored = checkpoint.resume(fields) if checkpoint is not None else None
+    if restored is not None:
+        steps = start = restored.steps
+        lanes = restored.extras["lanes"]
+        histories = [[float(v) for v in h] for h in restored.history]
+        reasons = list(lanes["reasons"])
+        for idx, iterations in ((int(i), n) for i, n in lanes["done"].items()):
+            active.remove(idx)
+            results[idx] = SolveResult(
+                fields.extract(idx), iterations, histories[idx][-1],
+                reasons[idx] is None, list(histories[idx]), start)
+        if len(active) != width:
+            fields.compact(active)
+            coeffs.compact(active)
+        if counters is not None:
+            counters[1](restored.extras)
 
-    def __init__(self, grid: Grid, arrays: Optional[Dict[str, np.ndarray]] = None):
-        self.grid = grid
-        self._arrays = dict(arrays or {})
-
-    def __iter__(self):
-        return iter(ALL_COMPONENTS)
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self._arrays[name]
-
-    def __setitem__(self, name: str, value: np.ndarray) -> None:
-        self._arrays[name] = np.ascontiguousarray(value)
-
-
-def _save_batch_checkpoint(
-    checkpoint,
-    grid: Grid,
-    width: int,
-    fields: BatchedFieldState,
-    active: List[int],
-    results: List[Optional[SolveResult]],
-    histories: List[List[float]],
-    reasons: List[Optional[str]],
-    steps: int,
-    extras_get: Optional[Callable[[], Dict]] = None,
-) -> None:
-    """Snapshot the whole batch: active lanes scattered back to their
-    original indices, finished lanes frozen from their results."""
-    full: Dict[str, np.ndarray] = {}
-    for name in ALL_COMPONENTS:
-        arr = np.empty((width,) + grid.shape, dtype=np.complex128)
+    previous = fields.copy()
+    while steps < max_steps and active:
+        n = step_size(steps)
+        faults.hit("solver.sweep")
+        advance(n)
+        steps += n
+        finished: List[int] = []
+        lane_res: Dict[str, float] = {}
         for pos, idx in enumerate(active):
-            arr[idx] = fields[name][pos]
-        for idx, r in enumerate(results):
-            if r is not None:
-                arr[idx] = r.fields[name]
-        full[name] = arr
-    extras: Dict = {
-        "batch": {
-            "width": width,
-            "active": list(active),
-            "histories": [[float(v) for v in h] for h in histories],
-            "reasons": list(reasons),
-            "done": {
-                str(idx): {
-                    "iterations": int(r.iterations),
-                    "residual": float(r.residual),
-                    "converged": bool(r.converged),
-                }
-                for idx, r in enumerate(results)
-                if r is not None
-            },
-        }
-    }
-    if extras_get is not None:
-        extras.update(extras_get())
-    checkpoint.save(_BatchSnapshotView(grid, full), steps, [], extras=extras)
+            res = relative_change(fields.lane(pos), previous.lane(pos)) / n
+            lane_res[str(idx)] = float(res)
+            histories[idx].append(res)
+            reasons[idx] = divergence_reason(res, histories[idx])
+            if reasons[idx] is not None or res < tol:
+                results[idx] = SolveResult(
+                    fields.extract(pos), steps, res, reasons[idx] is None,
+                    list(histories[idx]), start)
+                finished.append(pos)
+        publish(steps=steps, residuals=lane_res, width=width,
+                active=len(active) - len(finished), finished=len(finished),
+                n=n, previous=previous)
+        if on_divergence == "raise":
+            for idx in active:
+                if reasons[idx] is not None:
+                    raise SolverDiverged(
+                        f"{label} iteration diverged after {steps} steps: "
+                        f"{reasons[idx]}",
+                        steps=steps, residual=float(histories[idx][-1]),
+                        history_tail=[float(r) for r in histories[idx][-6:]])
+        if finished:
+            keep = [p for p in range(len(active)) if p not in finished]
+            active = [active[p] for p in keep]
+            if not active:
+                break
+            fields.compact(keep)
+            coeffs.compact(keep)
+        previous = fields.copy()
+        if checkpoint is not None and checkpoint.due(steps):
+            extras = {"lanes": {
+                "reasons": list(reasons),
+                "done": {str(idx): int(r.iterations)
+                         for idx, r in enumerate(results) if r is not None},
+            }}
+            if counters is not None:
+                extras.update(counters[0]())
+            if len(active) == width:
+                # Nothing frozen yet: the working arrays themselves,
+                # viewed with the lane axis.
+                full = BatchedFieldState(grid, arrays={
+                    n: a.reshape((width,) + grid.shape)
+                    for n, a in fields.components().items()})
+            else:
+                # Original lane order: finished lanes from their
+                # results, active ones from ``fields``.
+                position = {idx: pos for pos, idx in enumerate(active)}
+                full = BatchedFieldState.stack([
+                    fields.lane(position[idx]) if r is None else r.fields
+                    for idx, r in enumerate(results)])
+            checkpoint.save(
+                full, steps, [[float(v) for v in h] for h in histories],
+                extras=extras)
+
+    # Lanes that ran out of budget: frozen as non-converged.
+    for pos, idx in enumerate(active):
+        res = histories[idx][-1] if histories[idx] else np.inf
+        results[idx] = SolveResult(
+            fields.extract(pos), steps, res, False, list(histories[idx]), start)
+    return BatchSolveResult(results=list(results), diverged=reasons)
 
 
 def run_batched_loop(
@@ -372,126 +442,14 @@ def run_batched_loop(
     tol: float,
     max_steps: int,
     checkpoint=None,
-    extras_get: Optional[Callable[[], Dict]] = None,
-    extras_set: Optional[Callable[[Dict], None]] = None,
+    counters=None,
 ) -> BatchSolveResult:
-    """The shared batched convergence loop (naive and tiled drivers).
-
-    Replicates the scalar :meth:`THIIMSolver.solve` cadence exactly, but
-    checks convergence **per point**: each active lane's residual is the
-    lane-view :func:`relative_change` (identical reduction order to a
-    scalar solve of that point), lanes that converge or diverge are
-    frozen via :meth:`BatchedFieldState.extract` and dropped from the
-    working stack in place, so remaining points stop paying for finished
-    ones.  ``advance(n)`` sweeps all *currently active* lanes ``n``
-    steps; ``step_size(steps)`` is the driver's chunk policy
-    (``min(check_every, remaining)`` for the naive path, the tile chunk
-    for the wavefront path).
-
-    With a ``checkpoint`` the loop resumes from (and re-snapshots) a
-    full-width batch snapshot -- per-point histories, statuses and
-    frozen lanes included -- continuing bit-identically.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    width = fields.batch_width
-    grid = fields.grid
-    active: List[int] = list(range(width))
-    histories: List[List[float]] = [[] for _ in range(width)]
-    results: List[Optional[SolveResult]] = [None] * width
-    reasons: List[Optional[str]] = [None] * width
-    steps = 0
-
-    if checkpoint is not None:
-        view = _BatchSnapshotView(grid)
-        restored = checkpoint.resume(view)
-        if restored is not None and (restored.extras or {}).get("batch"):
-            b = restored.extras["batch"]
-            steps = restored.steps
-            active = [int(i) for i in b["active"]]
-            histories = [[float(v) for v in h] for h in b["histories"]]
-            reasons = [None if r is None else str(r) for r in b["reasons"]]
-            for idx_s, meta in (b.get("done") or {}).items():
-                idx = int(idx_s)
-                lane_fields = FieldState(
-                    grid,
-                    {n: np.ascontiguousarray(view[n][idx]) for n in ALL_COMPONENTS},
-                )
-                results[idx] = SolveResult(
-                    lane_fields,
-                    int(meta["iterations"]),
-                    float(meta["residual"]),
-                    bool(meta["converged"]),
-                    list(histories[idx]),
-                )
-            if active:
-                if len(active) != width:
-                    coeffs.compact(active)
-                fields.adopt(
-                    {n: np.ascontiguousarray(view[n][active]) for n in ALL_COMPONENTS}
-                )
-            if extras_set is not None:
-                extras_set(restored.extras)
-
-    previous = fields.copy() if active else None
-    while steps < max_steps and active:
-        n = step_size(steps)
-        if n < 1:
-            break
-        faults.hit("solver.sweep")
-        advance(n)
-        steps += n
-        finished: List[int] = []
-        lane_res: Dict[str, float] = {}
-        for pos, idx in enumerate(active):
-            res = relative_change(fields.lane(pos), previous.lane(pos)) / n
-            lane_res[str(idx)] = float(res)
-            histories[idx].append(res)
-            reason = divergence_reason(res, histories[idx])
-            if reason is not None:
-                reasons[idx] = reason
-                results[idx] = SolveResult(
-                    fields.extract(pos), steps, res, False, list(histories[idx])
-                )
-                finished.append(pos)
-            elif res < tol:
-                results[idx] = SolveResult(
-                    fields.extract(pos), steps, res, True, list(histories[idx])
-                )
-                finished.append(pos)
-        if telemetry.enabled():
-            # One event per convergence check: every active lane's
-            # residual plus which lanes just froze/compacted away.
-            remaining = len(active) - len(finished)
-            telemetry.publish("batch", sweeps=steps, residuals=lane_res,
-                              active=remaining, frozen=width - remaining,
-                              compacted=len(finished))
-            telemetry.batch_occupancy().set(remaining)
-            if finished:
-                telemetry.lanes_compacted().inc(len(finished))
-        if finished:
-            drop = set(finished)
-            keep = [p for p in range(len(active)) if p not in drop]
-            active = [active[p] for p in keep]
-            if not active:
-                break
-            fields.compact(keep)
-            coeffs.compact(keep)
-        previous = fields.copy()
-        if checkpoint is not None and checkpoint.due(steps):
-            _save_batch_checkpoint(
-                checkpoint, grid, width, fields, active, results,
-                histories, reasons, steps, extras_get,
-            )
-
-    # Points that ran out of budget: frozen as non-converged, like the
-    # scalar loop's fall-through return.
-    for pos, idx in enumerate(active):
-        res = histories[idx][-1] if histories[idx] else np.inf
-        results[idx] = SolveResult(
-            fields.extract(pos), steps, res, False, list(histories[idx])
-        )
-    return BatchSolveResult(results=list(results), diverged=reasons)
+    """The batched drivers' (naive and tiled) way into :func:`_converge`:
+    every lane bit-identical to a scalar solve of that point, one
+    ``batch`` event per check, diverged lanes reported, never raised."""
+    return _converge(fields, coeffs, advance, step_size, tol, max_steps,
+                     checkpoint=checkpoint, counters=counters,
+                     publish=_publish_batch)
 
 
 class BatchedTHIIMSolver:
@@ -503,8 +461,8 @@ class BatchedTHIIMSolver:
     stacks fields and coefficients into ``12 x k`` / ``28 x k`` arrays
     the kernels update in one pass over the shared stencil working set.
 
-    The per-lane solvers stay available as ``self.lanes`` -- the batched
-    checkpoint token hashes each lane's scalar token, and diagnostics can
+    The per-lane solvers stay available as ``self.lanes`` -- the
+    checkpoint token hashes every lane's content, and diagnostics can
     drop to a single lane.
     """
 

@@ -2,8 +2,12 @@
 
 A checkpoint is a bit-exact snapshot of a solve's loop state at a
 convergence-check boundary: the twelve complex128 field arrays, the
-sweep counter, the residual history, and any driver extras (the tiled
-driver's step/LUP/job counters).  Because the THIIM sweep sequence is
+sweep counter, the residual history, and any driver extras.  The one
+convergence loop (:func:`repro.fdfd.thiim._converge`) writes the same
+payload for every entry point -- arrays with a leading lane axis (width
+1 for a point solve), one history per lane, ``extras["lanes"]``
+(divergence reasons, the sweep each finished lane stopped at) plus the
+tiled driver's step/LUP/job counters.  Because the THIIM sweep sequence is
 deterministic, restoring that state and continuing the loop produces
 **bit-identical** final fields, observables and counters versus an
 uninterrupted run -- the contract the chaos tests assert.
@@ -33,7 +37,7 @@ import json
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -46,13 +50,13 @@ __all__ = [
     "Checkpoint",
     "CheckpointManager",
     "solver_token",
-    "batched_solver_token",
     "latest_lag_s",
-    "note_report",
     "take_report",
 ]
 
-CHECKPOINT_VERSION = 1
+#: 2: lane-axis arrays, per-lane histories in the JSON meta, lane-list
+#: tokens.  Older files fail the version check and are quarantined.
+CHECKPOINT_VERSION = 2
 
 _PREFIX = "ckpt-"
 
@@ -63,9 +67,10 @@ class Checkpoint:
 
     arrays: Dict[str, np.ndarray]
     steps: int
-    history: List[float]
+    #: As saved: a flat residual list, or one list per lane.
+    history: list
     token: str
-    extras: Dict[str, int] = field(default_factory=dict)
+    extras: Dict = field(default_factory=dict)
 
 
 class _Report(threading.local):
@@ -87,55 +92,37 @@ def take_report() -> Optional[dict]:
     return value
 
 
-def note_report(path: str, saves: int, resumed_from: Optional[int]) -> None:
-    """Set the calling thread's checkpoint report directly -- used by
-    drivers (the distributed runtime) whose checkpoint activity happens
-    in rank processes, out of reach of a local manager's bookkeeping."""
-    _REPORT.value = {"path": path, "saves": saves,
-                     "resumed_from": resumed_from}
-
-
 def solver_token(solver, **cadence) -> str:
-    """Content hash of what a solve computes: every coefficient array,
-    the grid geometry, omega/tau, plus the loop cadence (check interval
-    or chunk size -- a checkpoint is only valid at its own boundaries)."""
-    h = hashlib.sha256()
-    grid = solver.grid
-    h.update(json.dumps(
-        {"version": CHECKPOINT_VERSION, "shape": list(grid.shape),
-         "spacing": list(grid.spacing), "periodic": list(grid.periodic),
-         "omega": solver.omega, "tau": solver.tau,
-         "cadence": dict(sorted(cadence.items()))},
-        sort_keys=True).encode())
-    coeffs = solver.coefficients
-    for name in sorted(coeffs.arrays):
-        h.update(name.encode())
-        h.update(np.ascontiguousarray(coeffs.arrays[name]).tobytes())
-    if coeffs.back_mask is not None:
-        h.update(np.ascontiguousarray(coeffs.back_mask).tobytes())
-    return h.hexdigest()[:32]
+    """Content hash of what a solve computes, over its lane list (a
+    batched solver's ``lanes``; a scalar solver is its own single lane):
+    the lane count, per lane every coefficient array, the grid geometry
+    and omega/tau, plus the loop cadence (check interval or chunk size
+    -- a checkpoint is only valid at its own boundaries).
 
-
-def batched_solver_token(batched, **cadence) -> str:
-    """Token of a *batched* solve: the batch width plus every lane's
-    scalar token (in lane order).
-
-    The width is part of the hash on purpose: a width-``k`` batch and a
-    per-point solve of the same scene must never resume from each
-    other's snapshots -- a batched snapshot carries ``(k,) + shape``
-    arrays plus per-point loop state, so cross-resume would either crash
-    or, worse, silently compute from foreign state.  Distinct tokens
-    make such a resume a quarantine (or a :class:`CheckpointMismatch`
-    in strict mode) instead.
+    A snapshot holds one array slice and one history per lane, so other
+    widths must never resume it; a width-1 batch and a point solve of
+    one scene share token *and* payload, so that cross-resume is correct.
     """
+    lanes = getattr(solver, "lanes", None) or [solver]
     h = hashlib.sha256()
     h.update(json.dumps(
-        {"version": CHECKPOINT_VERSION, "batch": len(batched.lanes),
+        {"version": CHECKPOINT_VERSION, "width": len(lanes),
          "cadence": dict(sorted(cadence.items()))},
         sort_keys=True).encode())
-    for lane in batched.lanes:
-        h.update(solver_token(lane, **cadence).encode())
-    return "b" + h.hexdigest()[:31]
+    for lane in lanes:
+        grid = lane.grid
+        h.update(json.dumps(
+            {"shape": list(grid.shape), "spacing": list(grid.spacing),
+             "periodic": list(grid.periodic), "omega": lane.omega,
+             "tau": lane.tau},
+            sort_keys=True).encode())
+        coeffs = lane.coefficients
+        for name in sorted(coeffs.arrays):
+            h.update(name.encode())
+            h.update(np.ascontiguousarray(coeffs.arrays[name]).tobytes())
+        if coeffs.back_mask is not None:
+            h.update(np.ascontiguousarray(coeffs.back_mask).tobytes())
+    return h.hexdigest()[:32]
 
 
 class CheckpointManager:
@@ -182,8 +169,8 @@ class CheckpointManager:
 
     # -- save ------------------------------------------------------------------
 
-    def save(self, fields, steps: int, history: List[float],
-             extras: Optional[Dict[str, int]] = None) -> Optional[str]:
+    def save(self, fields, steps: int, history: list,
+             extras: Optional[Dict] = None) -> Optional[str]:
         """Snapshot the loop state; best-effort (an unwritable checkpoint
         degrades the resilience, never the solve)."""
         from .. import telemetry
@@ -195,7 +182,8 @@ class CheckpointManager:
             RESILIENCE_COUNTERS.bump("checkpoint_write_errors")
             return None
         meta = {"version": CHECKPOINT_VERSION, "token": self.token,
-                "name": self.name, "extras": extras or {}}
+                "name": self.name, "history": history,
+                "extras": extras or {}}
         try:
             with tracing.span(f"checkpoint {self.name[:12]}@{steps}",
                               "resilience",
@@ -208,7 +196,6 @@ class CheckpointManager:
                     _spacing=np.array(fields.grid.spacing, dtype=np.float64),
                     _periodic=np.array(fields.grid.periodic, dtype=np.bool_),
                     _steps=np.array(steps, dtype=np.int64),
-                    _history=np.array(history, dtype=np.float64),
                     _meta=np.array(json.dumps(meta, sort_keys=True)),
                 )
                 data = buf.getvalue()
@@ -246,7 +233,7 @@ class CheckpointManager:
                     raise ValueError("checkpoint version mismatch")
                 token = meta.get("token")
                 steps = int(data["_steps"])
-                history = [float(v) for v in data["_history"]]
+                history = meta["history"]
                 arrays = {
                     k: np.ascontiguousarray(data[k])
                     for k in data.files

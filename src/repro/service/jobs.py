@@ -440,24 +440,6 @@ def _resolve_plan(spec: JobSpec, registry) -> Dict[str, Any]:
             "source": "registry", "registry_hit": hit}
 
 
-def _checkpoint_for(spec: JobSpec, solver, checkpoint_dir, **cadence):
-    """A :class:`CheckpointManager` for this solve, or ``None`` when
-    checkpointing is off (no directory, or ``REPRO_CHECKPOINT_EVERY=0``)."""
-    from .. import config
-    from ..resilience.checkpoint import CheckpointManager, solver_token
-
-    directory = checkpoint_dir or config.checkpoint_dir()
-    every = config.checkpoint_every()
-    if not directory or every < 1:
-        return None
-    return CheckpointManager(
-        directory, name=spec.job_id,
-        token=solver_token(solver, tol=spec.tol, max_steps=spec.max_steps,
-                           **cadence),
-        every=every,
-    )
-
-
 def _solve_geometry(spec: JobSpec):
     """The solve-service geometry of a spec: grid, scene, source and PML
     (identical for every wavelength of a batch -- the shared-structure
@@ -501,118 +483,101 @@ def _point_doc(grid, omega: float, plan: Dict[str, Any], result,
     return out
 
 
-def _note_solve_rates(grid, sweeps: int, elapsed: float,
-                      lanes: int = 1) -> None:
+def _note_solve_rates(grid, results, elapsed: float) -> None:
     """Reflect a finished solve into the sweeps/MLUP/s instruments
-    (single cheap gate; metrics never touch the solver state)."""
+    (single cheap gate; metrics never touch the solver state).  Only the
+    sweeps this attempt ran count: the ones a checkpoint restored took
+    none of ``elapsed``."""
+    sweeps = sum(max(r.iterations - r.resumed_from, 0) for r in results)
     if not telemetry.enabled() or sweeps <= 0:
         return
-    telemetry.sweeps_total().inc(sweeps * lanes)
+    telemetry.sweeps_total().inc(sweeps)
     if elapsed > 0:
         cells = grid.nz * grid.ny * grid.nx
-        telemetry.sweep_rate().set(sweeps * lanes / elapsed)
-        telemetry.solve_rate().set(sweeps * lanes * cells / elapsed / 1e6)
+        telemetry.sweep_rate().set(sweeps / elapsed)
+        telemetry.solve_rate().set(sweeps * cells / elapsed / 1e6)
 
 
-def _run_solve(spec: JobSpec, registry,
-               checkpoint_dir: Optional[str] = None) -> Dict[str, Any]:
-    import numpy as np
-
-    from ..core.tiled_solver import TiledTHIIM
-    from ..fdfd import THIIMSolver
-
-    grid, scene, source_plane, source, pml = _solve_geometry(spec)
-    omega = 2 * np.pi / spec.wavelength
-    solver = THIIMSolver(grid, omega, scene=scene, source=source, pml=pml)
-    plan = _resolve_plan(spec, registry)
-    t0 = time.perf_counter()
-    if plan["tiled"]:
-        driver = TiledTHIIM(solver, dw=plan["dw"], bz=plan["bz"])
-        ckpt = _checkpoint_for(spec, solver, checkpoint_dir, chunk=driver.chunk)
-        result = driver.solve(tol=spec.tol, max_steps=spec.max_steps,
-                              checkpoint=ckpt, on_divergence="raise")
-    else:
-        ckpt = _checkpoint_for(spec, solver, checkpoint_dir, check_every=20)
-        result = solver.solve(tol=spec.tol, max_steps=spec.max_steps,
-                              checkpoint=ckpt, on_divergence="raise")
-    _note_solve_rates(grid, result.iterations, time.perf_counter() - t0)
-    if ckpt is not None:
-        # The solve is complete; its result is about to be stored.  The
-        # snapshot has served its purpose (a crash after this point
-        # requeues the job, which the result store then serves).
-        ckpt.clear()
-    return _point_doc(grid, omega, plan, result, solver.sigma, scene,
-                      source_plane)
-
-
-def _run_distributed_solve(spec: JobSpec, registry,
-                           checkpoint_dir: Optional[str] = None,
-                           attempt: int = 1) -> Dict[str, Any]:
-    """Solve a spec across real rank processes (``kind="distributed"``).
-
-    The parent builds the same global solver a scalar solve would, cuts
-    it into the requested :class:`~repro.cluster.RankLayout` (explicit
-    ``"PZxPYxPX"``, or a count the communication cost model factorizes),
-    and drives :func:`~repro.cluster.runtime.run_distributed`.  The
-    result document is assembled by the same :func:`_point_doc` path as
-    a scalar solve -- byte-identical, stored under the layout-namespaced
-    job id.
+def _solve_points(spec: JobSpec, wavelengths, registry,
+                  checkpoint_dir: Optional[str], attempt: int = 1):
+    """Solve ``wavelengths`` of ``spec``'s scene the way its kind asks --
+    one point, one point across rank processes, or all of them as lanes
+    of one batched loop -- through one body (build, plan, checkpoint,
+    solve, rates, clear, document), so a served point is the same dict
+    whichever way it was computed.  Returns ``(plan, docs, reasons)``,
+    per wavelength the :func:`_point_doc` document (``None`` for a
+    diverged lane) and the divergence reason (``None`` when healthy).
     """
     import numpy as np
 
     from .. import config
-    from ..cluster import RankLayout, choose_decomposition
-    from ..cluster.runtime import clear_checkpoints, run_distributed
-    from ..fdfd import THIIMSolver
+    from ..core.tiled_solver import BatchedTiledTHIIM, TiledTHIIM
+    from ..fdfd import BatchedTHIIMSolver, THIIMSolver
+    from ..resilience.checkpoint import CheckpointManager, solver_token
 
     grid, scene, source_plane, source, pml = _solve_geometry(spec)
-    omega = 2 * np.pi / spec.wavelength
-    solver = THIIMSolver(grid, omega, scene=scene, source=source, pml=pml)
-    mode, value = _parse_ranks(spec.ranks)
-    if mode == "dims":
-        layout = RankLayout(grid, *value)
-    else:
-        layout = choose_decomposition(grid, value)
+    omegas = [2 * np.pi / w for w in wavelengths]
     plan = _resolve_plan(spec, registry)
+    batch = spec.kind == "batch"
+    if batch:
+        solver = BatchedTHIIMSolver(grid, omegas, scene=scene, source=source,
+                                    pml=pml)
+        lanes = solver.lanes
+        policy = {}  # diverged lanes become failed points, not exceptions
+    else:
+        solver = THIIMSolver(grid, omegas[0], scene=scene, source=source,
+                             pml=pml)
+        lanes = [solver]
+        policy = {"on_divergence": "raise"}
+    if plan["tiled"]:
+        driver = (BatchedTiledTHIIM if batch else TiledTHIIM)(
+            solver, dw=plan["dw"], bz=plan["bz"])
+        cadence = {"chunk": driver.chunk}
+    else:
+        driver, cadence = solver, {"check_every": 20}
     directory = checkpoint_dir or config.checkpoint_dir()
     every = config.checkpoint_every()
-    if not directory or every < 1:
+    if not directory or every < 1:  # checkpointing is off
         directory, every = None, 0
+
     t0 = time.perf_counter()
-    with tracing.span(f"cluster {layout.pz}x{layout.py}x{layout.px}",
-                      "cluster", args=telemetry.span_args(
-                          {"ranks": layout.n_ranks, "grid": spec.grid})):
-        result, _info = run_distributed(
-            layout, solver, tol=spec.tol, max_steps=spec.max_steps,
-            check_every=20, name=spec.job_id, checkpoint_dir=directory,
-            every=every, attempt=attempt)
-    _note_solve_rates(grid, result.iterations, time.perf_counter() - t0)
-    if directory:
-        # The solve is complete; its result is about to be stored (same
-        # reasoning as the scalar path's ckpt.clear()).
+    if spec.kind == "distributed":
+        from ..cluster import RankLayout, choose_decomposition
+        from ..cluster.runtime import clear_checkpoints, run_distributed
+
+        mode, value = _parse_ranks(spec.ranks)
+        layout = (RankLayout(grid, *value) if mode == "dims"
+                  else choose_decomposition(grid, value))
+        with tracing.span(f"cluster {layout.pz}x{layout.py}x{layout.px}",
+                          "cluster", args=telemetry.span_args(
+                              {"ranks": layout.n_ranks, "grid": spec.grid})):
+            solved, _info = run_distributed(
+                layout, solver, tol=spec.tol, max_steps=spec.max_steps,
+                name=spec.job_id, checkpoint_dir=directory, every=every,
+                attempt=attempt, **cadence, **policy)
+    else:
+        ckpt = directory and CheckpointManager(
+            directory, name=spec.job_id, every=every,
+            token=solver_token(solver, tol=spec.tol,
+                               max_steps=spec.max_steps, **cadence))
+        solved = driver.solve(tol=spec.tol, max_steps=spec.max_steps,
+                              checkpoint=ckpt, **policy)
+    results, reasons = ((solved.results, solved.diverged) if batch
+                        else ([solved], [None]))
+    _note_solve_rates(grid, results, time.perf_counter() - t0)
+    # The solve is complete; its results are about to be stored.  The
+    # snapshot has served its purpose (a crash after this point requeues
+    # the job, which the result store then serves).
+    if spec.kind == "distributed":
         clear_checkpoints(layout, directory, spec.job_id)
-    return _point_doc(grid, omega, plan, result, solver.sigma, scene,
-                      source_plane)
-
-
-def _batch_checkpoint_for(spec: JobSpec, batched, checkpoint_dir, **cadence):
-    """Checkpoint manager for a batch job.  The token is the *batched*
-    one (batch width + every lane's scalar token), so a batch snapshot
-    can never resume from -- or be resumed by -- a per-point solve's
-    artifact, even though both are named by content-addressed job ids."""
-    from .. import config
-    from ..resilience.checkpoint import CheckpointManager, batched_solver_token
-
-    directory = checkpoint_dir or config.checkpoint_dir()
-    every = config.checkpoint_every()
-    if not directory or every < 1:
-        return None
-    return CheckpointManager(
-        directory, name=spec.job_id,
-        token=batched_solver_token(batched, tol=spec.tol,
-                                   max_steps=spec.max_steps, **cadence),
-        every=every,
-    )
+    elif ckpt:
+        ckpt.clear()
+    docs = [None if reason is not None else
+            _point_doc(grid, omega, plan, result, lane.sigma, scene,
+                       source_plane)
+            for omega, result, lane, reason
+            in zip(omegas, results, lanes, reasons)]
+    return plan, docs, reasons
 
 
 def _run_batch_solve(spec: JobSpec, registry, store=None,
@@ -620,19 +585,11 @@ def _run_batch_solve(spec: JobSpec, registry, store=None,
     """Solve a wavelength batch: dedup stored points, run the remainder
     as ONE batched sweep loop, fan per-point results back out.
 
-    Every solved point's document is assembled by the same
-    :func:`_point_doc` path as a scalar solve and is stored under the
-    per-point job id, so later per-point submissions are served from the
-    store bit-identically.  The tuned plan is resolved once and shared
-    (the tiling plan depends on grid/machine/threads, not wavelength).
-    Lanes that diverge become failed points (reported, never stored);
-    they do not fail the batch.
+    Every solved point's document is stored under the per-point job id,
+    so later per-point submissions are served from the store
+    bit-identically.  Lanes that diverge become failed points (reported,
+    never stored); they do not fail the batch.
     """
-    import numpy as np
-
-    from ..core.tiled_solver import BatchedTiledTHIIM
-    from ..fdfd import BatchedTHIIMSolver
-
     wavelengths = list(spec.wavelengths or ())
     point_specs = [spec.point_spec(w) for w in wavelengths]
     docs: Dict[int, Optional[Dict[str, Any]]] = {}
@@ -647,41 +604,17 @@ def _run_batch_solve(spec: JobSpec, registry, store=None,
         else:
             todo.append(i)
 
-    plan = _resolve_plan(spec, registry)
     if todo:
-        grid, scene, source_plane, source, pml = _solve_geometry(spec)
-        omegas = [2 * np.pi / wavelengths[i] for i in todo]
-        batched = BatchedTHIIMSolver(grid, omegas, scene=scene,
-                                     source=source, pml=pml)
-        t0 = time.perf_counter()
-        if plan["tiled"]:
-            driver = BatchedTiledTHIIM(batched, dw=plan["dw"], bz=plan["bz"])
-            ckpt = _batch_checkpoint_for(spec, batched, checkpoint_dir,
-                                         chunk=driver.chunk)
-            batch_result = driver.solve(tol=spec.tol, max_steps=spec.max_steps,
-                                        checkpoint=ckpt)
-        else:
-            ckpt = _batch_checkpoint_for(spec, batched, checkpoint_dir,
-                                         check_every=20)
-            batch_result = batched.solve(tol=spec.tol, max_steps=spec.max_steps,
-                                         check_every=20, checkpoint=ckpt)
-        _note_solve_rates(
-            grid, sum(r.iterations for r in batch_result.results),
-            time.perf_counter() - t0)
-        if ckpt is not None:
-            ckpt.clear()
-        for lane, i in enumerate(todo):
-            reason = batch_result.diverged[lane]
+        plan, solved, reasons = _solve_points(
+            spec, [wavelengths[i] for i in todo], registry, checkpoint_dir)
+        for i, doc, reason in zip(todo, solved, reasons):
+            docs[i] = doc
             if reason is not None:
                 errors[i] = f"SolverDiverged: {reason}"
-                docs[i] = None
-                continue
-            result = batch_result.results[lane]
-            doc = _point_doc(grid, omegas[lane], plan, result,
-                             batched.lanes[lane].sigma, scene, source_plane)
-            docs[i] = doc
-            if store is not None:
+            elif store is not None:
                 store.put(point_specs[i].job_id, doc)
+    else:
+        plan = _resolve_plan(spec, registry)
 
     points = []
     for i, w in enumerate(wavelengths):
@@ -750,8 +683,10 @@ def run_job(
         if spec.kind == "batch":
             return _run_batch_solve(spec, registry, store=store,
                                     checkpoint_dir=checkpoint_dir)
-        if spec.kind == "distributed":
-            return _run_distributed_solve(spec, registry,
-                                          checkpoint_dir=checkpoint_dir,
-                                          attempt=attempt)
-        return _run_solve(spec, registry, checkpoint_dir=checkpoint_dir)
+        # One point -- across rank processes when distributed (an
+        # explicit "PZxPYxPX" layout or a count the communication cost
+        # model factorizes): byte-identical documents, the latter stored
+        # under the layout-namespaced job id.
+        _plan, docs, _reasons = _solve_points(
+            spec, [spec.wavelength], registry, checkpoint_dir, attempt)
+        return docs[0]

@@ -5,9 +5,9 @@ identity, per-point spec derivation), the dedup/fan-out contract of
 ``run_job`` on batch jobs, and the two isolation regressions from the
 batch axis:
 
-* a batched checkpoint token can never collide with -- or be resumed
-  from -- a per-point snapshot (mismatches quarantine, they do not
-  poison the solve);
+* a checkpoint token names its lane list, so a snapshot of another
+  width can never be resumed (mismatches quarantine, they do not poison
+  the solve);
 * ``PlanRegistry.key`` keeps width-tagged entries in a namespace
   disjoint from every pre-batch key.
 """
@@ -18,11 +18,7 @@ import pytest
 
 from repro.machine import HASWELL_EP
 from repro.resilience import faults
-from repro.resilience.checkpoint import (
-    CheckpointManager,
-    batched_solver_token,
-    solver_token,
-)
+from repro.resilience.checkpoint import CheckpointManager, solver_token
 from repro.resilience.errors import InjectedFault
 from repro.resilience.faults import FaultPlan
 from repro.service import JobSpec, ResultStore, Scheduler, run_job
@@ -122,8 +118,8 @@ class TestBatchRunJob:
 
 
 class TestBatchCheckpointIsolation:
-    """Satellite regression: batch-width-tagged checkpoint tokens keep a
-    batched snapshot and a per-point snapshot mutually unresumable."""
+    """Satellite regression: lane-list checkpoint tokens keep snapshots
+    of different widths mutually unresumable."""
 
     def _solvers(self, spec):
         import numpy as np
@@ -143,18 +139,21 @@ class TestBatchCheckpointIsolation:
         spec = JobSpec(**BATCH)
         scalar, batched = self._solvers(spec)
         cadence = dict(tol=spec.tol, max_steps=spec.max_steps, check_every=20)
-        b3 = batched_solver_token(batched, **cadence)
-        assert b3.startswith("b")
+        b3 = solver_token(batched, **cadence)
         assert b3 != solver_token(scalar, **cadence)
-        # Width itself is part of the hash: a width-1 batch of the same
-        # scene still cannot resume a scalar snapshot.
+        # A point solve is the k = 1 case of the one loop: a width-1
+        # batch of the same scene writes the very payload a scalar solve
+        # does, so they share a token and cross-resume is *correct*
+        # (tests/test_resilience_checkpoint.py resumes one from the
+        # other); their service jobs still have distinct names.
         _, batched1 = self._solvers(
             JobSpec(**{**BATCH, "wavelengths": (10.0,)}))
-        assert batched_solver_token(batched1, **cadence) != \
+        assert solver_token(batched1, **cadence) == \
             solver_token(scalar, **cadence)
+        # Width itself is part of the hash.
         _, batched2 = self._solvers(
             JobSpec(**{**BATCH, "wavelengths": (10.0, 11.0)}))
-        assert batched_solver_token(batched2, **cadence) != b3
+        assert solver_token(batched2, **cadence) != b3
 
     def test_foreign_scalar_snapshot_is_quarantined_not_resumed(
             self, tmp_path, monkeypatch):

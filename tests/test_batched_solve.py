@@ -164,3 +164,72 @@ def test_tiled_batched_equals_tiled_per_point_bitwise():
     batch = driver.solve(tol=tol, max_steps=max_steps)
 
     _assert_lanes_equal(scalar_results, batch)
+
+
+@pytest.mark.parametrize("tiled", [False, True])
+def test_width_one_batch_equals_scalar_equals_one_rank(tiled):
+    """A point solve is the k = 1 case of the one loop: a width-1 batch,
+    the scalar driver and (untiled) a 1x1x1 rank layout agree bit for
+    bit -- fields, stop step, residual history."""
+    from repro.cluster import RankLayout
+    from repro.cluster.runtime import run_distributed
+
+    omega = 2 * np.pi / 10.0
+    kw = dict(tol=1e-12, max_steps=40)
+    scalar, batch = _scalar("tandem", omega), _batched("tandem", [omega])
+    if tiled:
+        point = TiledTHIIM(scalar, dw=4, bz=2).solve(**kw)
+        lanes = BatchedTiledTHIIM(batch, dw=4, bz=2).solve(**kw)
+    else:
+        point = scalar.solve(check_every=CHECK_EVERY, **kw)
+        lanes = batch.solve(check_every=CHECK_EVERY, **kw)
+    assert lanes.batch_width == 1 and lanes.diverged == [None]
+    _assert_lanes_equal([point], lanes)
+    # The scalar result *is* the solver's state, never a 4-D copy.
+    assert point.fields is scalar.fields
+    assert all(a.ndim == 3 for a in scalar.fields.components().values())
+    if not tiled:
+        solver = _scalar("tandem", omega)
+        ranked, _info = run_distributed(
+            RankLayout(solver.grid, 1, 1, 1), solver,
+            check_every=CHECK_EVERY, **kw)
+        _assert_lanes_equal([point], type(lanes)([ranked], [None]))
+
+
+def test_resume_after_a_lane_froze_is_bitwise(tmp_path):
+    """The snapshot is full width: a crash *after* the first lane
+    converged and was compacted away resumes with that lane frozen from
+    the snapshot and the rest continuing, bit for bit."""
+    from repro.resilience import faults
+    from repro.resilience.checkpoint import CheckpointManager, solver_token
+    from repro.resilience.errors import InjectedFault
+
+    preset = "tandem"
+    omegas = [2 * np.pi / w for w in (6.0, 10.0, 17.0)]
+    tol, expected_iters, distinct = _staggering_tol(
+        _probe_histories(preset, omegas))
+    assert distinct >= 2
+    kw = dict(tol=tol, max_steps=PROBE_STEPS, check_every=CHECK_EVERY)
+    clean = _batched(preset, omegas).solve(**kw)
+
+    def manager(batched):
+        return CheckpointManager(
+            str(tmp_path), "batch", every=CHECK_EVERY,
+            token=solver_token(batched, check_every=CHECK_EVERY))
+
+    froze_at = min(expected_iters)
+    faults.install(faults.FaultPlan.parse(
+        f"solver.sweep:raise:{froze_at // CHECK_EVERY}"))
+    try:
+        crashed = _batched(preset, omegas)
+        with pytest.raises(InjectedFault):
+            crashed.solve(checkpoint=manager(crashed), **kw)
+    finally:
+        faults.uninstall()
+
+    resumed = _batched(preset, omegas)
+    mgr = manager(resumed)
+    result = resumed.solve(checkpoint=mgr, **kw)
+    assert mgr.resumed_from == froze_at
+    assert [r.iterations for r in result.results] == expected_iters
+    _assert_lanes_equal(clean.results, result)

@@ -80,6 +80,17 @@ class TestSolveCommand:
         assert rc == 0
         out = capsys.readouterr().out
         assert "TiledTHIIM" in out and "converged" in out
+        # `repro solve` builds the service's geometry: what it prints is
+        # what run_job of the same spec stores.
+        from repro.service import JobSpec, run_job
+
+        doc = run_job(JobSpec(kind="solve", preset="absorber", grid=10,
+                              wavelength=10.0, tol=1e-4, max_steps=2000,
+                              tiled=True, dw=4, bz=2))
+        assert (f"converged after {doc['iterations']} steps "
+                f"(residual {doc['residual']:.3e})") in out
+        assert (f"absorbed power: {doc['absorbed']:.4f} "
+                f"(incident {doc['incident']:.4f})") in out
 
 
 class TestBenchCommand:

@@ -1,12 +1,21 @@
 """Checkpoint/restart: bit-identical resume, token guard, quarantine."""
 
 import os
+from functools import partial
 
 import numpy as np
 import pytest
 
-from repro.core.tiled_solver import TiledTHIIM
-from repro.fdfd import Grid, PMLSpec, PlaneWaveSource, THIIMSolver
+from repro.cluster import RankLayout
+from repro.cluster.runtime import run_distributed
+from repro.core.tiled_solver import BatchedTiledTHIIM, TiledTHIIM
+from repro.fdfd import (
+    BatchedTHIIMSolver,
+    Grid,
+    PMLSpec,
+    PlaneWaveSource,
+    THIIMSolver,
+)
 from repro.resilience import faults
 from repro.resilience.checkpoint import (
     CheckpointManager,
@@ -14,7 +23,11 @@ from repro.resilience.checkpoint import (
     solver_token,
     take_report,
 )
-from repro.resilience.errors import CheckpointMismatch
+from repro.resilience.errors import (
+    CheckpointMismatch,
+    InjectedFault,
+    SolverDiverged,
+)
 
 
 def make_solver(nz=24, n_xy=6, wavelength=10.0):
@@ -198,3 +211,212 @@ class TestLag:
         mgr.clear()
         assert not os.path.exists(mgr.path)
         mgr.clear()  # idempotent
+
+
+# -- one table over the five solve entry points ---------------------------------
+#
+# THIIMSolver.solve, TiledTHIIM.solve, BatchedTHIIMSolver.solve,
+# BatchedTiledTHIIM.solve and run_distributed are shells over one
+# convergence loop; whatever holds for one must hold for all five.
+
+CHECK = 8        # sweeps per convergence check == the tile chunk
+MAX_STEPS = 40   # five checks, tolerance unreachable
+OMEGAS = [2 * np.pi / 10.0, 2 * np.pi / 12.0]
+NAME = "job"
+
+
+def _build(batched=False, poison=False):
+    """A fresh solver on the one grid every traversal accepts
+    (non-periodic y/z for the tiles, z long enough for two ranks)."""
+    grid = Grid(nz=24, ny=8, nx=6)
+    kw = dict(source=PlaneWaveSource(z_plane=6, z_width=2.0),
+              pml={"z": PMLSpec(thickness=6)})
+    solver = (BatchedTHIIMSolver(grid, OMEGAS, **kw) if batched
+              else THIIMSolver(grid, OMEGAS[0], **kw))
+    if poison:
+        # NaN in one coefficient cell of the first lane.
+        cell = solver.coefficients.arrays["tExz"]
+        (cell[0] if batched else cell)[12, 4, 3] = np.nan
+    return solver
+
+
+def _outcome(results, reasons, counters, resumed_from):
+    return {
+        "iterations": [r.iterations for r in results],
+        "residual": [r.residual for r in results],
+        "converged": [r.converged for r in results],
+        "history": [list(r.residual_history) for r in results],
+        "fields": [{n: r.fields[n].copy() for n in r.fields}
+                   for r in results],
+        "reasons": reasons,
+        "counters": counters,
+        "resumed_from": resumed_from,
+    }
+
+
+def _solve_in_process(batched, tiled, directory=None, poison=False,
+                      on_divergence="return"):
+    solver = _build(batched, poison)
+    driver, cadence = solver, {"check_every": CHECK}
+    if tiled:
+        driver = (BatchedTiledTHIIM if batched else TiledTHIIM)(
+            solver, dw=4, bz=2, chunk=CHECK)
+        cadence = {"chunk": CHECK}
+    ckpt = directory and CheckpointManager(
+        directory, NAME, token=solver_token(solver, **cadence), every=CHECK)
+    kw = dict(tol=1e-15, max_steps=MAX_STEPS, checkpoint=ckpt)
+    if not tiled:
+        kw["check_every"] = CHECK
+    if not batched:
+        kw["on_divergence"] = on_divergence
+    solved = driver.solve(**kw)
+    results, reasons = ((solved.results, solved.diverged) if batched
+                        else ([solved], None))
+    counters = (driver.steps_done, driver.lups_done,
+                driver.jobs_done) if tiled else None
+    return _outcome(results, reasons, counters,
+                    ckpt.resumed_from if ckpt else None)
+
+
+def _solve_distributed(directory=None, poison=False,
+                       on_divergence="return"):
+    solver = _build(poison=poison)
+    result, info = run_distributed(
+        RankLayout(solver.grid, 2, 1, 1), solver, tol=1e-15,
+        max_steps=MAX_STEPS, check_every=CHECK, name=NAME,
+        checkpoint_dir=directory, every=CHECK if directory else 0,
+        on_divergence=on_divergence)
+    return _outcome([result], None, None, info["resumed_from"])
+
+
+ENTRY_POINTS = {
+    "scalar": partial(_solve_in_process, False, False),
+    "tiled": partial(_solve_in_process, False, True),
+    "batched": partial(_solve_in_process, True, False),
+    "batched_tiled": partial(_solve_in_process, True, True),
+    "distributed": _solve_distributed,
+}
+
+
+def _assert_same_solve(got, want):
+    for key in ("iterations", "residual", "converged", "history",
+                "reasons", "counters"):
+        assert got[key] == want[key], key
+    for a, b in zip(got["fields"], want["fields"]):
+        for name in a:
+            assert np.array_equal(a[name], b[name]), name
+
+
+@pytest.fixture(scope="module")
+def clean():
+    """The uninterrupted, checkpoint-free run of every entry point."""
+    return {name: solve() for name, solve in ENTRY_POINTS.items()}
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+class TestEveryEntryPoint:
+    @pytest.mark.parametrize("boundary", range(MAX_STEPS // CHECK))
+    def test_crash_at_every_boundary_resumes_bit_identical(
+            self, name, boundary, clean, tmp_path):
+        """``solver.sweep`` dies entering check ``boundary``; the rerun
+        resumes from the snapshot of the previous boundary and ends on
+        the uninterrupted fields, histories and work counters."""
+        solve = ENTRY_POINTS[name]
+        faults.install(faults.FaultPlan.parse(
+            f"solver.sweep:raise:{boundary}"))
+        with pytest.raises(InjectedFault):
+            solve(str(tmp_path))
+        faults.uninstall()
+        resumed = solve(str(tmp_path))
+        assert resumed["resumed_from"] == (boundary * CHECK or None)
+        _assert_same_solve(resumed, clean[name])
+
+    def test_checkpointing_does_not_change_the_solve(self, name, clean,
+                                                     tmp_path):
+        _assert_same_solve(ENTRY_POINTS[name](str(tmp_path)), clean[name])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_coefficient_stops_at_the_first_check(self, name, clean):
+        """A poisoned lane is reported diverged after one check by every
+        entry point, in the same words; the healthy lane of a batch is
+        untouched."""
+        solve = ENTRY_POINTS[name]
+        got = solve(poison=True)
+        assert got["iterations"][0] == CHECK
+        assert got["converged"][0] is False
+        assert np.isnan(got["residual"][0])
+        reason = "non-finite residual (NaN/Inf in the fields)"
+        if got["reasons"] is not None:  # batched: reported per lane
+            assert got["reasons"] == [reason, None]
+            for key in ("iterations", "residual", "history"):
+                assert got[key][1] == clean[name][key][1]
+        else:
+            with pytest.raises(SolverDiverged) as exc:
+                solve(poison=True, on_divergence="raise")
+            assert str(exc.value).endswith(
+                f"diverged after {CHECK} steps: {reason}")
+            assert exc.value.details["steps"] == CHECK
+
+    @pytest.mark.parametrize("foreign", ["v1", "width"])
+    def test_foreign_snapshot_is_quarantined_never_resumed(
+            self, name, foreign, clean, tmp_path, monkeypatch):
+        """A version-1 file, or a snapshot of another lane count, under
+        this solve's name: moved aside, solve restarts from sweep 0."""
+        from repro.resilience import checkpoint as ckpt_mod
+
+        directory = str(tmp_path)
+        batched = name.startswith("batched")
+        if foreign == "v1":
+            # What an old process left behind: same solve, old version.
+            monkeypatch.setattr(ckpt_mod, "CHECKPOINT_VERSION", 1)
+            writer = ENTRY_POINTS[name]
+        else:
+            writer = ENTRY_POINTS["scalar" if batched else "batched"]
+        faults.install(faults.FaultPlan.parse("solver.sweep:raise:2"))
+        with pytest.raises(InjectedFault):
+            writer(directory)
+        faults.uninstall()
+        monkeypatch.undo()
+        planted = [f for f in os.listdir(directory) if f.endswith(".npz")]
+        if foreign == "width" and name == "distributed":
+            # Rank snapshots have their own names; plant under one.
+            os.rename(os.path.join(directory, planted[0]),
+                      os.path.join(directory, f"ckpt-{NAME}.r0-0-0.npz"))
+            planted = [f"ckpt-{NAME}.r0-0-0.npz"]
+        assert planted
+
+        got = ENTRY_POINTS[name](directory)
+        assert got["resumed_from"] is None
+        _assert_same_solve(got, clean[name])
+        for fname in planted:
+            assert os.path.exists(os.path.join(directory,
+                                               fname + ".corrupt"))
+
+
+def test_point_solve_and_width_one_batch_share_snapshots(tmp_path):
+    """k = 1 is not a special case: a scalar solve's snapshot is a
+    width-1 batch snapshot (same token, same payload), so the batch
+    resumes it -- correctly."""
+    grid = Grid(nz=24, ny=8, nx=6)
+    kw = dict(source=PlaneWaveSource(z_plane=6, z_width=2.0),
+              pml={"z": PMLSpec(thickness=6)})
+    solve = dict(tol=1e-15, max_steps=MAX_STEPS, check_every=CHECK)
+    clean = THIIMSolver(grid, OMEGAS[0], **kw).solve(**solve)
+
+    scalar = THIIMSolver(grid, OMEGAS[0], **kw)
+    batch = BatchedTHIIMSolver(grid, OMEGAS[:1], **kw)
+    token = solver_token(scalar, check_every=CHECK)
+    assert token == solver_token(batch, check_every=CHECK)
+    faults.install(faults.FaultPlan.parse("solver.sweep:raise:3"))
+    with pytest.raises(InjectedFault):
+        scalar.solve(checkpoint=CheckpointManager(
+            str(tmp_path), NAME, token=token, every=CHECK), **solve)
+    faults.uninstall()
+
+    mgr = CheckpointManager(str(tmp_path), NAME, token=token, every=CHECK)
+    lane = batch.solve(checkpoint=mgr, **solve).results[0]
+    assert mgr.resumed_from == 3 * CHECK
+    assert lane.resumed_from == 3 * CHECK
+    assert lane.residual_history == clean.residual_history
+    for name in clean.fields:
+        assert np.array_equal(lane.fields[name], clean.fields[name])

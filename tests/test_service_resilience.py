@@ -18,7 +18,7 @@ import pytest
 
 from repro.resilience import faults
 from repro.resilience.checkpoint import take_report
-from repro.resilience.errors import SolverDiverged
+from repro.resilience.errors import InjectedFault, SolverDiverged
 from repro.service import JobSpec, PlanRegistry, ResultStore, Scheduler, run_job
 from repro.service.jobs import JobState
 
@@ -95,6 +95,49 @@ class TestCrashResume:
                     if f.startswith("ckpt-")] == []
         finally:
             sched.stop()
+
+
+    @pytest.mark.parametrize("kind", ["solve", "batch", "distributed"])
+    def test_rates_count_only_the_sweeps_this_attempt_ran(
+            self, kind, tmp_path, monkeypatch):
+        """Resume at sweep 40 of 60: the rate gauges divide this
+        attempt's wall time into the 20 sweeps it ran, not the 60 the
+        result reports."""
+        from types import SimpleNamespace
+
+        from repro import telemetry
+        from repro.service import jobs
+
+        extra = {"solve": {}, "distributed": {"ranks": "2x1x1"},
+                 "batch": {"wavelengths": (10.0,)}}[kind]
+        spec = JobSpec(kind=kind, preset="vacuum", grid=10, wavelength=10.0,
+                       tol=1e-12, max_steps=60, **extra)
+        monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "20")
+        faults.install(faults.FaultPlan.parse("solver.sweep:raise:2"))
+        with pytest.raises(InjectedFault):
+            run_job(spec, checkpoint_dir=str(tmp_path))
+        faults.uninstall()
+
+        # Every solve takes exactly one second on this clock.
+        ticks = iter(range(1000))
+        monkeypatch.setattr(jobs, "time", SimpleNamespace(
+            perf_counter=lambda: float(next(ticks)), time=time.time))
+        was_on = telemetry.enabled()
+        telemetry.enable(force=True)
+        value = telemetry.METRICS.get_value
+        telemetry.sweeps_total()  # exists before the first read
+        sweeps_before = value("solver_sweeps_total")
+        try:
+            doc = run_job(spec, checkpoint_dir=str(tmp_path))
+            point = doc["points"][0]["result"] if kind == "batch" else doc
+            assert point["iterations"] == 60
+            assert take_report()["resumed_from"] == 40
+            assert value("solver_sweeps_per_second") == 20.0
+            assert value("solver_mlups") == 20.0 * 20 * 10 * 10 / 1e6
+            assert value("solver_sweeps_total") - sweeps_before == 20
+        finally:
+            if not was_on:
+                telemetry.disable()
 
 
 class TestFailFast:

@@ -198,6 +198,12 @@ class TestConvergence:
             solver.solve(check_every=0)
         with pytest.raises(ValueError):
             solver.run(10, traversal="bogus")
+        # A mistyped block size is an error, not a silently ignored word.
+        with pytest.raises(TypeError):
+            solver.run(10, traversal="spatial", block_yy=3)
+        # The pre-progress-event hook is gone.
+        with pytest.raises(TypeError):
+            solver.solve(callback=print)
 
     def test_spatial_traversal_matches_naive(self):
         s1 = make_solver()
