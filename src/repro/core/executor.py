@@ -22,11 +22,10 @@ import numpy as np
 
 from ..fdfd.coefficients import CoefficientSet
 from ..fdfd.fields import FieldState
-from ..fdfd.kernels import update_e, update_h
+from ..fdfd.kernels import update_component
 from ..resilience import faults
 from . import tracing
 from .plan import TileIndex, TilingPlan
-from .wavefront import RowJob
 
 __all__ = ["TiledExecutor"]
 
@@ -51,26 +50,25 @@ class TiledExecutor:
         self.fields = fields
         self.coeffs = coeffs
         self.plan = plan
+        self._tiles = plan.compiled(grid)
         self.lups_done = 0
         self.jobs_done = 0
 
-    def execute_job(self, job: RowJob) -> None:
-        """Run one row job through the kernels."""
-        span_y = (job.y_lo, job.y_hi)
-        span_z = (job.z_lo, job.z_hi)
-        if job.is_h:
-            self.lups_done += update_h(self.fields, self.coeffs, z=span_z, y=span_y)
-        else:
-            self.lups_done += update_e(self.fields, self.coeffs, z=span_z, y=span_y)
-        self.jobs_done += 1
-
     def execute_tile(self, idx: TileIndex) -> None:
+        """Run one tile's row jobs: one kernel call per (row job, component)
+        on a region clipped and packed when the plan was compiled."""
         faults.hit("tile.execute")
-        lups0 = self.lups_done
+        ops, n_jobs = self._tiles[idx]
+        fields, coeffs = self.fields, self.coeffs
         with tracing.span(f"tile t={idx[0]} r={idx[1]}", "exec.tile") as sp:
-            for job in self.plan.tile_jobs(idx):
-                self.execute_job(job)
-            sp.set(lups=self.lups_done - lups0)
+            lups = 0
+            for name, region, n in ops:
+                update_component(name, fields, coeffs, region)
+                lups += n
+            lups *= fields.batch_width  # every lane of a stack counts
+            self.lups_done += lups
+            self.jobs_done += n_jobs
+            sp.set(lups=lups)
 
     def run(self, order: Sequence[TileIndex] | None = None) -> FieldState:
         """Execute the whole plan (optionally in a custom tile order)."""

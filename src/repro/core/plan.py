@@ -15,6 +15,9 @@ from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
+from ..fdfd.grid import Grid
+from ..fdfd.kernels import BoundRegion, clip_region, region_lups
+from ..fdfd.specs import E_COMPONENTS, H_COMPONENTS, SPECS
 from .diamond import DiamondTile, enumerate_tiles
 from .wavefront import RowJob, tile_row_jobs
 
@@ -37,6 +40,25 @@ def _tile_dag(ny: int, timesteps: int, dw: int):
             succs_mut[p].append(idx)
     succs = {idx: tuple(s) for idx, s in succs_mut.items()}
     return tiles, preds, succs
+
+
+@lru_cache(maxsize=16)
+def _compiled(ny: int, nz: int, timesteps: int, dw: int, bz: int,
+              shape: Tuple[int, int, int], periodic: Tuple[bool, bool, bool]):
+    """A plan resolved against a grid, process-wide (a solve re-walks its
+    plan every chunk, a campaign every job): tile -> (its kernel calls in
+    order ``(component, clipped BoundRegion, LUPs)``, its row-job count)."""
+    grid = Grid(*shape, periodic=periodic)
+    out: Dict[TileIndex, tuple] = {}
+    for idx, tile in _tile_dag(ny, timesteps, dw)[0].items():
+        jobs = list(tile_row_jobs(tile, nz, bz))
+        clipped = ((name, clip_region(grid, SPECS[name], z=(job.z_lo, job.z_hi),
+                                      y=(job.y_lo, job.y_hi)))
+                   for job in jobs
+                   for name in (H_COMPONENTS if job.is_h else E_COMPONENTS))
+        out[idx] = (tuple((name, BoundRegion(region), region_lups(region))
+                          for name, region in clipped if region), len(jobs))
+    return out
 
 
 @dataclass
@@ -140,8 +162,10 @@ class TilingPlan:
         for idx in order:
             yield from tile_row_jobs(self.tiles[idx], self.nz, self.bz)
 
-    def tile_jobs(self, idx: TileIndex) -> Iterator[RowJob]:
-        return tile_row_jobs(self.tiles[idx], self.nz, self.bz)
+    def compiled(self, grid: Grid) -> Dict[TileIndex, tuple]:
+        """tile -> (ops, row jobs) on ``grid``; see :func:`_compiled`."""
+        return _compiled(self.ny, self.nz, self.timesteps, self.dw, self.bz,
+                         grid.shape, grid.periodic)
 
     def validate(self, order: Sequence[TileIndex] | None = None) -> None:
         """Replay the plan through the dependency checker (raises on error)."""

@@ -35,10 +35,11 @@ class FieldState:
     arrays are C-contiguous complex128 of shape ``grid.shape``.
     """
 
-    __slots__ = ("grid", "_arrays")
+    __slots__ = ("grid", "_arrays", "_bound")  # _bound: see kernels._bind
 
     def __init__(self, grid: Grid, arrays: Dict[str, np.ndarray] | None = None):
         self.grid = grid
+        self._bound = None
         if arrays is None:
             arrays = {name: grid.zeros() for name in ALL_COMPONENTS}
         else:
@@ -75,6 +76,9 @@ class FieldState:
 
     def copy(self) -> "FieldState":
         return FieldState(self.grid, {k: v.copy() for k, v in self._arrays.items()})
+
+    def __reduce__(self):  # a kernel binding is raw addresses: not pickled
+        return (FieldState, (self.grid, self._arrays))
 
     def fill_random(self, rng: np.random.Generator, scale: float = 1.0) -> "FieldState":
         """Fill every component with random complex data (testing aid)."""
@@ -179,11 +183,12 @@ class BatchedFieldState:
     purely elementwise in the batch axis.
     """
 
-    __slots__ = ("grid", "_arrays")
+    __slots__ = ("grid", "_arrays", "_bound")
 
     def __init__(self, grid: Grid, width: int | None = None,
                  arrays: Dict[str, np.ndarray] | None = None):
         self.grid = grid
+        self._bound = None
         if arrays is None:
             if width is None or width < 1:
                 raise ValueError("batch width must be >= 1")
@@ -282,6 +287,9 @@ class BatchedFieldState:
         return BatchedFieldState(
             self.grid, arrays={k: v.copy() for k, v in self._arrays.items()}
         )
+
+    def __reduce__(self):
+        return (BatchedFieldState, (self.grid, None, self._arrays))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BatchedFieldState(grid={self.grid.shape}, k={self.batch_width})"

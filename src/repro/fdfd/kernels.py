@@ -11,7 +11,9 @@ over a rectangular index region.  The same entry points serve
   kernels row-range by row-range following a wavefront-diamond schedule.
 
 Keeping a single implementation for all traversals is what makes the
-"tiled == naive" correctness contract meaningful.
+"tiled == naive" correctness contract meaningful.  It has two
+bit-identical bodies: NumPy (oracle and fallback) and the probe-gated
+compiled pass ``_thiim_kernel.c`` (DESIGN.md section 2).
 
 Region semantics
 ----------------
@@ -36,18 +38,23 @@ is built on: one pass over the shared stencil working set updates all
 
 from __future__ import annotations
 
+import ctypes
+import math
 import threading
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .coefficients import CoefficientSet
-from .fields import FieldState
+from .. import nativelib
+from ..resilience.errors import RESILIENCE_COUNTERS
+from .coefficients import BatchedCoefficientSet, CoefficientSet
+from .fields import BatchedFieldState, FieldState
 from .grid import Grid
 from .specs import ALL_COMPONENTS, E_COMPONENTS, H_COMPONENTS, SPECS, ComponentSpec
 
 __all__ = [
     "Region",
+    "BoundRegion",
     "clip_region",
     "full_region",
     "region_lups",
@@ -103,30 +110,25 @@ def region_lups(region: Region) -> int:
     return n
 
 
-#: Reusable kernel work buffers, keyed by (shape, dtype, slot).  The update
-#: of one region needs at most four same-shaped buffers alive at once (two
-#: accumulators + two wrapped shifted reads); reusing them removes every
-#: per-call allocation from the hot path.  The pool is thread-local: one
-#: executor thread is single-threaded through a solve, but a serve node
-#: with ``workers > 1`` (or several in-process node schedulers) runs
-#: concurrent solves, and same-shaped solves sharing one buffer would
-#: race and corrupt each other's numerics.
+#: Reusable work buffers of the NumPy body: one flat buffer per slot (two
+#: accumulators + two wrapped shifted reads alive at once), grown to the
+#: largest region seen and handed out reshaped, so the hot path allocates
+#: nothing.  Thread-local: an executor is single-threaded through a solve,
+#: but a serve node with ``workers > 1`` (or several in-process node
+#: schedulers) runs concurrent solves, and solves sharing one buffer
+#: would race and corrupt each other's numerics.
 _SCRATCH = threading.local()
-_SCRATCH_MAX = 64
 
 
 def _scratch(shape: tuple, dtype, slot: int) -> np.ndarray:
     pool = getattr(_SCRATCH, "pool", None)
     if pool is None:
         pool = _SCRATCH.pool = {}
-    key = (shape, dtype, slot)
-    buf = pool.get(key)
-    if buf is None:
-        if len(pool) >= _SCRATCH_MAX:
-            pool.clear()
-        buf = np.empty(shape, dtype)
-        pool[key] = buf
-    return buf
+    n = math.prod(shape)
+    buf = pool.get(slot)
+    if buf is None or buf.size < n or buf.dtype != dtype:
+        buf = pool[slot] = np.empty(n, dtype)
+    return buf[:n].reshape(shape)
 
 
 def _shifted_read(
@@ -189,16 +191,24 @@ def update_component(
     """Apply one component update over ``region`` (in place).
 
     ``region`` must already be valid for this component (see
-    :func:`clip_region`); this is the hot path and performs no clipping of
-    its own.  All intermediates go through reused scratch buffers, in
-    exactly the operation order of the plain expression
-    ``t * (A' + B' - A - B) + c * F (+ src)`` -- results are bit-identical
-    to the allocating form.
+    :func:`clip_region`); this is the hot path and clips nothing -- a far
+    read that leaves a non-periodic axis raises ``IndexError``.  Both
+    back ends follow the operation order of the plain expression
+    ``t * (A' + B' - A - B) + c * F (+ src)`` and are bit-identical.
 
     Batched state (arrays with a leading scenario axis) updates every
     lane in the same pass; the arithmetic per lane is the same elementwise
     sequence, so each lane stays bit-identical to an unbatched update.
     """
+    call = _native() if _THIIM is None else _THIIM
+    if call:
+        _update_native(call, name, fields, coeffs, region)
+    else:
+        _update_numpy(name, fields, coeffs, region)
+
+
+def _update_numpy(name, fields, coeffs, region: Region) -> None:
+    """The oracle: NumPy ufunc passes through reused scratch buffers."""
     spec = SPECS[name]
     grid = fields.grid
     axis = spec.deriv_axis
@@ -233,6 +243,135 @@ def update_component(
     f[reg] = out
 
 
+# -- the compiled back end ----------------------------------------------------
+
+
+class _Op(ctypes.Structure):
+    """``thiim_op`` of ``_thiim_kernel.c``: one component update bound to
+    the base addresses of its six arrays."""
+
+    _fields_ = [(k, ctypes.c_void_p) for k in ("f", "a", "b", "t", "c", "src")] + [
+        ("n", ctypes.c_int64 * 3)] + [
+        (k, ctypes.c_int64) for k in ("lanes", "axis", "shift", "periodic")]
+
+
+#: component -> names of its operands: (read a, read b, t, c, src or None).
+_OPERANDS = {n: (*s.reads, s.coeff_t, s.coeff_c, s.source) for n, s in SPECS.items()}
+
+#: The compiled pass ``thiim_update(op, box)``; ``None`` until the first
+#: kernel call, ``False`` when this process stays on the NumPy body.
+_THIIM = None
+_THIIM_LOCK = threading.Lock()
+
+
+class BoundRegion(tuple):
+    """A :data:`Region` carrying its box packed for the compiled pass, so
+    a compiled tiling plan packs nothing when it is re-executed."""
+
+    def __new__(cls, region: Region):
+        self = super().__new__(cls, region)
+        z, y, x = region
+        self.box = ctypes.byref((ctypes.c_int64 * 6)(
+            z.start, z.stop, y.start, y.stop, x.start, x.stop))
+        return self
+
+
+def _native():
+    """Load and probe the compiled pass (once per process); the callable,
+    or ``False`` (vetoed, no compiler, or not bit-identical here)."""
+    global _THIIM
+    with _THIIM_LOCK:
+        if _THIIM is None:
+            lib = nativelib.load("_thiim_kernel")
+            call = lib is not None and lib.thiim_update
+            if call:
+                call.restype, call.argtypes = ctypes.c_int64, [ctypes.c_void_p] * 2
+                if not _probe(call):
+                    RESILIENCE_COUNTERS.bump("native_degraded")
+                    call = False
+            _THIIM = call
+    return _THIIM
+
+
+def _probe(call) -> bool:
+    """Bitwise oracle, NumPy body against ``call``: every component (four
+    carry ``src``) over the full box and a 1-cell-wide edge box as
+    :func:`clip_region` leaves them on a periodic and on a bounded odd-sized
+    grid, two lanes and one.  NumPy's complex multiply rounds as its CPU
+    dispatch decides (fused on FMA hardware), so this is measured."""
+    names = sorted({c for spec in SPECS.values() for c in spec.coeff_names})
+    shape = (6, 7, 7)
+    x = 0.37 * np.arange(1.0, 1 + (len(names) + 12) * 2 * math.prod(shape))
+    # Full-mantissa filler without importing numpy.random: 28 + 12 two-lane stacks.
+    data = (np.sin(x) + 1j * np.cos(1.7 * x)).reshape((-1, 2) + shape)
+    constants, state = dict(zip(names, data)), dict(zip(ALL_COMPONENTS, data[len(names):]))
+    for wrap in (True, False):
+        grid = Grid(*shape, periodic=(wrap,) * 3)
+        coeffs = BatchedCoefficientSet(grid, [1.0, 1.0], [0.1, 0.1], constants)
+        oracle = BatchedFieldState(grid, arrays=state)  # evolves on across grids
+        fields = oracle.copy()
+        for want, got, cs in ((oracle, fields, coeffs),
+                              (oracle.lane(0), fields.lane(0), coeffs.lane(0))):
+            for name in ALL_COMPONENTS:
+                for box in ((None,) * 3, ((0, 1), (2, 5), (6, 7))):
+                    region = clip_region(grid, SPECS[name], *box)
+                    if region:
+                        _update_numpy(name, want, cs, region)
+                        _update_native(call, name, got, cs, region)
+        if any(oracle[f].tobytes() != fields[f].tobytes() for f in ALL_COMPONENTS):
+            return False
+    return True
+
+
+def _bind(fields, coeffs) -> dict:
+    """component -> (op reference, the six arrays it points into -- held,
+    so no address is recycled while the binding lives).  Arrays the pass
+    cannot address bind to ``None`` and take the NumPy body."""
+    grid = fields.grid
+    bound = {}
+    for name, (ra, rb, t, c, src) in _OPERANDS.items():
+        spec = SPECS[name]
+        arrays = (fields[name], fields[ra], fields[rb], coeffs[t], coeffs[c],
+                  coeffs[src] if src else None)
+        shape = arrays[0].shape
+        ref = None
+        if (len(shape) in (3, 4) and shape[-3:] == grid.shape
+                and arrays[0].flags.writeable
+                and all(a is None or (a.shape == shape and a.dtype == np.complex128
+                                      and a.flags.c_contiguous) for a in arrays)):
+            ref = ctypes.byref(_Op(
+                *(a.ctypes.data if a is not None else None for a in arrays),
+                grid.shape, shape[0] if len(shape) == 4 else 1,
+                spec.deriv_axis, spec.shift, grid.periodic[spec.deriv_axis]))
+        bound[name] = (ref,) + arrays
+    return bound
+
+
+def _update_native(call, name, fields, coeffs, region: Region) -> None:
+    fa, ca = fields.components(), coeffs.arrays
+    ra, rb, t, c, src = _OPERANDS[name]
+    bound = fields._bound
+    op = bound[name] if bound else None
+    if op is None or not (
+            fa[name] is op[1] and fa[ra] is op[2] and fa[rb] is op[3]
+            and ca[t] is op[4] and ca[c] is op[5]
+            and (src is None or ca[src] is op[6])):
+        # First use, or an array was replaced (lane compaction, a restore).
+        bound = fields._bound = _bind(fields, coeffs)
+        op = bound[name]
+    if op[0] is None:
+        return _update_numpy(name, fields, coeffs, region)
+    if type(region) is not BoundRegion:
+        region = BoundRegion(region)
+    if call(op[0], region.box):
+        # The pass refused the box and touched nothing; a far read off a
+        # non-periodic axis fails in _shifted_read's words, as on NumPy.
+        spec, grid = SPECS[name], fields.grid
+        if not grid.periodic[spec.deriv_axis]:
+            _shifted_read(fa[ra], region, spec.deriv_axis, spec.shift, False)
+        raise IndexError(f"region {tuple(region)} leaves the grid {grid.shape}")
+
+
 def _update_group(
     components: Sequence[str],
     fields: FieldState,
@@ -245,7 +384,7 @@ def _update_group(
     performed (for the performance counters).  Batched state counts every
     lane (``k`` LUPs per cell for a width-``k`` batch)."""
     grid = fields.grid
-    width = getattr(fields, "batch_width", 1)
+    width = fields.batch_width
     done = 0
     for name in components:
         region = clip_region(grid, SPECS[name], z=z, y=y, x=x)

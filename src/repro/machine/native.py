@@ -1,12 +1,12 @@
 """Native (ctypes) LRU replay engine with transparent fallback.
 
-Loads the tight C loop of ``_lru_kernel.c`` (compiled on first use with
-the system C compiler into ``_build/`` next to this module) and wraps it
-in :class:`NativeLRU`, an engine with the same replay interface and
-byte-identical :class:`~repro.machine.cache.CacheStats` accounting as the
-pure-Python :class:`~repro.machine.cache.BatchLRU` -- which remains the
-fallback whenever no compiler is available, the build fails, or the
-emitter's key space is too large for direct mapping.
+Loads the tight C loop of ``_lru_kernel.c`` (compiled on first use, see
+:mod:`repro.nativelib`) and wraps it in :class:`NativeLRU`, an engine with
+the same replay interface and byte-identical
+:class:`~repro.machine.cache.CacheStats` accounting as the pure-Python
+:class:`~repro.machine.cache.BatchLRU` -- which remains the fallback
+whenever no compiler is available, the build fails, or the emitter's key
+space is too large for direct mapping.
 
 Selection is automatic (:func:`make_lru`); set ``REPRO_NO_NATIVE=1`` to
 force the pure-Python engine.
@@ -15,16 +15,12 @@ force the pure-Python engine.
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import subprocess
 from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .. import config
-from ..resilience import faults
-from ..resilience.errors import RESILIENCE_COUNTERS, EngineUnavailable
+from .. import nativelib
+from ..resilience.errors import EngineUnavailable
 from .cache import BatchLRU, CacheStats
 
 __all__ = ["NativeLRU", "make_lru", "native_available"]
@@ -34,7 +30,6 @@ __all__ = ["NativeLRU", "make_lru", "native_available"]
 #: would; this cap keeps it under ~200 MB).
 MAX_KEY_SPACE = 8 * 1024 * 1024
 
-_SRC = os.path.join(os.path.dirname(__file__), "_lru_kernel.c")
 _LIB = None
 _LIB_TRIED = False
 
@@ -64,55 +59,26 @@ class _LruState(ctypes.Structure):
     ]
 
 
-def _build_library():
-    """Compile (once) and load the kernel; returns the CDLL or None."""
-    with open(_SRC, "rb") as f:
-        src = f.read()
-    tag = hashlib.sha1(src).hexdigest()[:12]
-    build_dir = config.native_build_dir(
-        os.path.join(os.path.dirname(_SRC), "_build")
-    )
-    so_path = os.path.join(build_dir, f"_lru_kernel-{tag}.so")
-    if not os.path.exists(so_path):
-        os.makedirs(build_dir, exist_ok=True)
-        cc = os.environ.get("CC", "cc")
-        tmp = so_path + f".tmp{os.getpid()}"
-        subprocess.run(
-            [cc, "-O2", "-shared", "-fPIC", "-o", tmp, _SRC],
-            check=True,
-            capture_output=True,
-        )
-        os.replace(tmp, so_path)  # atomic vs concurrent builders
-    lib = ctypes.CDLL(so_path)
-    table = [
-        ctypes.POINTER(_LruState),
-        _P64, _P64, _P64, _PU8,  # rel, seg_start, seg_group, seg_write
-        _P64, _P64,  # group_base, group_size
-    ]
-    lib.lru_replay.restype = ctypes.c_int64
-    lib.lru_replay.argtypes = table + [ctypes.c_int64, ctypes.c_int64]  # n_seg, base
-    lib.lru_replay_jobs.restype = ctypes.c_int64
-    lib.lru_replay_jobs.argtypes = table + [
-        _P64, _P64, _P64,  # job_lo, job_hi, job_base
-        ctypes.c_int64,  # n_jobs
-    ]
-    return lib
-
-
 def _get_library():
+    """Load (once; compiled on first use) the kernel: the CDLL or None."""
     global _LIB, _LIB_TRIED
     if not _LIB_TRIED:
         _LIB_TRIED = True
-        if not config.native_disabled():
-            try:
-                faults.hit("native.load")
-                _LIB = _build_library()
-            except Exception:  # no compiler, read-only tree, ... -> fallback
-                _LIB = None
-                # First link of the degradation chain: native -> batched
-                # pure python.  Counted (and surfaced via /metrics) so a
-                # silently slow deployment is diagnosable.
-                RESILIENCE_COUNTERS.bump("native_degraded")
+        lib = nativelib.load("_lru_kernel")
+        if lib is not None:
+            table = [
+                ctypes.POINTER(_LruState),
+                _P64, _P64, _P64, _PU8,  # rel, seg_start, seg_group, seg_write
+                _P64, _P64,  # group_base, group_size
+            ]
+            lib.lru_replay.restype = ctypes.c_int64
+            lib.lru_replay.argtypes = table + [ctypes.c_int64, ctypes.c_int64]  # n_seg, base
+            lib.lru_replay_jobs.restype = ctypes.c_int64
+            lib.lru_replay_jobs.argtypes = table + [
+                _P64, _P64, _P64,  # job_lo, job_hi, job_base
+                ctypes.c_int64,  # n_jobs
+            ]
+        _LIB = lib
     return _LIB
 
 

@@ -62,7 +62,7 @@ __all__ = [
 #: The named injection sites wired through the stack (documentation /
 #: ``repro chaos --list-sites``; unknown sites are legal and inert).
 SITES = (
-    "native.load",       # compiled LRU kernel build/load
+    "native.load",       # compiled library build/load (LRU replay, THIIM kernel)
     "tune_cache.read",   # autotuner disk cache lookup
     "tune_cache.write",  # autotuner disk cache store
     "registry.read",     # plan-registry file lookup

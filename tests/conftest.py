@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
-from repro.fdfd import FieldState, Grid, random_coefficients
+from repro.fdfd import FieldState, Grid, kernels, random_coefficients
 
 
 @pytest.fixture
@@ -24,6 +26,29 @@ def small_setup(small_grid, rng):
     coeffs = random_coefficients(small_grid, seed=7)
     fields = FieldState(small_grid).fill_random(rng)
     return fields, coeffs
+
+
+@contextmanager
+def numpy_kernels():
+    """Run the enclosed kernel calls on the NumPy body (the oracle)."""
+    saved, kernels._THIIM = kernels._THIIM, False
+    try:
+        yield
+    finally:
+        kernels._THIIM = saved
+
+
+@pytest.fixture(params=["native", "numpy"])
+def kernel_backend(request):
+    """Run a test once per kernel back end (the compiled pass is skipped
+    where it is unavailable: no compiler, REPRO_NO_NATIVE, failed probe)."""
+    if request.param == "native":
+        if not kernels._native():
+            pytest.skip("compiled THIIM kernel unavailable")
+        yield "native"
+    else:
+        with numpy_kernels():
+            yield "numpy"
 
 
 def random_state(grid: Grid, seed: int = 0) -> FieldState:

@@ -127,7 +127,8 @@ def test_batched_equals_per_point_bitwise(preset, seed):
 def test_staggered_convergence_compacts_bitwise(preset):
     """A deterministic wide-spread wavelength set where the adaptive
     tolerance yields genuinely staggered convergence, so mid-run lane
-    compaction is on the line for every preset."""
+    compaction is on the line for every preset -- and, on the compiled
+    kernel, so is re-binding its ops to the compacted arrays."""
     wavelengths = [6.0, 10.0, 17.0]
     omegas = [2 * np.pi / w for w in wavelengths]
 

@@ -2,19 +2,30 @@
 for any valid plan configuration and any topological tile order, plus the
 FIFO queue protocol tests."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import TiledExecutor, TileQueue, TilingPlan
 from repro.fdfd import (
+    ALL_COMPONENTS,
+    E_COMPONENTS,
+    H_COMPONENTS,
     FieldState,
     Grid,
     PMLSpec,
     PlaneWaveSource,
     THIIMSolver,
+    clip_region,
     naive_sweep,
     random_coefficients,
 )
+from repro.fdfd.kernels import region_lups
+from repro.fdfd.specs import SPECS
 
 from conftest import random_state
 
@@ -121,7 +132,96 @@ class TestTiledEqualsNaive:
         f = random_state(grid)
         expected = naive_sweep(f, coeffs, 3)
         assert ex.lups_done == expected
-        assert ex.jobs_done > 0
+        assert ex.jobs_done == len(list(plan.row_jobs()))
+
+
+class TestCompiledPlan:
+    """A plan resolved once against a grid is, op for op, what walking
+    its row jobs through ``clip_region`` yields -- in any tile order."""
+
+    @given(ny=st.integers(4, 14), nz=st.integers(3, 12), T=st.integers(1, 6),
+           half_dw=st.integers(1, 4), bz=st.integers(1, 5),
+           x_periodic=st.booleans(), seed=st.integers(0, 1000))
+    @settings(max_examples=60, deadline=None)
+    def test_ops_equal_clipped_row_jobs(self, ny, nz, T, half_dw, bz,
+                                        x_periodic, seed):
+        grid = Grid(nz=nz, ny=ny, nx=4, periodic=(False, False, x_periodic))
+        plan = TilingPlan.build(ny=ny, nz=nz, timesteps=T, dw=2 * half_dw, bz=bz)
+        compiled = plan.compiled(grid)
+        order = plan.random_topological_order(np.random.default_rng(seed))
+        want = []
+        for job in plan.row_jobs(order):
+            for name in H_COMPONENTS if job.is_h else E_COMPONENTS:
+                region = clip_region(grid, SPECS[name], z=(job.z_lo, job.z_hi),
+                                     y=(job.y_lo, job.y_hi))
+                if region is not None:
+                    want.append((name, region, region_lups(region)))
+        got = [op for idx in order for op in compiled[idx][0]]
+        assert [(name, tuple(region), lups) for name, region, lups in got] == want
+        for _, region, _ in got:  # the packed box is the region's
+            assert list(region.box._obj) == [
+                b for sl in region for b in (sl.start, sl.stop)]
+        assert sum(compiled[idx][1] for idx in order) == len(
+            list(plan.row_jobs(order)))
+
+    def test_resolved_once_per_plan_and_grid(self):
+        grid = Grid(nz=10, ny=12, nx=4)
+        plan = TilingPlan.build(ny=12, nz=10, timesteps=4, dw=4, bz=2)
+        again = TilingPlan.build(ny=12, nz=10, timesteps=4, dw=4, bz=2)
+        assert plan.compiled(grid) is again.compiled(grid)
+        wrapped = Grid(nz=10, ny=12, nx=4, periodic=(False, False, True))
+        assert plan.compiled(grid) is not plan.compiled(wrapped)
+
+
+@pytest.mark.usefixtures("kernel_backend")
+class TestConcurrentExecutors:
+    def test_threads_equal_serial(self):
+        """Four executors at once -- two same-shaped, two not -- each
+        equal to its serial run: scratch buffers are per thread, bindings
+        per field state, and the compiled pass shares nothing."""
+        shapes = [(10, 12, 5), (10, 12, 5), (8, 9, 4), (12, 8, 6)]
+
+        def solve(i, out):
+            nz, ny, nx = shapes[i]
+            grid = Grid(nz=nz, ny=ny, nx=nx, periodic=(False, False, True))
+            fields = random_state(grid, seed=i).zero_boundary()
+            plan = TilingPlan.build(ny=ny, nz=nz, timesteps=4, dw=4, bz=2)
+            executor = TiledExecutor(fields, random_coefficients(grid, seed=i), plan)
+            for _ in range(6):
+                executor.run()
+            out[i] = [fields[n].tobytes() for n in ALL_COMPONENTS]
+
+        serial, threaded = {}, {}
+        for i in range(len(shapes)):
+            solve(i, serial)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=solve, args=(i, threaded))
+                       for i in range(len(shapes))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120.0)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+
+    def test_two_worker_scheduler_equals_direct_runs(self):
+        from repro.service import JobSpec, Scheduler, run_job
+
+        specs = [JobSpec(kind="solve", preset="tandem", grid=g, wavelength=w,
+                         tol=1e-9, max_steps=16, tiled=True, threads=2)
+                 for g, w in ((10, 10.0), (10, 11.0), (12, 10.0), (12, 12.0))]
+        direct = {s.job_id: run_job(s)["checksum"] for s in specs}
+        sched = Scheduler(workers=2, mode="thread").start()
+        try:
+            jobs = [sched.submit(s) for s in specs]
+            done = [sched.wait(j.id, timeout=120.0) for j in jobs]
+        finally:
+            sched.stop()
+        assert {j.id: j.result["checksum"] for j in done} == direct
 
 
 class TestTileQueue:

@@ -1,10 +1,19 @@
 """Kernel correctness: golden scalar reference, blocking equivalence,
 boundary handling, periodic wrap-around."""
 
+import ctypes
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro import nativelib
 from repro.fdfd import (
+    ALL_COMPONENTS,
+    BatchedCoefficientSet,
+    BatchedFieldState,
     E_COMPONENTS,
     H_COMPONENTS,
     FieldState,
@@ -17,10 +26,16 @@ from repro.fdfd import (
     update_e,
     update_h,
 )
-from repro.fdfd.kernels import full_region, region_lups
+from repro.fdfd import kernels
+from repro.fdfd.kernels import BoundRegion, full_region, region_lups
 from repro.fdfd.specs import SPECS
+from repro.resilience import faults
+from repro.resilience.errors import RESILIENCE_COUNTERS
 
-from conftest import random_state
+from conftest import numpy_kernels, random_state
+
+needs_native = pytest.mark.skipif(
+    not kernels._native(), reason="compiled THIIM kernel unavailable")
 
 
 # ---------------------------------------------------------------------------
@@ -238,3 +253,230 @@ class TestPeriodicBoundaries:
         # Interior away from the pad behaves identically everywhere.
         for name in before:
             assert np.allclose(fp[name][:, :, 1 : nx - 1], fd[name][:, :, 1 : nx - 1], rtol=1e-12)
+
+
+def _bits(fields):
+    return [fields[n].tobytes() for n in ALL_COMPONENTS]
+
+
+def _problem(grid, k, seed):
+    """A random (fields, coeffs) pair: plain for k = 1, stacked for k > 1
+    (k = 1 also exercises a width-1 stack on odd seeds)."""
+    coeffs = [random_coefficients(grid, seed=seed + i) for i in range(k)]
+    states = [random_state(grid, seed=seed + 10 + i) for i in range(k)]
+    if k == 1 and seed % 2 == 0:
+        return states[0], coeffs[0]
+    return BatchedFieldState.stack(states), BatchedCoefficientSet.stack(coeffs)
+
+
+@st.composite
+def _boxes(draw):
+    """(grid, box): 1-cell, full-axis and wrap-crossing boxes included."""
+    shape = [draw(st.integers(3, 7)) for _ in range(3)]
+    periodic = tuple(draw(st.booleans()) for _ in range(3))
+    box = []
+    for n in shape:
+        lo = draw(st.integers(0, n - 1))
+        box.append((lo, draw(st.integers(lo + 1, n))))
+    return Grid(*shape, periodic=periodic), box
+
+
+@needs_native
+class TestNativeEqualsNumpy:
+    """The compiled pass against its oracle, as raw bits."""
+
+    @given(problem=_boxes(), k=st.integers(1, 4), seed=st.integers(0, 50),
+           prebound=st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_every_component_bitwise(self, problem, k, seed, prebound):
+        grid, (z, y, x) = problem
+        fields, coeffs = _problem(grid, k, seed)
+        oracle = fields.copy()
+        for name in ALL_COMPONENTS:  # four with src, eight without
+            region = clip_region(grid, SPECS[name], z=z, y=y, x=x)
+            if region is None:
+                continue
+            with numpy_kernels():
+                update_component(name, oracle, coeffs, region)
+            update_component(name, fields, coeffs,
+                             BoundRegion(region) if prebound else region)
+        assert _bits(fields) == _bits(oracle)
+
+    @pytest.mark.parametrize("periodic", [(False, True, True), (False,) * 3])
+    def test_sweeps_bitwise(self, periodic):
+        grid = Grid(nz=9, ny=8, nx=7, periodic=periodic)
+        coeffs = random_coefficients(grid, seed=3)
+        fields, oracle = random_state(grid, 4), random_state(grid, 4)
+        lups = naive_sweep(fields, coeffs, 3)
+        with numpy_kernels():
+            assert naive_sweep(oracle, coeffs, 3) == lups
+        assert _bits(fields) == _bits(oracle)
+
+    def test_rebinds_when_an_array_is_replaced(self):
+        """Lane compaction reassigns every array; a binding must follow."""
+        grid = Grid(nz=6, ny=5, nx=7, periodic=(False, False, True))
+        fields, coeffs = _problem(grid, 3, seed=1)
+        oracle, ocoeffs = _problem(grid, 3, seed=1)
+        for f, c in ((fields, coeffs), (oracle, ocoeffs)):
+            with numpy_kernels() if f is oracle else nullcontext():
+                update_h(f, c)
+                f.compact([0, 2])
+                c.compact([0, 2])
+                update_e(f, c)
+                # A replaced dict entry (no new dict) is seen too.
+                f.components()["Hxy"] = f["Hxy"].copy()
+                update_h(f, c)
+        assert _bits(fields) == _bits(oracle)
+
+    def test_bound_state_still_pickles(self):
+        import pickle
+
+        grid = Grid(nz=4, ny=5, nx=4)
+        for fields, coeffs in (_problem(grid, 1, seed=2), _problem(grid, 2, seed=3)):
+            update_h(fields, coeffs)  # binds raw addresses to the state
+            clone = pickle.loads(pickle.dumps(fields))
+            assert _bits(clone) == _bits(fields)
+            update_e(clone, coeffs)
+            update_e(fields, coeffs)
+            assert _bits(clone) == _bits(fields)
+
+    def test_unaddressable_arrays_take_the_numpy_body(self):
+        grid = Grid(nz=5, ny=6, nx=4)
+        coeffs = random_coefficients(grid, seed=2)
+        fields, oracle = random_state(grid, 9), random_state(grid, 9)
+        strided = np.zeros((5, 6, 8), dtype=np.complex128)[:, :, ::2]
+        strided[...] = fields["Hxy"]
+        fields.components()["Hxy"] = strided
+        update_h(fields, coeffs)
+        with numpy_kernels():
+            update_h(oracle, coeffs)
+        assert _bits(fields) == _bits(oracle)
+
+
+class TestRegionValidity:
+    """A far read off a non-periodic axis fails alike on both back ends,
+    before anything is written."""
+
+    @pytest.mark.parametrize("name, region", [
+        ("Hxy", (slice(0, 5), slice(0, 6), slice(0, 4))),   # y + 1 == ny
+        ("Exz", (slice(0, 5), slice(1, 5), slice(0, 4))),   # z - 1 == -1
+        ("Hyx", (slice(1, 2), slice(1, 2), slice(3, 4))),   # x + 1 == nx
+    ])
+    def test_far_read_out_of_bounds(self, kernel_backend, name, region):
+        grid = Grid(nz=5, ny=6, nx=4)
+        coeffs = random_coefficients(grid, seed=1)
+        fields = random_state(grid, 2)
+        before = _bits(fields)
+        with pytest.raises(IndexError, match="out of bounds on non-periodic axis"):
+            update_component(name, fields, coeffs, region)
+        with pytest.raises(IndexError, match="out of bounds on non-periodic axis"):
+            update_component(name, fields, coeffs, BoundRegion(region))
+        assert _bits(fields) == before
+
+    @needs_native
+    def test_box_outside_the_grid_is_refused(self):
+        grid = Grid(nz=5, ny=6, nx=4, periodic=(True, True, True))
+        coeffs = random_coefficients(grid, seed=1)
+        fields = random_state(grid, 2)
+        before = _bits(fields)
+        for region in ((slice(0, 6), slice(0, 6), slice(0, 4)),
+                       (slice(-1, 3), slice(0, 6), slice(0, 4)),
+                       (slice(0, 5), slice(4, 2), slice(0, 4))):
+            with pytest.raises(IndexError, match="leaves the grid"):
+                update_component("Hxy", fields, coeffs, region)
+        assert _bits(fields) == before
+
+    @needs_native
+    def test_lane_count_follows_the_stack(self):
+        """The op's lane count is the stack's: after compaction no lane
+        beyond the new width is addressed (the arrays end there)."""
+        grid = Grid(nz=4, ny=4, nx=4)
+        fields, coeffs = _problem(grid, 4, seed=1)
+        update_h(fields, coeffs)
+        fields.compact([1])
+        coeffs.compact([1])
+        update_h(fields, coeffs)
+        assert all(op[0] is not None and op[1].shape[0] == 1
+                   for op in fields._bound.values())
+
+
+class TestScratchPool:
+    def test_second_tiled_pass_allocates_no_scratch(self):
+        from repro.core import TiledExecutor, TilingPlan
+
+        grid = Grid(nz=12, ny=10, nx=5, periodic=(False, False, True))
+        coeffs = random_coefficients(grid, seed=1)
+        fields = random_state(grid, 2).zero_boundary()
+        plan = TilingPlan.build(ny=10, nz=12, timesteps=4, dw=4, bz=2)
+        with numpy_kernels():
+            executor = TiledExecutor(fields, coeffs, plan)
+            executor.run()
+            pool = kernels._SCRATCH.pool
+            warm = {slot: id(buf) for slot, buf in pool.items()}
+            executor.run()
+        assert len(pool) <= 4
+        assert {slot: id(buf) for slot, buf in pool.items()} == warm
+
+
+@pytest.fixture
+def reload_kernel(monkeypatch):
+    """``reload()`` makes the next kernel call load and probe the library
+    again and returns the ``native_degraded`` count at that moment; the
+    loaded state is put back afterwards."""
+    monkeypatch.setattr(kernels, "_THIIM", kernels._THIIM)
+
+    def reload():
+        kernels._THIIM = None
+        return _degraded()
+
+    return reload
+
+
+def _degraded():
+    return RESILIENCE_COUNTERS.get("native_degraded")
+
+
+class TestFallback:
+    """Every way of not getting the compiled pass lands on the NumPy body
+    with the same bits, and is counted once when it is a degradation."""
+
+    def _checksum(self):
+        grid = Grid(nz=6, ny=7, nx=5, periodic=(False, True, True))
+        fields = random_state(grid, 3)
+        naive_sweep(fields, random_coefficients(grid, seed=4), 2)
+        naive_sweep(fields, random_coefficients(grid, seed=4), 2)
+        return _bits(fields)
+
+    @needs_native
+    def test_failed_probe(self, reload_kernel):
+        expected = self._checksum()
+        fused = ctypes.c_int.in_dll(nativelib.load("_thiim_kernel"), "thiim_fused")
+        saved = fused.value
+        fused.value = 0 if saved else 1  # the multiply NumPy does not use
+        try:
+            before = reload_kernel()
+            assert self._checksum() == expected
+            assert kernels._THIIM is False
+            assert _degraded() == before + 1
+        finally:
+            fused.value = saved
+
+    def test_vetoed(self, reload_kernel, monkeypatch):
+        expected = self._checksum()
+        monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+        before = reload_kernel()
+        assert self._checksum() == expected
+        assert kernels._THIIM is False
+        assert _degraded() == before  # a veto is not a degradation
+
+    def test_injected_load_fault(self, reload_kernel, monkeypatch):
+        expected = self._checksum()
+        monkeypatch.delenv("REPRO_NO_NATIVE", raising=False)
+        before = reload_kernel()
+        faults.install(faults.FaultPlan.parse("native.load:raise"))
+        try:
+            assert self._checksum() == expected
+        finally:
+            faults.uninstall()
+        assert kernels._THIIM is False
+        assert _degraded() == before + 1
