@@ -53,6 +53,11 @@ class Subdomain:
         nz, ny, nx = self.shape
         return nz * ny * nx
 
+    @property
+    def own(self) -> Tuple[slice, slice, slice]:
+        """Index of the owned cells in the global arrays."""
+        return (slice(*self.z), slice(*self.y), slice(*self.x))
+
     def face_cells(self, axis: int) -> int:
         """Cells on one face perpendicular to ``axis``."""
         nz, ny, nx = self.shape

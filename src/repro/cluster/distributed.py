@@ -106,37 +106,58 @@ def component_region(global_grid: Grid, sub: Subdomain, name: str):
 
 
 class _Rank:
-    """One simulated rank: ghosted local fields + coefficients."""
+    """One rank's ghosted slab -- local fields + coefficients -- and the
+    index geometry the simulated and the process ranks both exchange by."""
 
-    def __init__(self, sub: Subdomain, global_fields: FieldState, global_coeffs: CoefficientSet):
+    def __init__(self, global_grid: Grid, sub: Subdomain,
+                 global_fields: FieldState, global_coeffs: CoefficientSet):
         nz, ny, nx = sub.shape
         self.sub = sub
         # Ghost ring of one cell on every face (unused faces stay zero,
         # which doubles as the homogeneous Dirichlet value).
         self.grid = Grid(nz + 2, ny + 2, nx + 2)
-        own = (slice(sub.z[0], sub.z[1]), slice(sub.y[0], sub.y[1]), slice(sub.x[0], sub.x[1]))
-        inner = (slice(1, 1 + nz), slice(1, 1 + ny), slice(1, 1 + nx))
+        #: The owned cells in the ghosted local arrays.
+        self.inner = (slice(1, 1 + nz), slice(1, 1 + ny), slice(1, 1 + nx))
+        self.regions = {name: component_region(global_grid, sub, name)
+                        for name in ALL_COMPONENTS}
 
-        arrays = {}
-        for name in ALL_COMPONENTS:
+        def slab(global_array: np.ndarray) -> np.ndarray:
             a = self.grid.zeros()
-            a[inner] = global_fields[name][own]
-            arrays[name] = a
-        self.fields = FieldState(self.grid, arrays)
+            a[self.inner] = global_array[sub.own]
+            return a
 
-        coeff_arrays = {}
-        for cname, carr in global_coeffs.arrays.items():
-            a = self.grid.zeros()
-            a[inner] = carr[own]
-            coeff_arrays[cname] = a
+        self.fields = FieldState(
+            self.grid, {name: slab(global_fields[name])
+                        for name in ALL_COMPONENTS})
         self.coeffs = CoefficientSet(
             grid=self.grid, omega=global_coeffs.omega, tau=global_coeffs.tau,
-            arrays=coeff_arrays,
+            arrays={n: slab(a) for n, a in global_coeffs.arrays.items()},
         )
 
     def owned(self, name: str) -> np.ndarray:
-        nz, ny, nx = self.sub.shape
-        return self.fields[name][1 : 1 + nz, 1 : 1 + ny, 1 : 1 + nx]
+        return self.fields[name][self.inner]
+
+    def _plane(self, axis: int, at: int):
+        idx = list(self.inner)
+        idx[axis] = at
+        return tuple(idx)
+
+    def boundary(self, axis: int, direction: int):
+        """The owned plane that fills a neighbour's ghost when ghosts are
+        read from ``direction`` (+1: our first plane, -1: our last)."""
+        return self._plane(axis, 1 if direction > 0 else self.sub.shape[axis])
+
+    def ghost(self, axis: int, direction: int):
+        """The ghost plane filled from the neighbour in ``direction``."""
+        return self._plane(
+            axis, 1 + self.sub.shape[axis] if direction > 0 else 0)
+
+    def update(self, components: Tuple[str, ...]) -> None:
+        """One half step of ``components`` over the owned cells."""
+        for name in components:
+            if self.regions[name] is not None:
+                update_component(name, self.fields, self.coeffs,
+                                 self.regions[name])
 
 
 class DistributedTHIIM:
@@ -156,76 +177,50 @@ class DistributedTHIIM:
         if coeffs.grid.shape != layout.grid.shape:
             raise ValueError("coefficients do not match the layout's grid")
         self.layout = layout
-        self.global_grid = layout.grid
         self.ranks: Dict[Coord, _Rank] = {
-            c: _Rank(layout.subdomain(c), fields, coeffs) for c in layout.coords()
+            c: _Rank(layout.grid, layout.subdomain(c), fields, coeffs)
+            for c in layout.coords()
         }
         self.stats = CommStats()
         self.steps_done = 0
-
-    # -- halo exchange ---------------------------------------------------------
 
     def _exchange(self, names: Tuple[str, ...], direction: int) -> None:
         """Fill ghosts of ``names`` from the neighbour in ``direction``
         (+1: high-face ghosts from the next rank's first owned plane;
         -1: low-face ghosts from the previous rank's last owned plane)."""
         for coord, rank in self.ranks.items():
-            nz, ny, nx = rank.sub.shape
-            local_n = (nz, ny, nx)
             for axis in range(3):
                 nb_coord = self.layout.neighbor(coord, axis, direction)
                 if nb_coord is None:
                     continue
                 nb = self.ranks[nb_coord]
-                # Ghost plane index in the receiving rank.
-                ghost = 1 + local_n[axis] if direction > 0 else 0
-                # Source plane: the neighbour's owned plane adjacent to us.
-                src = 1 if direction > 0 else nb.sub.shape[axis]
+                dst, src = rank.ghost(axis, direction), nb.boundary(axis, direction)
                 for name in names:
-                    dst_idx = [slice(1, 1 + n) for n in local_n]
-                    dst_idx[axis] = ghost
-                    src_idx = [slice(1, 1 + n) for n in nb.sub.shape]
-                    src_idx[axis] = src
-                    rank.fields[name][tuple(dst_idx)] = nb.fields[name][tuple(src_idx)]
+                    rank.fields[name][dst] = nb.fields[name][src]
                     self.stats.record(
-                        axis,
-                        rank.sub.face_cells(axis) * BYTES_PER_NUMBER,
-                    )
-
-    # -- update ---------------------------------------------------------------
-
-    def _component_region(self, rank: _Rank, name: str):
-        return component_region(self.global_grid, rank.sub, name)
-
-    def _half_step(self, components: Tuple[str, ...], read_class: Tuple[str, ...], direction: int) -> None:
-        self._exchange(read_class, direction)
-        for rank in self.ranks.values():
-            for name in components:
-                region = self._component_region(rank, name)
-                if region is not None:
-                    update_component(name, rank.fields, rank.coeffs, region)
+                        axis, rank.sub.face_cells(axis) * BYTES_PER_NUMBER)
 
     def step(self, n: int = 1) -> None:
         """Advance ``n`` full THIIM time steps across all ranks."""
         if n < 0:
             raise ValueError("n must be >= 0")
         for _ in range(n):
-            # H half step reads E at +1 -> high-face E ghosts.
-            self._half_step(H_COMPONENTS, E_COMPONENTS, +1)
-            # E half step reads H at -1 -> low-face H ghosts.
-            self._half_step(E_COMPONENTS, H_COMPONENTS, -1)
+            # H half step reads E at +1 -> high-face E ghosts; E half
+            # step reads H at -1 -> low-face H ghosts.
+            for components, read_class, direction in (
+                    (H_COMPONENTS, E_COMPONENTS, +1),
+                    (E_COMPONENTS, H_COMPONENTS, -1)):
+                self._exchange(read_class, direction)
+                for rank in self.ranks.values():
+                    rank.update(components)
             self.steps_done += 1
-
-    # -- results ---------------------------------------------------------------
 
     def gather(self) -> FieldState:
         """Assemble the global field state from the ranks."""
-        out = FieldState(self.global_grid)
+        out = FieldState(self.layout.grid)
         for rank in self.ranks.values():
-            sub = rank.sub
-            own = (slice(sub.z[0], sub.z[1]), slice(sub.y[0], sub.y[1]), slice(sub.x[0], sub.x[1]))
             for name in ALL_COMPONENTS:
-                out[name][own] = rank.owned(name)
+                out[name][rank.sub.own] = rank.owned(name)
         return out
 
     def halo_bytes_per_step(self) -> float:

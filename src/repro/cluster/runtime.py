@@ -8,6 +8,10 @@ through a :mod:`repro.cluster.transport` (shared memory, or queues as
 fallback), and advances the exact Fig. 3 half-step sequence with the
 shared :func:`~repro.cluster.distributed.component_region` clipping.
 
+Parent and ranks talk over a *control plane* -- one pipe per rank,
+small dicts only: ``hello/begin/step/save/stop``, stats, typed errors --
+and the shared-memory *data plane* of :mod:`repro.cluster.transport`.
+
 Bit-identity with the single-domain sweep is preserved by construction:
 
 * Ranks are forked from a parent that already built the full global
@@ -15,8 +19,8 @@ Bit-identity with the single-domain sweep is preserved by construction:
   *same* coefficient arrays a scalar solve uses.
 * Ranks never compute residuals.  The parent runs the same convergence
   loop as every other entry point (:func:`repro.fdfd.thiim._converge`);
-  its ``advance`` tells the ranks to step and gathers the owned slabs
-  over the control pipes into the parent's global
+  its ``advance`` tells the ranks to step, each writes its owned slabs
+  into the field plane, and the parent copies the plane into its global
   :class:`~repro.fdfd.fields.FieldState` -- so the residual is the
   full-domain reduction of :meth:`THIIMSolver.solve`, which is what
   makes the residual history (and hence the stop step) identical.
@@ -27,10 +31,10 @@ namespaced by layout and coordinate), and the parent commits a *marker*
 file once every rank has acknowledged a boundary -- a group checkpoint
 is only resumable when all of its members exist at the same step.
 :class:`_GroupCheckpoint` puts that behind the manager's
-``resume/due/save``, which is all the loop knows.  A
-rank death surfaces as :class:`~repro.resilience.errors.RankCrash`
-(retryable); the scheduler's retry re-enters this module, reads the
-marker, and resumes every rank from the committed boundary.
+``resume/due/save``, which is all the loop knows.  A rank death (or a
+halo wait that times out) surfaces as :class:`~repro.resilience.errors.
+RankCrash` (retryable); the scheduler's retry re-enters this module,
+reads the marker, and resumes every rank from the committed boundary.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ import numpy as np
 from .. import config, telemetry
 from ..core import tracing
 from ..fdfd.fields import FieldState
-from ..fdfd.kernels import update_component
+from ..fdfd.observables import relative_change
 from ..fdfd.specs import (
     ALL_COMPONENTS,
     BYTES_PER_NUMBER,
@@ -59,8 +63,14 @@ from ..resilience import faults
 from ..resilience.checkpoint import Checkpoint, CheckpointManager, solver_token
 from ..resilience.errors import RankCrash, SolverDiverged, error_from_kind
 from .decomposition import Coord, RankLayout
-from .distributed import CommStats, _Rank, component_region
-from .transport import SYNC_TIMEOUT_S, face_shape, make_transport
+from .distributed import CommStats, _Rank
+from .transport import (
+    SYNC_TIMEOUT_S,
+    WAIT_SLICE_S,
+    edge_shapes,
+    make_transport,
+    shared_arrays,
+)
 
 __all__ = ["run_distributed", "clear_checkpoints", "MARKER_VERSION"]
 
@@ -85,16 +95,13 @@ def clear_checkpoints(layout: RankLayout, directory: Optional[str],
     """Drop every rank snapshot and the group marker (result stored)."""
     if not directory:
         return
-    for coord in layout.coords():
+    paths = [os.path.join(directory, f"ckpt-{_rank_name(name, coord)}.npz")
+             for coord in layout.coords()]
+    for path in paths + [_marker_path(directory, name)]:
         try:
-            os.unlink(os.path.join(
-                directory, f"ckpt-{_rank_name(name, coord)}.npz"))
+            os.unlink(path)
         except OSError:
             pass
-    try:
-        os.unlink(_marker_path(directory, name))
-    except OSError:
-        pass
 
 
 class _SlabSnapshot:
@@ -122,20 +129,19 @@ class _SlabSnapshot:
 
 
 def _rank_edges(layout: RankLayout, coord: Coord):
-    """This rank's transported send/recv edges and local self-edges."""
-    send, recv, selfs = [], [], []
-    for axis in range(3):
-        for direction in (-1, +1):
-            nb = layout.neighbor(coord, axis, direction)
-            if nb == coord:
-                selfs.append((axis, direction))
-                continue
-            if nb is not None:
-                recv.append(((coord, axis, direction), axis, direction))
-            sender_for = layout.neighbor(coord, axis, -direction)
-            if sender_for is not None and sender_for != coord:
-                send.append(((sender_for, axis, direction), axis, direction))
-    return send, recv, selfs
+    """This rank's halo edges, each set keyed by exchange direction: the
+    transported edges it sends and receives, and its local self-edges (a
+    periodic axis with a single rank: the ghost is our own far face)."""
+    keys = list(edge_shapes(layout))
+
+    def by_direction(edges):
+        return {d: [key for key in edges if key[2] == d] for d in (-1, +1)}
+
+    return (
+        by_direction([k for k in keys if layout.neighbor(*k) == coord]),
+        by_direction([k for k in keys if k[0] == coord]),
+        by_direction([(coord, axis, d) for axis in range(3) for d in (-1, +1)
+                      if layout.neighbor(coord, axis, d) == coord]))
 
 
 def _pin_rank(index: int) -> Optional[int]:
@@ -160,65 +166,46 @@ def _pin_rank(index: int) -> Optional[int]:
 
 
 def _rank_main(index: int, coord: Coord, layout: RankLayout, solver,
-               transport, conn, attempt: int, trace_on: bool,
-               group: Optional[CheckpointManager]) -> None:
+               transport, plane: Dict[str, np.ndarray], conn, attempt: int,
+               trace_on: bool, group: Optional[CheckpointManager]) -> None:
     """Entry point of one rank process (fork: everything is inherited)."""
     faults.set_in_child(True)
     faults.set_attempt(attempt)
     telemetry.disable()
     pinned_cpu = _pin_rank(index)
     rec = tracing.start_trace(None) if trace_on else None
+
+    def next_command() -> dict:
+        # A SIGKILLed parent sends no EOF (this rank and its siblings
+        # inherited copies of the pipe's far end): watch for reparenting.
+        while not conn.poll(WAIT_SLICE_S):
+            if transport.orphaned():
+                os._exit(1)
+        return conn.recv()
+
     try:
         sub = layout.subdomain(coord)
-        my_shape = sub.shape
-        rank = _Rank(sub, solver.fields, solver.coefficients)
+        rank = _Rank(layout.grid, sub, solver.fields, solver.coefficients)
         stats = CommStats()
         send_edges, recv_edges, self_edges = _rank_edges(layout, coord)
-        inner = [slice(1, 1 + n) for n in my_shape]
-        regions = {
-            name: component_region(layout.grid, sub, name)
-            for name in ALL_COMPONENTS
-        }
 
         def exchange(names: Tuple[str, ...], direction: int) -> None:
-            for key, axis, d in send_edges:
-                if d != direction:
-                    continue
-                src_idx = list(inner)
-                src_idx[axis] = 1 if direction > 0 else my_shape[axis]
-                block = np.empty(
-                    (len(names),) + face_shape(my_shape, axis), np.complex128)
-                for i, name in enumerate(names):
-                    block[i] = rank.fields[name][tuple(src_idx)]
-                transport.send(key, block)
-            for axis, d in self_edges:
-                # Periodic axis with a single rank: the ghost is our own
-                # opposite face; copy locally, no transport.
-                if d != direction:
-                    continue
-                dst_idx = list(inner)
-                dst_idx[axis] = 1 + my_shape[axis] if direction > 0 else 0
-                src_idx = list(inner)
-                src_idx[axis] = 1 if direction > 0 else my_shape[axis]
+            for key in send_edges[direction]:
+                src = rank.boundary(key[1], direction)
+                transport.send(key, [rank.fields[name][src] for name in names])
+            for _, axis, _ in self_edges[direction]:
+                dst = rank.ghost(axis, direction)
+                src = rank.boundary(axis, direction)
                 for name in names:
-                    rank.fields[name][tuple(dst_idx)] = \
-                        rank.fields[name][tuple(src_idx)]
-            transport.sync()
-            for key, axis, d in recv_edges:
-                if d != direction:
-                    continue
+                    rank.fields[name][dst] = rank.fields[name][src]
+            for key in recv_edges[direction]:
                 block = transport.recv(key)
-                dst_idx = list(inner)
-                dst_idx[axis] = 1 + my_shape[axis] if direction > 0 else 0
+                dst = rank.ghost(key[1], direction)
                 for i, name in enumerate(names):
-                    rank.fields[name][tuple(dst_idx)] = block[i]
-                for _ in names:
-                    stats.record(axis, sub.face_cells(axis) * BYTES_PER_NUMBER)
-            for axis, d in self_edges:
-                if d != direction:
-                    continue
-                # Same receiver-side accounting as the simulated ranks
-                # (and the cost model): a wrap still moves a face.
+                    rank.fields[name][dst] = block[i]
+            # Receiver-side accounting, as the simulated ranks and the
+            # cost model keep it: a local wrap still moves a face.
+            for _, axis, _ in recv_edges[direction] + self_edges[direction]:
                 for _ in names:
                     stats.record(axis, sub.face_cells(axis) * BYTES_PER_NUMBER)
 
@@ -226,25 +213,23 @@ def _rank_main(index: int, coord: Coord, layout: RankLayout, solver,
             for _ in range(n):
                 # H half step reads E at +1 -> high-face E ghosts.
                 exchange(E_COMPONENTS, +1)
-                for name in H_COMPONENTS:
-                    if regions[name] is not None:
-                        update_component(name, rank.fields, rank.coeffs,
-                                         regions[name])
+                rank.update(H_COMPONENTS)
                 # E half step reads H at -1 -> low-face H ghosts.
                 exchange(H_COMPONENTS, -1)
-                for name in E_COMPONENTS:
-                    if regions[name] is not None:
-                        update_component(name, rank.fields, rank.coeffs,
-                                         regions[name])
+                rank.update(E_COMPONENTS)
 
-        ckpt: Optional[CheckpointManager] = None
-        snap: Optional[_SlabSnapshot] = None
+        def publish() -> None:
+            """This rank's half of the gather: owned slabs into the plane."""
+            for name in ALL_COMPONENTS:
+                plane[name][sub.own] = rank.owned(name)
+
+        ckpt = snap = None
         if group is not None:
             ckpt = CheckpointManager(
                 group.directory, name=_rank_name(group.name, coord),
                 token=_rank_token(group.token, coord), every=group.every)
             grid_meta = SimpleNamespace(
-                shape=tuple(my_shape), spacing=tuple(layout.grid.spacing),
+                shape=tuple(sub.shape), spacing=tuple(layout.grid.spacing),
                 periodic=tuple(layout.grid.periodic))
             snap = _SlabSnapshot(
                 grid_meta, {n: rank.owned(n) for n in ALL_COMPONENTS})
@@ -252,19 +237,18 @@ def _rank_main(index: int, coord: Coord, layout: RankLayout, solver,
         loaded = ckpt.load() if ckpt is not None else None
         conn.send({"type": "hello", "pid": os.getpid(), "cpu": pinned_cpu,
                    "resumed": None if loaded is None else int(loaded.steps)})
-        msg = conn.recv()
+        msg = next_command()
         if msg.get("type") != "begin":
             raise RuntimeError(f"expected begin, got {msg!r}")
         if msg["restore"] and loaded is not None:
             for name in ALL_COMPONENTS:
                 rank.owned(name)[...] = loaded.arrays[name]
             ckpt.resumed_from = loaded.steps
-        conn.send({"type": "state",
-                   "fields": {n: np.ascontiguousarray(rank.owned(n))
-                              for n in ALL_COMPONENTS}})
+            publish()
+        conn.send({"type": "ready"})
 
         while True:
-            msg = conn.recv()
+            msg = next_command()
             t = msg.get("type")
             if t == "step":
                 faults.hit("cluster.rank")
@@ -273,14 +257,11 @@ def _rank_main(index: int, coord: Coord, layout: RankLayout, solver,
                 with tracing.span(f"{label} sweep", "cluster",
                                   args={"n": msg["n"]}):
                     run_block(msg["n"])
-                conn.send({"type": "check",
-                           "fields": {n: np.ascontiguousarray(rank.owned(n))
-                                      for n in ALL_COMPONENTS},
-                           "stats": stats.to_dict()})
+                publish()
+                conn.send({"type": "check", "stats": stats.to_dict()})
             elif t == "save":
-                path = None
-                if ckpt is not None and snap is not None:
-                    path = ckpt.save(snap, msg["steps"], msg["history"])
+                path = None if ckpt is None else ckpt.save(
+                    snap, msg["steps"], msg["history"])
                 conn.send({"type": "saved", "ok": path is not None})
             elif t == "stop":
                 conn.send({"type": "bye", "stats": stats.to_dict(),
@@ -305,21 +286,19 @@ def _rank_main(index: int, coord: Coord, layout: RankLayout, solver,
 
 
 def _recv(coord: Coord, conns: Dict[Coord, object],
-          procs: Dict[Coord, object], timeout_s: float,
-          watch_siblings: bool = True):
-    """Receive one message from a rank, watching *every* rank's health
-    (a dead sibling stalls the barrier, so waiting on one pipe must not
-    mask another rank's crash).  ``watch_siblings=False`` during the
-    graceful stop, where clean sibling exits are expected."""
+          procs: Dict[Coord, object], timeout_s: float) -> dict:
+    """One checked message from a rank, watching *every* rank's health
+    (a dead sibling stalls its neighbours' halo waits, so waiting on one
+    pipe must not mask another rank's crash; clean exits don't count)."""
     conn = conns[coord]
     deadline = time.monotonic() + timeout_s
     while True:
         try:
             if conn.poll(0.05):
-                return conn.recv()
+                return _check_payload(conn.recv(), coord)
             if procs[coord].exitcode is not None:
                 if conn.poll(0.2):
-                    return conn.recv()
+                    return _check_payload(conn.recv(), coord)
                 raise RankCrash(
                     f"rank {coord} exited with code "
                     f"{procs[coord].exitcode} mid-solve",
@@ -327,20 +306,19 @@ def _recv(coord: Coord, conns: Dict[Coord, object],
         except (EOFError, OSError):
             raise RankCrash(
                 f"rank {coord} closed its pipe mid-solve", coord=list(coord))
-        if watch_siblings:
-            for c, proc in procs.items():
-                if c == coord or proc.exitcode in (None, 0):
-                    continue
-                # Prefer the sibling's own typed error, if it sent one
-                # before dying; otherwise report the death itself.
-                try:
-                    if conns[c].poll(0.1):
-                        _check_payload(conns[c].recv(), c)
-                except (EOFError, OSError):
-                    pass
-                raise RankCrash(
-                    f"rank {c} exited with code {proc.exitcode} mid-solve",
-                    coord=list(c), exitcode=proc.exitcode)
+        for c, proc in procs.items():
+            if c == coord or proc.exitcode in (None, 0):
+                continue
+            # Prefer the sibling's own typed error, if it sent one
+            # before dying; otherwise report the death itself.
+            try:
+                if conns[c].poll(0.1):
+                    _check_payload(conns[c].recv(), c)
+            except (EOFError, OSError):
+                pass
+            raise RankCrash(
+                f"rank {c} exited with code {proc.exitcode} mid-solve",
+                coord=list(c), exitcode=proc.exitcode)
         if time.monotonic() > deadline:
             raise RankCrash(
                 f"rank {coord} unresponsive for {timeout_s:.0f}s",
@@ -352,27 +330,6 @@ def _check_payload(msg: dict, coord: Coord) -> dict:
         raise error_from_kind(msg.get("kind"),
                               f"rank {coord}: {msg.get('message')}")
     return msg
-
-
-def _own(layout: RankLayout, coord: Coord):
-    """Index of ``coord``'s owned slab in the global arrays."""
-    sub = layout.subdomain(coord)
-    return (slice(sub.z[0], sub.z[1]), slice(sub.y[0], sub.y[1]),
-            slice(sub.x[0], sub.x[1]))
-
-
-def _slab_residual(arrays: Dict[str, np.ndarray], previous: FieldState,
-                   own) -> float:
-    num = den = 0.0
-    for name in arrays:
-        if not name.startswith("E"):
-            continue
-        d = arrays[name] - previous[name][own]
-        num += float(np.sum(np.abs(d) ** 2))
-        den += float(np.sum(np.abs(arrays[name]) ** 2))
-    if den == 0.0:
-        return 0.0 if num == 0.0 else float(np.inf)
-    return float(np.sqrt(num / den))
 
 
 class _GroupCheckpoint(CheckpointManager):
@@ -463,32 +420,31 @@ def run_distributed(
 
     coords = list(layout.coords())
     fields = solver.fields
-    transport = make_transport(layout, timeout_s=timeout_s)
+    # The data plane (twelve global fields + one block per halo edge),
+    # created before the fork so every rank inherits it.
+    shapes = dict.fromkeys(ALL_COMPONENTS, fields.grid.shape)
+    plane = shared_arrays({**shapes, **edge_shapes(layout)})
+    transport = make_transport(layout, plane, timeout_s=timeout_s)
     ctx = mp.get_context("fork")
     trace_on = tracing.active() is not None
     procs: Dict[Coord, object] = {}
     conns: Dict[Coord, object] = {}
     stats = CommStats()
 
-    def gather(into_fields: bool = False) -> Dict[Coord, dict]:
-        """One checked reply per rank; ``into_fields`` also lays each
-        rank's owned slab into the parent's global fields."""
-        replies = {
-            coord: _check_payload(
-                _recv(coord, conns, procs, timeout_s), coord)
-            for coord in coords
-        }
+    def command(msg: Optional[dict],
+                into_fields: bool = False) -> Dict[Coord, dict]:
+        """Send ``msg`` (if any) to every rank, collect one checked reply
+        each; ``into_fields`` then copies the field plane (every rank
+        wrote its owned slabs there before replying) into ``fields``."""
+        if msg is not None:
+            for coord in coords:
+                conns[coord].send(msg)
+        replies = {coord: _recv(coord, conns, procs, timeout_s)
+                   for coord in coords}
         if into_fields:
-            for coord, reply in replies.items():
-                own = _own(layout, coord)
-                for name in ALL_COMPONENTS:
-                    fields[name][own] = reply["fields"][name]
+            for name in ALL_COMPONENTS:
+                fields[name] = plane[name]
         return replies
-
-    def command(msg: dict, into_fields: bool = False) -> Dict[Coord, dict]:
-        for coord in coords:
-            conns[coord].send(msg)
-        return gather(into_fields)
 
     group = None
     if checkpoint_dir and every >= 1:
@@ -502,12 +458,7 @@ def run_distributed(
     def stop_ranks() -> None:
         """Graceful stop: collect stats + trace lanes from every rank."""
         rec = tracing.active()
-        for coord in coords:
-            conns[coord].send({"type": "stop"})
-        for coord in coords:
-            bye = _check_payload(
-                _recv(coord, conns, procs, timeout_s,
-                      watch_siblings=False), coord)
+        for coord, bye in command({"type": "stop"}).items():
             stats.merge(CommStats.from_dict(bye["stats"]))
             if rec is not None and bye.get("trace"):
                 z, y, x = coord
@@ -520,8 +471,8 @@ def run_distributed(
             parent_conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
                 target=_rank_main,
-                args=(index, coord, layout, solver, transport, child_conn,
-                      attempt, trace_on, group),
+                args=(index, coord, layout, solver, transport, plane,
+                      child_conn, attempt, trace_on, group),
                 daemon=True,
                 name=f"repro-rank-{coord[0]}-{coord[1]}-{coord[2]}",
             )
@@ -530,12 +481,12 @@ def run_distributed(
             procs[coord] = proc
             conns[coord] = parent_conn
 
-        hellos = gather()
+        hellos = command(None)
         pids = [int(hellos[c]["pid"]) for c in coords]
         cpu_pins = [hellos[c].get("cpu") for c in coords]
         restore = group is not None and group.agree(
             [hellos[c]["resumed"] for c in coords])
-        command({"type": "begin", "restore": restore}, into_fields=True)
+        command({"type": "begin", "restore": restore}, into_fields=restore)
         resumed_from = (group.committed["steps"] or None) if restore else None
 
         if telemetry.enabled():
@@ -552,36 +503,36 @@ def run_distributed(
                  "transport": transport.name}))
 
         checks: Dict[Coord, dict] = {}
-        prev_bytes_axis = {0: 0, 1: 0, 2: 0}
-        prev_messages = 0
+        published = CommStats()
 
         def advance(n: int) -> None:
             checks.update(command({"type": "step", "n": n},
                                   into_fields=True))
 
         def publish_boundary(steps, residuals, n, previous, **event) -> None:
-            nonlocal prev_messages
+            nonlocal published
             if not telemetry.enabled():
                 return
             merged = CommStats()
             for coord in coords:
                 merged.merge(CommStats.from_dict(checks[coord]["stats"]))
             for axis in (0, 1, 2):
-                delta = merged.bytes_by_axis[axis] - prev_bytes_axis[axis]
+                delta = (merged.bytes_by_axis[axis]
+                         - published.bytes_by_axis[axis])
                 if delta > 0:
                     telemetry.cluster_halo_bytes().labels(
                         axis="zyx"[axis]).inc(delta)
-                prev_bytes_axis[axis] = merged.bytes_by_axis[axis]
-            if merged.messages > prev_messages:
+            if merged.messages > published.messages:
                 telemetry.cluster_halo_messages().inc(
-                    merged.messages - prev_messages)
-            prev_messages = merged.messages
-            rank_res = {
-                f"{coord[0]},{coord[1]},{coord[2]}": _slab_residual(
-                    checks[coord]["fields"], previous,
-                    _own(layout, coord)) / n
-                for coord in coords
-            }
+                    merged.messages - published.messages)
+            published = merged
+
+            rank_res = {}
+            for coord in coords:
+                own = layout.subdomain(coord).own
+                rank_res[",".join(map(str, coord))] = relative_change(
+                    {name: fields[name][own] for name in E_COMPONENTS},
+                    {name: previous[name][own] for name in E_COMPONENTS}) / n
             telemetry.publish(
                 "cluster", sweeps=steps, residual=residuals["0"],
                 ranks=layout.n_ranks, rank_residuals=rank_res,
@@ -609,9 +560,8 @@ def run_distributed(
             "saves": group.saves if group is not None else 0,
         }
         if any(cpu is not None for cpu in cpu_pins):
-            # REPRO_CLUSTER_PIN was on and at least one rank pinned:
-            # surface the per-rank CPU ids (rank order) for benches and
-            # tests.
+            # REPRO_CLUSTER_PIN was on and at least one rank pinned: the
+            # per-rank CPU ids (rank order) for benches and tests.
             info["cpu_pins"] = cpu_pins
         return result, info
     except RankCrash:

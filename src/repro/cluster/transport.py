@@ -1,42 +1,62 @@
-"""Halo transports for the multiprocess cluster runtime.
+"""The data plane of the multiprocess cluster runtime: shared arrays and
+halo transports.
+
+:mod:`repro.cluster.runtime` commands its ranks over pipes that carry
+small dicts only (its *control plane*); every array moves through
+:func:`shared_arrays` -- one anonymous shared mapping the parent creates
+before forking: inherited by every rank, no name in ``/dev/shm``,
+nothing to unlink, freed with its last array.  It holds the twelve
+global field arrays (ranks write their owned slabs there, the parent's
+gather is a memcpy) and one buffer per halo edge.
 
 A transport moves one *edge block* -- the six read-class components of a
-ghost plane, packed ``(6,) + face_shape`` complex128 -- from the sending
+ghost plane, packed ``(6,) + face shape`` complex128 -- from the sending
 rank to the receiving rank.  Edges are keyed ``(receiver_coord, axis,
-direction)``; the sender for an edge is ``layout.neighbor(receiver,
-axis, direction)``, i.e. the rank whose owned boundary plane fills that
-ghost.  Self-edges (a periodic axis with one rank, where a rank's ghost
-comes from its own far face) never reach a transport: the runtime copies
-them locally.
+direction)``; the sender is ``layout.neighbor(receiver, axis,
+direction)``, the rank whose owned boundary plane fills that ghost.
+Self-edges (a periodic axis with one rank) never reach a transport: the
+runtime copies them locally.
 
-Two implementations:
+* :class:`ShmTransport` -- ``send`` packs the faces straight into the
+  edge's shared buffer and posts the edge's semaphore; ``recv`` waits on
+  it and returns the buffer itself.  No collective: a rank waits only
+  for the one peer it reads from.
+* :class:`QueueTransport` -- one ``multiprocessing.Queue`` per edge (the
+  ``auto`` fallback); ``send`` enqueues a fresh block.
 
-* :class:`ShmTransport` -- one ``multiprocessing.shared_memory`` segment
-  per edge, created (and its numpy view built) in the **parent** before
-  forking, so every rank inherits a mapping of the same physical pages.
-  A single reusable barrier separates the pack phase from the read
-  phase of each exchange; the alternating +1/-1 exchanges of the THIIM
-  step then guarantee a buffer is never repacked before its reader has
-  moved past it (the reader must clear the *other* exchange's barrier
-  first).
-* :class:`QueueTransport` -- one ``multiprocessing.Queue`` per directed
-  edge, for hosts where POSIX shared memory is unavailable.  ``send``
-  enqueues a freshly packed block (never mutated afterwards, so the
-  feeder thread's lazy pickling is safe) and ``sync`` is a no-op.
+**The ping-pong invariant** (owned here; ``tests/test_cluster_runtime.py
+::TestPingPong`` attacks it).  An edge buffer is reused every sweep with
+no acknowledgement from its reader, which is safe because the two edges
+across one rank interface alternate strictly.  Let edge ``e = (R, axis,
+d)`` have sender ``S``; its *partner* ``(S, axis, -d)`` always exists
+and has sender ``R``.  The THIIM step exchanges direction ``+1``, then
+``-1``, then ``+1`` ..., and within one exchange a rank sends, then
+receives *and unpacks*.  So between two sends on ``e``, ``S`` receives
+the partner edge, which ``R`` posted only after it had unpacked ``e``:
+``S`` never repacks a buffer its reader is still in, and no semaphore
+ever counts past one.  This holds per interface, so also for two ranks
+on a periodic axis (two interfaces, four edges between the same peers).
 
-``make_transport`` picks by ``REPRO_CLUSTER_TRANSPORT`` (``shm``,
-``pipe`` or ``auto`` -- shm with queue fallback).
+A wait that outlasts ``timeout_s`` raises :class:`~repro.resilience.
+errors.RankCrash` naming the edge -- a stalled peer is the same
+(retryable) fault as a dead one -- and runs in slices of
+``WAIT_SLICE_S``, so a rank whose parent was killed notices and leaves
+instead of sitting out the timeout as an orphan.
 """
 
 from __future__ import annotations
 
+import mmap
 import multiprocessing as mp
-from multiprocessing import shared_memory
-from typing import Dict, List, Tuple
+import os
+import queue
+import time
+from typing import Callable, Dict, Hashable, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from .. import config
+from ..resilience.errors import RankCrash
 from .decomposition import Coord, RankLayout
 
 __all__ = [
@@ -44,138 +64,170 @@ __all__ = [
     "HaloTransport",
     "QueueTransport",
     "ShmTransport",
-    "edge_keys",
-    "face_shape",
+    "edge_shapes",
     "make_transport",
+    "shared_arrays",
 ]
 
 #: (receiver coordinate, axis, direction): the ghost plane being filled.
 EdgeKey = Tuple[Coord, int, int]
 
-#: Safety net against orphaned ranks spinning forever on a dead peer.
+#: How long a rank waits on one halo edge (or the parent on one reply).
 SYNC_TIMEOUT_S = 120.0
 
+#: Longest a blocked rank goes without checking its parent is alive.
+WAIT_SLICE_S = 0.5
 
-def face_shape(sub_shape: Tuple[int, int, int], axis: int) -> Tuple[int, int]:
-    """Shape of one ghost/boundary plane perpendicular to ``axis``."""
-    nz, ny, nx = sub_shape
-    return ((ny, nx), (nz, nx), (nz, ny))[axis]
+#: How long a halo wait polls (yielding the CPU) before it sleeps.
+SPIN_S = 2e-3
 
 
-def edge_keys(layout: RankLayout) -> List[Tuple[EdgeKey, Coord]]:
-    """Every transported edge of a layout as ``(key, sender_coord)``.
-
-    Skips faces with no neighbour (non-periodic boundary) and
-    self-edges (sender == receiver), which the runtime copies locally.
-    """
-    out = []
-    for coord in layout.coords():
-        for axis in range(3):
+def edge_shapes(layout: RankLayout,
+                arrays: int = 6) -> Dict[EdgeKey, Tuple[int, int, int]]:
+    """Every transported edge of a layout with its block shape,
+    ``(arrays,)`` + the plane perpendicular to the axis.  Skips faces
+    with no neighbour (non-periodic boundary) and self-edges (sender ==
+    receiver), which the runtime copies locally."""
+    out = {}
+    for coord, sub in layout.subdomains().items():
+        nz, ny, nx = sub.shape
+        for axis, face in enumerate(((ny, nx), (nz, nx), (nz, ny))):
             for direction in (-1, +1):
                 sender = layout.neighbor(coord, axis, direction)
-                if sender is None or sender == coord:
-                    continue
-                out.append((((coord), axis, direction), sender))
+                if sender is not None and sender != coord:
+                    out[coord, axis, direction] = (arrays,) + face
+    return out
+
+
+def shared_arrays(
+    shapes: Mapping[Hashable, Tuple[int, ...]],
+) -> Dict[Hashable, np.ndarray]:
+    """Zero-filled complex128 arrays of ``shapes``, carved back to back
+    out of one anonymous shared mapping.  Create it before forking: the
+    children inherit the same physical pages.  The mapping lives exactly
+    as long as some array over it does."""
+    item = np.dtype(np.complex128).itemsize
+    counts = {key: int(np.prod(shape)) for key, shape in shapes.items()}
+    buf = mmap.mmap(-1, max(1, sum(counts.values())) * item)
+    out, offset = {}, 0
+    for key, shape in shapes.items():
+        out[key] = np.frombuffer(
+            buf, np.complex128, counts[key], offset).reshape(shape)
+        offset += counts[key] * item
     return out
 
 
 class HaloTransport:
-    """Interface: pack blocks, synchronize, read blocks."""
+    """Interface: ``send`` the faces of one edge, ``recv`` its block."""
 
     name = "none"
 
-    def send(self, key: EdgeKey, block: np.ndarray) -> None:
-        raise NotImplementedError
+    def __init__(self, timeout_s: float):
+        self.timeout_s = timeout_s
+        self._creator = os.getpid()
 
-    def sync(self) -> None:
-        """Barrier between the pack and read phases of one exchange
-        (collective; every rank must call it the same number of times)."""
+    def send(self, key: EdgeKey, faces: Sequence[np.ndarray]) -> None:
+        """Pack ``faces`` (one boundary plane per component) and hand
+        the block to the edge's receiver; never blocks on the peer."""
         raise NotImplementedError
 
     def recv(self, key: EdgeKey) -> np.ndarray:
+        """The edge's next block, valid until the partner edge is sent."""
         raise NotImplementedError
 
     def shutdown(self) -> None:
         """Parent-side cleanup after all ranks have exited."""
 
+    def orphaned(self) -> bool:
+        """Whether this forked rank's parent (the creator) is gone."""
+        return os.getpid() != self._creator and os.getppid() != self._creator
+
+    def _await(self, key: EdgeKey, poll: Callable[[float], object]):
+        """``poll(seconds)`` until it returns something other than
+        ``None``, a slice at a time; :class:`RankCrash` once
+        ``timeout_s`` is spent or this (forked) process is orphaned."""
+        deadline = time.monotonic() + self.timeout_s
+        while True:
+            left = max(0.0, deadline - time.monotonic())
+            got = poll(min(WAIT_SLICE_S, left))
+            if got is not None:
+                return got
+            if self.orphaned():
+                raise RankCrash(f"halo edge {key}: parent process is gone",
+                                edge=list(key))
+            if time.monotonic() >= deadline:
+                raise RankCrash(
+                    f"halo edge {key} not posted within {self.timeout_s:g}s",
+                    edge=list(key))
+
 
 class ShmTransport(HaloTransport):
-    """Shared-memory segments + one reusable barrier.
+    """Edge buffers in shared memory, one semaphore per edge.
 
-    Must be constructed in the parent *before* the rank processes fork:
-    the numpy views are built over the parent's mappings and inherited,
-    so ranks never attach by name (no resource-tracker involvement in
-    children; the parent owns unlink).
+    ``buffers`` maps every edge key to its shared block (from
+    :func:`shared_arrays` over :func:`edge_shapes`); construct in the
+    parent *before* the ranks fork, so they inherit views and semaphores.
     """
 
     name = "shm"
 
-    def __init__(self, layout: RankLayout, arrays: int = 6,
+    def __init__(self, layout: RankLayout,
+                 buffers: Mapping[EdgeKey, np.ndarray],
                  timeout_s: float = SYNC_TIMEOUT_S):
-        self.timeout_s = timeout_s
-        self._barrier = mp.get_context("fork").Barrier(layout.n_ranks)
-        self._segments: List[shared_memory.SharedMemory] = []
-        self._views: Dict[EdgeKey, np.ndarray] = {}
-        subs = layout.subdomains()
-        try:
-            for key, _sender in edge_keys(layout):
-                coord, axis, _direction = key
-                shape = (arrays,) + face_shape(subs[coord].shape, axis)
-                nbytes = int(np.prod(shape)) * np.dtype(np.complex128).itemsize
-                seg = shared_memory.SharedMemory(create=True, size=nbytes)
-                self._segments.append(seg)
-                view = np.ndarray(shape, dtype=np.complex128, buffer=seg.buf)
-                view.fill(0)
-                self._views[key] = view
-        except Exception:
-            self.shutdown()
-            raise
+        super().__init__(timeout_s)
+        ctx = mp.get_context("fork")
+        self._views = buffers
+        self._posted = {key: ctx.Semaphore(0) for key in edge_shapes(layout)}
 
-    def send(self, key: EdgeKey, block: np.ndarray) -> None:
-        self._views[key][...] = block
-
-    def sync(self) -> None:
-        self._barrier.wait(timeout=self.timeout_s)
+    def send(self, key: EdgeKey, faces: Sequence[np.ndarray]) -> None:
+        view = self._views[key]
+        for i, face in enumerate(faces):
+            view[i] = face
+        self._posted[key].release()
 
     def recv(self, key: EdgeKey) -> np.ndarray:
+        posted = self._posted[key]
+        # Poll through the usual skew between two ranks before sleeping:
+        # where a woken process lands on its waker's CPU (KVM guests,
+        # EXPERIMENTS.md) a sleep costs the *sender* compute time and hides
+        # the imbalance from the load balancer.  Yielding keeps the poll
+        # harmless when ranks outnumber CPUs.
+        spin_until = time.perf_counter() + SPIN_S
+        while not posted.acquire(False):
+            os.sched_yield()
+            if time.perf_counter() >= spin_until:
+                self._await(key, lambda s: posted.acquire(timeout=s) or None)
+                break
         return self._views[key]
-
-    def shutdown(self) -> None:
-        # Views hold exported buffers; drop them before close/unlink.
-        self._views.clear()
-        segments, self._segments = self._segments, []
-        for seg in segments:
-            try:
-                seg.close()
-                seg.unlink()
-            except OSError:
-                pass
 
 
 class QueueTransport(HaloTransport):
-    """One queue per directed edge; pack-then-read needs no barrier."""
+    """One queue per directed edge: halo blocks pickled through pipes."""
 
     name = "pipe"
 
-    def __init__(self, layout: RankLayout, arrays: int = 6,
+    def __init__(self, layout: RankLayout,
                  timeout_s: float = SYNC_TIMEOUT_S):
-        del arrays
-        self.timeout_s = timeout_s
+        super().__init__(timeout_s)
         ctx = mp.get_context("fork")
         self._queues: Dict[EdgeKey, mp.queues.Queue] = {
-            key: ctx.Queue(maxsize=4) for key, _sender in edge_keys(layout)
-        }
+            key: ctx.Queue(maxsize=4) for key in edge_shapes(layout)}
 
-    def send(self, key: EdgeKey, block: np.ndarray) -> None:
-        # A fresh copy per send: the queue's feeder thread pickles
+    def send(self, key: EdgeKey, faces: Sequence[np.ndarray]) -> None:
+        # A fresh block per send: the queue's feeder thread pickles
         # lazily, and the caller's arrays mutate every sweep.
-        self._queues[key].put(np.ascontiguousarray(block))
-
-    def sync(self) -> None:
-        pass
+        self._queues[key].put(np.stack(faces))
 
     def recv(self, key: EdgeKey) -> np.ndarray:
-        return self._queues[key].get(timeout=self.timeout_s)
+        q = self._queues[key]
+
+        def poll(seconds: float):
+            try:
+                return q.get(timeout=seconds)
+            except queue.Empty:
+                return None
+
+        return self._await(key, poll)
 
     def shutdown(self) -> None:
         queues, self._queues = self._queues, {}
@@ -184,19 +236,17 @@ class QueueTransport(HaloTransport):
             q.join_thread()
 
 
-def make_transport(layout: RankLayout, arrays: int = 6,
+def make_transport(layout: RankLayout, buffers: Mapping[EdgeKey, np.ndarray],
                    timeout_s: float = SYNC_TIMEOUT_S) -> HaloTransport:
-    """Build the transport ``REPRO_CLUSTER_TRANSPORT`` asks for.
-
-    ``auto`` tries shared memory and falls back to queues when the host
-    refuses POSIX shm (containers with a locked-down ``/dev/shm``).
-    """
+    """Build the transport ``REPRO_CLUSTER_TRANSPORT`` asks for (``shm``,
+    ``pipe`` or ``auto``: shm, falling back to queues when the host
+    cannot create semaphores -- containers with a locked-down
+    ``/dev/shm``)."""
     mode = config.cluster_transport()
-    if mode == "pipe":
-        return QueueTransport(layout, arrays, timeout_s)
-    if mode == "shm":
-        return ShmTransport(layout, arrays, timeout_s)
-    try:
-        return ShmTransport(layout, arrays, timeout_s)
-    except OSError:
-        return QueueTransport(layout, arrays, timeout_s)
+    if mode != "pipe":
+        try:
+            return ShmTransport(layout, buffers, timeout_s)
+        except OSError:
+            if mode == "shm":
+                raise
+    return QueueTransport(layout, timeout_s)

@@ -265,36 +265,50 @@ def build_coefficients(
     arrays: Dict[str, np.ndarray] = {}
     axis_spec = {0: pml.get("z"), 1: pml.get("y"), 2: pml.get("x")}
 
+    def full(a: np.ndarray) -> np.ndarray:
+        """``a`` as a writable, C-contiguous, owning complex128 array of
+        grid shape (the kernel binds raw addresses, ``compact`` writes
+        them): ``a`` itself when it already is one, else one copy."""
+        if (a.shape == grid.shape and a.dtype == np.complex128
+                and a.flags.c_contiguous and a.flags.writeable
+                and a.flags.owndata):
+            return a
+        return np.array(np.broadcast_to(a, grid.shape), dtype=np.complex128,
+                        order="C")
+
     for name in ALL_COMPONENTS:
         spec = SPECS[name]
         a = spec.deriv_axis
         d_a = grid.spacing[a]
+        # The source factor s_* is only needed where a source is given.
+        sourced = sources.get(spec.source) is not None
         if spec.field == "E":
             sig_a = _axis_profile(grid, a, axis_spec[a], staggered=False) + sigma
             # Forward iteration (Eq. 3).
             denom_f = 1.0 + tau * sig_a / eps
             c_f = phase_full / denom_f
             t_f = spec.sign * (tau / (eps * d_a)) * phase_half / denom_f * phase_full
-            s_f = tau / denom_f * phase_full
             # Back iteration (Eq. 5) for metals.
             denom_b = 1.0 - tau * sig_a / eps
             c_b = np.exp(1j * omega * tau) / denom_b
             t_b = -spec.sign * (tau / (eps * d_a)) * phase_half / denom_b
-            s_b = -tau / denom_b
-            c_arr = np.where(back, c_b, c_f).astype(np.complex128)
-            t_arr = np.where(back, t_b, t_f).astype(np.complex128)
-            s_arr = np.where(back, s_b, s_f).astype(np.complex128)
+            c_arr = np.where(back, c_b, c_f)
+            t_arr = np.where(back, t_b, t_f)
+            if sourced:
+                s_arr = np.where(back, -tau / denom_b,
+                                 tau / denom_f * phase_full)
         else:
             # Magnetic split parts: matched PML profile, staggered sampling,
             # no material magnetic loss.
             sig_star = _axis_profile(grid, a, axis_spec[a], staggered=True)
             q = np.exp(1j * omega * tau / 2.0) + tau * sig_star / mu
-            c_arr = (np.exp(-1j * omega * tau / 2.0) / q).astype(np.complex128)
-            t_arr = (spec.sign * (tau / (mu * d_a)) / q).astype(np.complex128)
-            s_arr = (tau / q).astype(np.complex128)
+            c_arr = np.exp(-1j * omega * tau / 2.0) / q
+            t_arr = spec.sign * (tau / (mu * d_a)) / q
+            if sourced:
+                s_arr = tau / q
 
-        arrays[spec.coeff_t] = np.ascontiguousarray(np.broadcast_to(t_arr, grid.shape).astype(np.complex128))
-        arrays[spec.coeff_c] = np.ascontiguousarray(np.broadcast_to(c_arr, grid.shape).astype(np.complex128))
+        arrays[spec.coeff_t] = full(t_arr)
+        arrays[spec.coeff_c] = full(c_arr)
         if spec.source is not None:
             raw = sources.get(spec.source)
             if raw is None:
@@ -305,7 +319,7 @@ def build_coefficients(
                     raise ValueError(
                         f"source {spec.source} has shape {raw.shape}, expected {grid.shape}"
                     )
-                src = np.ascontiguousarray(raw * np.broadcast_to(s_arr, grid.shape))
+                src = full(raw * np.broadcast_to(s_arr, grid.shape))
             arrays[spec.source] = src
 
     return CoefficientSet(grid=grid, omega=omega, tau=tau, arrays=arrays,

@@ -48,6 +48,14 @@ class TestRankLayout:
         # Single rank on a periodic axis wraps to itself.
         assert layout.neighbor((0, 0, 0), 2, +1) == (0, 0, 0)
 
+    def test_own_slices_partition_the_global_arrays(self):
+        grid = Grid(nz=13, ny=10, nx=9)
+        touched = np.zeros(grid.shape, dtype=int)
+        for sub in RankLayout(grid, 3, 2, 2).subdomains().values():
+            assert touched[sub.own].shape == sub.shape
+            touched[sub.own] += 1
+        assert (touched == 1).all()
+
     def test_too_many_ranks_rejected(self):
         grid = Grid(nz=4, ny=4, nx=4)
         with pytest.raises(ValueError):
@@ -129,6 +137,37 @@ class TestDistributedEqualsGlobal:
         dist = DistributedTHIIM(layout, f_dist, coeffs)
         dist.step(2)
         assert f_global.max_abs_difference(dist.gather()) == 0.0
+
+    @pytest.mark.parametrize("dims", [(2, 1, 1), (1, 2, 1), (1, 1, 2),
+                                      (3, 2, 1)])
+    def test_ghosts_are_the_adjacent_global_planes(self, dims):
+        """The slab geometry the simulated and the process ranks share:
+        after an exchange from ``direction``, a rank's ghost plane holds
+        the global plane next to its slab (wrapping on periodic axes --
+        with two ranks there both faces meet the same peer), which is
+        its neighbour's ``boundary`` plane."""
+        grid = Grid(nz=9, ny=8, nx=6, periodic=(False, True, True))
+        fields = FieldState(grid)
+        cells = np.arange(grid.n_cells, dtype=np.complex128).reshape(grid.shape)
+        for name in fields:
+            fields[name] = cells
+        layout = RankLayout(grid, *dims)
+        dist = DistributedTHIIM(layout, fields, random_coefficients(grid))
+        for direction in (-1, +1):
+            dist._exchange(("Exy",), direction)
+            for coord, rank in dist.ranks.items():
+                bounds = (rank.sub.z, rank.sub.y, rank.sub.x)
+                for axis in range(3):
+                    if layout.neighbor(coord, axis, direction) is None:
+                        continue
+                    lo, hi = bounds[axis]
+                    at = (hi if direction > 0 else lo - 1) % grid.shape[axis]
+                    want = np.take(cells, at, axis=axis)[
+                        tuple(s for a, s in enumerate(rank.sub.own) if a != axis)]
+                    got = rank.fields["Exy"][rank.ghost(axis, direction)]
+                    assert np.array_equal(got, want), (coord, axis, direction)
+        assert dist.stats.bytes_by_axis == {
+            a: b // 6 for a, b in step_bytes_by_axis(layout).items()}
 
     def test_comm_stats_accumulate(self):
         grid = Grid(nz=8, ny=8, nx=8)

@@ -35,6 +35,30 @@ class TestArrayAccounting:
             assert arr.shape == grid.shape, name
             assert arr.dtype == np.complex128, name
 
+    @pytest.mark.parametrize("scene", [
+        {},                                               # scalar eps/sigma/mu
+        {"eps": "mixed", "sigma": 0.3},                   # metal + dielectric
+        {"pml": {"z": PMLSpec(thickness=3), "x": PMLSpec(thickness=2)}},
+    ], ids=["scalars", "arrays", "pml"])
+    def test_every_array_is_its_own_writable_contiguous_buffer(self, grid,
+                                                               scene):
+        """The kernel binds raw addresses and ``compact`` writes lanes in
+        place, so no array may be a view, a broadcast or an alias."""
+        scene = dict(scene)
+        if scene.get("eps") == "mixed":
+            scene["eps"] = np.ones(grid.shape)
+            scene["eps"][8:] = -4.0
+        raw = np.ones(grid.shape, dtype=np.complex128)
+        cs = build_coefficients(grid, omega=0.9, tau=0.2,
+                                sources={"SrcEx": raw, "SrcHy": raw}, **scene)
+        arrays = list(cs.arrays.items())
+        for i, (name, arr) in enumerate(arrays):
+            assert arr.flags.c_contiguous and arr.flags.writeable, name
+            assert arr.flags.owndata, name
+            assert not np.shares_memory(arr, raw), name
+            for other_name, other in arrays[i + 1:]:
+                assert not np.shares_memory(arr, other), (name, other_name)
+
     def test_validation_missing_array(self, grid):
         cs = build_coefficients(grid, omega=1.0, tau=0.1)
         arrays = dict(cs.arrays)
