@@ -86,11 +86,11 @@ FLAGS: Dict[str, Flag] = {
         ),
         Flag(
             "REPRO_NO_NATIVE", "(unset)", "bool",
-            "any non-empty value disables the compiled C LRU kernel",
+            "any non-empty value disables all compiled code (LRU, THIIM, DES)",
         ),
         Flag(
             "REPRO_NATIVE_BUILD_DIR", "src/repro/machine/_build", "path",
-            "where the compiled LRU kernel shared object is cached",
+            "where the compiled shared objects are cached",
         ),
         Flag(
             "REPRO_TRACE", "(disabled)", "path",
@@ -230,7 +230,7 @@ def stream_engine() -> Optional[str]:
 
 
 def native_disabled() -> bool:
-    """True when the compiled LRU kernel is vetoed (any non-empty value)."""
+    """True when compiled code is vetoed (any non-empty value)."""
     return bool(os.environ.get("REPRO_NO_NATIVE"))
 
 

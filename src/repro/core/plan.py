@@ -10,7 +10,7 @@ checker and the machine simulator's access-stream generator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -26,10 +26,29 @@ __all__ = ["TilingPlan"]
 TileIndex = Tuple[int, int]
 
 
+def pack_dag(tiles, preds, succs) -> Tuple[np.ndarray, ...]:
+    """A tile DAG as the flat arrays ``machine/_des_kernel.c`` walks, tile
+    ``k`` of ``tiles`` at position ``k``: LUPs per x-cell (float64), then
+    (int64) row counts, predecessor counts, CSR starts and successor
+    positions, each run in ``succs`` order, and the root positions in
+    :class:`~repro.core.queue.TileQueue`'s initial order."""
+    pos = {idx: k for k, idx in enumerate(tiles)}
+    ints = (
+        [len(tile.rows) for tile in tiles.values()],
+        [len(preds[idx]) for idx in tiles],
+        np.cumsum([0] + [len(succs[idx]) for idx in tiles]),
+        [pos[s] for idx in tiles for s in succs[idx]],
+        [pos[idx] for idx in sorted(tiles) if not preds[idx]],
+    )
+    return (np.array([tile.lups for tile in tiles.values()], dtype=np.float64),
+            *(np.array(a, dtype=np.int64) for a in ints))
+
+
 @lru_cache(maxsize=256)
 def _tile_dag(ny: int, timesteps: int, dw: int):
-    """Tessellation + dependency DAG, shared across plans (the DAG does
-    not depend on nz or bz; builders get shallow dict copies)."""
+    """Tessellation + dependency DAG + its packed form, shared across
+    plans (the DAG does not depend on nz or bz; builders get shallow dict
+    copies)."""
     tiles = enumerate_tiles(ny, timesteps, dw)
     preds: Dict[TileIndex, Tuple[TileIndex, ...]] = {}
     succs_mut: Dict[TileIndex, List[TileIndex]] = {idx: [] for idx in tiles}
@@ -39,7 +58,7 @@ def _tile_dag(ny: int, timesteps: int, dw: int):
         for p in ps:
             succs_mut[p].append(idx)
     succs = {idx: tuple(s) for idx, s in succs_mut.items()}
-    return tiles, preds, succs
+    return tiles, preds, succs, pack_dag(tiles, preds, succs)
 
 
 @lru_cache(maxsize=16)
@@ -93,9 +112,17 @@ class TilingPlan:
             raise ValueError("nz must be >= 1")
         if bz < 1:
             raise ValueError("bz must be >= 1")
-        tiles, preds, succs = _tile_dag(ny, timesteps, dw)
-        return cls(ny=ny, nz=nz, timesteps=timesteps, dw=dw, bz=bz,
+        tiles, preds, succs, packed = _tile_dag(ny, timesteps, dw)
+        plan = cls(ny=ny, nz=nz, timesteps=timesteps, dw=dw, bz=bz,
                    tiles=dict(tiles), preds=dict(preds), succs=dict(succs))
+        plan.packed = packed  # shared; a hand-built plan packs its own
+        return plan
+
+    @cached_property
+    def packed(self) -> Tuple[np.ndarray, ...]:
+        """:func:`pack_dag` of this plan, for the compiled DES (``tiles``,
+        ``preds`` and ``succs`` are final once it is taken)."""
+        return pack_dag(self.tiles, self.preds, self.succs)
 
     # -- inspection ------------------------------------------------------------
 

@@ -27,11 +27,14 @@ cumulative offsets + a ``B_z`` window).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import Iterator, List, Tuple
+
+import numpy as np
 
 from .diamond import DiamondTile, RowSpan
 
-__all__ = ["RowJob", "level_offsets", "tile_row_jobs", "wavefront_width"]
+__all__ = ["RowJob", "level_offsets", "tile_job_arrays", "tile_row_jobs",
+           "wavefront_width"]
 
 
 @dataclass(frozen=True)
@@ -134,3 +137,23 @@ def tile_row_jobs(tile: DiamondTile, nz: int, bz: int) -> Iterator[RowJob]:
                 yield RowJob(row.tau, row.y_lo, row.y_hi, progress[lvl], target)
                 progress[lvl] = target
         front += 1
+
+
+def tile_job_arrays(tile: DiamondTile, nz: int, bz: int
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`tile_row_jobs` as arrays ``(level, z_lo, z_hi)``: job ``k``
+    updates ``tile.rows[level[k]]`` over planes ``[z_lo[k], z_hi[k])``, in
+    the generator's order (front-major, level-minor).  Per level the
+    front targets are ``clip(bz * front - off, 0, nz)``; a job exists
+    where the target advances, and the top level -- the largest offset --
+    arrives last, at front ``ceil((nz + off) / bz)``."""
+    if bz < 1:
+        raise ValueError("bz must be >= 1")
+    if nz < 1:
+        raise ValueError("nz must be >= 1")
+    off = np.array(level_offsets(tile), dtype=np.int64)
+    fronts = np.arange(-(-(nz + off[-1]) // bz) + 1, dtype=np.int64)
+    target = np.clip(bz * fronts[:, None] - off, 0, nz)
+    lo, hi = target[:-1], target[1:]
+    advances = hi > lo
+    return np.nonzero(advances)[1], lo[advances], hi[advances]

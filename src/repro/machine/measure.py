@@ -338,8 +338,9 @@ def _measure_sweep_cached(
 def clear_substrate_caches() -> None:
     """Cold-start every memoization layer of the substrate and the tuner
     on top of it: tuned points, measurements, tile enumerations, tile DAGs
-    and the shared shape table.  What cold-path benchmarks, ``repro bench``
-    and order-independence tests call between runs."""
+    (with the packed form the compiled DES walks) and the shared shape
+    table.  What cold-path benchmarks, ``repro bench`` and
+    order-independence tests call between runs."""
     from ..core import autotuner, diamond, plan
 
     autotuner.tune_tiled.cache_clear()

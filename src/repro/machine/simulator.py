@@ -30,13 +30,23 @@ Rate model (per thread group ``i`` executing a tile):
 The DES advances from tile completion to tile completion, recomputing the
 water-filled rates at each event, so ramp-up (few ready tiles), drain and
 dependency stalls appear mechanistically in the aggregate MLUP/s.
+
+The event loop has two bodies with bitwise-equal results (DESIGN.md
+section 2): :func:`_python_des`, the oracle, which also records the
+per-tile timeline while a trace is active, and ``_des_kernel.c`` over the
+plan's packed DAG, used whenever it loads.
 """
 
 from __future__ import annotations
 
+import ctypes
+import threading
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence, Tuple
 
+import numpy as np
+
+from .. import nativelib
 from ..core import tracing
 from ..core.plan import TileIndex, TilingPlan
 from ..core.queue import TileQueue
@@ -165,10 +175,46 @@ def simulate_tiled(
     t_core = spec.t_lup_core_ns * 1e-9 * spec.tiled_overhead
     per_thread = t_core + code_balance / (spec.core_bandwidth_gbs * 1e9)
     cap_rate = s * eff / per_thread  # LUP/s standalone
+    label = label or f"{n_groups}x{tg_config.label()}"
+    # Fixed per-tile overheads: queue critical region + per-front syncs
+    # (a group of one has no fronts to synchronize: -1).
+    front_syncs = -(-plan.nz // plan.bz) if s > 1 else -1
+    par = (nx, cap_rate, code_balance, spec.bandwidth_gbs * 1e9,
+           spec.sync_ns * 1e-9)
 
-    # Fixed per-tile overheads: queue critical region + per-front syncs.
-    sync = spec.sync_ns * 1e-9
+    rec = tracing.active()
+    des = None if rec is not None else _native_des() if _DES is None else _DES
+    if des:
+        now, total_lups, total_bytes = _native_run(
+            des, plan, n_groups, front_syncs, par)
+    else:
+        now, total_lups, total_bytes = _python_des(
+            plan, n_groups, front_syncs, par, rec,
+            f"DES {label} ny={plan.ny} nz={plan.nz} nx={nx}", s)
 
+    mlups = total_lups / now / 1e6 if now > 0 else 0.0
+    gbs = total_bytes / now / 1e9 if now > 0 else 0.0
+    return SimResult(
+        mlups=mlups,
+        bandwidth_gbs=gbs,
+        bytes_per_lup=code_balance,
+        seconds=now,
+        lups=total_lups,
+        threads=spec.cores,
+        label=label,
+    )
+
+
+_DEADLOCK = "deadlock: no running tiles but queue not exhausted"
+
+
+def _python_des(plan: TilingPlan, n_groups: int, front_syncs: int, par: tuple,
+                rec, title: str, s: int) -> Tuple[float, float, float]:
+    """The event loop: ``(seconds, LUPs, bytes)`` of the run.  With a
+    trace recorder, one trace process per simulation: thread lanes are
+    the concurrent thread groups, timestamps are *simulated* seconds (as
+    microseconds)."""
+    nx, cap_rate, code_balance, bandwidth, sync = par
     queue = TileQueue(plan)
     running: List[_RunningTile] = []
     idle_groups = list(range(n_groups))
@@ -176,25 +222,16 @@ def simulate_tiled(
     total_lups = 0.0
     total_bytes = 0.0
 
-    # One trace process per simulation: thread lanes are the concurrent
-    # thread groups, timestamps are *simulated* seconds (as microseconds).
-    rec = tracing.active()
     sim_pid = 0
     if rec is not None:
-        sim_pid = rec.new_process(
-            f"DES {label or f'{n_groups}x{tg_config.label()}'} "
-            f"ny={plan.ny} nz={plan.nz} nx={nx}"
-        )
+        sim_pid = rec.new_process(title)
         for g in range(n_groups):
             rec.name_thread(sim_pid, g, f"thread group {g} ({s} threads)")
-
-    fronts_z = -(-plan.nz // plan.bz)
 
     def tile_overhead(idx: TileIndex) -> float:
         # level_offsets yields one entry per row, so its length is just
         # the row count -- no need to materialize the offsets here.
-        fronts = fronts_z + len(plan.tiles[idx].rows)
-        syncs = fronts if s > 1 else 0
+        syncs = 0 if front_syncs < 0 else front_syncs + len(plan.tiles[idx].rows)
         return sync * (2 + syncs)
 
     while not queue.exhausted:
@@ -216,12 +253,12 @@ def simulate_tiled(
                 )
             )
         if not running:
-            raise RuntimeError("deadlock: no running tiles but queue not exhausted")
+            raise RuntimeError(_DEADLOCK)
 
         # Every running tile has the same cap and bytes/LUP here, so the
         # general water-fill reduces to one comparison producing the exact
         # same floats: all capped, or all at the fair byte share.
-        share = spec.bandwidth_gbs * 1e9 / len(running)
+        share = bandwidth / len(running)
         if cap_rate * code_balance <= share + 1e-9:
             rate = cap_rate
         else:
@@ -255,18 +292,49 @@ def simulate_tiled(
                     pid=sim_pid, tid=rt.group,
                     args={"lups": rt.work_lups, "bytes_per_lup": rt.bytes_per_lup},
                 )
+    return now, total_lups, total_bytes
 
-    mlups = total_lups / now / 1e6 if now > 0 else 0.0
-    gbs = total_bytes / now / 1e9 if now > 0 else 0.0
-    return SimResult(
-        mlups=mlups,
-        bandwidth_gbs=gbs,
-        bytes_per_lup=code_balance,
-        seconds=now,
-        lups=total_lups,
-        threads=spec.cores,
-        label=label or f"{n_groups}x{tg_config.label()}",
-    )
+
+#: ``des_run`` of ``_des_kernel.c``; ``None`` until the first simulation,
+#: ``False`` when this process stays on :func:`_python_des`.
+_DES = None
+_DES_LOCK = threading.Lock()
+
+
+def _native_des():
+    """Load the compiled event loop (once per process)."""
+    global _DES
+    with _DES_LOCK:
+        if _DES is None:
+            lib = nativelib.load("_des_kernel")
+            run = lib is not None and lib.des_run
+            if run:
+                run.restype = ctypes.c_int64
+                run.argtypes = ([ctypes.c_int64] * 2 + [ctypes.c_void_p] * 6
+                                + [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 4)
+            _DES = run
+    return _DES
+
+
+def _native_run(des, plan: TilingPlan, n_groups: int, front_syncs: int,
+                par: tuple) -> List[float]:
+    """One ``des_run`` call over work arrays of its own (the library keeps
+    no state, so concurrent simulations share nothing)."""
+    dag = plan.packed
+    n = len(dag[0])
+    n_groups = min(n_groups, n)  # no more tiles can run than there are
+    arrays = dag + (np.array(par, dtype=np.float64),
+                    np.empty(2 * (n + n_groups), dtype=np.int64),
+                    np.empty(2 * n_groups), np.empty(3))
+    addr = [a.ctypes.data for a in arrays]
+    rc = des(n, len(dag[-1]), *addr[:len(dag)], n_groups, front_syncs,
+             *addr[len(dag):])
+    if rc == 1:
+        raise RuntimeError(_DEADLOCK)
+    if rc:
+        raise RuntimeError(f"tile {list(plan.tiles)[rc - 2]} completed more "
+                           f"predecessors than it has")
+    return arrays[-1].tolist()
 
 
 def simulate_sweep(

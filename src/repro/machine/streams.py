@@ -44,7 +44,7 @@ from ..fdfd.specs import (
 )
 from .cache import LRUCache
 from .counters import SUBSTRATE_COUNTERS
-from ..core.wavefront import RowJob, tile_row_jobs
+from ..core.wavefront import RowJob, tile_job_arrays
 
 __all__ = [
     "ArrayGroup",
@@ -650,8 +650,30 @@ class BatchStreamEmitter:
         stream = table.tiles.get(key)
         misses = 0
         if stream is None:
-            *stream, misses = self._resolve(table, tile_row_jobs(tile, nz, bz), y0)
-            stream = table.add_tile(key, tuple(stream))
+            rows = tile.rows
+            level, z_lo, z_hi = tile_job_arrays(tile, nz, bz)
+            dz = z_hi - z_lo
+            # The jobs of one level differ in shape only by their z extent
+            # and z-edge adjacency (a short first job, a clipped last one):
+            # one table lookup per such class, in order of first occurrence
+            # -- the order job-by-job resolution would add the shapes in.
+            code = ((level * (nz + 1) + dz) * 2 + (z_lo == 0)) * 2 + (z_hi == nz)
+            _, first, inverse = np.unique(code, return_index=True,
+                                          return_inverse=True)
+            runs = np.empty((len(first), 3), dtype=np.int64)
+            for _, c, lv, a, b in sorted(zip(
+                    first.tolist(), range(len(first)), level[first].tolist(),
+                    z_lo[first].tolist(), z_hi[first].tolist())):
+                row = rows[lv]
+                runs[c], miss = self._shape(
+                    table, RowJob(row.tau, row.y_lo, row.y_hi, a, b))
+                misses += miss
+            y_lo, width = np.array([(r.y_lo, r.width) for r in rows],
+                                   dtype=np.int64).T
+            stream = table.add_tile(key, (
+                runs[inverse, 0], runs[inverse, 1],
+                (y_lo[level] - y0) * nz + z_lo,
+                int(runs[inverse, 2].sum()), int((width[level] * dz).sum())))
         return stream, y0 * nz, misses
 
     def emit_tiles_interleaved(self, tiles, bz: int) -> None:

@@ -17,9 +17,12 @@ from .resilience.errors import RESILIENCE_COUNTERS
 _HERE = os.path.dirname(__file__)
 
 #: name -> (C source, compiler flags).  The THIIM kernel must round as
-#: NumPy does: only the fma() calls its source spells out may fuse.
+#: NumPy does: only the fma() calls its source spells out may fuse; the
+#: DES as Python floats do: nothing may.
 SOURCES = {
     "_lru_kernel": (os.path.join(_HERE, "machine", "_lru_kernel.c"), ("-O2",)),
+    "_des_kernel": (os.path.join(_HERE, "machine", "_des_kernel.c"),
+                    ("-O2", "-ffp-contract=off")),
     "_thiim_kernel": (os.path.join(_HERE, "fdfd", "_thiim_kernel.c"),
                       ("-O3", "-ffp-contract=off", "-lm")),
 }

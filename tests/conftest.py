@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -53,3 +55,31 @@ def kernel_backend(request):
 
 def random_state(grid: Grid, seed: int = 0) -> FieldState:
     return FieldState(grid).fill_random(np.random.default_rng(seed))
+
+
+def run_concurrently(work, cases, timeout: float = 120.0) -> None:
+    """``work(case)`` for every case at once, one thread each, released
+    together on a shortened switch interval; raises what a thread raised
+    and fails if one is still running after ``timeout``."""
+    errors = []
+    start = threading.Barrier(len(cases))
+
+    def run(case):
+        try:
+            start.wait(timeout=30)
+            work(case)
+        except BaseException as exc:  # surfaced below, in the test thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(case,)) for case in cases]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=timeout)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, errors
+    assert not any(t.is_alive() for t in threads)

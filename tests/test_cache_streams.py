@@ -2,17 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.wavefront import RowJob
+from repro.core.diamond import enumerate_tiles
+from repro.core.wavefront import RowJob, tile_row_jobs
 from repro.machine import (
     ALL_ARRAYS,
     ARRAY_GROUPS,
+    BatchStreamEmitter,
     CLASS_RECIPES,
     COMPONENT_RECIPES,
     ComponentStreamEmitter,
     LRUCache,
     StreamEmitter,
 )
+from repro.machine.streams import ShapeTable
 from repro.fdfd.specs import ALL_COMPONENTS, SPECS
 
 
@@ -217,3 +222,44 @@ class TestComponentStreamEmitter:
         bytes_a = tiny.stats.mem_bytes
         em.emit_component_rows("Hzy", 0, 64, 0, 1)
         assert tiny.stats.mem_bytes > 1.5 * bytes_a
+
+
+class TestTileStreamResolve:
+    """``_tile_stream`` resolves a tile through the array form of the
+    wavefront schedule, one table lookup per shape class; job-by-job
+    ``_resolve`` of the generator's jobs is what it must equal."""
+
+    @given(ny=st.integers(1, 36), timesteps=st.integers(1, 9),
+           dw=st.sampled_from([2, 4, 6, 8, 12]), nz=st.integers(1, 26),
+           bz=st.integers(1, 11))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_job_by_job_resolve(self, ny, timesteps, dw, nz, bz):
+        """Over a whole tessellation (interior and clipped tiles, ``nz <
+        bz``, ``nz % bz != 0``), two tables filling side by side: the
+        shapes enter both in the same order, so the runs compare too."""
+        emitter = BatchStreamEmitter(None, ny=ny, nz=nz, nx=8)
+        by_arrays, by_jobs = ShapeTable(), ShapeTable()
+        for tile in enumerate_tiles(ny, timesteps, dw).values():
+            jobs = list(tile_row_jobs(tile, nz, bz))
+            y0 = min(r.y_lo for r in tile.rows)
+            stream, shift, misses = emitter._tile_stream(by_arrays, tile, bz)
+            *want, want_misses = emitter._resolve(by_jobs, jobs, y0)
+            assert shift == y0 * nz
+            for got, expected in zip(stream[:3], want[:3]):
+                np.testing.assert_array_equal(got, expected)
+                assert got.dtype == np.int64
+            assert tuple(stream[3:]) == tuple(want[3:])  # accesses, cells
+            assert misses == want_misses
+            key_of = {run[:2]: key for key, run in by_arrays.shapes.items()}
+            assert [key_of[run] for run in zip(stream[0].tolist(), stream[1].tolist())] \
+                == [(nz, job.shape_key(ny, nz)) for job in jobs]
+        assert by_arrays.shapes == by_jobs.shapes
+
+    def test_congruent_tile_reuses_the_stream(self):
+        emitter = BatchStreamEmitter(None, ny=48, nz=20, nx=8)
+        table = ShapeTable()
+        a, b = [t for t in enumerate_tiles(48, 12, 4).values() if t.is_interior
+                and 0 < t.y_footprint[0] and t.y_footprint[1] < 48][:2]
+        first, _, misses = emitter._tile_stream(table, a, 3)
+        again, _, none = emitter._tile_stream(table, b, 3)
+        assert misses > 0 and none == 0 and again is first

@@ -2,7 +2,13 @@
 simulator and the calibration -- including the paper-shape contracts of
 DESIGN.md section 4."""
 
+import dataclasses
+from contextlib import contextmanager
+
 import pytest
+from conftest import run_concurrently
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     ThreadGroupConfig,
@@ -12,16 +18,21 @@ from repro.core import (
     spatial_code_balance,
 )
 from repro.core.autotuner import tune_spatial, tune_tiled
+from repro.core import tracing
 from repro.machine import (
     HASWELL_EP,
     MachineSpec,
     measure_sweep_code_balance,
     measure_tiled_code_balance,
+    native_available,
     simulate_sweep,
     simulate_tiled,
+    simulator,
     tg_efficiency,
     validate_calibration,
 )
+from repro.resilience import faults
+from repro.resilience.errors import RESILIENCE_COUNTERS
 
 
 class TestMachineSpec:
@@ -160,6 +171,192 @@ class TestExecutionSimulator:
         wide = tg_efficiency(ThreadGroupConfig(x_threads=2), nx=384, nz=384, bz=1)
         narrow = tg_efficiency(ThreadGroupConfig(x_threads=18), nx=384, nz=384, bz=1)
         assert narrow < wide
+
+
+@contextmanager
+def python_des():
+    """Run the enclosed simulations on the Python event loop (the oracle)."""
+    saved, simulator._DES = simulator._DES, False
+    try:
+        yield
+    finally:
+        simulator._DES = saved
+
+
+@pytest.fixture
+def native_des():
+    if not simulator._native_des():
+        pytest.skip("compiled DES unavailable")
+
+
+@pytest.fixture
+def reload_des(monkeypatch):
+    """``reload()`` makes the next simulation load the library again and
+    returns the ``native_degraded`` count at that moment; the loaded state
+    is put back afterwards."""
+    monkeypatch.setattr(simulator, "_DES", simulator._DES)
+
+    def reload():
+        simulator._DES = None
+        return RESILIENCE_COUNTERS.get("native_degraded")
+
+    return reload
+
+
+def _hand_built(plan, keep=lambda idx: True):
+    """``plan`` cut down to the tiles ``keep`` accepts, built by hand: no
+    shared packed DAG comes with it."""
+    tiles = {idx: t for idx, t in plan.tiles.items() if keep(idx)}
+    return TilingPlan(
+        ny=plan.ny, nz=plan.nz, timesteps=plan.timesteps, dw=plan.dw, bz=plan.bz,
+        tiles=tiles,
+        preds={i: tuple(p for p in plan.preds[i] if p in tiles) for i in tiles},
+        succs={i: tuple(s for s in plan.succs[i] if s in tiles) for i in tiles})
+
+
+class TestNativeDES:
+    """``_des_kernel.c`` against the Python event loop it transcribes:
+    every float of the result equal, every error the same, every way of
+    not getting the library landing on the loop."""
+
+    CFG = ThreadGroupConfig(wavefront_threads=1, x_threads=3, component_threads=2)
+
+    def _plan(self):
+        return TilingPlan.build(ny=40, nz=24, timesteps=10, dw=4, bz=2)
+
+    def _run(self, plan=None, machine=HASWELL_EP, cfg=CFG, balance=267.13):
+        return simulate_tiled(machine, plan or self._plan(), nx=48,
+                              tg_config=cfg, code_balance=balance)
+
+    @given(
+        ny=st.integers(4, 72), nz=st.integers(1, 40),
+        timesteps=st.integers(1, 14), dw=st.sampled_from([2, 4, 6, 8, 12]),
+        bz=st.integers(1, 9), wavefront=st.integers(1, 3),
+        x=st.integers(1, 3), components=st.sampled_from([1, 2, 3, 6]),
+        groups=st.integers(1, 18), idle_cores=st.integers(0, 5),
+        # HASWELL_EP saturates near 50e9 / cap_rate: both sides of it,
+        # the exact zero and the far end.
+        balance=st.one_of(st.just(0.0), st.floats(1.0, 6000.0)),
+        sync_ns=st.sampled_from([0.0, 150.0, 2500.0]),
+    )
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
+    def test_equals_python_loop(self, native_des, ny, nz, timesteps, dw, bz,
+                                wavefront, x, components, groups, idle_cores,
+                                balance, sync_ns):
+        cfg = ThreadGroupConfig(wavefront, x, components)
+        # ``idle_cores`` not filling another group: non-dividing counts.
+        cores = groups * cfg.size + idle_cores % cfg.size
+        machine = dataclasses.replace(HASWELL_EP, cores=cores, sync_ns=sync_ns)
+        plan = TilingPlan.build(ny=ny, nz=nz, timesteps=timesteps, dw=dw, bz=bz)
+        native = simulate_tiled(machine, plan, nx=64, tg_config=cfg,
+                                code_balance=balance)
+        with python_des():
+            oracle = simulate_tiled(machine, plan, nx=64, tg_config=cfg,
+                                    code_balance=balance)
+        assert native == oracle  # dataclass ==: every float bitwise
+
+    def test_saturated_and_unsaturated_sides(self, native_des):
+        """The two balances of ``_run`` callers really straddle the cap."""
+        low, high = self._run(balance=50.0), self._run(balance=3000.0)
+        assert low.bandwidth_gbs < 0.9 * HASWELL_EP.bandwidth_gbs
+        assert high.bandwidth_gbs > 0.9 * HASWELL_EP.bandwidth_gbs
+        with python_des():
+            assert (low, high) == (self._run(balance=50.0), self._run(balance=3000.0))
+
+    def test_hand_built_plan_packs_its_own_dag(self, native_des):
+        built = self._plan()
+        assert "packed" in vars(built)  # hung on the plan by build()
+        plan = _hand_built(built, lambda idx: idx[0] % 3 != 1)
+        assert 0 < plan.n_tiles < built.n_tiles and "packed" not in vars(plan)
+        native = self._run(plan)
+        assert len(plan.packed[0]) == plan.n_tiles
+        with python_des():
+            assert self._run(plan) == native
+        assert native != self._run(built)
+
+    def test_cyclic_preds_deadlock_on_both(self, native_des):
+        plan = _hand_built(self._plan())
+        root = next(i for i in plan.tiles if not plan.preds[i] and plan.succs[i])
+        plan.preds[root] = (plan.succs[root][0],)  # root waits for its successor
+        with pytest.raises(RuntimeError, match="^deadlock: no running tiles"):
+            self._run(plan)
+        with python_des(), pytest.raises(RuntimeError, match="^deadlock: no running"):
+            self._run(plan)
+
+    def test_over_completion_is_the_same_error(self, native_des):
+        plan = _hand_built(self._plan())
+        root = next(i for i in plan.tiles if not plan.preds[i] and plan.succs[i])
+        succ = plan.succs[root][0]
+        plan.succs[root] += (succ,) * len(plan.preds[succ])
+        message = f"tile \\({succ[0]}, {succ[1]}\\) completed more predecessors"
+        with pytest.raises(RuntimeError, match=message):
+            self._run(plan)
+        with python_des(), pytest.raises(RuntimeError, match=message):
+            self._run(plan)
+
+    def test_oversized_group_rejected_before_either_back_end(self, reload_des):
+        reload_des()
+        cfg = ThreadGroupConfig(x_threads=19)
+        with pytest.raises(ValueError, match="exceeds 18 cores"):
+            self._run(cfg=cfg)
+        assert simulator._DES is None  # raised before any library load
+        with python_des(), pytest.raises(ValueError, match="exceeds 18 cores"):
+            self._run(cfg=cfg)
+
+    def test_vetoed(self, reload_des, monkeypatch):
+        expected = self._run()
+        monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+        before = reload_des()
+        assert self._run() == expected
+        assert simulator._DES is False
+        # a veto is not a degradation
+        assert RESILIENCE_COUNTERS.get("native_degraded") == before
+
+    def test_injected_load_fault_degrades_this_library_only(
+            self, reload_des, monkeypatch):
+        expected = self._run()
+        monkeypatch.delenv("REPRO_NO_NATIVE", raising=False)
+        lru = native_available()
+        before = reload_des()
+        faults.install(faults.FaultPlan.parse("native.load:raise"))
+        try:
+            assert self._run() == expected
+            assert self._run(balance=900.0) == self._run(balance=900.0)
+        finally:
+            faults.uninstall()
+        assert simulator._DES is False
+        assert RESILIENCE_COUNTERS.get("native_degraded") == before + 1  # once
+        assert native_available() == lru  # the replay engine is untouched
+
+    def test_tracing_takes_the_python_loop(self, native_des):
+        plan = self._plan()
+        untraced = self._run(plan)
+        rec = tracing.start_trace()
+        try:
+            traced = self._run(plan)
+        finally:
+            tracing.stop_trace()
+        assert traced == untraced
+        tiles = [e for e in rec._events if e["cat"] == "sim.tile"]
+        assert len(tiles) == plan.n_tiles
+
+    def test_concurrent_simulations_share_nothing(self, native_des):
+        """Four threads simulating different plans at once (the library
+        runs without the GIL) give the serial results every time."""
+        cases = [(TilingPlan.build(ny=24 + 8 * k, nz=16, timesteps=6 + k, dw=4, bz=2),
+                  (50.0, 267.13, 900.0, 3000.0)[k]) for k in range(4)]
+        serial = [self._run(plan, balance=b) for plan, b in cases]
+        got = {}
+
+        def work(k):
+            plan, balance = cases[k]
+            got[k] = [self._run(plan, balance=balance) for _ in range(200)]
+
+        run_concurrently(work, range(len(cases)))
+        for k, want in enumerate(serial):
+            assert got[k] == [want] * 200
 
 
 class TestCalibration:

@@ -166,6 +166,32 @@ class TestSharedShapeTable:
             assert SUBSTRATE_COUNTERS.jobs_replayed == alone[a][1] + alone[b][1]
             assert SUBSTRATE_COUNTERS.accesses_replayed == alone[a][2] + alone[b][2]
 
+    def test_second_cold_pass_repeats_the_first(self, cold_substrate):
+        """``clear_substrate_caches()`` cold-starts every memo -- tuned
+        points, measurements, enumerations, tile DAGs with their packed
+        form, the shape table -- so the pass after it replays, hits and
+        misses exactly what the first one did."""
+        from repro.core import autotuner, plan
+        from repro.machine import HASWELL_EP, clear_substrate_caches
+        from repro.machine.streams import shape_table
+
+        def cold_pass():
+            clear_substrate_caches()
+            SUBSTRATE_COUNTERS.reset()
+            points = [_tune(HASWELL_EP, *self.POINTS[0]),
+                      autotuner.tune_tiled(HASWELL_EP, *self.POINTS[0])]
+            counters = SUBSTRATE_COUNTERS.snapshot()
+            del counters["section_seconds"]
+            return points, counters
+
+        first = cold_pass()
+        assert first[1]["stream_memo_misses"] > 0
+        assert plan._tile_dag.cache_info().currsize > 0 and shape_table().tiles
+        clear_substrate_caches()
+        assert plan._tile_dag.cache_info().currsize == 0
+        assert not shape_table().tiles and not shape_table().shapes
+        assert cold_pass() == first
+
     def test_bandwidth_variants_share_measurements(self, cold_substrate):
         """Traffic depends on the machine through its cache capacity only:
         a bandwidth variant re-scores without replaying anything."""
@@ -182,36 +208,18 @@ class TestSharedShapeTable:
         """Four threads tuning different points at once, on a shortened
         switch interval, give the serial points and the serial totals: a
         lost counter update or a torn table entry would break either."""
-        import sys
-        import threading
-
+        from conftest import run_concurrently
         from repro.machine import HASWELL_EP, clear_substrate_caches
 
         serial = {p: _cold_tune(*p) for p in self.POINTS}
         clear_substrate_caches()
         SUBSTRATE_COUNTERS.reset()
-        got, errors = {}, []
-        start = threading.Barrier(len(self.POINTS))
+        got = {}
 
         def work(point):
-            try:
-                start.wait(timeout=30)
-                got[point] = _tune(HASWELL_EP, *point)
-            except BaseException as exc:  # surfaced below, in the test thread
-                errors.append(exc)
+            got[point] = _tune(HASWELL_EP, *point)
 
-        threads = [threading.Thread(target=work, args=(p,)) for p in self.POINTS]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not errors, errors
-        assert not any(t.is_alive() for t in threads)
+        run_concurrently(work, self.POINTS)
         for p in self.POINTS:
             assert got[p] == serial[p][0], p
         assert SUBSTRATE_COUNTERS.jobs_replayed == sum(s[1] for s in serial.values())

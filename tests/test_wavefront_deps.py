@@ -4,6 +4,8 @@ broken schedules)."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     DependencyChecker,
@@ -15,7 +17,7 @@ from repro.core import (
     wavefront_width,
 )
 from repro.core.diamond import enumerate_tiles
-from repro.core.wavefront import RowJob
+from repro.core.wavefront import RowJob, tile_job_arrays
 
 
 def naive_jobs(ny, nz, timesteps):
@@ -72,6 +74,25 @@ class TestWavefrontTraversal:
             list(tile_row_jobs(tile, nz=8, bz=0))
         with pytest.raises(ValueError):
             list(tile_row_jobs(tile, nz=0, bz=1))
+        with pytest.raises(ValueError):
+            tile_job_arrays(tile, nz=8, bz=0)
+        with pytest.raises(ValueError):
+            tile_job_arrays(tile, nz=0, bz=1)
+
+    @given(ny=st.integers(1, 40), timesteps=st.integers(1, 10),
+           dw=st.sampled_from([2, 4, 6, 8, 12]), nz=st.integers(1, 30),
+           bz=st.integers(1, 12))
+    @settings(max_examples=80, deadline=None)
+    def test_job_arrays_equal_the_generator(self, ny, timesteps, dw, nz, bz):
+        """Every tile of the tessellation -- interior, clipped at either y
+        edge or in time -- at ``nz < bz``, ``nz % bz != 0`` and multiples."""
+        for tile in enumerate_tiles(ny, timesteps, dw).values():
+            level, z_lo, z_hi = tile_job_arrays(tile, nz, bz)
+            assert level.dtype == z_lo.dtype == z_hi.dtype == np.int64
+            got = [RowJob(tile.rows[lv].tau, tile.rows[lv].y_lo,
+                          tile.rows[lv].y_hi, a, b)
+                   for lv, a, b in zip(level.tolist(), z_lo.tolist(), z_hi.tolist())]
+            assert got == list(tile_row_jobs(tile, nz, bz))
 
 
 class TestCheckerAcceptsValid:
