@@ -9,10 +9,10 @@ layouts and asserts the cluster contract:
   in-process ``run_job`` of the single-domain spec, field for field
   (SHA-256 field checksum included);
 * **halo accounting**: the measured per-axis halo bytes equal the
-  communication cost model's ``step_bytes_by_axis`` figure exactly;
-* **rank-crash resume**: a seeded kill of one rank mid-solve retries
-  through a process-mode :class:`~repro.service.Scheduler`, resumes
-  from the group checkpoint, and reproduces the clean bytes.
+  communication cost model's ``step_bytes_by_axis`` figure exactly.
+
+(A seeded kill of one rank mid-solve is the ``rank-crash`` row of the
+chaos scenario table, ``repro chaos`` / ``tests/test_chaos_scenarios.py``.)
 
 Writes throughput-vs-ranks and halo-traffic numbers to
 ``benchmarks/output/BENCH_cluster.json``.
@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-import tempfile
 import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -96,53 +95,13 @@ def check_bit_identity() -> tuple[str, list]:
             "single-domain run"), rows
 
 
-def check_rank_crash_resume() -> dict:
-    from repro.resilience import FaultPlan
-    from repro.service import JobSpec, Scheduler, run_job
-
-    spec = JobSpec.from_dict(dict(BASE, kind="distributed", ranks="2x1x1",
-                                  max_retries=2))
-    clean = run_job(spec)
-
-    plan = FaultPlan.seeded(7, "cluster.rank.1", "crash", max_after=4)
-    ckpt_dir = tempfile.mkdtemp(prefix="repro-smoke-cluster-")
-    old = {k: os.environ.get(k) for k in
-           ("REPRO_FAULTS", "REPRO_CHECKPOINT_EVERY")}
-    os.environ["REPRO_FAULTS"] = plan.env_value()
-    os.environ["REPRO_CHECKPOINT_EVERY"] = "40"
-    try:
-        sched = Scheduler(workers=1, mode="process", retry_base_s=0.001,
-                          checkpoint_dir=ckpt_dir).start()
-        try:
-            job = sched.submit(spec)
-            sched.wait(job.id, timeout=300.0)
-        finally:
-            sched.stop()
-    finally:
-        for k, v in old.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
-    assert job.state == "done", f"rank-crash job ended {job.state}: {job.error}"
-    assert sched.n_crashes >= 1, "the seeded rank kill never fired"
-    assert job.resumed_from is not None, "retry did not resume mid-solve"
-    assert job.result == clean, "resumed result differs from the clean run"
-    print(f"cluster smoke: rank crash resumed from sweep "
-          f"{job.resumed_from} to identical bytes "
-          f"({job.attempts} attempts)", flush=True)
-    return {"schedule": plan.env_value(), "crashes": sched.n_crashes,
-            "attempts": job.attempts, "resumed_from": job.resumed_from}
-
-
 def main() -> int:
     summary, rows = check_bit_identity()
     print(f"cluster smoke: {summary}", flush=True)
-    resume = check_rank_crash_resume()
 
     os.makedirs(OUT_DIR, exist_ok=True)
     doc = {"grid": [2 * GRID, GRID, GRID], "max_steps": MAX_STEPS,
-           "layouts": rows, "rank_crash": resume}
+           "layouts": rows}
     with open(BENCH_PATH, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
     print(f"saved -> {BENCH_PATH}")

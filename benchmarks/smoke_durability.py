@@ -44,31 +44,18 @@ BASE_SPEC = {"kind": "solve", "preset": "vacuum", "grid": GRID,
 
 
 def _request(method, url, payload=None, headers=None):
-    import urllib.error
-    import urllib.request
+    from repro.fleet.router import http_request
 
-    data = None if payload is None else json.dumps(payload).encode()
-    req = urllib.request.Request(
-        url, data=data, method=method,
-        headers={"Content-Type": "application/json", **(headers or {})})
-    try:
-        with urllib.request.urlopen(req, timeout=60.0) as resp:
-            return resp.status, json.loads(resp.read() or b"{}"), \
-                dict(resp.headers)
-    except urllib.error.HTTPError as e:
-        return e.code, json.loads(e.read() or b"{}"), dict(e.headers or {})
+    return http_request(method, url, payload=payload, headers=headers,
+                        timeout=60.0)
 
 
-def _poll(base, job_id, timeout=300.0):
-    deadline = time.monotonic() + timeout
-    while True:
-        status, doc, _ = _request("GET", f"{base}/jobs/{job_id}")
-        assert status == 200, f"poll {job_id[:12]}: HTTP {status} {doc}"
-        if doc["state"] in ("done", "failed", "cancelled"):
-            assert doc["state"] == "done", f"{job_id[:12]} {doc['state']}"
-            return doc
-        assert time.monotonic() < deadline, f"job stuck {doc['state']}"
-        time.sleep(0.1)
+def _poll(base, job_id):
+    from repro.fleet.router import poll_job
+
+    doc = poll_job(base, job_id, timeout=300.0, strict=True)
+    assert doc["state"] == "done", f"{job_id[:12]} {doc['state']}"
+    return doc
 
 
 def _node_metrics(url):
@@ -79,7 +66,7 @@ def _node_metrics(url):
 
 def main() -> int:
     from repro import telemetry
-    from repro.fleet import (NodeRegistry, make_gateway, respawn_node,
+    from repro.fleet import (gateway_over, make_gateway, respawn_node,
                              spawn_local_fleet)
     from repro.service import JobSpec, run_job
 
@@ -92,22 +79,14 @@ def main() -> int:
     print(f"durability smoke: campaign = {len(specs)} solves on "
           f"grid {GRID}", flush=True)
 
-    data_root = tempfile.mkdtemp(prefix="repro-durability-")
-    nodes = spawn_local_fleet(2, workers=2, mode="thread",
-                              data_root=data_root)
-    registry = NodeRegistry([n.url for n in nodes], dead_after=1,
-                            timeout_s=10.0, interval_s=3600.0)
-    registry.check_once()
-    gateway = make_gateway(registry)
-    thread = threading.Thread(target=gateway.serve_forever, daemon=True)
-    thread.start()
-    base = f"http://127.0.0.1:{gateway.server_port}"
-    print(f"durability smoke: 2 persistent nodes behind {base} "
-          f"(data root {data_root})", flush=True)
-
     doc = {"grid": GRID, "nodes": 2, "points": len(specs)}
-    quota_gateway = None
-    try:
+    with tempfile.TemporaryDirectory(prefix="repro-durability-") as data_root, \
+            gateway_over(spawn_local_fleet(2, workers=2, mode="thread",
+                                           data_root=data_root)) as fl:
+        base, registry, nodes = fl.base, fl.registry, fl.nodes
+        print(f"durability smoke: 2 persistent nodes behind {base} "
+              f"(data root {data_root})", flush=True)
+
         # Phase 1: solve the campaign cold; done-polls replicate.
         t0 = time.perf_counter()
         for spec in specs:
@@ -186,25 +165,28 @@ def main() -> int:
         # Phase 4: admission control on a quota-limited gateway over the
         # same fleet (submits hit admission before dedup).
         quota_gateway = make_gateway(registry, quota=0.001, quota_burst=2)
-        qthread = threading.Thread(target=quota_gateway.serve_forever,
-                                   daemon=True)
-        qthread.start()
-        qbase = f"http://127.0.0.1:{quota_gateway.server_port}"
-        accepted = rejected = 0
-        retry_after = None
-        for spec in specs:
-            status, resp, headers = _request(
-                "POST", f"{qbase}/jobs", spec.to_dict(),
-                headers={"X-Repro-Api-Key": "alice"})
-            if status == 202:
-                accepted += 1
-            else:
-                assert status == 429, f"HTTP {status} {resp}"
-                rejected += 1
-                retry_after = int(headers["Retry-After"])
-        status, _, _ = _request("POST", f"{qbase}/jobs",
-                                specs[0].to_dict(),
-                                headers={"X-Repro-Api-Key": "bob"})
+        threading.Thread(target=quota_gateway.serve_forever,
+                         daemon=True).start()
+        try:
+            qbase = f"http://127.0.0.1:{quota_gateway.server_port}"
+            accepted = rejected = 0
+            retry_after = None
+            for spec in specs:
+                status, resp, headers = _request(
+                    "POST", f"{qbase}/jobs", spec.to_dict(),
+                    headers={"X-Repro-Api-Key": "alice"})
+                if status == 202:
+                    accepted += 1
+                else:
+                    assert status == 429, f"HTTP {status} {resp}"
+                    rejected += 1
+                    retry_after = int(headers["Retry-After"])
+            status, _, _ = _request("POST", f"{qbase}/jobs",
+                                    specs[0].to_dict(),
+                                    headers={"X-Repro-Api-Key": "bob"})
+        finally:
+            quota_gateway.shutdown()
+            quota_gateway.server_close()
         assert status == 202, "in-quota tenant was rejected"
         assert accepted == 2 and rejected == len(specs) - 2, (
             f"burst 2: accepted {accepted}, rejected {rejected}")
@@ -219,16 +201,6 @@ def main() -> int:
               "tenant unaffected", flush=True)
 
         doc["shard_version"] = registry.version
-    finally:
-        if quota_gateway is not None:
-            quota_gateway.shutdown()
-            quota_gateway.server_close()
-        gateway.shutdown()
-        gateway.server_close()
-        thread.join(timeout=5.0)
-        registry.stop()
-        for node in nodes:
-            node.kill()
 
     os.makedirs(OUT_DIR, exist_ok=True)
     with open(BENCH_PATH, "w") as f:

@@ -30,7 +30,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-import threading
 import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -47,30 +46,18 @@ CELLS = 2 * GRID ** 3  # the served geometry is Grid(2n, n, n)
 
 
 def _request(method, url, payload=None):
-    import urllib.error
-    import urllib.request
+    from repro.fleet.router import http_request
 
-    data = None if payload is None else json.dumps(payload).encode()
-    req = urllib.request.Request(
-        url, data=data, method=method,
-        headers={"Content-Type": "application/json"})
-    try:
-        with urllib.request.urlopen(req, timeout=60.0) as resp:
-            return resp.status, json.loads(resp.read() or b"{}")
-    except urllib.error.HTTPError as e:
-        return e.code, json.loads(e.read() or b"{}")
+    status, doc, _ = http_request(method, url, payload=payload, timeout=60.0)
+    return status, doc
 
 
-def _poll(base, job_id, timeout=300.0):
-    deadline = time.monotonic() + timeout
-    while True:
-        status, doc = _request("GET", f"{base}/jobs/{job_id}")
-        assert status == 200, f"poll {job_id[:12]}: HTTP {status} {doc}"
-        if doc["state"] in ("done", "failed", "cancelled"):
-            assert doc["state"] == "done", f"{job_id[:12]} {doc['state']}"
-            return doc
-        assert time.monotonic() < deadline, f"job stuck {doc['state']}"
-        time.sleep(0.1)
+def _poll(base, job_id):
+    from repro.fleet.router import poll_job
+
+    doc = poll_job(base, job_id, timeout=300.0, strict=True)
+    assert doc["state"] == "done", f"{job_id[:12]} {doc['state']}"
+    return doc
 
 
 def _fleet_executed(base) -> int:
@@ -100,7 +87,7 @@ def _assert_points_identical(got: dict, clean: dict, label: str) -> None:
 
 def main() -> int:
     from repro import telemetry
-    from repro.fleet import NodeRegistry, make_gateway, spawn_local_fleet
+    from repro.fleet import gateway_over, spawn_local_fleet
     from repro.service import run_job
 
     telemetry.enable()
@@ -112,20 +99,13 @@ def main() -> int:
           f"{len(WAVELENGTHS)} wavelengths "
           f"({len(THICKNESSES) * len(WAVELENGTHS)} points)", flush=True)
 
-    nodes = spawn_local_fleet(3, workers=2, mode="thread")
-    registry = NodeRegistry([n.url for n in nodes], dead_after=1,
-                            timeout_s=10.0, interval_s=0.5)
-    registry.check_once()
-    gateway = make_gateway(registry)
-    thread = threading.Thread(target=gateway.serve_forever, daemon=True)
-    thread.start()
-    base = f"http://127.0.0.1:{gateway.server_port}"
-    registry.start()
-    print(f"fleet smoke: 3 nodes behind gateway {base} "
-          f"(shard map v{registry.version})", flush=True)
-
     rows = []
-    try:
+    with gateway_over(spawn_local_fleet(3, workers=2, mode="thread"),
+                      heartbeat_s=0.5) as fl:
+        base, registry, nodes = fl.base, fl.registry, fl.nodes
+        print(f"fleet smoke: 3 nodes behind gateway {base} "
+              f"(shard map v{registry.version})", flush=True)
+
         # Phase 1: the first thickness, all nodes healthy.
         first, second = specs
         t0 = time.perf_counter()
@@ -204,13 +184,6 @@ def main() -> int:
         failovers = telemetry.METRICS.get_value("fleet_failovers_total")
         _, health = _request("GET", f"{base}/healthz")
         assert health["alive"] == 2 and health["ok"], health
-    finally:
-        gateway.shutdown()
-        gateway.server_close()
-        thread.join(timeout=5.0)
-        registry.stop()
-        for node in nodes:
-            node.kill()
 
     os.makedirs(OUT_DIR, exist_ok=True)
     doc = {

@@ -15,7 +15,7 @@ Fourteen subcommands cover the library's workflows::
     repro tail     <job-id> --url http://127.0.0.1:8642
     repro top      --url http://127.0.0.1:8642
     repro fleet    serve --spawn 3 --port 8640
-    repro chaos    --scenario crash-resume --seed 7
+    repro chaos    --seed 7 [--scenario NAME]
     repro env
 
 ``repro fleet`` is the multi-node tier: ``fleet serve`` runs a
@@ -29,11 +29,10 @@ a stdlib HTTP JSON API.  ``repro serve`` shuts down gracefully on
 SIGTERM/SIGINT: it stops accepting requests, drains in-flight jobs
 (bounded by ``REPRO_DRAIN_TIMEOUT``), spools still-queued jobs to
 ``REPRO_QUEUE_FILE`` for the next process, and exits 0.  ``repro
-chaos`` drives the deterministic fault-injection harness
-(:mod:`repro.resilience`) end to end: it kills a worker mid-solve and
-proves the checkpoint resume is bit-identical, and corrupts persisted
-artifacts and proves they quarantine + recompute.  ``repro env``
-documents every ``REPRO_*`` environment flag.
+chaos`` runs the seeded scenario table of
+:mod:`repro.resilience.scenarios` (worker, rank and node kills,
+corrupted artifacts) and reports, per scenario, which named invariants
+held.  ``repro env`` documents every ``REPRO_*`` environment flag.
 
 Observability switches:
 
@@ -75,6 +74,7 @@ def package_version() -> str:
 
 def build_parser() -> argparse.ArgumentParser:
     from .fdfd.presets import PRESETS
+    from .resilience.scenarios import SCENARIOS
 
     p = argparse.ArgumentParser(
         prog="repro",
@@ -211,18 +211,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     ch = sub.add_parser(
         "chaos",
-        help="drive the fault-injection harness (crash/resume, corruption)",
+        help="run the seeded chaos scenario table (worker, node and "
+             "artifact faults)",
     )
-    ch.add_argument("--scenario",
-                    choices=("crash-resume", "batch-resume", "rank-crash",
-                             "node-crash", "node-reboot-warm",
-                             "replica-promote", "corrupt-registry",
-                             "corrupt-store", "all"),
+    ch.add_argument("--scenario", choices=[*SCENARIOS, "all"],
                     default="all")
     ch.add_argument("--seed", type=int, default=0,
-                    help="derives the injection point (crash-resume)")
+                    help="derives the injection point and the victim")
     ch.add_argument("--grid", type=int, default=12,
-                    help="solve grid for the crash-resume scenario")
+                    help="solve grid of the crash and fleet scenarios")
     ch.add_argument("--list-sites", action="store_true",
                     help="print the named injection sites and exit")
 
@@ -712,39 +709,6 @@ def _spec_from_args(args, wavelength=None, thickness=None) -> dict:
     return spec
 
 
-def _http_json(method: str, url: str, payload=None, timeout: float = 30.0):
-    """One JSON request/response round trip (stdlib urllib)."""
-    import json
-    import urllib.error
-    import urllib.request
-
-    data = None if payload is None else json.dumps(payload).encode()
-    req = urllib.request.Request(
-        url, data=data, method=method,
-        headers={"Content-Type": "application/json"},
-    )
-    try:
-        with urllib.request.urlopen(req, timeout=timeout) as resp:
-            return resp.status, json.loads(resp.read() or b"{}")
-    except urllib.error.HTTPError as e:
-        return e.code, json.loads(e.read() or b"{}")
-
-
-def _poll_job(url: str, job_id: str, timeout: float) -> dict:
-    import time
-
-    from .service.jobs import JobState
-
-    deadline = time.monotonic() + timeout
-    while True:
-        status, doc = _http_json("GET", f"{url}/jobs/{job_id}")
-        if status == 200 and doc["state"] in JobState.TERMINAL:
-            return doc
-        if time.monotonic() > deadline:
-            raise TimeoutError(f"job {job_id} still {doc.get('state')!r}")
-        time.sleep(0.15)
-
-
 def _cmd_serve(args) -> int:
     import os
     import signal
@@ -920,10 +884,12 @@ def _cmd_fleet_status(args) -> int:
     does not answer is shown as DOWN rather than failing the command."""
     import json as _json
 
+    from .fleet.router import http_request
+
     def _probe(url: str):
         try:
-            status, doc = _http_json("GET", f"{url}/healthz",
-                                     timeout=args.timeout)
+            status, doc, _ = http_request("GET", f"{url}/healthz",
+                                          timeout=args.timeout)
         except Exception as exc:  # noqa: BLE001 - a dead probe is data
             return {"ok": False, "error": str(exc) or type(exc).__name__}
         if status != 200:
@@ -1007,11 +973,12 @@ def _print_job_result(doc: dict) -> None:
 
 
 def _cmd_submit(args) -> int:
+    from .fleet.router import http_request, poll_job
     from .service.jobs import JobSpec, JobState
 
     spec = dict(_spec_from_args(args), priority=args.priority)
     JobSpec.from_dict(spec)  # validate locally before the round trip
-    status, doc = _http_json("POST", f"{args.url}/jobs", payload=spec)
+    status, doc, _ = http_request("POST", f"{args.url}/jobs", payload=spec)
     if status == 503:
         print(f"rejected (backpressure): {doc.get('error')}")
         return 3
@@ -1023,7 +990,7 @@ def _cmd_submit(args) -> int:
     print(f"job {doc['id']} {doc['state']}{dedup}{cached}")
     if not args.wait:
         return 0
-    doc = _poll_job(args.url, doc["id"], args.timeout)
+    doc = poll_job(args.url, doc["id"], args.timeout)
     print(f"job {doc['id']} {doc['state']} after {doc['attempts']} attempt(s)")
     _print_job_result(doc)
     return 0 if doc["state"] == JobState.DONE else 2
@@ -1084,6 +1051,7 @@ def _cmd_campaign(args) -> int:
     case) through the scheduler, reusing one tuned plan per machine key."""
     from . import config
     from .core import tracing
+    from .fleet.router import http_request, poll_job
     from .service import PlanRegistry, Scheduler
     from .service.jobs import JobSpec, JobState
 
@@ -1097,13 +1065,13 @@ def _cmd_campaign(args) -> int:
             if args.url:
                 ids = []
                 for spec in specs:
-                    status, doc = _http_json("POST", f"{args.url}/jobs",
-                                             payload=spec)
+                    status, doc, _ = http_request(
+                        "POST", f"{args.url}/jobs", payload=spec)
                     if status != 202:
                         print(f"submit failed ({status}): {doc.get('error')}")
                         return 2
                     ids.append(doc["id"])
-                docs = [_poll_job(args.url, i, args.timeout) for i in ids]
+                docs = [poll_job(args.url, i, args.timeout) for i in ids]
                 status_line = f"remote service at {args.url}"
             else:
                 registry = PlanRegistry(args.registry or config.registry_dir())
@@ -1306,13 +1274,16 @@ def _cmd_top(args) -> int:
     """One-shot snapshot of a running service (queue, rates, jobs)."""
     import json as _json
 
-    status, metrics = _http_json("GET", f"{args.url}/metrics?format=json")
+    from .fleet.router import http_request
+
+    status, metrics, _ = http_request("GET",
+                                      f"{args.url}/metrics?format=json")
     if status != 200:
         print(f"top failed ({status}): {metrics.get('error')}")
         return 2
-    _, jobs_doc = _http_json("GET", f"{args.url}/jobs")
+    _, jobs_doc, _ = http_request("GET", f"{args.url}/jobs")
     jobs = jobs_doc.get("jobs") or []
-    health_status, health = _http_json("GET", f"{args.url}/healthz")
+    health_status, health, _ = http_request("GET", f"{args.url}/healthz")
     if health_status != 200:
         health = {}
     if args.json:
@@ -1424,577 +1395,29 @@ def _cmd_cluster(args) -> int:
     return 0
 
 
-def _patched_env(**updates):
-    """Context manager: set/unset env vars (None = unset), restoring on
-    exit -- the chaos scenarios must not leak schedules into the shell."""
-    import os
-    from contextlib import contextmanager
-
-    @contextmanager
-    def _cm():
-        old = {k: os.environ.get(k) for k in updates}
-        try:
-            for k, v in updates.items():
-                if v is None:
-                    os.environ.pop(k, None)
-                else:
-                    os.environ[k] = v
-            yield
-        finally:
-            for k, v in old.items():
-                if v is None:
-                    os.environ.pop(k, None)
-                else:
-                    os.environ[k] = v
-
-    return _cm()
-
-
-def _chaos_crash_resume(seed: int, grid: int):
-    """Kill a forked worker at a seeded sweep; prove the retry resumes
-    from the checkpoint and lands on a bit-identical result."""
-    import tempfile
-
-    from .resilience import FaultPlan
-    from .service import Scheduler
-    from .service.jobs import JobSpec, JobState, run_job
-
-    # tol is unreachably tight, so the solve deterministically runs all
-    # 240 sweeps: 12 convergence checks at the fixed cadence of 20.
-    spec = JobSpec(kind="solve", preset="absorber", grid=grid, tol=1e-12,
-                   max_steps=240, max_retries=2)
-    neutral = dict(REPRO_FAULTS=None, REPRO_CHECKPOINT_EVERY=None,
-                   REPRO_CHECKPOINT_DIR=None)
-    with _patched_env(**neutral):
-        clean = run_job(spec)
-
-    plan = FaultPlan.seeded(seed, "solver.sweep", "crash", max_after=12)
-    ckpt_dir = tempfile.mkdtemp(prefix="repro-chaos-ckpt-")
-    print(f"  fault schedule: {plan.env_value()} (seed {seed})")
-    with _patched_env(REPRO_FAULTS=plan.env_value(),
-                      REPRO_CHECKPOINT_EVERY="40",
-                      REPRO_CHECKPOINT_DIR=None):
-        sched = Scheduler(workers=1, mode="process",
-                          checkpoint_dir=ckpt_dir).start()
-        try:
-            job = sched.submit(spec)
-            sched.wait(job.id, timeout=300.0)
-        finally:
-            sched.stop()
-    crashed = sched.n_crashes
-    detail = {"seed": seed, "schedule": plan.env_value(), "crashes": crashed,
-              "attempts": job.attempts, "resumed_from": job.resumed_from,
-              "state": job.state}
-    print(f"  worker crashes: {crashed}, attempts: {job.attempts}, "
-          f"resumed from sweep: {job.resumed_from}")
-    if job.state != JobState.DONE:
-        print(f"  job ended {job.state}: {job.error}")
-        return False, dict(detail, error=job.error)
-    if job.result != clean:
-        print("  MISMATCH: resumed result differs from the clean run")
-        return False, dict(detail, bit_identical=False)
-    print("  resumed result is bit-identical to the uninterrupted run "
-          f"(checksum {clean['checksum'][:16]}...)")
-    return crashed >= 1, dict(detail, bit_identical=True,
-                              checksum=clean["checksum"])
-
-
-def _chaos_batch_resume(seed: int, grid: int):
-    """Kill a forked worker mid-way through a batched campaign job; prove
-    the retry resumes the whole batch (per-point convergence state
-    included) from its checkpoint and every per-point result fans out
-    bit-identically to an uninterrupted run."""
-    import tempfile
-
-    from .resilience import FaultPlan
-    from .service import Scheduler
-    from .service.jobs import JobSpec, JobState, run_job
-
-    # Same unreachable-tol setup as crash-resume: all three lanes
-    # deterministically run the full 240 sweeps (12 checks at cadence 20).
-    spec = JobSpec(kind="batch", preset="absorber", grid=grid, tol=1e-12,
-                   max_steps=240, max_retries=2,
-                   wavelengths=(10.0, 12.0, 14.0))
-    neutral = dict(REPRO_FAULTS=None, REPRO_CHECKPOINT_EVERY=None,
-                   REPRO_CHECKPOINT_DIR=None)
-    with _patched_env(**neutral):
-        clean = run_job(spec)
-
-    plan = FaultPlan.seeded(seed, "solver.sweep", "crash", max_after=12)
-    ckpt_dir = tempfile.mkdtemp(prefix="repro-chaos-ckpt-")
-    print(f"  fault schedule: {plan.env_value()} (seed {seed})")
-    with _patched_env(REPRO_FAULTS=plan.env_value(),
-                      REPRO_CHECKPOINT_EVERY="40",
-                      REPRO_CHECKPOINT_DIR=None):
-        sched = Scheduler(workers=1, mode="process",
-                          checkpoint_dir=ckpt_dir).start()
-        try:
-            job = sched.submit(spec)
-            sched.wait(job.id, timeout=600.0)
-        finally:
-            sched.stop()
-    crashed = sched.n_crashes
-    detail = {"seed": seed, "schedule": plan.env_value(), "crashes": crashed,
-              "attempts": job.attempts, "resumed_from": job.resumed_from,
-              "state": job.state}
-    print(f"  worker crashes: {crashed}, attempts: {job.attempts}, "
-          f"resumed from sweep: {job.resumed_from}")
-    if job.state != JobState.DONE:
-        print(f"  job ended {job.state}: {job.error}")
-        return False, dict(detail, error=job.error)
-    if job.result != clean:
-        print("  MISMATCH: resumed batch result differs from the clean run")
-        return False, dict(detail, bit_identical=False)
-    for point in job.result["points"]:
-        if sched.store.get(point["id"]) != point["result"]:
-            print(f"  MISMATCH: fanned-out point {point['wavelength']} "
-                  f"differs from the batch result")
-            return False, dict(detail, bit_identical=False,
-                               bad_point=point["wavelength"])
-    print(f"  all {len(job.result['points'])} per-point results fanned out "
-          "bit-identically after the resume")
-    return crashed >= 1, dict(detail, bit_identical=True,
-                              points=len(job.result["points"]))
-
-
-def _chaos_rank_crash(seed: int, grid: int):
-    """Kill ONE rank process of a distributed solve at a seeded sweep
-    block; prove the scheduler retry restores every rank's slab from the
-    group checkpoint and lands on a result bit-identical to both the
-    uninterrupted distributed run and the single-domain solve."""
-    import tempfile
-
-    from .resilience import FaultPlan
-    from .service import Scheduler
-    from .service.jobs import JobSpec, JobState, run_job
-
-    # Unreachable tol again: deterministically 240 sweeps in 12 blocks.
-    spec = JobSpec(kind="distributed", preset="absorber", grid=grid,
-                   tol=1e-12, max_steps=240, max_retries=2, ranks="2x1x1",
-                   tiled=False)
-    target = seed % 2  # which of the two ranks the fault kills
-    neutral = dict(REPRO_FAULTS=None, REPRO_CHECKPOINT_EVERY=None,
-                   REPRO_CHECKPOINT_DIR=None)
-    with _patched_env(**neutral):
-        clean = run_job(spec)
-        scalar = run_job(spec.single_domain_spec())
-    if clean != scalar:
-        print("  MISMATCH: distributed result differs from the "
-              "single-domain solve before any fault was injected")
-        return False, {"seed": seed, "distributed_matches_scalar": False}
-
-    plan = FaultPlan.seeded(seed, f"cluster.rank.{target}", "crash",
-                            max_after=12)
-    ckpt_dir = tempfile.mkdtemp(prefix="repro-chaos-ckpt-")
-    print(f"  fault schedule: {plan.env_value()} (seed {seed}, "
-          f"kills rank {target})")
-    with _patched_env(REPRO_FAULTS=plan.env_value(),
-                      REPRO_CHECKPOINT_EVERY="40",
-                      REPRO_CHECKPOINT_DIR=None):
-        sched = Scheduler(workers=1, mode="process",
-                          checkpoint_dir=ckpt_dir).start()
-        try:
-            job = sched.submit(spec)
-            sched.wait(job.id, timeout=600.0)
-        finally:
-            sched.stop()
-    crashed = sched.n_crashes
-    detail = {"seed": seed, "schedule": plan.env_value(), "rank": target,
-              "crashes": crashed, "attempts": job.attempts,
-              "resumed_from": job.resumed_from, "state": job.state}
-    print(f"  rank crashes: {crashed}, attempts: {job.attempts}, "
-          f"resumed from sweep: {job.resumed_from}")
-    if job.state != JobState.DONE:
-        print(f"  job ended {job.state}: {job.error}")
-        return False, dict(detail, error=job.error)
-    if job.result != clean:
-        print("  MISMATCH: resumed result differs from the clean run")
-        return False, dict(detail, bit_identical=False)
-    print("  resumed result is bit-identical to the uninterrupted "
-          "distributed run AND the single-domain solve "
-          f"(checksum {clean['checksum'][:16]}...)")
-    return crashed >= 1, dict(detail, bit_identical=True,
-                              distributed_matches_scalar=True,
-                              checksum=clean["checksum"])
-
-
-def _chaos_node_crash(seed: int, grid: int):
-    """SIGKILL one node of a live 3-node fleet mid-campaign; prove the
-    gateway fails the victim's shard over to the replica, bumps the
-    shard-map version, and every point of the campaign completes with a
-    result bit-identical to a direct single-node run -- exactly once per
-    unique spec (content-addressed ids + store dedup)."""
-    import threading
-    import time
-
-    from . import telemetry
-    from .fleet import DEAD, NodeRegistry, make_gateway, spawn_local_fleet
-    from .service.jobs import JobSpec, run_job
-
-    telemetry.enable()
-    wavelengths = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0]
-    base = dict(kind="solve", preset="vacuum", grid=grid, tol=1e-4,
-                max_steps=20)
-    specs = [JobSpec.from_dict(dict(base, wavelength=w))
-             for w in wavelengths]
-    neutral = dict(REPRO_FAULTS=None, REPRO_CHECKPOINT_EVERY=None,
-                   REPRO_CHECKPOINT_DIR=None)
-    with _patched_env(**neutral):
-        clean = {s.job_id: run_job(s) for s in specs}
-        nodes = spawn_local_fleet(3, workers=1, mode="thread")
-    registry = NodeRegistry([n.url for n in nodes], dead_after=1,
-                            timeout_s=10.0, interval_s=0.5)
-    registry.check_once()
-    gateway = make_gateway(registry, port=0, node_timeout_s=60.0)
-    gw_thread = threading.Thread(target=gateway.serve_forever, daemon=True)
-    gw_thread.start()
-    base_url = f"http://127.0.0.1:{gateway.server_port}"
-    try:
-        # The victim is the home node of a seeded campaign point, so the
-        # kill provably lands on a shard with in-flight ownership.
-        chosen = specs[seed % len(specs)]
-        victim_url = gateway.router.home(chosen.job_id)
-        victim = next(n for n in nodes if n.url == victim_url)
-        v0 = registry.version
-        telemetry.fleet_failovers()  # create the series before reading it
-        failovers0 = telemetry.METRICS.get_value("fleet_failovers_total")
-
-        # First half of the campaign lands while all 3 nodes are up.
-        first, second = specs[: len(specs) // 2], specs[len(specs) // 2:]
-        for s in first:
-            status, doc = _http_json("POST", f"{base_url}/jobs",
-                                     payload=s.to_dict())
-            assert status == 202, f"submit failed: {status} {doc}"
-        for s in first:
-            _poll_job(base_url, s.job_id, timeout=120.0)
-
-        victim.kill()  # SIGKILL mid-campaign: no drain, state gone
-        print(f"  killed {victim.node_id} ({victim_url}) "
-              f"mid-campaign (seed {seed})")
-
-        for s in second:
-            status, doc = _http_json("POST", f"{base_url}/jobs",
-                                     payload=s.to_dict())
-            assert status == 202, f"submit failed: {status} {doc}"
-        docs = {s.job_id: _poll_job(base_url, s.job_id, timeout=120.0)
-                for s in specs}
-    finally:
-        gateway.shutdown()
-        gateway.server_close()
-        registry.stop()
-        for n in nodes:
-            n.kill()
-
-    mismatched = [jid for jid, doc in docs.items()
-                  if doc.get("result") != clean[jid]]
-    failovers = (telemetry.METRICS.get_value("fleet_failovers_total")
-                 - failovers0)
-    v1 = registry.version
-    victim_state = registry.node(victim_url).state
-    detail = {"seed": seed, "victim": victim.node_id,
-              "points": len(specs), "failovers": failovers,
-              "shard_version": [v0, v1], "victim_state": victim_state,
-              "mismatched": len(mismatched)}
-    if mismatched:
-        print(f"  MISMATCH: {len(mismatched)} point(s) differ from the "
-              "direct single-node run")
-        return False, dict(detail, bit_identical=False)
-    if victim_state != DEAD or v1 <= v0:
-        print("  the kill never bumped the shard map "
-              f"(v{v0} -> v{v1}, victim {victim_state})")
-        return False, dict(detail, bit_identical=True)
-    if failovers < 1:
-        print("  no failover was recorded despite the dead home node")
-        return False, dict(detail, bit_identical=True)
-    print(f"  all {len(specs)} campaign points bit-identical through the "
-          f"gateway; {failovers} failover(s), shard map v{v0} -> v{v1}")
-    return True, dict(detail, bit_identical=True)
-
-
-def _node_metrics(url: str) -> dict:
-    """One node's JSON metrics rollup (scheduler/store counters)."""
-    status, doc = _http_json("GET", f"{url}/metrics?format=json")
-    assert status == 200, f"metrics probe failed: {status} {doc}"
-    return doc
-
-
-def _chaos_node_reboot_warm(seed: int, grid: int):
-    """SIGKILL a node mid-campaign, restart it against the same
-    ``REPRO_DATA_DIR``; prove the campaign completes with ZERO re-solves
-    of already-committed points (the reboot is warm: the persistent
-    store answers them) and every result stays bit-identical."""
-    import tempfile
-    import threading
-
-    from . import telemetry
-    from .fleet import (ALIVE, DEAD, NodeRegistry, make_gateway,
-                        respawn_node, spawn_local_fleet)
-    from .service.jobs import JobSpec, run_job
-
-    telemetry.enable()
-    wavelengths = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0]
-    base = dict(kind="solve", preset="vacuum", grid=grid, tol=1e-4,
-                max_steps=20)
-    specs = [JobSpec.from_dict(dict(base, wavelength=w))
-             for w in wavelengths]
-    first, second = specs[: len(specs) // 2], specs[len(specs) // 2:]
-    data_root = tempfile.mkdtemp(prefix="repro-chaos-data-")
-    neutral = dict(REPRO_FAULTS=None, REPRO_CHECKPOINT_EVERY=None,
-                   REPRO_CHECKPOINT_DIR=None)
-    with _patched_env(**neutral):
-        clean = {s.job_id: run_job(s) for s in specs}
-        nodes = spawn_local_fleet(2, workers=1, mode="thread",
-                                  data_root=data_root)
-    registry = NodeRegistry([n.url for n in nodes], dead_after=1,
-                            timeout_s=10.0, interval_s=3600.0)
-    registry.check_once()
-    gateway = make_gateway(registry, port=0, node_timeout_s=60.0)
-    gw_thread = threading.Thread(target=gateway.serve_forever, daemon=True)
-    gw_thread.start()
-    base_url = f"http://127.0.0.1:{gateway.server_port}"
-    try:
-        # The victim is the home of a seeded FIRST-half point, so the
-        # reboot provably lands on a node holding committed state.
-        chosen = first[seed % len(first)]
-        victim_url = gateway.router.home(chosen.job_id)
-        victim = next(n for n in nodes if n.url == victim_url)
-
-        for s in first:
-            status, doc = _http_json("POST", f"{base_url}/jobs",
-                                     payload=s.to_dict())
-            assert status == 202, f"submit failed: {status} {doc}"
-        for s in first:
-            _poll_job(base_url, s.job_id, timeout=120.0)
-
-        victim.kill()  # SIGKILL: no drain, in-memory state gone
-        registry.check_once()
-        dead_state = registry.node(victim_url).state
-        print(f"  killed {victim.node_id} ({victim_url}) after "
-              f"{len(first)} committed point(s) (seed {seed})")
-
-        with _patched_env(**neutral):
-            reborn = respawn_node(victim)
-        nodes = [reborn if n is victim else n for n in nodes]
-        registry.check_once()
-        revived_state = registry.node(victim_url).state
-        print(f"  respawned {reborn.node_id} on the same port against "
-              f"{data_root}")
-
-        for s in second:
-            status, doc = _http_json("POST", f"{base_url}/jobs",
-                                     payload=s.to_dict())
-            assert status == 202, f"submit failed: {status} {doc}"
-        docs = {s.job_id: _poll_job(base_url, s.job_id, timeout=120.0)
-                for s in specs}
-        victim_metrics = _node_metrics(victim_url)
-        executed = victim_metrics["scheduler"]["executed"]
-        store_counters = victim_metrics["store"]
-    finally:
-        gateway.shutdown()
-        gateway.server_close()
-        registry.stop()
-        for n in nodes:
-            n.kill()
-
-    mismatched = [jid for jid, doc in docs.items()
-                  if doc.get("result") != clean[jid]]
-    # The respawned node may only ever execute SECOND-half points homed
-    # on it: every committed first-half point must come back warm.
-    expected_executed = sum(
-        1 for s in second
-        if gateway.router.home(s.job_id) == victim_url)
-    warm = [jid for jid, doc in docs.items()
-            if doc.get("from_store")
-            and gateway.router.home(jid) == victim_url]
-    detail = {"seed": seed, "victim": victim.node_id,
-              "points": len(specs), "mismatched": len(mismatched),
-              "dead_state": dead_state, "revived_state": revived_state,
-              "executed_after_reboot": executed,
-              "expected_executed": expected_executed,
-              "warm_reads": len(warm),
-              "store_hits": store_counters.get("hits")}
-    if mismatched:
-        print(f"  MISMATCH: {len(mismatched)} point(s) differ from the "
-              "direct single-node run")
-        return False, dict(detail, bit_identical=False)
-    if dead_state != DEAD or revived_state != ALIVE:
-        print(f"  membership never tracked the reboot "
-              f"(kill -> {dead_state}, respawn -> {revived_state})")
-        return False, dict(detail, bit_identical=True)
-    if executed > expected_executed:
-        print(f"  RE-SOLVE: the rebooted node executed {executed} job(s), "
-              f"expected {expected_executed} (committed points must come "
-              "back from its persistent store)")
-        return False, dict(detail, bit_identical=True)
-    print(f"  all {len(specs)} points bit-identical; rebooted node "
-          f"re-solved nothing ({executed}/{expected_executed} fresh "
-          f"second-half job(s) executed, {len(warm)} warm read(s))")
-    return True, dict(detail, bit_identical=True)
-
-
-def _chaos_replica_promote(seed: int, grid: int):
-    """Kill the owner AFTER its result was replicated; prove the gateway
-    serves the read from the replica's store -- no recompute, witnessed
-    by the replica's solve counters -- and the shard-map version bumps
-    exactly once for the death."""
-    import threading
-
-    from . import telemetry
-    from .fleet import NodeRegistry, make_gateway, spawn_local_fleet
-    from .service.jobs import JobSpec, run_job
-
-    telemetry.enable()
-    wavelengths = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0]
-    spec = JobSpec(kind="solve", preset="vacuum", grid=grid,
-                   wavelength=wavelengths[seed % len(wavelengths)],
-                   tol=1e-4, max_steps=20)
-    neutral = dict(REPRO_FAULTS=None, REPRO_CHECKPOINT_EVERY=None,
-                   REPRO_CHECKPOINT_DIR=None)
-    with _patched_env(**neutral):
-        clean = run_job(spec)
-        nodes = spawn_local_fleet(3, workers=1, mode="thread")
-    registry = NodeRegistry([n.url for n in nodes], dead_after=1,
-                            timeout_s=10.0, interval_s=3600.0)
-    registry.check_once()
-    gateway = make_gateway(registry, port=0, node_timeout_s=60.0)
-    gw_thread = threading.Thread(target=gateway.serve_forever, daemon=True)
-    gw_thread.start()
-    base_url = f"http://127.0.0.1:{gateway.server_port}"
-    try:
-        owner_url, replica_url = gateway.router.candidates(spec.job_id)[:2]
-        owner = next(n for n in nodes if n.url == owner_url)
-        telemetry.fleet_replications()  # create the series before reading
-        repl0 = telemetry.METRICS.get_value(
-            "fleet_replications_total", labels=("ok",))
-
-        status, doc = _http_json("POST", f"{base_url}/jobs",
-                                 payload=spec.to_dict())
-        assert status == 202, f"submit failed: {status} {doc}"
-        _poll_job(base_url, spec.job_id, timeout=120.0)
-        # The done-poll above pushed the result to the replica.
-        replications = telemetry.METRICS.get_value(
-            "fleet_replications_total", labels=("ok",)) - repl0
-        replica_before = _node_metrics(replica_url)
-        v0 = registry.version
-
-        owner.kill()  # the computing node dies AFTER replication
-        print(f"  killed owner {owner.node_id} ({owner_url}) after "
-              f"{replications:g} replication(s) (seed {seed})")
-
-        status, doc = _http_json("GET", f"{base_url}/jobs/{spec.job_id}")
-        replica_after = _node_metrics(replica_url)
-        v1 = registry.version
-    finally:
-        gateway.shutdown()
-        gateway.server_close()
-        registry.stop()
-        for n in nodes:
-            n.kill()
-
-    executed_delta = (replica_after["scheduler"]["executed"]
-                      - replica_before["scheduler"]["executed"])
-    detail = {"seed": seed, "owner": owner.node_id,
-              "replications": replications,
-              "replica_puts": replica_before["store"].get("replica_puts"),
-              "status_after_kill": status,
-              "replica_executed_delta": executed_delta,
-              "shard_version": [v0, v1]}
-    if replications < 1 or not replica_before["store"].get("replica_puts"):
-        print("  the result was never replicated to the ring's replica")
-        return False, dict(detail, replicated=False)
-    if status != 200 or doc.get("result") != clean:
-        print(f"  promoted read failed: HTTP {status}, "
-              f"bit_identical={doc.get('result') == clean}")
-        return False, dict(detail, replicated=True, bit_identical=False)
-    if executed_delta != 0:
-        print(f"  RECOMPUTE: the replica executed {executed_delta} job(s) "
-              "serving the promoted read")
-        return False, dict(detail, replicated=True, bit_identical=True)
-    if v1 != v0 + 1:
-        print(f"  expected exactly one shard-map bump for the death "
-              f"(v{v0} -> v{v1})")
-        return False, dict(detail, replicated=True, bit_identical=True)
-    print(f"  replica served the read from its store bit-identically "
-          f"(0 re-solves, from_store={doc.get('from_store')}, "
-          f"shard map v{v0} -> v{v1})")
-    return True, dict(detail, replicated=True, bit_identical=True,
-                      from_store=bool(doc.get("from_store")))
-
-
-def _chaos_corrupt(which: str):
-    """Scribble over a persisted artifact; prove it quarantines to
-    ``*.corrupt`` and the recomputed result is identical."""
-    import glob
-    import os
-    import tempfile
-
-    from .ioutil import corrupt_file
-    from .service import PlanRegistry, ResultStore
-    from .service.jobs import JobSpec, run_job
-
-    root = tempfile.mkdtemp(prefix=f"repro-chaos-{which}-")
-    with _patched_env(REPRO_FAULTS=None):
-        if which == "registry":
-            spec = JobSpec(kind="tune", grid=8, threads=2)
-            first = run_job(spec, registry=PlanRegistry(root))
-            [path] = glob.glob(os.path.join(root, "plan-*.json"))
-            corrupt_file(path)
-            again = run_job(spec, registry=PlanRegistry(root))
-        else:
-            spec = JobSpec(kind="solve", preset="vacuum", grid=10,
-                           wavelength=10.0, tol=1e-4, max_steps=20)
-            first = run_job(spec)
-            ResultStore(root).put(spec.job_id, first)
-            [path] = glob.glob(os.path.join(root, "result-*.json"))
-            corrupt_file(path)
-            fresh = ResultStore(root)
-            if fresh.get(spec.job_id) is not None:
-                print("  corrupt entry was served instead of quarantined")
-                return False, {"which": which, "quarantined": False,
-                               "served_corrupt": True}
-            again = run_job(spec)
-    detail = {"which": which, "artifact": os.path.basename(path)}
-    if not os.path.exists(path + ".corrupt"):
-        print(f"  {os.path.basename(path)} was not quarantined")
-        return False, dict(detail, quarantined=False)
-    if first != again:
-        print("  MISMATCH: recomputed result differs")
-        return False, dict(detail, quarantined=True, bit_identical=False)
-    print(f"  {os.path.basename(path)} quarantined -> *.corrupt; "
-          f"recomputed result identical")
-    return True, dict(detail, quarantined=True, bit_identical=True)
-
-
 def _cmd_chaos(args) -> int:
+    """Run rows of :data:`repro.resilience.scenarios.SCENARIOS`: one
+    machine-readable ``CHAOS {...}`` line per scenario, then one
+    ``CHAOS-SUMMARY {...}`` line (CI greps both)."""
     import json
 
-    from .resilience import faults
+    from .resilience import faults, scenarios
 
     if args.list_sites:
         for site in faults.SITES:
             print(site)
         return 0
-    scenarios = {
-        "crash-resume": lambda: _chaos_crash_resume(args.seed, args.grid),
-        "batch-resume": lambda: _chaos_batch_resume(args.seed, args.grid),
-        "rank-crash": lambda: _chaos_rank_crash(args.seed, args.grid),
-        "node-crash": lambda: _chaos_node_crash(args.seed, args.grid),
-        "node-reboot-warm": lambda: _chaos_node_reboot_warm(args.seed,
-                                                            args.grid),
-        "replica-promote": lambda: _chaos_replica_promote(args.seed,
-                                                          args.grid),
-        "corrupt-registry": lambda: _chaos_corrupt("registry"),
-        "corrupt-store": lambda: _chaos_corrupt("store"),
-    }
-    names = list(scenarios) if args.scenario == "all" else [args.scenario]
+    table = scenarios.SCENARIOS
+    names = list(table) if args.scenario == "all" else [args.scenario]
     failed = []
     for name in names:
         print(f"chaos: {name}")
-        ok, detail = scenarios[name]()
+        ok, detail = scenarios.run(table[name], seed=args.seed,
+                                   grid=args.grid,
+                                   say=lambda line: print(f"  {line}"))
         print(f"  {'PASS' if ok else 'FAIL'}")
-        # One machine-readable summary line per scenario (CI greps these).
         print("CHAOS " + json.dumps(
-            dict({"scenario": name, "ok": ok}, **detail), sort_keys=True))
+            dict(detail, scenario=name, ok=ok), sort_keys=True))
         if not ok:
             failed.append(name)
     print("CHAOS-SUMMARY " + json.dumps(

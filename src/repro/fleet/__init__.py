@@ -24,7 +24,8 @@ same home), and the gateway fails over to the replica when a node dies.
   batches, proxied event streams, write replication of completed
   results, fleet-level ``/metrics``/``/healthz``.
 * :mod:`~repro.fleet.local` -- spawn (and respawn, for warm-reboot
-  chaos) a real local N-node fleet for tests, chaos and benches.
+  chaos) a real local N-node fleet for tests, chaos and benches, and
+  put a registry + gateway thread in front of it (``gateway_over``).
 
 The contract that matters: any result fetched through the gateway is
 bit-identical to a direct single-node run of the same spec -- including
@@ -35,7 +36,7 @@ copy after the computing node died.
 from .admission import RetryBudget, TenantQuotas, TokenBucket
 from .gateway import FleetServer, make_gateway
 from .leases import LeaseHeartbeat, clear_lease, read_leases, write_lease
-from .local import LocalNode, respawn_node, spawn_local_fleet
+from .local import LocalNode, gateway_over, respawn_node, spawn_local_fleet
 from .nodes import ALIVE, DEAD, NodeInfo, NodeRegistry, ShardMap
 from .ring import HashRing
 from .router import Router
@@ -55,6 +56,7 @@ __all__ = [
     "TenantQuotas",
     "TokenBucket",
     "clear_lease",
+    "gateway_over",
     "make_gateway",
     "read_leases",
     "respawn_node",

@@ -1,8 +1,7 @@
 """Spawn a local N-node fleet: real ``repro serve`` processes.
 
 Used by ``repro fleet serve --spawn N`` / ``repro fleet spawn``, the
-fleet E2E tests, the node-crash chaos scenario and
-``benchmarks/smoke_fleet.py``.  Each node is a genuine subprocess
+fleet chaos scenarios and the fleet smokes.  Each node is a genuine subprocess
 running ``python -m repro serve --port 0`` (ephemeral port, parsed from
 the startup banner), so killing one is real node death: the socket
 refuses, the gateway's router fails over, and in-memory state is gone --
@@ -12,10 +11,13 @@ With ``data_root`` each node gets its own persistent data directory
 (``REPRO_DATA_DIR=<data_root>/node<i>``), which is what makes
 :func:`respawn_node` interesting: the replacement process rebinds the
 dead node's port and rejoins with its shard's results and tuned plans
-warm on disk -- the ``node-reboot-warm`` chaos scenario.  With
+warm on disk -- the warm-reboot chaos scenario.  With
 ``lease_dir`` every node heartbeats a lease file there, so a
 lease-driven :class:`~repro.fleet.nodes.NodeRegistry` discovers the
 fleet without any static ``--nodes`` list.
+
+:func:`gateway_over` is the other half of every local fleet: a registry
+and a gateway thread in front of the nodes, torn down with them.
 """
 
 from __future__ import annotations
@@ -26,9 +28,14 @@ import subprocess
 import sys
 import threading
 import time
-from typing import Dict, List, Optional
+from contextlib import ExitStack, contextmanager
+from types import SimpleNamespace
+from typing import Dict, Iterator, List, Optional
 
-__all__ = ["LocalNode", "spawn_local_fleet", "respawn_node"]
+from .gateway import make_gateway
+from .nodes import NodeRegistry
+
+__all__ = ["LocalNode", "gateway_over", "respawn_node", "spawn_local_fleet"]
 
 _BANNER = "repro service on "
 
@@ -162,6 +169,47 @@ def respawn_node(node: LocalNode,
         text=True, env=dict(node.env))
     url = _wait_for_banner(proc, startup_timeout_s)
     return LocalNode(proc, url, node.node_id, cmd=cmd, env=node.env)
+
+
+@contextmanager
+def gateway_over(nodes: list, *, heartbeat_s: Optional[float] = None,
+                 **gateway_kwargs) -> Iterator[SimpleNamespace]:
+    """A :class:`NodeRegistry` and a gateway thread in front of ``nodes``
+    (any objects with ``.url`` and ``.kill()``: :class:`LocalNode`
+    subprocesses, in-process test nodes) -> a namespace of ``base`` (the
+    gateway URL), ``registry``, ``gateway`` and ``nodes``.
+
+    Liveness is probed once up front and then only when the caller says
+    ``registry.check_once()``, so every transition is deterministic;
+    ``heartbeat_s`` starts the background heartbeat instead.  On exit,
+    pass or fail, the gateway and the registry stop and every member of
+    ``nodes`` is killed -- put a respawned node back into that list.
+    ``gateway_kwargs`` go to :func:`make_gateway`.
+    """
+    def kill_nodes() -> None:
+        for node in nodes:
+            node.kill()
+
+    with ExitStack() as stack:  # unwinds in reverse: gateway first
+        stack.callback(kill_nodes)
+        registry = NodeRegistry([n.url for n in nodes], dead_after=1,
+                                timeout_s=10.0,
+                                interval_s=heartbeat_s or 3600.0)
+        stack.callback(registry.stop)
+        registry.check_once()  # learn node ids before the first request
+        gateway = make_gateway(registry, **gateway_kwargs)
+        stack.callback(gateway.server_close)
+        # shutdown() waits out one poll interval: keep teardown short.
+        thread = threading.Thread(target=gateway.serve_forever,
+                                  kwargs={"poll_interval": 0.05}, daemon=True)
+        thread.start()
+        stack.callback(thread.join, timeout=5.0)
+        stack.callback(gateway.shutdown)
+        if heartbeat_s:
+            registry.start()
+        yield SimpleNamespace(
+            base=f"http://127.0.0.1:{gateway.server_port}",
+            registry=registry, gateway=gateway, nodes=nodes)
 
 
 def _wait_for_banner(proc: subprocess.Popen, timeout_s: float) -> str:

@@ -37,16 +37,18 @@ registry.
 from __future__ import annotations
 
 import json
+import time
 import urllib.error
 import urllib.request
 from typing import Dict, List, Optional, Tuple
 
 from .. import telemetry
 from ..resilience.errors import NodeUnavailable
+from ..service.jobs import JobState
 from .admission import RetryBudget
 from .nodes import ALIVE, NodeRegistry
 
-__all__ = ["Router", "http_request"]
+__all__ = ["Router", "http_request", "poll_job"]
 
 #: Connection-level failures that mean "this node is gone" (URLError
 #: covers refused/unreachable; OSError covers reset/timeout sockets).
@@ -81,6 +83,26 @@ def http_request(method: str, url: str,
         except ValueError:
             body = {"error": f"non-JSON {exc.code} response"}
         return exc.code, body, dict(exc.headers or {})
+
+
+def poll_job(url: str, job_id: str, timeout: float = 120.0,
+             strict: bool = False) -> dict:
+    """Poll ``GET <url>/jobs/<job_id>`` until the job is terminal -> its
+    document.  Any other answer is polled through (a client rides out a
+    503) and named by the ``TimeoutError`` -- unless ``strict``, where
+    the first non-200 raises: tests and smokes hold failover to be
+    *transparent*, no error status ever reaching the client."""
+    deadline = time.monotonic() + timeout
+    while True:
+        status, doc, _ = http_request("GET", f"{url}/jobs/{job_id}")
+        if status == 200 and doc["state"] in JobState.TERMINAL:
+            return doc
+        if strict and status != 200:
+            raise RuntimeError(f"poll {job_id[:12]}: HTTP {status} {doc}")
+        if time.monotonic() > deadline:
+            raise TimeoutError(f"job {job_id} still {doc.get('state')!r} "
+                               f"(HTTP {status}) after {timeout:g}s")
+        time.sleep(0.15)
 
 
 class Router:

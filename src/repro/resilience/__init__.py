@@ -2,7 +2,7 @@
 
 Long THIIM campaigns treat restartability and tolerance of partial
 failure as prerequisites for production use; this package is where that
-lives, in three cooperating pieces:
+lives, in three cooperating pieces and the table that attacks them:
 
 ``errors``
     The typed failure taxonomy (:class:`SolverDiverged`,
@@ -13,11 +13,15 @@ lives, in three cooperating pieces:
     The deterministic fault-injection registry: ``REPRO_FAULTS=
     "site:kind[:after_n[:attempt]]"`` schedules crashes, exceptions and
     artifact corruption at named sites across the stack -- the one
-    seedable mechanism behind chaos tests, ``repro chaos`` and the CI
-    chaos smoke.
+    seedable mechanism behind the chaos scenarios.
 ``checkpoint``
     Atomic, token-guarded snapshots of solver loop state with
     bit-identical resume.
+``scenarios``
+    The chaos scenario table: three harnesses x rows of named
+    invariants, run by ``repro chaos``, CI and tier-1 pytest.  Not
+    imported here (it reaches into ``service`` and ``fleet``); use
+    ``from repro.resilience import scenarios``.
 """
 
 from .checkpoint import Checkpoint, CheckpointManager, latest_lag_s, solver_token

@@ -38,8 +38,9 @@ from __future__ import annotations
 
 import os
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Mapping, Optional
 
 from .. import config
 from .errors import RESILIENCE_COUNTERS, InjectedFault
@@ -57,6 +58,7 @@ __all__ = [
     "set_in_child",
     "set_attempt",
     "fired_summary",
+    "patched_env",
 ]
 
 #: The named injection sites wired through the stack (documentation /
@@ -263,6 +265,23 @@ def trigger(site: str, kind: str, reason: str = "",
     if kind == "raise":
         raise InjectedFault(f"injected failure at {site}{suffix}", site=site)
     return kind
+
+
+@contextmanager
+def patched_env(**updates: Optional[str]) -> Iterator[None]:
+    """Set environment variables (``None`` unsets) and restore them on
+    exit: a fault schedule must never leak into the caller's process."""
+    def put(values: Mapping[str, Optional[str]]) -> None:
+        for key in values:
+            os.environ.pop(key, None)
+        os.environ.update({k: v for k, v in values.items() if v is not None})
+
+    saved = {key: os.environ.get(key) for key in updates}
+    put(updates)
+    try:
+        yield
+    finally:
+        put(saved)
 
 
 def fired_summary() -> Dict[str, object]:

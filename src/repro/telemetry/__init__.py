@@ -2,7 +2,8 @@
 
 The facade every other layer goes through:
 
-* :func:`enabled` / :func:`enable` / :func:`disable` -- the master gate.
+* :func:`enabled` / :func:`enable` / :func:`disable` /
+  :func:`switched_on` -- the master gate.
   Default comes from ``REPRO_TELEMETRY`` (unset = off); the serving
   stack (``Scheduler.start`` / ``repro serve``) enables it explicitly
   unless the environment forces it off with ``REPRO_TELEMETRY=0``.
@@ -24,6 +25,7 @@ trivially intact (telemetry only ever *reads* solver state).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Dict, Optional
 
 from .. import config
@@ -54,6 +56,7 @@ __all__ = [
     "publish",
     "set_current",
     "span_args",
+    "switched_on",
     "use",
 ]
 
@@ -94,6 +97,18 @@ def enable(force: bool = False) -> bool:
 
 def disable() -> None:
     _STATE.on = False
+
+
+@contextmanager
+def switched_on():
+    """:func:`enable` for the enclosed block, the previous state after it
+    (in-process harnesses and fixtures must not leave the gate open)."""
+    was_on = _STATE.on
+    enable()
+    try:
+        yield
+    finally:
+        _STATE.on = was_on
 
 
 def _env_truthy() -> bool:

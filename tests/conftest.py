@@ -9,7 +9,12 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.fdfd import FieldState, Grid, kernels, random_coefficients
+from repro.fleet import gateway_over
+from repro.fleet.router import poll_job
+from repro.service import (JobSpec, PlanRegistry, ResultStore, Scheduler,
+                           make_server)
 
 
 @pytest.fixture
@@ -83,3 +88,73 @@ def run_concurrently(work, cases, timeout: float = 120.0) -> None:
         sys.setswitchinterval(interval)
     assert not errors, errors
     assert not any(t.is_alive() for t in threads)
+
+
+# -- fleet E2E: in-process serve nodes behind a gateway ------------------------
+
+FAST = dict(kind="solve", preset="vacuum", grid=10, wavelength=10.0,
+            tol=1e-4, max_steps=20)
+
+
+def fleet_poll(base, job_id, timeout=90.0):
+    """The job's terminal document; every poll on the way must answer
+    200 (a 503/404 seen through the gateway after a node death is a
+    failover that was not transparent)."""
+    return poll_job(base, job_id, timeout=timeout, strict=True)
+
+
+class FleetNode:
+    """One in-process serve node (scheduler + HTTP server), optionally
+    with a persistent store / plan registry."""
+
+    def __init__(self, i, store_root=None, registry_root=None):
+        self.store_root = store_root
+        self.sched = Scheduler(
+            workers=1, retry_base_s=0.001,
+            store=ResultStore(store_root, node_id=f"node{i}"),
+            registry=PlanRegistry(registry_root, node_id=f"node{i}"),
+        ).start()
+        self.server = make_server(self.sched, port=0, node_id=f"node{i}")
+        # shutdown() waits out one poll interval: keep teardown short.
+        self.thread = threading.Thread(
+            target=self.server.serve_forever,
+            kwargs={"poll_interval": 0.05}, daemon=True)
+        self.thread.start()
+        self.url = f"http://127.0.0.1:{self.server.server_port}"
+        self.dead = False
+
+    def kill(self):
+        """Abrupt node death: the socket starts refusing."""
+        if self.dead:
+            return
+        self.dead = True
+        self.server.shutdown()
+        self.server.server_close()
+        self.sched.stop()
+        self.thread.join(timeout=5.0)
+
+
+@pytest.fixture()
+def fleet(request):
+    """Three live nodes + a gateway with telemetry on; heartbeats are
+    manual (``check_once``) so every liveness transition is
+    deterministic.  Parametrize gateway kwargs indirectly via
+    ``request.param`` (a dict), e.g. ``{"quota": 0.001}``."""
+    with telemetry.switched_on(), gateway_over(
+            [FleetNode(i) for i in range(3)],
+            **(getattr(request, "param", None) or {})) as fl:
+        yield fl
+
+
+def node_by_url(fleet, url):
+    return next(n for n in fleet.nodes if n.url == url)
+
+
+def spec_homed_on(fleet, url, *, grid=10):
+    """A FAST-shaped spec whose home shard is ``url``."""
+    smap = fleet.registry.shard_map()
+    for w in range(10, 200):
+        spec = JobSpec(**dict(FAST, grid=grid, wavelength=float(w)))
+        if smap.owners(spec.job_id)[0] == url:
+            return spec
+    raise AssertionError(f"no spec homed on {url}")

@@ -282,3 +282,32 @@ class TestCampaignCommand:
         assert len(rows) == 2
         assert all(r["state"] == "done" for r in rows)
         assert sum(1 for r in rows if r["registry_hit"]) == 1
+
+
+class TestChaosCommand:
+    def test_scenario_choices_are_the_table(self, capsys):
+        from repro.resilience.scenarios import SCENARIOS
+
+        parser = build_parser()
+        for name in [*SCENARIOS, "all"]:
+            args = parser.parse_args(["chaos", "--scenario", name])
+            assert args.scenario == name
+        with pytest.raises(SystemExit):
+            parser.parse_args(["chaos", "--scenario", "no-such-row"])
+        # argparse lists the choices in table order, then "all".
+        listed = capsys.readouterr().err
+        assert all(name in listed for name in SCENARIOS)
+
+    def test_one_scenario_prints_its_line_and_the_summary(self, capsys):
+        rc = main(["chaos", "--scenario", "crash-resume", "--seed", "7"])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        [chaos] = [line for line in lines if line.startswith("CHAOS {")]
+        doc = json.loads(chaos[len("CHAOS "):])
+        assert set(doc) >= {"scenario", "ok", "seed", "schedule", "crashes",
+                            "attempts", "resumed_from", "state",
+                            "bit_identical", "checksum"}
+        assert doc["scenario"] == "crash-resume" and doc["ok"] is True
+        assert doc["seed"] == 7 and doc["schedule"].startswith("solver.sweep:")
+        assert ('CHAOS-SUMMARY {"failed": [], "ok": true, "scenarios": 1}'
+                in lines)

@@ -413,35 +413,6 @@ class TestDistributedJobs:
 
 
 class TestRankCrashResume:
-    def test_scheduler_resumes_bit_identical(self, monkeypatch):
-        """Seeded kill of one rank mid-solve: the scheduler retry
-        restores the group checkpoint and reproduces the clean bytes."""
-        from repro.resilience import FaultPlan
-        from repro.service import Scheduler
-        from repro.service.jobs import JobState
-
-        spec = JobSpec(kind="distributed", preset="absorber", grid=10,
-                       tol=1e-12, max_steps=120, max_retries=2,
-                       ranks="2x1x1")
-        clean = run_job(spec)
-
-        plan = FaultPlan.seeded(7, "cluster.rank.1", "crash", max_after=4)
-        monkeypatch.setenv("REPRO_FAULTS", plan.env_value())
-        monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "40")
-        ckpt_dir = tempfile.mkdtemp(prefix="repro-test-rank-crash-")
-        sched = Scheduler(workers=1, mode="process", retry_base_s=0.001,
-                          checkpoint_dir=ckpt_dir).start()
-        try:
-            job = sched.submit(spec)
-            sched.wait(job.id, timeout=300.0)
-        finally:
-            sched.stop()
-        assert job.state == JobState.DONE, job.error
-        assert sched.n_crashes >= 1
-        assert job.attempts >= 2
-        assert job.resumed_from == 40
-        assert job.result == clean
-
     def test_killed_worker_leaves_no_ranks_and_the_retry_resumes(
             self, monkeypatch):
         """SIGKILL of a process-mode worker mid-solve (no ``finally``

@@ -9,27 +9,23 @@ gateway end-to-end -- replication on done-polls, replica promotion after
 owner death, per-tenant 429s, retry-budget 503s, spec-cache LRU bounds
 and the concurrent-failover race."""
 
-import json
 import threading
 import time
-import urllib.error
-import urllib.request
-from types import SimpleNamespace
 
 import pytest
 
+from conftest import (FAST, FleetNode as _Node, fleet_poll as _poll,
+                      node_by_url as _node_by_url,
+                      spec_homed_on as _spec_homed_on)
 from repro import telemetry
 from repro.fleet import (ALIVE, DEAD, LeaseHeartbeat, NodeRegistry,
                          RetryBudget, TenantQuotas, TokenBucket,
                          clear_lease, make_gateway, read_leases,
                          write_lease)
 from repro.fleet.admission import TENANT_HEADER
+from repro.fleet.router import http_request as _request
 from repro.ioutil import corrupt_file
-from repro.service import (JobSpec, PlanRegistry, ResultStore, Scheduler,
-                           make_server, run_job)
-
-FAST = dict(kind="solve", preset="vacuum", grid=10, wavelength=10.0,
-            tol=1e-4, max_steps=20)
+from repro.service import JobSpec, ResultStore, run_job
 
 
 class _Clock:
@@ -43,100 +39,6 @@ class _Clock:
 
     def advance(self, dt):
         self.t += dt
-
-
-def _request(method, url, payload=None, headers=None):
-    data = None if payload is None else json.dumps(payload).encode()
-    req = urllib.request.Request(
-        url, data=data, method=method,
-        headers={"Content-Type": "application/json", **(headers or {})})
-    try:
-        with urllib.request.urlopen(req, timeout=30.0) as resp:
-            return resp.status, json.loads(resp.read() or b"{}"), \
-                dict(resp.headers)
-    except urllib.error.HTTPError as e:
-        return e.code, json.loads(e.read() or b"{}"), dict(e.headers or {})
-
-
-def _poll(base, job_id, timeout=90.0):
-    deadline = time.monotonic() + timeout
-    while True:
-        status, doc, _ = _request("GET", f"{base}/jobs/{job_id}")
-        assert status == 200, doc
-        if doc["state"] in ("done", "failed", "cancelled"):
-            return doc
-        assert time.monotonic() < deadline, f"job stuck {doc['state']}"
-        time.sleep(0.05)
-
-
-class _Node:
-    """One in-process serve node; optionally with a persistent store."""
-
-    def __init__(self, i, store_root=None, registry_root=None):
-        self.store_root = store_root
-        self.sched = Scheduler(
-            workers=1, retry_base_s=0.001,
-            store=ResultStore(store_root, node_id=f"node{i}"),
-            registry=PlanRegistry(registry_root, node_id=f"node{i}"),
-        ).start()
-        self.server = make_server(self.sched, port=0, node_id=f"node{i}")
-        self.thread = threading.Thread(
-            target=self.server.serve_forever, daemon=True)
-        self.thread.start()
-        self.url = f"http://127.0.0.1:{self.server.server_port}"
-        self.dead = False
-
-    def kill(self):
-        if self.dead:
-            return
-        self.dead = True
-        self.server.shutdown()
-        self.server.server_close()
-        self.sched.stop()
-        self.thread.join(timeout=5.0)
-
-
-@pytest.fixture()
-def fleet(request):
-    """Three live nodes + a gateway with telemetry on; heartbeats are
-    manual (``check_once``).  Parametrize gateway kwargs indirectly via
-    ``request.param`` (a dict), e.g. ``{"quota": 0.001}``."""
-    gw_kwargs = getattr(request, "param", None) or {}
-    was_enabled = telemetry.enabled()
-    telemetry.enable()
-    nodes = [_Node(i) for i in range(3)]
-    registry = NodeRegistry([n.url for n in nodes], dead_after=1,
-                            timeout_s=10.0, interval_s=3600.0)
-    registry.check_once()
-    gateway = make_gateway(registry, **gw_kwargs)
-    thread = threading.Thread(target=gateway.serve_forever, daemon=True)
-    thread.start()
-    base = f"http://127.0.0.1:{gateway.server_port}"
-    try:
-        yield SimpleNamespace(base=base, registry=registry, nodes=nodes,
-                              gateway=gateway)
-    finally:
-        gateway.shutdown()
-        gateway.server_close()
-        thread.join(timeout=5.0)
-        registry.stop()
-        for node in nodes:
-            node.kill()
-        if not was_enabled:
-            telemetry.disable()
-
-
-def _node_by_url(fleet, url):
-    return next(n for n in fleet.nodes if n.url == url)
-
-
-def _spec_homed_on(fleet, url):
-    smap = fleet.registry.shard_map()
-    for w in range(10, 200):
-        spec = JobSpec(**dict(FAST, wavelength=float(w)))
-        if smap.owners(spec.job_id)[0] == url:
-            return spec
-    raise AssertionError(f"no spec homed on {url}")
 
 
 # -- admission control (unit) --------------------------------------------------

@@ -10,104 +10,15 @@ results, cross-shard batches scatter and gather losslessly, and the
 health endpoints expose membership and staleness."""
 
 import json
-import threading
-import time
-import urllib.error
 import urllib.request
-from types import SimpleNamespace
 
 import pytest
 
-from repro.fleet import NodeRegistry, make_gateway
-from repro.service import JobSpec, Scheduler, make_server, run_job
-
-FAST = dict(kind="solve", preset="vacuum", grid=10, wavelength=10.0,
-            tol=1e-4, max_steps=20)
-
-
-def _request(method, url, payload=None, headers=None):
-    data = None if payload is None else json.dumps(payload).encode()
-    req = urllib.request.Request(
-        url, data=data, method=method,
-        headers={"Content-Type": "application/json", **(headers or {})})
-    try:
-        with urllib.request.urlopen(req, timeout=30.0) as resp:
-            return resp.status, json.loads(resp.read() or b"{}"), \
-                dict(resp.headers)
-    except urllib.error.HTTPError as e:
-        return e.code, json.loads(e.read() or b"{}"), dict(e.headers or {})
-
-
-def _poll(base, job_id, timeout=90.0):
-    deadline = time.monotonic() + timeout
-    while True:
-        status, doc, _ = _request("GET", f"{base}/jobs/{job_id}")
-        assert status == 200, doc
-        if doc["state"] in ("done", "failed", "cancelled"):
-            return doc
-        assert time.monotonic() < deadline, f"job stuck {doc['state']}"
-        time.sleep(0.05)
-
-
-class _Node:
-    """One in-process serve node (scheduler + HTTP server)."""
-
-    def __init__(self, i):
-        self.sched = Scheduler(workers=1, retry_base_s=0.001).start()
-        self.server = make_server(self.sched, port=0, node_id=f"node{i}")
-        self.thread = threading.Thread(
-            target=self.server.serve_forever, daemon=True)
-        self.thread.start()
-        self.url = f"http://127.0.0.1:{self.server.server_port}"
-        self.dead = False
-
-    def kill(self):
-        """Abrupt node death: the socket starts refusing."""
-        if self.dead:
-            return
-        self.dead = True
-        self.server.shutdown()
-        self.server.server_close()
-        self.sched.stop()
-        self.thread.join(timeout=5.0)
-
-
-@pytest.fixture()
-def fleet():
-    """Three live nodes + a gateway; heartbeats are manual
-    (``check_once``) so every liveness transition is deterministic."""
-    nodes = [_Node(i) for i in range(3)]
-    registry = NodeRegistry([n.url for n in nodes], dead_after=1,
-                            timeout_s=10.0, interval_s=3600.0)
-    registry.check_once()  # learn node_ids; no background thread
-    gateway = make_gateway(registry)
-    thread = threading.Thread(target=gateway.serve_forever, daemon=True)
-    thread.start()
-    base = f"http://127.0.0.1:{gateway.server_port}"
-    try:
-        yield SimpleNamespace(base=base, registry=registry, nodes=nodes,
-                              gateway=gateway)
-    finally:
-        gateway.shutdown()
-        gateway.server_close()
-        thread.join(timeout=5.0)
-        registry.stop()
-        for node in nodes:
-            node.kill()
-
-
-def _node_by_url(fleet, url):
-    return next(n for n in fleet.nodes if n.url == url)
-
-
-def _spec_homed_on(fleet, url, *, grid=10):
-    """A FAST-shaped spec whose home shard is ``url``."""
-    smap = fleet.registry.shard_map()
-    for w in range(10, 200):
-        spec = JobSpec(**dict(FAST, grid=grid, wavelength=float(w)))
-        if smap.owners(spec.job_id)[0] == url:
-            return spec
-    raise AssertionError(f"no spec homed on {url}")
+from conftest import (FAST, fleet_poll as _poll, node_by_url as _node_by_url,
+                      spec_homed_on as _spec_homed_on)
+from repro.fleet import NodeRegistry
+from repro.fleet.router import http_request as _request, poll_job
+from repro.service import JobSpec, run_job
 
 
 class TestRouting:
@@ -196,6 +107,16 @@ class TestFailover:
         assert status == 503
         assert headers.get("Retry-After")
         assert doc["kind"] == "NodeUnavailable"
+
+    def test_test_poller_refuses_any_error_status(self, fleet):
+        # What makes every `_poll` after a kill mean *transparent*
+        # failover: the suite's poller raises on the first non-200,
+        # where the package's default rides it out until the timeout.
+        unknown = "ffffffffffffffffffffffff"
+        with pytest.raises(RuntimeError, match="HTTP 404"):
+            _poll(fleet.base, unknown)
+        with pytest.raises(TimeoutError, match="HTTP 404"):
+            poll_job(fleet.base, unknown, timeout=0.2)
 
     def test_healthz_reflects_death_and_revival_bumps_version(self, fleet):
         fleet.registry.mark_dead(fleet.nodes[2].url)

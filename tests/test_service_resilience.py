@@ -1,11 +1,10 @@
 """Resilience through the service stack: crash/resume, drain, spool.
 
-The centerpiece is a property-style chaos test: a forked worker is
-killed at a *seeded-random* sweep mid-solve, the scheduler retries, the
-retry resumes from the checkpoint, and the final result must be
-bit-identical to an undisturbed run -- with the job executed exactly
-once from the client's point of view (one DONE record, one stored
-result, nothing lost, nothing double-counted).
+The seeded worker-crash property itself (kill at a seeded sweep, retry
+resumes from the checkpoint, bit-identical, exactly once) is a row of
+the scenario table -- ``tests/test_chaos_scenarios.py`` runs it; this
+module covers what surrounds it: an unfaulted checkpointed run, the rate
+gauges after a resume, drain, spool and fail-fast.
 """
 
 import os
@@ -40,43 +39,6 @@ def _clean(monkeypatch):
 
 
 class TestCrashResume:
-    @pytest.mark.parametrize("seed", [3, 11, 2026])
-    def test_seeded_worker_crash_resumes_bit_identical(
-            self, seed, tmp_path, monkeypatch):
-        """Kill the worker at a seeded-random sweep; the retry must pick
-        up from the snapshot and reproduce the clean answer exactly."""
-        clean = run_job(JobSpec(**CHAOS_SOLVE))
-
-        # max_steps=120 / check_every=20 -> 6 solver.sweep passes; the
-        # crash lands on a seeded one of them (first attempt only).
-        plan = faults.FaultPlan.seeded(seed, "solver.sweep", "crash",
-                                       max_after=6)
-        monkeypatch.setenv("REPRO_FAULTS", plan.env_value())
-        monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "40")
-        sched = Scheduler(workers=1, mode="process", retry_base_s=0.001,
-                          checkpoint_dir=str(tmp_path)).start()
-        try:
-            job = sched.submit(JobSpec(**CHAOS_SOLVE))
-            sched.wait(job.id, timeout=120.0)
-
-            assert job.state == JobState.DONE
-            assert job.result == clean  # bit-identical payload
-            # Exactly-once semantics: the crash consumed an attempt but
-            # produced no result; the retry produced exactly one.
-            assert job.attempts == 2
-            stats = sched.stats()
-            assert stats["worker_crashes"] == 1
-            assert stats["completed"] == 1 and stats["failed"] == 0
-            assert sched.store.get(job.id) == clean
-            # A crash after the first checkpoint (sweep pass >= 2, i.e.
-            # step 40) must resume mid-solve rather than restart.
-            if plan.specs[0].after_n >= 2:
-                assert job.resumed_from is not None
-                assert job.resumed_from >= 40
-                assert stats["resumed"] == 1
-        finally:
-            sched.stop()
-
     def test_unchaosed_run_with_checkpoints_is_unchanged(
             self, tmp_path, monkeypatch):
         """Checkpointing alone (no fault) must not perturb the result."""

@@ -194,17 +194,22 @@ class TestQueries:
         done = _poll(base, doc["id"])
         assert done["trace_id"] == trace
 
-    def test_metrics_json_rollup(self, service):
+    def test_metrics_json_rollup(self, service, monkeypatch, tmp_path):
         base, _ = service
-        _, doc = _request("POST", f"{base}/jobs", FAST_TUNE)
-        _poll(base, doc["id"])
+        # The solve below snapshots at its one convergence check.
+        monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "20")
+        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path))
+        for spec in (FAST_TUNE, FAST_SOLVE):
+            _, doc = _request("POST", f"{base}/jobs", spec)
+            _poll(base, doc["id"])
         status, m = _request("GET", f"{base}/metrics?format=json")
         assert status == 200
-        assert m["scheduler"]["completed"] >= 1
+        assert m["scheduler"]["completed"] >= 2
         assert set(m) == {"scheduler", "registry", "store", "substrate",
                           "resilience", "telemetry"}
         assert m["store"]["puts"] >= 1
         assert "states" in m["scheduler"]
+        assert m["resilience"]["counters"]["checkpoints_written"] >= 1
 
     def test_metrics_prometheus_text(self, service):
         base, _ = service
