@@ -38,29 +38,15 @@ def time_fixed_point(tuner: str, engine: str):
     from repro.core import autotuner
     from repro.machine import (HASWELL_EP, SUBSTRATE_COUNTERS,
                                clear_substrate_caches)
+    from repro.resilience.faults import patched_env
 
     clear_substrate_caches()
     SUBSTRATE_COUNTERS.reset()
-    prev = {k: os.environ.get(k) for k in (
-        "REPRO_STREAM_ENGINE", "REPRO_TUNE_CACHE", "REPRO_TUNE_WORKERS")}
-    os.environ["REPRO_STREAM_ENGINE"] = engine
-    # The persisted tuning cache would satisfy the second run from disk
-    # and time nothing; this benchmark measures the replay engines -- one
-    # process on both sides, so the ratio does not depend on the core
-    # count a fork pool would divide the seed side by.
-    os.environ.pop("REPRO_TUNE_CACHE", None)
-    os.environ["REPRO_TUNE_WORKERS"] = "1"
-    try:
+    with patched_env(REPRO_STREAM_ENGINE=engine):
         tune = getattr(autotuner, tuner)
         t0 = time.perf_counter()
         point = tune(HASWELL_EP, FIXED_GRID, FIXED_THREADS)
         seconds = time.perf_counter() - t0
-    finally:
-        for k, v in prev.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
     return seconds, point, SUBSTRATE_COUNTERS.snapshot()
 
 

@@ -15,17 +15,6 @@ import pytest
 
 OUTPUT_DIR = os.path.join(os.path.dirname(__file__), "output")
 
-# Persist auto-tuner results between benchmark runs (the figure drivers
-# revisit the same tuned points; see "Parallel evaluation and result
-# persistence" in repro/core/autotuner.py).  An explicit REPRO_TUNE_CACHE
-# setting -- including an empty string to disable -- wins.
-os.environ.setdefault(
-    "REPRO_TUNE_CACHE", os.path.join(OUTPUT_DIR, "tune_cache")
-)
-# Fan tuning candidates over all cores; the merged winner is bit-identical
-# to the serial search, so the figure JSONs do not depend on this.
-os.environ.setdefault("REPRO_TUNE_WORKERS", str(os.cpu_count() or 1))
-
 
 @pytest.fixture(scope="session")
 def output_dir() -> str:

@@ -433,7 +433,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_tune(args) -> int:
-    from .core.autotuner import tune_spatial, tune_tiled
+    from .core.autotuner import tune_variant
     from .machine import HASWELL_EP
 
     spec = HASWELL_EP
@@ -441,12 +441,8 @@ def _cmd_tune(args) -> int:
         spec = spec.with_bandwidth(args.bandwidth)
     print(f"machine: {spec.name} ({spec.cores} cores, {spec.bandwidth_gbs:g} GB/s)")
 
-    if args.variant == "spatial":
-        point = tune_spatial(spec, args.grid, args.threads)
-    elif args.variant == "1wd":
-        point = tune_tiled(spec, args.grid, args.threads, tg_size=1, variant="1WD")
-    else:
-        point = tune_tiled(spec, args.grid, args.threads, tg_size=args.tg_size)
+    point = tune_variant(spec, args.grid, args.threads,
+                         variant=args.variant, tg_size=args.tg_size)
     if point is None:
         print("no feasible configuration")
         return 2

@@ -49,8 +49,6 @@ __all__ = [
     "stream_engine",
     "telemetry_mode",
     "trace_path",
-    "tune_cache_dir",
-    "tune_workers",
 ]
 
 
@@ -72,14 +70,6 @@ class Flag:
 FLAGS: Dict[str, Flag] = {
     f.name: f
     for f in (
-        Flag(
-            "REPRO_TUNE_WORKERS", "1", "int",
-            "fork-pool workers scoring autotuner candidates (1 = serial)",
-        ),
-        Flag(
-            "REPRO_TUNE_CACHE", "(disabled)", "path",
-            "directory persisting tuned points across processes",
-        ),
         Flag(
             "REPRO_STREAM_ENGINE", "auto", "choice",
             "stream replay engine: reference, batch, native, or auto",
@@ -209,19 +199,6 @@ def describe() -> List[Dict[str, str]]:
 
 
 # -- typed accessors (one per flag) -------------------------------------------
-
-
-def tune_workers() -> int:
-    """Autotuner fork-pool width; malformed values fall back to serial."""
-    try:
-        return max(1, int(os.environ.get("REPRO_TUNE_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
-def tune_cache_dir() -> Optional[str]:
-    """Tune-cache root, or ``None`` when persistence is off."""
-    return os.environ.get("REPRO_TUNE_CACHE") or None
 
 
 def stream_engine() -> Optional[str]:

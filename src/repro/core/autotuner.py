@@ -22,44 +22,33 @@ factor of the usable L3 are evaluated (Eq. 11); the slack lets the
 measured cache behaviour decide borderline cases.  Scoring runs the
 measured code balance through the execution simulator.
 
-Parallel evaluation and result persistence
-------------------------------------------
-Candidate points are *enumerated* first (in the canonical nested-loop
-order) and *scored* as independent pure function calls, so they can fan
-out across a ``multiprocessing`` pool: set ``REPRO_TUNE_WORKERS=<n>`` to
-score with ``n`` forked workers.  Results are merged back in enumeration
-order with a strict ``>`` comparison, which makes the winning
-configuration identical to the serial search bit for bit regardless of
-worker count or completion order.
-
-Tuning a point is deterministic in its inputs, so results can also be
-reused across processes: set ``REPRO_TUNE_CACHE=<dir>`` to keep a JSON
-result file per tuned point, keyed by a hash of the full machine spec and
-every search argument plus a format version.  Delete the directory (or
-bump ``TUNE_CACHE_VERSION``) to invalidate; floats round-trip exactly
-through the JSON files, so cached and freshly computed points compare
-equal.
+One serial, pure search
+-----------------------
+Candidates are *enumerated* first (canonical nested-loop order), *scored*
+one after the other as pure calls and merged with a strict ``>``: the
+first best candidate in enumeration order wins.  Scoring shares
+:mod:`repro.machine`'s process-wide measurement memos and shape table
+across candidates, variants and bandwidth sweeps, which is why the search
+stays in one process (EXPERIMENTS.md, *Substrate performance*).  Within a
+process the two tuners memoize their winners (``lru_cache``); across
+processes and nodes :class:`~repro.service.registry.PlanRegistry` is the
+one persistent store (it keeps :func:`point_to_json` documents, through
+which floats round-trip exactly).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
-import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Tuple
 
-from .. import config
-from ..ioutil import atomic_write_json, corrupt_file, read_json_checked
-from ..resilience import faults
-from ..machine.counters import SUBSTRATE_COUNTERS, timed_section
+from ..machine.counters import timed_section
 from ..machine.measure import measure_sweep_code_balance, measure_tiled_code_balance
 from ..machine.simulator import SimResult, simulate_sweep, simulate_tiled, tg_efficiency
 from ..machine.spec import MachineSpec
 from . import tracing
-from .models import cache_block_size, max_diamond_width
+from .models import max_diamond_width
 from .plan import TilingPlan
 from .threadgroups import ThreadGroupConfig, divisors, enumerate_tg_configs
 
@@ -70,10 +59,8 @@ __all__ = [
     "simulate_grid_lups",
     "tune_spatial",
     "tune_tiled",
+    "tune_variant",
 ]
-
-#: Bump to invalidate every persisted tuning result (format or model change).
-TUNE_CACHE_VERSION = 1
 
 #: Wavefront widths explored by the tuner (the paper's Fig. 5 uses 1/6/9).
 BZ_CANDIDATES: Tuple[int, ...] = (1, 2, 4, 6, 9)
@@ -88,6 +75,9 @@ DW_CAP = 32
 CACHE_SLACK = 1.1
 #: Per-(TG size, B_z) only the largest fitting widths are scored.
 TOP_DW_PER_BZ = 2
+#: A candidate's schedule is simulated over this many diamond widths of
+#: time steps (at least 8): long enough for the pipeline to fill.
+SIM_STEPS_FACTOR = 2
 
 
 @dataclass(frozen=True)
@@ -126,54 +116,9 @@ def grid_lups(n: int, timesteps: int = 100) -> float:
     return float(n) ** 3 * timesteps
 
 
-# -- parallel candidate scoring ----------------------------------------------
-
-
-def _tune_workers() -> int:
-    return config.tune_workers()
-
-
-def _score_with_counters(item):
-    """Worker-side wrapper: score one candidate and ship the substrate
-    telemetry it generated back with the result.  The fork child counts
-    in its copy-on-write :data:`SUBSTRATE_COUNTERS`; resetting before the
-    call makes the snapshot a per-candidate delta the parent can merge."""
-    fn, cand = item
-    SUBSTRATE_COUNTERS.reset()
-    point = fn(cand)
-    return point, SUBSTRATE_COUNTERS.snapshot()
-
-
-def _pmap(fn: Callable, candidates: Sequence) -> List:
-    """Score candidates, fanning out over a fork pool when configured.
-
-    ``Pool.map`` returns results in submission order, and the callers
-    merge with a strict ``>`` in that order, so the selected winner is
-    identical to the serial search no matter how many workers run.
-    Worker telemetry (replayed jobs, memo hits, section times) rides back
-    with each result and is merged into the parent's counters.
-    """
-    workers = _tune_workers()
-    if workers <= 1 or len(candidates) < 4:
-        return [fn(c) for c in candidates]
-    import multiprocessing as mp
-
-    ctx = mp.get_context("fork")
-    with ctx.Pool(min(workers, len(candidates))) as pool:
-        scored = pool.map(_score_with_counters, [(fn, c) for c in candidates])
-    for _, snap in scored:
-        SUBSTRATE_COUNTERS.merge(snap)
-    return [point for point, _ in scored]
-
-
-# -- persistent result cache --------------------------------------------------
-
-
-def _tg_to_json(tg: ThreadGroupConfig | None):
-    return None if tg is None else dataclasses.asdict(tg)
-
-
-def _point_to_json(point: TunedPoint | None):
+def point_to_json(point: TunedPoint | None):
+    """A tuned point (or the memoized "no feasible point" ``None``) as the
+    JSON document :class:`~repro.service.registry.PlanRegistry` persists."""
     if point is None:
         return None
     return {
@@ -183,12 +128,12 @@ def _point_to_json(point: TunedPoint | None):
         "code_balance": point.code_balance,
         "dw": point.dw,
         "bz": point.bz,
-        "tg": _tg_to_json(point.tg),
+        "tg": None if point.tg is None else dataclasses.asdict(point.tg),
         "block_y": point.block_y,
     }
 
 
-def _point_from_json(d) -> TunedPoint | None:
+def point_from_json(d) -> TunedPoint | None:
     if d is None:
         return None
     return TunedPoint(
@@ -203,71 +148,10 @@ def _point_from_json(d) -> TunedPoint | None:
     )
 
 
-def _cache_path(kind: str, spec: MachineSpec, args: tuple) -> str | None:
-    root = config.tune_cache_dir()
-    if not root:
-        return None
-    payload = json.dumps(
-        [TUNE_CACHE_VERSION, kind, dataclasses.asdict(spec), list(args)],
-        sort_keys=True,
-    )
-    digest = hashlib.sha1(payload.encode()).hexdigest()[:20]
-    return os.path.join(root, f"{kind}-{digest}.json")
-
-
-def _cache_get(path: str | None) -> tuple | None:
-    """Returns ``(point,)`` on a hit (the point itself may be None).
-
-    Malformed or checksum-mismatched entries are quarantined to
-    ``<path>.corrupt`` (via :func:`~repro.ioutil.read_json_checked`) and
-    read as a miss, so a scribbled-over cache file costs one re-tune
-    instead of a crash.
-    """
-    if path is None or not os.path.exists(path):
-        return None
-    if faults.hit("tune_cache.read") == "corrupt":
-        corrupt_file(path)
-    d = read_json_checked(path)
-    if d is None:
-        return None
-    try:
-        if d.get("version") != TUNE_CACHE_VERSION:
-            return None
-        return (_point_from_json(d["point"]),)
-    except (ValueError, KeyError, TypeError, AttributeError):
-        return None  # schema drift: recompute
-
-
-def _cache_put(path: str | None, point: TunedPoint | None) -> None:
-    if path is None:
-        return
-    try:
-        kind = faults.hit("tune_cache.write")
-        # Unique-temp + rename: concurrent tuners (including two *threads*
-        # of one process, which a pid-suffixed temp name would collide on)
-        # can never interleave a torn cache file.
-        atomic_write_json(
-            path,
-            {"version": TUNE_CACHE_VERSION, "point": _point_to_json(point)},
-            checksum=True,
-        )
-        if kind == "corrupt":
-            corrupt_file(path)
-    except OSError:
-        pass  # read-only or full disk: persistence is best-effort
-
-
-#: Public (de)serializers for a tuned point -- the service plan registry
-#: persists winners in exactly the tune-cache payload format.
-point_to_json = _point_to_json
-point_from_json = _point_from_json
-
-
 # -- the tuners ---------------------------------------------------------------
 
 
-def _score_spatial(cand) -> TunedPoint:
-    spec, machine, grid_n, threads, block_y = cand
+def _score_spatial(spec, machine, grid_n: int, threads: int, block_y: int) -> TunedPoint:
     with timed_section("tune.score"), tracing.span(
         f"candidate spatial by={block_y}", "autotune",
         args={"variant": "spatial", "grid": grid_n, "threads": threads,
@@ -290,26 +174,17 @@ def _score_spatial(cand) -> TunedPoint:
 @lru_cache(maxsize=512)
 def tune_spatial(spec: MachineSpec, grid_n: int, threads: int) -> TunedPoint:
     """Best spatially blocked configuration at a thread count."""
-    path = _cache_path("spatial", spec, (grid_n, threads))
-    hit = _cache_get(path)
-    if hit is not None and hit[0] is not None:
-        return hit[0]
-    m = spec.with_cores(threads) if threads != spec.cores else spec
-    candidates = [
-        (spec, m, grid_n, threads, block_y)
-        for block_y in (4, 8, 16, 32, 64)
-        if block_y <= grid_n
-    ]
-    best: TunedPoint | None = None
+    machine = spec.with_cores(threads) if threads != spec.cores else spec
+    candidates = [by for by in (4, 8, 16, 32, 64) if by <= grid_n]
     with tracing.span(f"tune_spatial g={grid_n} t={threads}", "autotune",
                       args={"grid": grid_n, "threads": threads,
                             "candidates": len(candidates)}):
-        for point in _pmap(_score_spatial, candidates):
-            if best is None or point.mlups > best.mlups:
-                best = point
-    assert best is not None
-    _cache_put(path, best)
-    return best
+        # max() keeps the first of equal maxima (a strict ``>``): the winner
+        # depends on the enumeration order and nothing else.
+        return max(
+            (_score_spatial(spec, machine, grid_n, threads, by) for by in candidates),
+            key=lambda point: point.mlups,
+        )
 
 
 def _dw_candidates(
@@ -336,9 +211,8 @@ def _dw_candidates(
     return out
 
 
-def _score_tiled(cand) -> TunedPoint:
-    (spec, machine, grid_n, threads, label, s, n_groups, bz, dw, cfg,
-     sim_steps_factor) = cand
+def _score_tiled(spec, machine, grid_n: int, threads: int, cand: tuple) -> TunedPoint:
+    label, s, n_groups, bz, dw, cfg = cand
     nx = ny = nz = grid_n
     with timed_section("tune.score"), tracing.span(
         f"candidate {label} Dw={dw} Bz={bz} TG={cfg.label()}", "autotune",
@@ -350,7 +224,7 @@ def _score_tiled(cand) -> TunedPoint:
             spec, nx=nx, dw=dw, bz=bz, n_streams=n_groups
         )
         plan = TilingPlan.build(
-            ny=ny, nz=nz, timesteps=max(sim_steps_factor * dw, 8), dw=dw, bz=bz
+            ny=ny, nz=nz, timesteps=max(SIM_STEPS_FACTOR * dw, 8), dw=dw, bz=bz
         )
         res = simulate_tiled(
             machine, plan, nx=nx, tg_config=cfg,
@@ -365,17 +239,12 @@ def _score_tiled(cand) -> TunedPoint:
 
 
 def _tiled_candidates(
-    spec: MachineSpec,
-    grid_n: int,
-    threads: int,
-    tg_size: int | None,
-    variant: str | None,
-    sim_steps_factor: int,
+    spec: MachineSpec, grid_n: int, threads: int,
+    tg_size: int | None, variant: str | None,
 ) -> List[tuple]:
     """The full (TG size, B_z, D_w, intra-tile split) search space, in the
     canonical nested-loop order the winner selection depends on."""
     nx = ny = nz = grid_n
-    machine = spec.with_cores(threads) if threads != spec.cores else spec
     if tg_size:
         sizes = [tg_size]
     else:
@@ -402,8 +271,7 @@ def _tiled_candidates(
             for dw in _dw_candidates(n_groups, bz, nx, budget, dw_cap=dw_cap):
                 if dw > ny:
                     continue
-                out.append((spec, machine, grid_n, threads, label, s,
-                            n_groups, bz, dw, cfg, sim_steps_factor))
+                out.append((label, s, n_groups, bz, dw, cfg))
     return out
 
 
@@ -414,7 +282,6 @@ def tune_tiled(
     threads: int,
     tg_size: int | None = None,
     variant: str | None = None,
-    sim_steps_factor: int = 2,
 ) -> TunedPoint | None:
     """Best wavefront-diamond configuration at a thread count.
 
@@ -422,26 +289,36 @@ def tune_tiled(
     ``tg_size=1`` is 1WD; a fixed k gives the paper's kWD variants.
     Returns ``None`` when no diamond fits the cache at all.
     """
-    path = _cache_path(
-        "tiled", spec, (grid_n, threads, tg_size, variant, sim_steps_factor)
-    )
-    hit = _cache_get(path)
-    if hit is not None:
-        return hit[0]
-    candidates = _tiled_candidates(
-        spec, grid_n, threads, tg_size, variant, sim_steps_factor
-    )
-    best: TunedPoint | None = None
+    machine = spec.with_cores(threads) if threads != spec.cores else spec
+    candidates = _tiled_candidates(spec, grid_n, threads, tg_size, variant)
     with tracing.span(
         f"tune_tiled g={grid_n} t={threads} tg={tg_size or 'MWD'}", "autotune",
         args={"grid": grid_n, "threads": threads, "tg_size": tg_size,
               "variant": variant, "candidates": len(candidates)},
     ):
-        for point in _pmap(_score_tiled, candidates):
-            if best is None or point.mlups > best.mlups:
-                best = point
-    _cache_put(path, best)
-    return best
+        return max(
+            (_score_tiled(spec, machine, grid_n, threads, cand) for cand in candidates),
+            key=lambda point: point.mlups, default=None,
+        )
+
+
+def tune_variant(
+    spec: MachineSpec, grid_n: int, threads: int,
+    variant: str = "mwd", tg_size: int | None = None,
+) -> TunedPoint | None:
+    """The tuned point of a named variant: ``spatial``, ``1wd`` (TG size
+    pinned at 1) or the MWD search, which ``tg_size`` narrows to one kWD.
+
+    The one place a variant name becomes a tuner call: ``repro tune``,
+    tune jobs and the plan registry all come through here.  The tuners
+    are looked up by name at call time, so a tracer that rebinds the
+    module's ``tune_spatial`` / ``tune_tiled`` sees these calls too.
+    """
+    if variant == "spatial":
+        return tune_spatial(spec, grid_n, threads)
+    if variant == "1wd":
+        return tune_tiled(spec, grid_n, threads, tg_size=1, variant="1WD")
+    return tune_tiled(spec, grid_n, threads, tg_size=tg_size)
 
 
 def simulate_grid_lups(point: TunedPoint, grid_n: int, timesteps: int = 100) -> SimResult:

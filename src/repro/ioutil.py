@@ -1,8 +1,8 @@
 """Atomic filesystem helpers shared by every persistence layer.
 
-Concurrent writers are the norm here: ``REPRO_TUNE_WORKERS`` fork-pool
-workers and service scheduler workers all persist results into shared
-directories (the tune cache, the plan registry, the result store).  A
+Concurrent writers are the norm here: service scheduler workers, rank
+processes and fleet nodes all persist into shared directories (the plan
+registry, the result store, solver checkpoints).  A
 plain ``open(path, "w")`` can interleave two writers and leave a torn
 JSON file behind; every writer in this codebase therefore goes through
 :func:`atomic_write_text` / :func:`atomic_write_json`, which write to a

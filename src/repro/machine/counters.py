@@ -11,10 +11,9 @@ anecdotes.
 Counting is deliberately coarse (one update per replayed *schedule*,
 never per access) so the counters themselves stay out of the hot loop.
 
-Multiprocessing: each ``REPRO_TUNE_WORKERS`` fork-pool worker counts in
-its own copy-on-write copy of :data:`SUBSTRATE_COUNTERS`; the autotuner
-ships per-candidate snapshots back with the results and folds them into
-the parent with :meth:`SubstrateCounters.merge`.
+The counters are per process: the tuner scores in the calling process,
+so one :data:`SUBSTRATE_COUNTERS` sees a whole tuning pass; forked
+scheduler workers and ranks count in their own copy-on-write copies.
 """
 
 from __future__ import annotations
@@ -22,11 +21,10 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Mapping
 
 __all__ = ["SubstrateCounters", "SUBSTRATE_COUNTERS", "timed_section"]
 
-#: Integer counter fields summed by :meth:`SubstrateCounters.merge`.
+#: The integer counter fields (snapshot and reset walk these).
 _COUNTER_FIELDS = (
     "jobs_replayed",
     "accesses_replayed",
@@ -68,15 +66,6 @@ class SubstrateCounters:
         """``(name, seconds)`` pairs, most expensive first."""
         return sorted(self.section_seconds.items(), key=lambda kv: -kv[1])
 
-    def merge(self, other: "SubstrateCounters | Mapping") -> None:
-        """Fold another counter set (or a :meth:`snapshot` dict) into this
-        one -- how fork-pool workers' telemetry reaches the parent."""
-        d = other.snapshot() if isinstance(other, SubstrateCounters) else other
-        for f in _COUNTER_FIELDS:
-            setattr(self, f, getattr(self, f) + int(d.get(f, 0)))
-        for name, secs in (d.get("section_seconds") or {}).items():
-            self.section_seconds[name] = self.section_seconds.get(name, 0.0) + secs
-
     def reset(self) -> None:
         for f in _COUNTER_FIELDS:
             setattr(self, f, 0)
@@ -86,8 +75,7 @@ class SubstrateCounters:
 
 #: Process-global counters.  The batched emitters add a replayed schedule's
 #: totals under the shape-table lock of :mod:`repro.machine.streams`, so
-#: concurrent tuning threads lose no update; multiprocessing tuner workers
-#: each count in their own copy and are merged back by the autotuner.
+#: concurrent tuning threads lose no update.
 SUBSTRATE_COUNTERS = SubstrateCounters()
 
 

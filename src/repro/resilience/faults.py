@@ -65,8 +65,6 @@ __all__ = [
 #: ``repro chaos --list-sites``; unknown sites are legal and inert).
 SITES = (
     "native.load",       # compiled library build/load (LRU replay, THIIM kernel)
-    "tune_cache.read",   # autotuner disk cache lookup
-    "tune_cache.write",  # autotuner disk cache store
     "registry.read",     # plan-registry file lookup
     "registry.write",    # plan-registry file store
     "store.read",        # result-store file lookup

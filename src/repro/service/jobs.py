@@ -393,7 +393,7 @@ def _field_checksum(fields) -> str:
 
 
 def _run_tune(spec: JobSpec, registry) -> Dict[str, Any]:
-    from ..core.autotuner import point_to_json, tune_spatial, tune_tiled
+    from ..core.autotuner import point_to_json, tune_variant
 
     m = machine_spec_for(spec)
     hit = False
@@ -405,12 +405,9 @@ def _run_tune(spec: JobSpec, registry) -> Dict[str, Any]:
                 variant=spec.variant
             )
             sp.set(registry_hit=hit)
-    elif spec.variant == "spatial":
-        point = tune_spatial(m, spec.grid, spec.threads)
-    elif spec.variant == "1wd":
-        point = tune_tiled(m, spec.grid, spec.threads, tg_size=1, variant="1WD")
     else:
-        point = tune_tiled(m, spec.grid, spec.threads, tg_size=spec.tg_size)
+        point = tune_variant(m, spec.grid, spec.threads,
+                             variant=spec.variant, tg_size=spec.tg_size)
     return {
         "kind": "tune",
         "registry_hit": hit,

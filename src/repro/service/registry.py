@@ -4,12 +4,14 @@ The autotuner is the expensive half of the compile-once/serve-many
 split: a full MWD candidate sweep through the machine model per (grid,
 machine, thread count).  The registry memoizes its winners under a key
 of (variant kind, grid shape, machine-spec hash, thread count, TG size)
-so every later job with the same key skips tuning entirely.
+so every later job with the same key skips tuning entirely.  It is the
+only place a tuned point persists: the tuners themselves memoize per
+process and keep nothing on disk.
 
 Entries persist as one JSON file per key under ``root`` (see
 ``REPRO_REGISTRY_DIR``), written atomically so concurrent service
-workers and external tuners can never interleave a torn file.  Without a
-root the registry is a process-local dict with the same interface.
+workers and nodes can never interleave a torn file.  Without a root the
+registry is a process-local dict with the same interface.
 
 Hit/miss/store counters feed the observability layer: every lookup runs
 inside a :func:`~repro.machine.counters.timed_section` (visible in
@@ -72,25 +74,18 @@ class PlanRegistry:
         threads: int,
         tg_size: Optional[int] = None,
         variant: str = "mwd",
-        batch: Optional[int] = None,
     ) -> str:
         """Content key: variant, grid shape, machine-spec hash, threads, TG.
 
-        ``batch`` (a batch width) extends the key for entries whose
-        payload depends on the width; ``None`` (the default, and what
-        the solve path uses -- the tiling plan depends only on grid,
-        machine and threads, so one tuned plan serves a whole campaign
-        batch) preserves every pre-batch key unchanged.  Keeping the two
-        namespaces disjoint guarantees a width-tagged entry can never
-        shadow or poison a per-point one.
+        No batch width: the tiling plan depends only on grid, machine and
+        threads, so one tuned plan serves a whole campaign batch.
         """
         machine_hash = hashlib.sha1(
             json.dumps(dataclasses.asdict(spec), sort_keys=True).encode()
         ).hexdigest()[:16]
-        fields = [REGISTRY_VERSION, variant, grid, machine_hash, threads, tg_size]
-        if batch is not None:
-            fields.append(["batch", int(batch)])
-        payload = json.dumps(fields)
+        payload = json.dumps(
+            [REGISTRY_VERSION, variant, grid, machine_hash, threads, tg_size]
+        )
         return hashlib.sha1(payload.encode()).hexdigest()[:20]
 
     def _path(self, key: str) -> Optional[str]:
@@ -174,7 +169,7 @@ class PlanRegistry:
         Returns ``(point, hit)``; ``point`` may be ``None`` when no
         configuration is feasible (also memoized).
         """
-        from ..core.autotuner import tune_spatial, tune_tiled
+        from ..core.autotuner import tune_variant
 
         key = self.key(spec, grid, threads, tg_size=tg_size, variant=variant)
         while True:
@@ -193,13 +188,8 @@ class PlanRegistry:
             with tracing.span(f"registry.tune {key[:8]}", "service",
                               args={"grid": grid, "threads": threads,
                                     "variant": variant}):
-                if variant == "spatial":
-                    point = tune_spatial(spec, grid, threads)
-                elif variant == "1wd":
-                    point = tune_tiled(spec, grid, threads,
-                                       tg_size=1, variant="1WD")
-                else:
-                    point = tune_tiled(spec, grid, threads, tg_size=tg_size)
+                point = tune_variant(spec, grid, threads,
+                                     variant=variant, tg_size=tg_size)
             self.store(key, point, meta={"grid": grid, "threads": threads,
                                          "variant": variant, "tg_size": tg_size,
                                          "machine": spec.name})

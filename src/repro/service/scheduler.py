@@ -103,7 +103,7 @@ def _child_entry(spec_dict: dict, attempt: int, registry_root: Optional[str],
     # (copy-on-write) hub, mirrored to the events dir so the parent's
     # readers can tail a *live* forked solve; spans go into a private
     # recorder whose export rides the spool file home (merged back like
-    # SubstrateCounters.merge()).
+    # the resilience counters).
     if telemetry_on:
         telemetry.enable(force=True)
         telemetry.PROGRESS.reset()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import autotuner
 from repro.core.autotuner import (
     DW_MIN,
     _dw_candidates,
@@ -9,6 +10,7 @@ from repro.core.autotuner import (
     simulate_grid_lups,
     tune_spatial,
     tune_tiled,
+    tune_variant,
 )
 from repro.core.models import cache_block_size
 from repro.machine import HASWELL_EP
@@ -65,6 +67,46 @@ class TestTunedPointApi:
 
     def test_grid_lups(self):
         assert grid_lups(64, timesteps=10) == 64**3 * 10
+
+
+class TestTuneVariant:
+    """``tune_variant`` is the one place a variant name becomes a tuner
+    call: ``repro tune``, tune jobs and the plan registry share it."""
+
+    DIRECT = {
+        "spatial": lambda tg: tune_spatial(HASWELL_EP, 64, 4),
+        "1wd": lambda tg: tune_tiled(HASWELL_EP, 64, 4, tg_size=1, variant="1WD"),
+        "mwd": lambda tg: tune_tiled(HASWELL_EP, 64, 4, tg_size=tg),
+    }
+
+    @pytest.mark.parametrize("tg_size", [None, 2])
+    @pytest.mark.parametrize("variant", ["spatial", "1wd", "mwd"])
+    def test_returns_the_direct_calls_object(self, variant, tg_size):
+        got = tune_variant(HASWELL_EP, 64, 4, variant=variant, tg_size=tg_size)
+        assert got is self.DIRECT[variant](tg_size)  # the tuners' lru_cache
+        assert got.variant == {"spatial": "spatial", "1wd": "1WD",
+                               "mwd": "2WD" if tg_size else "MWD"}[variant]
+
+    def test_every_entry_point_comes_through_it(self, monkeypatch, capsys):
+        from repro.cli import main
+        from repro.service import JobSpec, run_job
+        from repro.service.registry import PlanRegistry
+
+        calls = []
+        real = autotuner.tune_variant
+
+        def spy(spec, grid_n, threads, variant="mwd", tg_size=None):
+            calls.append((grid_n, threads, variant, tg_size))
+            return real(spec, grid_n, threads, variant=variant, tg_size=tg_size)
+
+        monkeypatch.setattr(autotuner, "tune_variant", spy)
+        spec = JobSpec(kind="tune", grid=16, threads=2, variant="1wd")
+        bare = run_job(spec)
+        assert run_job(spec, registry=PlanRegistry())["point"] == bare["point"]
+        assert main(["tune", "--grid", "16", "--threads", "2",
+                     "--variant", "1wd"]) == 0
+        assert calls == [(16, 2, "1wd", None)] * 3
+        assert bare["describe"] in capsys.readouterr().out
 
 
 class TestSimResult:

@@ -2,27 +2,21 @@
 
 Covers the batch :class:`JobSpec` (validation, content-addressed
 identity, per-point spec derivation), the dedup/fan-out contract of
-``run_job`` on batch jobs, and the two isolation regressions from the
-batch axis:
-
-* a checkpoint token names its lane list, so a snapshot of another
-  width can never be resumed (mismatches quarantine, they do not poison
-  the solve);
-* ``PlanRegistry.key`` keeps width-tagged entries in a namespace
-  disjoint from every pre-batch key.
+``run_job`` on batch jobs, and the isolation regression from the batch
+axis: a checkpoint token names its lane list, so a snapshot of another
+width can never be resumed (mismatches quarantine, they do not poison
+the solve).
 """
 
 import os
 
 import pytest
 
-from repro.machine import HASWELL_EP
 from repro.resilience import faults
 from repro.resilience.checkpoint import CheckpointManager, solver_token
 from repro.resilience.errors import InjectedFault
 from repro.resilience.faults import FaultPlan
 from repro.service import JobSpec, ResultStore, Scheduler, run_job
-from repro.service.registry import PlanRegistry
 
 BATCH = dict(kind="batch", preset="absorber", grid=10, tol=1e-4,
              max_steps=60, threads=2, wavelengths=(10.0, 11.0, 12.0))
@@ -190,16 +184,3 @@ class TestBatchCheckpointIsolation:
 
         resumed = run_job(spec, checkpoint_dir=str(tmp_path))
         assert resumed == clean
-
-
-class TestRegistryBatchNamespace:
-    def test_default_key_is_the_pre_batch_key(self):
-        key = PlanRegistry.key(HASWELL_EP, grid=16, threads=4)
-        assert PlanRegistry.key(HASWELL_EP, grid=16, threads=4,
-                                batch=None) == key
-
-    def test_width_tagged_keys_are_disjoint(self):
-        base = PlanRegistry.key(HASWELL_EP, grid=16, threads=4)
-        b4 = PlanRegistry.key(HASWELL_EP, grid=16, threads=4, batch=4)
-        b8 = PlanRegistry.key(HASWELL_EP, grid=16, threads=4, batch=8)
-        assert len({base, b4, b8}) == 3

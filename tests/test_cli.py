@@ -226,13 +226,13 @@ class TestEnvCommand:
     def test_json_output(self, capsys, monkeypatch):
         from repro import config
 
-        monkeypatch.setenv("REPRO_TUNE_WORKERS", "3")
+        monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "3")
         rc = main(["env", "--json"])
         assert rc == 0
         rows = json.loads(capsys.readouterr().out)
         assert {r["flag"] for r in rows} == set(config.FLAGS)
         by_flag = {r["flag"]: r for r in rows}
-        assert by_flag["REPRO_TUNE_WORKERS"]["value"] == "3"
+        assert by_flag["REPRO_CHECKPOINT_EVERY"]["value"] == "3"
 
 
 class TestSubmitCommand:

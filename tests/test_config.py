@@ -1,7 +1,6 @@
 """Tests for the REPRO_* flag registry and the atomic write helpers."""
 
 import glob
-import json
 import os
 import re
 import threading
@@ -48,27 +47,16 @@ class TestFlagRegistry:
             assert r["description"] and r["default"]
 
     def test_raw_reflects_environment(self, monkeypatch):
-        flag = config.FLAGS["REPRO_TUNE_WORKERS"]
-        monkeypatch.delenv("REPRO_TUNE_WORKERS", raising=False)
+        flag = config.FLAGS["REPRO_CHECKPOINT_EVERY"]
+        monkeypatch.delenv("REPRO_CHECKPOINT_EVERY", raising=False)
         assert flag.raw is None
-        monkeypatch.setenv("REPRO_TUNE_WORKERS", "4")
+        monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "4")
         assert flag.raw == "4"
 
 
 class TestAccessors:
-    def test_tune_workers(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TUNE_WORKERS", raising=False)
-        assert config.tune_workers() == 1
-        monkeypatch.setenv("REPRO_TUNE_WORKERS", "6")
-        assert config.tune_workers() == 6
-        monkeypatch.setenv("REPRO_TUNE_WORKERS", "0")
-        assert config.tune_workers() == 1  # clamped
-        monkeypatch.setenv("REPRO_TUNE_WORKERS", "many")
-        assert config.tune_workers() == 1  # malformed -> serial
-
     def test_path_flags_default_to_none(self, monkeypatch):
         for name, accessor in [
-            ("REPRO_TUNE_CACHE", config.tune_cache_dir),
             ("REPRO_TRACE", config.trace_path),
             ("REPRO_REGISTRY_DIR", config.registry_dir),
             ("REPRO_RESULT_DIR", config.result_dir),
@@ -132,8 +120,10 @@ class TestAtomicWrites:
         assert read_json(str(torn)) is None
 
     def test_concurrent_writers_never_tear(self, tmp_path):
-        """The REPRO_TUNE_CACHE regression: many threads rewriting one
-        path; every read observes one complete payload, never a splice."""
+        """What the registry, the result store and the checkpoints rely on
+        (a plan or result file has several writers: scheduler workers,
+        replicating nodes): many threads rewriting one path, and every
+        read observes one complete payload, never a splice."""
         path = str(tmp_path / "cache.json")
         payloads = [{"writer": i, "fill": "x" * 4096} for i in range(8)]
         stop = threading.Event()
@@ -172,28 +162,3 @@ class TestAtomicWrites:
         assert len(seen) >= 2  # the readers really raced multiple writers
         leftovers = [f for f in os.listdir(tmp_path) if f != "cache.json"]
         assert not leftovers  # every temp file was consumed by os.replace
-
-
-class TestTuneCachePersistence:
-    def test_tune_cache_files_are_atomic_json(self, tmp_path, monkeypatch):
-        """REPRO_TUNE_CACHE entries go through atomic_write_json: valid
-        JSON on disk, no temp debris, reread on a cold lru_cache."""
-        from repro.core.autotuner import tune_spatial
-        from repro.machine import HASWELL_EP
-
-        monkeypatch.setenv("REPRO_TUNE_CACHE", str(tmp_path))
-        tune_spatial.cache_clear()
-        try:
-            first = tune_spatial(HASWELL_EP, 64, 2)
-            files = os.listdir(tmp_path)
-            assert len(files) == 1 and files[0].endswith(".json")
-            doc = json.load(open(tmp_path / files[0]))
-            assert doc["point"]["variant"] == "spatial"
-
-            tune_spatial.cache_clear()  # force the disk path
-            again = tune_spatial(HASWELL_EP, 64, 2)
-            assert (again.block_y, again.threads) == (first.block_y,
-                                                      first.threads)
-            assert again.result.mlups == first.result.mlups
-        finally:
-            tune_spatial.cache_clear()  # drop points tied to tmp_path

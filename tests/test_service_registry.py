@@ -63,7 +63,7 @@ class TestRegistryGetOrTune:
 
         fresh = PlanRegistry(root)  # a restarted service
         point2, hit2 = fresh.get_or_tune(HASWELL_EP, 16, 2)
-        assert hit2 and (point2.dw, point2.bz) == (point.dw, point.bz)
+        assert hit2 and point2 == point  # every float round-trips exactly
         assert fresh.counters()["misses"] == 0
 
     def test_corrupt_file_reads_as_miss(self, tmp_path):

@@ -1,9 +1,8 @@
-"""Tests for substrate counter merging and re-entrant timed sections.
-
-Covers the fork-pool telemetry path: ``REPRO_TUNE_WORKERS`` workers
-count in copy-on-write copies of :data:`SUBSTRATE_COUNTERS`; per-
-candidate snapshots ride back with the results and are merged into the
-parent, so no telemetry is lost to process boundaries.
+"""Tests for the substrate counters, re-entrant timed sections and the
+purity contract of the tuner's shared memos (``TestSharedShapeTable``:
+whatever order, thread or cold pass scores a candidate, the point and
+the replay counts are the same -- which is what lets the search be one
+serial function over process-wide state).
 """
 
 import time
@@ -18,28 +17,6 @@ from repro.machine.counters import (
 
 
 class TestMerge:
-    def test_merge_counters_object(self):
-        a = SubstrateCounters(jobs_replayed=2, accesses_replayed=10,
-                              stream_memo_hits=1, stream_memo_misses=3)
-        a.section_seconds["x"] = 0.5
-        b = SubstrateCounters(jobs_replayed=5, accesses_replayed=20,
-                              stream_memo_hits=4, stream_memo_misses=0)
-        b.section_seconds.update({"x": 0.25, "y": 1.0})
-        a.merge(b)
-        assert a.jobs_replayed == 7
-        assert a.accesses_replayed == 30
-        assert a.stream_memo_hits == 5 and a.stream_memo_misses == 3
-        assert a.section_seconds == {"x": 0.75, "y": 1.0}
-
-    def test_merge_snapshot_dict(self):
-        a = SubstrateCounters(jobs_replayed=1)
-        b = SubstrateCounters(jobs_replayed=2, stream_memo_hits=3)
-        b.section_seconds["replay"] = 0.125
-        a.merge(b.snapshot())
-        assert a.jobs_replayed == 3
-        assert a.stream_memo_hits == 3
-        assert a.section_seconds == {"replay": 0.125}
-
     def test_snapshot_excludes_bookkeeping(self):
         c = SubstrateCounters()
         with timed_section("s", c):
@@ -131,11 +108,9 @@ def _cold_tune(grid, threads):
 
 
 @pytest.fixture
-def cold_substrate(monkeypatch):
+def cold_substrate():
     from repro.machine import clear_substrate_caches
 
-    monkeypatch.delenv("REPRO_TUNE_CACHE", raising=False)
-    monkeypatch.setenv("REPRO_TUNE_WORKERS", "1")
     yield
     # leave no tuned points or streams behind for other tests
     clear_substrate_caches()
@@ -240,26 +215,3 @@ class TestSharedShapeTable:
         assert streams.shape_table() is not first
         assert (SUBSTRATE_COUNTERS.jobs_replayed,
                 SUBSTRATE_COUNTERS.accesses_replayed) == want[1:]
-
-
-class TestForkPoolTelemetry:
-    def test_worker_counters_reach_parent(self, cold_substrate, monkeypatch):
-        """With REPRO_TUNE_WORKERS=2 the replay happens in fork children;
-        the merged parent counters must see exactly the serial jobs."""
-        point = TestSharedShapeTable.POINTS[0]
-        serial = _cold_tune(*point)
-        monkeypatch.setenv("REPRO_TUNE_WORKERS", "2")
-        parallel = _cold_tune(*point)
-        assert parallel == serial
-        assert serial[1] > 0 and serial[2] > 0
-        assert "tune.score" in SUBSTRATE_COUNTERS.section_seconds
-
-    def test_serial_and_parallel_pick_same_winner(self, cold_substrate, monkeypatch):
-        from repro.core import autotuner
-        from repro.machine.spec import HASWELL_EP
-
-        serial = autotuner.tune_tiled(HASWELL_EP, 64, 4)
-        monkeypatch.setenv("REPRO_TUNE_WORKERS", "2")
-        autotuner.tune_tiled.cache_clear()
-        parallel = autotuner.tune_tiled(HASWELL_EP, 64, 4)
-        assert serial == parallel
