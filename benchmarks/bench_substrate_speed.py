@@ -25,13 +25,13 @@ import time
 FIXED_GRID = 384
 FIXED_THREADS = 18
 #: Acceptance floors for seed/optimized wall-clock on the fixed point, per
-#: tuner, at about half the ratios observed (MWD 22-28x with the compiled
-#: DES and array-resolved tile streams -- the fast side is now C replay,
-#: shape generation and tile enumeration; spatial 50-70x): room for
-#: machine noise, none for a path that falls back to one engine call per
-#: row or to the Python event loop.
-MIN_SPEEDUP = {"tune_tiled": 12.0, "tune_spatial": 25.0}
-
+#: tuner, at about half the ratios observed (MWD 34-47x with the compiled
+#: DES, tile streams resolved by array arithmetic, shapes kept as
+#: rectangles and tiles translated from one template -- the fast side is
+#: now mostly C replay; spatial 50-80x): room for machine noise, none for
+#: a path that falls back to one engine call per row, to generating key
+#: arrays per shape or to the Python event loop.
+MIN_SPEEDUP = {"tune_tiled": 18.0, "tune_spatial": 25.0}
 
 def time_fixed_point(tuner: str, engine: str):
     """Cold wall-clock of the fixed Fig. 6 point under one replay engine."""

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Tuple
 
 __all__ = ["RowSpan", "DiamondTile", "enumerate_tiles", "node_tile_index"]
 
@@ -135,34 +135,28 @@ class DiamondTile:
         return ((self.i - 1, self.j), (self.i, self.j - 1), (self.i - 1, self.j - 1))
 
 
-def _tile_rows(i: int, j: int, dw: int, ny: int, total_substeps: int) -> List[RowSpan]:
-    """Enumerate the row spans of tile (i, j), clipped to the domain."""
-    rows: List[RowSpan] = []
+@lru_cache(maxsize=None)
+def _template(dw: int) -> Tuple[Tuple[int, int, int], ...]:
+    """``(tau, y_lo, y_hi)`` per sub-step of the unclipped tile ``(0, 0)``.
+
+    Tile ``(i, j)`` is this diamond translated by ``(i + j) * dw`` in
+    ``tau`` and ``(i - j) * dw / 2`` in ``y`` (a shift of ``i`` in ``u``
+    and ``j`` in ``v``; ``dw`` is even, so both are integers and the H/E
+    parity of a row is kept), then clipped to the domain.
+    """
+    rows = []
     two_dw = 2 * dw
-    tau_lo = max((i + j) * dw, 0)
-    tau_hi = min((i + j + 2) * dw - 1, total_substeps - 1)
-    for tau in range(tau_lo, tau_hi + 1):
+    for tau in range(two_dw):
         # P = 2p constraints: closed/open bounds from u, open/closed from v.
-        p_lo = max(two_dw * i - tau, tau - two_dw * (j + 1) + 1)
-        p_hi = min(two_dw * (i + 1) - tau - 1, tau - two_dw * j)
-        if p_lo > p_hi:
-            continue
-        parity = 1 if tau % 2 == 0 else 0  # H rows have odd P = 2y + 1
-        # Smallest P >= p_lo with the right parity.
-        first = p_lo + ((parity - p_lo) % 2)
+        p_lo = max(-tau, tau - two_dw + 1)
+        p_hi = min(two_dw - tau - 1, tau)
+        parity = 1 - tau % 2  # H rows (even tau) have odd P = 2y + 1
+        first = p_lo + ((parity - p_lo) % 2)  # smallest P >= p_lo of that parity
         if first > p_hi:
             continue
-        if parity:  # H: y = (P - 1) / 2
-            y_lo = (first - 1) // 2
-            y_hi = (p_hi - 1) // 2 + 1
-        else:  # E: y = P / 2
-            y_lo = first // 2
-            y_hi = p_hi // 2 + 1
-        y_lo = max(y_lo, 0)
-        y_hi = min(y_hi, ny)
-        if y_lo < y_hi:
-            rows.append(RowSpan(tau, y_lo, y_hi))
-    return rows
+        # H: y = (P - 1) / 2, E: y = P / 2
+        rows.append((tau, (first - parity) // 2, (p_hi - parity) // 2 + 1))
+    return tuple(rows)
 
 
 def enumerate_tiles(ny: int, timesteps: int, dw: int) -> Dict[Tuple[int, int], DiamondTile]:
@@ -201,20 +195,27 @@ def _enumerate_tiles_cached(
     if timesteps < 1:
         raise ValueError("timesteps must be >= 1")
     total_substeps = 2 * timesteps
+    template = _template(dw)
 
-    # Index bounds: u = (tau + P)/2 in [0, timesteps + ny), and
-    # v = (tau - P)/2 in (-ny, timesteps).
-    i_lo = 0
-    i_hi = (timesteps + ny) // dw + 1
-    j_lo = -((ny + dw - 1) // dw) - 1
-    j_hi = timesteps // dw + 1
+    # Tile (i, j) spans tau in [(i+j) dw, (i+j+2) dw) and P = 2p strictly
+    # inside ((i-j-1) dw, (i-j+1) dw); only cells whose span meets the
+    # domain [0, total_substeps) x [0, 2 ny - 1] can hold a node.
+    band_hi = (total_substeps - 1) // dw  # i + j in [-1, band_hi]
+    diff_hi = (2 * ny - 2) // dw + 1  # i - j in [0, diff_hi]
 
     tiles: Dict[Tuple[int, int], DiamondTile] = {}
-    for i in range(i_lo, i_hi + 1):
-        for j in range(j_lo, j_hi + 1):
-            rows = _tile_rows(i, j, dw, ny, total_substeps)
+    for i in range((band_hi + diff_hi) // 2 + 1):
+        for j in range(max(-1 - i, i - diff_hi), min(band_hi - i, i) + 1):
+            tau0 = (i + j) * dw
+            y0 = (i - j) * dw // 2
+            rows = tuple(
+                RowSpan(tau0 + tau, max(y0 + y_lo, 0), min(y0 + y_hi, ny))
+                for tau, y_lo, y_hi in template
+                if 0 <= tau0 + tau < total_substeps
+                and y0 + y_lo < ny and y0 + y_hi > 0
+            )
             if rows:
-                tiles[(i, j)] = DiamondTile(i=i, j=j, dw=dw, rows=tuple(rows))
+                tiles[(i, j)] = DiamondTile(i=i, j=j, dw=dw, rows=rows)
     return tiles
 
 

@@ -160,14 +160,21 @@ class BatchLRU:
     one replay call and folded into :attr:`stats` on exit, so
     :meth:`reset_stats` epochs (which the measurement campaigns place at
     job-stream boundaries) behave exactly as with the reference cache.
+
+    Given a ``key_space`` (the emitter's dense chunk-key bound, which the
+    native engine needs for its arrays), a replay that would touch a key
+    outside ``[0, key_space)`` raises :class:`ValueError` before anything
+    is replayed, as on the native engine.
     """
 
-    __slots__ = ("capacity_bytes", "stats", "_entries", "_used_bytes")
+    __slots__ = ("capacity_bytes", "key_space", "stats", "_entries",
+                 "_used_bytes")
 
-    def __init__(self, capacity_bytes: float):
+    def __init__(self, capacity_bytes: float, key_space: int | None = None):
         if capacity_bytes <= 0:
             raise ValueError("capacity must be positive")
         self.capacity_bytes = float(capacity_bytes)
+        self.key_space = key_space
         self.stats = CacheStats()
         # key -> (size << 1) | dirty
         self._entries: OrderedDict[int, int] = OrderedDict()
@@ -201,24 +208,49 @@ class BatchLRU:
         byte ``size`` and read/write direction.  ``base`` translates a
         relative stream to its absolute position (the job's anchor).
         """
+        segments = tuple(segments)
+        self._check(((segments, base),))
         return self._replay(((segments, base),))
 
-    def replay_jobs(self, table, group_base, group_size,
+    def replay_jobs(self, table, group_base, group_size, nz,
                     job_lo, job_hi, job_base) -> int:
         """Replay a whole schedule: job ``j`` is the run ``[job_lo[j],
         job_hi[j])`` of the shared segment table (see
         :class:`repro.machine.streams.ShapeTable`) translated by
         ``job_base[j]``; ``group_base`` / ``group_size`` place a segment's
-        array group in the emitter's key space and give its chunk size."""
+        array group in the emitter's key space and give its chunk size,
+        ``nz`` is the row stride its boxes expand to key lists with."""
         runs = list(zip(job_lo.tolist(), job_hi.tolist()))
         distinct = set(runs)
-        segs = table.python_segments(distinct)
+        segs = table.python_segments(distinct, nz)
         gbase, gsize = group_base.tolist(), group_size.tolist()
         placed = {
             (lo, hi): [(gbase[g], gsize[g], w, rel) for g, w, rel in segs[lo:hi]]
             for lo, hi in distinct
         }
-        return self._replay(zip(map(placed.__getitem__, runs), job_base.tolist()))
+        jobs = list(zip(map(placed.__getitem__, runs), job_base.tolist()))
+        self._check(jobs)
+        return self._replay(jobs)
+
+    def _check(self, jobs) -> None:
+        """Refuse ``(segments, base)`` jobs that leave the key space."""
+        space = self.key_space
+        if space is None:
+            return
+        extent = {}  # id(segments) -> lowest and highest unplaced key
+        for j, (segments, base) in enumerate(jobs):
+            ext = extent.get(id(segments))
+            if ext is None:
+                keys = [prebase + r for prebase, _, _, rel in segments if rel
+                        for r in (min(rel), max(rel))] or [0]
+                ext = extent[id(segments)] = (min(keys), max(keys))
+            if base + ext[0] < 0 or base + ext[1] >= space:
+                s = next(i for i, (prebase, _, _, rel) in enumerate(segments)
+                         if rel and not (0 <= prebase + base + min(rel)
+                                         and prebase + base + max(rel) < space))
+                raise ValueError(
+                    f"job {j} (base {base}): segment {s} leaves the key "
+                    f"space [0, {space})")
 
     def _replay(self, jobs) -> int:
         """The LRU loop over ``(segments, base)`` jobs."""

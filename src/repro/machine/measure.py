@@ -100,10 +100,11 @@ def _make_group_emitter(engine: str, capacity: float, ny: int, nz: int, nx: int)
     if engine == "reference":
         cache = LRUCache(capacity)
         return cache, StreamEmitter(cache, ny=ny, nz=nz, nx=nx)
+    key_space = BatchStreamEmitter.key_space(ny, nz)
     if engine == "batch":
-        cache = BatchLRU(capacity)
+        cache = BatchLRU(capacity, key_space)
     else:  # native (falls back to BatchLRU when the kernel is unavailable)
-        cache = make_lru(capacity, BatchStreamEmitter.key_space(ny, nz))
+        cache = make_lru(capacity, key_space)
     return cache, BatchStreamEmitter(cache, ny=ny, nz=nz, nx=nx)
 
 
@@ -111,10 +112,11 @@ def _make_component_emitter(engine: str, capacity: float, ny: int, nz: int, nx: 
     if engine == "reference":
         cache = LRUCache(capacity)
         return cache, ComponentStreamEmitter(cache, ny=ny, nz=nz, nx=nx)
+    key_space = BatchComponentStreamEmitter.key_space(ny, nz)
     if engine == "batch":
-        cache = BatchLRU(capacity)
+        cache = BatchLRU(capacity, key_space)
     else:
-        cache = make_lru(capacity, BatchComponentStreamEmitter.key_space(ny, nz))
+        cache = make_lru(capacity, key_space)
     return cache, BatchComponentStreamEmitter(cache, ny=ny, nz=nz, nx=nx)
 
 

@@ -66,17 +66,23 @@ def _get_library():
         _LIB_TRIED = True
         lib = nativelib.load("_lru_kernel")
         if lib is not None:
-            table = [
+            i64 = ctypes.c_int64
+            lib.lru_replay.restype = i64
+            lib.lru_replay.argtypes = [
                 ctypes.POINTER(_LruState),
-                _P64, _P64, _P64, _PU8,  # rel, seg_start, seg_group, seg_write
-                _P64, _P64,  # group_base, group_size
+                _P64, _P64,  # rel, seg_start
+                _P64, _P64, _PU8,  # seg_prebase, seg_size, seg_write
+                i64, i64, i64,  # n_seg, base, key_space
+                _P64,  # bad
             ]
-            lib.lru_replay.restype = ctypes.c_int64
-            lib.lru_replay.argtypes = table + [ctypes.c_int64, ctypes.c_int64]  # n_seg, base
-            lib.lru_replay_jobs.restype = ctypes.c_int64
-            lib.lru_replay_jobs.argtypes = table + [
-                _P64, _P64, _P64,  # job_lo, job_hi, job_base
-                ctypes.c_int64,  # n_jobs
+            lib.lru_replay_jobs.restype = i64
+            lib.lru_replay_jobs.argtypes = [
+                ctypes.POINTER(_LruState),
+                _P64,  # seg
+                _P64, _P64, i64,  # group_base, group_size, n_groups
+                i64, i64,  # nz, key_space
+                _P64, _P64, _P64, i64,  # job_lo, job_hi, job_base, n_jobs
+                _P64,  # bad
             ]
         _LIB = lib
     return _LIB
@@ -135,6 +141,8 @@ class NativeLRU:
         self._st.flags = self._flags.ctypes.data_as(_PU8)
         self._st_ref = ctypes.byref(self._st)
         self._lru_replay = lib.lru_replay
+        # Where a refused replay names its out-of-range (job, segment).
+        self._bad = (ctypes.c_int64 * 2)()
 
     # -- properties ---------------------------------------------------------
 
@@ -174,28 +182,35 @@ class NativeLRU:
 
     def prepare(self, segments: Sequence[Tuple[int, int, bool, Sequence[int]]]):
         """Pack generic ``(prebase, size, write, rel_keys)`` segments into
-        the flat arrays one kernel call consumes (every segment its own
-        "group", carrying its prebase and size)."""
+        the flat arrays one kernel call consumes."""
         n_seg = len(segments)
         rels = [_as_i64(seg[3]) for seg in segments]
         rel = np.concatenate(rels) if rels else np.zeros(0, dtype=np.int64)
         seg_start = np.zeros(n_seg + 1, dtype=np.int64)
         np.cumsum(np.array([len(r) for r in rels], dtype=np.int64), out=seg_start[1:])
         arrays = (
-            rel, seg_start, np.arange(n_seg, dtype=np.int64),
-            np.array([seg[2] for seg in segments], dtype=np.uint8),
+            rel, seg_start,
             np.array([seg[0] for seg in segments], dtype=np.int64),
             np.array([seg[1] for seg in segments], dtype=np.int64),
+            np.array([seg[2] for seg in segments], dtype=np.uint8),
         )
         return _Prepared(arrays, tuple(
             a.ctypes.data_as(_PU8 if a.dtype == np.uint8 else _P64) for a in arrays
         ) + (n_seg,))
 
     def replay(self, prepared, base: int = 0) -> int:
-        """Replay a prepared segment table at an absolute base offset."""
+        """Replay a prepared segment table at an absolute base offset.
+        A key outside ``[0, key_space)`` raises :class:`ValueError` before
+        anything is replayed."""
         if type(prepared) is not _Prepared:
             prepared = self.prepare(prepared)
-        return int(self._lru_replay(self._st_ref, *prepared.args, base))
+        n = int(self._lru_replay(self._st_ref, *prepared.args, base,
+                                 self.key_space, self._bad))
+        if n < 0:
+            raise ValueError(
+                f"segment {self._bad[1]} at base {base} leaves the key space "
+                f"[0, {self.key_space})")
+        return n
 
     def access(self, key: int, size: int, write: bool) -> bool:
         """Single-access compatibility shim (not the hot path)."""
@@ -203,30 +218,41 @@ class NativeLRU:
         self.replay([(0, size, write, [key])])
         return hit
 
-    def replay_jobs(self, table, group_base, group_size,
+    def replay_jobs(self, table, group_base, group_size, nz,
                     job_lo, job_hi, job_base) -> int:
         """Replay a whole schedule in one kernel call: job ``j`` is the
         run ``[job_lo[j], job_hi[j])`` of the shared segment table (see
         :class:`repro.machine.streams.ShapeTable`) translated by
         ``job_base[j]``; ``group_base`` / ``group_size`` place a segment's
-        array group in this cache's key space and give its chunk size."""
-        rel, seg_start, seg_group, seg_write = table.arrays()
+        array group in this cache's key space and give its chunk size,
+        ``nz`` is the row stride of its boxes.  A box that leaves ``[0,
+        key_space)`` raises :class:`ValueError` before anything is
+        replayed."""
+        seg = table.segments()
         gb, gs = _as_i64(group_base), _as_i64(group_size)
         jl, jh, jb = _as_i64(job_lo), _as_i64(job_hi), _as_i64(job_base)
         if not (len(jl) == len(jh) == len(jb)) or len(gb) != len(gs):
             raise ValueError("job / group arrays differ in length")
+        if nz < 1:
+            raise ValueError("nz must be >= 1")
         if len(jl) and (jl.min() < 0 or jh.max() > table.n_segments):
             raise ValueError("job run outside the segment table")
-        return int(
+        n = int(
             self._lib.lru_replay_jobs(
-                self._st_ref,
-                rel.ctypes.data_as(_P64), seg_start.ctypes.data_as(_P64),
-                seg_group.ctypes.data_as(_P64), seg_write.ctypes.data_as(_PU8),
-                gb.ctypes.data_as(_P64), gs.ctypes.data_as(_P64),
+                self._st_ref, seg.ctypes.data_as(_P64),
+                gb.ctypes.data_as(_P64), gs.ctypes.data_as(_P64), len(gb),
+                nz, self.key_space,
                 jl.ctypes.data_as(_P64), jh.ctypes.data_as(_P64),
-                jb.ctypes.data_as(_P64), len(jl),
+                jb.ctypes.data_as(_P64), len(jl), self._bad,
             )
         )
+        if n < 0:
+            job, s = self._bad
+            raise ValueError(
+                f"job {job} (base {jb[job]}): segment {s} "
+                f"{tuple(seg[s].tolist())} leaves the key space "
+                f"[0, {self.key_space})")
+        return n
 
     # -- management ---------------------------------------------------------
 
@@ -258,4 +284,4 @@ def make_lru(capacity_bytes: float, key_space: int):
     """The fastest available exact-LRU engine for a dense key space."""
     if native_available() and key_space <= MAX_KEY_SPACE:
         return NativeLRU(capacity_bytes, key_space)
-    return BatchLRU(capacity_bytes)
+    return BatchLRU(capacity_bytes, key_space)

@@ -321,28 +321,32 @@ class ComponentStreamEmitter:
 # schedule contains thousands of *congruent* jobs -- same half-step class,
 # same box extents, same adjacency to the domain edges -- whose access
 # streams are identical up to a translation by the job's (y_lo, z_lo)
-# anchor (see :meth:`repro.core.wavefront.RowJob.shape_key`).  The batched
-# emitters generate the relative stream of a shape class once with NumPy,
-# keep it in the shape table below, resolve a whole schedule (one band of
-# interleaved tiles, one phase of a sweep) to ``(segment range, base)``
-# job arrays and hand it to the engine's ``replay_jobs`` in one call.  Key
-# order inside a segment is exactly the reference loop order (recipe op,
-# then y, then z) and job order is the reference interleave, so the replay
-# is access-for-access identical.
+# anchor (see :meth:`repro.core.wavefront.RowJob.shape_key`), and every
+# recipe op of such a job touches a *clipped rectangle* of rows: the
+# row-granular working set Eq. 11 counts.  The batched emitters keep one
+# rectangle per op of a shape class in the shape table below, resolve a
+# whole schedule (one band of interleaved tiles, one phase of a sweep) to
+# ``(segment range, base)`` job arrays and hand it to the engine's
+# ``replay_jobs`` in one call.  The engine walks each rectangle y-major --
+# exactly the reference loop order (recipe op, then y, then z) -- and job
+# order is the reference interleave, so the replay is access-for-access
+# identical without a key ever being stored.
 # ---------------------------------------------------------------------------
 
 
 def _rect_rel_keys(ry0: int, ry1: int, rz0: int, rz1: int, nz: int) -> np.ndarray:
     """Relative keys ``ry * nz + rz`` of a rectangle, y-major like the
-    reference emit loops."""
+    reference emit loops: what the compiled replay walks without storing,
+    materialized for the explicit-key consumers only."""
     rel = np.arange(ry0, ry1, dtype=np.int64) * nz
     return (rel[:, None] + np.arange(rz0, rz1, dtype=np.int64)[None, :]).ravel()
 
 
 def _clipped_segments(recipe, y_lo: int, y_hi: int, z_lo: int, z_hi: int,
-                      ny: int, nz: int) -> List[Tuple[int, bool, np.ndarray]]:
-    """``(group, write, rel_keys)`` per recipe op of a box, clipped to the
-    domain; keys are relative to the box anchor ``(y_lo, z_lo)``."""
+                      ny: int, nz: int) -> List[Tuple[int, bool, int, int, int, int]]:
+    """``(group, write, ry0, ry1, rz0, rz1)`` per recipe op of a box: the
+    op's rows clipped to the domain (ops clipped away entirely are left
+    out), relative to the box anchor ``(y_lo, z_lo)``."""
     segments = []
     for op in recipe:
         y0 = max(y_lo + op.dy, 0)
@@ -351,16 +355,20 @@ def _clipped_segments(recipe, y_lo: int, y_hi: int, z_lo: int, z_hi: int,
         z1 = min(z_hi + op.dz, nz)
         if y0 >= y1 or z0 >= z1:
             continue
-        segments.append((op.gid, op.write, _rect_rel_keys(
-            y0 - y_lo, y1 - y_lo, z0 - z_lo, z1 - z_lo, nz)))
+        segments.append((op.gid, op.write,
+                         y0 - y_lo, y1 - y_lo, z0 - z_lo, z1 - z_lo))
     return segments
 
 
-#: Byte budget of the shape table.  A cold pass over Fig. 6/7 tunes fills
-#: about a third of it on the native engine (entries depend on ``D_w``,
-#: ``B_z`` and block sizes, not on the grid, so more points add little);
-#: a table that outgrows it is replaced by an empty one, see
-#: :func:`shape_table`.
+#: Byte budget of the shape table.  A segment is six integers whatever its
+#: rectangle covers and a tile stream three integers per job, so the widest
+#: tune the service runs (24^3 / 18 threads, D_w up to 24: 7,949 shape
+#: classes, 344 tile streams) holds 13 MB -- half segments, half tile
+#: streams -- and is never regenerated mid-tune; entries depend on
+#: ``D_w``, ``B_z`` and block sizes, not on the grid, so more points add
+#: little.  (The pure-Python engine adds its materialized key lists on
+#: top.)  A table that does outgrow the budget is replaced by an empty
+#: one, see :func:`shape_table`.
 SHAPE_TABLE_MAX_BYTES = 32 * 2**20
 
 #: Approximate bytes per key of a materialized Python key list (pointer
@@ -375,20 +383,23 @@ class ShapeTable:
     """Access streams of shape classes and tile congruence classes, shared
     by every batched emitter of the process.
 
-    A *shape* is stored once as a run of segments ``[lo, hi)`` in flat
-    arrays: per segment an array group, a read/write flag and the keys
-    relative to the job anchor, ``ry * nz + rz``.  Nothing in an entry
-    depends on the emitter's ``ny`` or ``nx`` -- the group's plane offset
-    and row size enter per replay call -- so shapes are keyed by
-    ``(nz, shape_key)`` and shared by all candidates of a tuning run.  A
-    *tile stream* is a tile's whole serialized job sequence resolved to
-    such runs, keyed by the tile's congruence class.
+    A *shape* is stored once as a run of segments ``[lo, hi)``, one row of
+    :meth:`segments` each: an array group, a read/write flag and the
+    rectangle ``[ry0, ry1) x [rz0, rz1)`` of rows it touches, relative to
+    the job anchor (never empty).  Nothing in an entry depends on the
+    emitter's ``ny`` or ``nx`` -- the group's plane offset and row size
+    enter per replay call, like the row stride ``nz`` that turns a
+    rectangle into keys ``ry * nz + rz`` -- but shapes are keyed by
+    ``(nz, shape_key)``, so a segment is only ever replayed at one ``nz``;
+    they are shared by all candidates of a tuning run.  A *tile stream* is
+    a tile's whole serialized job sequence resolved to such runs, keyed by
+    the tile's congruence class.
 
     Entries are only ever appended, under :data:`_TABLE_LOCK`; readers take
-    :meth:`arrays` / :meth:`python_segments` after resolving their jobs and
-    hold that view for the duration of the replay, so a concurrent append
-    (which may move the flat arrays to larger buffers) never invalidates
-    it.
+    :meth:`segments` / :meth:`python_segments` after resolving their jobs
+    and hold that view for the duration of the replay, so a concurrent
+    append (which may move the segment rows to a larger buffer) never
+    invalidates it.
     """
 
     def __init__(self) -> None:
@@ -396,57 +407,38 @@ class ShapeTable:
         self.shapes: Dict[tuple, Tuple[int, int, int]] = {}
         #: tile congruence class -> ``(lo, hi, rel_base, accesses, cells)``.
         self.tiles: Dict[tuple, tuple] = {}
-        self._rel = np.empty(1 << 14, dtype=np.int64)
-        self._start = np.zeros((1 << 10) + 1, dtype=np.int64)
-        self._group = np.empty(1 << 10, dtype=np.int64)
-        self._write = np.empty(1 << 10, dtype=np.uint8)
-        self._n_rel = 0
+        #: per segment ``(group, write, ry0, ry1, rz0, rz1)``.
+        self._seg = np.empty((1 << 10, 6), dtype=np.int64)
         self.n_segments = 0
-        # Per segment ``(group, write, key list)`` for the pure-Python
-        # engine, materialized on demand.
+        # Per segment ``(group, write, key list)`` for the consumers of
+        # explicit keys (the pure-Python engine), materialized on demand.
         self._py: List[tuple | None] = []
         self._extra_bytes = 0
 
     @property
     def nbytes(self) -> int:
-        return (self._rel.nbytes + self._start.nbytes + self._group.nbytes
-                + self._write.nbytes + self._extra_bytes)
-
-    def _reserve(self, n_rel: int, n_seg: int) -> None:
-        if n_rel > len(self._rel):
-            grown = np.empty(max(n_rel, 2 * len(self._rel)), dtype=np.int64)
-            grown[: self._n_rel] = self._rel[: self._n_rel]
-            self._rel = grown
-        if n_seg > len(self._group):
-            cap = max(n_seg, 2 * len(self._group))
-            for name, extra in (("_start", 1), ("_group", 0), ("_write", 0)):
-                old = getattr(self, name)
-                grown = np.zeros(cap + extra, dtype=old.dtype)
-                grown[: self.n_segments + extra] = old[: self.n_segments + extra]
-                setattr(self, name, grown)
+        return self._seg.nbytes + self._extra_bytes
 
     def add_shape(self, key: tuple,
-                  segments: Sequence[Tuple[int, bool, np.ndarray]]):
+                  segments: Sequence[Tuple[int, bool, int, int, int, int]]):
         """Store the segments of shape class ``key`` (unless another thread
         got there first) and return its ``(lo, hi, n_accesses)``."""
         with _TABLE_LOCK:
             entry = self.shapes.get(key)
             if entry is None:
-                n = sum(len(rel) for _, _, rel in segments)
-                self._reserve(self._n_rel + n, self.n_segments + len(segments))
-                lo = s = self.n_segments
-                at = self._n_rel
-                for group, write, rel in segments:
-                    self._rel[at : at + len(rel)] = rel
-                    at += len(rel)
-                    self._group[s] = group
-                    self._write[s] = write
-                    s += 1
-                    self._start[s] = at
+                lo, hi = self.n_segments, self.n_segments + len(segments)
+                if hi > len(self._seg):
+                    grown = np.empty((max(hi, 2 * len(self._seg)), 6),
+                                     dtype=np.int64)
+                    grown[:lo] = self._seg[:lo]
+                    self._seg = grown
+                if segments:
+                    self._seg[lo:hi] = segments
                 self._py.extend([None] * len(segments))
-                self._n_rel = at
-                self.n_segments = s
-                entry = self.shapes[key] = (lo, s, n)
+                self.n_segments = hi
+                n = sum((ry1 - ry0) * (rz1 - rz0)
+                        for _, _, ry0, ry1, rz0, rz1 in segments)
+                entry = self.shapes[key] = (lo, hi, n)
             return entry
 
     def add_tile(self, key: tuple, stream: tuple) -> tuple:
@@ -458,25 +450,26 @@ class ShapeTable:
                 self._extra_bytes += sum(a.nbytes for a in stream[:3])
             return entry
 
-    def arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(rel, seg_start, seg_group, seg_write)``, valid for every entry
-        added before the call (growth copies into new buffers and leaves
-        the old ones to their holders)."""
-        return self._rel, self._start, self._group, self._write
+    def segments(self) -> np.ndarray:
+        """The segment rows, valid for every entry added before the call
+        (growth copies into a new buffer and leaves the old one to its
+        holders)."""
+        return self._seg
 
-    def python_segments(self, runs: Iterable[Tuple[int, int]]) -> List[tuple]:
+    def python_segments(self, runs: Iterable[Tuple[int, int]],
+                        nz: int) -> List[tuple]:
         """The per-segment ``(group, write, key list)`` table with every
-        segment of ``runs`` materialized."""
+        segment of ``runs`` expanded at row stride ``nz``."""
         py = self._py
         for lo, hi in runs:
             if None in py[lo:hi]:
                 with _TABLE_LOCK:
                     for s in range(lo, hi):
                         if py[s] is None:
-                            a, b = self._start[s], self._start[s + 1]
-                            py[s] = (int(self._group[s]), bool(self._write[s]),
-                                     self._rel[a:b].tolist())
-                            self._extra_bytes += _PY_KEY_BYTES * int(b - a)
+                            group, write, *box = self._seg[s].tolist()
+                            keys = _rect_rel_keys(*box, nz).tolist()
+                            py[s] = (group, bool(write), keys)
+                            self._extra_bytes += _PY_KEY_BYTES * len(keys)
         return py
 
 
@@ -571,8 +564,9 @@ class BatchStreamEmitter:
         ``prepare`` / ``replay`` of the engines consume)."""
         plane = self.ny * self.nz
         return [
-            (gid * plane, self._row_bytes[gid], write, rel.tolist())
-            for gid, write, rel in _clipped_segments(
+            (gid * plane, self._row_bytes[gid], write,
+             _rect_rel_keys(*box, self.nz).tolist())
+            for gid, write, *box in _clipped_segments(
                 CLASS_RECIPES[job.field], job.y_lo, job.y_hi,
                 job.z_lo, job.z_hi, self.ny, self.nz)
         ]
@@ -594,7 +588,7 @@ class BatchStreamEmitter:
         table = shape_table()
         (lo, hi, n), _ = self._shape(table, job)
         plane = self.ny * self.nz
-        py = table.python_segments([(lo, hi)])
+        py = table.python_segments([(lo, hi)], self.nz)
         return [(g * plane, self._row_bytes[g], w, rel) for g, w, rel in py[lo:hi]], n
 
     def _resolve(self, table: ShapeTable, jobs: Iterable[RowJob], y0: int = 0):
@@ -618,7 +612,7 @@ class BatchStreamEmitter:
     def _replay(self, table: ShapeTable, lo, hi, base) -> None:
         if len(lo):
             self.cache.replay_jobs(table, self._group_base, self._group_size,
-                                   lo, hi, base)
+                                   self.nz, lo, hi, base)
 
     def emit_job(self, job: RowJob) -> None:
         """Replay one row job's chunk accesses."""
@@ -762,7 +756,7 @@ class BatchComponentStreamEmitter:
         if repeat != 1:
             lo, hi, base = (np.tile(a, repeat) for a in (lo, hi, base))
         self.cache.replay_jobs(table, self._group_base, self._group_size,
-                               lo, hi, base)
+                               nz, lo, hi, base)
         self.cells += repeat * int((dy * dz).sum())
         # A class generated by this call missed once; its other rows hit.
         _count_replay(repeat * len(code), repeat * int(per_class @ runs[:, 2]),

@@ -189,10 +189,12 @@ class Scheduler:
     # -- lifecycle -------------------------------------------------------------
 
     def start(self) -> "Scheduler":
-        from .. import config
+        from .. import config, nativelib
 
         if self._threads:
             return self
+        # Job latency must not depend on what the process freed before.
+        nativelib.retain_heap()
         # Serving implies telemetry (REPRO_TELEMETRY=0 still vetoes).
         telemetry.enable()
         if self.mode == "process" and self._spool_dir is None:

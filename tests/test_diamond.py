@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.diamond import (
     DiamondTile,
@@ -22,7 +24,62 @@ def all_nodes(tiles):
     return seen
 
 
+def _tile_rows(i, j, dw, ny, total_substeps):
+    """Row spans of tile (i, j) from the membership inequalities, clipped
+    to the domain: the per-cell construction `enumerate_tiles` used before
+    it translated one template per ``dw``, kept as its oracle."""
+    rows = []
+    two_dw = 2 * dw
+    tau_lo = max((i + j) * dw, 0)
+    tau_hi = min((i + j + 2) * dw - 1, total_substeps - 1)
+    for tau in range(tau_lo, tau_hi + 1):
+        # P = 2p constraints: closed/open bounds from u, open/closed from v.
+        p_lo = max(two_dw * i - tau, tau - two_dw * (j + 1) + 1)
+        p_hi = min(two_dw * (i + 1) - tau - 1, tau - two_dw * j)
+        if p_lo > p_hi:
+            continue
+        parity = 1 if tau % 2 == 0 else 0  # H rows have odd P = 2y + 1
+        # Smallest P >= p_lo with the right parity.
+        first = p_lo + ((parity - p_lo) % 2)
+        if first > p_hi:
+            continue
+        if parity:  # H: y = (P - 1) / 2
+            y_lo = (first - 1) // 2
+            y_hi = (p_hi - 1) // 2 + 1
+        else:  # E: y = P / 2
+            y_lo = first // 2
+            y_hi = p_hi // 2 + 1
+        y_lo = max(y_lo, 0)
+        y_hi = min(y_hi, ny)
+        if y_lo < y_hi:
+            rows.append(RowSpan(tau, y_lo, y_hi))
+    return rows
+
+
+def _enumerate_per_cell(ny, timesteps, dw):
+    """Every cell of the index bounding box, empty ones dropped: u = (tau +
+    P)/2 in [0, timesteps + ny), v = (tau - P)/2 in (-ny, timesteps)."""
+    tiles = {}
+    for i in range((timesteps + ny) // dw + 2):
+        for j in range(-((ny + dw - 1) // dw) - 1, timesteps // dw + 2):
+            rows = _tile_rows(i, j, dw, ny, 2 * timesteps)
+            if rows:
+                tiles[(i, j)] = DiamondTile(i=i, j=j, dw=dw, rows=tuple(rows))
+    return tiles
+
+
 class TestTessellation:
+    @given(ny=st.integers(1, 40), timesteps=st.integers(1, 30),
+           dw=st.integers(1, 12).map(lambda k: 2 * k))
+    @settings(max_examples=150, deadline=None)
+    def test_templated_enumeration_equals_per_cell(self, ny, timesteps, dw):
+        """Translating one template per ``dw`` over the non-empty cells
+        gives the per-cell tessellation, tile for tile and in the same
+        dict order (``pack_dag`` and ``fifo_order`` depend on it)."""
+        got = enumerate_tiles(ny, timesteps, dw)
+        want = _enumerate_per_cell(ny, timesteps, dw)
+        assert list(got.items()) == list(want.items())
+
     @pytest.mark.parametrize(
         "ny,T,dw", [(8, 4, 2), (12, 6, 4), (16, 8, 4), (10, 10, 6), (7, 3, 4), (20, 5, 8)]
     )

@@ -231,3 +231,25 @@ class TestWaiting:
             Scheduler(queue_size=0)
         with pytest.raises(ValueError):
             Scheduler(mode="coroutine")
+
+
+class TestAllocatorPolicy:
+    def test_start_pins_the_malloc_thresholds(self, monkeypatch):
+        """A serving process does not leave job latency to whatever block
+        it freed last: ``start`` asks libc to keep its heap (once -- a
+        second ``start`` is a no-op), and on glibc that succeeds."""
+        import platform
+
+        from repro import nativelib
+
+        if platform.libc_ver()[0] == "glibc":
+            assert nativelib.retain_heap() is True
+        calls = []
+        monkeypatch.setattr(nativelib, "retain_heap",
+                            lambda: calls.append(1) or True)
+        sched = _sched(workers=1).start()
+        try:
+            sched.start()
+        finally:
+            sched.stop()
+        assert calls == [1]

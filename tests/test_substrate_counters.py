@@ -200,6 +200,26 @@ class TestSharedShapeTable:
         assert SUBSTRATE_COUNTERS.jobs_replayed == sum(s[1] for s in serial.values())
         assert SUBSTRATE_COUNTERS.accesses_replayed == sum(s[2] for s in serial.values())
 
+    def test_widest_registry_tune_fits_the_table(self, cold_substrate):
+        """The 24^3 / 18-thread registry tune (D_w up to 24: the most
+        shape classes of any tune the ledger runs, behind ``setup_s`` @
+        ``tiled_campaign``) finishes on the table it started with -- no
+        shape is generated twice, with room to spare in the budget."""
+        from repro.core import autotuner
+        from repro.machine import (HASWELL_EP, clear_substrate_caches,
+                                   native_available, streams)
+
+        if not native_available():
+            pytest.skip("sized for the native engine (no Python key lists)")
+        clear_substrate_caches()
+        SUBSTRATE_COUNTERS.reset()
+        table = streams.shape_table()
+        point = autotuner.tune_variant(HASWELL_EP, 24, 18)
+        assert (point.dw, point.bz) == (24, 4)
+        assert streams.shape_table() is table
+        assert SUBSTRATE_COUNTERS.stream_memo_misses == len(table.shapes) > 5000
+        assert table.nbytes < streams.SHAPE_TABLE_MAX_BYTES // 2
+
     def test_table_is_replaced_when_over_budget(self, cold_substrate, monkeypatch):
         """Past its byte budget the table starts over; a tune under a
         budget every schedule exceeds still gives the same point."""

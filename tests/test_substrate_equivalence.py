@@ -15,7 +15,7 @@ engine list then holds the pure-Python engine only).
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.plan import TilingPlan
@@ -34,7 +34,15 @@ from repro.machine import (
 from repro.machine.measure import _interleave_band, _sweep_rows
 from repro.machine.native import MAX_KEY_SPACE, NativeLRU, native_available
 from repro.machine.spec import HASWELL_EP
-from repro.machine.streams import ShapeTable
+from repro.core.wavefront import RowJob
+from repro.machine.streams import (
+    CLASS_RECIPES,
+    COMPONENT_RECIPES,
+    SWEEP_COMPONENTS,
+    ShapeTable,
+    _clipped_segments,
+    shape_table,
+)
 
 COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -65,7 +73,7 @@ def _lru_keys(cache):
 
 
 def _fast_engines(capacity: float, key_space: int):
-    engines = [BatchLRU(capacity)]
+    engines = [BatchLRU(capacity, key_space)]
     if native_available() and key_space <= MAX_KEY_SPACE:
         engines.append(NativeLRU(capacity, key_space))
     return engines
@@ -150,75 +158,126 @@ def test_segment_replay_matches_per_access(segs, base, capacity_chunks):
         _assert_same_state(cache, oracle)
 
 
+#: A table rectangle: (ry0, height, rz0, width) with the -1 offsets the
+#: recipes' shifted reads produce.
+_BOXES = st.tuples(st.integers(-1, 2), st.integers(1, 3),
+                   st.integers(-1, 3), st.integers(1, 4))
+
+
+def _box_keys(ry0, ry1, rz0, rz1, nz):
+    """A rectangle's relative keys in the reference emitters' loop order."""
+    return [ry * nz + rz for ry in range(ry0, ry1) for rz in range(rz0, rz1)]
+
+
 @given(
-    table=st.lists(
-        st.tuples(
-            st.integers(0, 3),
-            st.booleans(),
-            st.lists(st.integers(0, 15), min_size=1, max_size=12),
-        ),
-        min_size=1,
-        max_size=8,
-    ),
+    table=st.lists(st.tuples(st.integers(0, 3), st.booleans(), _BOXES),
+                   min_size=1, max_size=8),
     jobs=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=1, max_size=20),
+    nz=st.integers(4, 6),
     capacity_chunks=st.integers(min_value=1, max_value=24),
 )
 @settings(max_examples=60, **COMMON)
-def test_job_table_replay_matches_per_job(table, jobs, capacity_chunks):
+def test_job_table_replay_matches_per_job(table, jobs, nz, capacity_chunks):
     """A whole job schedule over the shared segment table (`replay_jobs`,
     one engine call for many jobs) equals replaying each job's table run
-    access by access -- including empty runs and runs that straddle
-    shapes."""
+    access by access, every rectangle walked y-major -- including empty
+    runs and runs that straddle shapes."""
     capacity = capacity_chunks * 64
-    # Groups 32 keys apart: a key (base + rel <= 30) belongs to one group,
-    # so its chunk size is constant, as with the real emitters.
-    group_base = np.arange(4, dtype=np.int64) * 32
+    table = [(group, write, (ry0, ry0 + dy, rz0, rz0 + dz))
+             for group, write, (ry0, dy, rz0, dz) in table]
+    # Groups 64 keys apart and bases in [nz + 1, nz + 17): a key (base + rel,
+    # rel in [-nz - 1, 4 nz + 5]) belongs to one group, so its chunk size
+    # is constant, as with the real emitters.
+    group_base = np.arange(4, dtype=np.int64) * 64
     group_size = np.array([_size_of(g) for g in range(4)], dtype=np.int64)
     shapes = ShapeTable()
-    for i, (group, write, rel) in enumerate(table):
-        shapes.add_shape(("shape", i), [(group, write, np.array(rel, dtype=np.int64))])
+    for i, (group, write, box) in enumerate(table):
+        lo, hi, n = shapes.add_shape(("shape", i), [(group, write, *box)])
+        assert (lo, hi, n) == (i, i + 1, len(_box_keys(*box, nz)))
     n_seg = shapes.n_segments
     assert n_seg == len(table)
     # Each job covers a random contiguous run of the table at a base.
     runs = [sorted((a % (n_seg + 1), b % (n_seg + 1))) for a, b in jobs]
-    bases = [(a * 7 + b) % 16 for a, b in jobs]
+    bases = [nz + 1 + (a * 7 + b) % 16 for a, b in jobs]
 
     oracle = LRUCache(capacity)
     for (lo, hi), base in zip(runs, bases):
-        for group, write, rel in table[lo:hi]:
-            for r in rel:
-                oracle.access(group * 32 + base + r, _size_of(group), write)
+        for group, write, box in table[lo:hi]:
+            for r in _box_keys(*box, nz):
+                oracle.access(group * 64 + base + r, _size_of(group), write)
 
-    for cache in _fast_engines(capacity, key_space=4 * 32):
+    for cache in _fast_engines(capacity, key_space=4 * 64):
         n = cache.replay_jobs(
-            shapes, group_base, group_size,
+            shapes, group_base, group_size, nz,
             np.array([lo for lo, _ in runs], dtype=np.int64),
             np.array([hi for _, hi in runs], dtype=np.int64),
             np.array(bases, dtype=np.int64),
         )
-        assert n == sum(len(t[2]) for lo, hi in runs for t in table[lo:hi])
+        assert n == sum(len(_box_keys(*t[2], nz))
+                        for lo, hi in runs for t in table[lo:hi])
         _assert_same_state(cache, oracle)
 
 
 def test_shape_table_growth_keeps_earlier_views_valid():
-    """Appending past the initial buffers moves the flat arrays; a view
-    taken before still reads every entry it covered, and entries keep
-    their indices."""
+    """Appending past the initial 1,024 segment rows moves them to a larger
+    buffer; a view taken before still reads every entry it covered, and
+    entries keep their indices, in the table and in a replay."""
     shapes = ShapeTable()
-    first = shapes.add_shape("a", [(0, False, np.arange(5, dtype=np.int64))])
-    view = shapes.arrays()
-    for i in range(3000):  # > 1024 segments and > 16384 keys
-        shapes.add_shape(("b", i), [(1, True, np.arange(8, dtype=np.int64) + i)])
-    assert shapes.arrays()[0] is not view[0]
+    first = shapes.add_shape("a", [(0, False, 0, 1, 0, 5)])
+    view = shapes.segments()
+    for i in range(3000):
+        shapes.add_shape(("b", i), [(1, True, 0, 2, i, i + 4)])
+    assert shapes.segments() is not view
     assert shapes.add_shape("a", []) == first == (0, 1, 5)
-    rel, start, group, write = shapes.arrays()
-    for arrays in (view, (rel, start, group, write)):
-        assert arrays[0][arrays[1][0] : arrays[1][1]].tolist() == [0, 1, 2, 3, 4]
+    for seg in (view, shapes.segments()):
+        assert seg[0].tolist() == [0, 0, 0, 1, 0, 5]
     lo, hi, n = shapes.shapes[("b", 2999)]
-    assert (hi - lo, n) == (1, 8)
-    assert rel[start[lo] : start[hi]].tolist() == list(range(2999, 3007))
-    assert shapes.python_segments([(lo, hi)])[lo] == (1, True, list(range(2999, 3007)))
-    assert shapes.nbytes > 3000 * 8 * 8
+    assert (lo, hi, n) == (3000, 3001, 8)
+    assert shapes.segments()[lo].tolist() == [1, 1, 0, 2, 2999, 3003]
+    nz = 4000
+    keys = list(range(2999, 3003)) + list(range(nz + 2999, nz + 3003))
+    assert shapes.python_segments([(lo, hi)], nz)[lo] == (1, True, keys)
+    assert shapes.nbytes >= 3001 * 6 * 8
+    # ... and a job over the last shape replays those very keys.
+    for cache in _fast_engines(1 << 20, key_space=3 * nz):
+        n = cache.replay_jobs(
+            shapes, np.array([0, nz], dtype=np.int64),
+            np.array([64, 64], dtype=np.int64), nz,
+            *(np.array([v], dtype=np.int64) for v in (lo, hi, 7)))
+        assert n == 8
+        assert _lru_keys(cache) == [nz + 7 + k for k in keys]
+        assert cache.stats.write_misses == 8
+
+
+@pytest.mark.parametrize("row", (-1, 1), ids=("below", "above"))
+def test_out_of_range_replay_is_refused(row):
+    """A job base one row outside the domain would write past the native
+    engine's arrays: both engines raise before touching anything, naming
+    the job and the segment, on the job table and on explicit keys."""
+    ny, nz = 6, 5
+    plan = TilingPlan.build(ny=ny, nz=nz, timesteps=2, dw=2, bz=2)
+    jobs = [job for band in plan.bands for job in _interleave_band(plan, band)]
+    # Below the first group's first row, or (an E job reads the last group,
+    # its coefficients) above the last group's last row.
+    edge = next(j for j in jobs if (j.y_lo == 0 if row < 0 else
+                                    j.field == "E" and j.y_hi == ny))
+    key_space = BatchStreamEmitter.key_space(ny, nz)
+    for cache in _fast_engines(1 << 12, key_space):
+        em = BatchStreamEmitter(cache, ny=ny, nz=nz, nx=4)
+        em.emit_jobs(jobs)
+        before = (_stats_tuple(cache), cache.used_bytes, _lru_keys(cache))
+        table = shape_table()
+        lo, hi, base, *_ = em._resolve(table, [jobs[0], edge])
+        base[1] += row * nz
+        with pytest.raises(ValueError, match=r"job 1 .*segment \d+"):
+            em._replay(table, lo, hi, base)
+        with pytest.raises(ValueError, match=r"segment \d+"):
+            cache.replay(cache.prepare(em.raw_segments_for(edge)),
+                         base=int(base[1]))
+        assert (_stats_tuple(cache), cache.used_bytes, _lru_keys(cache)) == before
+        base[1] -= row * nz
+        em._replay(table, lo, hi, base)  # back inside: replays
+        assert _stats_tuple(cache) != before[0]
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +349,64 @@ def test_memoized_streams_equal_freshly_generated(dw, k, nz, bz, steps):
             assert memoized == fresh
             assert n == sum(len(s[3]) for s in fresh)
             em.emit_job(job)
+
+
+class _Recorder:
+    """A cache that only writes down what it is asked for."""
+
+    def __init__(self):
+        self.log = []
+
+    def access(self, key, size, write):
+        self.log.append((key, size, write))
+
+
+@st.composite
+def _edge_boxes(draw):
+    """A domain and a box in it, drawn so that every combination of the
+    four domain edges is touched often (and 1-row boxes at an edge, whose
+    shifted reads clip away entirely)."""
+    ny, nz = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+
+    def span(n):
+        lo = draw(st.sampled_from((0, 0, n - 1)) | st.integers(0, n - 1))
+        hi = draw(st.just(n) | st.integers(lo + 1, n))
+        return lo, hi
+
+    return (ny, nz) + span(ny) + span(nz)
+
+
+@given(case=_edge_boxes(), field=st.sampled_from(("H", "E")),
+       comp=st.sampled_from(SWEEP_COMPONENTS))
+@example(case=(3, 3, 2, 3, 2, 3), field="H", comp="Hxy")  # +1 reads clip away
+@example(case=(3, 3, 0, 1, 0, 1), field="E", comp="Exy")  # -1 reads clip away
+@example(case=(1, 1, 0, 1, 0, 1), field="E", comp="Hzy")  # all four edges
+@settings(max_examples=200, **COMMON)
+def test_clipped_boxes_expand_to_reference_loops(case, field, comp):
+    """`_clipped_segments`' rectangles, walked y-major at the box anchor,
+    are key for key the nested loops of the reference emitters."""
+    ny, nz, y_lo, y_hi, z_lo, z_hi = case
+    nx = 3
+
+    def expand(recipe, size_of):
+        boxes = _clipped_segments(recipe, y_lo, y_hi, z_lo, z_hi, ny, nz)
+        assert all(ry0 < ry1 and rz0 < rz1 for _, _, ry0, ry1, rz0, rz1 in boxes)
+        clipped = len(recipe) - len(boxes)
+        return clipped, [
+            (gid * ny * nz + y_lo * nz + z_lo + r, size_of(gid), write)
+            for gid, write, *box in boxes for r in _box_keys(*box, nz)]
+
+    ref = StreamEmitter(_Recorder(), ny=ny, nz=nz, nx=nx)
+    ref.emit_job(RowJob(0 if field == "H" else 1, y_lo, y_hi, z_lo, z_hi))
+    clipped, keys = expand(CLASS_RECIPES[field], ref._row_bytes.__getitem__)
+    assert keys == ref.cache.log
+    if y_hi - y_lo == 1 and ny > 1 and y_lo == (ny - 1 if field == "H" else 0):
+        assert clipped  # the dy = +-1 reads fell off the domain
+
+    ref = ComponentStreamEmitter(_Recorder(), ny=ny, nz=nz, nx=nx)
+    ref.emit_component_rows(comp, y_lo, y_hi, z_lo, z_hi)
+    _, keys = expand(COMPONENT_RECIPES[comp], lambda gid: ref._row_bytes)
+    assert keys == ref.cache.log
 
 
 # ---------------------------------------------------------------------------
