@@ -1,7 +1,7 @@
 """CI smoke test for fleet durability, end to end.
 
 Exercises the three durability mechanisms against a real 2-node fleet
-(``repro serve`` subprocesses with per-node ``REPRO_DATA_DIR`` stores)
+(``repro serve`` subprocesses with per-node ``--data-dir`` stores)
 behind an in-process gateway:
 
 * **warm restart**: solve a campaign through the gateway, SIGKILL one

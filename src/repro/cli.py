@@ -27,8 +27,8 @@ the shard-map version, and ``fleet spawn`` just launches nodes.
 :mod:`repro.service`): a job scheduler + persistent plan registry behind
 a stdlib HTTP JSON API.  ``repro serve`` shuts down gracefully on
 SIGTERM/SIGINT: it stops accepting requests, drains in-flight jobs
-(bounded by ``REPRO_DRAIN_TIMEOUT``), spools still-queued jobs to
-``REPRO_QUEUE_FILE`` for the next process, and exits 0.  ``repro
+(bounded by ``--drain-timeout``), spools still-queued jobs to
+``--queue-file`` for the next process, and exits 0.  ``repro
 chaos`` runs the seeded scenario table of
 :mod:`repro.resilience.scenarios` (worker, rank and node kills,
 corrupted artifacts) and reports, per scenario, which named invariants
@@ -169,29 +169,26 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--mode", choices=("thread", "process"), default="process",
                     help="worker isolation (process survives worker crashes)")
     sv.add_argument("--registry", default=None, metavar="DIR",
-                    help="plan registry dir (default: REPRO_REGISTRY_DIR)")
+                    help="plan registry dir (default: in-memory)")
     sv.add_argument("--results", default=None, metavar="DIR",
-                    help="result store dir (default: REPRO_RESULT_DIR)")
+                    help="result store dir (default: in-memory)")
     sv.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                    help="solver checkpoint dir (default: "
-                         "REPRO_CHECKPOINT_DIR; needs "
-                         "REPRO_CHECKPOINT_EVERY > 0)")
-    sv.add_argument("--drain-timeout", type=float, default=None,
+                    help="solver checkpoint dir (needs "
+                         "REPRO_CHECKPOINT_EVERY > 0; default: "
+                         "REPRO_CHECKPOINT_DIR, else a temp dir)")
+    sv.add_argument("--drain-timeout", type=float, default=10.0,
                     metavar="SECONDS",
-                    help="graceful-shutdown drain budget "
-                         "(default: REPRO_DRAIN_TIMEOUT)")
+                    help="graceful-shutdown drain budget")
     sv.add_argument("--queue-file", default=None, metavar="FILE",
                     help="spool queued jobs here on shutdown and restore "
-                         "them on start (default: REPRO_QUEUE_FILE)")
+                         "them on start")
     sv.add_argument("--data-dir", default=None, metavar="DIR",
                     help="one persistent per-node state root: derives the "
                          "registry/results/checkpoint dirs and queue file "
-                         "unless given explicitly "
-                         "(default: REPRO_DATA_DIR)")
+                         "unless given explicitly")
     sv.add_argument("--lease-dir", default=None, metavar="DIR",
                     help="heartbeat a membership lease file here so "
-                         "lease-driven gateways discover this node "
-                         "(default: REPRO_LEASE_DIR)")
+                         "lease-driven gateways discover this node")
 
     tl = sub.add_parser(
         "tail", help="stream a job's live progress events (NDJSON follow)")
@@ -253,32 +250,30 @@ def build_parser() -> argparse.ArgumentParser:
                      help="workers per spawned node")
     fls.add_argument("--mode", choices=("thread", "process"),
                      default="process", help="worker mode of spawned nodes")
-    fls.add_argument("--heartbeat", type=float, default=None,
-                     metavar="SECONDS",
-                     help="node heartbeat cadence "
-                          "(default: REPRO_FLEET_HEARTBEAT)")
+    fls.add_argument("--heartbeat", type=float, default=1.0,
+                     metavar="SECONDS", help="node heartbeat cadence")
     fls.add_argument("--node-timeout", type=float, default=60.0,
                      metavar="SECONDS",
                      help="per-request timeout when forwarding to a node")
     fls.add_argument("--lease-dir", default=None, metavar="DIR",
                      help="derive membership from lease files in this "
                           "shared directory instead of (or in addition "
-                          "to) --nodes (default: REPRO_LEASE_DIR)")
+                          "to) --nodes")
     fls.add_argument("--data-root", default=None, metavar="DIR",
                      help="with --spawn: give node i a persistent data "
                           "dir DIR/node<i> (registry, results, "
                           "checkpoints, spooled queue)")
-    fls.add_argument("--quota", type=float, default=None, metavar="PER_S",
+    fls.add_argument("--quota", type=float, default=0.0, metavar="PER_S",
                      help="per-tenant submit quota in requests/second; "
-                          "0 disables (default: REPRO_FLEET_QUOTA)")
-    fls.add_argument("--quota-burst", type=float, default=None,
+                          "0 disables")
+    fls.add_argument("--quota-burst", type=float, default=0.0,
                      metavar="TOKENS",
-                     help="per-tenant burst depth "
-                          "(default: REPRO_FLEET_QUOTA_BURST)")
-    fls.add_argument("--retry-budget", type=float, default=None,
+                     help="per-tenant burst depth (0 = twice the quota "
+                          "rate, at least 1)")
+    fls.add_argument("--retry-budget", type=float, default=60.0,
                      metavar="PER_MIN",
                      help="global failover/resubmit budget per minute; "
-                          "0 disables (default: REPRO_FLEET_RETRY_BUDGET)")
+                          "0 disables")
     flst = flsub.add_parser(
         "status", help="one-shot fleet health + shard-map snapshot")
     flst.add_argument("--url", default="http://127.0.0.1:8640",
@@ -296,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
                       default="process")
     flsp.add_argument("--data-root", default=None, metavar="DIR",
                       help="give node i the persistent data dir "
-                           "<DIR>/node<i> (REPRO_DATA_DIR)")
+                           "<DIR>/node<i>")
     flsp.add_argument("--lease-dir", default=None, metavar="DIR",
                       help="nodes heartbeat membership leases here")
 
@@ -371,7 +366,7 @@ def _add_jobspec_args(sp: argparse.ArgumentParser, campaign: bool = False) -> No
                     help="where tiled solves get their (Dw, Bz) plan")
     if campaign:
         sp.add_argument("--registry", default=None, metavar="DIR",
-                        help="plan registry dir (default: REPRO_REGISTRY_DIR)")
+                        help="plan registry dir (default: in-memory)")
 
 
 def _add_perf_group(sp: argparse.ArgumentParser) -> None:
@@ -598,20 +593,22 @@ def _bench_cases(args) -> dict:
 def _cmd_bench(args) -> int:
     import cProfile
     import io
-    import os
     import pstats
 
     from .machine import SUBSTRATE_COUNTERS, clear_substrate_caches
+    from .resilience.faults import patched_env
 
-    if args.engine:
-        os.environ["REPRO_STREAM_ENGINE"] = args.engine
     # Cold-start every memoization layer so the profile reflects real work.
     clear_substrate_caches()
     SUBSTRATE_COUNTERS.reset()
     fn = _bench_cases(args)[args.name]
 
     prof = cProfile.Profile()
-    result = prof.runcall(fn)
+    # --engine reaches the measurements under the tuner through the flag,
+    # for this call only.
+    engine = {"REPRO_STREAM_ENGINE": args.engine} if args.engine else {}
+    with patched_env(**engine):
+        result = prof.runcall(fn)
     print(f"bench {args.name}: result = {result!r}")
 
     buf = io.StringIO()
@@ -631,14 +628,11 @@ def _cmd_bench(args) -> int:
 
 def _cmd_counters(args) -> int:
     import json
-    import os
 
     from .machine import clear_substrate_caches, measure
     from .machine.pmu import GLOBAL_PMU
     from .machine.spec import HASWELL_EP
 
-    if args.engine:
-        os.environ["REPRO_STREAM_ENGINE"] = args.engine
     # Cold-start so the marker regions actually fire (memoized results
     # skip the replay, and with it the region enter/exit).
     clear_substrate_caches()
@@ -646,9 +640,11 @@ def _cmd_counters(args) -> int:
 
     n = args.grid
     if args.workload in ("tiled", "both"):
-        measure.measure_tiled_code_balance(HASWELL_EP, nx=n, dw=8, bz=9, n_streams=1)
+        measure.measure_tiled_code_balance(HASWELL_EP, nx=n, dw=8, bz=9,
+                                           n_streams=1, engine=args.engine)
     if args.workload in ("sweep", "both"):
-        measure.measure_sweep_code_balance(HASWELL_EP, nx=n, ny=n, block_y=16)
+        measure.measure_sweep_code_balance(HASWELL_EP, nx=n, ny=n, block_y=16,
+                                           engine=args.engine)
 
     if args.json:
         print(json.dumps(GLOBAL_PMU.to_json(), indent=2, sort_keys=True))
@@ -718,28 +714,22 @@ def _cmd_serve(args) -> int:
     # One node identity for the whole process: the HTTP layer reports it
     # (/healthz, X-Repro-Node) and persisted artifacts carry it as
     # provenance, so a fleet's shards stay attributable.
-    node_id = config.node_id() or uuid.uuid4().hex[:12]
-    # --data-dir (REPRO_DATA_DIR) is one root for every piece of
-    # persistent node state; explicit per-piece flags/env still win.
-    data_dir = args.data_dir or config.data_dir()
+    node_id = config.get("REPRO_NODE_ID") or uuid.uuid4().hex[:12]
 
     def _in_data(piece: str):
-        return os.path.join(data_dir, piece) if data_dir else None
+        """--data-dir is one root for every piece of persistent node
+        state; an explicit per-piece flag wins."""
+        return os.path.join(args.data_dir, piece) if args.data_dir else None
 
-    registry = PlanRegistry(
-        args.registry or config.registry_dir() or _in_data("registry"),
-        node_id=node_id)
-    store = ResultStore(
-        args.results or config.result_dir() or _in_data("results"),
-        node_id=node_id)
+    registry = PlanRegistry(args.registry or _in_data("registry"),
+                            node_id=node_id)
+    store = ResultStore(args.results or _in_data("results"), node_id=node_id)
     sched = Scheduler(
         workers=args.workers, queue_size=args.queue_size,
         registry=registry, store=store, mode=args.mode,
-        checkpoint_dir=(args.checkpoint_dir or config.checkpoint_dir()
-                        or _in_data("checkpoints")),
+        checkpoint_dir=args.checkpoint_dir or _in_data("checkpoints"),
     ).start()
-    queue_file = (args.queue_file or config.queue_file()
-                  or _in_data("queue.json"))
+    queue_file = args.queue_file or _in_data("queue.json")
     if queue_file and os.path.exists(queue_file):
         restored = sched.restore_queue(queue_file)
         if restored:
@@ -750,13 +740,12 @@ def _cmd_serve(args) -> int:
     # Lease-file membership: heartbeat our URL into the shared lease
     # directory so lease-driven gateways discover (and expire) this node.
     lease = None
-    lease_dir = args.lease_dir or config.lease_dir()
-    if lease_dir:
+    if args.lease_dir:
         from .fleet.leases import LeaseHeartbeat
 
-        os.makedirs(lease_dir, exist_ok=True)
+        os.makedirs(args.lease_dir, exist_ok=True)
         lease = LeaseHeartbeat(
-            lease_dir, node_id,
+            args.lease_dir, node_id,
             f"http://{args.host}:{server.server_port}").start()
 
     def _on_signal(signum, frame):
@@ -785,8 +774,7 @@ def _cmd_serve(args) -> int:
     # jobs, then spool whatever is still queued for the next process.
     if lease is not None:
         lease.stop(clear=True)  # graceful leave, not a lease expiry
-    budget = (args.drain_timeout if args.drain_timeout is not None
-              else config.drain_timeout())
+    budget = args.drain_timeout
     drained = sched.drain(timeout=budget)
     spooled = 0
     if queue_file:
@@ -812,32 +800,31 @@ def _cmd_fleet_serve(args) -> int:
     import signal
     import threading
 
-    from . import config, telemetry
+    from . import telemetry
     from .fleet import NodeRegistry, make_gateway, spawn_local_fleet
 
-    lease_dir = args.lease_dir or config.lease_dir()
     urls = [u.strip().rstrip("/")
             for u in (args.nodes or "").split(",") if u.strip()]
     spawned = []
     if args.spawn:
         spawned = spawn_local_fleet(args.spawn, workers=args.workers,
-                                    mode=args.mode, lease_dir=lease_dir,
+                                    mode=args.mode, lease_dir=args.lease_dir,
                                     data_root=args.data_root)
         for node in spawned:
             print(f"spawned {node.node_id} -> {node.url} "
                   f"(pid {node.proc.pid})", flush=True)
         urls += [node.url for node in spawned]
-    if not urls and lease_dir is None:
+    if not urls and args.lease_dir is None:
         print("fleet serve: no nodes (use --nodes URL,..., --spawn N "
               "and/or --lease-dir DIR)")
         return 2
     telemetry.enable()
-    if lease_dir:
+    if args.lease_dir:
         import os
 
-        os.makedirs(lease_dir, exist_ok=True)
+        os.makedirs(args.lease_dir, exist_ok=True)
     registry = NodeRegistry(urls, interval_s=args.heartbeat,
-                            lease_dir=lease_dir)
+                            lease_dir=args.lease_dir)
     registry.check_once()  # learn node ids before the first request
     registry.start()
     gateway = make_gateway(registry, host=args.host, port=args.port,
@@ -853,7 +840,7 @@ def _cmd_fleet_serve(args) -> int:
         for sig in (signal.SIGTERM, signal.SIGINT)
     }
     alive = len(registry.alive_urls())
-    lease_note = f", leases {lease_dir}" if lease_dir else ""
+    lease_note = f", leases {args.lease_dir}" if args.lease_dir else ""
     print(f"repro fleet gateway on http://{args.host}:{gateway.server_port} "
           f"({alive}/{len(registry.urls)} node(s) alive, shard map "
           f"v{registry.version}, {registry.replicas} owners/key"
@@ -1045,7 +1032,6 @@ def _campaign_specs(args) -> list:
 def _cmd_campaign(args) -> int:
     """Run a thickness x wavelength sweep (the paper's solar-cell use
     case) through the scheduler, reusing one tuned plan per machine key."""
-    from . import config
     from .core import tracing
     from .fleet.router import http_request, poll_job
     from .service import PlanRegistry, Scheduler
@@ -1070,7 +1056,7 @@ def _cmd_campaign(args) -> int:
                 docs = [poll_job(args.url, i, args.timeout) for i in ids]
                 status_line = f"remote service at {args.url}"
             else:
-                registry = PlanRegistry(args.registry or config.registry_dir())
+                registry = PlanRegistry(args.registry)
                 sched = Scheduler(
                     workers=args.workers,
                     queue_size=max(len(specs), 1),
@@ -1469,7 +1455,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "fleet": _cmd_fleet,
         "env": _cmd_env,
     }
-    trace_path = config.trace_path()
+    trace_path = config.get("REPRO_TRACE")
     rec = None
     if trace_path:
         from .core import tracing

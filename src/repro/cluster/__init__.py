@@ -20,20 +20,18 @@ from .decomposition import (
 )
 from .distributed import CommStats, DistributedTHIIM
 from .runtime import clear_checkpoints, run_distributed
-from .transport import QueueTransport, ShmTransport, make_transport
+from .transport import ShmTransport
 
 __all__ = [
     "CommCostModel",
     "CommStats",
     "DistributedTHIIM",
-    "QueueTransport",
     "RankLayout",
     "ShmTransport",
     "Subdomain",
     "candidate_layouts",
     "choose_decomposition",
     "clear_checkpoints",
-    "make_transport",
     "run_distributed",
     "step_bytes_by_axis",
 ]

@@ -4,9 +4,9 @@ The promotion of :mod:`repro.cluster.distributed` from simulated ranks
 to actual OS processes.  One parent (the scheduler's worker, or a thread
 worker's call frame) forks ``layout.n_ranks`` rank processes; each rank
 owns the same ghosted slab a simulated ``_Rank`` would, exchanges halos
-through a :mod:`repro.cluster.transport` (shared memory, or queues as
-fallback), and advances the exact Fig. 3 half-step sequence with the
-shared :func:`~repro.cluster.distributed.component_region` clipping.
+through :mod:`repro.cluster.transport` (shared memory), and advances the
+exact Fig. 3 half-step sequence with the shared
+:func:`~repro.cluster.distributed.component_region` clipping.
 
 Parent and ranks talk over a *control plane* -- one pipe per rank,
 small dicts only: ``hello/begin/step/save/stop``, stats, typed errors --
@@ -67,8 +67,8 @@ from .distributed import CommStats, _Rank
 from .transport import (
     SYNC_TIMEOUT_S,
     WAIT_SLICE_S,
+    ShmTransport,
     edge_shapes,
-    make_transport,
     shared_arrays,
 )
 
@@ -152,7 +152,7 @@ def _pin_rank(index: int) -> Optional[int]:
     when pinning is off or unsupported -- pinning is an optimization
     hint, never a correctness requirement, so every failure is soft.
     """
-    if not config.cluster_pin():
+    if not config.get("REPRO_CLUSTER_PIN"):
         return None
     try:
         cpus = sorted(os.sched_getaffinity(0))
@@ -424,7 +424,7 @@ def run_distributed(
     # created before the fork so every rank inherits it.
     shapes = dict.fromkeys(ALL_COMPONENTS, fields.grid.shape)
     plane = shared_arrays({**shapes, **edge_shapes(layout)})
-    transport = make_transport(layout, plane, timeout_s=timeout_s)
+    transport = ShmTransport(layout, plane, timeout_s=timeout_s)
     ctx = mp.get_context("fork")
     trace_on = tracing.active() is not None
     procs: Dict[Coord, object] = {}
@@ -581,4 +581,3 @@ def run_distributed(
                 conn.close()
             except OSError:
                 pass
-        transport.shutdown()

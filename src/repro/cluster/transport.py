@@ -1,5 +1,5 @@
 """The data plane of the multiprocess cluster runtime: shared arrays and
-halo transports.
+the halo transport.
 
 :mod:`repro.cluster.runtime` commands its ranks over pipes that carry
 small dicts only (its *control plane*); every array moves through
@@ -9,20 +9,21 @@ nothing to unlink, freed with its last array.  It holds the twelve
 global field arrays (ranks write their owned slabs there, the parent's
 gather is a memcpy) and one buffer per halo edge.
 
-A transport moves one *edge block* -- the six read-class components of a
+The transport moves one *edge block* -- the six read-class components of a
 ghost plane, packed ``(6,) + face shape`` complex128 -- from the sending
 rank to the receiving rank.  Edges are keyed ``(receiver_coord, axis,
 direction)``; the sender is ``layout.neighbor(receiver, axis,
 direction)``, the rank whose owned boundary plane fills that ghost.
-Self-edges (a periodic axis with one rank) never reach a transport: the
-runtime copies them locally.
+Self-edges (a periodic axis with one rank) never reach the transport:
+the runtime copies them locally.
 
-* :class:`ShmTransport` -- ``send`` packs the faces straight into the
-  edge's shared buffer and posts the edge's semaphore; ``recv`` waits on
-  it and returns the buffer itself.  No collective: a rank waits only
-  for the one peer it reads from.
-* :class:`QueueTransport` -- one ``multiprocessing.Queue`` per edge (the
-  ``auto`` fallback); ``send`` enqueues a fresh block.
+:class:`ShmTransport` -- ``send`` packs the faces straight into the
+edge's shared buffer and posts the edge's semaphore; ``recv`` waits on
+it and returns the buffer itself.  No collective: a rank waits only for
+the one peer it reads from.  There is no second transport to fall back
+to: anything forked ranks could signal through (``multiprocessing``
+queues included) is built on the same POSIX semaphores, so a host that
+refuses them cannot run ranks at all and the ``OSError`` propagates.
 
 **The ping-pong invariant** (owned here; ``tests/test_cluster_runtime.py
 ::TestPingPong`` attacks it).  An edge buffer is reused every sweep with
@@ -49,23 +50,18 @@ from __future__ import annotations
 import mmap
 import multiprocessing as mp
 import os
-import queue
 import time
-from typing import Callable, Dict, Hashable, Mapping, Sequence, Tuple
+from typing import Dict, Hashable, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .. import config
 from ..resilience.errors import RankCrash
 from .decomposition import Coord, RankLayout
 
 __all__ = [
     "EdgeKey",
-    "HaloTransport",
-    "QueueTransport",
     "ShmTransport",
     "edge_shapes",
-    "make_transport",
     "shared_arrays",
 ]
 
@@ -117,51 +113,7 @@ def shared_arrays(
     return out
 
 
-class HaloTransport:
-    """Interface: ``send`` the faces of one edge, ``recv`` its block."""
-
-    name = "none"
-
-    def __init__(self, timeout_s: float):
-        self.timeout_s = timeout_s
-        self._creator = os.getpid()
-
-    def send(self, key: EdgeKey, faces: Sequence[np.ndarray]) -> None:
-        """Pack ``faces`` (one boundary plane per component) and hand
-        the block to the edge's receiver; never blocks on the peer."""
-        raise NotImplementedError
-
-    def recv(self, key: EdgeKey) -> np.ndarray:
-        """The edge's next block, valid until the partner edge is sent."""
-        raise NotImplementedError
-
-    def shutdown(self) -> None:
-        """Parent-side cleanup after all ranks have exited."""
-
-    def orphaned(self) -> bool:
-        """Whether this forked rank's parent (the creator) is gone."""
-        return os.getpid() != self._creator and os.getppid() != self._creator
-
-    def _await(self, key: EdgeKey, poll: Callable[[float], object]):
-        """``poll(seconds)`` until it returns something other than
-        ``None``, a slice at a time; :class:`RankCrash` once
-        ``timeout_s`` is spent or this (forked) process is orphaned."""
-        deadline = time.monotonic() + self.timeout_s
-        while True:
-            left = max(0.0, deadline - time.monotonic())
-            got = poll(min(WAIT_SLICE_S, left))
-            if got is not None:
-                return got
-            if self.orphaned():
-                raise RankCrash(f"halo edge {key}: parent process is gone",
-                                edge=list(key))
-            if time.monotonic() >= deadline:
-                raise RankCrash(
-                    f"halo edge {key} not posted within {self.timeout_s:g}s",
-                    edge=list(key))
-
-
-class ShmTransport(HaloTransport):
+class ShmTransport:
     """Edge buffers in shared memory, one semaphore per edge.
 
     ``buffers`` maps every edge key to its shared block (from
@@ -174,18 +126,28 @@ class ShmTransport(HaloTransport):
     def __init__(self, layout: RankLayout,
                  buffers: Mapping[EdgeKey, np.ndarray],
                  timeout_s: float = SYNC_TIMEOUT_S):
-        super().__init__(timeout_s)
         ctx = mp.get_context("fork")
+        self.timeout_s = timeout_s
+        self._creator = os.getpid()
         self._views = buffers
         self._posted = {key: ctx.Semaphore(0) for key in edge_shapes(layout)}
 
+    def orphaned(self) -> bool:
+        """Whether this forked rank's parent (the creator) is gone."""
+        return os.getpid() != self._creator and os.getppid() != self._creator
+
     def send(self, key: EdgeKey, faces: Sequence[np.ndarray]) -> None:
+        """Pack ``faces`` (one boundary plane per component) into the
+        edge's buffer and post it; never blocks on the peer."""
         view = self._views[key]
         for i, face in enumerate(faces):
             view[i] = face
         self._posted[key].release()
 
     def recv(self, key: EdgeKey) -> np.ndarray:
+        """The edge's next block, valid until the partner edge is sent;
+        :class:`RankCrash` once ``timeout_s`` is spent or this (forked)
+        process is orphaned."""
         posted = self._posted[key]
         # Poll through the usual skew between two ranks before sleeping:
         # where a woken process lands on its waker's CPU (KVM guests,
@@ -196,57 +158,20 @@ class ShmTransport(HaloTransport):
         while not posted.acquire(False):
             os.sched_yield()
             if time.perf_counter() >= spin_until:
-                self._await(key, lambda s: posted.acquire(timeout=s) or None)
+                self._sleep_until_posted(key)
                 break
         return self._views[key]
 
-
-class QueueTransport(HaloTransport):
-    """One queue per directed edge: halo blocks pickled through pipes."""
-
-    name = "pipe"
-
-    def __init__(self, layout: RankLayout,
-                 timeout_s: float = SYNC_TIMEOUT_S):
-        super().__init__(timeout_s)
-        ctx = mp.get_context("fork")
-        self._queues: Dict[EdgeKey, mp.queues.Queue] = {
-            key: ctx.Queue(maxsize=4) for key in edge_shapes(layout)}
-
-    def send(self, key: EdgeKey, faces: Sequence[np.ndarray]) -> None:
-        # A fresh block per send: the queue's feeder thread pickles
-        # lazily, and the caller's arrays mutate every sweep.
-        self._queues[key].put(np.stack(faces))
-
-    def recv(self, key: EdgeKey) -> np.ndarray:
-        q = self._queues[key]
-
-        def poll(seconds: float):
-            try:
-                return q.get(timeout=seconds)
-            except queue.Empty:
-                return None
-
-        return self._await(key, poll)
-
-    def shutdown(self) -> None:
-        queues, self._queues = self._queues, {}
-        for q in queues.values():
-            q.close()
-            q.join_thread()
-
-
-def make_transport(layout: RankLayout, buffers: Mapping[EdgeKey, np.ndarray],
-                   timeout_s: float = SYNC_TIMEOUT_S) -> HaloTransport:
-    """Build the transport ``REPRO_CLUSTER_TRANSPORT`` asks for (``shm``,
-    ``pipe`` or ``auto``: shm, falling back to queues when the host
-    cannot create semaphores -- containers with a locked-down
-    ``/dev/shm``)."""
-    mode = config.cluster_transport()
-    if mode != "pipe":
-        try:
-            return ShmTransport(layout, buffers, timeout_s)
-        except OSError:
-            if mode == "shm":
-                raise
-    return QueueTransport(layout, timeout_s)
+    def _sleep_until_posted(self, key: EdgeKey) -> None:
+        deadline = time.monotonic() + self.timeout_s
+        while True:
+            left = max(0.0, deadline - time.monotonic())
+            if self._posted[key].acquire(timeout=min(WAIT_SLICE_S, left)):
+                return
+            if self.orphaned():
+                raise RankCrash(f"halo edge {key}: parent process is gone",
+                                edge=list(key))
+            if time.monotonic() >= deadline:
+                raise RankCrash(
+                    f"halo edge {key} not posted within {self.timeout_s:g}s",
+                    edge=list(key))

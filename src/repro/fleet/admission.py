@@ -13,10 +13,11 @@ Two instruments, both plain token buckets over a monotonic clock:
   past it the gateway answers ``NodeUnavailable`` (503 + ``Retry-After``)
   instead of hammering the survivors.
 
-Both are configured through ``REPRO_FLEET_QUOTA`` /
-``REPRO_FLEET_QUOTA_BURST`` / ``REPRO_FLEET_RETRY_BUDGET`` (see
-:mod:`repro.config`); a rate of 0 disables the instrument entirely --
-the default, so single-tenant deployments pay nothing.
+Both are configured through ``make_gateway(quota=, quota_burst=,
+retry_budget=)`` (``repro fleet serve --quota / --quota-burst /
+--retry-budget``); a rate of 0 disables the instrument entirely -- the
+quota's default, so single-tenant deployments pay nothing (the retry
+budget defaults to 60 per minute).
 
 The bucket math is deterministic given a clock, and every class takes an
 injectable ``clock`` callable so tests never sleep.

@@ -43,8 +43,9 @@ a ``Retry-After`` sized to the refill time, while other tenants on the
 same fleet proceed untouched.  Failover hops and loss-resubmissions draw
 from one global :class:`~repro.fleet.admission.RetryBudget`, so a
 flapping node cannot amplify load without bound -- past the budget the
-gateway answers 503 instead of hammering the survivors.  Both default
-off (``REPRO_FLEET_QUOTA`` / ``REPRO_FLEET_RETRY_BUDGET``).
+gateway answers 503 instead of hammering the survivors.  Quotas default
+off, the budget to 60 retries a minute (``make_gateway(quota=,
+retry_budget=)``).
 
 Write replication: when a poll through the gateway first sees a job
 ``done``, the gateway pushes the result document to the job's other ring
@@ -75,15 +76,15 @@ import json
 import math
 import threading
 import time
-import urllib.parse
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 
-from .. import config, telemetry
+from .. import telemetry
 from ..core import tracing
 from ..resilience import faults
 from ..resilience.errors import NodeUnavailable, QuotaExceeded, ReproError
 from ..service.jobs import JobSpec
+from ..service.server import REQUEST_TIMEOUT_S, JsonHandler
 from .admission import ANONYMOUS_TENANT, TENANT_HEADER, RetryBudget, \
     TenantQuotas
 from .nodes import ALIVE, NodeRegistry
@@ -102,28 +103,19 @@ class FleetServer(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
     request_queue_size = 32
+    request_timeout = REQUEST_TIMEOUT_S
 
     def __init__(self, addr: Tuple[str, int], registry: NodeRegistry,
-                 node_timeout_s: float = 60.0,
-                 quota: Optional[float] = None,
-                 quota_burst: Optional[float] = None,
-                 retry_budget: Optional[float] = None,
-                 spec_cache_size: Optional[int] = None):
+                 node_timeout_s: float, quota: float, quota_burst: float,
+                 retry_budget: float, spec_cache_size: int):
         super().__init__(addr, _GatewayHandler)
         self.registry = registry
-        self.quotas = TenantQuotas(
-            config.fleet_quota() if quota is None else quota,
-            config.fleet_quota_burst() if quota_burst is None else quota_burst)
-        self.retry_budget = RetryBudget(
-            config.fleet_retry_budget() if retry_budget is None
-            else retry_budget)
+        self.quotas = TenantQuotas(quota, quota_burst)
+        self.retry_budget = RetryBudget(retry_budget)
         self.router = Router(registry, timeout_s=node_timeout_s,
                              budget=self.retry_budget)
         self.node_timeout_s = node_timeout_s
-        self.request_timeout = config.http_timeout()
-        self.spec_cache_size = max(1, (
-            config.fleet_spec_cache() if spec_cache_size is None
-            else int(spec_cache_size)))
+        self.spec_cache_size = max(1, int(spec_cache_size))
         self._lock = threading.Lock()
         #: job id -> spec dict of submits this gateway routed, so a job
         #: that died with its node can be resubmitted to a replica
@@ -225,52 +217,11 @@ class FleetServer(ThreadingHTTPServer):
                     self._replicated.popitem(last=False)
 
 
-class _GatewayHandler(BaseHTTPRequestHandler):
+class _GatewayHandler(JsonHandler):
     server: FleetServer
-    protocol_version = "HTTP/1.1"
 
-    # -- plumbing --------------------------------------------------------------
-
-    def setup(self) -> None:
-        self.timeout = self.server.request_timeout
-        super().setup()
-
-    def log_message(self, fmt, *args):
-        pass
-
-    def _send(self, code: int, payload,
-              headers: Optional[Dict[str, str]] = None) -> None:
-        body = json.dumps(payload, sort_keys=True).encode()
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
+    def _identity_headers(self) -> None:
         self.send_header("X-Repro-Gateway", "1")
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _read_body(self):
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
-            raise ValueError("empty request body")
-        return json.loads(raw)
-
-    def _query(self) -> dict:
-        return urllib.parse.parse_qs(urllib.parse.urlsplit(self.path).query)
-
-    def _job_path_id(self) -> Optional[str]:
-        parts = [p for p in self.path.split("?")[0].split("/") if p]
-        if len(parts) == 2 and parts[0] == "jobs":
-            return parts[1]
-        return None
-
-    def _events_path_id(self) -> Optional[str]:
-        parts = [p for p in self.path.split("?")[0].split("/") if p]
-        if len(parts) == 3 and parts[0] == "jobs" and parts[2] == "events":
-            return parts[1]
-        return None
 
     @property
     def _router(self) -> Router:
@@ -298,15 +249,6 @@ class _GatewayHandler(BaseHTTPRequestHandler):
                        headers={"Retry-After": str(RETRY_AFTER_S)})
         except ReproError as exc:
             self._send(exc.http_status, exc.payload())
-
-    def do_POST(self) -> None:
-        self._guard(self._post)
-
-    def do_GET(self) -> None:
-        self._guard(self._get)
-
-    def do_DELETE(self) -> None:
-        self._guard(self._delete)
 
     # -- submits ---------------------------------------------------------------
 
@@ -614,7 +556,7 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         self.send_response(200)
         self.send_header("Content-Type", telemetry.PROMETHEUS_CONTENT_TYPE)
         self.send_header("Content-Length", str(len(body)))
-        self.send_header("X-Repro-Gateway", "1")
+        self._identity_headers()
         self.end_headers()
         self.wfile.write(body)
 
@@ -644,7 +586,7 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             self.send_response(200)
             self.send_header("Content-Type", "application/x-ndjson")
             self.send_header("Transfer-Encoding", "chunked")
-            self.send_header("X-Repro-Gateway", "1")
+            self._identity_headers()
             self.send_header("X-Repro-Node-Url", url)
             self.end_headers()
             # read1 returns per-chunk as data arrives (a plain read(n)
@@ -685,14 +627,17 @@ class _GatewayHandler(BaseHTTPRequestHandler):
 def make_gateway(registry: NodeRegistry, host: str = "127.0.0.1",
                  port: int = 0,
                  node_timeout_s: float = 60.0,
-                 quota: Optional[float] = None,
-                 quota_burst: Optional[float] = None,
-                 retry_budget: Optional[float] = None,
-                 spec_cache_size: Optional[int] = None) -> FleetServer:
+                 quota: float = 0.0,
+                 quota_burst: float = 0.0,
+                 retry_budget: float = 60.0,
+                 spec_cache_size: int = 4096) -> FleetServer:
     """Bind the gateway (port 0 = ephemeral; read ``server_port``).
 
-    ``quota``/``quota_burst``/``retry_budget``/``spec_cache_size``
-    default to their fleet config-flag values when ``None``.
+    ``quota`` is the per-tenant submit rate in requests/second (0 =
+    unlimited) and ``quota_burst`` its bucket depth (0 = twice the rate,
+    at least 1); ``retry_budget`` caps failover hops and resubmissions
+    per minute (0 = unlimited); ``spec_cache_size`` bounds the LRU of
+    specs kept for resubmission.
     """
     return FleetServer((host, port), registry, node_timeout_s=node_timeout_s,
                        quota=quota, quota_burst=quota_burst,

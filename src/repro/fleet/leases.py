@@ -32,7 +32,6 @@ import threading
 import time
 from typing import Callable, Dict, Optional
 
-from .. import config
 from ..ioutil import atomic_write_json, corrupt_file, read_json_checked
 from ..resilience import faults
 
@@ -41,21 +40,24 @@ __all__ = ["lease_path", "write_lease", "clear_lease", "read_leases",
 
 LEASE_PREFIX = "lease-"
 
+#: Seconds a lease stays fresh unless its writer says otherwise; an
+#: unrefreshed lease reads as node death.
+LEASE_TTL_S = 5.0
+
 
 def lease_path(lease_dir: str, node_id: str) -> str:
     return os.path.join(lease_dir, f"{LEASE_PREFIX}{node_id}.json")
 
 
 def write_lease(lease_dir: str, node_id: str, url: str,
-                ttl_s: Optional[float] = None) -> str:
+                ttl_s: float = LEASE_TTL_S) -> str:
     """Write/refresh one node's lease (atomic + checksummed)."""
-    ttl_s = config.lease_ttl() if ttl_s is None else float(ttl_s)
     path = lease_path(lease_dir, node_id)
     kind = faults.hit("fleet.lease")
     atomic_write_json(path, {
         "node_id": node_id,
         "url": url.rstrip("/"),
-        "ttl_s": ttl_s,
+        "ttl_s": float(ttl_s),
         "written_at": time.time(),
     }, checksum=True)
     if kind == "corrupt":
@@ -93,7 +95,7 @@ def read_leases(lease_dir: str,
             continue
         try:
             age = max(0.0, now - float(doc.get("written_at") or 0.0))
-            ttl = float(doc.get("ttl_s") or config.lease_ttl())
+            ttl = float(doc.get("ttl_s") or LEASE_TTL_S)
         except (TypeError, ValueError):
             continue
         url = str(doc["url"]).rstrip("/")
@@ -114,12 +116,12 @@ class LeaseHeartbeat:
     """
 
     def __init__(self, lease_dir: str, node_id: str, url: str,
-                 ttl_s: Optional[float] = None,
+                 ttl_s: float = LEASE_TTL_S,
                  on_error: Optional[Callable[[Exception], None]] = None):
         self.lease_dir = lease_dir
         self.node_id = node_id
         self.url = url
-        self.ttl_s = config.lease_ttl() if ttl_s is None else float(ttl_s)
+        self.ttl_s = float(ttl_s)
         self.on_error = on_error
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None

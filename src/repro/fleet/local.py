@@ -8,7 +8,7 @@ refuses, the gateway's router fails over, and in-memory state is gone --
 exactly the failure the fleet is built to absorb.
 
 With ``data_root`` each node gets its own persistent data directory
-(``REPRO_DATA_DIR=<data_root>/node<i>``), which is what makes
+(``--data-dir <data_root>/node<i>``), which is what makes
 :func:`respawn_node` interesting: the replacement process rebinds the
 dead node's port and rejoins with its shard's results and tuned plans
 warm on disk -- the warm-reboot chaos scenario.  With
@@ -105,35 +105,33 @@ def spawn_local_fleet(n: int, *, workers: int = 1, mode: str = "thread",
                       host: str = "127.0.0.1",
                       data_root: Optional[str] = None,
                       lease_dir: Optional[str] = None,
-                      extra_env: Optional[Dict[str, str]] = None,
                       extra_args: Optional[List[str]] = None,
                       startup_timeout_s: float = 30.0) -> List[LocalNode]:
     """Start ``n`` independent serve nodes on ephemeral ports.
 
     Each node gets a stable ``REPRO_NODE_ID`` of ``node<i>`` (visible in
-    ``/healthz`` and result provenance); ``data_root`` additionally
-    gives node *i* the persistent data directory ``<data_root>/node<i>``
-    and ``lease_dir`` makes it heartbeat a membership lease.  Raises
+    ``/healthz`` and result provenance) -- the one setting that travels
+    in the child's environment; everything else is in its argv:
+    ``data_root`` gives node *i* ``--data-dir <data_root>/node<i>`` and
+    ``lease_dir`` makes it heartbeat a membership lease.  Raises
     ``RuntimeError`` -- after killing any nodes already up -- if a node
     fails to print its startup banner in time.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = _src_root() + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    env.update(extra_env or {})
-    if lease_dir:
-        env["REPRO_LEASE_DIR"] = lease_dir
     nodes: List[LocalNode] = []
     try:
         for i in range(n):
             node_env = dict(env, REPRO_NODE_ID=f"node{i}")
-            if data_root:
-                node_env["REPRO_DATA_DIR"] = os.path.join(
-                    data_root, f"node{i}")
             cmd = [sys.executable, "-m", "repro", "serve",
                    "--host", host, "--port", "0",
                    "--workers", str(workers), "--mode", mode,
                    *(extra_args or [])]
+            if data_root:
+                cmd += ["--data-dir", os.path.join(data_root, f"node{i}")]
+            if lease_dir:
+                cmd += ["--lease-dir", lease_dir]
             proc = subprocess.Popen(
                 cmd, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
                 text=True, env=node_env)
@@ -150,7 +148,7 @@ def spawn_local_fleet(n: int, *, workers: int = 1, mode: str = "thread",
 def respawn_node(node: LocalNode,
                  startup_timeout_s: float = 30.0) -> LocalNode:
     """Restart a dead node as the same fleet member: same ``node_id``,
-    same data directory (``REPRO_DATA_DIR`` travels in the recorded env)
+    same data directory (``--data-dir`` travels in the recorded argv)
     and -- crucially -- the same port, so the ring placement and every
     cached URL stay valid.  The node's persistent store makes the reboot
     *warm*: committed results come back as store hits, not re-solves.

@@ -46,7 +46,7 @@ import urllib.request
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .. import config, telemetry
+from .. import telemetry
 from .ring import DEFAULT_VNODES, HashRing
 
 __all__ = ["NodeInfo", "NodeRegistry", "ShardMap",
@@ -105,7 +105,7 @@ class NodeRegistry:
 
     def __init__(self, urls, *, dead_after: int = 2,
                  timeout_s: float = 5.0,
-                 interval_s: Optional[float] = None,
+                 interval_s: float = 1.0,
                  vnodes: int = DEFAULT_VNODES,
                  replicas: int = 2,
                  lease_dir: Optional[str] = None):
@@ -123,8 +123,7 @@ class NodeRegistry:
         self._version = 1
         self.dead_after = max(1, int(dead_after))
         self.timeout_s = timeout_s
-        self.interval_s = (config.fleet_heartbeat()
-                           if interval_s is None else interval_s)
+        self.interval_s = interval_s
         self.replicas = replicas
         self._ring = HashRing(urls, vnodes=vnodes)
         self.vnodes = vnodes

@@ -88,7 +88,7 @@ ENGINES = ("reference", "batch", "native")
 
 def resolve_engine(engine: str | None = None) -> str:
     """Resolve an engine name (or ``None`` / ``"auto"``) to a concrete one."""
-    e = engine or config.stream_engine() or "auto"
+    e = engine or config.get("REPRO_STREAM_ENGINE")
     if e == "auto":
         return "native"
     if e not in ENGINES:

@@ -40,7 +40,7 @@ def _build(name: str) -> str:
     """Path of ``name``'s library, compiled unless its source is built."""
     with open(SOURCES[name][0], "rb") as f:
         tag = hashlib.sha1(f.read()).hexdigest()[:12]
-    build_dir = config.native_build_dir(os.path.join(_HERE, "machine", "_build"))
+    build_dir = config.get("REPRO_NATIVE_BUILD_DIR")
     so_path = os.path.join(build_dir, f"{name}-{tag}.so")
     if not os.path.exists(so_path):
         os.makedirs(build_dir, exist_ok=True)
@@ -89,7 +89,7 @@ def load(name: str):
     """The ``CDLL`` of ``name``, or ``None``: vetoed by ``REPRO_NO_NATIVE``,
     or degraded (no compiler, build failure, read-only tree, ...) -- the
     first link of the chain native -> pure Python, counted for /metrics."""
-    if config.native_disabled():
+    if config.get("REPRO_NO_NATIVE"):
         return None
     try:
         faults.hit("native.load")

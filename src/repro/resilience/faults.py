@@ -216,7 +216,7 @@ def active() -> Optional[FaultPlan]:
     global _ENV_PLAN, _ENV_SRC
     if _INSTALLED is not None:
         return _INSTALLED
-    src = config.faults_schedule()
+    src = config.get("REPRO_FAULTS")
     if src != _ENV_SRC:
         _ENV_SRC = src
         _ENV_PLAN = FaultPlan.parse(src) if src else None

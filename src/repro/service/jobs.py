@@ -10,9 +10,11 @@ computation share one id, one execution, and one stored result.
 :class:`Job` is the runtime record: lifecycle state (QUEUED -> RUNNING
 -> DONE | FAILED | CANCELLED, with RUNNING -> QUEUED requeues on worker
 crash), attempt counter and timestamps.  :func:`run_job` executes a spec
-deterministically -- it is the *same* code path for direct CLI solves,
-thread workers and forked process workers, which is what makes the
-bit-identical serving guarantee testable.
+deterministically -- it is the *same* code path for thread workers,
+forked process workers and an in-process call, which is what makes the
+bit-identical serving guarantee testable.  (``repro solve`` is not a
+job: it shares :func:`_solve_geometry`, then ``cli.py: _cmd_solve``
+builds and drives its own solver.)
 """
 
 from __future__ import annotations
@@ -532,8 +534,8 @@ def _solve_points(spec: JobSpec, wavelengths, registry,
         cadence = {"chunk": driver.chunk}
     else:
         driver, cadence = solver, {"check_every": 20}
-    directory = checkpoint_dir or config.checkpoint_dir()
-    every = config.checkpoint_every()
+    directory = checkpoint_dir or config.get("REPRO_CHECKPOINT_DIR")
+    every = config.get("REPRO_CHECKPOINT_EVERY")
     if not directory or every < 1:  # checkpointing is off
         directory, every = None, 0
 

@@ -8,8 +8,8 @@ so every later job with the same key skips tuning entirely.  It is the
 only place a tuned point persists: the tuners themselves memoize per
 process and keep nothing on disk.
 
-Entries persist as one JSON file per key under ``root`` (see
-``REPRO_REGISTRY_DIR``), written atomically so concurrent service
+Entries persist as one JSON file per key under ``root`` (``repro
+serve --registry``), written atomically so concurrent service
 workers and nodes can never interleave a torn file.  Without a root the
 registry is a process-local dict with the same interface.
 

@@ -205,9 +205,10 @@ class Scheduler:
             telemetry.PROGRESS.configure_tail(self._events_dir)
         if telemetry.enabled():
             self._register_metrics()
-        if self.checkpoint_dir is None and config.checkpoint_every() > 0:
+        if (self.checkpoint_dir is None
+                and config.get("REPRO_CHECKPOINT_EVERY") > 0):
             self.checkpoint_dir = (
-                config.checkpoint_dir()
+                config.get("REPRO_CHECKPOINT_DIR")
                 or tempfile.mkdtemp(prefix="repro-ckpt-")
             )
         for i in range(self.workers):

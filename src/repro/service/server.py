@@ -43,10 +43,10 @@ gateway (and ``repro top``) can spot stale or split-brain nodes, and an
 ``X-Repro-Trace-Id`` header on submits threads the gateway's trace id
 into the job so one trace spans the HTTP hop.
 
-Each accepted connection gets a per-request socket timeout
-(``REPRO_HTTP_TIMEOUT``, default 30s) and the listen backlog is bounded,
-so a stalled or malicious client can neither wedge a handler thread
-forever nor queue unbounded connections.
+Each accepted connection gets a per-request socket timeout (the
+server's ``request_timeout``, :data:`REQUEST_TIMEOUT_S`) and the listen
+backlog is bounded, so a stalled or malicious client can neither wedge a
+handler thread forever nor queue unbounded connections.
 
 Typed failures (:class:`~repro.resilience.errors.ReproError`) escaping a
 handler map to their ``http_status`` with the error's JSON ``payload()``
@@ -57,6 +57,10 @@ route hand-rolling status codes.
 ``make_server(scheduler, host, port)`` binds (port 0 picks an ephemeral
 port -- used by tests and the CI smoke job) and returns the server; the
 caller drives ``serve_forever``.
+
+:class:`JsonHandler` is the request plumbing (timeout, JSON bodies,
+``/jobs/<id>`` path parsing, the :class:`ReproError` mapping) shared with
+the fleet gateway, which speaks the same API.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ import json
 import time
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import uuid
 
@@ -76,7 +80,13 @@ from ..resilience.errors import RESILIENCE_COUNTERS, ReproError
 from .jobs import JobSpec
 from .scheduler import QueueFullError, Scheduler
 
-__all__ = ["ServiceServer", "make_server"]
+__all__ = ["JsonHandler", "REQUEST_TIMEOUT_S", "ServiceServer",
+           "make_server"]
+
+#: Per-request socket timeout of a node and of the gateway: a client
+#: that stops reading or writing is disconnected after this many idle
+#: seconds.
+REQUEST_TIMEOUT_S = 30.0
 
 #: The event stream gives up after this long with no new events (the job
 #: is live but silent -- a solver between convergence checks).
@@ -96,6 +106,7 @@ class ServiceServer(ThreadingHTTPServer):
     #: Bounded listen backlog: beyond this many un-accepted connections
     #: the kernel refuses, instead of queueing clients without limit.
     request_queue_size = 32
+    request_timeout = REQUEST_TIMEOUT_S
 
     def __init__(self, addr: Tuple[str, int], scheduler: Scheduler,
                  node_id: Optional[str] = None):
@@ -107,20 +118,19 @@ class ServiceServer(ThreadingHTTPServer):
         #: Stable identity of this node (``REPRO_NODE_ID`` or random):
         #: reported by ``/healthz`` and every ``X-Repro-Node`` header so
         #: a gateway can tell a restarted process from a live one.
-        self.node_id = node_id or config.node_id() or uuid.uuid4().hex[:12]
+        self.node_id = (node_id or config.get("REPRO_NODE_ID")
+                        or uuid.uuid4().hex[:12])
         #: Last shard-map version a gateway announced to us (``None``
         #: until a gateway speaks); echoed through ``/healthz``.
         self.shard_version: Optional[int] = None
-        #: Per-request socket timeout: a client that stops reading or
-        #: writing is disconnected after this many idle seconds.
-        self.request_timeout = config.http_timeout()
 
 
-class _Handler(BaseHTTPRequestHandler):
-    server: ServiceServer
+class JsonHandler(BaseHTTPRequestHandler):
+    """Request plumbing of the JSON API, for a server that carries a
+    ``request_timeout``.  A subclass supplies ``_post`` / ``_get`` /
+    ``_delete`` and :meth:`_identity_headers`."""
+
     protocol_version = "HTTP/1.1"
-
-    # -- plumbing --------------------------------------------------------------
 
     def setup(self) -> None:
         # Per-request socket timeout *before* the stream wrappers exist:
@@ -133,12 +143,9 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, fmt, *args):  # quiet by default; tracing covers it
         pass
 
-    def _node_headers(self) -> None:
-        """Identity headers on every response (fleet membership probes)."""
-        self.send_header("X-Repro-Node", self.server.node_id)
-        if self.server.shard_version is not None:
-            self.send_header("X-Repro-Shard-Version",
-                             str(self.server.shard_version))
+    def _identity_headers(self) -> None:
+        """Headers every response of this server carries."""
+        raise NotImplementedError
 
     def _send(self, code: int, payload,
               headers: Optional[Dict[str, str]] = None) -> None:
@@ -146,7 +153,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        self._node_headers()
+        self._identity_headers()
         for name, value in (headers or {}).items():
             self.send_header(name, value)
         self.end_headers()
@@ -159,18 +166,17 @@ class _Handler(BaseHTTPRequestHandler):
             raise ValueError("empty request body")
         return json.loads(raw)
 
-    @property
-    def _sched(self) -> Scheduler:
-        return self.server.scheduler
+    def _path_parts(self) -> List[str]:
+        return [p for p in self.path.split("?")[0].split("/") if p]
 
     def _job_path_id(self) -> Optional[str]:
-        parts = [p for p in self.path.split("?")[0].split("/") if p]
+        parts = self._path_parts()
         if len(parts) == 2 and parts[0] == "jobs":
             return parts[1]
         return None
 
     def _events_path_id(self) -> Optional[str]:
-        parts = [p for p in self.path.split("?")[0].split("/") if p]
+        parts = self._path_parts()
         if len(parts) == 3 and parts[0] == "jobs" and parts[2] == "events":
             return parts[1]
         return None
@@ -184,18 +190,9 @@ class _Handler(BaseHTTPRequestHandler):
         :class:`ReproError` becomes its ``http_status`` + ``payload()``
         (the graceful-degradation chain's HTTP face)."""
         try:
-            announced = self.headers.get("X-Repro-Shard-Version")
-            if announced is not None:
-                try:
-                    self.server.shard_version = int(announced)
-                except ValueError:
-                    pass  # a malformed header never breaks the request
-            faults.hit("http.request")
             handler()
         except ReproError as exc:
             self._send(exc.http_status, exc.payload())
-
-    # -- routes ----------------------------------------------------------------
 
     def do_POST(self) -> None:
         self._guard(self._post)
@@ -205,6 +202,36 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_DELETE(self) -> None:
         self._guard(self._delete)
+
+
+class _Handler(JsonHandler):
+    server: ServiceServer
+
+    def _identity_headers(self) -> None:
+        """The node's identity (fleet membership probes)."""
+        self.send_header("X-Repro-Node", self.server.node_id)
+        if self.server.shard_version is not None:
+            self.send_header("X-Repro-Shard-Version",
+                             str(self.server.shard_version))
+
+    @property
+    def _sched(self) -> Scheduler:
+        return self.server.scheduler
+
+    def _guard(self, handler) -> None:
+        def route() -> None:
+            announced = self.headers.get("X-Repro-Shard-Version")
+            if announced is not None:
+                try:
+                    self.server.shard_version = int(announced)
+                except ValueError:
+                    pass  # a malformed header never breaks the request
+            faults.hit("http.request")
+            handler()
+
+        super()._guard(route)
+
+    # -- routes ----------------------------------------------------------------
 
     def do_PUT(self) -> None:
         self._guard(self._put)
@@ -229,7 +256,7 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(202, job.to_dict(include_result=False))
 
     def _result_path_id(self) -> Optional[str]:
-        parts = [p for p in self.path.split("?")[0].split("/") if p]
+        parts = self._path_parts()
         if len(parts) == 2 and parts[0] == "results":
             return parts[1]
         return None
@@ -293,7 +320,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self.send_header("Content-Type",
                                  telemetry.PROMETHEUS_CONTENT_TYPE)
                 self.send_header("Content-Length", str(len(body)))
-                self._node_headers()
+                self._identity_headers()
                 self.end_headers()
                 self.wfile.write(body)
         elif path == "/registry":
@@ -378,7 +405,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.send_header("Transfer-Encoding", "chunked")
-        self._node_headers()
+        self._identity_headers()
         self.end_headers()
         hub = telemetry.PROGRESS
         cursor = -1

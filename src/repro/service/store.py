@@ -7,7 +7,7 @@ repeats from it bit-identically -- ``run_job`` is deterministic and the
 stored JSON round-trips floats exactly, so a cached response compares
 equal to a fresh execution.
 
-With a ``root`` directory (see ``REPRO_RESULT_DIR``) results persist
+With a ``root`` directory (``repro serve --results``) results persist
 across restarts, written atomically; without one the store is a
 process-local dict with the same interface.
 """

@@ -71,7 +71,7 @@ class _State:
     __slots__ = ("on", "forced")
 
     def __init__(self):
-        mode = config.telemetry_mode()
+        mode = config.get("REPRO_TELEMETRY")
         self.forced = mode is not None
         self.on = bool(mode)
 
@@ -112,7 +112,7 @@ def switched_on():
 
 
 def _env_truthy() -> bool:
-    return bool(config.telemetry_mode())
+    return bool(config.get("REPRO_TELEMETRY"))
 
 
 def refresh_from_env() -> None:

@@ -19,22 +19,22 @@ import pytest
 
 from repro.cluster import RankLayout, step_bytes_by_axis
 from repro.cluster.runtime import run_distributed
-from repro.cluster.transport import (
-    QueueTransport,
-    ShmTransport,
-    edge_shapes,
-    shared_arrays,
-)
+from repro.cluster.transport import ShmTransport, edge_shapes, shared_arrays
 from repro.resilience.errors import RankCrash
 from repro.fdfd import ALL_COMPONENTS, Grid, PlaneWaveSource, PMLSpec, THIIMSolver
 from repro.fdfd.presets import preset_scene
 from repro.service.jobs import JobSpec, run_job
 
 
+#: The transports that exist, by the name ``info["transport"]`` reports
+#: (the ``pipe`` fallback went with PR 24; the case ids stayed).
+TRANSPORTS = ["shm"]
+
+
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
     for var in ("REPRO_FAULTS", "REPRO_CHECKPOINT_EVERY",
-                "REPRO_CHECKPOINT_DIR", "REPRO_CLUSTER_TRANSPORT"):
+                "REPRO_CHECKPOINT_DIR"):
         monkeypatch.delenv(var, raising=False)
 
 
@@ -80,14 +80,13 @@ class TestRunDistributed:
         for name in ALL_COMPONENTS:
             assert np.array_equal(result.fields[name], scalar.fields[name])
 
-    @pytest.mark.parametrize("transport", ["shm", "pipe"])
-    def test_both_transports_bit_identical(self, transport, monkeypatch):
-        monkeypatch.setenv("REPRO_CLUSTER_TRANSPORT", transport)
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_both_transports_bit_identical(self, transport):
         scalar = _make_solver().solve(tol=1e-12, max_steps=40)
         solver = _make_solver()
         result, info = run_distributed(RankLayout(solver.grid, 2, 1, 1),
                                        solver, tol=1e-12, max_steps=40)
-        assert info["transport"] == ("shm" if transport == "shm" else "pipe")
+        assert info["transport"] == transport
         for name in ALL_COMPONENTS:
             assert np.array_equal(result.fields[name], scalar.fields[name])
 
@@ -142,13 +141,8 @@ def _gone_within(pids, seconds):
     return not any(_alive(p) for p in pids)
 
 
-def _transport(kind, layout, timeout_s):
-    if kind == "pipe":
-        return QueueTransport(layout, timeout_s)
+def _transport(layout, timeout_s):
     return ShmTransport(layout, shared_arrays(edge_shapes(layout)), timeout_s)
-
-
-TRANSPORTS = ["shm", "pipe"]
 
 
 class TestTransport:
@@ -165,25 +159,21 @@ class TestTransport:
 
     @pytest.mark.parametrize("kind", TRANSPORTS)
     def test_send_then_recv_round_trips_the_faces(self, kind):
-        transport = _transport(kind, self.LAYOUT, 5.0)
-        try:
-            for key, shape in edge_shapes(self.LAYOUT).items():
-                faces = [np.full(shape[1:], i + 1j) for i in range(shape[0])]
-                transport.send(key, faces)
-                assert np.array_equal(transport.recv(key), np.stack(faces))
-        finally:
-            transport.shutdown()
+        transport = _transport(self.LAYOUT, 5.0)
+        assert transport.name == kind
+        for key, shape in edge_shapes(self.LAYOUT).items():
+            faces = [np.full(shape[1:], i + 1j) for i in range(shape[0])]
+            transport.send(key, faces)
+            assert np.array_equal(transport.recv(key), np.stack(faces))
 
     @pytest.mark.parametrize("kind", TRANSPORTS)
     def test_unposted_edge_times_out_as_rank_crash(self, kind):
         """A stalled peer is the same (retryable) fault as a dead one."""
-        transport = _transport(kind, self.LAYOUT, 0.05)
+        transport = _transport(self.LAYOUT, 0.05)
+        assert transport.name == kind
         key = ((0, 0, 0), 0, +1)
-        try:
-            with pytest.raises(RankCrash, match=r"\(0, 0, 0\), 0, 1") as err:
-                transport.recv(key)
-        finally:
-            transport.shutdown()
+        with pytest.raises(RankCrash, match=r"\(0, 0, 0\), 0, 1") as err:
+            transport.recv(key)
         assert err.value.retryable and err.value.details["edge"] == list(key)
 
     @pytest.mark.parametrize("kind", TRANSPORTS)
@@ -193,7 +183,7 @@ class TestTransport:
         here, there = ctx.Pipe()
 
         def parent():
-            transport = _transport(kind, self.LAYOUT, 60.0)
+            transport = _transport(self.LAYOUT, 60.0)
             pid = os.fork()
             if pid == 0:
                 try:
@@ -254,10 +244,7 @@ class TestPingPong:
     @pytest.mark.parametrize("kind", TRANSPORTS)
     def test_skewed_ranks_still_equal_single_domain(self, kind, dims,
                                                     monkeypatch):
-        monkeypatch.setenv("REPRO_CLUSTER_TRANSPORT", kind)
-        self._skew(monkeypatch,
-                   ShmTransport if kind == "shm" else QueueTransport,
-                   seed=20260806 + sum(dims))
+        self._skew(monkeypatch, ShmTransport, seed=20260806 + sum(dims))
         scalar = _make_solver().solve(tol=1e-12, max_steps=40)
         solver = _make_solver()
         layout = RankLayout(solver.grid, *dims)
@@ -277,7 +264,6 @@ class TestControlPlane:
         """Every control message, either direction, checkpoint saves
         included, pickles to < 4 KiB at g16 (one owned slab is 64 KiB);
         an oversized send fails the solve, in the parent or in a rank."""
-        monkeypatch.setenv("REPRO_CLUSTER_TRANSPORT", kind)
         send = Connection.send
         sent = []
 
@@ -293,7 +279,7 @@ class TestControlPlane:
         result, info = run_distributed(
             RankLayout(solver.grid, 2, 1, 1), solver, tol=1e-12, max_steps=60,
             checkpoint_dir=str(tmp_path), every=20)
-        assert info["saves"] == 3
+        assert info["saves"] == 3 and info["transport"] == kind
         commands = ["begin"] + 3 * ["step", "save"] + ["stop"]
         assert sent == [c for c in commands for _rank in range(2)]
         for name in ALL_COMPONENTS:
@@ -354,7 +340,7 @@ class TestCpuPinning:
         from repro import config
 
         monkeypatch.setenv("REPRO_CLUSTER_PIN", off)
-        assert config.cluster_pin() is False
+        assert config.get("REPRO_CLUSTER_PIN") is False
 
 
 class TestDistributedJobSpec:

@@ -9,40 +9,83 @@ import pytest
 
 from repro import config
 from repro.ioutil import atomic_write_json, atomic_write_text, read_json
+from repro.resilience.errors import RESILIENCE_COUNTERS
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.dirname(config.__file__)
+
+#: Every flag that exists: name -> (default, a malformed value or ``None``
+#: where the kind has none -- any string is a boolean).
+ROWS = {
+    "REPRO_NO_NATIVE": (False, None),
+    "REPRO_NATIVE_BUILD_DIR": (os.path.join(SRC, "machine", "_build"), ""),
+    "REPRO_STREAM_ENGINE": ("auto", "bogus"),
+    "REPRO_TRACE": (None, ""),
+    "REPRO_FAULTS": (None, ""),
+    "REPRO_TELEMETRY": (None, None),
+    "REPRO_CHECKPOINT_EVERY": (0, "four"),
+    "REPRO_CHECKPOINT_DIR": (None, ""),
+    "REPRO_CLUSTER_PIN": (False, None),
+    "REPRO_NODE_ID": (None, ""),
+}
+
+#: Where a ``REPRO_*`` name may appear besides ``src/repro``: a document
+#: or a scrub list that names a flag nothing reads is a dead route.
+#: (``benchmarks/ledger`` is pinned and still exports one ignored name.)
+DOCUMENTS = ["README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md",
+             ".github/workflows/ci.yml", "tests/*.py", "benchmarks/*.py"]
+
+#: The only modules that touch ``os.environ``: the flag reader, the
+#: compiler's ``CC``, ``patched_env`` and the fleet child's environment.
+ENVIRON_USERS = {"config.py", "nativelib.py",
+                 os.path.join("resilience", "faults.py"),
+                 os.path.join("fleet", "local.py")}
+
+
+def _sources():
+    return glob.glob(os.path.join(SRC, "**", "*.py"), recursive=True)
+
+
+def _flags_named_in(paths):
+    found = {}
+    for path in paths:
+        with open(path, encoding="utf-8") as f:
+            for name in re.findall(r"REPRO_[A-Z_]+", f.read()):
+                found.setdefault(name, os.path.relpath(path, ROOT))
+    return found
 
 
 class TestFlagRegistry:
     def test_every_flag_read_in_src_is_documented(self):
-        """Any ``REPRO_*`` name mentioned in the source tree must be a
-        declared flag (the whole point of the registry)."""
-        src_root = os.path.join(os.path.dirname(config.__file__))
-        found = set()
-        for path in glob.glob(os.path.join(src_root, "**", "*.py"),
-                              recursive=True):
-            with open(path, encoding="utf-8") as f:
-                found |= set(re.findall(r"REPRO_[A-Z_]+", f.read()))
+        """Any ``REPRO_*`` name in the source tree, the documents, CI,
+        the tests or the benchmarks must be a declared flag (the whole
+        point of the registry)."""
+        found = _flags_named_in(_sources())
         assert found  # the scan saw the tree
-        assert found <= set(config.FLAGS), (
-            f"undocumented flags: {sorted(found - set(config.FLAGS))}"
-        )
+        documents = [path for pattern in DOCUMENTS
+                     for path in glob.glob(os.path.join(ROOT, pattern))]
+        assert len(documents) > len(DOCUMENTS)
+        found.update(_flags_named_in(documents))
+        undeclared = {name: where for name, where in found.items()
+                      if name not in config.FLAGS}
+        assert not undeclared, f"dead or undocumented flags: {undeclared}"
 
     def test_no_stray_environment_reads(self):
-        """``os.environ.get("REPRO_...`` belongs in config.py only
-        (writes, e.g. the bench engine override, are allowed)."""
-        src_root = os.path.dirname(config.__file__)
+        """``os.environ`` belongs to ``config.py`` and the three modules
+        that build or patch an environment, nowhere else."""
         offenders = []
-        for path in glob.glob(os.path.join(src_root, "**", "*.py"),
-                              recursive=True):
-            if os.path.basename(path) == "config.py":
-                continue
+        for path in _sources():
+            rel = os.path.relpath(path, SRC)
             with open(path, encoding="utf-8") as f:
-                if re.search(r"environ\.get\(\s*[\"']REPRO_", f.read()):
-                    offenders.append(os.path.relpath(path, src_root))
-        assert not offenders, f"direct REPRO_* reads outside config: {offenders}"
+                if rel not in ENVIRON_USERS and re.search(
+                        r"os\.environ|getenv", f.read()):
+                    offenders.append(rel)
+        assert not offenders, f"environment access outside config: {offenders}"
 
     def test_describe_covers_all_flags(self):
         rows = config.describe()
-        assert {r["flag"] for r in rows} == set(config.FLAGS)
+        assert [r["flag"] for r in rows] == list(config.FLAGS)
         for r in rows:
             assert r["description"] and r["default"]
 
@@ -51,42 +94,78 @@ class TestFlagRegistry:
         monkeypatch.delenv("REPRO_CHECKPOINT_EVERY", raising=False)
         assert flag.raw is None
         monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "4")
-        assert flag.raw == "4"
+        assert flag.raw == "4" and config.get("REPRO_CHECKPOINT_EVERY") == 4
+
+    def test_the_table_is_these_rows(self):
+        assert set(config.FLAGS) == set(ROWS)
+        with pytest.raises(KeyError):
+            config.get("REPRO_")
+
+    @pytest.mark.parametrize("name", sorted(ROWS))
+    def test_unset_and_malformed_read_as_the_default(self, name, monkeypatch):
+        default, malformed = ROWS[name]
+        monkeypatch.delenv(name, raising=False)
+        assert config.get(name) == default
+        assert config.FLAGS[name].default == default
+        if malformed is not None:
+            monkeypatch.setenv(name, malformed)
+            assert config.get(name) == default
 
 
 class TestAccessors:
+    """``config.get``, kind by kind."""
+
     def test_path_flags_default_to_none(self, monkeypatch):
-        for name, accessor in [
-            ("REPRO_TRACE", config.trace_path),
-            ("REPRO_REGISTRY_DIR", config.registry_dir),
-            ("REPRO_RESULT_DIR", config.result_dir),
-        ]:
+        for name in ("REPRO_TRACE", "REPRO_CHECKPOINT_DIR", "REPRO_FAULTS",
+                     "REPRO_NODE_ID"):
             monkeypatch.delenv(name, raising=False)
-            assert accessor() is None
+            assert config.get(name) is None
             monkeypatch.setenv(name, "")
-            assert accessor() is None  # empty string means unset
+            assert config.get(name) is None  # empty string means unset
             monkeypatch.setenv(name, "/some/where")
-            assert accessor() == "/some/where"
+            assert config.get(name) == "/some/where"
 
     def test_native_disabled_is_truthiness(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_NATIVE", raising=False)
-        assert not config.native_disabled()
-        monkeypatch.setenv("REPRO_NO_NATIVE", "1")
-        assert config.native_disabled()
-        monkeypatch.setenv("REPRO_NO_NATIVE", "")
-        assert not config.native_disabled()
+        """The veto is the flag's truth value under the one grammar:
+        ``=0`` used to *disable* compiled code ("any non-empty value")
+        while it meant off for the other two booleans."""
+        from repro import nativelib
+
+        monkeypatch.setattr(nativelib, "_build", lambda name: "/nonexistent")
+        for raw, vetoed in [("1", True), ("", False), ("0", False)]:
+            monkeypatch.setenv("REPRO_NO_NATIVE", raw)
+            assert config.get("REPRO_NO_NATIVE") is vetoed
+            degraded = RESILIENCE_COUNTERS.snapshot().get("native_degraded", 0)
+            assert nativelib.load("_lru_kernel") is None
+            # Not vetoed: the load was attempted (and failed on the path).
+            after = RESILIENCE_COUNTERS.snapshot().get("native_degraded", 0)
+            assert after - degraded == (0 if vetoed else 1)
+
+    @pytest.mark.parametrize("name", ["REPRO_NO_NATIVE", "REPRO_TELEMETRY",
+                                      "REPRO_CLUSTER_PIN"])
+    def test_one_boolean_grammar(self, name, monkeypatch):
+        for off in ("", "0", "off", "false", "no", "OFF", "False", " no "):
+            monkeypatch.setenv(name, off)
+            assert config.get(name) is False, off
+        for on in ("1", "on", "true", "yes", "YES", "anything"):
+            monkeypatch.setenv(name, on)
+            assert config.get(name) is True, on
+
+    def test_negative_cadence_is_malformed(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "-3")
+        assert config.get("REPRO_CHECKPOINT_EVERY") == 0
 
     def test_stream_engine(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STREAM_ENGINE", raising=False)
-        assert config.stream_engine() is None
-        monkeypatch.setenv("REPRO_STREAM_ENGINE", "reference")
-        assert config.stream_engine() == "reference"
+        from repro.machine.measure import ENGINES
+
+        flag = config.FLAGS["REPRO_STREAM_ENGINE"]
+        assert flag.choices == ("auto",) + ENGINES
+        monkeypatch.setenv("REPRO_STREAM_ENGINE", "Reference")
+        assert config.get("REPRO_STREAM_ENGINE") == "reference"
 
     def test_native_build_dir_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NATIVE_BUILD_DIR", raising=False)
-        assert config.native_build_dir("/d") == "/d"
         monkeypatch.setenv("REPRO_NATIVE_BUILD_DIR", "/e")
-        assert config.native_build_dir("/d") == "/e"
+        assert config.get("REPRO_NATIVE_BUILD_DIR") == "/e"
 
 
 class TestAtomicWrites:

@@ -494,7 +494,7 @@ class TestConcurrentFailover:
 class TestWarmRestart:
     def test_rebooted_node_serves_committed_results_from_store(
             self, tmp_path):
-        """A node killed and restarted over the same ``REPRO_DATA_DIR``
+        """A node killed and restarted over the same data directory
         answers reads of its committed jobs from the persistent store:
         zero re-solves, bit-identical bytes, provenance preserved."""
         spec = JobSpec(**FAST)

@@ -29,7 +29,7 @@ FAST_TUNE = dict(kind="tune", grid=8, threads=2)
 @pytest.fixture(autouse=True)
 def _clean(monkeypatch):
     for var in ("REPRO_FAULTS", "REPRO_CHECKPOINT_EVERY",
-                "REPRO_CHECKPOINT_DIR", "REPRO_QUEUE_FILE"):
+                "REPRO_CHECKPOINT_DIR"):
         monkeypatch.delenv(var, raising=False)
     faults.uninstall()
     take_report()

@@ -282,16 +282,16 @@ class TestEventStream:
 
 
 class TestConnectionHygiene:
-    def test_stalled_client_is_timed_out(self, monkeypatch):
+    def test_stalled_client_is_timed_out(self):
         """A connection that never sends a request is hung up on after
         the per-request timeout instead of pinning a handler thread."""
-        monkeypatch.setenv("REPRO_HTTP_TIMEOUT", "1")
         sched = Scheduler(workers=1, queue_size=4)  # not started
         server = make_server(sched, port=0)
+        assert server.request_timeout == 30.0
+        server.request_timeout = 1.0
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
-            assert server.request_timeout == 1.0
             with socket.create_connection(
                     ("127.0.0.1", server.server_port),
                     timeout=15.0) as sock:
