@@ -5,12 +5,14 @@ batched/native replay engines, stream memoization and plan caching must
 leave every measured figure value bit-identical while cutting the time
 to produce it.  This benchmark times the *fixed Fig. 6 point* -- 384^3 /
 18 threads, the most expensive single point of the thread-scaling figure
--- for both halves of the substrate: the full MWD auto-tune (tile streams
-through ``measure.tiled`` and the DES) and the spatial-blocking tune (row
-schedules through ``measure.sweep``).  Each runs once through the seed
-configuration (the ``"reference"`` per-access engine) and once through
-the optimized path; the tuned points must be identical, and the speedups
-are recorded as JSON under ``benchmarks/output/substrate_speed.json``.
+-- for both halves of the substrate: the full MWD auto-tune (band row
+schedules through ``measure.tiled`` and the DES) and the spatial-blocking
+tune (sweep row schedules through ``measure.sweep``).  Each runs once
+through the seed configuration (the per-access reference emitter over
+``LRUCache``, swapped in for the host's engine as the emitter factory the
+measurement memos hand their uncached bodies) and once through the
+optimized path; the tuned points must be identical, and the speedups are
+recorded as JSON under ``benchmarks/output/substrate_speed.json``.
 
 Runs standalone (``python benchmarks/bench_substrate_speed.py``) or as a
 pytest test; CI runs the pytest form as the speed smoke.
@@ -21,6 +23,8 @@ from __future__ import annotations
 import json
 import os
 import time
+from contextlib import nullcontext
+from unittest import mock
 
 FIXED_GRID = 384
 FIXED_THREADS = 18
@@ -33,16 +37,18 @@ FIXED_THREADS = 18
 #: arrays per shape or to the Python event loop.
 MIN_SPEEDUP = {"tune_tiled": 18.0, "tune_spatial": 25.0}
 
-def time_fixed_point(tuner: str, engine: str):
-    """Cold wall-clock of the fixed Fig. 6 point under one replay engine."""
+def time_fixed_point(tuner: str, reference: bool):
+    """Cold wall-clock of the fixed Fig. 6 point, on the reference
+    emitter or on the host's engine."""
     from repro.core import autotuner
     from repro.machine import (HASWELL_EP, SUBSTRATE_COUNTERS,
-                               clear_substrate_caches)
-    from repro.resilience.faults import patched_env
+                               clear_substrate_caches, measure)
 
     clear_substrate_caches()
     SUBSTRATE_COUNTERS.reset()
-    with patched_env(REPRO_STREAM_ENGINE=engine):
+    seed = mock.patch.object(measure, "_host_emitter",
+                             measure._reference_emitter)
+    with seed if reference else nullcontext():
         tune = getattr(autotuner, tuner)
         t0 = time.perf_counter()
         point = tune(HASWELL_EP, FIXED_GRID, FIXED_THREADS)
@@ -54,8 +60,8 @@ def collect() -> dict:
     """Seed-vs-optimized timings of the fixed point, plus telemetry."""
     rows = {"fixed_point": {"grid_n": FIXED_GRID, "threads": FIXED_THREADS}}
     for tuner in MIN_SPEEDUP:
-        seed_seconds, seed_point, _ = time_fixed_point(tuner, "reference")
-        fast_seconds, fast_point, counters = time_fixed_point(tuner, "auto")
+        seed_seconds, seed_point, _ = time_fixed_point(tuner, reference=True)
+        fast_seconds, fast_point, counters = time_fixed_point(tuner, reference=False)
         rows[tuner] = {
             "seed_seconds": seed_seconds,
             "fast_seconds": fast_seconds,

@@ -6,7 +6,7 @@ Fourteen subcommands cover the library's workflows::
     repro tune     --grid 384 --threads 18 --variant mwd
     repro figures  --which fig6 --out results/
     repro plan     --ny 64 --nz 64 --steps 16 --dw 8 --bz 4
-    repro bench    tune --engine reference --top 20
+    repro bench    tune --top 20
     repro counters --workload tiled --group MEM,CACHE
     repro trace    --out trace.json --grid 192
     repro serve    --port 8642 --workers 4 --registry plans/
@@ -132,8 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="which benchmark to profile")
     b.add_argument("--grid", type=int, default=384)
     b.add_argument("--threads", type=int, default=18)
-    b.add_argument("--engine", choices=("reference", "batch", "native", "auto"),
-                   default=None, help="replay engine (default: process setting)")
     b.add_argument("--top", type=int, default=20,
                    help="hotspot lines to print (default 20)")
 
@@ -146,8 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--group", default="ALL",
                    help="counter groups to print: MEM, CACHE, WORK, or ALL "
                         "(comma-separated)")
-    c.add_argument("--engine", choices=("reference", "batch", "native", "auto"),
-                   default=None, help="replay engine (default: process setting)")
     c.add_argument("--json", action="store_true",
                    help="emit the raw samples as JSON instead of tables")
 
@@ -596,7 +592,6 @@ def _cmd_bench(args) -> int:
     import pstats
 
     from .machine import SUBSTRATE_COUNTERS, clear_substrate_caches
-    from .resilience.faults import patched_env
 
     # Cold-start every memoization layer so the profile reflects real work.
     clear_substrate_caches()
@@ -604,11 +599,7 @@ def _cmd_bench(args) -> int:
     fn = _bench_cases(args)[args.name]
 
     prof = cProfile.Profile()
-    # --engine reaches the measurements under the tuner through the flag,
-    # for this call only.
-    engine = {"REPRO_STREAM_ENGINE": args.engine} if args.engine else {}
-    with patched_env(**engine):
-        result = prof.runcall(fn)
+    result = prof.runcall(fn)
     print(f"bench {args.name}: result = {result!r}")
 
     buf = io.StringIO()
@@ -641,10 +632,9 @@ def _cmd_counters(args) -> int:
     n = args.grid
     if args.workload in ("tiled", "both"):
         measure.measure_tiled_code_balance(HASWELL_EP, nx=n, dw=8, bz=9,
-                                           n_streams=1, engine=args.engine)
+                                           n_streams=1)
     if args.workload in ("sweep", "both"):
-        measure.measure_sweep_code_balance(HASWELL_EP, nx=n, ny=n, block_y=16,
-                                           engine=args.engine)
+        measure.measure_sweep_code_balance(HASWELL_EP, nx=n, ny=n, block_y=16)
 
     if args.json:
         print(json.dumps(GLOBAL_PMU.to_json(), indent=2, sort_keys=True))

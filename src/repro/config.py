@@ -2,11 +2,12 @@
 
 A setting has exactly one route.  It is an environment flag only where
 the library reads it at a depth no caller's argument reaches (the
-compiled-code veto, the replay engine under the tuner, tracing, fault
-schedules, checkpoint cadence under ``run_job``, rank pinning) or where
-a parent labels a process it spawns (``REPRO_NODE_ID``); everything else
-is a CLI flag feeding a constructor keyword whose default is a literal
-in the signature.
+compiled-code veto, tracing, fault schedules, checkpoint cadence under
+``run_job``, rank pinning) or where a parent labels a process it spawns
+(``REPRO_NODE_ID``); everything else is a CLI flag feeding a constructor
+keyword whose default is a literal in the signature.  What the host has
+is observed, not set: the replay engine is the compiled one whenever it
+loads.
 
 :data:`FLAGS` is the table -- name, kind, default, help, each written
 once -- and :func:`get` the one reader: it parses by ``kind`` and
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 __all__ = ["FLAGS", "Flag", "describe", "get"]
 
@@ -36,7 +37,6 @@ class Flag:
     kind: str  # a key of ``_PARSERS``
     default: object  # what ``get`` answers when unset or malformed
     help: str
-    choices: Tuple[str, ...] = ()
 
     @property
     def raw(self) -> Optional[str]:
@@ -44,20 +44,14 @@ class Flag:
         return os.environ.get(self.name)
 
 
-def _int(flag: Flag, raw: str) -> int:
+def _int(raw: str) -> int:
     value = int(raw)
     if value < 0:
         raise ValueError(raw)
     return value
 
 
-def _choice(flag: Flag, raw: str) -> str:
-    if raw.lower() not in flag.choices:
-        raise ValueError(raw)
-    return raw.lower()
-
-
-def _text(flag: Flag, raw: str) -> str:
+def _text(raw: str) -> str:
     if not raw:  # an empty string means unset
         raise ValueError(raw)
     return raw
@@ -65,8 +59,7 @@ def _text(flag: Flag, raw: str) -> str:
 
 _PARSERS = {
     "int": _int,
-    "bool": lambda flag, raw: raw.strip().lower() not in _FALSE,
-    "choice": _choice,
+    "bool": lambda raw: raw.strip().lower() not in _FALSE,
     "path": _text,
     "str": _text,
 }
@@ -81,9 +74,6 @@ FLAGS: Dict[str, Flag] = {
              os.path.join(os.path.dirname(os.path.abspath(__file__)),
                           "machine", "_build"),
              "where the compiled shared objects are cached"),
-        Flag("REPRO_STREAM_ENGINE", "choice", "auto",
-             "stream replay engine: reference, batch, native, or auto",
-             choices=("auto", "reference", "batch", "native")),
         Flag("REPRO_TRACE", "path", None,
              "Chrome-trace output path; traces any repro CLI command"),
         Flag("REPRO_FAULTS", "str", None,
@@ -114,7 +104,7 @@ def get(name: str):
     if raw is None:
         return flag.default
     try:
-        return _PARSERS[flag.kind](flag, raw)
+        return _PARSERS[flag.kind](raw)
     except ValueError:
         return flag.default
 

@@ -121,6 +121,15 @@ class DiamondTile:
         """Row range ``[lo, hi)`` touched by any sub-step of the tile."""
         return (min(r.y_lo for r in self.rows), max(r.y_hi for r in self.rows))
 
+    @cached_property
+    def congruence(self) -> Tuple[int, Tuple[Tuple[int, int, int], ...]]:
+        """``(y0, rows)``: the tile's lowest row and its rows as ``(tau &
+        1, y_lo - y0, y_hi - y0)`` -- equal for tiles that are y
+        translations of one another (every interior diamond of a
+        tessellation), which traverse identically up to that shift."""
+        y0 = min(r.y_lo for r in self.rows)
+        return y0, tuple((r.tau & 1, r.y_lo - y0, r.y_hi - y0) for r in self.rows)
+
     @property
     def is_interior(self) -> bool:
         """True for an unclipped diamond (full height, full waist)."""

@@ -27,6 +27,7 @@ cumulative offsets + a ``B_z`` window).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, List, Tuple
 
 import numpy as np
@@ -34,7 +35,7 @@ import numpy as np
 from .diamond import DiamondTile, RowSpan
 
 __all__ = ["RowJob", "level_offsets", "tile_job_arrays", "tile_row_jobs",
-           "wavefront_width"]
+           "tile_rows", "wavefront_width"]
 
 
 @dataclass(frozen=True)
@@ -60,27 +61,6 @@ class RowJob:
     def cells_per_x(self) -> int:
         """Node-cells covered (multiply by nx for grid cells)."""
         return (self.y_hi - self.y_lo) * (self.z_hi - self.z_lo)
-
-    def shape_key(self, ny: int, nz: int) -> tuple:
-        """Canonical shape-class signature of the job on an (ny, nz) domain.
-
-        Two jobs with equal signatures produce identical chunk-access
-        streams up to a translation by their ``(y_lo, z_lo)`` anchor: the
-        stencil offsets are all in {-1, 0, +1}, so besides the half-step
-        class and the box extents only adjacency to the four domain edges
-        can change the clipped access pattern.  This is what lets the
-        stream generator pay for each congruent diamond job class once
-        (see :mod:`repro.machine.streams`).
-        """
-        return (
-            self.tau & 1,
-            self.y_hi - self.y_lo,
-            self.z_hi - self.z_lo,
-            self.y_lo == 0,
-            self.y_hi == ny,
-            self.z_lo == 0,
-            self.z_hi == nz,
-        )
 
 
 def level_offsets(tile: DiamondTile) -> List[int]:
@@ -157,3 +137,28 @@ def tile_job_arrays(tile: DiamondTile, nz: int, bz: int
     lo, hi = target[:-1], target[1:]
     advances = hi > lo
     return np.nonzero(advances)[1], lo[advances], hi[advances]
+
+
+def tile_rows(tile: DiamondTile, nz: int, bz: int) -> np.ndarray:
+    """:func:`tile_row_jobs` as a row schedule: a ``(5, jobs)`` array
+    whose rows are ``tau & 1``, ``y_lo``, ``y_hi``, ``z_lo`` and ``z_hi``.
+    Tiles of one :attr:`~repro.core.diamond.DiamondTile.congruence` class
+    share one memoized schedule, shifted here to the tile's rows."""
+    y0, rows = tile.congruence
+    return _congruent_rows(rows, nz, bz) + y0 * _Y_ROWS
+
+
+#: Which rows of a schedule are y coordinates.
+_Y_ROWS = np.array([[0], [1], [1], [0], [0]], dtype=np.int64)
+
+
+@lru_cache(maxsize=4096)
+def _congruent_rows(rows: Tuple[Tuple[int, int, int], ...], nz: int, bz: int
+                    ) -> np.ndarray:
+    """The (read-only) row schedule of the tile with rows ``(tau & 1,
+    y_lo, y_hi)``."""
+    level, z_lo, z_hi = tile_job_arrays(
+        DiamondTile(0, 0, 0, tuple(RowSpan(*r) for r in rows)), nz, bz)
+    out = np.vstack((np.array(rows, dtype=np.int64)[level].T, z_lo, z_hi))
+    out.flags.writeable = False
+    return out

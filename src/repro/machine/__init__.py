@@ -17,7 +17,6 @@ from .measure import (
     clear_substrate_caches,
     measure_sweep_code_balance,
     measure_tiled_code_balance,
-    resolve_engine,
 )
 from .native import NativeLRU, make_lru, native_available
 from .pmu import (
@@ -36,11 +35,12 @@ from .streams import (
     ARRAY_GROUPS,
     CLASS_RECIPES,
     COMPONENT_RECIPES,
+    FUSED,
+    PER_COMPONENT,
     AccessOp,
     ArrayGroup,
-    BatchComponentStreamEmitter,
     BatchStreamEmitter,
-    ComponentStreamEmitter,
+    Layout,
     StreamEmitter,
 )
 
@@ -49,19 +49,20 @@ __all__ = [
     "ARRAY_GROUPS",
     "AccessOp",
     "ArrayGroup",
-    "BatchComponentStreamEmitter",
     "BatchLRU",
     "BatchStreamEmitter",
     "CLASS_RECIPES",
     "COMPONENT_RECIPES",
     "CacheStats",
     "CalibrationReport",
-    "ComponentStreamEmitter",
+    "FUSED",
     "GLOBAL_PMU",
     "HASWELL_EP",
     "LRUCache",
+    "Layout",
     "MachineSpec",
     "NativeLRU",
+    "PER_COMPONENT",
     "PERF_GROUPS",
     "PMU",
     "PerfGroup",
@@ -77,7 +78,6 @@ __all__ = [
     "measure_sweep_code_balance",
     "measure_tiled_code_balance",
     "native_available",
-    "resolve_engine",
     "resolve_groups",
     "simulate_sweep",
     "simulate_tiled",

@@ -119,11 +119,6 @@ class LRUCache:
                 stats.mem_write_bytes += esize
         return False
 
-    def access_many(self, keys, size: int, write: bool) -> None:
-        """Touch a sequence of chunks of uniform size."""
-        for key in keys:
-            self.access(key, size, write)
-
     # -- management ---------------------------------------------------------
 
     def flush(self) -> None:

@@ -2,7 +2,7 @@
 
 The simulated machine *produces* performance numbers; this module counts
 the cost of producing them: how many chunk accesses were replayed through
-the LRU model, how often the stream-signature memoization hit, and how
+the LRU model, how often the shape table already held a row's stream, and how
 much wall-clock the replay consumed.  The substrate speed benchmark
 (``benchmarks/bench_substrate_speed.py``) and ``repro bench`` surface
 these so perf regressions in the substrate are visible as data, not
@@ -37,13 +37,13 @@ _COUNTER_FIELDS = (
 class SubstrateCounters:
     """Aggregate telemetry of the stream/replay substrate."""
 
-    #: RowJob / component-row batches replayed through a batched engine.
+    #: Rows of row schedules replayed through a batched engine.
     jobs_replayed: int = 0
-    #: Individual chunk accesses those batches expanded to.
+    #: Individual chunk accesses those rows expanded to.
     accesses_replayed: int = 0
-    #: Stream-signature memo hits (a congruent job reused a packed stream).
+    #: Shape-table hits (a row's shape class was already stored).
     stream_memo_hits: int = 0
-    #: Stream-signature memo misses (a packed stream had to be generated).
+    #: Shape-table misses (a shape class had to be generated).
     stream_memo_misses: int = 0
     #: Wall-clock seconds spent inside named sections (see timed_section).
     section_seconds: dict = field(default_factory=dict)
@@ -73,7 +73,7 @@ class SubstrateCounters:
         self._section_depth = {}
 
 
-#: Process-global counters.  The batched emitters add a replayed schedule's
+#: Process-global counters.  The batched emitter adds a replayed schedule's
 #: totals under the shape-table lock of :mod:`repro.machine.streams`, so
 #: concurrent tuning threads lose no update.
 SUBSTRATE_COUNTERS = SubstrateCounters()

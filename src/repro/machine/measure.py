@@ -22,55 +22,48 @@ the same configurations many times.  Traffic depends on the machine only
 through its usable L3 capacity, so that is what the memo is keyed on:
 bandwidth- and core-count variants of one machine share measurements.
 
-Replay engines
+One instrument
 --------------
-Three interchangeable engines produce byte-identical traffic counts
-(asserted by the equivalence property tests):
-
-* ``"reference"`` -- the original per-access Python loop
-  (:class:`~repro.machine.streams.StreamEmitter` over
-  :class:`~repro.machine.cache.LRUCache`), one emitter call per row job;
-  the correctness oracle.
-* ``"batch"`` -- whole schedules replayed through the pure-Python
-  :class:`~repro.machine.cache.BatchLRU`.
-* ``"native"`` -- the same schedules through the compiled kernel of
-  :mod:`repro.machine.native` (falls back to ``"batch"`` transparently).
-
-The two fast engines never see a single job: a measurement resolves each
-phase of its schedule -- a band of interleaved tiles, the warm-up step or
-all measured steps of a sweep -- to job arrays over the process-wide
-:class:`~repro.machine.streams.ShapeTable` and replays it in one engine
-call, in exactly the reference's access order.  The table holds the
-stream of every shape class and tile congruence class once for all
-candidates of a tuning run.
-
-The default ``"auto"`` picks the fastest available; override per call or
-process-wide via ``REPRO_STREAM_ENGINE``.
+A measurement is two *row schedules* -- the arrays ``(recipe, y_lo,
+y_hi, z_lo, z_hi)`` in replay order: the warm-up band and the measured
+bands (:func:`_band_rows`), or the warm-up step and the measured steps
+(:func:`_sweep_rows`) -- each replayed by one
+:meth:`~repro.machine.streams.BatchStreamEmitter.emit_rows` call in
+exactly the reference's access order.  The replay engine is whatever
+the host has -- the compiled kernel of :mod:`repro.machine.native` when
+it loads, the pure-Python :class:`~repro.machine.cache.BatchLRU`
+otherwise (:func:`~repro.machine.native.make_lru` decides); it is not a
+setting.
+The per-access :class:`~repro.machine.streams.StreamEmitter` over
+:class:`~repro.machine.cache.LRUCache` stays as the oracle: the uncached
+bodies :func:`_measure_tiled` / :func:`_measure_sweep` take the emitter
+factory, and the equivalence tests and ``bench_substrate_speed.py`` pass
+:func:`_reference_emitter`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, List, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .. import config
 from ..core import tracing
 from ..core.plan import TilingPlan
-from ..core.wavefront import RowJob, tile_row_jobs, wavefront_width
-from .cache import BatchLRU, LRUCache
+from ..core.wavefront import tile_rows, wavefront_width
+from .cache import LRUCache
 from .counters import timed_section
 from .native import make_lru
 from .pmu import GLOBAL_PMU, PerfRegion, PerfSample
 from .spec import MachineSpec
 from .streams import (
-    BatchComponentStreamEmitter,
-    BatchStreamEmitter,
-    ComponentStreamEmitter,
-    StreamEmitter,
+    FUSED,
+    PER_COMPONENT,
     SWEEP_COMPONENTS,
+    BatchStreamEmitter,
+    Layout,
+    StreamEmitter,
     clear_shape_table,
     round_robin,
 )
@@ -80,44 +73,19 @@ __all__ = [
     "clear_substrate_caches",
     "measure_tiled_code_balance",
     "measure_sweep_code_balance",
-    "resolve_engine",
 ]
 
-ENGINES = ("reference", "batch", "native")
+
+def _host_emitter(capacity: float, layout: Layout, ny: int, nz: int, nx: int):
+    """The batched emitter over the fastest engine the host has."""
+    cache = make_lru(capacity, layout.key_space(ny, nz))
+    return cache, BatchStreamEmitter(cache, ny=ny, nz=nz, nx=nx, layout=layout)
 
 
-def resolve_engine(engine: str | None = None) -> str:
-    """Resolve an engine name (or ``None`` / ``"auto"``) to a concrete one."""
-    e = engine or config.get("REPRO_STREAM_ENGINE")
-    if e == "auto":
-        return "native"
-    if e not in ENGINES:
-        raise ValueError(f"unknown stream engine {e!r}, expected one of {ENGINES}")
-    return e
-
-
-def _make_group_emitter(engine: str, capacity: float, ny: int, nz: int, nx: int):
-    if engine == "reference":
-        cache = LRUCache(capacity)
-        return cache, StreamEmitter(cache, ny=ny, nz=nz, nx=nx)
-    key_space = BatchStreamEmitter.key_space(ny, nz)
-    if engine == "batch":
-        cache = BatchLRU(capacity, key_space)
-    else:  # native (falls back to BatchLRU when the kernel is unavailable)
-        cache = make_lru(capacity, key_space)
-    return cache, BatchStreamEmitter(cache, ny=ny, nz=nz, nx=nx)
-
-
-def _make_component_emitter(engine: str, capacity: float, ny: int, nz: int, nx: int):
-    if engine == "reference":
-        cache = LRUCache(capacity)
-        return cache, ComponentStreamEmitter(cache, ny=ny, nz=nz, nx=nx)
-    key_space = BatchComponentStreamEmitter.key_space(ny, nz)
-    if engine == "batch":
-        cache = BatchLRU(capacity, key_space)
-    else:
-        cache = make_lru(capacity, key_space)
-    return cache, BatchComponentStreamEmitter(cache, ny=ny, nz=nz, nx=nx)
+def _reference_emitter(capacity: float, layout: Layout, ny: int, nz: int, nx: int):
+    """The oracle: the per-access reference emitter over ``LRUCache``."""
+    cache = LRUCache(capacity)
+    return cache, StreamEmitter(cache, ny=ny, nz=nz, nx=nx, layout=layout)
 
 
 @dataclass(frozen=True)
@@ -138,20 +106,45 @@ class TrafficResult:
         return self.mem_bytes / self.lups if self.lups else 0.0
 
 
-def _interleave_band(plan: TilingPlan, band: int) -> Iterator[RowJob]:
-    """Round-robin interleave the job streams of one band's tiles,
-    emulating concurrent thread groups sharing the L3."""
-    streams: List[Iterator[RowJob]] = [
-        tile_row_jobs(t, plan.nz, plan.bz) for t in plan.band_tiles(band)
-    ]
-    while streams:
-        alive: List[Iterator[RowJob]] = []
-        for s in streams:
-            job = next(s, None)
-            if job is not None:
-                yield job
-                alive.append(s)
-        streams = alive
+def _replay(make, layout: Layout, capacity: float, ny: int, nz: int, nx: int,
+            name: str, span: str, args: dict, schedules) -> TrafficResult:
+    """Replay a measurement through a fresh emitter from ``make`` and read
+    its traffic: ``schedules()``, called inside the timed section, returns
+    the warm-up row schedule (its traffic is dropped), the measured one
+    and how many times the measured one repeats."""
+    cache, emitter = make(capacity, layout, ny, nz, nx)
+    region = PerfRegion(name)
+    with timed_section(name), tracing.span(span, "measure", args=args):
+        warmup, measured, repeat = schedules()
+        with tracing.span("warm-up", "measure"):
+            emitter.emit_rows(*warmup)
+        cache.reset_stats()
+        cells0 = emitter.cells
+        with region(cache, emitter), tracing.span("measured", "measure"):
+            emitter.emit_rows(*measured, repeat=repeat)
+    stats = cache.stats
+    cells = emitter.cells - cells0
+    GLOBAL_PMU.add_sample(name, region.sample)
+    return TrafficResult(
+        mem_bytes=float(stats.mem_bytes),
+        lups=cells * nx / layout.cells_per_lup,
+        cells=cells,
+        hit_rate=stats.hit_rate,
+        perf=region.sample,
+    )
+
+
+def _band_rows(plan: TilingPlan, band: int) -> np.ndarray:
+    """The row schedule of one band, as a ``(5, jobs)`` array of rows
+    ``recipe, y_lo, y_hi, z_lo, z_hi`` (``recipe`` = ``tau & 1``, the
+    :data:`FUSED` half-step class): each tile's wavefront jobs
+    (:func:`tile_rows`), the tiles interleaved round-robin -- concurrent
+    thread groups sharing the L3."""
+    parts = [tile_rows(tile, plan.nz, plan.bz) for tile in plan.band_tiles(band)]
+    if not parts:
+        return np.zeros((5, 0), dtype=np.int64)
+    order = round_robin([p.shape[1] for p in parts])
+    return np.take(np.concatenate(parts, axis=1), order, axis=1)
 
 
 def measure_tiled_code_balance(
@@ -162,7 +155,6 @@ def measure_tiled_code_balance(
     n_streams: int,
     nz_sim: int | None = None,
     measure_bands: int = 2,
-    engine: str | None = None,
 ) -> TrafficResult:
     """Measured bytes/LUP of a wavefront-diamond schedule.
 
@@ -180,79 +172,53 @@ def measure_tiled_code_balance(
         cache (``threads // tg_size`` in MWD, ``threads`` in 1WD).
     nz_sim:
         Simulated z extent; defaults to a few wavefront windows.
-    engine:
-        Replay engine (see module docstring); default: fastest available.
+    measure_bands:
+        Bands measured after the warm-up band.
     """
+    if n_streams < 1:
+        raise ValueError("n_streams must be >= 1")
+    if measure_bands < 1:
+        raise ValueError("measure_bands must be >= 1")
     return _measure_tiled_cached(
-        spec.usable_l3_bytes, nx, dw, bz, n_streams, nz_sim, measure_bands,
-        resolve_engine(engine),
-    )
+        spec.usable_l3_bytes, nx, dw, bz, n_streams, nz_sim, measure_bands)
 
 
 @lru_cache(maxsize=4096)
-def _measure_tiled_cached(
-    capacity: float,
-    nx: int,
-    dw: int,
-    bz: int,
-    n_streams: int,
-    nz_sim: int | None,
-    measure_bands: int,
-    engine: str,
-) -> TrafficResult:
-    if n_streams < 1:
-        raise ValueError("n_streams must be >= 1")
+def _measure_tiled_cached(capacity: float, nx: int, dw: int, bz: int,
+                          n_streams: int, nz_sim: int | None,
+                          measure_bands: int) -> TrafficResult:
+    return _measure_tiled(_host_emitter, capacity, nx, dw, bz, n_streams,
+                          nz_sim, measure_bands)
+
+
+def _measure_tiled(make, capacity: float, nx: int, dw: int, bz: int,
+                   n_streams: int, nz_sim: int | None,
+                   measure_bands: int) -> TrafficResult:
     if nz_sim is None:
         nz_sim = max(4 * wavefront_width(dw, bz), 48)
     ny_sim = n_streams * dw
     # Enough steps for one warm-up band plus the measured bands.
     timesteps = max(dw * (measure_bands + 2) // 2, dw)
     plan = TilingPlan.build(ny=ny_sim, nz=nz_sim, timesteps=timesteps, dw=dw, bz=bz)
-
-    cache, emitter = _make_group_emitter(
-        engine, capacity, ny=ny_sim, nz=nz_sim, nx=nx
-    )
-
-    def emit_band(band: int) -> None:
-        if hasattr(emitter, "emit_tiles_interleaved"):
-            emitter.emit_tiles_interleaved(plan.band_tiles(band), plan.bz)
-        else:
-            emitter.emit_jobs(_interleave_band(plan, band))
-
-    bands = plan.bands
-    region = PerfRegion("measure.tiled")
-    with timed_section("measure.tiled"), tracing.span(
-        f"measure.tiled dw={dw} bz={bz} nx={nx}", "measure",
-        args={"dw": dw, "bz": bz, "nx": nx, "n_streams": n_streams,
-              "engine": engine},
-    ):
-        with tracing.span("warmup band", "measure"):
-            emit_band(bands[0])  # warm-up
-        cache.reset_stats()
-        cells0 = emitter.cells
-        with region(cache, emitter), tracing.span("measured bands", "measure"):
-            for band in bands[1 : 1 + measure_bands]:
-                emit_band(band)
-    stats = cache.stats
-    cells = emitter.cells - cells0
-    GLOBAL_PMU.add_sample("measure.tiled", region.sample)
-    return TrafficResult(
-        mem_bytes=float(stats.mem_bytes),
-        lups=cells * nx / 2.0,
-        cells=cells,
-        hit_rate=stats.hit_rate,
-        perf=region.sample,
-    )
+    warmup, *measured = plan.bands[: 1 + measure_bands]
+    return _replay(
+        make, FUSED, capacity, ny_sim, nz_sim, nx, "measure.tiled",
+        f"measure.tiled dw={dw} bz={bz} nx={nx}",
+        {"dw": dw, "bz": bz, "nx": nx, "n_streams": n_streams},
+        lambda: (_band_rows(plan, warmup),
+                 np.concatenate([_band_rows(plan, b) for b in measured], axis=1),
+                 1))
 
 
 def _sweep_rows(
     ny: int, nz: int, block_y: int | None, threads: int
 ) -> Tuple[np.ndarray, ...]:
     """The row schedule of one baseline time step, as ``(comp, y_lo, y_hi,
-    z_lo, z_hi)`` arrays (``comp`` indexes :data:`SWEEP_COMPONENTS`): one
-    loop nest per component per half step (the paper's Listings), with
-    ``threads`` static y-slabs interleaved round-robin, a slab dropping
-    out when its loop nest is done.
+    z_lo, z_hi)`` arrays (``comp`` indexes :data:`SWEEP_COMPONENTS`, the
+    :data:`PER_COMPONENT` recipes): one loop nest per component per half
+    step (the paper's Listings), with ``threads`` static y-slabs
+    interleaved round-robin, a slab dropping out when its loop nest is
+    done.
 
     Naive order (``block_y=None``) is z-outer / y-inner: the z-shifted
     far rows are evicted before reuse at large grids.  Spatial blocking
@@ -266,7 +232,7 @@ def _sweep_rows(
         y0, y1 = t * slab, min((t + 1) * slab, ny)
         if y0 >= y1:
             continue
-        by = block_y or y1 - y0
+        by = y1 - y0 if block_y is None else block_y
         blocks = np.arange(y0, y1, by, dtype=np.int64)
         y_lo.append(np.repeat(blocks, nz))
         y_hi.append(np.repeat(np.minimum(blocks + by, y1), nz))
@@ -287,63 +253,48 @@ def measure_sweep_code_balance(
     threads: int = 1,
     nz_sim: int = 12,
     timesteps: int = 3,
-    engine: str | None = None,
 ) -> TrafficResult:
-    """Measured bytes/LUP of the naive or spatially blocked sweep."""
+    """Measured bytes/LUP of the naive (``block_y=None``) or spatially
+    blocked sweep: one warm-up step, then ``timesteps - 1`` measured."""
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    if block_y is not None and block_y < 1:
+        raise ValueError("block_y must be >= 1 (None: the naive sweep)")
+    if timesteps < 2:
+        raise ValueError("timesteps must be >= 2 (one warm-up, one measured)")
     return _measure_sweep_cached(
-        spec.usable_l3_bytes, nx, ny, block_y, threads, nz_sim, timesteps,
-        resolve_engine(engine),
-    )
+        spec.usable_l3_bytes, nx, ny, block_y, threads, nz_sim, timesteps)
 
 
 @lru_cache(maxsize=1024)
-def _measure_sweep_cached(
-    capacity: float,
-    nx: int,
-    ny: int,
-    block_y: int | None,
-    threads: int,
-    nz_sim: int,
-    timesteps: int,
-    engine: str,
-) -> TrafficResult:
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    cache, emitter = _make_component_emitter(
-        engine, capacity, ny=ny, nz=nz_sim, nx=nx
-    )
-    region = PerfRegion("measure.sweep")
-    with timed_section("measure.sweep"), tracing.span(
-        f"measure.sweep by={block_y} nx={nx}", "measure",
-        args={"nx": nx, "ny": ny, "block_y": block_y, "threads": threads,
-              "engine": engine},
-    ):
+def _measure_sweep_cached(capacity: float, nx: int, ny: int,
+                          block_y: int | None, threads: int, nz_sim: int,
+                          timesteps: int) -> TrafficResult:
+    return _measure_sweep(_host_emitter, capacity, nx, ny, block_y, threads,
+                          nz_sim, timesteps)
+
+
+def _measure_sweep(make, capacity: float, nx: int, ny: int,
+                   block_y: int | None, threads: int, nz_sim: int,
+                   timesteps: int) -> TrafficResult:
+    def schedules():
         rows = _sweep_rows(ny, nz_sim, block_y, threads)
-        with tracing.span("warmup step", "measure"):
-            emitter.emit_rows(*rows)
-        cache.reset_stats()
-        cells0 = emitter.cells
-        with region(cache, emitter), tracing.span("measured steps", "measure"):
-            emitter.emit_rows(*rows, repeat=timesteps - 1)
-    stats = cache.stats
-    cells = emitter.cells - cells0
-    GLOBAL_PMU.add_sample("measure.sweep", region.sample)
-    return TrafficResult(
-        mem_bytes=float(stats.mem_bytes),
-        lups=cells * nx / 12.0,
-        cells=cells,
-        hit_rate=stats.hit_rate,
-        perf=region.sample,
-    )
+        return rows, rows, timesteps - 1
+
+    return _replay(
+        make, PER_COMPONENT, capacity, ny, nz_sim, nx, "measure.sweep",
+        f"measure.sweep by={block_y} nx={nx}",
+        {"nx": nx, "ny": ny, "block_y": block_y, "threads": threads},
+        schedules)
 
 
 def clear_substrate_caches() -> None:
     """Cold-start every memoization layer of the substrate and the tuner
     on top of it: tuned points, measurements, tile enumerations, tile DAGs
-    (with the packed form the compiled DES walks) and the shared shape
-    table.  What cold-path benchmarks, ``repro bench`` and
+    (with the packed form the compiled DES walks), tile row schedules and
+    the shared shape table.  What cold-path benchmarks, ``repro bench`` and
     order-independence tests call between runs."""
-    from ..core import autotuner, diamond, plan
+    from ..core import autotuner, diamond, plan, wavefront
 
     autotuner.tune_tiled.cache_clear()
     autotuner.tune_spatial.cache_clear()
@@ -351,4 +302,5 @@ def clear_substrate_caches() -> None:
     _measure_sweep_cached.cache_clear()
     diamond._enumerate_tiles_cached.cache_clear()
     plan._tile_dag.cache_clear()
+    wavefront._congruent_rows.cache_clear()
     clear_shape_table()

@@ -27,11 +27,12 @@ the compiled :class:`~repro.machine.native.NativeLRU` -- exposes the same
 :class:`PerfRegion` wrapped around any of them reports identical group
 values (asserted by ``tests/test_pmu.py``).
 
-Usage, likwid marker style::
+Usage, likwid marker style, around a row schedule ``rows`` -- the
+arrays ``(recipe, y_lo, y_hi, z_lo, z_hi)`` an emitter replays::
 
     pmu = PMU()
     with pmu.region("steady-state", cache, emitter):
-        emitter.emit_tiles_interleaved(plan.band_tiles(b), plan.bz)
+        emitter.emit_rows(*rows)
     print(pmu.report(groups=("MEM", "CACHE")))
 
 The measurement campaigns of :mod:`repro.machine.measure` run their

@@ -1,6 +1,7 @@
 """Memory-access streams of THIIM schedules, at cache-row granularity.
 
-This module turns a stream of :class:`repro.core.wavefront.RowJob` s into
+This module turns a *row schedule* -- the arrays ``(recipe, y_lo, y_hi,
+z_lo, z_hi)``, one kernel invocation per row, in execution order -- into
 the chunk-access stream the LRU cache simulator consumes.  It is derived
 *programmatically* from the kernel specs of :mod:`repro.fdfd.specs`, so
 the traffic measurement and the numerics can never drift apart.
@@ -20,12 +21,23 @@ the same half-step class, so aggregating them into one cache chunk per
 
 A chunk is one x-row of one group: ``len(group) * 16 * nx`` bytes.
 
+Layouts
+-------
+A :class:`Layout` says what a row of a schedule touches: :data:`FUSED`
+(the eight groups, recipe 0/1 = the H/E half step of a tile's row job)
+or :data:`PER_COMPONENT` (the 40 arrays one by one, recipe ``i`` = the
+loop nest of component ``SWEEP_COMPONENTS[i]``).  Both emitters --
+:class:`StreamEmitter`, the per-access reference, and
+:class:`BatchStreamEmitter`, the one the measurements use -- take a
+layout and replay a schedule through :meth:`emit_rows`.
+
 Write counting follows the paper's Section III-A convention (see
 :mod:`repro.machine.cache`).
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 from dataclasses import dataclass
@@ -42,9 +54,8 @@ from ..fdfd.specs import (
     H_COMPONENTS,
     SPECS,
 )
-from .cache import LRUCache
 from .counters import SUBSTRATE_COUNTERS
-from ..core.wavefront import RowJob, tile_job_arrays
+from ..core.wavefront import RowJob
 
 __all__ = [
     "ArrayGroup",
@@ -53,12 +64,14 @@ __all__ = [
     "CLASS_RECIPES",
     "ALL_ARRAYS",
     "COMPONENT_RECIPES",
+    "Layout",
+    "FUSED",
+    "PER_COMPONENT",
     "StreamEmitter",
-    "ComponentStreamEmitter",
     "BatchStreamEmitter",
-    "BatchComponentStreamEmitter",
     "SWEEP_COMPONENTS",
     "ShapeTable",
+    "shape_codes",
     "shape_table",
     "clear_shape_table",
     "round_robin",
@@ -211,126 +224,119 @@ COMPONENT_RECIPES = _build_component_recipes()
 SWEEP_COMPONENTS: Tuple[str, ...] = tuple(H_COMPONENTS) + tuple(E_COMPONENTS)
 
 
+@dataclass(frozen=True)
+class Layout:
+    """What a row of a schedule touches: chunk group ``g`` holds
+    ``group_arrays[g]`` arrays (its row is that many x-rows of complex
+    numbers), a row with recipe ``r`` applies ``recipes[r]`` to every
+    (y, z) cell of its box, and ``cells_per_lup`` cell updates make one
+    lattice-site update per x-cell."""
+
+    name: str
+    group_arrays: Tuple[int, ...]
+    recipes: Tuple[Tuple[AccessOp, ...], ...]
+    cells_per_lup: float
+
+    def key_space(self, ny: int, nz: int) -> int:
+        """Upper bound (exclusive) of the dense chunk keys
+        ``(gid * ny + y) * nz + z``."""
+        return len(self.group_arrays) * ny * nz
+
+    def row_bytes(self, nx: int) -> List[int]:
+        return [n * BYTES_PER_NUMBER * nx for n in self.group_arrays]
+
+
+#: Tiled kernels: all components of a half step while the rows sit in
+#: cache -- recipe ``tau & 1`` of a row job (0 = H, 1 = E), 2 half steps
+#: per LUP.
+FUSED = Layout("fused", tuple(len(g.arrays) for g in ARRAY_GROUPS),
+               (CLASS_RECIPES["H"], CLASS_RECIPES["E"]), 2.0)
+
+#: Baseline sweeps: one loop nest per component (recipe ``i`` =
+#: ``SWEEP_COMPONENTS[i]``), 12 per LUP.
+PER_COMPONENT = Layout("per_component", (1,) * len(ALL_ARRAYS),
+                       tuple(COMPONENT_RECIPES[c] for c in SWEEP_COMPONENTS),
+                       12.0)
+
+
+#: Bits of a box extent in a shape code; emitters refuse larger domains.
+_EXTENT_BITS = 24
+
+
 class StreamEmitter:
-    """Feeds row-job streams into an LRU cache and accounts LUPs.
+    """The reference: feeds a row schedule into an LRU cache one access
+    at a time, in the order ``rows -> recipe ops -> y -> z`` -- the
+    oracle every batched replay is held to.
 
     One emitter wraps one shared cache; concurrent thread groups are
-    modelled by interleaving their jobs through the same emitter (they
-    share the L3).
+    modelled by interleaving their rows in the schedule (they share the
+    L3).
     """
 
-    def __init__(self, cache: LRUCache, ny: int, nz: int, nx: int):
+    def __init__(self, cache, ny: int, nz: int, nx: int,
+                 layout: Layout = FUSED):
         if ny < 1 or nz < 1 or nx < 1:
             raise ValueError("ny, nz, nx must be >= 1")
+        if max(ny, nz) >= 1 << _EXTENT_BITS:
+            raise ValueError(f"ny, nz must be < 2**{_EXTENT_BITS}")
         self.cache = cache
         self.ny = ny
         self.nz = nz
         self.nx = nx
-        self._row_bytes = [g.row_bytes(nx) for g in ARRAY_GROUPS]
-        self.cells = 0  # (y, z) cell half-updates emitted
+        self.layout = layout
+        self._row_bytes = layout.row_bytes(nx)
+        self.cells = 0  # (y, z) cell updates emitted
 
-    def emit_job(self, job: RowJob) -> None:
-        """Replay one row job's chunk accesses."""
-        cache = self.cache
-        ny, nz = self.ny, self.nz
-        nzz = nz
-        for op in CLASS_RECIPES[job.field]:
-            y0 = max(job.y_lo + op.dy, 0)
-            y1 = min(job.y_hi + op.dy, ny)
-            z0 = max(job.z_lo + op.dz, 0)
-            z1 = min(job.z_hi + op.dz, nz)
-            if y0 >= y1 or z0 >= z1:
-                continue
-            size = self._row_bytes[op.gid]
-            write = op.write
-            base = op.gid * ny
-            for y in range(y0, y1):
-                row = (base + y) * nzz
-                for z in range(z0, z1):
-                    cache.access(row + z, size, write)
-        self.cells += job.cells_per_x
-
-    def emit_jobs(self, jobs: Iterable[RowJob]) -> None:
-        for job in jobs:
-            self.emit_job(job)
+    def emit_rows(self, recipe, y_lo, y_hi, z_lo, z_hi, repeat: int = 1) -> None:
+        """Replay a row schedule -- row ``i`` applies recipe ``recipe[i]``
+        to ``[y_lo[i], y_hi[i]) x [z_lo[i], z_hi[i])`` -- ``repeat`` times
+        over."""
+        cache, ny, nz = self.cache, self.ny, self.nz
+        recipes, row_bytes = self.layout.recipes, self._row_bytes
+        rows = list(zip(*(np.asarray(a).tolist()
+                          for a in (recipe, y_lo, y_hi, z_lo, z_hi))))
+        for _ in range(repeat):
+            for r, ya, yb, za, zb in rows:
+                for op in recipes[r]:
+                    y0 = max(ya + op.dy, 0)
+                    y1 = min(yb + op.dy, ny)
+                    z0 = max(za + op.dz, 0)
+                    z1 = min(zb + op.dz, nz)
+                    if y0 >= y1 or z0 >= z1:
+                        continue
+                    size = row_bytes[op.gid]
+                    write = op.write
+                    base = op.gid * ny
+                    for y in range(y0, y1):
+                        row = (base + y) * nz
+                        for z in range(z0, z1):
+                            cache.access(row + z, size, write)
+                self.cells += (yb - ya) * (zb - za)
 
     @property
     def lups(self) -> float:
         """Full lattice-site updates emitted (absolute, including x)."""
-        return self.cells * self.nx / 2.0
-
-
-class ComponentStreamEmitter:
-    """Single-array-granularity emitter for per-component loop nests.
-
-    Models the baseline code structure: one full sweep per component per
-    half step (the paper's Listings), without cross-component fusion.
-    ``cells`` counts *component*-row-cells; 12 of them make one LUP per
-    x-cell.
-    """
-
-    def __init__(self, cache: LRUCache, ny: int, nz: int, nx: int):
-        if ny < 1 or nz < 1 or nx < 1:
-            raise ValueError("ny, nz, nx must be >= 1")
-        self.cache = cache
-        self.ny = ny
-        self.nz = nz
-        self.nx = nx
-        self._row_bytes = BYTES_PER_NUMBER * nx
-        self.cells = 0
-
-    def emit_component_rows(self, comp: str, y_lo: int, y_hi: int, z_lo: int, z_hi: int) -> None:
-        cache = self.cache
-        ny, nz = self.ny, self.nz
-        size = self._row_bytes
-        for op in COMPONENT_RECIPES[comp]:
-            y0 = max(y_lo + op.dy, 0)
-            y1 = min(y_hi + op.dy, ny)
-            z0 = max(z_lo + op.dz, 0)
-            z1 = min(z_hi + op.dz, nz)
-            if y0 >= y1 or z0 >= z1:
-                continue
-            base = op.gid * ny
-            write = op.write
-            for y in range(y0, y1):
-                row = (base + y) * nz
-                for z in range(z0, z1):
-                    cache.access(row + z, size, write)
-        self.cells += (y_hi - y_lo) * (z_hi - z_lo)
-
-    def emit_rows(self, comp, y_lo, y_hi, z_lo, z_hi, repeat: int = 1) -> None:
-        """Replay a schedule of component rows (arrays; ``comp`` indexes
-        :data:`SWEEP_COMPONENTS`) row by row, ``repeat`` times over."""
-        rows = list(zip(comp.tolist(), y_lo.tolist(), y_hi.tolist(),
-                        z_lo.tolist(), z_hi.tolist()))
-        for _ in range(repeat):
-            for c, ya, yb, za, zb in rows:
-                self.emit_component_rows(SWEEP_COMPONENTS[c], ya, yb, za, zb)
-
-    @property
-    def lups(self) -> float:
-        """Full LUPs: 12 component-cell updates each."""
-        return self.cells * self.nx / 12.0
+        return self.cells * self.nx / self.layout.cells_per_lup
 
 
 # ---------------------------------------------------------------------------
-# Batched emitters: whole schedules over one process-wide shape table.
+# The batched emitter: whole schedules over one process-wide shape table.
 #
-# The reference emitters above regenerate every chunk key with nested
-# Python loops and push them through the cache one call at a time.  But a
-# schedule contains thousands of *congruent* jobs -- same half-step class,
-# same box extents, same adjacency to the domain edges -- whose access
-# streams are identical up to a translation by the job's (y_lo, z_lo)
-# anchor (see :meth:`repro.core.wavefront.RowJob.shape_key`), and every
-# recipe op of such a job touches a *clipped rectangle* of rows: the
-# row-granular working set Eq. 11 counts.  The batched emitters keep one
-# rectangle per op of a shape class in the shape table below, resolve a
-# whole schedule (one band of interleaved tiles, one phase of a sweep) to
-# ``(segment range, base)`` job arrays and hand it to the engine's
-# ``replay_jobs`` in one call.  The engine walks each rectangle y-major --
-# exactly the reference loop order (recipe op, then y, then z) -- and job
-# order is the reference interleave, so the replay is access-for-access
-# identical without a key ever being stored.
+# The reference emitter above regenerates every chunk key with nested
+# Python loops and pushes them through the cache one call at a time.  But
+# a schedule contains thousands of *congruent* rows -- same recipe, same
+# box extents, same adjacency to the domain edges (:func:`shape_codes`)
+# -- whose access streams are identical up to a translation by the row's
+# (y_lo, z_lo) anchor, and every recipe op of such a row touches a
+# *clipped rectangle* of chunk rows: the row-granular working set Eq. 11
+# counts.  The batched emitter keeps one rectangle per op of a shape class
+# in the shape table below, resolves a whole schedule (one band of
+# interleaved tiles, one phase of a sweep) to ``(segment range, base)``
+# job arrays and hands it to the engine's ``replay_jobs`` in one call.
+# The engine walks each rectangle y-major -- exactly the reference loop
+# order (recipe op, then y, then z) -- and row order is the schedule's,
+# so the replay is access-for-access identical without a key ever being
+# stored.
 # ---------------------------------------------------------------------------
 
 
@@ -360,15 +366,27 @@ def _clipped_segments(recipe, y_lo: int, y_hi: int, z_lo: int, z_hi: int,
     return segments
 
 
+def shape_codes(recipe, y_lo, y_hi, z_lo, z_hi, ny: int, nz: int) -> np.ndarray:
+    """One integer per row of a schedule naming its *shape class*: the
+    recipe, the box extents and the adjacency to the four domain edges.
+    Rows of one class produce identical chunk-access streams up to a
+    translation by their ``(y_lo, z_lo)`` anchor -- the stencil offsets
+    are all in {-1, 0, +1}, so nothing else can change the clipped access
+    pattern -- and the code does not depend on ``ny``, so classes are
+    shared by every domain of a tuning run."""
+    edges = ((y_lo == 0) * 8 + (y_hi == ny) * 4
+             + (z_lo == 0) * 2 + (z_hi == nz))
+    return ((((recipe << _EXTENT_BITS) | (y_hi - y_lo)) << _EXTENT_BITS
+             | (z_hi - z_lo)) << 4) | edges
+
+
 #: Byte budget of the shape table.  A segment is six integers whatever its
-#: rectangle covers and a tile stream three integers per job, so the widest
-#: tune the service runs (24^3 / 18 threads, D_w up to 24: 7,949 shape
-#: classes, 344 tile streams) holds 13 MB -- half segments, half tile
-#: streams -- and is never regenerated mid-tune; entries depend on
-#: ``D_w``, ``B_z`` and block sizes, not on the grid, so more points add
-#: little.  (The pure-Python engine adds its materialized key lists on
-#: top.)  A table that does outgrow the budget is replaced by an empty
-#: one, see :func:`shape_table`.
+#: rectangle covers, so the widest tune the service runs (24^3 / 18
+#: threads, D_w up to 24: 7,949 shape classes, 109k segments) holds 6 MB
+#: and is never regenerated mid-tune; entries depend on ``D_w``, ``B_z`` and
+#: block sizes, not on the grid, so more points add little.  What can
+#: outgrow the budget is the pure-Python engine's materialized key lists;
+#: a table that does is replaced by an empty one, see :func:`shape_table`.
 SHAPE_TABLE_MAX_BYTES = 32 * 2**20
 
 #: Approximate bytes per key of a materialized Python key list (pointer
@@ -380,33 +398,30 @@ _TABLE_LOCK = threading.Lock()
 
 
 class ShapeTable:
-    """Access streams of shape classes and tile congruence classes, shared
-    by every batched emitter of the process.
+    """Access streams of shape classes, shared by every batched emitter of
+    the process.
 
     A *shape* is stored once as a run of segments ``[lo, hi)``, one row of
     :meth:`segments` each: an array group, a read/write flag and the
     rectangle ``[ry0, ry1) x [rz0, rz1)`` of rows it touches, relative to
-    the job anchor (never empty).  Nothing in an entry depends on the
+    the row anchor (never empty).  Nothing in an entry depends on the
     emitter's ``ny`` or ``nx`` -- the group's plane offset and row size
     enter per replay call, like the row stride ``nz`` that turns a
     rectangle into keys ``ry * nz + rz`` -- but shapes are keyed by
-    ``(nz, shape_key)``, so a segment is only ever replayed at one ``nz``;
-    they are shared by all candidates of a tuning run.  A *tile stream* is
-    a tile's whole serialized job sequence resolved to such runs, keyed by
-    the tile's congruence class.
+    ``(layout name, nz, shape code)``, so a segment is only ever replayed
+    at one ``nz``; they are shared by all candidates of a tuning run.
 
     Entries are only ever appended, under :data:`_TABLE_LOCK`; readers take
-    :meth:`segments` / :meth:`python_segments` after resolving their jobs
+    :meth:`segments` / :meth:`python_segments` after resolving their rows
     and hold that view for the duration of the replay, so a concurrent
     append (which may move the segment rows to a larger buffer) never
     invalidates it.
     """
 
     def __init__(self) -> None:
-        #: ``(nz, shape_key) -> (lo, hi, n_accesses)``; read without the lock.
+        #: ``(layout name, nz, shape code) -> (lo, hi, n_accesses)``; read
+        #: without the lock.
         self.shapes: Dict[tuple, Tuple[int, int, int]] = {}
-        #: tile congruence class -> ``(lo, hi, rel_base, accesses, cells)``.
-        self.tiles: Dict[tuple, tuple] = {}
         #: per segment ``(group, write, ry0, ry1, rz0, rz1)``.
         self._seg = np.empty((1 << 10, 6), dtype=np.int64)
         self.n_segments = 0
@@ -439,15 +454,6 @@ class ShapeTable:
                 n = sum((ry1 - ry0) * (rz1 - rz0)
                         for _, _, ry0, ry1, rz0, rz1 in segments)
                 entry = self.shapes[key] = (lo, hi, n)
-            return entry
-
-    def add_tile(self, key: tuple, stream: tuple) -> tuple:
-        """Store a tile congruence class's resolved job stream."""
-        with _TABLE_LOCK:
-            entry = self.tiles.get(key)
-            if entry is None:
-                entry = self.tiles[key] = stream
-                self._extra_bytes += sum(a.nbytes for a in stream[:3])
             return entry
 
     def segments(self) -> np.ndarray:
@@ -537,232 +543,76 @@ def round_robin(lengths: Sequence[int]) -> np.ndarray:
     return np.lexsort((stream, step))
 
 
-class BatchStreamEmitter:
-    """Drop-in fast counterpart of :class:`StreamEmitter` over a batched
-    replay engine (group granularity, fused half-step recipes)."""
+class BatchStreamEmitter(StreamEmitter):
+    """The fast counterpart of :class:`StreamEmitter`: a whole row
+    schedule resolved to shape-table runs and replayed in one call of a
+    batched engine (``BatchLRU`` or ``NativeLRU``)."""
 
-    def __init__(self, cache, ny: int, nz: int, nx: int):
-        if ny < 1 or nz < 1 or nx < 1:
-            raise ValueError("ny, nz, nx must be >= 1")
-        self.cache = cache
-        self.ny = ny
-        self.nz = nz
-        self.nx = nx
-        self._row_bytes = [g.row_bytes(nx) for g in ARRAY_GROUPS]
-        self._group_base = np.arange(len(ARRAY_GROUPS), dtype=np.int64) * (ny * nz)
+    def __init__(self, cache, ny: int, nz: int, nx: int,
+                 layout: Layout = FUSED):
+        super().__init__(cache, ny, nz, nx, layout)
+        self._group_base = (np.arange(len(layout.group_arrays), dtype=np.int64)
+                            * (ny * nz))
         self._group_size = np.array(self._row_bytes, dtype=np.int64)
-        self.cells = 0
 
     @staticmethod
     def key_space(ny: int, nz: int) -> int:
-        """Upper bound (exclusive) of the dense chunk-key space."""
-        return len(ARRAY_GROUPS) * ny * nz
+        """Upper bound (exclusive) of the dense chunk-key space of the
+        default :data:`FUSED` layout (:meth:`Layout.key_space` for any)."""
+        return FUSED.key_space(ny, nz)
 
     def raw_segments_for(self, job: RowJob):
-        """Generic ``(prebase, size, write, rel_keys)`` segments of a job
-        at this emitter's domain, regenerated every call (the form
-        ``prepare`` / ``replay`` of the engines consume)."""
+        """Generic ``(prebase, size, write, rel_keys)`` segments of a row
+        job (recipe ``tau & 1``) at this emitter's domain, regenerated
+        every call (the form ``prepare`` / ``replay`` of the engines
+        consume)."""
         plane = self.ny * self.nz
         return [
             (gid * plane, self._row_bytes[gid], write,
              _rect_rel_keys(*box, self.nz).tolist())
             for gid, write, *box in _clipped_segments(
-                CLASS_RECIPES[job.field], job.y_lo, job.y_hi,
+                self.layout.recipes[job.tau & 1], job.y_lo, job.y_hi,
                 job.z_lo, job.z_hi, self.ny, self.nz)
         ]
 
-    def _shape(self, table: ShapeTable, job: RowJob):
-        """``((lo, hi, n), was_miss)`` of a job's shape class."""
-        key = (self.nz, job.shape_key(self.ny, self.nz))
-        entry = table.shapes.get(key)
-        if entry is not None:
-            return entry, 0
-        return table.add_shape(key, _clipped_segments(
-            CLASS_RECIPES[job.field], job.y_lo, job.y_hi,
-            job.z_lo, job.z_hi, self.ny, self.nz)), 1
-
-    def segments_for(self, job: RowJob):
-        """The shared-table stream of a job's shape class, resolved to this
-        emitter's domain in :meth:`raw_segments_for` form, and its access
-        count (what a replay of the job consumes; diagnostics and tests)."""
-        table = shape_table()
-        (lo, hi, n), _ = self._shape(table, job)
-        plane = self.ny * self.nz
-        py = table.python_segments([(lo, hi)], self.nz)
-        return [(g * plane, self._row_bytes[g], w, rel) for g, w, rel in py[lo:hi]], n
-
-    def _resolve(self, table: ShapeTable, jobs: Iterable[RowJob], y0: int = 0):
-        """A job sequence as ``(lo, hi, base)`` arrays over the table's
-        shape runs (bases relative to row ``y0``), followed by its
-        accesses, cells and the shape misses resolving it cost."""
-        nz = self.nz
-        runs, bases = [], []
-        total = cells = misses = 0
-        for job in jobs:
-            (lo, hi, n), miss = self._shape(table, job)
-            runs.append((lo, hi))
-            bases.append((job.y_lo - y0) * nz + job.z_lo)
-            total += n
-            cells += job.cells_per_x
-            misses += miss
-        lohi = np.array(runs, dtype=np.int64).reshape(-1, 2)
-        return (np.ascontiguousarray(lohi[:, 0]), np.ascontiguousarray(lohi[:, 1]),
-                np.array(bases, dtype=np.int64), total, cells, misses)
-
-    def _replay(self, table: ShapeTable, lo, hi, base) -> None:
-        if len(lo):
-            self.cache.replay_jobs(table, self._group_base, self._group_size,
-                                   self.nz, lo, hi, base)
-
-    def emit_job(self, job: RowJob) -> None:
-        """Replay one row job's chunk accesses."""
-        self.emit_jobs((job,))
-
-    def emit_jobs(self, jobs: Iterable[RowJob]) -> None:
-        """Replay a job sequence in one engine call."""
-        table = shape_table()
-        lo, hi, base, total, cells, misses = self._resolve(table, jobs)
-        self._replay(table, lo, hi, base)
-        self.cells += cells
-        _count_replay(len(lo), total, misses)
-
-    def _tile_stream(self, table: ShapeTable, tile, bz: int):
-        """The tile's whole serialized job stream, resolved to shape runs,
-        shared per tile *congruence class*: tiles whose rows agree up to a
-        y translation (and in domain-boundary adjacency) produce identical
-        job sequences up to the ``y0 * nz`` base shift.  Returns the
-        stream, that shift, and the shape misses building it cost."""
-        ny, nz = self.ny, self.nz
-        y0 = min(r.y_lo for r in tile.rows)
-        key = (
-            nz, bz,
-            tuple(
-                (r.tau & 1, r.y_lo - y0, r.y_hi - y0, r.y_lo == 0, r.y_hi == ny)
-                for r in tile.rows
-            ),
-        )
-        stream = table.tiles.get(key)
-        misses = 0
-        if stream is None:
-            rows = tile.rows
-            level, z_lo, z_hi = tile_job_arrays(tile, nz, bz)
-            dz = z_hi - z_lo
-            # The jobs of one level differ in shape only by their z extent
-            # and z-edge adjacency (a short first job, a clipped last one):
-            # one table lookup per such class, in order of first occurrence
-            # -- the order job-by-job resolution would add the shapes in.
-            code = ((level * (nz + 1) + dz) * 2 + (z_lo == 0)) * 2 + (z_hi == nz)
-            _, first, inverse = np.unique(code, return_index=True,
-                                          return_inverse=True)
-            runs = np.empty((len(first), 3), dtype=np.int64)
-            for _, c, lv, a, b in sorted(zip(
-                    first.tolist(), range(len(first)), level[first].tolist(),
-                    z_lo[first].tolist(), z_hi[first].tolist())):
-                row = rows[lv]
-                runs[c], miss = self._shape(
-                    table, RowJob(row.tau, row.y_lo, row.y_hi, a, b))
-                misses += miss
-            y_lo, width = np.array([(r.y_lo, r.width) for r in rows],
-                                   dtype=np.int64).T
-            stream = table.add_tile(key, (
-                runs[inverse, 0], runs[inverse, 1],
-                (y_lo[level] - y0) * nz + z_lo,
-                int(runs[inverse, 2].sum()), int((width[level] * dz).sum())))
-        return stream, y0 * nz, misses
-
-    def emit_tiles_interleaved(self, tiles, bz: int) -> None:
-        """Round-robin interleave the job streams of concurrently executing
-        tiles (thread groups sharing the L3) and replay them in one engine
-        call."""
-        table = shape_table()
-        los, his, bases, lengths = [], [], [], []
-        total = cells = misses = 0
-        for t in tiles:
-            (lo, hi, rel, n, cl), shift, miss = self._tile_stream(table, t, bz)
-            los.append(lo)
-            his.append(hi)
-            bases.append(rel + shift)
-            lengths.append(len(lo))
-            total += n
-            cells += cl
-            misses += miss
-        if not los:
-            return
-        order = round_robin(lengths)
-        self._replay(table, np.concatenate(los)[order],
-                     np.concatenate(his)[order], np.concatenate(bases)[order])
-        self.cells += cells
-        _count_replay(len(order), total, misses)
-
-    @property
-    def lups(self) -> float:
-        """Full lattice-site updates emitted (absolute, including x)."""
-        return self.cells * self.nx / 2.0
-
-
-class BatchComponentStreamEmitter:
-    """Fast counterpart of :class:`ComponentStreamEmitter` (single-array
-    granularity, per-component loop nests) replaying whole row schedules."""
-
-    def __init__(self, cache, ny: int, nz: int, nx: int):
-        if ny < 1 or nz < 1 or nx < 1:
-            raise ValueError("ny, nz, nx must be >= 1")
-        self.cache = cache
-        self.ny = ny
-        self.nz = nz
-        self.nx = nx
-        self._group_base = np.arange(len(ALL_ARRAYS), dtype=np.int64) * (ny * nz)
-        self._group_size = np.full(len(ALL_ARRAYS), BYTES_PER_NUMBER * nx,
-                                   dtype=np.int64)
-        self.cells = 0
-
-    @staticmethod
-    def key_space(ny: int, nz: int) -> int:
-        """Upper bound (exclusive) of the dense chunk-key space."""
-        return len(ALL_ARRAYS) * ny * nz
-
-    def emit_rows(self, comp, y_lo, y_hi, z_lo, z_hi, repeat: int = 1) -> None:
-        """Replay a schedule of component rows -- row ``i`` is component
-        ``SWEEP_COMPONENTS[comp[i]]`` over ``[y_lo[i], y_hi[i]) x
-        [z_lo[i], z_hi[i])`` -- ``repeat`` times over, in one engine call."""
-        if repeat < 1 or not len(comp):
-            return
-        ny, nz = self.ny, self.nz
-        dy = y_hi - y_lo
-        dz = z_hi - z_lo
-        # One integer per shape class: component, extents and adjacency to
-        # the four domain edges (cf. RowJob.shape_key).
-        edges = ((y_lo == 0) * 8 + (y_hi == ny) * 4
-                 + (z_lo == 0) * 2 + (z_hi == nz))
-        code = ((comp * (ny + 1) + dy) * (nz + 1) + dz) * 16 + edges
+    def _runs(self, table: ShapeTable, recipe, y_lo, y_hi, z_lo, z_hi):
+        """A row schedule resolved against ``table``: per row its run
+        ``[lo, hi)`` of segments, the schedule's access count, and how
+        many shape classes this call had to add (one lookup per class)."""
+        ny, nz, layout = self.ny, self.nz, self.layout
         classes, first, inverse = np.unique(
-            code, return_index=True, return_inverse=True)
-        table = shape_table()
-        runs = np.empty((len(classes), 3), dtype=np.int64)
-        missed = np.zeros(len(classes), dtype=np.int64)
-        for c, i in enumerate(first.tolist()):
-            name = SWEEP_COMPONENTS[comp[i]]
-            key = (nz, (name, int(dy[i]), int(dz[i]), int(edges[i])))
-            entry = table.shapes.get(key)
+            shape_codes(recipe, y_lo, y_hi, z_lo, z_hi, ny, nz),
+            return_index=True, return_inverse=True)
+        shapes = table.shapes
+        entries, misses = [], 0
+        for code, i in zip(classes.tolist(), first.tolist()):
+            key = (layout.name, nz, code)
+            entry = shapes.get(key)
             if entry is None:
-                missed[c] = 1
+                misses += 1
                 entry = table.add_shape(key, _clipped_segments(
-                    COMPONENT_RECIPES[name], int(y_lo[i]), int(y_hi[i]),
+                    layout.recipes[recipe[i]], int(y_lo[i]), int(y_hi[i]),
                     int(z_lo[i]), int(z_hi[i]), ny, nz))
-            runs[c] = entry
-        per_class = np.bincount(inverse, minlength=len(classes))
-        lo, hi = runs[inverse, 0], runs[inverse, 1]
-        base = y_lo * nz + z_lo
+            entries.append(entry)
+        runs = np.fromiter(itertools.chain.from_iterable(entries),
+                           dtype=np.int64, count=3 * len(entries)).reshape(-1, 3)
+        return (runs[inverse, 0], runs[inverse, 1],
+                int(runs[inverse, 2].sum()), misses)
+
+    def emit_rows(self, recipe, y_lo, y_hi, z_lo, z_hi, repeat: int = 1) -> None:
+        """Replay a row schedule (see :meth:`StreamEmitter.emit_rows`)
+        ``repeat`` times over, in one engine call."""
+        recipe, y_lo, y_hi, z_lo, z_hi = (
+            np.asarray(a, dtype=np.int64) for a in (recipe, y_lo, y_hi, z_lo, z_hi))
+        if repeat < 1 or not len(recipe):
+            return
+        table = shape_table()
+        lo, hi, accesses, misses = self._runs(table, recipe, y_lo, y_hi, z_lo, z_hi)
+        base = y_lo * self.nz + z_lo
         if repeat != 1:
             lo, hi, base = (np.tile(a, repeat) for a in (lo, hi, base))
         self.cache.replay_jobs(table, self._group_base, self._group_size,
-                               nz, lo, hi, base)
-        self.cells += repeat * int((dy * dz).sum())
-        # A class generated by this call missed once; its other rows hit.
-        _count_replay(repeat * len(code), repeat * int(per_class @ runs[:, 2]),
-                      int(missed.sum()))
-
-    @property
-    def lups(self) -> float:
-        """Full LUPs: 12 component-cell updates each."""
-        return self.cells * self.nx / 12.0
+                               self.nz, lo, hi, base)
+        self.cells += repeat * int(((y_hi - y_lo) * (z_hi - z_lo)).sum())
+        # A class this call added missed once; every other row hit.
+        _count_replay(repeat * len(recipe), repeat * accesses, misses)

@@ -13,6 +13,7 @@ from repro import telemetry
 from repro.fdfd import FieldState, Grid, kernels, random_coefficients
 from repro.fleet import gateway_over
 from repro.fleet.router import poll_job
+from repro.machine import BatchLRU, BatchStreamEmitter, measure
 from repro.service import (JobSpec, PlanRegistry, ResultStore, Scheduler,
                            make_server)
 
@@ -60,6 +61,22 @@ def kernel_backend(request):
 
 def random_state(grid: Grid, seed: int = 0) -> FieldState:
     return FieldState(grid).fill_random(np.random.default_rng(seed))
+
+
+def batch_emitter(capacity, layout, ny, nz, nx):
+    """The batched emitter over the pure-Python ``BatchLRU`` (what a host
+    without the compiled kernel measures with)."""
+    cache = BatchLRU(capacity, layout.key_space(ny, nz))
+    return cache, BatchStreamEmitter(cache, ny=ny, nz=nz, nx=nx, layout=layout)
+
+
+#: The three replay engines as emitter factories of the uncached
+#: measurement bodies (``measure._measure_tiled`` / ``_measure_sweep``):
+#: the per-access oracle, ``BatchLRU``, and the host's engine --
+#: ``NativeLRU`` when the compiled kernel loads, ``BatchLRU`` otherwise.
+REPLAY_ENGINES = {"reference": measure._reference_emitter,
+                  "batch": batch_emitter,
+                  "native": measure._host_emitter}
 
 
 def run_concurrently(work, cases, timeout: float = 120.0) -> None:

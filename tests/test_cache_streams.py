@@ -6,19 +6,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.diamond import enumerate_tiles
-from repro.core.wavefront import RowJob, tile_row_jobs
+from repro.core import wavefront
+from repro.core.wavefront import tile_row_jobs, tile_rows
 from repro.machine import (
     ALL_ARRAYS,
     ARRAY_GROUPS,
     BatchStreamEmitter,
     CLASS_RECIPES,
     COMPONENT_RECIPES,
-    ComponentStreamEmitter,
+    PER_COMPONENT,
     LRUCache,
     StreamEmitter,
 )
-from repro.machine.streams import ShapeTable
+from repro.machine.streams import SWEEP_COMPONENTS, ShapeTable, _clipped_segments
 from repro.fdfd.specs import ALL_COMPONENTS, SPECS
+
+
+def _job(em, tau, y_lo, y_hi, z_lo, z_hi):
+    """Replay one row job (the fused layout's recipe is ``tau & 1``)."""
+    em.emit_rows([tau & 1], [y_lo], [y_hi], [z_lo], [z_hi])
+
+
+def _component(em, comp, y_lo, y_hi, z_lo, z_hi):
+    """Replay one loop nest of a per-component sweep."""
+    em.emit_rows([SWEEP_COMPONENTS.index(comp)], [y_lo], [y_hi], [z_lo], [z_hi])
 
 
 class TestLRUCache:
@@ -153,8 +164,8 @@ class TestStreamEmitter:
     def test_lups_accounting(self):
         cache = LRUCache(10**9)
         em = StreamEmitter(cache, ny=8, nz=8, nx=10)
-        em.emit_job(RowJob(0, 0, 8, 0, 8))  # H half step, whole plane
-        em.emit_job(RowJob(1, 0, 8, 0, 8))
+        _job(em, 0, 0, 8, 0, 8)  # H half step, whole plane
+        _job(em, 1, 0, 8, 0, 8)
         assert em.lups == 8 * 8 * 10  # one full step over the slab
 
     def test_infinite_cache_traffic_is_compulsory(self):
@@ -164,11 +175,11 @@ class TestStreamEmitter:
         cache = LRUCache(10**12)
         em = StreamEmitter(cache, ny=8, nz=8, nx=4)
         for tau in range(8):
-            em.emit_job(RowJob(tau, 0, 8, 0, 8))
+            _job(em, tau, 0, 8, 0, 8)
         first_epoch = cache.stats.mem_bytes
         cache.reset_stats()
         for tau in range(8, 16):
-            em.emit_job(RowJob(tau, 0, 8, 0, 8))
+            _job(em, tau, 0, 8, 0, 8)
         assert cache.stats.mem_bytes == 0  # everything resident
         assert first_epoch > 0
 
@@ -179,8 +190,8 @@ class TestStreamEmitter:
         small = LRUCache(4 * 16 * 40 * 2)  # ~2 rows worth
         em_small = StreamEmitter(small, ny=16, nz=16, nx=4)
         for tau in range(4):
-            em_big.emit_job(RowJob(tau, 0, 16, 0, 16))
-            em_small.emit_job(RowJob(tau, 0, 16, 0, 16))
+            _job(em_big, tau, 0, 16, 0, 16)
+            _job(em_small, tau, 0, 16, 0, 16)
         assert small.stats.mem_bytes > big.stats.mem_bytes
 
     def test_boundary_clipping(self):
@@ -188,7 +199,7 @@ class TestStreamEmitter:
         em = StreamEmitter(cache, ny=4, nz=4, nx=2)
         # A job at the top edge: the (y+1) far reads must be clipped, not
         # wrap or crash.
-        em.emit_job(RowJob(0, 3, 4, 0, 4))
+        _job(em, 0, 3, 4, 0, 4)
         gids = set()
         # no key may decode to y >= 4
         # keys are (gid*ny + y)*nz + z
@@ -201,33 +212,45 @@ class TestStreamEmitter:
     def test_validation(self):
         with pytest.raises(ValueError):
             StreamEmitter(LRUCache(10), ny=0, nz=4, nx=4)
-        with pytest.raises(ValueError):
-            ComponentStreamEmitter(LRUCache(10), ny=4, nz=0, nx=4)
+        for emitter in (StreamEmitter, BatchStreamEmitter):
+            with pytest.raises(ValueError):
+                emitter(LRUCache(10), ny=4, nz=0, nx=4, layout=PER_COMPONENT)
+            with pytest.raises(ValueError):  # beyond what a shape code holds
+                emitter(LRUCache(10), ny=1 << 24, nz=4, nx=4)
 
 
-class TestComponentStreamEmitter:
+class TestPerComponentLayout:
     def test_lups_is_one_twelfth_of_component_cells(self):
         cache = LRUCache(10**9)
-        em = ComponentStreamEmitter(cache, ny=4, nz=4, nx=6)
+        em = StreamEmitter(cache, ny=4, nz=4, nx=6, layout=PER_COMPONENT)
         for comp in ALL_COMPONENTS:
-            em.emit_component_rows(comp, 0, 4, 0, 4)
+            _component(em, comp, 0, 4, 0, 4)
         assert em.lups == 4 * 4 * 6  # 12 component updates = 1 LUP/cell
 
     def test_per_component_streams_do_not_dedupe(self):
         """Two components sharing a pair array stream it twice (the
         paper's Eq. 8 counting) when the cache is too small."""
         tiny = LRUCache(16 * 6 * 3)  # a few rows only
-        em = ComponentStreamEmitter(tiny, ny=64, nz=1, nx=6)
-        em.emit_component_rows("Hyz", 0, 64, 0, 1)
+        em = StreamEmitter(tiny, ny=64, nz=1, nx=6, layout=PER_COMPONENT)
+        _component(em, "Hyz", 0, 64, 0, 1)
         bytes_a = tiny.stats.mem_bytes
-        em.emit_component_rows("Hzy", 0, 64, 0, 1)
+        _component(em, "Hzy", 0, 64, 0, 1)
         assert tiny.stats.mem_bytes > 1.5 * bytes_a
 
 
+def _decode(code):
+    """What a shape code names: ``(tau & 1, height, width, y_lo == 0,
+    y_hi == ny, z_lo == 0, z_hi == nz)``."""
+    extent = (1 << 24) - 1
+    return (code >> 52, (code >> 28) & extent, (code >> 4) & extent,
+            *(bool(code >> bit & 1) for bit in (3, 2, 1, 0)))
+
+
 class TestTileStreamResolve:
-    """``_tile_stream`` resolves a tile through the array form of the
-    wavefront schedule, one table lookup per shape class; job-by-job
-    ``_resolve`` of the generator's jobs is what it must equal."""
+    """A tile's row schedule (``tile_rows``, memoized per congruence
+    class) is its generator's jobs, and the batched emitter resolves it
+    with one table lookup per shape class; job-by-job resolution is what
+    it must equal."""
 
     @given(ny=st.integers(1, 36), timesteps=st.integers(1, 9),
            dw=st.sampled_from([2, 4, 6, 8, 12]), nz=st.integers(1, 26),
@@ -236,30 +259,51 @@ class TestTileStreamResolve:
     def test_equals_job_by_job_resolve(self, ny, timesteps, dw, nz, bz):
         """Over a whole tessellation (interior and clipped tiles, ``nz <
         bz``, ``nz % bz != 0``), two tables filling side by side: the
-        shapes enter both in the same order, so the runs compare too."""
+        same shapes enter both, every row's run holds its own clipped
+        segments, and its key names the row's shape class."""
         emitter = BatchStreamEmitter(None, ny=ny, nz=nz, nx=8)
-        by_arrays, by_jobs = ShapeTable(), ShapeTable()
+        by_rows, by_jobs = ShapeTable(), ShapeTable()
         for tile in enumerate_tiles(ny, timesteps, dw).values():
             jobs = list(tile_row_jobs(tile, nz, bz))
-            y0 = min(r.y_lo for r in tile.rows)
-            stream, shift, misses = emitter._tile_stream(by_arrays, tile, bz)
-            *want, want_misses = emitter._resolve(by_jobs, jobs, y0)
-            assert shift == y0 * nz
-            for got, expected in zip(stream[:3], want[:3]):
-                np.testing.assert_array_equal(got, expected)
-                assert got.dtype == np.int64
-            assert tuple(stream[3:]) == tuple(want[3:])  # accesses, cells
-            assert misses == want_misses
-            key_of = {run[:2]: key for key, run in by_arrays.shapes.items()}
-            assert [key_of[run] for run in zip(stream[0].tolist(), stream[1].tolist())] \
-                == [(nz, job.shape_key(ny, nz)) for job in jobs]
-        assert by_arrays.shapes == by_jobs.shapes
+            rows = tile_rows(tile, nz, bz)
+            assert np.column_stack(rows).tolist() == [
+                [j.tau & 1, j.y_lo, j.y_hi, j.z_lo, j.z_hi] for j in jobs]
+            lo, hi, accesses, misses = emitter._runs(by_rows, *rows)
+            one_by_one = [emitter._runs(by_jobs, *(a[k:k + 1] for a in rows))
+                          for k in range(len(jobs))]
+            assert accesses == sum(r[2] for r in one_by_one)
+            assert misses == sum(r[3] for r in one_by_one)
+            key_of = {run[:2]: key for key, run in by_rows.shapes.items()}
+            segments = by_rows.segments()
+            for job, a, b in zip(jobs, lo.tolist(), hi.tolist()):
+                layout, key_nz, code = key_of[(a, b)]
+                assert (layout, key_nz) == ("fused", nz)
+                assert _decode(code) == (
+                    job.tau & 1, job.y_hi - job.y_lo, job.z_hi - job.z_lo,
+                    job.y_lo == 0, job.y_hi == ny, job.z_lo == 0, job.z_hi == nz)
+                assert segments[a:b].tolist() == [
+                    [g, int(w), *box] for g, w, *box in _clipped_segments(
+                        CLASS_RECIPES[job.field], job.y_lo, job.y_hi,
+                        job.z_lo, job.z_hi, ny, nz)]
+        assert by_rows.shapes.keys() == by_jobs.shapes.keys()
 
     def test_congruent_tile_reuses_the_stream(self):
+        """A y translation of a tile is one memoized schedule shifted in
+        y and, resolved after it, adds no shape and gets its runs."""
         emitter = BatchStreamEmitter(None, ny=48, nz=20, nx=8)
         table = ShapeTable()
         a, b = [t for t in enumerate_tiles(48, 12, 4).values() if t.is_interior
                 and 0 < t.y_footprint[0] and t.y_footprint[1] < 48][:2]
-        first, _, misses = emitter._tile_stream(table, a, 3)
-        again, _, none = emitter._tile_stream(table, b, 3)
-        assert misses > 0 and none == 0 and again is first
+        rows_a = tile_rows(a, 20, 3)
+        hits = wavefront._congruent_rows.cache_info().hits
+        rows_b = tile_rows(b, 20, 3)
+        assert wavefront._congruent_rows.cache_info().hits == hits + 1
+        shift = b.congruence[0] - a.congruence[0]
+        assert shift
+        np.testing.assert_array_equal(
+            rows_b, rows_a + shift * np.array([[0], [1], [1], [0], [0]]))
+        *first, misses = emitter._runs(table, *rows_a)
+        *again, none = emitter._runs(table, *rows_b)
+        assert misses > 0 and none == 0
+        for x, y in zip(first, again):
+            np.testing.assert_array_equal(x, y)

@@ -155,34 +155,6 @@ class TestCountersCommand:
                   "--group", "TLB"])
 
 
-class TestEngineFlag:
-    @pytest.mark.parametrize("before", [None, "reference"])
-    @pytest.mark.parametrize("argv", [
-        ["bench", "measure", "--grid", "32", "--threads", "2", "--top", "1"],
-        ["counters", "--workload", "both", "--grid", "32"],
-    ], ids=["bench", "counters"])
-    def test_engine_reaches_the_run_and_not_the_caller(
-            self, argv, before, monkeypatch, capsys):
-        """``--engine`` used to be assigned to ``os.environ`` for good:
-        an in-process ``main`` leaked it into whatever ran next."""
-        import os
-
-        from repro.machine import measure
-
-        if before is None:
-            monkeypatch.delenv("REPRO_STREAM_ENGINE", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_STREAM_ENGINE", before)
-        resolve, seen = measure.resolve_engine, []
-        monkeypatch.setattr(
-            measure, "resolve_engine",
-            lambda engine=None: seen.append(resolve(engine)) or seen[-1])
-        assert main(argv + ["--engine", "batch"]) == 0
-        capsys.readouterr()
-        assert seen and set(seen) == {"batch"}
-        assert os.environ.get("REPRO_STREAM_ENGINE") == before
-
-
 class TestTraceCommand:
     def test_writes_both_formats(self, tmp_path, capsys):
         out_path = tmp_path / "tune.json"

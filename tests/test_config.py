@@ -20,7 +20,6 @@ SRC = os.path.dirname(config.__file__)
 ROWS = {
     "REPRO_NO_NATIVE": (False, None),
     "REPRO_NATIVE_BUILD_DIR": (os.path.join(SRC, "machine", "_build"), ""),
-    "REPRO_STREAM_ENGINE": ("auto", "bogus"),
     "REPRO_TRACE": (None, ""),
     "REPRO_FAULTS": (None, ""),
     "REPRO_TELEMETRY": (None, None),
@@ -154,14 +153,6 @@ class TestAccessors:
     def test_negative_cadence_is_malformed(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "-3")
         assert config.get("REPRO_CHECKPOINT_EVERY") == 0
-
-    def test_stream_engine(self, monkeypatch):
-        from repro.machine.measure import ENGINES
-
-        flag = config.FLAGS["REPRO_STREAM_ENGINE"]
-        assert flag.choices == ("auto",) + ENGINES
-        monkeypatch.setenv("REPRO_STREAM_ENGINE", "Reference")
-        assert config.get("REPRO_STREAM_ENGINE") == "reference"
 
     def test_native_build_dir_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE_BUILD_DIR", "/e")

@@ -3,11 +3,13 @@
 The headline contract: all three replay engines report *identical* MEM,
 CACHE and WORK group values for the same schedule -- asserted on the
 Fig. 6 fixed point (MWD at 18 threads, 384^3: D_w=8, B_z=9, one stream
-per group sharing the L3).
+per group sharing the L3) through the uncached measurement body, which
+takes each engine's emitter factory.
 """
 
 import pytest
 
+from conftest import REPLAY_ENGINES
 from repro.machine import measure
 from repro.machine.cache import LRUCache
 from repro.machine.measure import measure_tiled_code_balance
@@ -20,18 +22,28 @@ from repro.machine.pmu import (
     resolve_groups,
 )
 from repro.machine.spec import HASWELL_EP
-from repro.machine.streams import ComponentStreamEmitter
+from repro.machine.streams import PER_COMPONENT, SWEEP_COMPONENTS, StreamEmitter
 
 #: Fig. 6 fixed point (MWD@18t at 384^3 tunes to dw=8, bz=9, tg_size=18).
 FIG6_POINT = dict(nx=384, dw=8, bz=9, n_streams=1)
+
+#: Recipe index of the ``Exy`` loop nest in a per-component row schedule.
+EXY = SWEEP_COMPONENTS.index("Exy")
+
+
+def _emitter(cache, ny, nz, nx):
+    return StreamEmitter(cache, ny=ny, nz=nz, nx=nx, layout=PER_COMPONENT)
 
 
 class TestEngineEquivalence:
     @pytest.fixture(scope="class")
     def samples(self):
+        p = FIG6_POINT
         return {
-            eng: measure_tiled_code_balance(HASWELL_EP, engine=eng, **FIG6_POINT).perf
-            for eng in ("reference", "batch", "native")
+            eng: measure._measure_tiled(
+                make, HASWELL_EP.usable_l3_bytes, p["nx"], p["dw"], p["bz"],
+                p["n_streams"], None, 2).perf
+            for eng, make in REPLAY_ENGINES.items()
         }
 
     @pytest.mark.parametrize("group", ("MEM", "CACHE", "WORK"))
@@ -55,14 +67,14 @@ class TestEngineEquivalence:
 class TestPerfRegion:
     def _workload(self):
         cache = LRUCache(4 * 2**20)
-        emitter = ComponentStreamEmitter(cache, ny=8, nz=8, nx=16)
+        emitter = _emitter(cache, 8, 8, 16)
         return cache, emitter
 
     def test_delta_matches_stats(self):
         cache, emitter = self._workload()
         region = PerfRegion("r")
         with region(cache, emitter):
-            emitter.emit_component_rows("Exy", 0, 4, 0, 8)
+            emitter.emit_rows([EXY], [0], [4], [0], [8])
         s = region.sample
         st = cache.stats
         assert s.read_hits == st.read_hits
@@ -77,12 +89,12 @@ class TestPerfRegion:
     def test_region_excludes_warmup_epoch(self):
         """A region opened after reset_stats counts only the epoch."""
         cache, emitter = self._workload()
-        emitter.emit_component_rows("Exy", 0, 8, 0, 8)  # warm-up
+        emitter.emit_rows([EXY], [0], [8], [0], [8])  # warm-up
         cache.reset_stats()
         cells0, lups0 = emitter.cells, emitter.lups
         region = PerfRegion("epoch")
         with region(cache, emitter):
-            emitter.emit_component_rows("Exy", 0, 8, 0, 8)
+            emitter.emit_rows([EXY], [0], [8], [0], [8])
         s = region.sample
         assert s.mem_bytes == cache.stats.mem_bytes
         assert s.cells == emitter.cells - cells0
@@ -95,7 +107,7 @@ class TestPerfRegion:
         region = PerfRegion("r")
         for _ in range(3):
             with region(cache, emitter):
-                emitter.emit_component_rows("Exy", 0, 2, 0, 4)
+                emitter.emit_rows([EXY], [0], [2], [0], [4])
         assert region.sample.calls == 3
         assert region.sample.mem_bytes == cache.stats.mem_bytes
 
@@ -154,9 +166,9 @@ class TestPMUReporting:
     def test_report_tables(self):
         pmu = PMU()
         cache = LRUCache(1 << 20)
-        emitter = ComponentStreamEmitter(cache, ny=4, nz=4, nx=8)
+        emitter = _emitter(cache, 4, 4, 8)
         with pmu.region("steady", cache, emitter):
-            emitter.emit_component_rows("Exy", 0, 4, 0, 4)
+            emitter.emit_rows([EXY], [0], [4], [0], [4])
         text = pmu.report(groups="MEM")
         assert "Region steady, Group MEM" in text
         assert "Code balance [B/LUP]" in text

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from repro.cluster import RankLayout
 from repro.cluster.distributed import DistributedTHIIM
-from repro.core.wavefront import RowJob
 from repro.fdfd import FieldState, Grid, naive_sweep, random_coefficients
 from repro.machine import LRUCache, StreamEmitter
 from repro.machine.simulator import _water_fill
@@ -134,6 +133,6 @@ def test_stream_emitter_lups_invariant(ny, nz, steps):
     a naive job stream, at any cache size."""
     cache = LRUCache(12345)
     em = StreamEmitter(cache, ny=ny, nz=nz, nx=3)
-    for tau in range(2 * steps):
-        em.emit_job(RowJob(tau, 0, ny, 0, nz))
+    n = 2 * steps
+    em.emit_rows(np.arange(n) & 1, [0] * n, [ny] * n, [0] * n, [nz] * n)
     assert em.lups == ny * nz * 3 * steps

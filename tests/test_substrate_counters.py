@@ -144,9 +144,9 @@ class TestSharedShapeTable:
     def test_second_cold_pass_repeats_the_first(self, cold_substrate):
         """``clear_substrate_caches()`` cold-starts every memo -- tuned
         points, measurements, enumerations, tile DAGs with their packed
-        form, the shape table -- so the pass after it replays, hits and
-        misses exactly what the first one did."""
-        from repro.core import autotuner, plan
+        form, tile row schedules, the shape table -- so the pass after it
+        replays, hits and misses exactly what the first one did."""
+        from repro.core import autotuner, plan, wavefront
         from repro.machine import HASWELL_EP, clear_substrate_caches
         from repro.machine.streams import shape_table
 
@@ -161,10 +161,11 @@ class TestSharedShapeTable:
 
         first = cold_pass()
         assert first[1]["stream_memo_misses"] > 0
-        assert plan._tile_dag.cache_info().currsize > 0 and shape_table().tiles
+        rows = wavefront._congruent_rows.cache_info
+        assert plan._tile_dag.cache_info().currsize > 0 and rows().currsize > 0
         clear_substrate_caches()
         assert plan._tile_dag.cache_info().currsize == 0
-        assert not shape_table().tiles and not shape_table().shapes
+        assert rows().currsize == 0 and not shape_table().shapes
         assert cold_pass() == first
 
     def test_bandwidth_variants_share_measurements(self, cold_substrate):

@@ -1,13 +1,15 @@
 """Equivalence property tests for the batched replay engines.
 
-The performance substrate has three interchangeable engines (see
+The performance substrate has three engines that must agree (see
 :mod:`repro.machine.measure`): the reference per-access ``LRUCache``
 loop, the pure-Python ``BatchLRU`` segment replay, and the compiled
-``NativeLRU`` kernel.  Every measured number in the figures flows
-through one of them, so the optimization contract is *byte-identical*
-``CacheStats`` on any access sequence -- which hypothesis asserts here,
-on random streams, random segment batches, full randomized tiling plans
-and whole sweep schedules, alongside the shared-shape-table invariants.
+``NativeLRU`` kernel -- the last two under the batched emitter, whichever
+the host has.  Every measured number in the figures flows through one of
+them, so the contract is *byte-identical* ``CacheStats``, ``PerfSample``
+and LRU -> MRU order on any access sequence -- which hypothesis asserts
+here, on random streams, random segment batches, full randomized tiling
+plans and whole sweep schedules, alongside the shared-shape-table
+invariants and the band order itself.
 
 The whole file must also pass under ``REPRO_NO_NATIVE=1`` (the fast
 engine list then holds the pure-Python engine only).
@@ -18,26 +20,26 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import REPLAY_ENGINES
 from repro.core.plan import TilingPlan
+from repro.core.wavefront import RowJob, tile_row_jobs
 from repro.fdfd.specs import E_COMPONENTS, H_COMPONENTS
 from repro.machine import (
-    BatchComponentStreamEmitter,
+    FUSED,
+    PER_COMPONENT,
     BatchLRU,
     BatchStreamEmitter,
-    ComponentStreamEmitter,
     LRUCache,
     PerfRegion,
     StreamEmitter,
+    measure,
     measure_sweep_code_balance,
     measure_tiled_code_balance,
 )
-from repro.machine.measure import _interleave_band, _sweep_rows
+from repro.machine.measure import _band_rows, _sweep_rows
 from repro.machine.native import MAX_KEY_SPACE, NativeLRU, native_available
 from repro.machine.spec import HASWELL_EP
-from repro.core.wavefront import RowJob
 from repro.machine.streams import (
-    CLASS_RECIPES,
-    COMPONENT_RECIPES,
     SWEEP_COMPONENTS,
     ShapeTable,
     _clipped_segments,
@@ -256,27 +258,30 @@ def test_out_of_range_replay_is_refused(row):
     the job and the segment, on the job table and on explicit keys."""
     ny, nz = 6, 5
     plan = TilingPlan.build(ny=ny, nz=nz, timesteps=2, dw=2, bz=2)
-    jobs = [job for band in plan.bands for job in _interleave_band(plan, band)]
+    schedule = _schedule(plan)
+    jobs = [RowJob(*row_) for row_ in np.column_stack(schedule).tolist()]
     # Below the first group's first row, or (an E job reads the last group,
     # its coefficients) above the last group's last row.
-    edge = next(j for j in jobs if (j.y_lo == 0 if row < 0 else
-                                    j.field == "E" and j.y_hi == ny))
+    k = next(k for k, j in enumerate(jobs) if (j.y_lo == 0 if row < 0 else
+                                               j.field == "E" and j.y_hi == ny))
     key_space = BatchStreamEmitter.key_space(ny, nz)
     for cache in _fast_engines(1 << 12, key_space):
         em = BatchStreamEmitter(cache, ny=ny, nz=nz, nx=4)
-        em.emit_jobs(jobs)
+        em.emit_rows(*schedule)
         before = (_stats_tuple(cache), cache.used_bytes, _lru_keys(cache))
         table = shape_table()
-        lo, hi, base, *_ = em._resolve(table, [jobs[0], edge])
+        lo, hi, *_ = em._runs(table, *(a[[0, k]] for a in schedule))
+        base = np.array([0, jobs[k].y_lo * nz + jobs[k].z_lo], dtype=np.int64)
         base[1] += row * nz
+        args = (table, em._group_base, em._group_size, nz, lo, hi)
         with pytest.raises(ValueError, match=r"job 1 .*segment \d+"):
-            em._replay(table, lo, hi, base)
+            cache.replay_jobs(*args, base)
         with pytest.raises(ValueError, match=r"segment \d+"):
-            cache.replay(cache.prepare(em.raw_segments_for(edge)),
+            cache.replay(cache.prepare(em.raw_segments_for(jobs[k])),
                          base=int(base[1]))
         assert (_stats_tuple(cache), cache.used_bytes, _lru_keys(cache)) == before
         base[1] -= row * nz
-        em._replay(table, lo, hi, base)  # back inside: replays
+        cache.replay_jobs(*args, base)  # back inside: replays
         assert _stats_tuple(cache) != before[0]
 
 
@@ -285,11 +290,57 @@ def test_out_of_range_replay_is_refused(row):
 # ---------------------------------------------------------------------------
 
 
+def _interleave_band(plan, band):
+    """The band order as nested generators, round-robin over the tiles'
+    ``tile_row_jobs``: the oracle of ``measure._band_rows``."""
+    streams = [tile_row_jobs(t, plan.nz, plan.bz) for t in plan.band_tiles(band)]
+    while streams:
+        alive = []
+        for stream in streams:
+            job = next(stream, None)
+            if job is not None:
+                yield job
+                alive.append(stream)
+        streams = alive
+
+
+def _schedule(plan):
+    """Every band of a plan as one row schedule, band after band."""
+    bands = [_band_rows(plan, band) for band in plan.bands]
+    return tuple(np.concatenate(column) for column in zip(*bands))
+
+
 def _random_plan(draw_dw, draw_k, draw_nz, draw_bz, draw_steps):
     ny = draw_dw * draw_k
     return TilingPlan.build(
         ny=ny, nz=draw_nz, timesteps=draw_steps, dw=draw_dw, bz=draw_bz
     )
+
+
+@given(
+    dw=st.sampled_from((2, 4, 6, 8)),
+    n_streams=st.integers(min_value=1, max_value=4),
+    ny_offset=st.integers(min_value=-7, max_value=7),
+    nz=st.integers(min_value=1, max_value=30),
+    bz=st.integers(min_value=1, max_value=9),
+    steps=st.integers(min_value=1, max_value=8),
+)
+@settings(max_examples=60, **COMMON)
+def test_band_rows_equal_the_interleaved_generators(dw, n_streams, ny_offset,
+                                                    nz, bz, steps):
+    """``_band_rows`` -- each tile through the memoized ``tile_rows``, the
+    tiles interleaved by ``round_robin`` -- is the round-robin over the
+    tiles' ``tile_row_jobs`` generators, row for row, on every band:
+    clipped tiles at both y edges (``ny`` off a multiple of ``dw``) and at
+    the first and last time step, ``nz < bz`` and ``nz % bz != 0``."""
+    ny = max(1, n_streams * dw + ny_offset)
+    plan = TilingPlan.build(ny=ny, nz=nz, timesteps=steps, dw=dw, bz=bz)
+    for band in plan.bands:
+        rows = _band_rows(plan, band)
+        assert all(a.dtype == np.int64 for a in rows)
+        assert np.column_stack(rows).tolist() == [
+            [j.tau & 1, j.y_lo, j.y_hi, j.z_lo, j.z_hi]
+            for j in _interleave_band(plan, band)]
 
 
 @given(
@@ -305,24 +356,25 @@ def test_tiled_plan_streams_identical_across_engines(
     dw, k, nz, bz, steps, capacity_rows
 ):
     """Every band of a randomized TilingPlan replayed through the batched
-    emitters yields the same CacheStats and LUP count as the reference
-    per-access emitter -- memoization, tile-congruence caching and the
+    emitter yields the same CacheStats, LUP count and LRU -> MRU order as
+    the reference per-access emitter -- the shared shape table and the
     native job batch included."""
     plan = _random_plan(dw, k, nz, bz, steps)
     nx = 5
     capacity = capacity_rows * 16 * nx  # a few rows' worth
+    bands = [_band_rows(plan, band) for band in plan.bands]
 
     ref_cache = LRUCache(capacity)
     ref = StreamEmitter(ref_cache, ny=plan.ny, nz=plan.nz, nx=nx)
-    for band in plan.bands:
-        ref.emit_jobs(_interleave_band(plan, band))
+    for rows in bands:
+        ref.emit_rows(*rows)
 
     key_space = BatchStreamEmitter.key_space(plan.ny, plan.nz)
     for cache in _fast_engines(capacity, key_space):
         em = BatchStreamEmitter(cache, ny=plan.ny, nz=plan.nz, nx=nx)
-        for band in plan.bands:
-            em.emit_tiles_interleaved(plan.band_tiles(band), plan.bz)
-        assert _stats_tuple(cache) == _stats_tuple(ref_cache), type(cache).__name__
+        for rows in bands:
+            em.emit_rows(*rows)
+        _assert_same_state(cache, ref_cache)
         assert em.cells == ref.cells
         assert em.lups == ref.lups
 
@@ -336,19 +388,26 @@ def test_tiled_plan_streams_identical_across_engines(
 )
 @settings(max_examples=25, **COMMON)
 def test_memoized_streams_equal_freshly_generated(dw, k, nz, bz, steps):
-    """For every job of every tile of a randomized plan, the shared-table
-    stream handed to the replay engine equals the one freshly generated
-    from the job -- table hits (from this or any earlier emitter, on any
+    """For every row of every band of a randomized plan, the shared-table
+    stream the replay engine is handed equals the one freshly generated
+    from the row -- table hits (from this or any earlier emitter, on any
     ``ny`` / ``nx``) can never alter the stream."""
     plan = _random_plan(dw, k, nz, bz, steps)
     em = BatchStreamEmitter(BatchLRU(1 << 20), ny=plan.ny, nz=plan.nz, nx=4)
+    plane = plan.ny * plan.nz
+    table = shape_table()
     for band in plan.bands:
-        for job in _interleave_band(plan, band):
-            memoized, n = em.segments_for(job)  # table hit after 1st congruent job
-            fresh = em.raw_segments_for(job)
-            assert memoized == fresh
-            assert n == sum(len(s[3]) for s in fresh)
-            em.emit_job(job)
+        rows = _band_rows(plan, band)
+        lo, hi, n, _ = em._runs(table, *rows)
+        py = table.python_segments(set(zip(lo.tolist(), hi.tolist())), plan.nz)
+        fresh = [em.raw_segments_for(RowJob(*row))
+                 for row in np.column_stack(rows).tolist()]
+        assert n == sum(len(seg[3]) for segs in fresh for seg in segs)
+        for a, b, want in zip(lo.tolist(), hi.tolist(), fresh):
+            memoized = [(g * plane, em._row_bytes[g], w, rel)
+                        for g, w, rel in py[a:b]]
+            assert memoized == want
+        em.emit_rows(*rows)
 
 
 class _Recorder:
@@ -384,29 +443,24 @@ def _edge_boxes(draw):
 @settings(max_examples=200, **COMMON)
 def test_clipped_boxes_expand_to_reference_loops(case, field, comp):
     """`_clipped_segments`' rectangles, walked y-major at the box anchor,
-    are key for key the nested loops of the reference emitters."""
+    are key for key the nested loops of the reference emitter, on both
+    layouts."""
     ny, nz, y_lo, y_hi, z_lo, z_hi = case
     nx = 3
 
-    def expand(recipe, size_of):
-        boxes = _clipped_segments(recipe, y_lo, y_hi, z_lo, z_hi, ny, nz)
+    for layout, recipe in ((FUSED, "HE".index(field)),
+                           (PER_COMPONENT, SWEEP_COMPONENTS.index(comp))):
+        ref = StreamEmitter(_Recorder(), ny=ny, nz=nz, nx=nx, layout=layout)
+        ref.emit_rows([recipe], [y_lo], [y_hi], [z_lo], [z_hi])
+        boxes = _clipped_segments(layout.recipes[recipe], y_lo, y_hi,
+                                  z_lo, z_hi, ny, nz)
         assert all(ry0 < ry1 and rz0 < rz1 for _, _, ry0, ry1, rz0, rz1 in boxes)
-        clipped = len(recipe) - len(boxes)
-        return clipped, [
-            (gid * ny * nz + y_lo * nz + z_lo + r, size_of(gid), write)
+        assert ref.cache.log == [
+            (gid * ny * nz + y_lo * nz + z_lo + r, ref._row_bytes[gid], write)
             for gid, write, *box in boxes for r in _box_keys(*box, nz)]
-
-    ref = StreamEmitter(_Recorder(), ny=ny, nz=nz, nx=nx)
-    ref.emit_job(RowJob(0 if field == "H" else 1, y_lo, y_hi, z_lo, z_hi))
-    clipped, keys = expand(CLASS_RECIPES[field], ref._row_bytes.__getitem__)
-    assert keys == ref.cache.log
-    if y_hi - y_lo == 1 and ny > 1 and y_lo == (ny - 1 if field == "H" else 0):
-        assert clipped  # the dy = +-1 reads fell off the domain
-
-    ref = ComponentStreamEmitter(_Recorder(), ny=ny, nz=nz, nx=nx)
-    ref.emit_component_rows(comp, y_lo, y_hi, z_lo, z_hi)
-    _, keys = expand(COMPONENT_RECIPES[comp], lambda gid: ref._row_bytes)
-    assert keys == ref.cache.log
+        if layout is FUSED and y_hi - y_lo == 1 and ny > 1 \
+                and y_lo == (ny - 1 if field == "H" else 0):
+            assert len(boxes) < len(layout.recipes[recipe])  # dy = +-1 clipped
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +470,8 @@ def test_clipped_boxes_expand_to_reference_loops(case, field, comp):
 
 def _per_row_sweep(emitter, ny, nz, timesteps, block_y, threads):
     """The baseline sweep as nested generators, one emitter call per row:
-    the loop `_sweep_rows` + `emit_rows` replaced, kept as their oracle."""
+    the loop `_sweep_rows` + one `emit_rows` replaced, kept as their
+    oracle."""
     slab = -(-ny // threads)
     slabs = [(t * slab, min((t + 1) * slab, ny)) for t in range(threads)]
     slabs = [s for s in slabs if s[0] < s[1]]
@@ -431,15 +486,15 @@ def _per_row_sweep(emitter, ny, nz, timesteps, block_y, threads):
                     yield (yb, min(yb + block_y, y1), z)
 
     for _ in range(timesteps):
-        for comp in tuple(H_COMPONENTS) + tuple(E_COMPONENTS):
+        for comp in range(len(H_COMPONENTS) + len(E_COMPONENTS)):
             streams = [slab_steps(y0, y1) for y0, y1 in slabs]
             while streams:
                 alive = []
                 for stream in streams:
                     item = next(stream, None)
                     if item is not None:
-                        emitter.emit_component_rows(comp, item[0], item[1],
-                                                    item[2], item[2] + 1)
+                        emitter.emit_rows([comp], [item[0]], [item[1]],
+                                          [item[2]], [item[2] + 1])
                         alive.append(stream)
                 streams = alive
 
@@ -472,19 +527,19 @@ def test_whole_schedule_sweep_matches_per_row_reference(
 
     oracle = LRUCache(capacity)
     want = measure(
-        oracle, ComponentStreamEmitter(oracle, ny=ny, nz=nz, nx=nx),
+        oracle, StreamEmitter(oracle, ny=ny, nz=nz, nx=nx, layout=PER_COMPONENT),
         lambda em, steps: _per_row_sweep(em, ny, nz, steps, block_y, threads),
     )
     assert want.cells == (timesteps - 1) * 12 * ny * nz
 
     rows = _sweep_rows(ny, nz, block_y, threads)
-    key_space = BatchComponentStreamEmitter.key_space(ny, nz)
-    engines = [(LRUCache(capacity), ComponentStreamEmitter)]
-    engines += [(c, BatchComponentStreamEmitter)
+    key_space = PER_COMPONENT.key_space(ny, nz)
+    engines = [(LRUCache(capacity), StreamEmitter)]
+    engines += [(c, BatchStreamEmitter)
                 for c in _fast_engines(capacity, key_space)]
     for cache, emitter_cls in engines:
         got = measure(
-            cache, emitter_cls(cache, ny=ny, nz=nz, nx=nx),
+            cache, emitter_cls(cache, ny=ny, nz=nz, nx=nx, layout=PER_COMPONENT),
             lambda em, steps: em.emit_rows(*rows, repeat=steps),
         )
         assert got == want, type(cache).__name__
@@ -509,26 +564,48 @@ FIG_SWEEP_CONFIGS = [
     (384, 400, 16, 4),
 ]
 
+CAPACITY = HASWELL_EP.usable_l3_bytes
+
 
 @pytest.mark.parametrize("nx,dw,bz,n_streams", FIG_TILED_CONFIGS)
 def test_measure_tiled_engines_agree(nx, dw, bz, n_streams):
-    ref = measure_tiled_code_balance(
-        HASWELL_EP, nx=nx, dw=dw, bz=bz, n_streams=n_streams, engine="reference"
-    )
-    for eng in ("batch", "native"):
-        got = measure_tiled_code_balance(
-            HASWELL_EP, nx=nx, dw=dw, bz=bz, n_streams=n_streams, engine=eng
-        )
-        assert got == ref, eng
+    got = {name: measure._measure_tiled(make, CAPACITY, nx, dw, bz, n_streams,
+                                        None, 2)
+           for name, make in REPLAY_ENGINES.items()}
+    for name in ("batch", "native"):
+        assert got[name] == got["reference"], name
+    assert measure_tiled_code_balance(
+        HASWELL_EP, nx=nx, dw=dw, bz=bz, n_streams=n_streams) == got["reference"]
 
 
 @pytest.mark.parametrize("nx,ny,block_y,threads", FIG_SWEEP_CONFIGS)
 def test_measure_sweep_engines_agree(nx, ny, block_y, threads):
-    ref = measure_sweep_code_balance(
-        HASWELL_EP, nx=nx, ny=ny, block_y=block_y, threads=threads, engine="reference"
-    )
-    for eng in ("batch", "native"):
-        got = measure_sweep_code_balance(
-            HASWELL_EP, nx=nx, ny=ny, block_y=block_y, threads=threads, engine=eng
-        )
-        assert got == ref, eng
+    got = {name: measure._measure_sweep(make, CAPACITY, nx, ny, block_y,
+                                        threads, 12, 3)
+           for name, make in REPLAY_ENGINES.items()}
+    for name in ("batch", "native"):
+        assert got[name] == got["reference"], name
+    assert measure_sweep_code_balance(
+        HASWELL_EP, nx=nx, ny=ny, block_y=block_y, threads=threads
+    ) == got["reference"]
+
+
+@pytest.mark.parametrize("case", [
+    dict(sweep=True, block_y=None, timesteps=1),
+    dict(sweep=True, block_y=-4),
+    dict(sweep=True, block_y=0),
+    dict(sweep=False, measure_bands=0),
+], ids=["one-sweep-step", "negative-block", "zero-block", "no-measured-band"])
+def test_degenerate_measurement_is_refused(case):
+    """A window with nothing measured used to come back as 0 bytes over 0
+    LUPs at hit rate 1.0 (and ``block_y=0`` as the naive sweep): each is
+    an error now."""
+    case = dict(case)
+    if case.pop("sweep"):
+        call = measure_sweep_code_balance
+        case.update(nx=64, ny=64)
+    else:
+        call = measure_tiled_code_balance
+        case.update(nx=64, dw=4, bz=2, n_streams=1)
+    with pytest.raises(ValueError):
+        call(HASWELL_EP, **case)
