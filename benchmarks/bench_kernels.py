@@ -5,10 +5,13 @@ These are real timings (pytest-benchmark statistics over repeated runs),
 complementing the figure benchmarks which are deterministic simulations.
 ``test_bench_host_kernels_report`` prints the host table EXPERIMENTS.md
 quotes: NumPy vs compiled for the half steps, the naive sweep and the
-tiled executor, the cost of one region update, and MWD against the
-naive sweep on a grid larger than the L2 with a registry-tuned plan.
+tiled executor, the cost of one region update, MWD against the naive
+sweep on a grid larger than the L2 with a registry-tuned plan, and the
+naive sweep serial against the host thread group at three affinity
+settings.
 """
 
+import os
 import time
 
 import numpy as np
@@ -30,6 +33,19 @@ GRID_N = 48
 STEPS = 2
 #: 64^3 cells x 640 B = 168 MB of state: far beyond any L2.
 BIG_N = 64
+#: The thread-group rows: the solve service's grid 24 and 32 geometry
+#: (nz = 2 n, periodic in x and y) and the 48^3 cube above.
+GROUP_GRIDS = {
+    "g24": Grid(nz=48, ny=24, nx=24, periodic=(False, True, True)),
+    "g32": Grid(nz=64, ny=32, nx=32, periodic=(False, True, True)),
+    f"{GRID_N}^3": Grid.cube(GRID_N),
+}
+#: Affinity settings of the group (``kernels._HostGroup`` keywords).
+PINNING = {
+    "helpers pinned, caller held": {},
+    "helpers pinned, caller free": {"hold_caller": False},
+    "nothing pinned": {"pin_helpers": False, "hold_caller": False},
+}
 
 
 @pytest.fixture(params=["native", "numpy"])
@@ -106,6 +122,33 @@ def _best(fn, repeats=3):
     return best
 
 
+def _group_seconds(grid, steps=10):
+    """Naive sweep seconds per step, best of 3: serial, then the host
+    thread group at each pinning of ``PINNING``.  Each group run starts
+    the calling thread on the first helper's CPU, the placement a free
+    caller keeps once it has it (EXPERIMENTS.md)."""
+    coeffs = random_coefficients(grid, seed=5)
+    fields = FieldState(grid).fill_random(np.random.default_rng(6))
+    cpus = sorted(os.sched_getaffinity(0))
+    seconds = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_WAYS", 1)
+        naive_sweep(fields, coeffs, 1)  # bind, fault the pages in
+        seconds["serial"] = _best(lambda: naive_sweep(fields, coeffs, steps)) / steps
+        patch.setattr(kernels, "_WAYS", None)
+        for label, pins in PINNING.items():
+            group = kernels._HostGroup(cpus, **pins)
+            patch.setattr(kernels, "_GROUP", group)
+            os.sched_setaffinity(0, cpus[1:2])
+            os.sched_setaffinity(0, cpus)
+            try:
+                naive_sweep(fields, coeffs, 1)  # start the helpers
+                seconds[label] = _best(lambda: naive_sweep(fields, coeffs, steps)) / steps
+            finally:
+                group.pool.shutdown()
+    return seconds
+
+
 def test_bench_host_kernels_report(setup, capsys):
     """The host table, for the record (the paper's units; the simulated
     figures stay the reproduction of its 18-core numbers -- DESIGN.md
@@ -128,6 +171,7 @@ def test_bench_host_kernels_report(setup, capsys):
     seconds = {}
     for name in backends:
         with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "_WAYS", 1)  # one thread, as the executor
             if name == "numpy":
                 patch.setattr(kernels, "_THIIM", False)
             for label, (fn, _) in rows.items():
@@ -144,10 +188,15 @@ def test_bench_host_kernels_report(setup, capsys):
     big_exec = TiledExecutor(big_fields, big_coeffs, big_plan)
     big_exec.run()
     mwd = _best(big_exec.run, 2)
-    naive = _best(lambda: naive_sweep(big_fields, big_coeffs, point.dw), 2)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_WAYS", 1)
+        naive = _best(lambda: naive_sweep(big_fields, big_coeffs, point.dw), 2)
+
+    cpus = len(os.sched_getaffinity(0))
+    group = {name: _group_seconds(g) for name, g in GROUP_GRIDS.items()} if cpus > 1 else {}
 
     with capsys.disabled():
-        print(f"\n[host kernels at {GRID_N}^3, {STEPS} steps; best of 3]")
+        print(f"\n[host kernels at {GRID_N}^3, {STEPS} steps, one thread; best of 3]")
         for label, (_, lups) in rows.items():
             line = f"  {label:<15}"
             for name in backends:
@@ -166,4 +215,14 @@ def test_bench_host_kernels_report(setup, capsys):
               f"bz={point.bz}, {backends[-1]} kernel] "
               f"MWD {1e3 * mwd:.1f} ms  naive {1e3 * naive:.1f} ms  "
               f"MWD {naive / mwd:.2f}x of naive")
+        if group:
+            print(f"[naive sweep, host thread group over {cpus} CPUs "
+                  f"({kernels._host_group().ways} ways), {backends[-1]} kernel; "
+                  f"ms per step, best of 3; x = speedup over serial]")
+        for name, row in group.items():
+            line = f"  {name:<5} {GROUP_GRIDS[name].n_cells:7,d} cells  serial {1e3 * row['serial']:6.2f}"
+            for label in PINNING:
+                line += f" | {label} {1e3 * row[label]:6.2f} {row['serial'] / row[label]:4.2f}x"
+            print(line)
     assert all(s > 0 for s in seconds.values())
+    assert all(s > 0 for row in group.values() for s in row.values())

@@ -15,6 +15,16 @@ Keeping a single implementation for all traversals is what makes the
 bit-identical bodies: NumPy (oracle and fallback) and the probe-gated
 compiled pass ``_thiim_kernel.c`` (DESIGN.md section 2).
 
+Host thread group
+-----------------
+A whole-domain half step (the naive and the spatially blocked sweep,
+point or stacked lanes) splits its six independent component updates
+over a process-wide group of helper threads -- the paper's component
+dimension of intra-tile parallelism (``component_groups``), run on the
+host.  Every component still goes through :func:`update_component` and
+one half step's components write disjoint arrays, so the result is
+bit-identical by construction.  See :class:`_HostGroup`.
+
 Region semantics
 ----------------
 A region is a triple of ``slice`` objects ``(z, y, x)``.  Kernels assume
@@ -39,9 +49,12 @@ is built on: one pass over the shared stencil working set updates all
 from __future__ import annotations
 
 import ctypes
+import functools
+import itertools
 import math
+import os
 import threading
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -50,7 +63,8 @@ from ..resilience.errors import RESILIENCE_COUNTERS
 from .coefficients import BatchedCoefficientSet, CoefficientSet
 from .fields import BatchedFieldState, FieldState
 from .grid import Grid
-from .specs import ALL_COMPONENTS, E_COMPONENTS, H_COMPONENTS, SPECS, ComponentSpec
+from .specs import (ALL_COMPONENTS, E_COMPONENTS, H_COMPONENTS, SPECS, ComponentSpec,
+                    component_groups)
 
 __all__ = [
     "Region",
@@ -347,7 +361,9 @@ def _bind(fields, coeffs) -> dict:
     return bound
 
 
-def _update_native(call, name, fields, coeffs, region: Region) -> None:
+def _binding(name, fields, coeffs) -> tuple:
+    """``name``'s entry of ``fields._bound``, rebinding every component
+    first when an array it points into was replaced."""
     fa, ca = fields.components(), coeffs.arrays
     ra, rb, t, c, src = _OPERANDS[name]
     bound = fields._bound
@@ -359,6 +375,11 @@ def _update_native(call, name, fields, coeffs, region: Region) -> None:
         # First use, or an array was replaced (lane compaction, a restore).
         bound = fields._bound = _bind(fields, coeffs)
         op = bound[name]
+    return op
+
+
+def _update_native(call, name, fields, coeffs, region: Region) -> None:
+    op = _binding(name, fields, coeffs)
     if op[0] is None:
         return _update_numpy(name, fields, coeffs, region)
     if type(region) is not BoundRegion:
@@ -368,8 +389,170 @@ def _update_native(call, name, fields, coeffs, region: Region) -> None:
         # non-periodic axis fails in _shifted_read's words, as on NumPy.
         spec, grid = SPECS[name], fields.grid
         if not grid.periodic[spec.deriv_axis]:
-            _shifted_read(fa[ra], region, spec.deriv_axis, spec.shift, False)
+            _shifted_read(fields[spec.reads[0]], region, spec.deriv_axis,
+                          spec.shift, False)
         raise IndexError(f"region {tuple(region)} leaves the grid {grid.shape}")
+
+
+# -- the host thread group ----------------------------------------------------
+
+#: Smallest half step the group splits, in cells x lanes per component
+#: update: below it the hand-off and the join cost about what a helper
+#: saves (the measured crossover, EXPERIMENTS.md § *The component split
+#: on the host*).  Solve jobs of ``grid`` 24 and 32 (48 x 24 x 24 and
+#: 64 x 32 x 32 cells) split; serve-sized ``grid`` 10 jobs stay serial.
+SPLIT_MIN_CELLS = 16384
+
+#: Ways to split a half step: ``None`` is the observed group size (tests
+#: set 1, 2, 3 or 6).
+_WAYS = None
+
+#: The process-wide :class:`_HostGroup`: ``None`` until the first half
+#: step large enough to split, ``False`` where this process runs serial
+#: (one CPU, or a forked child).
+_GROUP = None
+_GROUP_LOCK = threading.Lock()
+
+
+class _HostGroup:
+    """Helper threads for whole half steps, one per CPU of the affinity
+    mask beyond the first: helper ``i`` pins itself to ``cpus[i + 1]``.
+    ``ways`` is the largest of 1/2/3/6 that fits the mask.
+
+    A half step borrows only idle helpers and never waits for one to
+    start.  Solver threads inside a split half step plus the helpers
+    they borrowed stay within the mask, so concurrent solves (serve
+    nodes, ``workers > 1``) run serial instead of queueing on each
+    other.  One caller at a time that borrowed helpers is held to
+    ``cpus[0]`` until its join and then given its own mask back: a free
+    caller that once runs on its helper's CPU stays there, woken by the
+    helper each half step, and the split runs slower than serial
+    (EXPERIMENTS.md).  The bench turns both pins off through the flags."""
+
+    def __init__(self, cpus: Sequence[int], pin_helpers: bool = True,
+                 hold_caller: bool = True):
+        self.cpus = tuple(cpus)
+        self.ways = max(w for w in (1, 2, 3, 6) if w <= len(self.cpus))
+        self._pin_helpers = pin_helpers
+        self._next_cpu = itertools.count(1)
+        self._lock = threading.Lock()
+        self._idle = len(self.cpus) - 1
+        self._busy = 0
+        self._home_free = hold_caller
+        # Imported here: a process that never splits a half step (a tuner,
+        # a node serving small jobs) does not load it, nor its logging.
+        from concurrent.futures import ThreadPoolExecutor
+
+        self.pool = ThreadPoolExecutor(
+            self._idle, "repro-half-step", initializer=self._pin_helper)
+
+    def _pin_helper(self) -> None:
+        cpu = self.cpus[next(self._next_cpu)]
+        if self._pin_helpers:
+            _set_affinity({cpu})
+
+    def run(self, shares: Sequence[list], fields, coeffs) -> None:
+        """Run each share (a list of ``(component, region)``) once: the
+        caller the first, borrowed helpers the rest round robin; a part
+        no helper has started when the caller gets to it is the caller's
+        (``Future.cancel``).  One join."""
+        with self._lock:
+            lend = max(0, min(len(shares) - 1, self._idle,
+                              len(self.cpus) - self._busy - 1))
+            self._idle -= lend
+            self._busy += 1 + lend
+            home = lend > 0 and self._home_free
+            self._home_free &= not home
+        parts = [[op for share in shares[1 + i::lend] for op in share]
+                 for i in range(lend)]
+        futures = []
+        mask = _set_affinity(self.cpus[:1]) if home else None
+        try:
+            for part in parts:
+                futures.append(self._submit(part, fields, coeffs))
+            _run_ops(shares[0] if lend else [op for s in shares for op in s],
+                     fields, coeffs)
+            for future, part in reversed(list(zip(futures, parts))):
+                if future.cancel():
+                    _run_ops(part, fields, coeffs)
+            for future in futures:
+                if not future.cancelled():
+                    future.result()  # the join; a helper's exception is ours
+        except BaseException:
+            from concurrent.futures import wait
+
+            for future in futures:
+                future.cancel()
+            wait(futures)  # no helper writes on after the caller has left
+            raise
+        finally:
+            if mask is not None:
+                _set_affinity(mask)
+            with self._lock:
+                self._idle += lend
+                self._busy -= 1 + lend
+                self._home_free |= home
+
+    def _submit(self, part, fields, coeffs):
+        try:
+            return self.pool.submit(_run_ops, part, fields, coeffs)
+        except RuntimeError:  # the interpreter is exiting: the part stays ours
+            from concurrent.futures import Future
+
+            future = Future()
+            future.cancel()
+            return future
+
+
+def _set_affinity(cpus):
+    """Move the calling thread to ``cpus``; its previous mask, or ``None``
+    if the move was refused (the mask shrank since)."""
+    try:
+        mask = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, cpus)
+        return mask
+    except OSError:
+        return None
+
+
+def _host_group():
+    """The process-wide group, built on first use; ``False`` to run serial."""
+    global _GROUP
+    if _GROUP is None:
+        with _GROUP_LOCK:
+            if _GROUP is None:
+                cpus = (sorted(os.sched_getaffinity(0))
+                        if hasattr(os, "sched_getaffinity") else [0])
+                _GROUP = _HostGroup(cpus) if len(cpus) > 1 else False
+    return _GROUP
+
+
+def _after_fork_in_child() -> None:
+    # Processes or threads, never both: the helpers did not survive the
+    # fork, and a forked rank or worker runs its sweeps serial.
+    global _GROUP
+    _GROUP = False
+
+
+os.register_at_fork(after_in_child=_after_fork_in_child)
+
+
+@functools.lru_cache(maxsize=256)
+def _clipped_ops(grid: Grid, components: tuple, z, y, x) -> tuple:
+    """``((component, BoundRegion), ...)`` of the components whose clip of
+    the box is not empty, and the cells they cover (memoized: a sweep
+    clips the same boxes every half step)."""
+    ops = []
+    for name in components:
+        region = clip_region(grid, SPECS[name], z=z, y=y, x=x)
+        if region is not None:
+            ops.append((name, BoundRegion(region)))
+    return tuple(ops), sum(region_lups(region) for _, region in ops)
+
+
+def _run_ops(ops, fields, coeffs) -> None:
+    for name, region in ops:
+        update_component(name, fields, coeffs, region)
 
 
 def _update_group(
@@ -382,15 +565,21 @@ def _update_group(
 ) -> int:
     """Update a group of components over a clipped box; returns cell-updates
     performed (for the performance counters).  Batched state counts every
-    lane (``k`` LUPs per cell for a width-``k`` batch)."""
-    grid = fields.grid
-    width = fields.batch_width
-    done = 0
-    for name in components:
-        region = clip_region(grid, SPECS[name], z=z, y=y, x=x)
-        if region is not None:
-            update_component(name, fields, coeffs, region)
-            done += region_lups(region) * width
+    lane (``k`` LUPs per cell for a width-``k`` batch).  A box of at least
+    :data:`SPLIT_MIN_CELLS` cells x lanes is split over the host group."""
+    ops, cells = _clipped_ops(fields.grid, tuple(components), z, y, x)
+    done = cells * fields.batch_width
+    group = len(ops) > 1 and done >= len(ops) * SPLIT_MIN_CELLS and _host_group()
+    ways = (_WAYS or group.ways) if group else 1
+    if ways == 1:
+        _run_ops(ops, fields, coeffs)
+        return done
+    if _native() if _THIIM is None else _THIIM:
+        for name, _ in ops:  # bind here: the helpers only read the binding
+            _binding(name, fields, coeffs)
+    shares = [[ops[i] for i in idx if i < len(ops)]
+              for idx in component_groups(ways)]
+    group.run([share for share in shares if share], fields, coeffs)
     return done
 
 

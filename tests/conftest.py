@@ -46,6 +46,18 @@ def numpy_kernels():
         kernels._THIIM = saved
 
 
+@contextmanager
+def split_ways(ways, min_cells: int = 0):
+    """Split whole half steps ``ways`` ways over the host thread group
+    (1 = serial), from boxes of ``min_cells`` cells x lanes up."""
+    saved = kernels._WAYS, kernels.SPLIT_MIN_CELLS
+    kernels._WAYS, kernels.SPLIT_MIN_CELLS = ways, min_cells
+    try:
+        yield
+    finally:
+        kernels._WAYS, kernels.SPLIT_MIN_CELLS = saved
+
+
 @pytest.fixture(params=["native", "numpy"])
 def kernel_backend(request):
     """Run a test once per kernel back end (the compiled pass is skipped
