@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Fourteen subcommands cover the library's workflows::
+Fifteen subcommands cover the library's workflows::
 
     repro solve    --preset absorber --grid 48 --wavelength 12 --tol 1e-5
     repro tune     --grid 384 --threads 18 --variant mwd
@@ -8,7 +8,6 @@ Fourteen subcommands cover the library's workflows::
     repro plan     --ny 64 --nz 64 --steps 16 --dw 8 --bz 4
     repro bench    tune --top 20
     repro counters --workload tiled --group MEM,CACHE
-    repro trace    --out trace.json --grid 192
     repro serve    --port 8642 --workers 4 --registry plans/
     repro submit   --url http://127.0.0.1:8642 --preset tandem --wait
     repro campaign --preset tandem --wavelengths 10:16:0.5 --batch
@@ -16,6 +15,7 @@ Fourteen subcommands cover the library's workflows::
     repro top      --url http://127.0.0.1:8642
     repro fleet    serve --spawn 3 --port 8640
     repro chaos    --seed 7 [--scenario NAME]
+    repro cluster  --grid 48 --ranks 4
     repro env
 
 ``repro fleet`` is the multi-node tier: ``fleet serve`` runs a
@@ -40,7 +40,8 @@ Observability switches:
   prints the simulated PMU's likwid-style counter tables after the run;
 * ``REPRO_TRACE=path.json`` records a structured trace of any command
   and writes Chrome-trace JSON (``chrome://tracing`` / Perfetto) plus a
-  JSONL sibling on exit;
+  JSONL sibling on exit (``REPRO_TRACE=t.json repro tune --grid 192`` in
+  a fresh process traces a cold tune);
 * ``repro figures --which drift`` runs the model-vs-measured drift gate
   (exit code 3 when a point drifts beyond the budget).
 
@@ -146,14 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(comma-separated)")
     c.add_argument("--json", action="store_true",
                    help="emit the raw samples as JSON instead of tables")
-
-    tr = sub.add_parser(
-        "trace", help="record a structured trace of a small tuned run"
-    )
-    tr.add_argument("--out", default="trace.json",
-                    help="Chrome-trace output path (JSONL written next to it)")
-    tr.add_argument("--grid", type=int, default=192)
-    tr.add_argument("--threads", type=int, default=18)
 
     sv = sub.add_parser("serve", help="run the solve service (HTTP JSON API)")
     sv.add_argument("--host", default="127.0.0.1")
@@ -640,24 +633,6 @@ def _cmd_counters(args) -> int:
         print(json.dumps(GLOBAL_PMU.to_json(), indent=2, sort_keys=True))
     else:
         print(GLOBAL_PMU.report(args.group))
-    return 0
-
-
-def _cmd_trace(args) -> int:
-    from .core import tracing
-    from .core.autotuner import tune_tiled
-    from .machine import HASWELL_EP, clear_substrate_caches
-
-    clear_substrate_caches()
-    tracing.start_trace(args.out)
-    point = tune_tiled(HASWELL_EP, args.grid, args.threads)
-    rec, written = tracing.stop_trace()
-    if point is not None:
-        print(point.describe())
-    print(f"trace: {len(rec)} events " +
-          " ".join(f"{k}={v}" for k, v in rec.summary().items()))
-    for w in written:
-        print(f"trace -> {w}")
     return 0
 
 
@@ -1434,7 +1409,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "plan": _cmd_plan,
         "bench": _cmd_bench,
         "counters": _cmd_counters,
-        "trace": _cmd_trace,
         "serve": _cmd_serve,
         "submit": _cmd_submit,
         "campaign": _cmd_campaign,

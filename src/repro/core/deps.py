@@ -9,7 +9,8 @@ and for this stencil the two coincide: the set of nodes that overwrite an
 input of node ``n`` equals the set of nodes that flow-depend on ``n``
 (worked out in DESIGN.md section 5).
 
-:class:`DependencyChecker` replays a stream of :class:`RowJob` s against
+:class:`DependencyChecker` replays a stream of row jobs ``(tau, y_lo,
+y_hi, z_lo, z_hi)`` -- the columns of a row schedule -- against
 per-cell sub-step clocks and raises on the first violation.  It is the
 oracle used by the property tests to validate arbitrary tiling plans and
 arbitrary topological interleavings of the tile DAG, independently of the
@@ -31,11 +32,9 @@ Initial clocks are ``C_H = -2`` (state ``H^{-1/2}``) and ``C_E = -1``
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
-
-from .wavefront import RowJob
 
 __all__ = ["DependencyError", "DependencyChecker", "validate_jobs"]
 
@@ -57,51 +56,49 @@ class DependencyChecker:
         self.jobs_executed = 0
         self.nodes_executed = 0
 
-    # -- internal helpers ---------------------------------------------------
-
-    def _require(self, cond: np.ndarray | bool, job: RowJob, what: str) -> None:
-        if not np.all(cond):
-            raise DependencyError(f"{what} violated by {job}")
-
-    def _check_bounds(self, job: RowJob) -> None:
-        if not (0 <= job.y_lo < job.y_hi <= self.ny):
-            raise DependencyError(f"y range out of bounds in {job}")
-        if not (0 <= job.z_lo < job.z_hi <= self.nz):
-            raise DependencyError(f"z range out of bounds in {job}")
-        if job.tau < 0:
-            raise DependencyError(f"negative sub-step in {job}")
-
     # -- execution ----------------------------------------------------------
 
-    def execute(self, job: RowJob) -> None:
-        """Validate and apply one row job."""
-        self._check_bounds(job)
-        ys = slice(job.y_lo, job.y_hi)
-        zs = slice(job.z_lo, job.z_hi)
-        tau = job.tau
-        if job.is_h:
+    def execute(self, job: Sequence[int]) -> None:
+        """Validate and apply one row job ``(tau, y_lo, y_hi, z_lo,
+        z_hi)`` -- a :class:`~repro.core.wavefront.RowJob` or a column of
+        a row schedule."""
+        tau, y_lo, y_hi, z_lo, z_hi = job
+
+        def require(cond: np.ndarray, what: str) -> None:
+            if not np.all(cond):
+                raise DependencyError(f"{what} violated by {tuple(job)}")
+
+        if not (0 <= y_lo < y_hi <= self.ny):
+            raise DependencyError(f"y range out of bounds in {tuple(job)}")
+        if not (0 <= z_lo < z_hi <= self.nz):
+            raise DependencyError(f"z range out of bounds in {tuple(job)}")
+        if tau < 0:
+            raise DependencyError(f"negative sub-step in {tuple(job)}")
+        ys = slice(y_lo, y_hi)
+        zs = slice(z_lo, z_hi)
+        if tau % 2 == 0:
             own, other = self.clock_h, self.clock_e
-            self._require(own[ys, zs] == tau - 2, job, "in-order H self-update")
-            self._require(other[ys, zs] == tau - 1, job, "H near read of E")
-            y_far = slice(job.y_lo + 1, min(job.y_hi + 1, self.ny))
+            require(own[ys, zs] == tau - 2, "in-order H self-update")
+            require(other[ys, zs] == tau - 1, "H near read of E")
+            y_far = slice(y_lo + 1, min(y_hi + 1, self.ny))
             if y_far.start < y_far.stop:
-                self._require(other[y_far, zs] == tau - 1, job, "H read of E at y+1")
-            z_far = slice(job.z_lo + 1, min(job.z_hi + 1, self.nz))
+                require(other[y_far, zs] == tau - 1, "H read of E at y+1")
+            z_far = slice(z_lo + 1, min(z_hi + 1, self.nz))
             if z_far.start < z_far.stop:
-                self._require(other[ys, z_far] == tau - 1, job, "H read of E at z+1")
+                require(other[ys, z_far] == tau - 1, "H read of E at z+1")
         else:
             own, other = self.clock_e, self.clock_h
-            self._require(own[ys, zs] == tau - 2, job, "in-order E self-update")
-            self._require(other[ys, zs] == tau - 1, job, "E near read of H")
-            y_far = slice(max(job.y_lo - 1, 0), job.y_hi - 1)
+            require(own[ys, zs] == tau - 2, "in-order E self-update")
+            require(other[ys, zs] == tau - 1, "E near read of H")
+            y_far = slice(max(y_lo - 1, 0), y_hi - 1)
             if y_far.start < y_far.stop:
-                self._require(other[y_far, zs] == tau - 1, job, "E read of H at y-1")
-            z_far = slice(max(job.z_lo - 1, 0), job.z_hi - 1)
+                require(other[y_far, zs] == tau - 1, "E read of H at y-1")
+            z_far = slice(max(z_lo - 1, 0), z_hi - 1)
             if z_far.start < z_far.stop:
-                self._require(other[ys, z_far] == tau - 1, job, "E read of H at z-1")
+                require(other[ys, z_far] == tau - 1, "E read of H at z-1")
         own[ys, zs] = tau
         self.jobs_executed += 1
-        self.nodes_executed += job.cells_per_x
+        self.nodes_executed += (y_hi - y_lo) * (z_hi - z_lo)
 
     def assert_complete(self, timesteps: int) -> None:
         """Assert every cell finished exactly ``timesteps`` full steps."""
@@ -119,8 +116,10 @@ class DependencyChecker:
             )
 
 
-def validate_jobs(jobs: Iterable[RowJob], ny: int, nz: int, timesteps: int | None = None) -> DependencyChecker:
-    """Validate a full job stream; returns the checker for inspection."""
+def validate_jobs(jobs: Iterable[Sequence[int]], ny: int, nz: int,
+                  timesteps: int | None = None) -> DependencyChecker:
+    """Validate a full job stream (5-tuples ``(tau, y_lo, y_hi, z_lo,
+    z_hi)``); returns the checker for inspection."""
     checker = DependencyChecker(ny, nz)
     for job in jobs:
         checker.execute(job)

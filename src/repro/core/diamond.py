@@ -122,13 +122,18 @@ class DiamondTile:
         return (min(r.y_lo for r in self.rows), max(r.y_hi for r in self.rows))
 
     @cached_property
-    def congruence(self) -> Tuple[int, Tuple[Tuple[int, int, int], ...]]:
-        """``(y0, rows)``: the tile's lowest row and its rows as ``(tau &
-        1, y_lo - y0, y_hi - y0)`` -- equal for tiles that are y
-        translations of one another (every interior diamond of a
-        tessellation), which traverse identically up to that shift."""
+    def congruence(self) -> Tuple[int, int, Tuple[Tuple[int, int, int], ...]]:
+        """``(tau0, y0, rows)``: the tile's first sub-step rounded down to
+        even, its lowest row, and its rows as ``(tau - tau0, y_lo - y0,
+        y_hi - y0)`` -- equal for tiles that are (tau, y) translations of
+        one another (every interior diamond of a tessellation), which
+        traverse identically up to that shift.  A tile's sub-steps are
+        consecutive and ``tau0`` is even, so the classes are those of the
+        rows' H/E pattern."""
+        tau0 = self.rows[0].tau & ~1
         y0 = min(r.y_lo for r in self.rows)
-        return y0, tuple((r.tau & 1, r.y_lo - y0, r.y_hi - y0) for r in self.rows)
+        return tau0, y0, tuple((r.tau - tau0, r.y_lo - y0, r.y_hi - y0)
+                               for r in self.rows)
 
     @property
     def is_interior(self) -> bool:

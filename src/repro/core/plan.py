@@ -2,16 +2,16 @@
 
 A :class:`TilingPlan` assembles the diamond tessellation of
 :mod:`repro.core.diamond` over a concrete grid and number of time steps,
-derives the inter-tile dependency DAG, and serializes tiles into row-job
-streams (via the wavefront traversal) for the executor, the dependency
-checker and the machine simulator's access-stream generator.
+derives the inter-tile dependency DAG, and concatenates the tiles' row
+schedules (:func:`~repro.core.wavefront.tile_rows`) for the dependency
+checker and lowers them into kernel calls for the executor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from ..fdfd.grid import Grid
 from ..fdfd.kernels import BoundRegion, clip_region, region_lups
 from ..fdfd.specs import E_COMPONENTS, H_COMPONENTS, SPECS
 from .diamond import DiamondTile, enumerate_tiles
-from .wavefront import RowJob, tile_row_jobs
+from .wavefront import tile_rows
 
 __all__ = ["TilingPlan"]
 
@@ -62,21 +62,22 @@ def _tile_dag(ny: int, timesteps: int, dw: int):
 
 
 @lru_cache(maxsize=16)
-def _compiled(ny: int, nz: int, timesteps: int, dw: int, bz: int,
+def _compiled(timesteps: int, dw: int, bz: int,
               shape: Tuple[int, int, int], periodic: Tuple[bool, bool, bool]):
     """A plan resolved against a grid, process-wide (a solve re-walks its
     plan every chunk, a campaign every job): tile -> (its kernel calls in
-    order ``(component, clipped BoundRegion, LUPs)``, its row-job count)."""
+    order ``(component, clipped BoundRegion, LUPs)``, its row-job count),
+    each tile's row schedule lowered column by column."""
     grid = Grid(*shape, periodic=periodic)
     out: Dict[TileIndex, tuple] = {}
-    for idx, tile in _tile_dag(ny, timesteps, dw)[0].items():
-        jobs = list(tile_row_jobs(tile, nz, bz))
-        clipped = ((name, clip_region(grid, SPECS[name], z=(job.z_lo, job.z_hi),
-                                      y=(job.y_lo, job.y_hi)))
-                   for job in jobs
-                   for name in (H_COMPONENTS if job.is_h else E_COMPONENTS))
+    for idx, tile in _tile_dag(grid.ny, timesteps, dw)[0].items():
+        rows = tile_rows(tile, grid.nz, bz)
+        clipped = ((name, clip_region(grid, SPECS[name], z=(z_lo, z_hi),
+                                      y=(y_lo, y_hi)))
+                   for tau, y_lo, y_hi, z_lo, z_hi in rows.T.tolist()
+                   for name in (E_COMPONENTS if tau & 1 else H_COMPONENTS))
         out[idx] = (tuple((name, BoundRegion(region), region_lups(region))
-                          for name, region in clipped if region), len(jobs))
+                          for name, region in clipped if region), rows.shape[1])
     return out
 
 
@@ -182,23 +183,25 @@ class TilingPlan:
 
     # -- serialization ------------------------------------------------------------
 
-    def row_jobs(self, order: Sequence[TileIndex] | None = None) -> Iterator[RowJob]:
-        """Row jobs of the whole plan in a given (or the FIFO) tile order."""
+    def rows(self, order: Sequence[TileIndex] | None = None) -> np.ndarray:
+        """The row schedule of the whole plan, ``(5, jobs)``: the tiles'
+        schedules concatenated in a given (or the FIFO) tile order."""
         if order is None:
             order = self.fifo_order()
-        for idx in order:
-            yield from tile_row_jobs(self.tiles[idx], self.nz, self.bz)
+        return np.concatenate(
+            [tile_rows(self.tiles[idx], self.nz, self.bz) for idx in order], axis=1)
 
     def compiled(self, grid: Grid) -> Dict[TileIndex, tuple]:
         """tile -> (ops, row jobs) on ``grid``; see :func:`_compiled`."""
-        return _compiled(self.ny, self.nz, self.timesteps, self.dw, self.bz,
-                         grid.shape, grid.periodic)
+        return _compiled(self.timesteps, self.dw, self.bz, grid.shape,
+                         grid.periodic)
 
     def validate(self, order: Sequence[TileIndex] | None = None) -> None:
         """Replay the plan through the dependency checker (raises on error)."""
         from .deps import validate_jobs
 
-        validate_jobs(self.row_jobs(order), self.ny, self.nz, self.timesteps)
+        validate_jobs(self.rows(order).T.tolist(), self.ny, self.nz,
+                      self.timesteps)
 
     def describe(self) -> str:
         interior = len(self.interior_tiles())

@@ -22,26 +22,32 @@ exactly at its offset, which is the tightest valid pipeline -- and the
 wavefront tile width of the paper, ``W_w = D_w + B_z - 1``, is exactly the
 z-extent such a pipeline occupies for an interior diamond (``D_w - 1``
 cumulative offsets + a ``B_z`` window).
+
+The schedule
+------------
+:func:`tile_rows` is the one producer of a tile's traversal: a ``(5,
+jobs)`` array whose columns are row jobs ``(tau, y_lo, y_hi, z_lo,
+z_hi)`` in execution order.  Each consumer lowers it: the plan compiles
+it into kernel calls, the dependency checker replays its columns, the
+substrate replays it with ``tau & 1`` as the recipe.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, List, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
-from .diamond import DiamondTile, RowSpan
+from .diamond import DiamondTile
 
-__all__ = ["RowJob", "level_offsets", "tile_job_arrays", "tile_row_jobs",
-           "tile_rows", "wavefront_width"]
+__all__ = ["RowJob", "level_offsets", "tile_row_jobs", "tile_rows",
+           "wavefront_width"]
 
 
-@dataclass(frozen=True)
-class RowJob:
-    """One kernel invocation: a half-step update of rows ``[y_lo, y_hi)``
-    over planes ``[z_lo, z_hi)``."""
+class RowJob(NamedTuple):
+    """One kernel invocation -- a column of a row schedule: a half-step
+    update of rows ``[y_lo, y_hi)`` over planes ``[z_lo, z_hi)``."""
 
     tau: int
     y_lo: int
@@ -52,10 +58,6 @@ class RowJob:
     @property
     def is_h(self) -> bool:
         return self.tau % 2 == 0
-
-    @property
-    def field(self) -> str:
-        return "H" if self.is_h else "E"
 
     @property
     def cells_per_x(self) -> int:
@@ -81,84 +83,44 @@ def wavefront_width(dw: int, bz: int) -> int:
     return dw + bz - 1
 
 
-def tile_row_jobs(tile: DiamondTile, nz: int, bz: int) -> Iterator[RowJob]:
-    """Serialize one tile into dependency-ordered row jobs.
-
-    Parameters
-    ----------
-    tile:
-        The diamond tile to traverse.
-    nz:
-        z-extent of the grid.
-    bz:
-        Wavefront block width: planes advanced per level per front step
-        (``B_z`` of the paper).
-
-    Yields
-    ------
-    RowJob
-        Jobs in a valid execution order: per front step the levels are
-        advanced bottom-up, each to ``bz * front - off(level)``, so every
-        z-read of a level lands in the already-updated span of the level
-        below.
-    """
-    if bz < 1:
-        raise ValueError("bz must be >= 1")
-    if nz < 1:
-        raise ValueError("nz must be >= 1")
-    offsets = level_offsets(tile)
-    progress = [0] * len(tile.rows)
-    front = 1
-    while progress[-1] < nz:
-        for lvl, row in enumerate(tile.rows):
-            target = bz * front - offsets[lvl]
-            target = 0 if target < 0 else (nz if target > nz else target)
-            if target > progress[lvl]:
-                yield RowJob(row.tau, row.y_lo, row.y_hi, progress[lvl], target)
-                progress[lvl] = target
-        front += 1
-
-
-def tile_job_arrays(tile: DiamondTile, nz: int, bz: int
-                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`tile_row_jobs` as arrays ``(level, z_lo, z_hi)``: job ``k``
-    updates ``tile.rows[level[k]]`` over planes ``[z_lo[k], z_hi[k])``, in
-    the generator's order (front-major, level-minor).  Per level the
-    front targets are ``clip(bz * front - off, 0, nz)``; a job exists
-    where the target advances, and the top level -- the largest offset --
-    arrives last, at front ``ceil((nz + off) / bz)``."""
-    if bz < 1:
-        raise ValueError("bz must be >= 1")
-    if nz < 1:
-        raise ValueError("nz must be >= 1")
-    off = np.array(level_offsets(tile), dtype=np.int64)
-    fronts = np.arange(-(-(nz + off[-1]) // bz) + 1, dtype=np.int64)
-    target = np.clip(bz * fronts[:, None] - off, 0, nz)
-    lo, hi = target[:-1], target[1:]
-    advances = hi > lo
-    return np.nonzero(advances)[1], lo[advances], hi[advances]
-
-
 def tile_rows(tile: DiamondTile, nz: int, bz: int) -> np.ndarray:
-    """:func:`tile_row_jobs` as a row schedule: a ``(5, jobs)`` array
-    whose rows are ``tau & 1``, ``y_lo``, ``y_hi``, ``z_lo`` and ``z_hi``.
-    Tiles of one :attr:`~repro.core.diamond.DiamondTile.congruence` class
-    share one memoized schedule, shifted here to the tile's rows."""
-    y0, rows = tile.congruence
-    return _congruent_rows(rows, nz, bz) + y0 * _Y_ROWS
+    """The tile's row schedule: a ``(5, jobs)`` int64 array whose rows are
+    ``tau``, ``y_lo``, ``y_hi``, ``z_lo`` and ``z_hi``, one column per row
+    job in a valid execution order (see :func:`_congruent_rows`).  Tiles
+    of one :attr:`~repro.core.diamond.DiamondTile.congruence` class share
+    one memoized schedule, shifted here in ``tau`` and ``y``."""
+    tau0, y0, rows = tile.congruence
+    return _congruent_rows(rows, nz, bz) + np.array((tau0, y0, y0, 0, 0))[:, None]
 
 
-#: Which rows of a schedule are y coordinates.
-_Y_ROWS = np.array([[0], [1], [1], [0], [0]], dtype=np.int64)
+def tile_row_jobs(tile: DiamondTile, nz: int, bz: int) -> List[RowJob]:
+    """:func:`tile_rows` as :class:`RowJob` s, column by column."""
+    return [RowJob(*col) for col in tile_rows(tile, nz, bz).T.tolist()]
 
 
 @lru_cache(maxsize=4096)
 def _congruent_rows(rows: Tuple[Tuple[int, int, int], ...], nz: int, bz: int
                     ) -> np.ndarray:
-    """The (read-only) row schedule of the tile with rows ``(tau & 1,
-    y_lo, y_hi)``."""
-    level, z_lo, z_hi = tile_job_arrays(
-        DiamondTile(0, 0, 0, tuple(RowSpan(*r) for r in rows)), nz, bz)
-    out = np.vstack((np.array(rows, dtype=np.int64)[level].T, z_lo, z_hi))
+    """The (read-only) row schedule of the tile with rows ``(tau - tau0,
+    y_lo - y0, y_hi - y0)`` (``tau0`` even, so ``tau & 1`` is kept).
+
+    Per front step ``f`` the levels advance bottom-up, level ``l`` to
+    ``clip(bz * f - off(l), 0, nz)``, so every z-read of a level lands in
+    the already-updated span of the level below; a job exists wherever a
+    target advances, and the top level -- the largest offset -- arrives
+    last, at front ``ceil((nz + off) / bz)``.  Columns are front-major,
+    level-minor."""
+    if bz < 1:
+        raise ValueError("bz must be >= 1")
+    if nz < 1:
+        raise ValueError("nz must be >= 1")
+    rows = np.array(rows, dtype=np.int64)
+    is_h = 1 - (rows[:, 0] & 1)
+    off = np.cumsum(is_h) - is_h[0]
+    fronts = np.arange(-(-(nz + off[-1]) // bz) + 1, dtype=np.int64)
+    target = np.clip(bz * fronts[:, None] - off, 0, nz)
+    lo, hi = target[:-1], target[1:]
+    advances = hi > lo
+    out = np.vstack((rows[np.nonzero(advances)[1]].T, lo[advances], hi[advances]))
     out.flags.writeable = False
     return out

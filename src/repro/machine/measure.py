@@ -138,13 +138,15 @@ def _band_rows(plan: TilingPlan, band: int) -> np.ndarray:
     """The row schedule of one band, as a ``(5, jobs)`` array of rows
     ``recipe, y_lo, y_hi, z_lo, z_hi`` (``recipe`` = ``tau & 1``, the
     :data:`FUSED` half-step class): each tile's wavefront jobs
-    (:func:`tile_rows`), the tiles interleaved round-robin -- concurrent
-    thread groups sharing the L3."""
+    (:func:`tile_rows`, whose row 0 is the full ``tau``), the tiles
+    interleaved round-robin -- concurrent thread groups sharing the L3."""
     parts = [tile_rows(tile, plan.nz, plan.bz) for tile in plan.band_tiles(band)]
     if not parts:
         return np.zeros((5, 0), dtype=np.int64)
     order = round_robin([p.shape[1] for p in parts])
-    return np.take(np.concatenate(parts, axis=1), order, axis=1)
+    rows = np.take(np.concatenate(parts, axis=1), order, axis=1)
+    rows[0] &= 1
+    return rows
 
 
 def measure_tiled_code_balance(

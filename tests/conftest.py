@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.core.wavefront import RowJob, level_offsets
 from repro.fdfd import FieldState, Grid, kernels, random_coefficients
 from repro.fleet import gateway_over
 from repro.fleet.router import poll_job
@@ -73,6 +74,32 @@ def kernel_backend(request):
 
 def random_state(grid: Grid, seed: int = 0) -> FieldState:
     return FieldState(grid).fill_random(np.random.default_rng(seed))
+
+
+def front_stepping_jobs(tile, nz: int, bz: int):
+    """A tile's row jobs from a literal front-stepping loop -- the oracle
+    of ``wavefront.tile_rows``: per front step the levels advance
+    bottom-up, each to ``bz * front - off(level)``, so every z-read of a
+    level lands in the already-updated span of the level below."""
+    if bz < 1 or nz < 1:
+        raise ValueError("bz and nz must be >= 1")
+    offsets = level_offsets(tile)
+    progress = [0] * len(tile.rows)
+    front = 1
+    while progress[-1] < nz:
+        for lvl, row in enumerate(tile.rows):
+            target = min(max(bz * front - offsets[lvl], 0), nz)
+            if target > progress[lvl]:
+                yield RowJob(row.tau, row.y_lo, row.y_hi, progress[lvl], target)
+                progress[lvl] = target
+        front += 1
+
+
+def plan_oracle_jobs(plan, order=None):
+    """Every tile's :func:`front_stepping_jobs`, in ``order`` (FIFO by
+    default): the oracle of ``TilingPlan.rows``."""
+    for idx in plan.fifo_order() if order is None else order:
+        yield from front_stepping_jobs(plan.tiles[idx], plan.nz, plan.bz)
 
 
 def batch_emitter(capacity, layout, ny, nz, nx):

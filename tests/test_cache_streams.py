@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.diamond import enumerate_tiles
 from repro.core import wavefront
-from repro.core.wavefront import tile_row_jobs, tile_rows
+from repro.core.wavefront import tile_rows
 from repro.machine import (
     ALL_ARRAYS,
     ARRAY_GROUPS,
@@ -20,6 +20,8 @@ from repro.machine import (
 )
 from repro.machine.streams import SWEEP_COMPONENTS, ShapeTable, _clipped_segments
 from repro.fdfd.specs import ALL_COMPONENTS, SPECS
+
+from conftest import front_stepping_jobs
 
 
 def _job(em, tau, y_lo, y_hi, z_lo, z_hi):
@@ -248,9 +250,9 @@ def _decode(code):
 
 class TestTileStreamResolve:
     """A tile's row schedule (``tile_rows``, memoized per congruence
-    class) is its generator's jobs, and the batched emitter resolves it
-    with one table lookup per shape class; job-by-job resolution is what
-    it must equal."""
+    class) with ``tau & 1`` as the recipe is what the batched emitter
+    resolves, with one table lookup per shape class; job-by-job
+    resolution is what it must equal."""
 
     @given(ny=st.integers(1, 36), timesteps=st.integers(1, 9),
            dw=st.sampled_from([2, 4, 6, 8, 12]), nz=st.integers(1, 26),
@@ -264,8 +266,9 @@ class TestTileStreamResolve:
         emitter = BatchStreamEmitter(None, ny=ny, nz=nz, nx=8)
         by_rows, by_jobs = ShapeTable(), ShapeTable()
         for tile in enumerate_tiles(ny, timesteps, dw).values():
-            jobs = list(tile_row_jobs(tile, nz, bz))
+            jobs = list(front_stepping_jobs(tile, nz, bz))
             rows = tile_rows(tile, nz, bz)
+            rows[0] &= 1
             assert np.column_stack(rows).tolist() == [
                 [j.tau & 1, j.y_lo, j.y_hi, j.z_lo, j.z_hi] for j in jobs]
             lo, hi, accesses, misses = emitter._runs(by_rows, *rows)
@@ -283,25 +286,31 @@ class TestTileStreamResolve:
                     job.y_lo == 0, job.y_hi == ny, job.z_lo == 0, job.z_hi == nz)
                 assert segments[a:b].tolist() == [
                     [g, int(w), *box] for g, w, *box in _clipped_segments(
-                        CLASS_RECIPES[job.field], job.y_lo, job.y_hi,
+                        CLASS_RECIPES["HE"[job.tau & 1]], job.y_lo, job.y_hi,
                         job.z_lo, job.z_hi, ny, nz)]
         assert by_rows.shapes.keys() == by_jobs.shapes.keys()
 
     def test_congruent_tile_reuses_the_stream(self):
-        """A y translation of a tile is one memoized schedule shifted in
-        y and, resolved after it, adds no shape and gets its runs."""
+        """A (tau, y) translation of a tile is one memoized schedule
+        shifted in both and, resolved after it, adds no shape and gets
+        its runs."""
         emitter = BatchStreamEmitter(None, ny=48, nz=20, nx=8)
         table = ShapeTable()
-        a, b = [t for t in enumerate_tiles(48, 12, 4).values() if t.is_interior
-                and 0 < t.y_footprint[0] and t.y_footprint[1] < 48][:2]
+        a, *rest = [t for t in enumerate_tiles(48, 12, 4).values()
+                    if t.is_interior and 0 < t.y_footprint[0]
+                    and t.y_footprint[1] < 48]
+        b = next(t for t in rest
+                 if t.band != a.band and t.i - t.j != a.i - a.j)
         rows_a = tile_rows(a, 20, 3)
         hits = wavefront._congruent_rows.cache_info().hits
         rows_b = tile_rows(b, 20, 3)
         assert wavefront._congruent_rows.cache_info().hits == hits + 1
-        shift = b.congruence[0] - a.congruence[0]
-        assert shift
-        np.testing.assert_array_equal(
-            rows_b, rows_a + shift * np.array([[0], [1], [1], [0], [0]]))
+        (tau_a, y_a, _), (tau_b, y_b, _) = a.congruence, b.congruence
+        assert tau_b != tau_a and y_b != y_a
+        np.testing.assert_array_equal(rows_b, rows_a + np.array(
+            [[tau_b - tau_a], [y_b - y_a], [y_b - y_a], [0], [0]]))
+        rows_a[0] &= 1
+        rows_b[0] &= 1
         *first, misses = emitter._runs(table, *rows_a)
         *again, none = emitter._runs(table, *rows_b)
         assert misses > 0 and none == 0

@@ -156,13 +156,18 @@ class TestCountersCommand:
 
 
 class TestTraceCommand:
-    def test_writes_both_formats(self, tmp_path, capsys):
+    def test_writes_both_formats(self, tmp_path, capsys, monkeypatch):
+        """A trace of any command is ``REPRO_TRACE``; on a cold substrate a
+        tune records the tuner, the measurements and the simulated tiles."""
+        from repro.machine import clear_substrate_caches
+
         out_path = tmp_path / "tune.json"
-        rc = main(["trace", "--out", str(out_path), "--grid", "64",
-                   "--threads", "4"])
+        monkeypatch.setenv("REPRO_TRACE", str(out_path))
+        clear_substrate_caches()
+        rc = main(["tune", "--grid", "64", "--threads", "4"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "trace:" in out and f"trace -> {out_path}" in out
+        assert "MWD@4t" in out and f"trace -> {out_path}" in out
         doc = json.load(open(out_path))
         cats = {e.get("cat") for e in doc["traceEvents"] if e["ph"] == "X"}
         assert {"autotune", "measure", "sim.tile"} <= cats

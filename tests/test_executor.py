@@ -27,7 +27,7 @@ from repro.fdfd import (
 from repro.fdfd.kernels import region_lups
 from repro.fdfd.specs import SPECS
 
-from conftest import random_state
+from conftest import plan_oracle_jobs, random_state, run_concurrently
 
 
 def run_pair(grid, plan, seed=5, nsteps=None):
@@ -132,12 +132,13 @@ class TestTiledEqualsNaive:
         f = random_state(grid)
         expected = naive_sweep(f, coeffs, 3)
         assert ex.lups_done == expected
-        assert ex.jobs_done == len(list(plan.row_jobs()))
+        assert ex.jobs_done == plan.rows().shape[1]
 
 
 class TestCompiledPlan:
     """A plan resolved once against a grid is, op for op, what walking
-    its row jobs through ``clip_region`` yields -- in any tile order."""
+    the oracle's row jobs through ``clip_region`` yields -- in any tile
+    order."""
 
     @given(ny=st.integers(4, 14), nz=st.integers(3, 12), T=st.integers(1, 6),
            half_dw=st.integers(1, 4), bz=st.integers(1, 5),
@@ -149,8 +150,9 @@ class TestCompiledPlan:
         plan = TilingPlan.build(ny=ny, nz=nz, timesteps=T, dw=2 * half_dw, bz=bz)
         compiled = plan.compiled(grid)
         order = plan.random_topological_order(np.random.default_rng(seed))
+        jobs = list(plan_oracle_jobs(plan, order))
         want = []
-        for job in plan.row_jobs(order):
+        for job in jobs:
             for name in H_COMPONENTS if job.is_h else E_COMPONENTS:
                 region = clip_region(grid, SPECS[name], z=(job.z_lo, job.z_hi),
                                      y=(job.y_lo, job.y_hi))
@@ -161,8 +163,43 @@ class TestCompiledPlan:
         for _, region, _ in got:  # the packed box is the region's
             assert list(region.box._obj) == [
                 b for sl in region for b in (sl.start, sl.stop)]
-        assert sum(compiled[idx][1] for idx in order) == len(
-            list(plan.row_jobs(order)))
+        assert sum(compiled[idx][1] for idx in order) == len(jobs)
+
+    def test_threads_build_compile_and_validate_as_serial(self):
+        """Four threads at once, on cold memos -- two same-shaped plans,
+        two different -- build, compile and validate, each getting what
+        its serial run gets: the process-wide schedule, DAG and compiled
+        memos hand every caller the same values."""
+        from repro.core import plan as plan_mod, wavefront
+        from repro.machine import clear_substrate_caches
+
+        shapes = [(10, 12, 4, 4, 2), (10, 12, 4, 4, 2), (8, 9, 3, 2, 3),
+                  (12, 8, 5, 6, 1)]
+
+        def work(i, out):
+            nz, ny, steps, dw, bz = shapes[i]
+            grid = Grid(nz=nz, ny=ny, nx=4)
+            plan = TilingPlan.build(ny=ny, nz=nz, timesteps=steps, dw=dw, bz=bz)
+            compiled = plan.compiled(grid)
+            plan.validate()
+            plan.validate(plan.random_topological_order(np.random.default_rng(i)))
+            out[i] = (plan.rows().tolist(),
+                      {idx: ([(name, tuple(region), lups) for name, region, lups
+                              in ops], jobs)
+                       for idx, (ops, jobs) in compiled.items()})
+
+        def cold():
+            clear_substrate_caches()
+            plan_mod._compiled.cache_clear()
+            assert wavefront._congruent_rows.cache_info().currsize == 0
+
+        serial, threaded = {}, {}
+        cold()
+        for i in range(len(shapes)):
+            work(i, serial)
+        cold()
+        run_concurrently(lambda i: work(i, threaded), range(len(shapes)))
+        assert threaded == serial
 
     def test_resolved_once_per_plan_and_grid(self):
         grid = Grid(nz=10, ny=12, nx=4)

@@ -46,7 +46,7 @@ def test_tessellation_exact_cover(ny, steps, dw):
 def test_any_plan_any_order_passes_checker(ny, nz, steps, dw, bz, seed):
     plan = TilingPlan.build(ny=ny, nz=nz, timesteps=steps, dw=dw, bz=bz)
     order = plan.random_topological_order(np.random.default_rng(seed))
-    validate_jobs(plan.row_jobs(order), ny, nz, timesteps=steps)
+    validate_jobs(plan.rows(order).T.tolist(), ny, nz, timesteps=steps)
 
 
 @given(
@@ -91,7 +91,8 @@ def test_band_tiles_mutually_independent(ny, steps, dw, data):
 @settings(max_examples=40, **COMMON)
 def test_plan_node_count_conserved(ny, nz, steps, dw, bz):
     """Total work is invariant under tiling: sum of node-cells over all
-    row jobs equals (2 * steps) * ny * nz."""
+    rows of the plan's schedule equals (2 * steps) * ny * nz."""
     plan = TilingPlan.build(ny=ny, nz=nz, timesteps=steps, dw=dw, bz=bz)
-    total = sum(job.cells_per_x for job in plan.row_jobs())
+    _, y_lo, y_hi, z_lo, z_hi = plan.rows()
+    total = int(((y_hi - y_lo) * (z_hi - z_lo)).sum())
     assert total == 2 * steps * ny * nz

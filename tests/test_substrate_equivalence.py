@@ -20,9 +20,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import REPLAY_ENGINES
+from conftest import REPLAY_ENGINES, front_stepping_jobs
 from repro.core.plan import TilingPlan
-from repro.core.wavefront import RowJob, tile_row_jobs
+from repro.core.wavefront import RowJob
 from repro.fdfd.specs import E_COMPONENTS, H_COMPONENTS
 from repro.machine import (
     FUSED,
@@ -263,7 +263,7 @@ def test_out_of_range_replay_is_refused(row):
     # Below the first group's first row, or (an E job reads the last group,
     # its coefficients) above the last group's last row.
     k = next(k for k, j in enumerate(jobs) if (j.y_lo == 0 if row < 0 else
-                                               j.field == "E" and j.y_hi == ny))
+                                               j.tau & 1 and j.y_hi == ny))
     key_space = BatchStreamEmitter.key_space(ny, nz)
     for cache in _fast_engines(1 << 12, key_space):
         em = BatchStreamEmitter(cache, ny=ny, nz=nz, nx=4)
@@ -292,8 +292,9 @@ def test_out_of_range_replay_is_refused(row):
 
 def _interleave_band(plan, band):
     """The band order as nested generators, round-robin over the tiles'
-    ``tile_row_jobs``: the oracle of ``measure._band_rows``."""
-    streams = [tile_row_jobs(t, plan.nz, plan.bz) for t in plan.band_tiles(band)]
+    front-stepping oracles: the oracle of ``measure._band_rows``."""
+    streams = [front_stepping_jobs(t, plan.nz, plan.bz)
+               for t in plan.band_tiles(band)]
     while streams:
         alive = []
         for stream in streams:
@@ -329,8 +330,9 @@ def _random_plan(draw_dw, draw_k, draw_nz, draw_bz, draw_steps):
 def test_band_rows_equal_the_interleaved_generators(dw, n_streams, ny_offset,
                                                     nz, bz, steps):
     """``_band_rows`` -- each tile through the memoized ``tile_rows``, the
-    tiles interleaved by ``round_robin`` -- is the round-robin over the
-    tiles' ``tile_row_jobs`` generators, row for row, on every band:
+    tiles interleaved by ``round_robin``, ``tau & 1`` as the recipe -- is
+    the round-robin over the tiles' front-stepping oracles, row for row,
+    on every band:
     clipped tiles at both y edges (``ny`` off a multiple of ``dw``) and at
     the first and last time step, ``nz < bz`` and ``nz % bz != 0``."""
     ny = max(1, n_streams * dw + ny_offset)

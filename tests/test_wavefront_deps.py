@@ -16,8 +16,11 @@ from repro.core import (
     validate_jobs,
     wavefront_width,
 )
+from repro.core import wavefront
 from repro.core.diamond import enumerate_tiles
-from repro.core.wavefront import RowJob, tile_job_arrays
+from repro.core.wavefront import RowJob, tile_rows
+
+from conftest import front_stepping_jobs, plan_oracle_jobs
 
 
 def naive_jobs(ny, nz, timesteps):
@@ -75,24 +78,51 @@ class TestWavefrontTraversal:
         with pytest.raises(ValueError):
             list(tile_row_jobs(tile, nz=0, bz=1))
         with pytest.raises(ValueError):
-            tile_job_arrays(tile, nz=8, bz=0)
+            tile_rows(tile, nz=8, bz=0)
         with pytest.raises(ValueError):
-            tile_job_arrays(tile, nz=0, bz=1)
+            tile_rows(tile, nz=0, bz=1)
 
     @given(ny=st.integers(1, 40), timesteps=st.integers(1, 10),
            dw=st.sampled_from([2, 4, 6, 8, 12]), nz=st.integers(1, 30),
            bz=st.integers(1, 12))
     @settings(max_examples=80, deadline=None)
-    def test_job_arrays_equal_the_generator(self, ny, timesteps, dw, nz, bz):
-        """Every tile of the tessellation -- interior, clipped at either y
-        edge or in time -- at ``nz < bz``, ``nz % bz != 0`` and multiples."""
+    def test_tile_rows_equal_the_oracle(self, ny, timesteps, dw, nz, bz):
+        """``tile_rows`` -- a memoized schedule shifted in ``tau`` and
+        ``y`` -- is the front-stepping loop's jobs, full ``tau`` included,
+        on every tile of the tessellation: interior, clipped at either y
+        edge or in time, at ``nz < bz``, ``nz % bz != 0`` and multiples."""
         for tile in enumerate_tiles(ny, timesteps, dw).values():
-            level, z_lo, z_hi = tile_job_arrays(tile, nz, bz)
-            assert level.dtype == z_lo.dtype == z_hi.dtype == np.int64
-            got = [RowJob(tile.rows[lv].tau, tile.rows[lv].y_lo,
-                          tile.rows[lv].y_hi, a, b)
-                   for lv, a, b in zip(level.tolist(), z_lo.tolist(), z_hi.tolist())]
-            assert got == list(tile_row_jobs(tile, nz, bz))
+            want = list(front_stepping_jobs(tile, nz, bz))
+            rows = tile_rows(tile, nz, bz)
+            assert rows.dtype == np.int64 and rows.shape[0] == 5
+            assert rows.T.tolist() == [list(job) for job in want]
+            assert tile_row_jobs(tile, nz, bz) == want
+
+    @given(ny=st.integers(1, 24), nz=st.integers(1, 16),
+           timesteps=st.integers(1, 8), dw=st.sampled_from([2, 4, 6, 8]),
+           bz=st.integers(1, 9), seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_plan_rows_equal_the_concatenated_oracle(self, ny, nz, timesteps,
+                                                     dw, bz, seed):
+        """``TilingPlan.rows(order)`` is every tile's oracle jobs in that
+        order, for FIFO and for a random topological order."""
+        plan = TilingPlan.build(ny=ny, nz=nz, timesteps=timesteps, dw=dw, bz=bz)
+        order = plan.random_topological_order(np.random.default_rng(seed))
+        for o in (None, order):
+            assert plan.rows(o).T.tolist() == [
+                list(job) for job in plan_oracle_jobs(plan, o)]
+
+    def test_memoized_schedules_are_read_only(self):
+        """What ``tile_rows`` shifts is shared by every tile of a class:
+        the memo hands out read-only arrays, ``tile_rows`` fresh ones."""
+        tile = next(t for t in enumerate_tiles(24, 12, 4).values() if t.is_interior)
+        shared = wavefront._congruent_rows(tile.congruence[2], 11, 3)
+        with pytest.raises(ValueError):
+            shared[0, 0] = 7
+        rows = tile_rows(tile, 11, 3)
+        rows[0] &= 1
+        assert tile_rows(tile, 11, 3)[0].tolist() == [
+            job.tau for job in front_stepping_jobs(tile, 11, 3)]
 
 
 class TestCheckerAcceptsValid:
@@ -209,3 +239,41 @@ class TestCheckerRejectsInvalid:
         bad = [succ if o == idx else (idx if o == succ else o) for o in order]
         with pytest.raises(DependencyError):
             plan.validate(bad)
+
+
+def _reads(k, j):
+    """Whether row job ``k`` reads cells row job ``j`` writes: the same
+    cells one half step earlier (the other field) or two (its own)."""
+    return (k[0] - j[0] in (1, 2) and max(k[1], j[1]) < min(k[2], j[2])
+            and max(k[3], j[3]) < min(k[4], j[4]))
+
+
+@given(ny=st.integers(1, 20), nz=st.integers(1, 12),
+       timesteps=st.integers(1, 6), dw=st.sampled_from([2, 4, 6]),
+       bz=st.integers(1, 6), seed=st.integers(0, 2**16),
+       mutation=st.sampled_from(["move", "drop", "duplicate", "shift"]),
+       pick=st.integers(0, 2**16))
+@settings(max_examples=120, deadline=None)
+def test_checker_catches_mutated_schedules(ny, nz, timesteps, dw, bz, seed,
+                                           mutation, pick):
+    """Fed arrays, the checker passes ``plan.rows(order)`` and rejects each
+    corruption of it: a row moved before a row it reads, a row dropped, a
+    row run twice, a row's ``tau`` shifted by 2."""
+    plan = TilingPlan.build(ny=ny, nz=nz, timesteps=timesteps, dw=dw, bz=bz)
+    rows = plan.rows(plan.random_topological_order(np.random.default_rng(seed)))
+    validate_jobs(rows.T.tolist(), ny, nz, timesteps)
+    cols = rows.T.tolist()
+    k = pick % len(cols)
+    if mutation == "move":
+        readers = [i for i, col in enumerate(cols) if col[0] >= 1]
+        k = readers[pick % len(readers)]
+        j = max(j for j in range(k) if _reads(cols[k], cols[j]))
+        cols.insert(j, cols.pop(k))
+    elif mutation == "drop":
+        del cols[k]
+    elif mutation == "duplicate":
+        cols.insert(k, cols[k])
+    else:
+        cols[k][0] += 2
+    with pytest.raises(DependencyError):
+        validate_jobs(cols, ny, nz, timesteps)
