@@ -6,13 +6,16 @@ complementing the figure benchmarks which are deterministic simulations.
 ``test_bench_host_kernels_report`` prints the host table EXPERIMENTS.md
 quotes: NumPy vs compiled for the half steps, the naive sweep and the
 tiled executor, the cost of one region update, MWD against the naive
-sweep on a grid larger than the L2 with a registry-tuned plan, and the
+sweep on a grid larger than the L2 with a registry-tuned plan, the
 naive sweep serial against the host thread group at three affinity
-settings.
+settings, and the tandem scene's coefficients domain-sized against
+contracted (``build_coefficients``' layout) under both traversals.
 """
 
 import os
 import time
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -40,6 +43,10 @@ GROUP_GRIDS = {
     "g32": Grid(nz=64, ny=32, nx=32, periodic=(False, True, True)),
     f"{GRID_N}^3": Grid.cube(GRID_N),
 }
+#: Solve-service grids of the coefficient-layout rows (nz = 2 n): g24,
+#: g32, and 128 x 64 x 64, whose domain-sized state (335 MB) outgrows a
+#: 300 MiB L3.
+LAYOUT_GRIDS = (24, 32, 64)
 #: Affinity settings of the group (``kernels._HostGroup`` keywords).
 PINNING = {
     "helpers pinned, caller held": {},
@@ -149,6 +156,41 @@ def _group_seconds(grid, steps=10):
     return seconds
 
 
+def _layout_seconds(n):
+    """Seconds per step of the naive sweep and of a registry-tuned MWD
+    plan over the tandem scene at service grid ``n`` (one thread, best of
+    2), with its coefficients domain-sized and contracted; and the bytes
+    of state per cell of each layout."""
+    from repro.fdfd import THIIMSolver
+    from repro.machine import HASWELL_EP
+    from repro.service import JobSpec, PlanRegistry
+    from repro.service.jobs import _solve_geometry
+
+    spec = JobSpec(kind="solve", preset="tandem", grid=n, wavelength=10.0, tiled=True)
+    grid, scene, _, source, pml = _solve_geometry(spec)
+    contracted = THIIMSolver(grid, 2 * np.pi / 10.0, scene=scene, source=source,
+                             pml=pml).coefficients
+    point, _ = PlanRegistry().get_or_tune(HASWELL_EP, n, 18)
+    plan = TilingPlan.build(ny=grid.ny, nz=grid.nz, timesteps=point.dw,
+                            dw=point.dw, bz=point.bz)
+    fields = FieldState(grid).fill_random(np.random.default_rng(7))
+    out = {"plan": (point.dw, point.bz), "cells": grid.n_cells}
+    for layout in ("full", "contracted"):
+        coeffs = contracted if layout == "contracted" else dataclasses.replace(
+            contracted, arrays={k: np.array(np.broadcast_to(a, grid.shape), order="C")
+                                for k, a in contracted.arrays.items()})
+        out[layout, "B/cell"] = 16 * len(fields.components()) + sum(
+            a.nbytes for a in coeffs.arrays.values()) / grid.n_cells
+        executor = TiledExecutor(fields, coeffs, plan)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "_WAYS", 1)
+            for traversal, fn in (("naive", lambda: naive_sweep(fields, coeffs, point.dw)),
+                                  ("MWD", executor.run)):
+                fn()  # bind, fault the pages in
+                out[layout, traversal] = _best(fn, 2) / point.dw
+    return out
+
+
 def test_bench_host_kernels_report(setup, capsys):
     """The host table, for the record (the paper's units; the simulated
     figures stay the reproduction of its 18-core numbers -- DESIGN.md
@@ -194,6 +236,7 @@ def test_bench_host_kernels_report(setup, capsys):
 
     cpus = len(os.sched_getaffinity(0))
     group = {name: _group_seconds(g) for name, g in GROUP_GRIDS.items()} if cpus > 1 else {}
+    layouts = {n: _layout_seconds(n) for n in LAYOUT_GRIDS}
 
     with capsys.disabled():
         print(f"\n[host kernels at {GRID_N}^3, {STEPS} steps, one thread; best of 3]")
@@ -223,6 +266,20 @@ def test_bench_host_kernels_report(setup, capsys):
             line = f"  {name:<5} {GROUP_GRIDS[name].n_cells:7,d} cells  serial {1e3 * row['serial']:6.2f}"
             for label in PINNING:
                 line += f" | {label} {1e3 * row[label]:6.2f} {row['serial'] / row[label]:4.2f}x"
+            print(line)
+        print(f"[tandem coefficients domain-sized vs contracted, service grids, "
+              f"registry-tuned plans, one thread, {backends[-1]} kernel; "
+              f"MLUP/s, best of 2]")
+        for n, row in layouts.items():
+            cells = row["cells"]
+            line = f"  g{n:<3} {2 * n}x{n}x{n} dw={row['plan'][0]:<2} bz={row['plan'][1]}"
+            for layout in ("full", "contracted"):
+                line += (f" | {layout} {row[layout, 'B/cell']:5.0f} B/cell naive "
+                         f"{cells / row[layout, 'naive'] / 1e6:6.2f} MWD "
+                         f"{cells / row[layout, 'MWD'] / 1e6:6.2f}")
+            line += (f" | contracted/full naive "
+                     f"{row['full', 'naive'] / row['contracted', 'naive']:.2f}x MWD "
+                     f"{row['full', 'MWD'] / row['contracted', 'MWD']:.2f}x")
             print(line)
     assert all(s > 0 for s in seconds.values())
     assert all(s > 0 for row in group.values() for s in row.values())

@@ -73,7 +73,8 @@ def main() -> None:
     for name, frac in sorted(scene.material_volume_fractions(grid).items()):
         print(f"  {name:10s} {100 * frac:5.1f}%")
     assert solver.coefficients.back_mask is not None, "Ag must trigger back iteration"
-    n_back = int(np.sum(solver.coefficients.back_mask))
+    # The mask has the contracted permittivity's shape: count grid cells.
+    n_back = int(np.sum(np.broadcast_to(solver.coefficients.back_mask, grid.shape)))
     print(f"back-iteration cells (Re eps < 0): {n_back} "
           f"({100 * n_back / grid.n_cells:.1f}% of the grid)")
 

@@ -106,8 +106,9 @@ def component_region(global_grid: Grid, sub: Subdomain, name: str):
 
 
 class _Rank:
-    """One rank's ghosted slab -- local fields + coefficients -- and the
-    index geometry the simulated and the process ranks both exchange by."""
+    """One rank's ghosted slab -- local fields + coefficients (slabbed
+    along their full axes only) -- and the index geometry the simulated
+    and the process ranks both exchange by."""
 
     def __init__(self, global_grid: Grid, sub: Subdomain,
                  global_fields: FieldState, global_coeffs: CoefficientSet):
@@ -122,8 +123,13 @@ class _Rank:
                         for name in ALL_COMPONENTS}
 
         def slab(global_array: np.ndarray) -> np.ndarray:
-            a = self.grid.zeros()
-            a[self.inner] = global_array[sub.own]
+            # A coefficient's broadcast (length-1) axes stay length 1; a
+            # full axis becomes the ghosted local one.
+            bcast = [n == 1 < m for n, m in zip(global_array.shape, global_grid.shape)]
+            a = np.zeros([1 if b else n for b, n in zip(bcast, self.grid.shape)],
+                         dtype=np.complex128)
+            a[tuple(slice(None) if b else s for b, s in zip(bcast, self.inner))] = \
+                global_array[tuple(slice(None) if b else s for b, s in zip(bcast, sub.own))]
             return a
 
         self.fields = FieldState(

@@ -12,8 +12,10 @@
  * with FMA and the plain four-multiply form on one without.  kernels.py
  * compares this pass with NumPy bit for bit before it trusts it.
  *
- * Arrays are C-contiguous complex128 of shape (lanes,) + n, addressed as
- * interleaved doubles.
+ * Arrays are C-contiguous complex128, addressed as interleaved doubles:
+ * the fields of shape (lanes,) + n, the coefficients t, c and src of one
+ * shape that broadcasts to it, read through the strides cs (0 on a
+ * broadcast axis, so one stored value serves the whole axis).
  */
 #include <stdint.h>
 
@@ -25,6 +27,8 @@ typedef struct {
     int64_t lanes;
     int64_t axis, shift;        /* derivative axis, far-read shift (+1 / -1) */
     int64_t periodic;           /* whether the far read wraps on `axis` */
+    int64_t cs[4];              /* lane/z/y/x strides of t, c, src in doubles;
+                                   0 on a broadcast axis, x: 0 or 2 */
 } thiim_op;
 
 /* Multiply form: 1 fused (the form above), 0 plain, -1 not yet asked of
@@ -45,20 +49,22 @@ int thiim_fused = -1;
 #define INLINE static inline __attribute__((always_inline))
 
 /* `cells` consecutive cells of one x row; fa / fb are a / b at the far
- * read.  Adds and subtracts follow update_component's order.  Inlined
- * with constant `s == 0`, `far_minus_near` and `fused`, so that the loop
- * body is branch-free and vectorises. */
+ * read, t / c / s advance along x only when `xstep` (else one value
+ * serves the row).  Adds and subtracts follow update_component's order.
+ * Inlined with constant `s == 0`, `far_minus_near`, `fused` and `xstep`,
+ * so that the loop body is branch-free and vectorises. */
 INLINE void row(double *restrict f, const double *a, const double *b,
                 const double *fa, const double *fb, const double *t,
                 const double *c, const double *s, int64_t cells,
-                int far_minus_near, int fused)
+                int far_minus_near, int fused, int xstep)
 {
     for (int64_t i = 0; i < 2 * cells; i += 2) {
+        const int64_t k = xstep ? i : 0;
         double nr = a[i] + b[i], ni = a[i + 1] + b[i + 1];
         double fr = fa[i] + fb[i], fi = fa[i + 1] + fb[i + 1];
         double dr = far_minus_near ? fr - nr : nr - fr;
         double di = far_minus_near ? fi - ni : ni - fi;
-        double tr = t[i], ti = t[i + 1], cr = c[i], ci = c[i + 1];
+        double tr = t[k], ti = t[k + 1], cr = c[k], ci = c[k + 1];
         double gr = f[i], gi = f[i + 1], re, im, pr, pi;
         if (fused) {
             re = __builtin_fma(tr, dr, -(ti * di));
@@ -74,28 +80,37 @@ INLINE void row(double *restrict f, const double *a, const double *b,
         re += pr;
         im += pi;
         if (s) {
-            re += s[i];
-            im += s[i + 1];
+            re += s[k];
+            im += s[k + 1];
         }
         f[i] = re;
         f[i + 1] = im;
     }
 }
 
-/* One row span at double offset `o`, its far read at `p`. */
-INLINE void span(const thiim_op *op, int64_t o, int64_t p, int64_t cells,
-                 int fused)
+/* One row span at field offset `o`, its far read at `p`, its
+ * coefficients at `k` (all in doubles). */
+INLINE void span(const thiim_op *op, int64_t o, int64_t p, int64_t k,
+                 int64_t cells, int fused)
 {
-#define ROW(S, PLUS) row(op->f + o, op->a + o, op->b + o, op->a + p, \
-                         op->b + p, op->t + o, op->c + o, S, cells, PLUS, fused)
-    if (op->src && op->shift > 0)
-        ROW(op->src + o, 1);
-    else if (op->src)
-        ROW(op->src + o, 0);
-    else if (op->shift > 0)
-        ROW(0, 1);
-    else
-        ROW(0, 0);
+#define ROW(S, PLUS, X) row(op->f + o, op->a + o, op->b + o, op->a + p, \
+                            op->b + p, op->t + k, op->c + k, S, cells, \
+                            PLUS, fused, X)
+#define ROWS(X)                                 \
+    if (op->src && op->shift > 0)               \
+        ROW(op->src + k, 1, X);                 \
+    else if (op->src)                           \
+        ROW(op->src + k, 0, X);                 \
+    else if (op->shift > 0)                     \
+        ROW(0, 1, X);                           \
+    else                                        \
+        ROW(0, 0, X)
+    if (op->cs[3]) {
+        ROWS(1);
+    } else {
+        ROWS(0);
+    }
+#undef ROWS
 #undef ROW
 }
 
@@ -105,6 +120,7 @@ INLINE void box_update(const thiim_op *op, const int64_t *bx, int fused)
     const int64_t z0 = bx[0], z1 = bx[1], y0 = bx[2], y1 = bx[3];
     int64_t x0 = bx[4], x1 = bx[5];
     const int64_t axis = op->axis, shift = op->shift;
+    const int64_t *cs = op->cs;
     /* On the x axis at most one cell of a row wraps: peel it off. */
     int64_t wrap_x = -1;
     if (axis == 2 && x0 + shift < 0)
@@ -118,11 +134,13 @@ INLINE void box_update(const thiim_op *op, const int64_t *bx, int fused)
                 int64_t yf = axis == 1 ? (y + shift + ny) % ny : y;
                 int64_t r = 2 * (((lane * nz + z) * ny + y) * nx);
                 int64_t q = 2 * (((lane * nz + zf) * ny + yf) * nx);
+                int64_t k = lane * cs[0] + z * cs[1] + y * cs[2];
                 span(op, r + 2 * x0, q + 2 * (x0 + (axis == 2 ? shift : 0)),
-                     x1 - x0, fused);
+                     k + x0 * cs[3], x1 - x0, fused);
                 if (wrap_x >= 0)
                     span(op, r + 2 * wrap_x,
-                         q + 2 * ((wrap_x + shift + nx) % nx), 1, fused);
+                         q + 2 * ((wrap_x + shift + nx) % nx),
+                         k + wrap_x * cs[3], 1, fused);
             }
         }
     }

@@ -1,4 +1,4 @@
-"""Precomputation of the 28 domain-sized THIIM coefficient arrays.
+"""Precomputation of the 28 THIIM coefficient arrays.
 
 The THIIM update of every split-field component has the two- or
 three-coefficient form of the paper's Listings 1 and 2::
@@ -8,6 +8,21 @@ three-coefficient form of the paper's Listings 1 and 2::
 This module derives ``t``, ``c`` and ``src`` per component from the
 discretized scheme (Eqs. 3-5 of the paper) so that the kernels stay the
 simple bandwidth-bound streaming loops the paper analyzes.
+
+Storage
+-------
+The paper's code stores all 28 arrays domain-sized (448 of its 640 B of
+state per cell).  Here each coefficient is stored at the smallest shape
+it broadcasts from: :func:`build_coefficients` contracts every input
+axis along which all slices are bytewise equal to length 1 and computes
+each component's ``t`` / ``c`` / ``src`` at the broadcast shape of its
+inputs.  A scene layered in z with a z-PML and a plane-wave source so
+stores ``(nz, 1, 1)`` profiles and ``(1, 1, 1)`` scalars; a sphere, a
+textured interface or a Gaussian beam keeps full arrays for the
+components whose inputs vary.  The arithmetic per element is the same as
+on full arrays, so every broadcast value is bitwise the one the full
+layout holds, and the kernels read the contracted arrays through
+strides (0 on a broadcast axis).
 
 Derivation
 ----------
@@ -64,15 +79,20 @@ __all__ = [
 ]
 
 
+def _broadcasts(shape: tuple, full: tuple) -> bool:
+    """Whether ``shape`` has ``full``'s rank and each axis is 1 or full."""
+    return len(shape) == len(full) and all(n in (1, m) for n, m in zip(shape, full))
+
+
 @dataclass
 class CoefficientSet:
     """The 28 coefficient arrays plus scheme metadata.
 
     ``arrays`` maps coefficient names (``tExy``, ``cExy``, ..., ``SrcHy``)
-    to domain-sized complex128 arrays.  Every coefficient is stored
-    domain-sized even where it is spatially constant -- that is the memory
-    layout of the production code and the entire point of the paper's
-    traffic analysis (640 bytes of state per cell).
+    to complex128 arrays of any 3-D shape that broadcasts to the grid
+    (module docstring, *Storage*); the domain-sized layout of the
+    production code is one valid case.  ``back_mask`` (cells that take the
+    back iteration) has the shape of the contracted permittivity.
     """
 
     grid: Grid
@@ -92,8 +112,9 @@ class CoefficientSet:
             extra = set(self.arrays) - expected
             raise KeyError(f"unexpected coefficient arrays: {sorted(extra)}")
         for name, a in self.arrays.items():
-            if a.shape != self.grid.shape:
-                raise ValueError(f"{name}: shape {a.shape} != {self.grid.shape}")
+            if not _broadcasts(a.shape, self.grid.shape):
+                raise ValueError(
+                    f"{name}: shape {a.shape} does not broadcast to {self.grid.shape}")
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.arrays[name]
@@ -114,7 +135,8 @@ class CoefficientSet:
 
 
 class BatchedCoefficientSet:
-    """``k`` stacked coefficient sets: 28 arrays of shape ``(k,) + grid.shape``.
+    """``k`` stacked coefficient sets: 28 arrays of shape ``(k,) + s``, ``s``
+    any shape that broadcasts to ``grid.shape``.
 
     Assembled once per campaign batch (:meth:`stack`) from per-point
     :class:`CoefficientSet` objects that were built through the ordinary
@@ -136,9 +158,10 @@ class BatchedCoefficientSet:
         if missing:
             raise KeyError(f"missing coefficient arrays: {sorted(missing)}")
         for name, a in arrays.items():
-            if a.shape != (k,) + grid.shape:
+            if a.shape[:1] != (k,) or not _broadcasts(a.shape[1:], grid.shape):
                 raise ValueError(
-                    f"{name}: shape {a.shape} != {(k,) + grid.shape}"
+                    f"{name}: shape {a.shape} is not ({k},) + a shape that "
+                    f"broadcasts to {grid.shape}"
                 )
         self.grid = grid
         self.omegas = list(omegas)
@@ -147,19 +170,19 @@ class BatchedCoefficientSet:
 
     @classmethod
     def stack(cls, sets: Sequence[CoefficientSet]) -> "BatchedCoefficientSet":
-        """One-pass batched assembly: stack per-point sets lane by lane."""
+        """One-pass batched assembly: stack per-point sets lane by lane,
+        each array at the per-axis maximum of the lanes' shapes."""
         if not sets:
             raise ValueError("cannot stack an empty sequence of coefficient sets")
         grid = sets[0].grid
         for s in sets:
             if s.grid.shape != grid.shape:
                 raise ValueError("all coefficient sets must share one grid shape")
-        arrays = {
-            name: np.ascontiguousarray(
-                np.stack([s.arrays[name] for s in sets])
-            )
-            for name in sets[0].arrays
-        }
+        arrays = {}
+        for name in sets[0].arrays:
+            shape = tuple(map(max, zip(*(s.arrays[name].shape for s in sets))))
+            arrays[name] = np.ascontiguousarray(np.stack(
+                [np.broadcast_to(s.arrays[name], shape) for s in sets]))
         return cls(grid, [s.omega for s in sets], [s.tau for s in sets], arrays)
 
     @property
@@ -197,13 +220,42 @@ class BatchedCoefficientSet:
         self.taus = [self.taus[i] for i in idx]
 
 
+def _contracted(value, grid: Grid, what: str, dtype) -> np.ndarray:
+    """``value`` as a 3-D ``dtype`` array of length 1 along every axis on
+    which all its slices are bytewise equal (a scalar is ``(1, 1, 1)``);
+    ``ValueError`` unless it broadcasts to the grid."""
+    a = np.asarray(value, dtype=dtype)
+    a = a.reshape((1,) * (3 - a.ndim) + a.shape) if a.ndim <= 3 else a
+    if not _broadcasts(a.shape, grid.shape):
+        raise ValueError(
+            f"{what} has shape {a.shape}, expected one that broadcasts to "
+            f"{grid.shape}")
+    bits = np.ascontiguousarray(a)[..., None].view(np.uint8)
+    for axis in range(3):
+        first = (slice(None),) * axis + (slice(0, 1),)
+        if a.shape[axis] > 1 and (bits == bits[first]).all():
+            a, bits = a[first], bits[first]
+    return a
+
+
 def _axis_profile(grid: Grid, axis: int, spec: PMLSpec | None, staggered: bool) -> np.ndarray:
-    """PML conductivity profile along ``axis`` broadcast to grid shape."""
+    """PML conductivity profile along ``axis``, contracted."""
     n = grid.axis_len(axis)
     prof = pml_profile(n, grid.spacing[axis], spec, staggered=staggered)
     shape = [1, 1, 1]
     shape[axis] = n
-    return prof.reshape(shape)
+    return _contracted(prof.reshape(shape), grid, "PML profile", np.float64)
+
+
+def _owned(a: np.ndarray, shape: tuple) -> np.ndarray:
+    """``a`` at ``shape`` as a writable, C-contiguous, owning complex128
+    array (the kernel binds raw addresses, ``compact`` writes them): ``a``
+    itself when it already is one, else one copy."""
+    if (a.shape == shape and a.dtype == np.complex128
+            and a.flags.c_contiguous and a.flags.writeable
+            and a.flags.owndata):
+        return a
+    return np.array(np.broadcast_to(a, shape), dtype=np.complex128, order="C")
 
 
 def build_coefficients(
@@ -217,7 +269,8 @@ def build_coefficients(
     pml: Mapping[str, PMLSpec] | None = None,
     sources: Mapping[str, np.ndarray] | None = None,
 ) -> CoefficientSet:
-    """Build the coefficient arrays for a scene.
+    """Build the coefficient arrays for a scene, each at the smallest shape
+    it broadcasts from (module docstring, *Storage*).
 
     Parameters
     ----------
@@ -240,14 +293,21 @@ def build_coefficients(
         (``SrcEx``, ``SrcEy``, ``SrcHx``, ``SrcHy``); the builder folds in
         the ``tau`` factor and the per-cell denominator.  Missing entries
         default to zero.
+
+    Every input is contracted by value first (:func:`_contracted`).  A
+    component's ``t``, ``c`` and ``src`` then share the broadcast shape of
+    the inputs they are computed from -- the PML profile of its
+    derivative axis, ``eps`` and ``sigma`` (E) or ``mu`` (H), its raw
+    source -- which does not depend on ``omega``, so the lanes of a batch
+    agree.
     """
     if omega <= 0:
         raise ValueError(f"omega must be positive, got {omega}")
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    eps = np.asarray(np.broadcast_to(np.asarray(eps, dtype=np.float64), grid.shape))
-    sigma = np.asarray(np.broadcast_to(np.asarray(sigma, dtype=np.float64), grid.shape))
-    mu = np.asarray(np.broadcast_to(np.asarray(mu, dtype=np.float64), grid.shape))
+    eps = _contracted(eps, grid, "permittivity", np.float64)
+    sigma = _contracted(sigma, grid, "conductivity", np.float64)
+    mu = _contracted(mu, grid, "permeability", np.float64)
     if np.any(eps == 0):
         raise ValueError("permittivity must be nonzero everywhere")
     if np.any(mu <= 0):
@@ -265,23 +325,14 @@ def build_coefficients(
     arrays: Dict[str, np.ndarray] = {}
     axis_spec = {0: pml.get("z"), 1: pml.get("y"), 2: pml.get("x")}
 
-    def full(a: np.ndarray) -> np.ndarray:
-        """``a`` as a writable, C-contiguous, owning complex128 array of
-        grid shape (the kernel binds raw addresses, ``compact`` writes
-        them): ``a`` itself when it already is one, else one copy."""
-        if (a.shape == grid.shape and a.dtype == np.complex128
-                and a.flags.c_contiguous and a.flags.writeable
-                and a.flags.owndata):
-            return a
-        return np.array(np.broadcast_to(a, grid.shape), dtype=np.complex128,
-                        order="C")
-
     for name in ALL_COMPONENTS:
         spec = SPECS[name]
         a = spec.deriv_axis
         d_a = grid.spacing[a]
         # The source factor s_* is only needed where a source is given.
-        sourced = sources.get(spec.source) is not None
+        raw = sources.get(spec.source)
+        if raw is not None:
+            raw = _contracted(raw, grid, f"source {spec.source}", np.complex128)
         if spec.field == "E":
             sig_a = _axis_profile(grid, a, axis_spec[a], staggered=False) + sigma
             # Forward iteration (Eq. 3).
@@ -294,7 +345,7 @@ def build_coefficients(
             t_b = -spec.sign * (tau / (eps * d_a)) * phase_half / denom_b
             c_arr = np.where(back, c_b, c_f)
             t_arr = np.where(back, t_b, t_f)
-            if sourced:
+            if raw is not None:
                 s_arr = np.where(back, -tau / denom_b,
                                  tau / denom_f * phase_full)
         else:
@@ -304,23 +355,16 @@ def build_coefficients(
             q = np.exp(1j * omega * tau / 2.0) + tau * sig_star / mu
             c_arr = np.exp(-1j * omega * tau / 2.0) / q
             t_arr = spec.sign * (tau / (mu * d_a)) / q
-            if sourced:
+            if raw is not None:
                 s_arr = tau / q
 
-        arrays[spec.coeff_t] = full(t_arr)
-        arrays[spec.coeff_c] = full(c_arr)
+        shape = np.broadcast_shapes(t_arr.shape, c_arr.shape,
+                                    () if raw is None else raw.shape)
+        arrays[spec.coeff_t] = _owned(t_arr, shape)
+        arrays[spec.coeff_c] = _owned(c_arr, shape)
         if spec.source is not None:
-            raw = sources.get(spec.source)
-            if raw is None:
-                src = np.zeros(grid.shape, dtype=np.complex128)
-            else:
-                raw = np.asarray(raw, dtype=np.complex128)
-                if raw.shape != grid.shape:
-                    raise ValueError(
-                        f"source {spec.source} has shape {raw.shape}, expected {grid.shape}"
-                    )
-                src = full(raw * np.broadcast_to(s_arr, grid.shape))
-            arrays[spec.source] = src
+            arrays[spec.source] = (np.zeros(shape, dtype=np.complex128)
+                                   if raw is None else _owned(raw * s_arr, shape))
 
     return CoefficientSet(grid=grid, omega=omega, tau=tau, arrays=arrays,
                           back_mask=back if bool(np.any(back)) else None)

@@ -249,12 +249,18 @@ def _update_numpy(name, fields, coeffs, region: Region) -> None:
         diff = np.subtract(near, far, out=s2)
 
     f = fields[name]
-    out = np.multiply(coeffs.t(name)[reg], diff, out=s1)
-    out += np.multiply(coeffs.c(name)[reg], f[reg], out=s2)
+    out = np.multiply(_coeff_view(coeffs.t(name), reg), diff, out=s1)
+    out += np.multiply(_coeff_view(coeffs.c(name), reg), f[reg], out=s2)
     src = coeffs.src(name)
     if src is not None:
-        out += src[reg]
+        out += _coeff_view(src, reg)
     f[reg] = out
+
+
+def _coeff_view(arr: np.ndarray, reg: tuple) -> np.ndarray:
+    """A coefficient over ``reg``, read whole along its length-1 (broadcast)
+    axes, so that it broadcasts against the region's field values."""
+    return arr[tuple(sl if n > 1 else slice(None) for sl, n in zip(reg, arr.shape))]
 
 
 # -- the compiled back end ----------------------------------------------------
@@ -262,11 +268,13 @@ def _update_numpy(name, fields, coeffs, region: Region) -> None:
 
 class _Op(ctypes.Structure):
     """``thiim_op`` of ``_thiim_kernel.c``: one component update bound to
-    the base addresses of its six arrays."""
+    the base addresses of its six arrays and the strides of its
+    coefficients."""
 
     _fields_ = [(k, ctypes.c_void_p) for k in ("f", "a", "b", "t", "c", "src")] + [
         ("n", ctypes.c_int64 * 3)] + [
-        (k, ctypes.c_int64) for k in ("lanes", "axis", "shift", "periodic")]
+        (k, ctypes.c_int64) for k in ("lanes", "axis", "shift", "periodic")] + [
+        ("cs", ctypes.c_int64 * 4)]
 
 
 #: component -> names of its operands: (read a, read b, t, c, src or None).
@@ -311,17 +319,27 @@ def _probe(call) -> bool:
     """Bitwise oracle, NumPy body against ``call``: every component (four
     carry ``src``) over the full box and a 1-cell-wide edge box as
     :func:`clip_region` leaves them on a periodic and on a bounded odd-sized
-    grid, two lanes and one.  NumPy's complex multiply rounds as its CPU
-    dispatch decides (fused on FMA hardware), so this is measured."""
+    grid, two lanes and one; then once more on the periodic grid with the
+    coefficients of each component contracted to ``(nz, 1, 1)``,
+    ``(1, 1, 1)``, ``(1, 1, nx)`` or kept full, so a stride the pass
+    misreads fails here.  Every op must have bound to the pass.  NumPy's
+    complex multiply rounds as its CPU dispatch decides (fused on FMA
+    hardware), so this is measured."""
     names = sorted({c for spec in SPECS.values() for c in spec.coeff_names})
     shape = (6, 7, 7)
     x = 0.37 * np.arange(1.0, 1 + (len(names) + 12) * 2 * math.prod(shape))
     # Full-mantissa filler without importing numpy.random: 28 + 12 two-lane stacks.
     data = (np.sin(x) + 1j * np.cos(1.7 * x)).reshape((-1, 2) + shape)
     constants, state = dict(zip(names, data)), dict(zip(ALL_COMPONENTS, data[len(names):]))
-    for wrap in (True, False):
+    contracted = {}
+    for i, comp in enumerate(ALL_COMPONENTS):
+        keep = ((True, False, False), (False,) * 3, (False, False, True), (True,) * 3)[i % 4]
+        for cname in SPECS[comp].coeff_names:
+            contracted[cname] = np.ascontiguousarray(constants[cname][
+                (slice(None),) + tuple(slice(None) if k else slice(0, 1) for k in keep)])
+    for wrap, consts in ((True, constants), (False, constants), (True, contracted)):
         grid = Grid(*shape, periodic=(wrap,) * 3)
-        coeffs = BatchedCoefficientSet(grid, [1.0, 1.0], [0.1, 0.1], constants)
+        coeffs = BatchedCoefficientSet(grid, [1.0, 1.0], [0.1, 0.1], consts)
         oracle = BatchedFieldState(grid, arrays=state)  # evolves on across grids
         fields = oracle.copy()
         for want, got, cs in ((oracle, fields, coeffs),
@@ -332,6 +350,8 @@ def _probe(call) -> bool:
                     if region:
                         _update_numpy(name, want, cs, region)
                         _update_native(call, name, got, cs, region)
+            if any(op[0] is None for op in got._bound.values()):
+                return False  # an op fell back to NumPy: nothing was probed
         if any(oracle[f].tobytes() != fields[f].tobytes() for f in ALL_COMPONENTS):
             return False
     return True
@@ -339,24 +359,33 @@ def _probe(call) -> bool:
 
 def _bind(fields, coeffs) -> dict:
     """component -> (op reference, the six arrays it points into -- held,
-    so no address is recycled while the binding lives).  Arrays the pass
-    cannot address bind to ``None`` and take the NumPy body."""
+    so no address is recycled while the binding lives).  The fields share
+    one shape, ``t`` / ``c`` / ``src`` another that broadcasts to it;
+    arrays the pass cannot address bind to ``None`` and take the NumPy
+    body."""
     grid = fields.grid
     bound = {}
     for name, (ra, rb, t, c, src) in _OPERANDS.items():
         spec = SPECS[name]
         arrays = (fields[name], fields[ra], fields[rb], coeffs[t], coeffs[c],
                   coeffs[src] if src else None)
-        shape = arrays[0].shape
+        shape, cshape = arrays[0].shape, arrays[3].shape
         ref = None
         if (len(shape) in (3, 4) and shape[-3:] == grid.shape
                 and arrays[0].flags.writeable
-                and all(a is None or (a.shape == shape and a.dtype == np.complex128
-                                      and a.flags.c_contiguous) for a in arrays)):
+                and len(cshape) == len(shape)
+                and all(n in (1, m) for n, m in zip(cshape, shape))
+                and all(a is None or (a.shape == (cshape if i > 2 else shape)
+                                      and a.dtype == np.complex128
+                                      and a.flags.c_contiguous)
+                        for i, a in enumerate(arrays))):
+            # Strides in doubles, 0 on a broadcast axis; lane first.
+            cs = (0,) * (4 - len(cshape)) + tuple(
+                s // 8 if n > 1 else 0 for n, s in zip(cshape, arrays[3].strides))
             ref = ctypes.byref(_Op(
                 *(a.ctypes.data if a is not None else None for a in arrays),
                 grid.shape, shape[0] if len(shape) == 4 else 1,
-                spec.deriv_axis, spec.shift, grid.periodic[spec.deriv_axis]))
+                spec.deriv_axis, spec.shift, grid.periodic[spec.deriv_axis], cs))
         bound[name] = (ref,) + arrays
     return bound
 

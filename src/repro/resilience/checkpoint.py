@@ -95,9 +95,11 @@ def take_report() -> Optional[dict]:
 def solver_token(solver, **cadence) -> str:
     """Content hash of what a solve computes, over its lane list (a
     batched solver's ``lanes``; a scalar solver is its own single lane):
-    the lane count, per lane every coefficient array, the grid geometry
-    and omega/tau, plus the loop cadence (check interval or chunk size
-    -- a checkpoint is only valid at its own boundaries).
+    the lane count, per lane every coefficient array as stored (name,
+    shape, bytes: a contracted array and the grid shape determine the
+    domain-sized one), the grid geometry and omega/tau, plus the loop
+    cadence (check interval or chunk size -- a checkpoint is only valid
+    at its own boundaries).
 
     A snapshot holds one array slice and one history per lane, so other
     widths must never resume it; a width-1 batch and a point solve of
@@ -117,11 +119,13 @@ def solver_token(solver, **cadence) -> str:
              "tau": lane.tau},
             sort_keys=True).encode())
         coeffs = lane.coefficients
-        for name in sorted(coeffs.arrays):
-            h.update(name.encode())
-            h.update(np.ascontiguousarray(coeffs.arrays[name]).tobytes())
+        arrays = dict(coeffs.arrays)
         if coeffs.back_mask is not None:
-            h.update(np.ascontiguousarray(coeffs.back_mask).tobytes())
+            arrays["back_mask"] = coeffs.back_mask
+        for name in sorted(arrays):
+            a = np.ascontiguousarray(arrays[name])
+            h.update(f"{name}{list(a.shape)}".encode())
+            h.update(a.tobytes())
     return h.hexdigest()[:32]
 
 

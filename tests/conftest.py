@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 import threading
 from contextlib import contextmanager
@@ -11,7 +12,12 @@ import pytest
 
 from repro import telemetry
 from repro.core.wavefront import RowJob, level_offsets
-from repro.fdfd import FieldState, Grid, kernels, random_coefficients
+from repro.fdfd import (ALL_COMPONENTS, SPECS, BatchedCoefficientSet, BatchedTHIIMSolver,
+                        CoefficientSet, FieldState, Grid, Scene, THIIMSolver, kernels,
+                        random_coefficients)
+from repro.fdfd.materials import A_SI_H, SILVER
+from repro.fdfd.pml import pml_profile
+from repro.service.jobs import _solve_geometry
 from repro.fleet import gateway_over
 from repro.fleet.router import poll_job
 from repro.machine import BatchLRU, BatchStreamEmitter, measure
@@ -74,6 +80,101 @@ def kernel_backend(request):
 
 def random_state(grid: Grid, seed: int = 0) -> FieldState:
     return FieldState(grid).fill_random(np.random.default_rng(seed))
+
+
+def full_coefficients(grid, omega, tau, eps=1.0, sigma=0.0, *, mu=1.0,
+                      pml=None, sources=None) -> CoefficientSet:
+    """The domain-sized coefficient build -- the oracle of
+    ``build_coefficients``: every input broadcast to the grid first, every
+    array stored at grid shape (the production code's layout)."""
+    eps = np.asarray(np.broadcast_to(np.asarray(eps, dtype=np.float64), grid.shape))
+    sigma = np.asarray(np.broadcast_to(np.asarray(sigma, dtype=np.float64), grid.shape))
+    mu = np.asarray(np.broadcast_to(np.asarray(mu, dtype=np.float64), grid.shape))
+    pml = dict(pml or {})
+    sources = dict(sources or {})
+    back = eps < 0.0
+    phase_full = np.exp(-1j * omega * tau)
+    phase_half = np.exp(1j * omega * tau / 2.0)
+    arrays = {}
+    axis_spec = {0: pml.get("z"), 1: pml.get("y"), 2: pml.get("x")}
+
+    def profile(axis, staggered):
+        n = grid.axis_len(axis)
+        shape = [1, 1, 1]
+        shape[axis] = n
+        return pml_profile(n, grid.spacing[axis], axis_spec[axis],
+                           staggered=staggered).reshape(shape)
+
+    def full(a):
+        return np.array(np.broadcast_to(a, grid.shape), dtype=np.complex128, order="C")
+
+    for name in ALL_COMPONENTS:
+        spec = SPECS[name]
+        a = spec.deriv_axis
+        d_a = grid.spacing[a]
+        sourced = sources.get(spec.source) is not None
+        if spec.field == "E":
+            sig_a = profile(a, staggered=False) + sigma
+            denom_f = 1.0 + tau * sig_a / eps
+            c_f = phase_full / denom_f
+            t_f = spec.sign * (tau / (eps * d_a)) * phase_half / denom_f * phase_full
+            denom_b = 1.0 - tau * sig_a / eps
+            c_b = np.exp(1j * omega * tau) / denom_b
+            t_b = -spec.sign * (tau / (eps * d_a)) * phase_half / denom_b
+            c_arr = np.where(back, c_b, c_f)
+            t_arr = np.where(back, t_b, t_f)
+            if sourced:
+                s_arr = np.where(back, -tau / denom_b, tau / denom_f * phase_full)
+        else:
+            sig_star = profile(a, staggered=True)
+            q = np.exp(1j * omega * tau / 2.0) + tau * sig_star / mu
+            c_arr = np.exp(-1j * omega * tau / 2.0) / q
+            t_arr = spec.sign * (tau / (mu * d_a)) / q
+            if sourced:
+                s_arr = tau / q
+        arrays[spec.coeff_t] = full(t_arr)
+        arrays[spec.coeff_c] = full(c_arr)
+        if spec.source is not None:
+            raw = sources.get(spec.source)
+            arrays[spec.source] = (
+                np.zeros(grid.shape, dtype=np.complex128) if raw is None else
+                full(np.asarray(raw, dtype=np.complex128)
+                     * np.broadcast_to(s_arr, grid.shape)))
+    return CoefficientSet(grid=grid, omega=omega, tau=tau, arrays=arrays,
+                          back_mask=back if bool(np.any(back)) else None)
+
+
+def sphere_scene(grid) -> Scene:
+    """A silver back contact under an a-Si:H sphere: a scene whose
+    permittivity varies along all three axes."""
+    nz, ny, nx = grid.shape
+    return Scene().add_layer(SILVER, nz - nz // 4, nz).add_sphere(
+        A_SI_H, (nz / 2, ny / 2, nx / 2), min(ny, nx) / 3)
+
+
+def service_solver(scene: str, n: int = 10, wavelengths=(10.0,), tiled=False):
+    """The solve service's solver of a preset, or of ``"sphere"`` (the
+    service geometry around :func:`sphere_scene`): a point solver, or a
+    batch for several wavelengths."""
+    spec = JobSpec(kind="solve", preset="vacuum" if scene == "sphere" else scene,
+                   grid=n, wavelength=wavelengths[0], tiled=tiled)
+    grid, layers, _, source, pml = _solve_geometry(spec)
+    kw = dict(scene=sphere_scene(grid) if scene == "sphere" else layers,
+              source=source, pml=pml)
+    omegas = [2 * np.pi / w for w in wavelengths]
+    if len(omegas) == 1:
+        return THIIMSolver(grid, omegas[0], **kw)
+    return BatchedTHIIMSolver(grid, omegas, **kw)
+
+
+def expanded(coeffs):
+    """A copy of ``coeffs`` (point or stacked lanes) with every array
+    broadcast out to the domain-sized layout, still a valid one."""
+    arrays = {n: np.array(np.broadcast_to(a, a.shape[:-3] + coeffs.grid.shape), order="C")
+              for n, a in coeffs.arrays.items()}
+    if isinstance(coeffs, BatchedCoefficientSet):
+        return BatchedCoefficientSet(coeffs.grid, coeffs.omegas, coeffs.taus, arrays)
+    return dataclasses.replace(coeffs, arrays=arrays)
 
 
 def front_stepping_jobs(tile, nz: int, bz: int):

@@ -17,7 +17,7 @@ from repro.cluster import (
 from repro.cluster.decomposition import _split
 from repro.fdfd import FieldState, Grid, naive_sweep, random_coefficients
 
-from conftest import random_state
+from conftest import random_state, service_solver
 
 
 class TestRankLayout:
@@ -115,6 +115,25 @@ class TestDistributedEqualsGlobal:
         dist.step(3)
         gathered = dist.gather()
         assert f_global.max_abs_difference(gathered) == 0.0
+
+    @pytest.mark.parametrize("scene", ["tandem", "sphere"])
+    def test_scene_coefficients_equal_single_domain(self, scene):
+        """A layered scene's contracted coefficients are slabbed along
+        their full axes only, a sphere's along all three; both give the
+        single-domain bits."""
+        solver = service_solver(scene)
+        grid, coeffs = solver.grid, solver.coefficients
+        f_global = random_state(grid, seed=7)
+        f_dist = f_global.copy()
+        naive_sweep(f_global, coeffs, 3)
+        dist = DistributedTHIIM(RankLayout(grid, 2, 2, 1), f_dist, coeffs)
+        dist.step(3)
+        gathered = dist.gather()
+        assert all(gathered[n].tobytes() == f_global[n].tobytes() for n in gathered)
+        for rank in dist.ranks.values():
+            for name, a in rank.coeffs.arrays.items():
+                assert a.shape == tuple(m if n > 1 else 1 for n, m in zip(
+                    coeffs[name].shape, rank.grid.shape)), name
 
     def test_periodic_x_distributed(self):
         grid = Grid(nz=8, ny=8, nx=8, periodic=(False, False, True))

@@ -3,16 +3,27 @@ properties (forward vs. back iteration), PML folding, source handling."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fdfd import (
     ALL_COMPONENTS,
     SPECS,
+    BatchedCoefficientSet,
     Grid,
     PMLSpec,
+    PlaneWaveSource,
+    Scene,
     build_coefficients,
+    gaussian_beam_profile,
     random_coefficients,
+    sinusoidal_texture,
 )
 from repro.fdfd.coefficients import CoefficientSet
+from repro.fdfd.materials import A_SI_H
+from repro.fdfd.presets import PRESETS, preset_scene
+
+from conftest import expanded, full_coefficients, service_solver, sphere_scene
 
 
 @pytest.fixture
@@ -30,10 +41,14 @@ class TestArrayAccounting:
             assert f"t{comp}" in names and f"c{comp}" in names
 
     def test_all_domain_sized_complex(self, grid):
+        """Every array is complex128 and broadcasts to the grid; the
+        domain-sized layout is still a valid set."""
         cs = build_coefficients(grid, omega=1.0, tau=0.1)
         for name, arr in cs.arrays.items():
-            assert arr.shape == grid.shape, name
+            assert np.broadcast_shapes(arr.shape, grid.shape) == grid.shape, name
             assert arr.dtype == np.complex128, name
+        for name, arr in expanded(cs).arrays.items():
+            assert arr.shape == grid.shape, name
 
     @pytest.mark.parametrize("scene", [
         {},                                               # scalar eps/sigma/mu
@@ -76,7 +91,7 @@ class TestArrayAccounting:
             CoefficientSet(grid=grid, omega=1.0, tau=0.1, arrays=arrays)
 
     def test_accessors(self, grid):
-        cs = build_coefficients(grid, omega=1.0, tau=0.1)
+        cs = expanded(build_coefficients(grid, omega=1.0, tau=0.1))
         assert cs.t("Exy") is cs.arrays["tExy"]
         assert cs.c("Hzy") is cs.arrays["cHzy"]
         assert cs.src("Exz") is cs.arrays["SrcEx"]
@@ -125,9 +140,9 @@ class TestStability:
 
 class TestPMLFolding:
     def test_pml_damps_only_matching_axis_components(self, grid):
-        cs = build_coefficients(
+        cs = expanded(build_coefficients(
             grid, omega=0.8, tau=0.2, pml={"z": PMLSpec(thickness=4)}
-        )
+        ))
         inside_pml = (0, 3, 2)  # z = 0 is deep in the PML
         centre = (6, 3, 2)
         for name in ALL_COMPONENTS:
@@ -141,16 +156,17 @@ class TestPMLFolding:
 
     def test_pml_magnetic_matching(self, grid):
         """H split parts are damped too (matched PML)."""
-        cs = build_coefficients(grid, omega=0.8, tau=0.2, pml={"z": PMLSpec(thickness=4)})
+        cs = expanded(build_coefficients(grid, omega=0.8, tau=0.2,
+                                         pml={"z": PMLSpec(thickness=4)}))
         assert abs(cs.c("Hyz")[0, 0, 0]) < abs(cs.c("Hyz")[6, 0, 0])
 
     def test_multi_axis_pml(self, grid):
-        cs = build_coefficients(
+        cs = expanded(build_coefficients(
             grid,
             omega=0.8,
             tau=0.2,
             pml={"z": PMLSpec(thickness=4), "y": PMLSpec(thickness=2)},
-        )
+        ))
         assert abs(cs.c("Exy")[6, 0, 2]) < abs(cs.c("Exy")[6, 3, 2])
 
 
@@ -196,3 +212,121 @@ class TestValidation:
         assert cs.spectral_radius_bound() < 0.8 + 1e-9
         with pytest.raises(ValueError):
             random_coefficients(grid, contraction=1.5)
+
+
+@st.composite
+def _scenes(draw):
+    """Keyword arguments of one ``build_coefficients`` call: a preset,
+    sphere or textured scene at a drawn omega, PML axes and source."""
+    n = draw(st.integers(10, 12))  # the tandem stack needs nz >= 20
+    grid = Grid(nz=2 * n, ny=draw(st.integers(5, 8)), nx=draw(st.integers(5, 8)),
+                periodic=(False, True, True))
+    omega = draw(st.floats(0.2, 1.5))
+    kind = draw(st.sampled_from(PRESETS + ("sphere", "texture")))
+    if kind == "sphere":
+        scene = sphere_scene(grid)
+    elif kind == "texture":
+        scene = Scene().add_layer(A_SI_H, n, grid.nz - 2,
+                                  texture=sinusoidal_texture(1.5, grid.ny, grid.nx))
+    else:
+        scene = preset_scene(kind, grid.nz, thickness=draw(
+            st.none() | st.sampled_from([0.1, 0.25, 0.4])))
+    eps, sigma = scene.rasterize(grid, omega) if scene else (1.0, 0.0)
+    pml = {axis: PMLSpec(thickness=2) for axis in draw(st.sets(st.sampled_from("zyx")))}
+    source = draw(st.sampled_from(["none", "plane", "thick", "beam"]))
+    sources = None
+    if source != "none":
+        sources = PlaneWaveSource(
+            z_plane=n // 2, z_width=2.0 if source == "thick" else 0.0,
+            wavenumber=omega, polarization=draw(st.sampled_from("xy")),
+            profile=gaussian_beam_profile(grid, 2.0) if source == "beam" else None,
+        ).build(grid)
+    return dict(grid=grid, omega=omega, tau=0.3, eps=eps, sigma=sigma,
+                mu=draw(st.sampled_from([1.0, 1.5])), pml=pml, sources=sources)
+
+
+def _varies(a, axis):
+    return a.shape[axis] > 1 and not (a == np.take(a, [0], axis=axis)).all()
+
+
+class TestContraction:
+    """Each coefficient at the smallest shape it broadcasts from."""
+
+    @given(kw=_scenes())
+    @settings(max_examples=80, deadline=None)
+    def test_contracted_build_equals_the_full_oracle_bitwise(self, kw):
+        got = build_coefficients(**kw)
+        want = full_coefficients(**kw)
+        grid = kw["grid"]
+        assert set(got.arrays) == set(want.arrays)
+        for name, arr in got.arrays.items():
+            full = np.broadcast_to(arr, grid.shape)
+            assert arr.dtype == np.complex128, name
+            assert full.tobytes() == want.arrays[name].tobytes(), name
+        assert (got.back_mask is None) == (want.back_mask is None)
+        if got.back_mask is not None:
+            assert np.array_equal(np.broadcast_to(got.back_mask, grid.shape),
+                                  want.back_mask)
+        # The smallest shared shape: t, c and src of a component agree, and
+        # each full axis is one along which one of them varies.
+        for comp in ALL_COMPONENTS:
+            arrays = [want.arrays[n] for n in SPECS[comp].coeff_names]
+            shape = got.arrays[SPECS[comp].coeff_t].shape
+            assert {got.arrays[n].shape for n in SPECS[comp].coeff_names} == {shape}
+            for axis in range(3):
+                assert (shape[axis] > 1) == any(_varies(a, axis) for a in arrays), (
+                    comp, axis, shape)
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_layered_presets_store_profiles_and_scalars(self, preset):
+        """The service geometry at grid 24: every array ``(nz, 1, 1)`` or
+        ``(1, 1, 1)``, for the lanes of a batch too."""
+        batch = service_solver(preset, n=24, wavelengths=(10.0, 12.0, 14.0))
+        nz = batch.grid.nz
+        for solver in batch.lanes:
+            shapes = [a.shape for a in solver.coefficients.arrays.values()]
+            assert set(shapes) <= {(nz, 1, 1), (1, 1, 1)}
+            assert sum(a.nbytes for a in solver.coefficients.arrays.values()) \
+                <= 28 * nz * 16
+        for name, a in batch.coefficients.arrays.items():
+            assert a.shape == (3,) + batch.lanes[0].coefficients[name].shape, name
+
+    def test_tandem_layout(self):
+        """E: ``eps`` / ``sigma`` vary in z; H: only the z-PML profile does;
+        sources follow their component's shape."""
+        cs = service_solver("tandem", n=24).coefficients
+        nz = cs.grid.nz
+        profiles = sorted(n for n, a in cs.arrays.items() if a.shape == (nz, 1, 1))
+        scalars = sorted(n for n, a in cs.arrays.items() if a.shape == (1, 1, 1))
+        assert len(profiles) == 20 and len(scalars) == 8
+        assert all(SPECS[n[1:]].field == "H" and SPECS[n[1:]].deriv_axis != 0
+                   for n in scalars)
+        assert sum(a.nbytes for a in cs.arrays.values()) == (20 * nz + 8) * 16
+
+    def test_sphere_keeps_full_arrays_where_values_vary(self):
+        cs = service_solver("sphere").coefficients
+        for comp in ALL_COMPONENTS:
+            full = cs.t(comp).shape == cs.grid.shape
+            assert full == (SPECS[comp].field == "E"), comp
+
+    def test_stack_takes_the_per_axis_maximum(self):
+        grid = Grid(nz=8, ny=5, nx=4)
+        contracted = build_coefficients(grid, omega=0.8, tau=0.2,
+                                        pml={"z": PMLSpec(thickness=2)})
+        batch = BatchedCoefficientSet.stack([contracted, expanded(contracted)])
+        for name, a in batch.arrays.items():
+            assert a.shape == (2,) + grid.shape, name
+            assert a.flags.c_contiguous, name  # the kernel binds raw addresses
+            assert a[0].tobytes() == a[1].tobytes(), name
+        lanes = BatchedCoefficientSet.stack([contracted, contracted])
+        for name, a in lanes.arrays.items():
+            assert a.shape == (2,) + contracted[name].shape, name
+
+    def test_shapes_that_do_not_broadcast_are_rejected(self):
+        grid = Grid(nz=8, ny=5, nx=4)
+        cs = build_coefficients(grid, omega=0.8, tau=0.2)
+        for bad in (np.zeros((2, 1, 1), complex), np.zeros((8, 5), complex)):
+            with pytest.raises(ValueError, match="broadcast"):
+                CoefficientSet(grid, 0.8, 0.2, dict(cs.arrays, tExy=bad))
+        with pytest.raises(ValueError, match="broadcast"):
+            build_coefficients(grid, omega=0.8, tau=0.2, eps=np.ones((3, 5, 4)))

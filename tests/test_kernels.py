@@ -32,7 +32,8 @@ from repro.fdfd.specs import SPECS
 from repro.resilience import faults
 from repro.resilience.errors import RESILIENCE_COUNTERS
 
-from conftest import numpy_kernels, random_state
+from conftest import (expanded, numpy_kernels, random_state, run_concurrently,
+                      service_solver)
 
 needs_native = pytest.mark.skipif(
     not kernels._native(), reason="compiled THIIM kernel unavailable")
@@ -480,3 +481,103 @@ class TestFallback:
             faults.uninstall()
         assert kernels._THIIM is False
         assert _degraded() == before + 1
+
+
+#: Per-component layouts of ``t`` / ``c`` / ``src``: a kept axis is full.
+_KEEPS = st.lists(st.tuples(st.booleans(), st.booleans(), st.booleans()),
+                  min_size=12, max_size=12)
+
+
+def _contracted_problem(grid, k, seed, keeps):
+    """Fields, and coefficients stored at one drawn broadcast shape per
+    component (plain for k = 1, ``k`` stacked lanes else)."""
+    rng = np.random.default_rng(seed)
+    arrays = {}
+    for comp, keep in zip(ALL_COMPONENTS, keeps):
+        shape = (k,) + tuple(n if kept else 1 for n, kept in zip(grid.shape, keep))
+        for name in SPECS[comp].coeff_names:
+            arrays[name] = (rng.standard_normal(shape)
+                            + 1j * rng.standard_normal(shape)) * 0.5
+    coeffs = BatchedCoefficientSet(grid, [1.0] * k, [0.1] * k, arrays)
+    states = [random_state(grid, seed + 1 + i) for i in range(k)]
+    if k == 1:
+        return states[0], coeffs.lane(0)
+    return BatchedFieldState.stack(states), coeffs
+
+
+def _bodies():
+    return [False] + ([kernels._native()] if kernels._native() else [])
+
+
+class TestContractedCoefficients:
+    """Coefficients read through strides: the same bits as the full layout,
+    on both bodies, and the compiled pass binds every preset's ops."""
+
+    @given(problem=_boxes(), k=st.integers(1, 3), seed=st.integers(0, 50),
+           keeps=_KEEPS)
+    @settings(max_examples=60, deadline=None)
+    def test_contracted_equals_full_bitwise(self, problem, k, seed, keeps):
+        grid, (z, y, x) = problem
+        fields, coeffs = _contracted_problem(grid, k, seed, keeps)
+        runs = []
+        for body in _bodies():
+            for cs in (coeffs, expanded(coeffs)):
+                f = fields.copy()
+                if k > 1:
+                    cs = BatchedCoefficientSet(grid, cs.omegas, cs.taus, dict(cs.arrays))
+                saved, kernels._THIIM = kernels._THIIM, body
+                try:
+                    for step in range(2 if k > 1 else 1):
+                        if step:
+                            f.compact([k - 1, 0])
+                            cs.compact([k - 1, 0])
+                        for name in ALL_COMPONENTS:
+                            region = clip_region(grid, SPECS[name], z=z, y=y, x=x)
+                            if region is not None:
+                                update_component(name, f, cs, region)
+                finally:
+                    kernels._THIIM = saved
+                assert not body or all(op[0] is not None for op in f._bound.values())
+                runs.append(_bits(f))
+        assert all(run == runs[0] for run in runs)
+
+    @needs_native
+    @pytest.mark.parametrize("lanes", [1, 3])
+    @pytest.mark.parametrize("scene", ["tandem", "vacuum", "sphere"])
+    def test_every_op_of_a_scene_binds_natively(self, scene, lanes):
+        """No silent slow path: a coefficient layout the pass cannot address
+        would bind to ``None`` and quietly take the NumPy body."""
+        solver = service_solver(scene, wavelengths=(10.0, 12.0, 14.0)[:lanes])
+        bound = kernels._bind(solver.fields, solver.coefficients)
+        assert all(op[0] is not None for op in bound.values())
+        assert any(a.shape[-3:] != solver.grid.shape
+                   for a in solver.coefficients.arrays.values())
+
+    def test_threads_bind_and_rebind_over_contracted_coefficients(self):
+        """Four threads, two on one shared point coefficient set, two on
+        lane stacks they compact: each binds, rebinds after an array is
+        replaced and after compaction, and ends on its serial bits."""
+        shared = service_solver("tandem").coefficients
+        grid = shared.grid
+
+        def run(case):
+            k, seed = case
+            fields = (random_state(grid, seed) if k == 1 else
+                      BatchedFieldState.stack([random_state(grid, seed + i)
+                                               for i in range(k)]))
+            coeffs = shared if k == 1 else BatchedCoefficientSet.stack([shared] * k)
+            for _ in range(3):
+                update_h(fields, coeffs)
+                fields.components()["Exy"] = fields["Exy"].copy()  # rebinds
+                update_e(fields, coeffs)
+            if k > 1:
+                fields.compact([1])
+                coeffs.compact([1])
+                update_h(fields, coeffs)
+            return _bits(fields)
+
+        cases = [(1, 1), (1, 2), (2, 3), (3, 4)]
+        serial = {case: run(case) for case in cases}
+        got = {}
+        run_concurrently(lambda case: got.__setitem__(case, run(case)), cases)
+        assert got == serial

@@ -1,6 +1,7 @@
 """Checkpoint/restart: bit-identical resume, token guard, quarantine."""
 
 import os
+import time
 from functools import partial
 
 import numpy as np
@@ -28,6 +29,8 @@ from repro.resilience.errors import (
     InjectedFault,
     SolverDiverged,
 )
+
+from conftest import service_solver
 
 
 def make_solver(nz=24, n_xy=6, wavelength=10.0):
@@ -67,6 +70,45 @@ class TestToken:
         base = solver_token(make_solver(), check_every=20)
         assert solver_token(make_solver(nz=32), check_every=20) != base
         assert solver_token(make_solver(), check_every=10) != base
+
+    def test_stable_across_two_builds_of_one_spec(self):
+        assert solver_token(service_solver("tandem"), check_every=20) == \
+            solver_token(service_solver("tandem"), check_every=20)
+
+    def test_changes_when_one_cell_changes(self):
+        """The token hashes the stored arrays with their shapes: the
+        domain-sized layout of the same values, one changed cell of it,
+        and one changed value of a contracted profile all differ."""
+        solver = service_solver("tandem")
+        arrays = solver.coefficients.arrays
+        tokens = {solver_token(solver, check_every=20)}
+        profile = arrays["tExz"]
+        assert profile.shape == (solver.grid.nz, 1, 1)
+        arrays["tExz"] = np.array(np.broadcast_to(profile, solver.grid.shape))
+        tokens.add(solver_token(solver, check_every=20))
+        arrays["tExz"][12, 4, 3] += 1e-9
+        tokens.add(solver_token(solver, check_every=20))
+        profile[12] += 1e-9
+        arrays["tExz"] = profile
+        tokens.add(solver_token(solver, check_every=20))
+        assert len(tokens) == 4
+
+    def test_hashes_the_shape(self):
+        """The same bytes stored along another axis are another scene."""
+        solver = make_solver(nz=24, n_xy=24)
+        base = solver_token(solver, check_every=20)
+        arrays = solver.coefficients.arrays
+        arrays["tExz"] = arrays["tExz"].reshape(1, 24, 1)
+        assert solver_token(solver, check_every=20) != base
+
+    def test_takes_under_a_millisecond_at_grid_24(self):
+        solver = service_solver("tandem", n=24, tiled=True)
+        best = float("inf")
+        for _ in range(20):
+            t0 = time.perf_counter()
+            solver_token(solver, chunk=24)
+            best = min(best, time.perf_counter() - t0)
+        assert best < 1e-3, best
 
 
 class TestSaveLoad:
@@ -234,8 +276,11 @@ def _build(batched=False, poison=False):
     solver = (BatchedTHIIMSolver(grid, OMEGAS, **kw) if batched
               else THIIMSolver(grid, OMEGAS[0], **kw))
     if poison:
-        # NaN in one coefficient cell of the first lane.
-        cell = solver.coefficients.arrays["tExz"]
+        # NaN in one coefficient cell of the first lane, written into the
+        # domain-sized layout of the array.
+        arrays = solver.coefficients.arrays
+        cell = arrays["tExz"] = np.array(
+            np.broadcast_to(arrays["tExz"], arrays["tExz"].shape[:-3] + grid.shape))
         (cell[0] if batched else cell)[12, 4, 3] = np.nan
     return solver
 

@@ -25,7 +25,7 @@ from repro.io import (
     save_state,
 )
 
-from conftest import random_state
+from conftest import random_state, service_solver
 
 
 def make_solver(tiled_ok=True):
@@ -114,6 +114,15 @@ class TestStateIO:
         assert np.array_equal(restored.back_mask, coeffs.back_mask)
         for name, arr in coeffs.arrays.items():
             assert np.array_equal(restored.arrays[name], arr), name
+
+    def test_roundtrip_keeps_contracted_shapes(self, tmp_path):
+        coeffs = service_solver("tandem").coefficients
+        restored = load_coefficients(
+            save_coefficients(coeffs, str(tmp_path / "coeffs.npz")))
+        assert restored.back_mask.shape == coeffs.back_mask.shape
+        for name, arr in coeffs.arrays.items():
+            assert restored.arrays[name].shape == arr.shape, name
+            assert restored.arrays[name].tobytes() == arr.tobytes(), name
 
     def test_checkpoint_resume_equivalence(self, tmp_path):
         """Saving mid-run and resuming gives the same trajectory."""
