@@ -312,8 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--workers", type=int, default=2)
     cp.add_argument("--url", default=None,
                     help="submit to a running service instead of in-process")
-    cp.add_argument("--trace", default=None, metavar="FILE.json",
-                    help="write one Chrome trace covering the whole campaign")
     cp.add_argument("--out", default=None, metavar="FILE.json",
                     help="save the campaign table as JSON")
     cp.add_argument("--timeout", type=float, default=600.0)
@@ -997,102 +995,95 @@ def _campaign_specs(args) -> list:
 def _cmd_campaign(args) -> int:
     """Run a thickness x wavelength sweep (the paper's solar-cell use
     case) through the scheduler, reusing one tuned plan per machine key."""
-    from .core import tracing
+    from . import telemetry
     from .fleet.router import http_request, poll_job
     from .service import PlanRegistry, Scheduler
     from .service.jobs import JobSpec, JobState
 
     specs = _campaign_specs(args)
-    rec = tracing.start_trace(args.trace) if args.trace else None
 
     rows = []
-    try:
-        with tracing.span(f"campaign {len(specs)} jobs", "service",
-                          args={"preset": args.preset, "grid": args.grid}):
-            if args.url:
-                ids = []
-                for spec in specs:
-                    status, doc, _ = http_request(
-                        "POST", f"{args.url}/jobs", payload=spec)
-                    if status != 202:
-                        print(f"submit failed ({status}): {doc.get('error')}")
-                        return 2
-                    ids.append(doc["id"])
-                docs = [poll_job(args.url, i, args.timeout) for i in ids]
-                status_line = f"remote service at {args.url}"
-            else:
-                registry = PlanRegistry(args.registry)
-                sched = Scheduler(
-                    workers=args.workers,
-                    queue_size=max(len(specs), 1),
-                    registry=registry, mode="thread",
-                ).start()
-                try:
-                    jobs = [sched.submit(JobSpec.from_dict(s)) for s in specs]
-                    sched.join(timeout=args.timeout)
-                finally:
-                    sched.stop()
-                docs = [j.to_dict() for j in jobs]
-                st = sched.stats()
-                reg = registry.counters()
-                hit_rate = reg["hits"] / max(reg["hits"] + reg["misses"], 1)
-                status_line = (
-                    f"{st['executed']} executions for {st['submitted']} "
-                    f"submissions ({st['deduplicated']} deduplicated); "
-                    f"registry {reg['hits']} hits / {reg['misses']} misses "
-                    f"({100 * hit_rate:.0f}% hit rate)"
-                )
-            batch_stats = {"dedup": 0, "solved": 0, "failed": 0}
-            for spec, doc in zip(specs, docs):
-                res = doc.get("result") or {}
-                if spec.get("kind") == "batch":
-                    batch_stats["dedup"] += res.get("dedup_hits") or 0
-                    batch_stats["solved"] += res.get("solved") or 0
-                    batch_stats["failed"] += res.get("failed") or 0
-                    points = res.get("points")
-                    if points is None:  # batch job itself failed
-                        points = [{"wavelength": w, "result": None}
-                                  for w in spec["wavelengths"]]
-                    for p in points:
-                        pres = p.get("result") or {}
-                        if doc["state"] != JobState.DONE:
-                            state = doc["state"]
-                        else:
-                            state = ("failed" if p.get("error")
-                                     else JobState.DONE)
-                        rows.append({
-                            "wavelength": p["wavelength"],
-                            "thickness": spec["thickness"],
-                            "state": state,
-                            "iterations": pres.get("iterations"),
-                            "converged": pres.get("converged"),
-                            "absorbed": pres.get("absorbed"),
-                            "registry_hit": (pres.get("plan") or {}).get(
-                                "registry_hit"),
-                            "from_store": p.get("from_store"),
-                        })
-                    continue
-                rows.append({
-                    "wavelength": spec["wavelength"],
-                    "thickness": spec["thickness"],
-                    "state": doc["state"],
-                    "iterations": res.get("iterations"),
-                    "converged": res.get("converged"),
-                    "absorbed": res.get("absorbed"),
-                    "registry_hit": (res.get("plan") or {}).get("registry_hit"),
-                })
-            if getattr(args, "batch", False):
-                status_line += (
-                    f"; batched points: {batch_stats['dedup']} deduplicated "
-                    f"(served from store), {batch_stats['solved']} solved"
-                    + (f", {batch_stats['failed']} failed"
-                       if batch_stats["failed"] else "")
-                )
-    finally:
-        if rec is not None:
-            _, written = tracing.stop_trace()
-            for w in written:
-                print(f"trace -> {w}")
+    with telemetry.span(f"campaign {len(specs)} jobs", "service",
+                        args={"preset": args.preset, "grid": args.grid}):
+        if args.url:
+            ids = []
+            for spec in specs:
+                status, doc, _ = http_request(
+                    "POST", f"{args.url}/jobs", payload=spec)
+                if status != 202:
+                    print(f"submit failed ({status}): {doc.get('error')}")
+                    return 2
+                ids.append(doc["id"])
+            docs = [poll_job(args.url, i, args.timeout) for i in ids]
+            status_line = f"remote service at {args.url}"
+        else:
+            registry = PlanRegistry(args.registry)
+            sched = Scheduler(
+                workers=args.workers,
+                queue_size=max(len(specs), 1),
+                registry=registry, mode="thread",
+            ).start()
+            try:
+                jobs = [sched.submit(JobSpec.from_dict(s)) for s in specs]
+                sched.join(timeout=args.timeout)
+            finally:
+                sched.stop()
+            docs = [j.to_dict() for j in jobs]
+            st = sched.stats()
+            reg = registry.counters()
+            hit_rate = reg["hits"] / max(reg["hits"] + reg["misses"], 1)
+            status_line = (
+                f"{st['executed']} executions for {st['submitted']} "
+                f"submissions ({st['deduplicated']} deduplicated); "
+                f"registry {reg['hits']} hits / {reg['misses']} misses "
+                f"({100 * hit_rate:.0f}% hit rate)"
+            )
+        batch_stats = {"dedup": 0, "solved": 0, "failed": 0}
+        for spec, doc in zip(specs, docs):
+            res = doc.get("result") or {}
+            if spec.get("kind") == "batch":
+                batch_stats["dedup"] += res.get("dedup_hits") or 0
+                batch_stats["solved"] += res.get("solved") or 0
+                batch_stats["failed"] += res.get("failed") or 0
+                points = res.get("points")
+                if points is None:  # batch job itself failed
+                    points = [{"wavelength": w, "result": None}
+                              for w in spec["wavelengths"]]
+                for p in points:
+                    pres = p.get("result") or {}
+                    if doc["state"] != JobState.DONE:
+                        state = doc["state"]
+                    else:
+                        state = ("failed" if p.get("error")
+                                 else JobState.DONE)
+                    rows.append({
+                        "wavelength": p["wavelength"],
+                        "thickness": spec["thickness"],
+                        "state": state,
+                        "iterations": pres.get("iterations"),
+                        "converged": pres.get("converged"),
+                        "absorbed": pres.get("absorbed"),
+                        "registry_hit": (pres.get("plan") or {}).get(
+                            "registry_hit"),
+                        "from_store": p.get("from_store"),
+                    })
+                continue
+            rows.append({
+                "wavelength": spec["wavelength"],
+                "thickness": spec["thickness"],
+                "state": doc["state"],
+                "iterations": res.get("iterations"),
+                "converged": res.get("converged"),
+                "absorbed": res.get("absorbed"),
+                "registry_hit": (res.get("plan") or {}).get("registry_hit"),
+            })
+        if getattr(args, "batch", False):
+            status_line += (
+                f"; batched points: {batch_stats['dedup']} deduplicated "
+                f"(served from store), {batch_stats['solved']} solved"
+                + (f", {batch_stats['failed']} failed"
+                   if batch_stats["failed"] else "")
+            )
 
     print(f"{'lambda':>7s} {'thick':>6s} {'state':>9s} {'steps':>6s} "
           f"{'absorbed':>9s} {'plan':>9s}")
@@ -1399,7 +1390,7 @@ def _cmd_env(args) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    from . import config
+    from . import config, telemetry
 
     args = build_parser().parse_args(argv)
     handlers = {
@@ -1420,19 +1411,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         "env": _cmd_env,
     }
     trace_path = config.get("REPRO_TRACE")
-    rec = None
     if trace_path:
-        from .core import tracing
-        rec = tracing.start_trace(trace_path)
+        telemetry.start_trace(trace_path)
     try:
         return handlers[args.command](args)
     finally:
-        if rec is not None:
-            from .core import tracing
-            if tracing.active() is rec:
-                _, written = tracing.stop_trace()
-                for w in written:
-                    print(f"trace -> {w}")
+        if trace_path:
+            _, written = telemetry.stop_trace()
+            for w in written:
+                print(f"trace -> {w}")
 
 
 if __name__ == "__main__":  # pragma: no cover

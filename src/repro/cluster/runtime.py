@@ -48,7 +48,6 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .. import config, telemetry
-from ..core import tracing
 from ..fdfd.fields import FieldState
 from ..fdfd.observables import relative_change
 from ..fdfd.specs import (
@@ -88,6 +87,10 @@ def _rank_token(base: str, coord: Coord) -> str:
 
 def _rank_name(name: str, coord: Coord) -> str:
     return f"{name}.r{coord[0]}-{coord[1]}-{coord[2]}"
+
+
+def _rank_label(coord: Coord) -> str:
+    return f"rank {coord[0]},{coord[1]},{coord[2]}"
 
 
 def clear_checkpoints(layout: RankLayout, directory: Optional[str],
@@ -167,13 +170,15 @@ def _pin_rank(index: int) -> Optional[int]:
 
 def _rank_main(index: int, coord: Coord, layout: RankLayout, solver,
                transport, plane: Dict[str, np.ndarray], conn, attempt: int,
-               trace_on: bool, group: Optional[CheckpointManager]) -> None:
-    """Entry point of one rank process (fork: everything is inherited)."""
+               group: Optional[CheckpointManager]) -> None:
+    """Entry point of one rank process (fork: everything is inherited,
+    the job context included).  Ranks publish no progress: the parent
+    does; their spans and counts go home with the ``bye``."""
     faults.set_in_child(True)
     faults.set_attempt(attempt)
+    telemetry.fork_child()
     telemetry.disable()
     pinned_cpu = _pin_rank(index)
-    rec = tracing.start_trace(None) if trace_on else None
 
     def next_command() -> dict:
         # A SIGKILLed parent sends no EOF (this rank and its siblings
@@ -253,9 +258,8 @@ def _rank_main(index: int, coord: Coord, layout: RankLayout, solver,
             if t == "step":
                 faults.hit("cluster.rank")
                 faults.hit(f"cluster.rank.{index}")
-                label = f"rank {coord[0]},{coord[1]},{coord[2]}"
-                with tracing.span(f"{label} sweep", "cluster",
-                                  args={"n": msg["n"]}):
+                with telemetry.span(f"{_rank_label(coord)} sweep", "cluster",
+                                    args={"n": msg["n"]}):
                     run_block(msg["n"])
                 publish()
                 conn.send({"type": "check", "stats": stats.to_dict()})
@@ -265,7 +269,7 @@ def _rank_main(index: int, coord: Coord, layout: RankLayout, solver,
                 conn.send({"type": "saved", "ok": path is not None})
             elif t == "stop":
                 conn.send({"type": "bye", "stats": stats.to_dict(),
-                           "trace": rec.export() if rec is not None else None})
+                           "telemetry": telemetry.child_report()})
                 break
             else:
                 raise RuntimeError(f"unknown command {t!r}")
@@ -276,7 +280,8 @@ def _rank_main(index: int, coord: Coord, layout: RankLayout, solver,
     except BaseException as exc:  # surface typed errors to the parent
         try:
             conn.send({"type": "error", "kind": type(exc).__name__,
-                       "message": str(exc)})
+                       "message": str(exc),
+                       "telemetry": telemetry.child_report()})
         except OSError:
             pass
         os._exit(1)
@@ -327,6 +332,7 @@ def _recv(coord: Coord, conns: Dict[Coord, object],
 
 def _check_payload(msg: dict, coord: Coord) -> dict:
     if msg.get("type") == "error":
+        telemetry.merge_child(msg.get("telemetry"), label=_rank_label(coord))
         raise error_from_kind(msg.get("kind"),
                               f"rank {coord}: {msg.get('message')}")
     return msg
@@ -426,7 +432,6 @@ def run_distributed(
     plane = shared_arrays({**shapes, **edge_shapes(layout)})
     transport = ShmTransport(layout, plane, timeout_s=timeout_s)
     ctx = mp.get_context("fork")
-    trace_on = tracing.active() is not None
     procs: Dict[Coord, object] = {}
     conns: Dict[Coord, object] = {}
     stats = CommStats()
@@ -456,13 +461,11 @@ def run_distributed(
             every, layout, fields, command)
 
     def stop_ranks() -> None:
-        """Graceful stop: collect stats + trace lanes from every rank."""
-        rec = tracing.active()
+        """Graceful stop: collect stats and telemetry from every rank."""
         for coord, bye in command({"type": "stop"}).items():
             stats.merge(CommStats.from_dict(bye["stats"]))
-            if rec is not None and bye.get("trace"):
-                z, y, x = coord
-                rec.merge_child(bye["trace"], label=f"rank {z},{y},{x}")
+            telemetry.merge_child(bye.get("telemetry"),
+                                  label=_rank_label(coord))
         for coord in coords:
             procs[coord].join(timeout=timeout_s)
 
@@ -472,7 +475,7 @@ def run_distributed(
             proc = ctx.Process(
                 target=_rank_main,
                 args=(index, coord, layout, solver, transport, plane,
-                      child_conn, attempt, trace_on, group),
+                      child_conn, attempt, group),
                 daemon=True,
                 name=f"repro-rank-{coord[0]}-{coord[1]}-{coord[2]}",
             )
@@ -496,11 +499,10 @@ def run_distributed(
                 layout=list(layout.dims), transport=transport.name,
                 pids=pids, sweeps=resumed_from or 0,
                 resumed_from=resumed_from)
-        rec = tracing.active()
-        if rec is not None:
-            rec.instant("cluster.start", "cluster", args=telemetry.span_args(
-                {"ranks": layout.n_ranks, "layout": list(layout.dims),
-                 "transport": transport.name}))
+        telemetry.instant("cluster.start", "cluster",
+                          args={"ranks": layout.n_ranks,
+                                "layout": list(layout.dims),
+                                "transport": transport.name})
 
         checks: Dict[Coord, dict] = {}
         published = CommStats()

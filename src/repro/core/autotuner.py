@@ -43,11 +43,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Tuple
 
+from .. import telemetry
 from ..machine.counters import timed_section
 from ..machine.measure import measure_sweep_code_balance, measure_tiled_code_balance
 from ..machine.simulator import SimResult, simulate_sweep, simulate_tiled, tg_efficiency
 from ..machine.spec import MachineSpec
-from . import tracing
 from .models import max_diamond_width
 from .plan import TilingPlan
 from .threadgroups import ThreadGroupConfig, divisors, enumerate_tg_configs
@@ -152,7 +152,7 @@ def point_from_json(d) -> TunedPoint | None:
 
 
 def _score_spatial(spec, machine, grid_n: int, threads: int, block_y: int) -> TunedPoint:
-    with timed_section("tune.score"), tracing.span(
+    with timed_section("tune.score"), telemetry.span(
         f"candidate spatial by={block_y}", "autotune",
         args={"variant": "spatial", "grid": grid_n, "threads": threads,
               "block_y": block_y},
@@ -176,9 +176,9 @@ def tune_spatial(spec: MachineSpec, grid_n: int, threads: int) -> TunedPoint:
     """Best spatially blocked configuration at a thread count."""
     machine = spec.with_cores(threads) if threads != spec.cores else spec
     candidates = [by for by in (4, 8, 16, 32, 64) if by <= grid_n]
-    with tracing.span(f"tune_spatial g={grid_n} t={threads}", "autotune",
-                      args={"grid": grid_n, "threads": threads,
-                            "candidates": len(candidates)}):
+    with telemetry.span(f"tune_spatial g={grid_n} t={threads}", "autotune",
+                        args={"grid": grid_n, "threads": threads,
+                              "candidates": len(candidates)}):
         # max() keeps the first of equal maxima (a strict ``>``): the winner
         # depends on the enumeration order and nothing else.
         return max(
@@ -214,7 +214,7 @@ def _dw_candidates(
 def _score_tiled(spec, machine, grid_n: int, threads: int, cand: tuple) -> TunedPoint:
     label, s, n_groups, bz, dw, cfg = cand
     nx = ny = nz = grid_n
-    with timed_section("tune.score"), tracing.span(
+    with timed_section("tune.score"), telemetry.span(
         f"candidate {label} Dw={dw} Bz={bz} TG={cfg.label()}", "autotune",
         args={"variant": label, "grid": grid_n, "threads": threads,
               "tg_size": s, "n_groups": n_groups, "dw": dw, "bz": bz,
@@ -291,7 +291,7 @@ def tune_tiled(
     """
     machine = spec.with_cores(threads) if threads != spec.cores else spec
     candidates = _tiled_candidates(spec, grid_n, threads, tg_size, variant)
-    with tracing.span(
+    with telemetry.span(
         f"tune_tiled g={grid_n} t={threads} tg={tg_size or 'MWD'}", "autotune",
         args={"grid": grid_n, "threads": threads, "tg_size": tg_size,
               "variant": variant, "candidates": len(candidates)},

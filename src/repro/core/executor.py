@@ -20,11 +20,11 @@ from typing import Sequence
 
 import numpy as np
 
+from .. import telemetry
 from ..fdfd.coefficients import CoefficientSet
 from ..fdfd.fields import FieldState
 from ..fdfd.kernels import update_component
 from ..resilience import faults
-from . import tracing
 from .plan import TileIndex, TilingPlan
 
 __all__ = ["TiledExecutor"]
@@ -60,7 +60,7 @@ class TiledExecutor:
         faults.hit("tile.execute")
         ops, n_jobs = self._tiles[idx]
         fields, coeffs = self.fields, self.coeffs
-        with tracing.span(f"tile t={idx[0]} r={idx[1]}", "exec.tile") as sp:
+        with telemetry.span(f"tile t={idx[0]} r={idx[1]}", "exec.tile") as sp:
             lups = 0
             for name, region, n in ops:
                 update_component(name, fields, coeffs, region)
@@ -75,7 +75,7 @@ class TiledExecutor:
         if order is None:
             order = self.plan.fifo_order()
         p = self.plan
-        with tracing.span(
+        with telemetry.span(
             f"tiled run ny={p.ny} nz={p.nz} T={p.timesteps}", "exec.run",
             args={"ny": p.ny, "nz": p.nz, "timesteps": p.timesteps,
                   "dw": p.dw, "bz": p.bz, "tiles": len(p.tiles)},

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from ..core import tracing
+from .. import telemetry
 from ..core.autotuner import TunedPoint, tune_spatial, tune_tiled
 from ..core.models import (
     arithmetic_intensity,
@@ -128,8 +128,8 @@ def fig5_cache_model(
     rows: List[Row] = []
     for bz in bz_values:
         for dw in dw_values:
-            with tracing.span(f"fig5 point Dw={dw} Bz={bz}", "figure",
-                              args={"dw": dw, "bz": bz, "nx": nx}) as sp:
+            with telemetry.span(f"fig5 point Dw={dw} Bz={bz}", "figure",
+                                args={"dw": dw, "bz": bz, "nx": nx}) as sp:
                 cs = cache_block_size(dw, bz, nx)
                 meas = measure_tiled_code_balance(spec, nx=nx, dw=dw, bz=bz, n_streams=1)
                 sp.set(code_balance=round(meas.bytes_per_lup, 3))

@@ -58,8 +58,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .. import nativelib
-from ..resilience.errors import RESILIENCE_COUNTERS
+from .. import nativelib, telemetry
 from .coefficients import BatchedCoefficientSet, CoefficientSet
 from .fields import BatchedFieldState, FieldState
 from .grid import Grid
@@ -309,7 +308,7 @@ def _native():
             if call:
                 call.restype, call.argtypes = ctypes.c_int64, [ctypes.c_void_p] * 2
                 if not _probe(call):
-                    RESILIENCE_COUNTERS.bump("native_degraded")
+                    telemetry.count_event("native_degraded")
                     call = False
             _THIIM = call
     return _THIIM

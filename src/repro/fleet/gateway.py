@@ -80,7 +80,6 @@ from http.server import ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 
 from .. import telemetry
-from ..core import tracing
 from ..resilience import faults
 from ..resilience.errors import NodeUnavailable, QuotaExceeded, ReproError
 from ..service.jobs import JobSpec
@@ -301,9 +300,9 @@ class _GatewayHandler(JsonHandler):
         trace id crosses the hop."""
         trace_id = telemetry.new_trace_id()
         self.server.remember_spec(spec.job_id, spec.to_dict())
-        with tracing.span(f"gateway.submit {spec.job_id[:8]}", "fleet",
-                          args={"trace": trace_id,
-                                "shard_version": self._registry.version}):
+        with telemetry.use(telemetry.JobContext(spec.job_id, trace_id)), \
+                telemetry.span(f"gateway.submit {spec.job_id[:8]}", "fleet",
+                               args={"shard_version": self._registry.version}):
             return self._router.forward(
                 "POST", "/jobs", spec.job_id, payload=spec.to_dict(),
                 headers={"X-Repro-Trace-Id": trace_id})
@@ -425,8 +424,9 @@ class _GatewayHandler(JsonHandler):
                 if telemetry.enabled():
                     telemetry.fleet_resubmits().inc()
                 trace_id = telemetry.new_trace_id()
-                with tracing.span(f"gateway.resubmit {job_id[:8]}", "fleet",
-                                  args={"trace": trace_id}):
+                with telemetry.use(telemetry.JobContext(job_id, trace_id)), \
+                        telemetry.span(f"gateway.resubmit {job_id[:8]}",
+                                       "fleet"):
                     status, doc, url = self._router.forward(
                         "POST", "/jobs", job_id, payload=spec_dict,
                         headers={"X-Repro-Trace-Id": trace_id})

@@ -30,6 +30,8 @@ import json
 import os
 import tempfile
 
+from . import telemetry
+
 __all__ = [
     "atomic_write_text",
     "atomic_write_bytes",
@@ -116,15 +118,8 @@ def quarantine(path: str) -> str | None:
         os.replace(path, target)
     except OSError:
         return None
-    from .resilience.errors import RESILIENCE_COUNTERS
-
-    RESILIENCE_COUNTERS.bump("quarantined_artifacts")
-    from .core import tracing
-
-    rec = tracing.active()
-    if rec is not None:
-        rec.instant("resilience.quarantine", "resilience",
-                    args={"path": os.path.basename(path)})
+    telemetry.count_event("quarantined_artifacts",
+                          path=os.path.basename(path))
     return target
 
 

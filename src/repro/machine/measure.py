@@ -49,7 +49,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ..core import tracing
+from .. import telemetry
 from ..core.plan import TilingPlan
 from ..core.wavefront import tile_rows, wavefront_width
 from .cache import LRUCache
@@ -114,13 +114,13 @@ def _replay(make, layout: Layout, capacity: float, ny: int, nz: int, nx: int,
     and how many times the measured one repeats."""
     cache, emitter = make(capacity, layout, ny, nz, nx)
     region = PerfRegion(name)
-    with timed_section(name), tracing.span(span, "measure", args=args):
+    with timed_section(name), telemetry.span(span, "measure", args=args):
         warmup, measured, repeat = schedules()
-        with tracing.span("warm-up", "measure"):
+        with telemetry.span("warm-up", "measure"):
             emitter.emit_rows(*warmup)
         cache.reset_stats()
         cells0 = emitter.cells
-        with region(cache, emitter), tracing.span("measured", "measure"):
+        with region(cache, emitter), telemetry.span("measured", "measure"):
             emitter.emit_rows(*measured, repeat=repeat)
     stats = cache.stats
     cells = emitter.cells - cells0

@@ -46,8 +46,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .. import nativelib
-from ..core import tracing
+from .. import nativelib, telemetry
 from ..core.plan import TileIndex, TilingPlan
 from ..core.queue import TileQueue
 from ..core.threadgroups import ThreadGroupConfig
@@ -182,7 +181,7 @@ def simulate_tiled(
     par = (nx, cap_rate, code_balance, spec.bandwidth_gbs * 1e9,
            spec.sync_ns * 1e-9)
 
-    rec = tracing.active()
+    rec = telemetry.recorder()
     des = None if rec is not None else _native_des() if _DES is None else _DES
     if des:
         now, total_lups, total_bytes = _native_run(
@@ -286,7 +285,7 @@ def _python_des(plan: TilingPlan, n_groups: int, front_syncs: int, par: tuple,
             queue.complete(rt.key)
             if rec is not None:
                 t, r = rt.key
-                rec.complete(
+                telemetry.complete(
                     f"tile t={t} r={r}", "sim.tile",
                     ts_us=rt.start_s * 1e6, dur_us=(now - rt.start_s) * 1e6,
                     pid=sim_pid, tid=rt.group,

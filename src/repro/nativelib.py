@@ -10,9 +10,8 @@ import hashlib
 import os
 import subprocess
 
-from . import config
+from . import config, telemetry
 from .resilience import faults
-from .resilience.errors import RESILIENCE_COUNTERS
 
 _HERE = os.path.dirname(__file__)
 
@@ -95,5 +94,5 @@ def load(name: str):
         faults.hit("native.load")
         return ctypes.CDLL(_build(name))
     except Exception:
-        RESILIENCE_COUNTERS.bump("native_degraded")
+        telemetry.count_event("native_degraded")
         return None

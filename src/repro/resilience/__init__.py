@@ -8,7 +8,7 @@ lives, in three cooperating pieces and the table that attacks them:
     The typed failure taxonomy (:class:`SolverDiverged`,
     :class:`CorruptArtifact`, :class:`EngineUnavailable`,
     :class:`CheckpointMismatch`, ...) with HTTP status and retryability
-    semantics, plus the process-global degradation counters.
+    semantics.
 ``faults``
     The deterministic fault-injection registry: ``REPRO_FAULTS=
     "site:kind[:after_n[:attempt]]"`` schedules crashes, exceptions and
@@ -26,7 +26,6 @@ lives, in three cooperating pieces and the table that attacks them:
 
 from .checkpoint import Checkpoint, CheckpointManager, latest_lag_s, solver_token
 from .errors import (
-    RESILIENCE_COUNTERS,
     CheckpointMismatch,
     CorruptArtifact,
     EngineUnavailable,
@@ -46,7 +45,6 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "InjectedFault",
-    "RESILIENCE_COUNTERS",
     "ReproError",
     "SolverDiverged",
     "error_from_kind",

@@ -41,9 +41,10 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from .. import telemetry
 from ..ioutil import atomic_write_bytes, corrupt_file, quarantine
 from . import faults
-from .errors import RESILIENCE_COUNTERS, CheckpointMismatch, InjectedFault
+from .errors import CheckpointMismatch, InjectedFault
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -177,21 +178,17 @@ class CheckpointManager:
              extras: Optional[Dict] = None) -> Optional[str]:
         """Snapshot the loop state; best-effort (an unwritable checkpoint
         degrades the resilience, never the solve)."""
-        from .. import telemetry
-        from ..core import tracing
-
         try:
             kind = faults.hit("checkpoint.write")
         except InjectedFault:
-            RESILIENCE_COUNTERS.bump("checkpoint_write_errors")
+            telemetry.count_event("checkpoint_write_errors")
             return None
         meta = {"version": CHECKPOINT_VERSION, "token": self.token,
                 "name": self.name, "history": history,
                 "extras": extras or {}}
         try:
-            with tracing.span(f"checkpoint {self.name[:12]}@{steps}",
-                              "resilience",
-                              args=telemetry.span_args({"steps": steps})) as sp:
+            with telemetry.span(f"checkpoint {self.name[:12]}@{steps}",
+                                "resilience", args={"steps": steps}) as sp:
                 buf = _stdio.BytesIO()
                 np.savez(
                     buf,
@@ -206,15 +203,14 @@ class CheckpointManager:
                 atomic_write_bytes(self.path, data)
                 sp.set(bytes=len(data))
         except OSError:
-            RESILIENCE_COUNTERS.bump("checkpoint_write_errors")
+            telemetry.count_event("checkpoint_write_errors")
             return None
         if kind == "corrupt":
             corrupt_file(self.path)
         self.saves += 1
         self.last_saved_steps = steps
-        RESILIENCE_COUNTERS.bump("checkpoints_written")
+        telemetry.count_event("checkpoints_written")
         if telemetry.enabled():
-            telemetry.checkpoint_writes().inc()
             telemetry.publish("checkpoint", sweeps=steps, saves=self.saves,
                               bytes=len(data))
         self._publish()
@@ -262,9 +258,6 @@ class CheckpointManager:
     def resume(self, fields) -> Optional[Checkpoint]:
         """Restore a snapshot into ``fields`` in place; returns it (or
         ``None`` to start from sweep 0)."""
-        from .. import telemetry
-        from ..core import tracing
-
         ckpt = self.load()
         if ckpt is None:
             self._publish()
@@ -276,15 +269,10 @@ class CheckpointManager:
                 return None
             fields[name] = ckpt.arrays[name]
         self.resumed_from = ckpt.steps
-        RESILIENCE_COUNTERS.bump("checkpoints_resumed")
+        telemetry.count_event("checkpoints_resumed", name=self.name[:12],
+                              steps=ckpt.steps)
         if telemetry.enabled():
-            telemetry.checkpoint_resumes().inc()
             telemetry.publish("checkpoint", resumed_from=ckpt.steps)
-        rec = tracing.active()
-        if rec is not None:
-            rec.instant("checkpoint.resume", "resilience",
-                        args=telemetry.span_args(
-                            {"name": self.name[:12], "steps": ckpt.steps}))
         self._publish()
         return ckpt
 

@@ -1,4 +1,4 @@
-"""Typed failure taxonomy + resilience counters.
+"""Typed failure taxonomy.
 
 Every recoverable failure mode of the stack gets one exception class so
 callers can branch on *what went wrong* instead of string-matching
@@ -8,19 +8,14 @@ failure is worth retrying: a worker crash is transient, a diverged solve
 is deterministic -- retrying it burns the budget reproducing the same
 blow-up, so :attr:`ReproError.retryable` lets the scheduler fail fast.
 
-The module-global :data:`RESILIENCE_COUNTERS` aggregates every
-degradation event in the process (quarantined artifacts, checkpoint
-saves/resumes, native-engine fallbacks, fired faults).  Counters are
-deliberately schema-free (a name -> int dict) so new sites never need a
-dataclass change; the serving layer exposes a snapshot under
-``GET /metrics`` and child workers ship theirs back through the spool
-file, mirroring how substrate counters travel.
+The degradation events themselves (quarantined artifacts, checkpoint
+saves/resumes, native-engine fallbacks, fired faults) are counted by
+:func:`repro.telemetry.count_event`.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Dict, Optional
+from typing import Optional
 
 __all__ = [
     "ReproError",
@@ -32,8 +27,6 @@ __all__ = [
     "NodeUnavailable",
     "QuotaExceeded",
     "RankCrash",
-    "ResilienceCounters",
-    "RESILIENCE_COUNTERS",
     "error_from_kind",
 ]
 
@@ -146,43 +139,3 @@ def error_from_kind(kind: Optional[str], message: str) -> Exception:
     """
     cls = _TAXONOMY.get(kind or "")
     return cls(message) if cls is not None else RuntimeError(message)
-
-
-class ResilienceCounters:
-    """Thread-safe name -> count map of degradation events."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._counts: Dict[str, int] = {}
-
-    def bump(self, name: str, n: int = 1) -> None:
-        """Count an event; emits a tracing instant when a trace is live."""
-        with self._lock:
-            self._counts[name] = self._counts.get(name, 0) + n
-        from ..core import tracing
-
-        rec = tracing.active()
-        if rec is not None:
-            rec.instant(f"resilience.{name}", "resilience")
-
-    def get(self, name: str) -> int:
-        with self._lock:
-            return self._counts.get(name, 0)
-
-    def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            return dict(self._counts)
-
-    def merge(self, other: Dict[str, int]) -> None:
-        """Fold a child worker's counter deltas into this process."""
-        with self._lock:
-            for name, n in (other or {}).items():
-                self._counts[name] = self._counts.get(name, 0) + int(n)
-
-    def reset(self) -> None:
-        with self._lock:
-            self._counts.clear()
-
-
-#: Process-global degradation telemetry (children merge back via spool).
-RESILIENCE_COUNTERS = ResilienceCounters()

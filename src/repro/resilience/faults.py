@@ -42,8 +42,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional
 
-from .. import config
-from .errors import RESILIENCE_COUNTERS, InjectedFault
+from .. import config, telemetry
+from .errors import InjectedFault
 
 __all__ = [
     "FaultSpec",
@@ -177,7 +177,7 @@ class FaultPlan:
                     break
         if due is None:
             return None
-        RESILIENCE_COUNTERS.bump("faults_fired")
+        telemetry.count_event("faults_fired", site=site)
         return trigger(site, due.kind, reason=f"pass {due.after_n}")
 
 

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 from .. import telemetry
-from ..core import tracing
 from ..resilience import faults
 
 __all__ = ["JobSpec", "Job", "JobState", "run_job", "FAULTS"]
@@ -400,8 +399,8 @@ def _run_tune(spec: JobSpec, registry) -> Dict[str, Any]:
     m = machine_spec_for(spec)
     hit = False
     if registry is not None:
-        with tracing.span("tune", "service", args=telemetry.span_args(
-                {"grid": spec.grid, "variant": spec.variant})) as sp:
+        with telemetry.span("tune", "service", args={
+                "grid": spec.grid, "variant": spec.variant}) as sp:
             point, hit = registry.get_or_tune(
                 m, spec.grid, spec.threads, tg_size=spec.tg_size,
                 variant=spec.variant
@@ -425,8 +424,8 @@ def _resolve_plan(spec: JobSpec, registry) -> Dict[str, Any]:
     if spec.tuning == "spec" or registry is None:
         return {"tiled": True, "dw": spec.dw, "bz": spec.bz,
                 "source": "spec", "registry_hit": False}
-    with tracing.span("tune", "service", args=telemetry.span_args(
-            {"grid": spec.grid, "variant": spec.variant})) as sp:
+    with telemetry.span("tune", "service", args={
+            "grid": spec.grid, "variant": spec.variant}) as sp:
         point, hit = registry.get_or_tune(
             machine_spec_for(spec), spec.grid, spec.threads,
             tg_size=spec.tg_size, variant=spec.variant,
@@ -547,9 +546,9 @@ def _solve_points(spec: JobSpec, wavelengths, registry,
         mode, value = _parse_ranks(spec.ranks)
         layout = (RankLayout(grid, *value) if mode == "dims"
                   else choose_decomposition(grid, value))
-        with tracing.span(f"cluster {layout.pz}x{layout.py}x{layout.px}",
-                          "cluster", args=telemetry.span_args(
-                              {"ranks": layout.n_ranks, "grid": spec.grid})):
+        with telemetry.span(f"cluster {layout.pz}x{layout.py}x{layout.px}",
+                            "cluster", args={"ranks": layout.n_ranks,
+                                             "grid": spec.grid}):
             solved, _info = run_distributed(
                 layout, solver, tol=spec.tol, max_steps=spec.max_steps,
                 name=spec.job_id, checkpoint_dir=directory, every=every,
@@ -644,7 +643,6 @@ def run_job(
     in_child: bool = False,
     checkpoint_dir: Optional[str] = None,
     store=None,
-    trace_id: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Execute a spec and return its JSON-serializable result.
 
@@ -659,21 +657,23 @@ def run_job(
     deduplicated away and freshly solved points are fanned back out
     under their per-point job ids.
 
-    ``trace_id`` scopes a telemetry :class:`~repro.telemetry.JobContext`
-    for the duration, so solver progress events and every nested span
-    carry the submitting job's trace id (progress/metrics stay off the
+    The run scopes a telemetry :class:`~repro.telemetry.JobContext` for
+    the duration, so solver progress events and every nested span carry
+    the job's trace id: the caller's (the scheduler's context, inherited
+    across a fork), else a fresh one (progress/metrics stay off the
     result dict -- bit-identity is untouched).
     """
     faults.set_attempt(attempt)
+    outer = telemetry.current()
     ctx = telemetry.JobContext(
         job_id=spec.job_id,
-        trace_id=trace_id or telemetry.new_trace_id(),
+        trace_id=(outer.trace_id if outer is not None
+                  else telemetry.new_trace_id()),
         attempt=attempt,
     )
-    with telemetry.use(ctx), tracing.span(
+    with telemetry.use(ctx), telemetry.span(
         f"job {spec.job_id[:12]}", "service",
-        args=telemetry.span_args(
-            {"kind": spec.kind, "attempt": attempt, "grid": spec.grid}),
+        args={"kind": spec.kind, "attempt": attempt, "grid": spec.grid},
     ):
         faults.hit("job.run")
         _inject_fault(spec, attempt, in_child)

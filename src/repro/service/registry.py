@@ -15,8 +15,8 @@ registry is a process-local dict with the same interface.
 
 Hit/miss/store counters feed the observability layer: every lookup runs
 inside a :func:`~repro.machine.counters.timed_section` (visible in
-``repro bench``'s section table) and emits tracing counter events when a
-trace is active, so a campaign's Chrome trace shows the hit rate
+``repro bench``'s section table) and samples a trace counter track
+when a trace is active, so a campaign's Chrome trace shows the hit rate
 climbing as plans get reused.
 """
 
@@ -29,7 +29,7 @@ import os
 import threading
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..core import tracing
+from .. import telemetry
 from ..core.autotuner import point_from_json, point_to_json
 from ..ioutil import atomic_write_json, corrupt_file, read_json, read_json_checked
 from ..machine.counters import timed_section
@@ -151,10 +151,10 @@ class PlanRegistry:
             else:
                 self.misses += 1
             hits, misses = self.hits, self.misses
-        rec = tracing.active()
-        if rec is not None:
-            rec.instant("registry.hit" if hit else "registry.miss", "service")
-            rec.counter("plan registry", {"hits": hits, "misses": misses})
+        telemetry.instant("registry.hit" if hit else "registry.miss",
+                          "service")
+        telemetry.counter_track("plan registry",
+                                {"hits": hits, "misses": misses})
 
     def get_or_tune(
         self,
@@ -185,9 +185,9 @@ class PlanRegistry:
             done.wait()  # the winner's store() lands before its set()
         self._count(hit=False)
         try:
-            with tracing.span(f"registry.tune {key[:8]}", "service",
-                              args={"grid": grid, "threads": threads,
-                                    "variant": variant}):
+            with telemetry.span(f"registry.tune {key[:8]}", "service",
+                                args={"grid": grid, "threads": threads,
+                                      "variant": variant}):
                 point = tune_variant(spec, grid, threads,
                                      variant=variant, tg_size=tg_size)
             self.store(key, point, meta={"grid": grid, "threads": threads,

@@ -26,8 +26,9 @@ job with exponential backoff until the spec's retry budget is spent --
 the crash-recovery contract.  Deterministic job failures (exceptions)
 consume the same budget.
 
-Telemetry: every attempt runs in a tracing span, retries/rejections emit
-instants, and ``stats()`` exposes the counter set ``GET /metrics``
+Telemetry: every attempt runs under its job's
+:class:`~repro.telemetry.JobContext` in a trace span, retries/rejections
+emit instants, and ``stats()`` exposes the counter set ``GET /metrics``
 serves.
 """
 
@@ -41,16 +42,10 @@ import time
 from typing import Dict, List, Optional
 
 from .. import telemetry
-from ..core import tracing
 from ..ioutil import atomic_write_json, read_json, read_json_checked
 from ..resilience import faults
 from ..resilience.checkpoint import latest_lag_s, take_report
-from ..resilience.errors import (
-    RESILIENCE_COUNTERS,
-    RankCrash,
-    ReproError,
-    error_from_kind,
-)
+from ..resilience.errors import RankCrash, ReproError, error_from_kind
 from .jobs import Job, JobSpec, JobState, run_job
 from .registry import PlanRegistry
 from .store import ResultStore
@@ -76,9 +71,6 @@ class WorkerCrash(RuntimeError):
 def _child_entry(spec_dict: dict, attempt: int, registry_root: Optional[str],
                  out_path: str, checkpoint_dir: Optional[str] = None,
                  store_root: Optional[str] = None,
-                 trace_id: Optional[str] = None,
-                 trace_active: bool = False,
-                 telemetry_on: bool = False,
                  events_dir: Optional[str] = None) -> None:
     """Forked worker body: run the job, spool the outcome atomically.
 
@@ -88,7 +80,7 @@ def _child_entry(spec_dict: dict, attempt: int, registry_root: Optional[str],
     parent needs to reconstruct what happened: the typed error kind
     (rehydrated via :func:`~repro.resilience.errors.error_from_kind`),
     the checkpoint report (path / saves / resume point -- how crashed
-    jobs get resumed), and the child's resilience-counter deltas.
+    jobs get resumed), and the child's :func:`telemetry.child_report`.
 
     ``store_root`` gives batch jobs a root-backed result store for
     per-point dedup/fan-out inside the child; the parent additionally
@@ -96,41 +88,21 @@ def _child_entry(spec_dict: dict, attempt: int, registry_root: Optional[str],
     what covers in-memory stores.
     """
     faults.set_in_child(True)
-    # The fork inherited the parent's counters; reset so the spooled
-    # snapshot is this child's delta, merged back additively.
-    RESILIENCE_COUNTERS.reset()
-    # Telemetry after a fork: the child publishes progress into its own
-    # (copy-on-write) hub, mirrored to the events dir so the parent's
-    # readers can tail a *live* forked solve; spans go into a private
-    # recorder whose export rides the spool file home (merged back like
-    # the resilience counters).
-    if telemetry_on:
-        telemetry.enable(force=True)
-        telemetry.PROGRESS.reset()
-        telemetry.PROGRESS.configure_sink(events_dir)
-        # Like the resilience counters: drop the inherited values so the
-        # spooled snapshot is this child's pure delta.
-        telemetry.METRICS.reset()
-    child_rec = tracing.start_trace(None) if trace_active else None
+    telemetry.fork_child(events_dir)
     spec = JobSpec.from_dict(spec_dict)
     registry = PlanRegistry(registry_root)
     store = ResultStore(store_root) if store_root else None
     try:
         result = run_job(spec, registry=registry, attempt=attempt,
                          in_child=True, checkpoint_dir=checkpoint_dir,
-                         store=store, trace_id=trace_id)
+                         store=store)
         payload = {"ok": True, "result": result}
     except BaseException as exc:  # noqa: BLE001 - the envelope is the report
         payload = {"ok": False, "error": f"{type(exc).__name__}: {exc}",
                    "error_kind": type(exc).__name__}
     payload["registry_counters"] = registry.counters()
     payload["checkpoint"] = take_report()
-    payload["resilience_counters"] = RESILIENCE_COUNTERS.snapshot()
-    if child_rec is not None:
-        payload["trace"] = child_rec.export()
-    if telemetry_on:
-        payload["metrics"] = telemetry.METRICS.snapshot()
-        telemetry.PROGRESS.close_sink()
+    payload["telemetry"] = telemetry.child_report()
     atomic_write_json(out_path, payload)
     os._exit(0)
 
@@ -233,10 +205,10 @@ class Scheduler:
     def _register_metrics(self) -> None:
         """Reflect existing counter sources into gauges at scrape time.
 
-        The scheduler, registry, store, resilience layer and fault
-        injector already keep their own counters; rather than double-
-        counting on the hot path, a collector mirrors them into the
-        metrics registry whenever ``/metrics`` renders.
+        The scheduler, registry and store already keep their own
+        counters; rather than double-counting on the hot path, a
+        collector mirrors them into the metrics registry whenever
+        ``/metrics`` renders.
         """
         m = telemetry.METRICS
         queue_depth = m.gauge(
@@ -256,11 +228,6 @@ class Scheduler:
         store_ops = m.gauge("result_store_ops",
                             "Result-store counters, by operation",
                             labelnames=("op",))
-        resilience_g = m.gauge("resilience_events",
-                               "Resilience-layer counter snapshot, by event",
-                               labelnames=("event",))
-        faults_g = m.gauge("faults_fired",
-                           "Injected faults that have fired so far")
         ckpt_lag = m.gauge(
             "checkpoint_lag_seconds",
             "Age of the newest checkpoint snapshot (-1 when none exists)")
@@ -285,9 +252,6 @@ class Scheduler:
             for op in ("hits", "misses", "puts"):
                 store_ops.labels(op=op).set(sto.get(op, 0))
             store_ops.labels(op="entries").set(sto.get("entries", 0))
-            for event, n in RESILIENCE_COUNTERS.snapshot().items():
-                resilience_g.labels(event=event).set(n)
-            faults_g.set(len(faults.fired_summary().get("fired") or []))
             lag = latest_lag_s(self.checkpoint_dir)
             ckpt_lag.set(-1.0 if lag is None else lag)
             dropped.set(telemetry.PROGRESS.dropped_total())
@@ -321,10 +285,8 @@ class Scheduler:
         with self._cv:
             self._draining = True
             self._cv.notify_all()
-        rec = tracing.active()
-        if rec is not None:
-            rec.instant("scheduler.drain", "service",
-                        args={"queued": self.queue_depth()})
+        telemetry.instant("scheduler.drain", "service",
+                          args={"queued": self.queue_depth()})
         deadline = time.monotonic() + timeout
         with self._cv:
             while any(j.state == JobState.RUNNING
@@ -418,10 +380,8 @@ class Scheduler:
                     f"queue full ({queued}/{self.queue_size} jobs queued); "
                     f"retry after in-flight jobs drain"
                 )
-                rec = tracing.active()
-                if rec is not None:
-                    rec.instant("job.rejected", "service",
-                                args={"id": spec.job_id[:12]})
+                telemetry.instant("job.rejected", "service",
+                                  args={"id": spec.job_id[:12]})
                 raise QueueFullError(reason)
             self._register(job)
             self._push(job)
@@ -439,7 +399,7 @@ class Scheduler:
         """Remember when a job entered the queue, for the queue-wait
         histogram and the ``queued`` span in the merged trace."""
         job.queued_mono = time.monotonic()
-        rec = tracing.active()
+        rec = telemetry.recorder()
         job.queued_ts_us = rec.now_us() if rec is not None else None
 
     def _register(self, job: Job) -> None:
@@ -549,37 +509,34 @@ class Scheduler:
             if telemetry.enabled() and queued_mono is not None:
                 telemetry.queue_wait().observe(
                     time.monotonic() - queued_mono)
-            rec = tracing.active()
-            if rec is not None and queued_ts is not None:
-                # Retroactive span covering the time spent queued, so
-                # the merged trace shows submit -> queue -> attempt.
-                rec.complete(f"queued {job.id[:12]}", "service", queued_ts,
-                             rec.now_us() - queued_ts,
-                             args={"trace": job.trace_id,
-                                   "attempt": attempt})
-            telemetry.publish_for(job.id, "state", state=JobState.RUNNING,
-                                  attempt=attempt)
-            self._run_attempt(job, attempt)
+            with telemetry.use(telemetry.JobContext(job.id, job.trace_id,
+                                                    attempt)):
+                if queued_ts is not None:
+                    # Retroactive span covering the time spent queued, so
+                    # the merged trace shows submit -> queue -> attempt.
+                    telemetry.complete(f"queued {job.id[:12]}", "service",
+                                       queued_ts, args={"attempt": attempt})
+                telemetry.publish_for(job.id, "state",
+                                      state=JobState.RUNNING, attempt=attempt)
+                self._run_attempt(job, attempt)
 
     def _run_attempt(self, job: Job, attempt: int) -> None:
         report: Optional[dict] = None
         t0 = time.perf_counter()
         try:
-            with tracing.span(
+            with telemetry.span(
                 f"attempt {job.id[:12]}#{attempt}", "service",
-                args={"kind": job.spec.kind, "mode": self.mode,
-                      "trace": job.trace_id},
+                args={"kind": job.spec.kind, "mode": self.mode},
             ):
                 if self.mode == "process":
-                    result, report = self._execute_in_child(
-                        job.spec, attempt, trace_id=job.trace_id)
+                    result, report = self._execute_in_child(job.spec,
+                                                            attempt)
                 else:
                     try:
                         result = run_job(job.spec, registry=self.registry,
                                          attempt=attempt,
                                          checkpoint_dir=self.checkpoint_dir,
-                                         store=self.store,
-                                         trace_id=job.trace_id)
+                                         store=self.store)
                     finally:
                         report = take_report()
         except Exception as exc:  # noqa: BLE001 - converted to job outcome
@@ -601,8 +558,7 @@ class Scheduler:
             for point in result.get("points") or []:
                 if not point.get("from_store") and point.get("result"):
                     self.store.put(point["id"], point["result"])
-        with tracing.span(f"store {job.id[:12]}", "service",
-                          args={"trace": job.trace_id}):
+        with telemetry.span(f"store {job.id[:12]}", "service"):
             self.store.put(job.id, result)
         with self._cv:
             job.result = result
@@ -633,21 +589,18 @@ class Scheduler:
             job.resumed_from = report["resumed_from"]
             self.n_resumed += 1
 
-    def _execute_in_child(self, spec: JobSpec, attempt: int,
-                          trace_id: Optional[str] = None):
+    def _execute_in_child(self, spec: JobSpec, attempt: int):
         import multiprocessing as mp
 
         assert self._spool_dir is not None
         out_path = os.path.join(
             self._spool_dir, f"{spec.job_id}.{attempt}.{os.getpid()}.json"
         )
-        rec = tracing.active()
         ctx = mp.get_context("fork")
         proc = ctx.Process(
             target=_child_entry,
             args=(spec.to_dict(), attempt, self.registry.root, out_path,
-                  self.checkpoint_dir, self.store.root, trace_id,
-                  rec is not None, telemetry.enabled(), self._events_dir),
+                  self.checkpoint_dir, self.store.root, self._events_dir),
         )
         proc.start()
         proc.join(timeout=spec.timeout_s)
@@ -665,15 +618,10 @@ class Scheduler:
                 f"worker died mid-job (exit code {proc.exitcode}, no result)"
             )
         self.registry.merge_counters(payload.get("registry_counters") or {})
-        RESILIENCE_COUNTERS.merge(payload.get("resilience_counters") or {})
-        if telemetry.enabled() and payload.get("metrics"):
-            telemetry.METRICS.merge_snapshot(payload["metrics"])
-        if rec is not None and payload.get("trace"):
-            # Fold the worker's private recorder into this one: the
-            # merged Chrome trace shows the forked solve on its own
-            # process lane, re-based onto the parent timeline.
-            rec.merge_child(payload["trace"],
-                            label=f"worker {spec.job_id[:12]}#{attempt}")
+        # The merged Chrome trace shows the forked solve on its own
+        # process lane, re-based onto the parent timeline.
+        telemetry.merge_child(payload.get("telemetry"),
+                              label=f"worker {spec.job_id[:12]}#{attempt}")
         report = payload.get("checkpoint")
         if not payload.get("ok"):
             # Rehydrate the typed error so retryability survives the
@@ -694,11 +642,9 @@ class Scheduler:
             # mismatch) reproduce on every attempt -- fail fast instead
             # of burning the retry budget.
             retryable = False
-        rec = tracing.active()
-        if rec is not None:
-            rec.instant("job.crash" if crashed else "job.error", "service",
-                        args={"id": job.id[:12], "attempt": attempt,
-                              "retry": retryable})
+        telemetry.instant("job.crash" if crashed else "job.error", "service",
+                          args={"id": job.id[:12], "attempt": attempt,
+                                "retry": retryable})
         with self._cv:
             job.error_kind = type(exc).__name__
         if retryable:

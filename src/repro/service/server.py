@@ -76,7 +76,7 @@ import uuid
 from .. import config, telemetry
 from ..resilience import faults
 from ..resilience.checkpoint import latest_lag_s
-from ..resilience.errors import RESILIENCE_COUNTERS, ReproError
+from ..resilience.errors import ReproError
 from .jobs import JobSpec
 from .scheduler import QueueFullError, Scheduler
 
@@ -374,7 +374,7 @@ class _Handler(JsonHandler):
             "store": self._sched.store.counters(),
             "substrate": SUBSTRATE_COUNTERS.snapshot(),
             "resilience": {
-                "counters": RESILIENCE_COUNTERS.snapshot(),
+                "counters": telemetry.resilience_counts(),
                 "faults": faults.fired_summary(),
             },
             "telemetry": telemetry.METRICS.snapshot(),

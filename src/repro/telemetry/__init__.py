@@ -1,21 +1,30 @@
-"""End-to-end telemetry: metrics, live progress and job-scoped tracing.
+"""End-to-end telemetry: spans, metrics, live progress, one fork hand-off.
 
-The facade every other layer goes through:
+The one owner of program telemetry; every other layer goes through it:
 
+* :func:`span` / :func:`instant` / :func:`complete` -- events on the
+  trace recorder (:mod:`.trace`), opt-in through ``REPRO_TRACE`` or
+  :func:`start_trace`; each stamps the current job's trace id itself,
+  and costs one ``None`` check while no recorder is live;
+  :func:`counter_track` samples a Chrome counter track.
 * :func:`enabled` / :func:`enable` / :func:`disable` /
-  :func:`switched_on` -- the master gate.
+  :func:`switched_on` -- the metrics and progress gate.
   Default comes from ``REPRO_TELEMETRY`` (unset = off); the serving
   stack (``Scheduler.start`` / ``repro serve``) enables it explicitly
   unless the environment forces it off with ``REPRO_TELEMETRY=0``.
-  When off, every hook below is a single attribute load plus a boolean
+  When off, every gated hook is a single attribute load plus a boolean
   check -- the <2%-overhead contract the tests assert.
 * :data:`METRICS` -- the process-global :class:`MetricsRegistry`
   rendered by ``GET /metrics`` (Prometheus text) and its JSON fallback.
+  :func:`count_event` counts into its ``resilience_events_total{event}``
+  family whether or not the gate is on: those events are rare.
 * :data:`PROGRESS` -- the process-global :class:`ProgressHub` behind
   ``GET /jobs/<id>/events`` and ``repro tail``.
 * :func:`publish` -- record a progress event for the current job
   context (no-op without a context or with telemetry off).
-* :func:`span_args` -- tag tracing spans with the current trace id.
+* :func:`fork_child` / :func:`child_report` / :func:`merge_child` --
+  how a forked scheduler worker or rank process hands its spans and
+  counts home.
 
 Solvers, the scheduler and the checkpoint manager never import the
 metrics classes directly; they call the helpers here, which keeps the
@@ -25,6 +34,7 @@ trivially intact (telemetry only ever *reads* solver state).
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
 from typing import Dict, Optional
 
@@ -38,24 +48,48 @@ from .metrics import (
     MetricsRegistry,
 )
 from .progress import ProgressHub, RingBuffer, event_file
+from .trace import (
+    WALL_PID,
+    TraceRecorder,
+    complete,
+    counter_track,
+    instant,
+    recorder,
+    span,
+    start_trace,
+    stop_trace,
+)
 
 __all__ = [
     "METRICS",
     "PROGRESS",
     "PROMETHEUS_CONTENT_TYPE",
+    "WALL_PID",
     "JobContext",
     "MetricsRegistry",
     "ProgressHub",
     "RingBuffer",
+    "TraceRecorder",
+    "child_report",
+    "complete",
+    "count_event",
+    "counter_track",
     "current",
     "disable",
     "enable",
     "enabled",
     "event_file",
+    "fork_child",
+    "instant",
+    "merge_child",
     "new_trace_id",
     "publish",
+    "recorder",
+    "resilience_counts",
     "set_current",
-    "span_args",
+    "span",
+    "start_trace",
+    "stop_trace",
     "switched_on",
     "use",
 ]
@@ -147,17 +181,65 @@ def publish_for(job_id: str, kind: str, **payload) -> None:
     events_published().inc()
 
 
-# -- tracing glue --------------------------------------------------------------
+# -- resilience events ---------------------------------------------------------
 
 
-def span_args(args: Optional[Dict] = None) -> Optional[Dict]:
-    """Span args plus the current trace id (when a context is set)."""
-    ctx = current()
-    if ctx is None:
-        return args
-    out = dict(args) if args else {}
-    out["trace"] = ctx.trace_id
-    return out
+def count_event(event: str, **args) -> None:
+    """Count one resilience event (a probe veto, a fired fault, a
+    checkpoint save or resume, a quarantine) whether or not the gate is
+    on, and mark it on a live trace; ``args`` annotate that instant."""
+    resilience_events().labels(event=event).inc()
+    instant(f"resilience.{event}", "resilience", args=args or None)
+
+
+def resilience_counts() -> Dict[str, int]:
+    """``event -> count`` of the ``resilience_events_total`` family."""
+    return {key[0]: int(child.value)
+            for key, child in resilience_events()._series()}
+
+
+# -- the fork hand-off ---------------------------------------------------------
+
+
+def fork_child(events_dir: Optional[str] = None) -> None:
+    """Child side of a fork, first thing after it.
+
+    Drops the inherited metrics and progress rings, so what
+    :func:`child_report` hands home is this child's own delta; mirrors
+    progress into ``events_dir`` (when the parent publishes) so the
+    parent's readers can tail a live child; and records spans into a
+    private recorder when the parent was tracing.
+    """
+    # Only the forking thread survives a fork: a registry lock another
+    # parent thread held at that instant would stay held here forever.
+    METRICS._lock = threading.Lock()
+    PROGRESS._lock = threading.Lock()
+    METRICS.reset()
+    PROGRESS.reset()
+    if _STATE.on and events_dir is not None:
+        PROGRESS.configure_sink(events_dir)
+    if recorder() is not None:
+        start_trace(None)
+
+
+def child_report() -> dict:
+    """What a forked child hands home at exit (JSON-able)."""
+    PROGRESS.close_sink()
+    rec = recorder()
+    return {"trace": rec.export() if rec is not None else None,
+            "metrics": METRICS.snapshot()}
+
+
+def merge_child(report: Optional[dict], label: str) -> None:
+    """Parent side: fold a :func:`child_report` in -- the child's trace
+    lanes re-based onto the live recorder under ``label``, its metrics
+    delta (resilience counts included) added to :data:`METRICS`."""
+    if not report:
+        return
+    rec = recorder()
+    if rec is not None and report.get("trace"):
+        rec.merge_child(report["trace"], label=label)
+    METRICS.merge_snapshot(report.get("metrics") or {})
 
 
 # -- the standard instrument set -----------------------------------------------
@@ -211,14 +293,12 @@ def events_published() -> Counter:
                            "Progress events published into ring buffers")
 
 
-def checkpoint_writes() -> Counter:
-    return METRICS.counter("checkpoints_written_total",
-                           "Solver checkpoint snapshots written")
-
-
-def checkpoint_resumes() -> Counter:
-    return METRICS.counter("checkpoints_resumed_total",
-                           "Solves resumed from a checkpoint snapshot")
+def resilience_events() -> Counter:
+    return METRICS.counter(
+        "resilience_events_total",
+        "Resilience-layer events (checkpoint saves and resumes, "
+        "quarantines, fired faults, native fallbacks), by event",
+        labelnames=("event",))
 
 
 def cluster_ranks() -> Gauge:

@@ -1,13 +1,14 @@
 """Job-scoped telemetry context: which job (and trace id) is running.
 
-The scheduler sets a :class:`JobContext` around every attempt (thread
-workers per-thread, forked workers process-wide after the fork), the
-solvers read it to tag progress events and spans, and it travels with
-the job id so one Chrome trace shows submit -> queue -> tune -> sweep ->
-checkpoint -> store under a single ``trace`` argument.
+The scheduler sets a :class:`JobContext` around every attempt and
+``run_job`` around the work itself; progress events read it, and the
+trace recorder's spans stamp its id, so one Chrome trace shows submit ->
+queue -> tune -> sweep -> checkpoint -> store under a single ``trace``
+argument.
 
 Thread-local on purpose: concurrent worker threads each run a different
-job, and a fork inherits (then overwrites) the parent's value.
+job, and a fork (a process-mode worker, a rank) inherits the forking
+thread's value.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ def current() -> Optional[JobContext]:
 
 
 def set_current(ctx: Optional[JobContext]) -> None:
-    """Install a context without scoping (forked-worker entry)."""
+    """Install a context without scoping (tests and benchmarks)."""
     _HOLDER.value = ctx
 
 

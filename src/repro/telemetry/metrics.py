@@ -25,7 +25,7 @@ Two readouts:
 
 Scrape-time *collectors* (:meth:`MetricsRegistry.register_collector`)
 let subsystems that already keep their own counters (scheduler stats,
-plan registry, resilience counters) be reflected into gauges at render
+plan registry, result store) be reflected into gauges at render
 time instead of double-counting on every event.
 """
 
@@ -417,7 +417,8 @@ class MetricsRegistry:
                          else child.value)
 
     def reset(self) -> None:
-        """Drop every instrument and collector (tests only)."""
+        """Drop every instrument and collector (a forked child's first
+        step, so what it reports home is its own delta)."""
         with self._lock:
             self._instruments.clear()
             self._collectors.clear()

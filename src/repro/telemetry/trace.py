@@ -17,13 +17,21 @@ Tracing is off by default and costs one module-attribute load plus a
 ``None`` check per instrumentation site when disabled.  Enable either
 programmatically::
 
-    from repro.core import tracing
-    tracing.start_trace("run.json")
+    from repro import telemetry
+    telemetry.start_trace("run.json")
     ...             # instrumented code records spans
-    tracing.stop_trace()   # writes run.json (Chrome) + run.jsonl
+    telemetry.stop_trace()   # writes run.json (Chrome) + run.jsonl
 
 or by environment: ``REPRO_TRACE=path.json`` makes the ``repro`` CLI
 trace the whole command and write both files on exit.
+
+Instrumentation goes through the module-level :func:`span`,
+:func:`instant` and :func:`complete`: while a recorder is live they add
+``trace`` -- the current :class:`~repro.telemetry.context.JobContext`'s
+trace id -- to the event's args, so every event recorded on behalf of a
+job carries its id without the call site passing it.
+:func:`counter_track` samples stay unstamped: their values are the
+series a viewer plots.
 
 JSONL schema
 ------------
@@ -49,10 +57,14 @@ import os
 import time
 from typing import Dict, List, Optional, Tuple
 
+from .context import current
+
 __all__ = [
     "TraceRecorder",
-    "active",
-    "enabled",
+    "complete",
+    "counter_track",
+    "instant",
+    "recorder",
     "start_trace",
     "stop_trace",
     "span",
@@ -176,8 +188,8 @@ class TraceRecorder:
 
     def export(self) -> dict:
         """Everything a parent needs to merge this recorder's events:
-        the epoch plus raw meta/event lists (forked workers ship this
-        through their spool file, like ``SubstrateCounters`` snapshots)."""
+        the epoch plus raw meta/event lists (a forked child ships this
+        home in its ``telemetry.child_report()``)."""
         return {"epoch": self.epoch, "meta": list(self._meta),
                 "events": list(self._events)}
 
@@ -282,16 +294,21 @@ def jsonl_path_for(path: str) -> str:
 
 
 #: The active recorder, or None.  Instrumentation sites go through
-#: :func:`active` / :func:`span`, which cost a None check when disabled.
+#: :func:`span` / :func:`instant` / :func:`complete`, which cost a None
+#: check when disabled.
 _RECORDER: Optional[TraceRecorder] = None
 
 
-def active() -> Optional[TraceRecorder]:
+def recorder() -> Optional[TraceRecorder]:
     return _RECORDER
 
 
-def enabled() -> bool:
-    return _RECORDER is not None
+def _stamped(args):
+    """``args`` plus the current job's trace id (when a job is running)."""
+    ctx = current()
+    if ctx is None:
+        return args
+    return {**args, "trace": ctx.trace_id} if args else {"trace": ctx.trace_id}
 
 
 def span(name: str, cat: str = "", tid: int = 0, args=None):
@@ -299,7 +316,34 @@ def span(name: str, cat: str = "", tid: int = 0, args=None):
     rec = _RECORDER
     if rec is None:
         return _NULL_SPAN
-    return rec.span(name, cat, tid=tid, args=args)
+    return rec.span(name, cat, tid=tid, args=_stamped(args))
+
+
+def instant(name: str, cat: str = "", args=None) -> None:
+    """A point event on the active recorder's wall clock."""
+    rec = _RECORDER
+    if rec is not None:
+        rec.instant(name, cat, args=_stamped(args))
+
+
+def counter_track(name: str, values: Dict[str, float]) -> None:
+    """A sample on the active recorder's counter track ``name`` (Chrome
+    draws it as a graph).  Unstamped: its values are the plotted series."""
+    rec = _RECORDER
+    if rec is not None:
+        rec.counter(name, values)
+
+
+def complete(name: str, cat: str, ts_us: float, dur_us: Optional[float] = None,
+             pid: int = WALL_PID, tid: int = 0, args=None) -> None:
+    """A finished span at explicit timestamps (``dur_us=None``: until
+    now) -- retroactive wall-clock spans and simulated DES tiles."""
+    rec = _RECORDER
+    if rec is not None:
+        if dur_us is None:
+            dur_us = rec.now_us() - ts_us
+        rec.complete(name, cat, ts_us, dur_us, pid=pid, tid=tid,
+                     args=_stamped(args))
 
 
 def start_trace(path: Optional[str] = None) -> TraceRecorder:

@@ -288,6 +288,31 @@ class TestCampaignCommand:
         assert all(r["state"] == "done" for r in rows)
         assert sum(1 for r in rows if r["registry_hit"]) == 1
 
+    def test_repro_trace_covers_the_campaign(self, tmp_path, capsys,
+                                             monkeypatch):
+        """``REPRO_TRACE`` is the one route to a campaign trace: the file
+        holds the ``campaign`` span and every job's spans."""
+        path = tmp_path / "campaign-trace.json"
+        monkeypatch.setenv("REPRO_TRACE", str(path))
+        rc = main(["campaign", "--preset", "absorber", "--grid", "16",
+                   "--threads", "2", "--tol", "1e-4", "--max-steps", "20",
+                   "--wavelengths", "10,12", "--thicknesses", "0.2",
+                   "--workers", "2"])
+        assert rc == 0
+        assert f"trace -> {path}" in capsys.readouterr().out
+        spans = [e for e in json.load(open(path))["traceEvents"]
+                 if e["ph"] == "X"]
+        names = [e["name"] for e in spans]
+        assert "campaign 2 jobs" in names
+        assert sum(n.startswith("job ") for n in names) == 2
+        traces = {e["args"]["trace"] for e in spans
+                  if e["name"].startswith("job ")}
+        assert len(traces) == 2
+
+    def test_parser_rejects_trace_option(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["campaign", "--trace", "t.json"])
+
 
 class TestChaosCommand:
     def test_scenario_choices_are_the_table(self, capsys):

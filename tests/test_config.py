@@ -7,9 +7,8 @@ import threading
 
 import pytest
 
-from repro import config
+from repro import config, telemetry
 from repro.ioutil import atomic_write_json, atomic_write_text, read_json
-from repro.resilience.errors import RESILIENCE_COUNTERS
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -134,10 +133,10 @@ class TestAccessors:
         for raw, vetoed in [("1", True), ("", False), ("0", False)]:
             monkeypatch.setenv("REPRO_NO_NATIVE", raw)
             assert config.get("REPRO_NO_NATIVE") is vetoed
-            degraded = RESILIENCE_COUNTERS.snapshot().get("native_degraded", 0)
+            degraded = telemetry.resilience_counts().get("native_degraded", 0)
             assert nativelib.load("_lru_kernel") is None
             # Not vetoed: the load was attempted (and failed on the path).
-            after = RESILIENCE_COUNTERS.snapshot().get("native_degraded", 0)
+            after = telemetry.resilience_counts().get("native_degraded", 0)
             assert after - degraded == (0 if vetoed else 1)
 
     @pytest.mark.parametrize("name", ["REPRO_NO_NATIVE", "REPRO_TELEMETRY",

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import nativelib
+from repro import nativelib, telemetry
 from repro.fdfd import (
     ALL_COMPONENTS,
     BatchedCoefficientSet,
@@ -30,7 +30,6 @@ from repro.fdfd import kernels
 from repro.fdfd.kernels import BoundRegion, full_region, region_lups
 from repro.fdfd.specs import SPECS
 from repro.resilience import faults
-from repro.resilience.errors import RESILIENCE_COUNTERS
 
 from conftest import (expanded, numpy_kernels, random_state, run_concurrently,
                       service_solver)
@@ -434,7 +433,7 @@ def reload_kernel(monkeypatch):
 
 
 def _degraded():
-    return RESILIENCE_COUNTERS.get("native_degraded")
+    return telemetry.resilience_counts().get("native_degraded", 0)
 
 
 class TestFallback:

@@ -18,7 +18,7 @@ from repro.core import (
     spatial_code_balance,
 )
 from repro.core.autotuner import tune_spatial, tune_tiled
-from repro.core import tracing
+from repro import telemetry
 from repro.machine import (
     HASWELL_EP,
     MachineSpec,
@@ -32,7 +32,6 @@ from repro.machine import (
     validate_calibration,
 )
 from repro.resilience import faults
-from repro.resilience.errors import RESILIENCE_COUNTERS
 
 
 class TestMachineSpec:
@@ -198,7 +197,7 @@ def reload_des(monkeypatch):
 
     def reload():
         simulator._DES = None
-        return RESILIENCE_COUNTERS.get("native_degraded")
+        return telemetry.resilience_counts().get("native_degraded", 0)
 
     return reload
 
@@ -312,7 +311,7 @@ class TestNativeDES:
         assert self._run() == expected
         assert simulator._DES is False
         # a veto is not a degradation
-        assert RESILIENCE_COUNTERS.get("native_degraded") == before
+        assert telemetry.resilience_counts().get("native_degraded", 0) == before
 
     def test_injected_load_fault_degrades_this_library_only(
             self, reload_des, monkeypatch):
@@ -327,17 +326,17 @@ class TestNativeDES:
         finally:
             faults.uninstall()
         assert simulator._DES is False
-        assert RESILIENCE_COUNTERS.get("native_degraded") == before + 1  # once
+        assert telemetry.resilience_counts().get("native_degraded", 0) == before + 1  # once
         assert native_available() == lru  # the replay engine is untouched
 
     def test_tracing_takes_the_python_loop(self, native_des):
         plan = self._plan()
         untraced = self._run(plan)
-        rec = tracing.start_trace()
+        rec = telemetry.start_trace()
         try:
             traced = self._run(plan)
         finally:
-            tracing.stop_trace()
+            telemetry.stop_trace()
         assert traced == untraced
         tiles = [e for e in rec._events if e["cat"] == "sim.tile"]
         assert len(tiles) == plan.n_tiles

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.fdfd import Grid, PlaneWaveSource, THIIMSolver
 from repro.fdfd.thiim import divergence_reason
 from repro.ioutil import (
@@ -14,13 +15,13 @@ from repro.ioutil import (
     json_checksum,
     read_json_checked,
 )
+from repro.telemetry import MetricsRegistry
 from repro.resilience.errors import (
     CheckpointMismatch,
     CorruptArtifact,
     EngineUnavailable,
     InjectedFault,
     ReproError,
-    ResilienceCounters,
     SolverDiverged,
     error_from_kind,
 )
@@ -108,25 +109,94 @@ class TestDivergenceGuard:
 
 
 class TestCounters:
-    def test_bump_get_snapshot(self):
-        c = ResilienceCounters()
-        c.bump("a")
-        c.bump("a", 2)
-        assert c.get("a") == 3 and c.get("missing") == 0
-        assert c.snapshot() == {"a": 3}
+    """Resilience events are one labelled family of ``telemetry.METRICS``,
+    counted whether or not the telemetry gate is on."""
+
+    def test_bump_get_snapshot(self, monkeypatch):
+        monkeypatch.setattr(telemetry._STATE, "on", False)
+        before = telemetry.resilience_counts().get("test_event", 0)
+        telemetry.count_event("test_event")
+        telemetry.count_event("test_event", path="x.json")
+        after = telemetry.resilience_counts()
+        assert after["test_event"] == before + 2
+        assert "test_missing" not in after
+        assert telemetry.METRICS.get_value(
+            "resilience_events_total", ("test_event",)) == before + 2
 
     def test_merge_folds_child_deltas(self):
-        c = ResilienceCounters()
-        c.bump("a")
-        c.merge({"a": 2, "b": 1})
-        c.merge(None)
-        assert c.snapshot() == {"a": 3, "b": 1}
+        before = telemetry.resilience_counts().get("test_merged", 0)
+        child = MetricsRegistry()
+        child.counter("resilience_events_total", "",
+                      ("event",)).labels(event="test_merged").inc(2)
+        telemetry.merge_child({"trace": None, "metrics": child.snapshot()},
+                              label="worker")
+        telemetry.merge_child(None, label="worker")
+        assert telemetry.resilience_counts()["test_merged"] == before + 2
 
     def test_reset(self):
-        c = ResilienceCounters()
-        c.bump("a")
-        c.reset()
-        assert c.snapshot() == {}
+        """A forked child starts from zero, so what it hands home is its
+        own delta, not the counts it inherited."""
+        import multiprocessing as mp
+
+        telemetry.count_event("test_inherited")
+
+        def child(conn):
+            telemetry.fork_child()
+            inherited = telemetry.resilience_counts()
+            telemetry.count_event("test_child")
+            conn.send((inherited, telemetry.child_report()))
+            conn.close()
+
+        ctx = mp.get_context("fork")
+        parent_conn, child_conn = ctx.Pipe()
+        proc = ctx.Process(target=child, args=(child_conn,))
+        proc.start()
+        inherited, report = parent_conn.recv()
+        proc.join(timeout=30)
+        assert inherited == {}
+        before = telemetry.resilience_counts()
+        telemetry.merge_child(report, label="worker")
+        after = telemetry.resilience_counts()
+        assert after["test_child"] == before.get("test_child", 0) + 1
+        assert after["test_inherited"] == before["test_inherited"]
+
+    def test_fork_while_another_thread_holds_the_locks(self):
+        """A serving parent's threads take the registry locks on every
+        publish and scrape; a fork that lands while one is held must not
+        leave the child blocked at entry."""
+        import multiprocessing as mp
+        import threading
+
+        held, release = threading.Event(), threading.Event()
+
+        def holder():
+            with telemetry.METRICS._lock, telemetry.PROGRESS._lock:
+                held.set()
+                release.wait(60)
+
+        def child(conn):
+            telemetry.fork_child()
+            telemetry.count_event("test_after_fork")
+            conn.send(telemetry.child_report()["metrics"] != {})
+            conn.close()
+
+        thread = threading.Thread(target=holder, daemon=True)
+        thread.start()
+        assert held.wait(10)
+        ctx = mp.get_context("fork")
+        parent_conn, child_conn = ctx.Pipe()
+        proc = ctx.Process(target=child, args=(child_conn,))
+        try:
+            proc.start()
+            finished = parent_conn.poll(30)
+        finally:
+            release.set()
+            thread.join(10)
+            if proc.is_alive() and not finished:
+                proc.terminate()
+            proc.join(10)
+        assert finished, "forked child blocked on an inherited lock"
+        assert parent_conn.recv() is True
 
 
 class TestChecksummedJson:

@@ -1,13 +1,14 @@
 """Job-scoped trace propagation: one trace id from submission through a
-forked worker's sweeps, merged back into a single Chrome trace."""
+forked worker's sweeps and a distributed job's ranks, merged back into a
+single Chrome trace, and one counter series per resilience event."""
 
+import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.core import tracing
-from repro.core.tracing import WALL_PID, TraceRecorder
-from repro.service import Scheduler
+from repro.service import PlanRegistry, Scheduler, run_job
 from repro.service.jobs import JobSpec, JobState
+from repro.telemetry import WALL_PID, TraceRecorder
 
 FAST_SOLVE = dict(kind="solve", preset="vacuum", grid=10, wavelength=10.0,
                   tol=1e-4, max_steps=20)
@@ -17,8 +18,8 @@ FAST_SOLVE = dict(kind="solve", preset="vacuum", grid=10, wavelength=10.0,
 def _isolate_telemetry_state():
     was_on = telemetry.enabled()
     yield
-    if tracing.active() is not None:
-        tracing.stop_trace()
+    if telemetry.recorder() is not None:
+        telemetry.stop_trace()
     telemetry.enable(force=True) if was_on else telemetry.disable()
     telemetry.set_current(None)
 
@@ -50,7 +51,7 @@ class TestMergeChild:
         assert names[wall] == "worker #1"
         assert names[pids["sim span"]] == "simulated threads"
 
-    def test_merge_preserves_span_args(self):
+    def test_merge_preserves_event_args(self):
         parent = TraceRecorder()
         child = TraceRecorder()
         child.complete("job abc", "service", 0.0, 1.0,
@@ -69,16 +70,45 @@ class TestJobContext:
         assert len(ja.trace_id) == 16 and ja.trace_id != jb.trace_id
         assert ja.to_dict()["trace_id"] == ja.trace_id
 
-    def test_span_args_tags_the_current_trace(self):
-        telemetry.set_current(telemetry.JobContext(job_id="j",
-                                                   trace_id="cafe1234"))
+    def test_spans_stamp_the_current_trace(self):
+        rec = telemetry.start_trace(None)
+        with telemetry.use(telemetry.JobContext(job_id="j",
+                                                trace_id="cafe1234")):
+            with telemetry.span("a", "t", args={"x": 1}):
+                pass
+            telemetry.instant("b", "t")
+            telemetry.complete("c", "t", rec.now_us())
+        with telemetry.span("outside", "t", args={"x": 1}):
+            pass
+        telemetry.stop_trace()
+        args = {e["name"]: e.get("args") for e in rec._events}
+        assert args["a"] == {"x": 1, "trace": "cafe1234"}
+        assert args["b"] == args["c"] == {"trace": "cafe1234"}
+        assert args["outside"] == {"x": 1}
+
+    def test_registry_tuned_tiled_job_tags_every_event(self):
+        """Tuner candidates, measurements, simulated tiles, executor
+        tiles and the registry all record under the job's trace id."""
+        from repro.machine import clear_substrate_caches
+
+        clear_substrate_caches()
+        spec = JobSpec(kind="solve", preset="tandem", grid=16, tiled=True,
+                       tuning="registry", threads=4, tol=1e-4, max_steps=40)
+        rec = telemetry.start_trace(None)
         try:
-            assert telemetry.span_args({"x": 1}) == {"x": 1,
-                                                     "trace": "cafe1234"}
-            assert telemetry.span_args(None) == {"trace": "cafe1234"}
+            with telemetry.use(telemetry.JobContext(spec.job_id, "feedface")):
+                run_job(spec, registry=PlanRegistry())
         finally:
-            telemetry.set_current(None)
-        assert telemetry.span_args({"x": 1}) == {"x": 1}
+            telemetry.stop_trace()
+        cats = {e.get("cat") for e in rec._events}
+        assert {"autotune", "measure", "sim.tile", "exec.tile",
+                "exec.run", "service"} <= cats
+        # Counter-track samples are plotted series, not tagged events.
+        tracks = {e["name"] for e in rec._events if e["type"] == "counter"}
+        assert tracks == {"plan registry"}
+        untagged = [e for e in rec._events if e["type"] != "counter"
+                    and (e.get("args") or {}).get("trace") != "feedface"]
+        assert not untagged, untagged[:3]
 
 
 class TestForkedWorkerPropagation:
@@ -88,14 +118,14 @@ class TestForkedWorkerPropagation:
     @pytest.fixture
     def traced_run(self):
         telemetry.enable(force=True)
-        rec = tracing.start_trace(None)
+        rec = telemetry.start_trace(None)
         sched = Scheduler(workers=1, mode="process").start()
         try:
             job = sched.submit(JobSpec(**FAST_SOLVE))
             sched.wait(job.id, timeout=180.0)
         finally:
             sched.stop()
-            tracing.stop_trace()
+            telemetry.stop_trace()
         assert job.state == JobState.DONE, job.error
         return rec, job
 
@@ -137,3 +167,82 @@ class TestForkedWorkerPropagation:
                      if e["kind"] == "progress"]
         assert residuals and all(r >= 0 for r in residuals)
         telemetry.PROGRESS.forget(job.id)
+
+
+def _two_rank_solver():
+    from repro.fdfd import Grid, PlaneWaveSource, PMLSpec, THIIMSolver
+    from repro.fdfd.presets import preset_scene
+
+    grid = Grid(nz=20, ny=10, nx=10, periodic=(False, True, True))
+    return THIIMSolver(
+        grid, 2 * np.pi / 12.0, scene=preset_scene("absorber", 20),
+        source=PlaneWaveSource(z_plane=12, z_width=2.0),
+        pml={"z": PMLSpec(thickness=6)})
+
+
+class TestRankHandOff:
+    """A traced, checkpointed 2-rank solve under a job context: the ranks'
+    spans and counts come home through ``telemetry.merge_child``."""
+
+    TRACE = "5eed5eed5eed5eed"
+
+    @pytest.fixture
+    def traced_ranks(self, tmp_path):
+        from repro.cluster import RankLayout
+        from repro.cluster.runtime import run_distributed
+
+        solver = _two_rank_solver()
+        before = telemetry.resilience_counts().get("checkpoints_written", 0)
+        rec = telemetry.start_trace(None)
+        try:
+            with telemetry.use(telemetry.JobContext("ranks", self.TRACE)):
+                _, info = run_distributed(
+                    RankLayout(solver.grid, 2, 1, 1), solver, tol=1e-12,
+                    max_steps=40, checkpoint_dir=str(tmp_path), every=20)
+        finally:
+            telemetry.stop_trace()
+        assert info["saves"] == 2
+        return rec, info, before
+
+    def test_rank_slab_saves_reach_the_parent(self, traced_ranks):
+        _, info, before = traced_ranks
+        after = telemetry.resilience_counts()["checkpoints_written"]
+        assert after - before == info["ranks"] * info["saves"]
+
+    def test_rank_lanes_are_merged_labelled_and_tagged(self, traced_ranks):
+        rec, _, _ = traced_ranks
+        lanes = {m["pid"]: m["name"] for m in rec._meta
+                 if m["kind"] == "process_name"
+                 and m["name"].startswith("rank ")}
+        assert sorted(lanes.values()) == ["rank 0,0,0", "rank 1,0,0"]
+        on_lanes = [e for e in rec._events if e["pid"] in lanes]
+        sweeps = [e for e in on_lanes if e["name"].endswith(" sweep")]
+        assert len(sweeps) == 2 * 2  # two blocks of 20 on each rank
+        assert all((e.get("args") or {}).get("trace") == self.TRACE
+                   for e in on_lanes)
+
+
+class TestOneSeriesPerEvent:
+    def test_resilience_events_are_one_family(self, monkeypatch, tmp_path):
+        """A checkpointed job through a serving scheduler: each resilience
+        event is exactly one Prometheus series, and no mirrored gauge or
+        second counter names it again."""
+        monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "20")
+        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path))
+        sched = Scheduler(workers=1).start()
+        try:
+            job = sched.submit(JobSpec(**dict(FAST_SOLVE, max_steps=40)))
+            sched.wait(job.id, timeout=120.0)
+            text = telemetry.METRICS.render()
+        finally:
+            sched.stop()
+        assert job.state == JobState.DONE, job.error
+        counts = telemetry.resilience_counts()
+        assert counts["checkpoints_written"] >= 1
+        series = [line for line in text.splitlines()
+                  if line and not line.startswith("#")]
+        for event in counts:
+            naming = [line for line in series if event in line]
+            assert naming == [line for line in naming if line.startswith(
+                f'repro_resilience_events_total{{event="{event}"}} ')]
+            assert len(naming) == 1, naming

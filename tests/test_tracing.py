@@ -9,8 +9,8 @@ import json
 
 import pytest
 
-from repro.core import tracing
-from repro.core.tracing import (
+from repro import telemetry
+from repro.telemetry.trace import (
     WALL_PID,
     TraceRecorder,
     _NULL_SPAN,
@@ -21,9 +21,9 @@ from repro.core.tracing import (
 @pytest.fixture(autouse=True)
 def _no_leaked_recorder():
     """Every test starts and ends with tracing disabled."""
-    tracing.stop_trace()
+    telemetry.stop_trace()
     yield
-    tracing.stop_trace()
+    telemetry.stop_trace()
 
 
 def _clear_measure_caches():
@@ -35,8 +35,8 @@ def _clear_measure_caches():
 
 class TestDisabledMode:
     def test_span_is_shared_null_singleton(self):
-        assert not tracing.enabled()
-        s = tracing.span("anything", "cat", args={"k": 1})
+        assert telemetry.recorder() is None
+        s = telemetry.span("anything", "cat", args={"k": 1})
         assert s is _NULL_SPAN
         with s as sp:
             sp.set(result=42)  # must be a silent no-op
@@ -47,13 +47,13 @@ class TestDisabledMode:
         from repro.machine.spec import HASWELL_EP
 
         measure_tiled_code_balance(HASWELL_EP, nx=32, dw=4, bz=2, n_streams=1)
-        assert tracing.active() is None
+        assert telemetry.recorder() is None
 
 
 class TestRecorder:
     def test_span_records_complete_event(self):
-        rec = tracing.start_trace()
-        with tracing.span("work", "test", args={"n": 3}) as sp:
+        rec = telemetry.start_trace()
+        with telemetry.span("work", "test", args={"n": 3}) as sp:
             sp.set(out=7)
         assert len(rec) == 1
         ev = rec._events[0]
@@ -63,10 +63,10 @@ class TestRecorder:
         assert ev["dur_us"] >= 0
 
     def test_summary_counts_by_category(self):
-        rec = tracing.start_trace()
-        with tracing.span("a", "x"):
+        rec = telemetry.start_trace()
+        with telemetry.span("a", "x"):
             pass
-        with tracing.span("b", "x"):
+        with telemetry.span("b", "x"):
             pass
         rec.instant("mark", "y")
         assert rec.summary() == {"x": 2, "y": 1}
@@ -80,15 +80,15 @@ class TestRecorder:
 
 class TestChromeFormat:
     def _sample_recorder(self):
-        rec = tracing.start_trace()
-        with tracing.span("wall work", "measure", args={"dw": 4}):
+        rec = telemetry.start_trace()
+        with telemetry.span("wall work", "measure", args={"dw": 4}):
             pass
         pid = rec.new_process("DES test")
         rec.name_thread(pid, 0, "thread group 0")
         rec.complete("tile", "sim.tile", ts_us=0.0, dur_us=5.0, pid=pid, tid=0)
         rec.instant("event", "marks")
         rec.counter("mlups", {"value": 123.0})
-        tracing.stop_trace()
+        telemetry.stop_trace()
         return rec, pid
 
     def test_chrome_events_schema(self, tmp_path):
@@ -141,13 +141,13 @@ class TestDesTimeline:
         from repro.machine.simulator import simulate_tiled
         from repro.machine.spec import HASWELL_EP
 
-        rec = tracing.start_trace()
+        rec = telemetry.start_trace()
         plan = TilingPlan.build(ny=16, nz=24, timesteps=8, dw=4, bz=2)
         cfg = ThreadGroupConfig(wavefront_threads=1, x_threads=3,
                                 component_threads=2)
         res = simulate_tiled(HASWELL_EP, plan, nx=48, tg_config=cfg,
                              code_balance=100.0)
-        tracing.stop_trace()
+        telemetry.stop_trace()
         tiles = [e for e in rec._events if e["cat"] == "sim.tile"]
         assert len(tiles) == len(plan.tiles)
         pids = {e["pid"] for e in tiles}
@@ -169,9 +169,9 @@ class TestDesTimeline:
         coeffs = random_coefficients(grid, seed=3)
         fields = FieldState(grid).fill_random(np.random.default_rng(4))
         plan = TilingPlan.build(ny=8, nz=8, timesteps=4, dw=4, bz=2)
-        rec = tracing.start_trace()
+        rec = telemetry.start_trace()
         TiledExecutor(fields, coeffs, plan).run()
-        tracing.stop_trace()
+        telemetry.stop_trace()
         cats = rec.summary()
         assert cats.get("exec.run") == 1
         assert cats.get("exec.tile") == len(plan.tiles)
