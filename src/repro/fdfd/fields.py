@@ -262,24 +262,27 @@ class BatchedFieldState:
         return FieldState(self.grid, {n: a[i] for n, a in self._arrays.items()})
 
     def extract(self, i: int) -> FieldState:
-        """Deep copy of lane ``i`` (used to freeze a converged point)."""
+        """Deep copy of lane ``i`` (used to keep a converged point when
+        compaction drops its lane from the stack)."""
         return FieldState(
-            self.grid,
-            {n: np.ascontiguousarray(a[i]) for n, a in self._arrays.items()},
-        )
+            self.grid, {n: a[i].copy() for n, a in self._arrays.items()})
 
     def compact(self, keep: Sequence[int]) -> None:
         """Drop all lanes not in ``keep``, **in place** (the executor and
         the solver share this object by reference, so compaction must not
         change its identity).  Lane data survives bit-for-bit -- a fancy
-        index copy is exact."""
+        index copy is exact.  Components are replaced one at a time and
+        the kernel binding is dropped first, so an old array nothing else
+        holds is freed before the next one is copied."""
         idx = list(keep)
         if not idx:
             raise ValueError("cannot compact to zero lanes")
         width = self.batch_width
         if any(i < 0 or i >= width for i in idx):
             raise IndexError(f"lane index out of range for width {width}")
-        self._arrays = {n: a[idx] for n, a in self._arrays.items()}
+        self._bound = None
+        for n, a in self._arrays.items():
+            self._arrays[n] = a[idx]
 
     # -- lifecycle --------------------------------------------------------------
 

@@ -126,10 +126,11 @@ def region_lups(region: Region) -> int:
 #: Reusable work buffers of the NumPy body: one flat buffer per slot (two
 #: accumulators + two wrapped shifted reads alive at once), grown to the
 #: largest region seen and handed out reshaped, so the hot path allocates
-#: nothing.  Thread-local: an executor is single-threaded through a solve,
-#: but a serve node with ``workers > 1`` (or several in-process node
-#: schedulers) runs concurrent solves, and solves sharing one buffer
-#: would race and corrupt each other's numerics.
+#: nothing; the convergence residual (:func:`observables.relative_change`)
+#: works in slots 200 and 201.  Thread-local: an executor is
+#: single-threaded through a solve, but a serve node with ``workers > 1``
+#: (or several in-process node schedulers) runs concurrent solves, and
+#: solves sharing one buffer would race and corrupt each other's numerics.
 _SCRATCH = threading.local()
 
 

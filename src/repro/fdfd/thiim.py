@@ -38,7 +38,7 @@ from .kernels import naive_sweep, spatial_blocked_sweep, step
 from .observables import relative_change
 from .pml import PMLSpec
 from .sources import PlaneWaveSource
-from .specs import ALL_COMPONENTS
+from .specs import E_COMPONENTS
 
 __all__ = [
     "SolveResult",
@@ -231,7 +231,8 @@ class THIIMSolver:
         the iteration converges (and is exactly the fixed-point defect of
         the inverse iteration).
         """
-        snapshot = self.fields.copy()
+        # A step changes all twelve components: keep them all to roll back.
+        snapshot = {name: self.fields[name].copy() for name in self.fields}
         step(self.fields, self.coefficients)
         num = 0.0
         den = 0.0
@@ -296,6 +297,24 @@ def _publish_batch(steps: int, residuals: Dict[str, float], width: int,
             telemetry.lanes_compacted().inc(finished)
 
 
+def _snapshot_e(fields, snapshot: Optional[Dict[str, np.ndarray]]
+                ) -> Dict[str, np.ndarray]:
+    """The E components of ``fields`` copied into ``snapshot`` in place --
+    all the residual reads of the previous iterate.  New buffers only
+    when there are none (first check, or lane compaction dropped them)."""
+    if snapshot is None:
+        return {name: fields[name].copy() for name in E_COMPONENTS}
+    for name, buf in snapshot.items():
+        np.copyto(buf, fields[name])
+    return snapshot
+
+
+def _lane(snapshot: Dict[str, np.ndarray], pos: int) -> Dict[str, np.ndarray]:
+    """Lane ``pos`` of a snapshot, viewed (arrays without a lane axis are
+    a point solve's, the k = 1 case)."""
+    return {name: a[pos] if a.ndim == 4 else a for name, a in snapshot.items()}
+
+
 def _converge(
     fields,
     coeffs,
@@ -321,7 +340,11 @@ def _converge(
     lane-view :func:`relative_change` -- the reduction order of a scalar
     solve of that point -- and lanes that converge or diverge are frozen
     and compacted out of ``fields`` / ``coeffs`` in place, so the rest
-    stop paying for them.  *Persistence*: ``checkpoint`` answers
+    stop paying for them.  *One copy of the state* (DESIGN §5 item 14):
+    the previous iterate is an E-only snapshot whose buffers are
+    allocated once per solve (again only after compaction changes the
+    width), refreshed in place before each chunk and never after the
+    last.  *Persistence*: ``checkpoint`` answers
     ``resume`` / ``due`` / ``save``; the snapshot is always full width
     (every lane's arrays and history, divergence reasons, finished
     lanes, the driver's ``counters`` ``(get, restore)`` pair), so a
@@ -364,8 +387,9 @@ def _converge(
         if counters is not None:
             counters[1](restored.extras)
 
-    previous = fields.copy()
+    previous: Optional[Dict[str, np.ndarray]] = None
     while steps < max_steps and active:
+        previous = _snapshot_e(fields, previous)
         n = step_size(steps)
         faults.hit("solver.sweep")
         advance(n)
@@ -373,13 +397,13 @@ def _converge(
         finished: List[int] = []
         lane_res: Dict[str, float] = {}
         for pos, idx in enumerate(active):
-            res = relative_change(fields.lane(pos), previous.lane(pos)) / n
+            res = relative_change(fields.lane(pos), _lane(previous, pos)) / n
             lane_res[str(idx)] = float(res)
             histories[idx].append(res)
             reasons[idx] = divergence_reason(res, histories[idx])
             if reasons[idx] is not None or res < tol:
                 results[idx] = SolveResult(
-                    fields.extract(pos), steps, res, reasons[idx] is None,
+                    fields.lane(pos), steps, res, reasons[idx] is None,
                     list(histories[idx]), start)
                 finished.append(pos)
         publish(steps=steps, residuals=lane_res, width=width,
@@ -395,43 +419,58 @@ def _converge(
                         history_tail=[float(r) for r in histories[idx][-6:]])
         if finished:
             keep = [p for p in range(len(active)) if p not in finished]
+            if keep:
+                # The width changes: frozen lanes move out of the stack
+                # compaction drops, and the snapshot goes before the kept
+                # lanes are copied (a new one is sized next check).
+                for pos in finished:
+                    results[active[pos]].fields = fields.extract(pos)
+                previous = None
+                fields.compact(keep)
+                coeffs.compact(keep)
             active = [active[p] for p in keep]
             if not active:
                 break
-            fields.compact(keep)
-            coeffs.compact(keep)
-        previous = fields.copy()
         if checkpoint is not None and checkpoint.due(steps):
-            extras = {"lanes": {
-                "reasons": list(reasons),
-                "done": {str(idx): int(r.iterations)
-                         for idx, r in enumerate(results) if r is not None},
-            }}
-            if counters is not None:
-                extras.update(counters[0]())
-            if len(active) == width:
-                # Nothing frozen yet: the working arrays themselves,
-                # viewed with the lane axis.
-                full = BatchedFieldState(grid, arrays={
-                    n: a.reshape((width,) + grid.shape)
-                    for n, a in fields.components().items()})
-            else:
-                # Original lane order: finished lanes from their
-                # results, active ones from ``fields``.
-                position = {idx: pos for pos, idx in enumerate(active)}
-                full = BatchedFieldState.stack([
-                    fields.lane(position[idx]) if r is None else r.fields
-                    for idx, r in enumerate(results)])
-            checkpoint.save(
-                full, steps, [[float(v) for v in h] for h in histories],
-                extras=extras)
+            _save(checkpoint, fields, grid, width, active, results, reasons,
+                  histories, steps, counters)
 
-    # Lanes that ran out of budget: frozen as non-converged.
+    # Lanes that ran out of budget: frozen as non-converged, their lanes
+    # of the working arrays (a point solve's result is its fields).
     for pos, idx in enumerate(active):
         res = histories[idx][-1] if histories[idx] else np.inf
         results[idx] = SolveResult(
-            fields.extract(pos), steps, res, False, list(histories[idx]), start)
+            fields.lane(pos), steps, res, False, list(histories[idx]), start)
     return BatchSolveResult(results=list(results), diverged=reasons)
+
+
+def _save(checkpoint, fields, grid, width, active, results, reasons,
+          histories, steps, counters) -> None:
+    """One full-width snapshot of the loop state (see :func:`_converge`),
+    in its own frame so that a stacked copy is freed when the save
+    returns instead of living on through the next chunk."""
+    extras = {"lanes": {
+        "reasons": list(reasons),
+        "done": {str(idx): int(r.iterations)
+                 for idx, r in enumerate(results) if r is not None},
+    }}
+    if counters is not None:
+        extras.update(counters[0]())
+    if len(active) == width:
+        # Nothing frozen yet: the working arrays themselves, viewed with
+        # the lane axis.
+        full = BatchedFieldState(grid, arrays={
+            n: a.reshape((width,) + grid.shape)
+            for n, a in fields.components().items()})
+    else:
+        # Original lane order: finished lanes from their results, active
+        # ones from ``fields``.
+        position = {idx: pos for pos, idx in enumerate(active)}
+        full = BatchedFieldState.stack([
+            fields.lane(position[idx]) if r is None else r.fields
+            for idx, r in enumerate(results)])
+    checkpoint.save(full, steps, [[float(v) for v in h] for h in histories],
+                    extras=extras)
 
 
 def run_batched_loop(

@@ -5,10 +5,10 @@ processes and fleet nodes all persist into shared directories (the plan
 registry, the result store, solver checkpoints).  A
 plain ``open(path, "w")`` can interleave two writers and leave a torn
 JSON file behind; every writer in this codebase therefore goes through
-:func:`atomic_write_text` / :func:`atomic_write_json`, which write to a
-per-call unique temporary file in the destination directory and publish
-with ``os.replace`` -- readers see either the old complete file or the
-new complete file, never a mix.
+:func:`atomic_write` (``atomic_write_text`` / ``_bytes`` / ``_json`` are
+calls to it), which streams into a per-call unique temporary file in the
+destination directory and publishes with ``os.replace`` -- readers see
+either the old complete file or the new complete file, never a mix.
 
 (A pid-suffixed temp name is *not* enough: two threads of one process
 share a pid.  ``tempfile.mkstemp`` gives a unique name per call.)
@@ -29,10 +29,12 @@ import hashlib
 import json
 import os
 import tempfile
+from typing import BinaryIO, Callable
 
 from . import telemetry
 
 __all__ = [
+    "atomic_write",
     "atomic_write_text",
     "atomic_write_bytes",
     "atomic_write_json",
@@ -55,6 +57,18 @@ def atomic_write_text(path: str, text: str) -> str:
 
 def atomic_write_bytes(path: str, data: bytes) -> str:
     """Atomically replace ``path`` with raw ``data`` (same mechanism)."""
+    return atomic_write(path, lambda f: f.write(data))
+
+
+def atomic_write(path: str, write: Callable[[BinaryIO], object]) -> str:
+    """Atomically replace ``path`` with whatever ``write(f)`` streams into
+    the binary file ``f`` -- the one mechanism under every writer here.
+
+    A large artifact (a checkpoint) is written straight into the
+    temporary file instead of being assembled in memory first; if
+    ``write`` raises, the temporary file is removed and ``path`` keeps
+    its previous content.
+    """
     path = os.path.abspath(path)
     parent = os.path.dirname(path)
     os.makedirs(parent, exist_ok=True)
@@ -63,7 +77,7 @@ def atomic_write_bytes(path: str, data: bytes) -> str:
     )
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            write(f)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -18,6 +18,8 @@ scheduler workers and ranks count in their own copy-on-write copies.
 
 from __future__ import annotations
 
+import os
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -47,9 +49,21 @@ class SubstrateCounters:
     stream_memo_misses: int = 0
     #: Wall-clock seconds spent inside named sections (see timed_section).
     section_seconds: dict = field(default_factory=dict)
-    #: Open nesting depth per section name (bookkeeping for re-entrant
-    #: timed_section; never serialized).
-    _section_depth: dict = field(default_factory=dict, repr=False, compare=False)
+    #: Per thread, the open nesting depth per section name (bookkeeping
+    #: for re-entrant timed_section; never serialized).
+    _depths: threading.local = field(default_factory=threading.local,
+                                     repr=False, compare=False)
+    #: Serializes the read-modify-write of ``section_seconds``.
+    _lock: threading.Lock = field(default_factory=threading.Lock,
+                                  repr=False, compare=False)
+
+    @property
+    def _section_depth(self) -> dict:
+        """The calling thread's open depth per section name."""
+        depth = getattr(self._depths, "open", None)
+        if depth is None:
+            depth = self._depths.open = {}
+        return depth
 
     @property
     def stream_memo_rate(self) -> float:
@@ -70,7 +84,7 @@ class SubstrateCounters:
         for f in _COUNTER_FIELDS:
             setattr(self, f, 0)
         self.section_seconds = {}
-        self._section_depth = {}
+        self._depths = threading.local()
 
 
 #: Process-global counters.  The batched emitter adds a replayed schedule's
@@ -79,14 +93,23 @@ class SubstrateCounters:
 SUBSTRATE_COUNTERS = SubstrateCounters()
 
 
+def _after_fork_in_child() -> None:
+    # A sibling thread of the forking one may have held the lock mid-update.
+    SUBSTRATE_COUNTERS._lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_after_fork_in_child)
+
+
 @contextmanager
 def timed_section(name: str, counters: SubstrateCounters = SUBSTRATE_COUNTERS):
     """Accumulate the wall-clock of a code section under ``name``.
 
-    Re-entrant: when sections of the same name nest (recursive callers,
-    a measurement inside a tuner sweep), only the outermost frame
-    accumulates, so nested use never double-counts.  Exception-safe: the
-    time up to the raise is still recorded on unwind.
+    Re-entrant per thread: when sections of the same name nest in one
+    thread (recursive callers, a measurement inside a tuner sweep), only
+    the outermost frame accumulates, so nested use never double-counts;
+    threads timing the same name each accumulate their own frames.
+    Exception-safe: the time up to the raise is still recorded on unwind.
     """
     depth = counters._section_depth
     depth[name] = depth.get(name, 0) + 1
@@ -99,6 +122,7 @@ def timed_section(name: str, counters: SubstrateCounters = SUBSTRATE_COUNTERS):
             depth[name] = remaining
         else:
             depth.pop(name, None)
-            counters.section_seconds[name] = (
-                counters.section_seconds.get(name, 0.0) + time.perf_counter() - t0
-            )
+            elapsed = time.perf_counter() - t0
+            with counters._lock:
+                counters.section_seconds[name] = (
+                    counters.section_seconds.get(name, 0.0) + elapsed)

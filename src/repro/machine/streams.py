@@ -437,10 +437,12 @@ class ShapeTable:
     def add_shape(self, key: tuple,
                   segments: Sequence[Tuple[int, bool, int, int, int, int]]):
         """Store the segments of shape class ``key`` (unless another thread
-        got there first) and return its ``(lo, hi, n_accesses)``."""
+        got there first) and return ``((lo, hi, n_accesses), inserted)``:
+        only the call that inserted counts the shape as a miss."""
         with _TABLE_LOCK:
             entry = self.shapes.get(key)
-            if entry is None:
+            inserted = entry is None
+            if inserted:
                 lo, hi = self.n_segments, self.n_segments + len(segments)
                 if hi > len(self._seg):
                     grown = np.empty((max(hi, 2 * len(self._seg)), 6),
@@ -454,7 +456,7 @@ class ShapeTable:
                 n = sum((ry1 - ry0) * (rz1 - rz0)
                         for _, _, ry0, ry1, rz0, rz1 in segments)
                 entry = self.shapes[key] = (lo, hi, n)
-            return entry
+            return entry, inserted
 
     def segments(self) -> np.ndarray:
         """The segment rows, valid for every entry added before the call
@@ -578,7 +580,8 @@ class BatchStreamEmitter(StreamEmitter):
     def _runs(self, table: ShapeTable, recipe, y_lo, y_hi, z_lo, z_hi):
         """A row schedule resolved against ``table``: per row its run
         ``[lo, hi)`` of segments, the schedule's access count, and how
-        many shape classes this call had to add (one lookup per class)."""
+        many shape classes this call added (one lookup per class; a class
+        another thread added first is a hit)."""
         ny, nz, layout = self.ny, self.nz, self.layout
         classes, first, inverse = np.unique(
             shape_codes(recipe, y_lo, y_hi, z_lo, z_hi, ny, nz),
@@ -589,10 +592,10 @@ class BatchStreamEmitter(StreamEmitter):
             key = (layout.name, nz, code)
             entry = shapes.get(key)
             if entry is None:
-                misses += 1
-                entry = table.add_shape(key, _clipped_segments(
+                entry, inserted = table.add_shape(key, _clipped_segments(
                     layout.recipes[recipe[i]], int(y_lo[i]), int(y_hi[i]),
                     int(z_lo[i]), int(z_hi[i]), ny, nz))
+                misses += inserted
             entries.append(entry)
         runs = np.fromiter(itertools.chain.from_iterable(entries),
                            dtype=np.int64, count=3 * len(entries)).reshape(-1, 3)

@@ -12,10 +12,11 @@ deterministic, restoring that state and continuing the loop produces
 **bit-identical** final fields, observables and counters versus an
 uninterrupted run -- the contract the chaos tests assert.
 
-Snapshots are single ``.npz`` files written atomically (serialized to
-memory, then published with tempfile + ``os.replace`` via
-:mod:`repro.ioutil`), so a crash *during* a checkpoint write leaves the
-previous checkpoint intact.  Each checkpoint embeds a ``token`` -- the
+Snapshots are single ``.npz`` files written atomically (``np.savez``
+streams into a temporary file that ``os.replace`` publishes, via
+:func:`repro.ioutil.atomic_write` -- the arrays are never serialized to
+memory first), so a crash *during* a checkpoint write leaves the previous
+checkpoint intact.  Each checkpoint embeds a ``token`` -- the
 caller's content hash of the scene/plan (for service jobs, derived from
 the coefficient arrays and solve cadence) -- and a resume refuses (or
 quarantines, in lenient mode) any snapshot whose token does not match:
@@ -32,7 +33,6 @@ costs nothing when disabled.
 from __future__ import annotations
 
 import hashlib
-import io as _stdio
 import json
 import os
 import threading
@@ -42,7 +42,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from .. import telemetry
-from ..ioutil import atomic_write_bytes, corrupt_file, quarantine
+from ..ioutil import atomic_write, corrupt_file, quarantine
 from . import faults
 from .errors import CheckpointMismatch, InjectedFault
 
@@ -126,7 +126,7 @@ def solver_token(solver, **cadence) -> str:
         for name in sorted(arrays):
             a = np.ascontiguousarray(arrays[name])
             h.update(f"{name}{list(a.shape)}".encode())
-            h.update(a.tobytes())
+            h.update(a)
     return h.hexdigest()[:32]
 
 
@@ -189,19 +189,17 @@ class CheckpointManager:
         try:
             with telemetry.span(f"checkpoint {self.name[:12]}@{steps}",
                                 "resilience", args={"steps": steps}) as sp:
-                buf = _stdio.BytesIO()
-                np.savez(
-                    buf,
+                atomic_write(self.path, lambda f: np.savez(
+                    f,
                     **{n: fields[n] for n in fields},
                     _shape=np.array(fields.grid.shape, dtype=np.int64),
                     _spacing=np.array(fields.grid.spacing, dtype=np.float64),
                     _periodic=np.array(fields.grid.periodic, dtype=np.bool_),
                     _steps=np.array(steps, dtype=np.int64),
                     _meta=np.array(json.dumps(meta, sort_keys=True)),
-                )
-                data = buf.getvalue()
-                atomic_write_bytes(self.path, data)
-                sp.set(bytes=len(data))
+                ))
+                size = os.path.getsize(self.path)
+                sp.set(bytes=size)
         except OSError:
             telemetry.count_event("checkpoint_write_errors")
             return None
@@ -212,7 +210,7 @@ class CheckpointManager:
         telemetry.count_event("checkpoints_written")
         if telemetry.enabled():
             telemetry.publish("checkpoint", sweeps=steps, saves=self.saves,
-                              bytes=len(data))
+                              bytes=size)
         self._publish()
         return self.path
 

@@ -384,12 +384,15 @@ def _inject_fault(spec: JobSpec, attempt: int, in_child: bool) -> None:
 
 def _field_checksum(fields) -> str:
     """SHA-256 over the raw bytes of all twelve components, in canonical
-    order -- the bit-identity witness for served results."""
+    order -- the bit-identity witness for served results.  Each array's
+    buffer is hashed where it lies (a C-contiguous array is not copied)."""
+    import numpy as np
+
     from ..fdfd.specs import ALL_COMPONENTS
 
     h = hashlib.sha256()
     for name in ALL_COMPONENTS:
-        h.update(fields[name].tobytes())
+        h.update(np.ascontiguousarray(fields[name]))
     return h.hexdigest()
 
 

@@ -26,7 +26,7 @@ from repro.fdfd import (
     update_e,
     update_h,
 )
-from repro.fdfd import kernels
+from repro.fdfd import kernels, observables
 from repro.fdfd.kernels import BoundRegion, full_region, region_lups
 from repro.fdfd.specs import SPECS
 from repro.resilience import faults
@@ -414,7 +414,10 @@ class TestScratchPool:
             pool = kernels._SCRATCH.pool
             warm = {slot: id(buf) for slot, buf in pool.items()}
             executor.run()
-        assert len(pool) <= 4
+        # The residual's two slots share the pool (filled by earlier
+        # solves on this thread); the kernel body itself uses four.
+        residual = {observables._DIFF_SLOT, observables._MAG_SLOT}
+        assert len(set(pool) - residual) <= 4
         assert {slot: id(buf) for slot, buf in pool.items()} == warm
 
 

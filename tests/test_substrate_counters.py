@@ -83,6 +83,23 @@ class TestTimedSection:
             pass
         assert c._section_depth == {}
 
+    def test_two_threads_timing_one_name_both_accumulate(self):
+        """Depth is per thread: a section one thread times while another
+        holds the same name open is not taken for a nested frame."""
+        from conftest import run_concurrently
+
+        c = SubstrateCounters()
+        left_open = []
+
+        def work(_):
+            with timed_section("shared", c):
+                time.sleep(0.05)
+            left_open.append(dict(c._section_depth))
+
+        run_concurrently(work, [0, 1])
+        assert c.section_seconds["shared"] >= 2 * 0.05
+        assert left_open == [{}, {}]
+
 
 def _tune(machine, grid, threads):
     """One spatial + one 1WD tune: every candidate is a distinct
@@ -200,6 +217,33 @@ class TestSharedShapeTable:
             assert got[p] == serial[p][0], p
         assert SUBSTRATE_COUNTERS.jobs_replayed == sum(s[1] for s in serial.values())
         assert SUBSTRATE_COUNTERS.accesses_replayed == sum(s[2] for s in serial.values())
+
+    def test_concurrent_emitters_count_each_new_shape_once(self):
+        """Eight emitters resolving the same new shapes at once: however
+        the lookups interleave, each shape is one miss -- the thread that
+        inserted it counts it, the others hit."""
+        from conftest import run_concurrently
+        from repro.core.diamond import enumerate_tiles
+        from repro.core.wavefront import tile_rows
+        from repro.machine.streams import BatchStreamEmitter, ShapeTable
+
+        schedules = []
+        for tile in enumerate_tiles(36, 8, 4).values():
+            rows = tile_rows(tile, 20, 3)
+            rows[0] &= 1
+            schedules.append(rows)
+        for _ in range(4):  # fresh tables: four chances to interleave
+            table = ShapeTable()
+            misses = []
+
+            def work(_):
+                emitter = BatchStreamEmitter(None, ny=36, nz=20, nx=8)
+                misses.append(sum(emitter._runs(table, *rows)[3]
+                                  for rows in schedules))
+
+            run_concurrently(work, range(8))
+            assert len(table.shapes) > 20
+            assert sum(misses) == len(table.shapes)
 
     def test_widest_registry_tune_fits_the_table(self, cold_substrate):
         """The 24^3 / 18-thread registry tune (D_w up to 24: the most

@@ -194,8 +194,9 @@ def test_job_table_replay_matches_per_job(table, jobs, nz, capacity_chunks):
     group_size = np.array([_size_of(g) for g in range(4)], dtype=np.int64)
     shapes = ShapeTable()
     for i, (group, write, box) in enumerate(table):
-        lo, hi, n = shapes.add_shape(("shape", i), [(group, write, *box)])
-        assert (lo, hi, n) == (i, i + 1, len(_box_keys(*box, nz)))
+        (lo, hi, n), inserted = shapes.add_shape(("shape", i),
+                                                 [(group, write, *box)])
+        assert inserted and (lo, hi, n) == (i, i + 1, len(_box_keys(*box, nz)))
     n_seg = shapes.n_segments
     assert n_seg == len(table)
     # Each job covers a random contiguous run of the table at a base.
@@ -225,12 +226,14 @@ def test_shape_table_growth_keeps_earlier_views_valid():
     buffer; a view taken before still reads every entry it covered, and
     entries keep their indices, in the table and in a replay."""
     shapes = ShapeTable()
-    first = shapes.add_shape("a", [(0, False, 0, 1, 0, 5)])
+    first, inserted = shapes.add_shape("a", [(0, False, 0, 1, 0, 5)])
+    assert inserted
     view = shapes.segments()
     for i in range(3000):
         shapes.add_shape(("b", i), [(1, True, 0, 2, i, i + 4)])
     assert shapes.segments() is not view
-    assert shapes.add_shape("a", []) == first == (0, 1, 5)
+    assert shapes.add_shape("a", []) == (first, False)
+    assert first == (0, 1, 5)
     for seg in (view, shapes.segments()):
         assert seg[0].tolist() == [0, 0, 0, 1, 0, 5]
     lo, hi, n = shapes.shapes[("b", 2999)]
