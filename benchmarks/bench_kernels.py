@@ -7,19 +7,23 @@ complementing the figure benchmarks which are deterministic simulations.
 quotes: NumPy vs compiled for the half steps, the naive sweep and the
 tiled executor, the cost of one region update, MWD against the naive
 sweep on a grid larger than the L2 with a registry-tuned plan, the
-naive sweep serial against the host thread group at three affinity
-settings, and the tandem scene's coefficients domain-sized against
-contracted (``build_coefficients``' layout) under both traversals.
+naive sweep serial against its boxes split over the compiled pass's
+helper group (helpers free, and pinned one per CPU), and the tandem
+scene's coefficients domain-sized against contracted
+(``build_coefficients``' layout) under both traversals.
 """
 
+import ctypes
 import os
 import time
+from contextlib import contextmanager, nullcontext
 
 import dataclasses
 
 import numpy as np
 import pytest
 
+from repro import nativelib
 from repro.core import TiledExecutor, TilingPlan
 from repro.fdfd import (
     FieldState,
@@ -36,8 +40,8 @@ GRID_N = 48
 STEPS = 2
 #: 64^3 cells x 640 B = 168 MB of state: far beyond any L2.
 BIG_N = 64
-#: The thread-group rows: the solve service's grid 24 and 32 geometry
-#: (nz = 2 n, periodic in x and y) and the 48^3 cube above.
+#: The split rows: the solve service's grid 24 and 32 geometry (nz = 2 n,
+#: periodic in x and y) and the 48^3 cube above.
 GROUP_GRIDS = {
     "g24": Grid(nz=48, ny=24, nx=24, periodic=(False, True, True)),
     "g32": Grid(nz=64, ny=32, nx=32, periodic=(False, True, True)),
@@ -47,12 +51,8 @@ GROUP_GRIDS = {
 #: g32, and 128 x 64 x 64, whose domain-sized state (335 MB) outgrows a
 #: 300 MiB L3.
 LAYOUT_GRIDS = (24, 32, 64)
-#: Affinity settings of the group (``kernels._HostGroup`` keywords).
-PINNING = {
-    "helpers pinned, caller held": {},
-    "helpers pinned, caller free": {"hold_caller": False},
-    "nothing pinned": {"pin_helpers": False, "hold_caller": False},
-}
+#: The split rows' columns, measured in turn, two rounds.
+SPLITS = ("serial", "helpers free", "helpers pinned")
 
 
 @pytest.fixture(params=["native", "numpy"])
@@ -129,38 +129,63 @@ def _best(fn, repeats=3):
     return best
 
 
-def _group_seconds(grid, steps=10):
-    """Naive sweep seconds per step, best of 3: serial, then the host
-    thread group at each pinning of ``PINNING``.  Each group run starts
-    the calling thread on the first helper's CPU, the placement a free
-    caller keeps once it has it (EXPERIMENTS.md)."""
+def _thiim_int(name):
+    return ctypes.c_int.in_dll(nativelib.load("_thiim_kernel"), name)
+
+
+@contextmanager
+def _serial():
+    """Every box on the calling thread (no helper group; the NumPy body
+    has none)."""
+    if not kernels._native():
+        yield
+        return
+    cap = _thiim_int("thiim_helper_cap")
+    saved, cap.value = cap.value, 0
+    try:
+        yield
+    finally:
+        cap.value = saved
+
+
+def _pin_helpers(pinned: bool, cpus):
+    """Helper ``i`` to ``cpus[i + 1]``, or every helper back to ``cpus``."""
+    tids = []
+    for tid in os.listdir("/proc/self/task"):
+        with open(f"/proc/self/task/{tid}/comm") as f:
+            if f.read().strip() == "thiim-helper":
+                tids.append(int(tid))
+    for i, tid in enumerate(sorted(tids)):
+        os.sched_setaffinity(tid, cpus[i + 1:i + 2] if pinned else cpus)
+
+
+def _split_seconds(grid, steps=10):
+    """Naive sweep seconds per step, best of 3 over two rounds of
+    ``SPLITS``: serial, its boxes split over the helper group as started
+    (helpers free), and split with helper ``i`` pinned to the ``i + 1``-th
+    CPU of the mask (the caller stays free)."""
     coeffs = random_coefficients(grid, seed=5)
     fields = FieldState(grid).fill_random(np.random.default_rng(6))
     cpus = sorted(os.sched_getaffinity(0))
-    seconds = {}
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kernels, "_WAYS", 1)
-        naive_sweep(fields, coeffs, 1)  # bind, fault the pages in
-        seconds["serial"] = _best(lambda: naive_sweep(fields, coeffs, steps)) / steps
-        patch.setattr(kernels, "_WAYS", None)
-        for label, pins in PINNING.items():
-            group = kernels._HostGroup(cpus, **pins)
-            patch.setattr(kernels, "_GROUP", group)
-            os.sched_setaffinity(0, cpus[1:2])
-            os.sched_setaffinity(0, cpus)
-            try:
-                naive_sweep(fields, coeffs, 1)  # start the helpers
-                seconds[label] = _best(lambda: naive_sweep(fields, coeffs, steps)) / steps
-            finally:
-                group.pool.shutdown()
+    naive_sweep(fields, coeffs, 1)  # bind, fault the pages in
+    seconds = dict.fromkeys(SPLITS, float("inf"))
+    try:
+        for _ in range(2):
+            for label in SPLITS:
+                _pin_helpers(label == "helpers pinned", cpus)
+                with _serial() if label == "serial" else nullcontext():
+                    best = _best(lambda: naive_sweep(fields, coeffs, steps)) / steps
+                seconds[label] = min(seconds[label], best)
+    finally:
+        _pin_helpers(False, cpus)
     return seconds
 
 
 def _layout_seconds(n):
     """Seconds per step of the naive sweep and of a registry-tuned MWD
-    plan over the tandem scene at service grid ``n`` (one thread, best of
-    2), with its coefficients domain-sized and contracted; and the bytes
-    of state per cell of each layout."""
+    plan over the tandem scene at service grid ``n`` (serial, best of 2),
+    with its coefficients domain-sized and contracted; and the bytes of
+    state per cell of each layout."""
     from repro.fdfd import THIIMSolver
     from repro.machine import HASWELL_EP
     from repro.service import JobSpec, PlanRegistry
@@ -182,8 +207,7 @@ def _layout_seconds(n):
         out[layout, "B/cell"] = 16 * len(fields.components()) + sum(
             a.nbytes for a in coeffs.arrays.values()) / grid.n_cells
         executor = TiledExecutor(fields, coeffs, plan)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(kernels, "_WAYS", 1)
+        with _serial():
             for traversal, fn in (("naive", lambda: naive_sweep(fields, coeffs, point.dw)),
                                   ("MWD", executor.run)):
                 fn()  # bind, fault the pages in
@@ -212,8 +236,7 @@ def test_bench_host_kernels_report(setup, capsys):
     backends = ["numpy"] + (["native"] if kernels._native() else [])
     seconds = {}
     for name in backends:
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(kernels, "_WAYS", 1)  # one thread, as the executor
+        with pytest.MonkeyPatch.context() as patch, _serial():
             if name == "numpy":
                 patch.setattr(kernels, "_THIIM", False)
             for label, (fn, _) in rows.items():
@@ -230,16 +253,15 @@ def test_bench_host_kernels_report(setup, capsys):
     big_exec = TiledExecutor(big_fields, big_coeffs, big_plan)
     big_exec.run()
     mwd = _best(big_exec.run, 2)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kernels, "_WAYS", 1)
+    with _serial():
         naive = _best(lambda: naive_sweep(big_fields, big_coeffs, point.dw), 2)
 
-    cpus = len(os.sched_getaffinity(0))
-    group = {name: _group_seconds(g) for name, g in GROUP_GRIDS.items()} if cpus > 1 else {}
+    helpers = _thiim_int("thiim_helper_cap").value if kernels._native() else 0
+    split = {name: _split_seconds(g) for name, g in GROUP_GRIDS.items()} if helpers else {}
     layouts = {n: _layout_seconds(n) for n in LAYOUT_GRIDS}
 
     with capsys.disabled():
-        print(f"\n[host kernels at {GRID_N}^3, {STEPS} steps, one thread; best of 3]")
+        print(f"\n[host kernels at {GRID_N}^3, {STEPS} steps, serial; best of 3]")
         for label, (_, lups) in rows.items():
             line = f"  {label:<15}"
             for name in backends:
@@ -258,17 +280,17 @@ def test_bench_host_kernels_report(setup, capsys):
               f"bz={point.bz}, {backends[-1]} kernel] "
               f"MWD {1e3 * mwd:.1f} ms  naive {1e3 * naive:.1f} ms  "
               f"MWD {naive / mwd:.2f}x of naive")
-        if group:
-            print(f"[naive sweep, host thread group over {cpus} CPUs "
-                  f"({kernels._host_group().ways} ways), {backends[-1]} kernel; "
-                  f"ms per step, best of 3; x = speedup over serial]")
-        for name, row in group.items():
+        if split:
+            print(f"[naive sweep, boxes split over {helpers} helper(s) + the caller, "
+                  f"native kernel; ms per step, best of 3 over 2 rounds; "
+                  f"x = speedup over serial]")
+        for name, row in split.items():
             line = f"  {name:<5} {GROUP_GRIDS[name].n_cells:7,d} cells  serial {1e3 * row['serial']:6.2f}"
-            for label in PINNING:
+            for label in SPLITS[1:]:
                 line += f" | {label} {1e3 * row[label]:6.2f} {row['serial'] / row[label]:4.2f}x"
             print(line)
         print(f"[tandem coefficients domain-sized vs contracted, service grids, "
-              f"registry-tuned plans, one thread, {backends[-1]} kernel; "
+              f"registry-tuned plans, serial, {backends[-1]} kernel; "
               f"MLUP/s, best of 2]")
         for n, row in layouts.items():
             cells = row["cells"]
@@ -282,4 +304,4 @@ def test_bench_host_kernels_report(setup, capsys):
                      f"{row['full', 'MWD'] / row['contracted', 'MWD']:.2f}x")
             print(line)
     assert all(s > 0 for s in seconds.values())
-    assert all(s > 0 for row in group.values() for s in row.values())
+    assert all(s > 0 for row in split.values() for s in row.values())

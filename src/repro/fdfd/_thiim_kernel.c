@@ -16,8 +16,21 @@
  * the fields of shape (lanes,) + n, the coefficients t, c and src of one
  * shape that broadcasts to it, read through the strides cs (0 on a
  * broadcast axis, so one stored value serves the whole axis).
+ *
+ * A box of at least `thiim_split_min` cells x lanes is split over the
+ * process-wide helper group (thiim_start): its flattened (lane, z, y)
+ * rows are cut into contiguous ranges, z before y, the caller runs the
+ * first and helpers the rest.  Every cell runs the same instructions on
+ * whichever thread takes its row, so a split box is bit-identical to a
+ * serial one.
  */
+#define _GNU_SOURCE
+#include <pthread.h>
+#include <sched.h>
+#include <signal.h>
+#include <stdatomic.h>
 #include <stdint.h>
+#include <time.h>
 
 typedef struct {
     double *f;                  /* updated in place */
@@ -114,7 +127,9 @@ INLINE void span(const thiim_op *op, int64_t o, int64_t p, int64_t k,
 #undef ROW
 }
 
-INLINE void box_update(const thiim_op *op, const int64_t *bx, int fused)
+/* Rows [r0, r1) of the box's flattened (lane, z, y) rows. */
+INLINE void box_update(const thiim_op *op, const int64_t *bx, int64_t r0,
+                       int64_t r1, int fused)
 {
     const int64_t nz = op->n[0], ny = op->n[1], nx = op->n[2];
     const int64_t z0 = bx[0], z1 = bx[1], y0 = bx[2], y1 = bx[3];
@@ -127,33 +142,229 @@ INLINE void box_update(const thiim_op *op, const int64_t *bx, int fused)
         wrap_x = x0++;
     else if (axis == 2 && x1 + shift > nx)
         wrap_x = --x1;
-    for (int64_t lane = 0; lane < op->lanes; lane++) {
-        for (int64_t z = z0; z < z1; z++) {
-            int64_t zf = axis == 0 ? (z + shift + nz) % nz : z;
-            for (int64_t y = y0; y < y1; y++) {
-                int64_t yf = axis == 1 ? (y + shift + ny) % ny : y;
-                int64_t r = 2 * (((lane * nz + z) * ny + y) * nx);
-                int64_t q = 2 * (((lane * nz + zf) * ny + yf) * nx);
-                int64_t k = lane * cs[0] + z * cs[1] + y * cs[2];
-                span(op, r + 2 * x0, q + 2 * (x0 + (axis == 2 ? shift : 0)),
-                     k + x0 * cs[3], x1 - x0, fused);
-                if (wrap_x >= 0)
-                    span(op, r + 2 * wrap_x,
-                         q + 2 * ((wrap_x + shift + nx) % nx),
-                         k + wrap_x * cs[3], 1, fused);
-            }
+    /* Row r0 is (lane, z, ya); then whole (lane, z) planes of y rows. */
+    const int64_t ylen = y1 - y0, plane = ylen * (z1 - z0);
+    int64_t lane = r0 / plane, z = z0 + r0 % plane / ylen, ya = y0 + r0 % ylen;
+    for (int64_t left = r1 - r0; left > 0; ya = y0) {
+        const int64_t yb = ya + (left < y1 - ya ? left : y1 - ya);
+        const int64_t zf = axis == 0 ? (z + shift + nz) % nz : z;
+        for (int64_t y = ya; y < yb; y++) {
+            int64_t yf = axis == 1 ? (y + shift + ny) % ny : y;
+            int64_t r = 2 * (((lane * nz + z) * ny + y) * nx);
+            int64_t q = 2 * (((lane * nz + zf) * ny + yf) * nx);
+            int64_t k = lane * cs[0] + z * cs[1] + y * cs[2];
+            span(op, r + 2 * x0, q + 2 * (x0 + (axis == 2 ? shift : 0)),
+                 k + x0 * cs[3], x1 - x0, fused);
+            if (wrap_x >= 0)
+                span(op, r + 2 * wrap_x, q + 2 * ((wrap_x + shift + nx) % nx),
+                     k + wrap_x * cs[3], 1, fused);
+        }
+        left -= yb - ya;
+        if (++z == z1) {
+            z = z0;
+            lane++;
         }
     }
 }
 
-FMA_TARGET static void box_fused(const thiim_op *op, const int64_t *bx)
+FMA_TARGET static void rows_fused(const thiim_op *op, const int64_t *bx,
+                                  int64_t r0, int64_t r1)
 {
-    box_update(op, bx, 1);
+    box_update(op, bx, r0, r1, 1);
 }
 
-static void box_plain(const thiim_op *op, const int64_t *bx)
+static void rows_plain(const thiim_op *op, const int64_t *bx, int64_t r0,
+                       int64_t r1)
 {
-    box_update(op, bx, 0);
+    box_update(op, bx, r0, r1, 0);
+}
+
+static void run_rows(const thiim_op *op, const int64_t *bx, int64_t r0,
+                     int64_t r1)
+{
+    if (thiim_fused)
+        rows_fused(op, bx, r0, r1);
+    else
+        rows_plain(op, bx, r0, r1);
+}
+
+/* -- the helper group ----------------------------------------------------
+ *
+ * One helper thread per CPU of the affinity mask beyond the first, started
+ * once by thiim_start and never joined.  A split box is a job: the caller
+ * publishes it in `ticket` (generation << 32 | parts << 16 | next part),
+ * and every thread, the caller included, claims the next unstarted part
+ * with a CAS on the ticket, so a part no helper has started when the
+ * caller gets to it is the caller's, and the caller never waits for a
+ * helper to wake.  Helpers spin for SPIN_NS after their last part and then
+ * sleep on `wake`; the caller's join spins, yielding now and then.  One
+ * caller at a time borrows the group (a CAS on thiim_borrowed); any other
+ * runs its box serial.  A forked child keeps no helpers (reset_in_child):
+ * processes or threads, never both.
+ *
+ * The four ints below are exported so that a test can split any box any
+ * number of ways, see which parts helpers ran, and hold the group. */
+
+/* Smallest box split, in cells x lanes: below it the hand-off costs about
+ * what a helper saves (EXPERIMENTS.md). */
+int thiim_split_min = 16384;
+/* Parts of a split box beyond the caller's: the helpers started (0, so
+ * serial, until thiim_start). */
+int thiim_helper_cap = 0;
+/* Parts helpers have run. */
+_Atomic int64_t thiim_helper_parts = 0;
+/* 1 while a caller holds the group. */
+atomic_int thiim_borrowed = 0;
+
+#define MAX_HELPERS 63
+#define SPIN_NS 200000
+
+static struct {
+    pthread_mutex_t mu;
+    pthread_cond_t wake;
+    atomic_int sleepers;
+    _Atomic uint64_t ticket;
+    atomic_int done;            /* helpers' parts of the job finished */
+    const thiim_op *op;         /* the job, read once a part is claimed */
+    const int64_t *box;
+    int64_t rows, parts;
+    int helpers;
+} G = {.mu = PTHREAD_MUTEX_INITIALIZER, .wake = PTHREAD_COND_INITIALIZER};
+
+static void cpu_relax(void)
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+}
+
+static int64_t now_ns(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return ts.tv_sec * 1000000000LL + ts.tv_nsec;
+}
+
+/* The next unstarted part of job `gen`, or -1. */
+static int64_t claim(uint32_t gen)
+{
+    uint64_t t = atomic_load_explicit(&G.ticket, memory_order_acquire);
+    while ((uint32_t)(t >> 32) == gen && (t & 0xffff) < (t >> 16 & 0xffff))
+        if (atomic_compare_exchange_weak_explicit(&G.ticket, &t, t + 1,
+                                                  memory_order_acq_rel,
+                                                  memory_order_acquire))
+            return (int64_t)(t & 0xffff);
+    return -1;
+}
+
+static void run_part(int64_t i)
+{
+    run_rows(G.op, G.box, G.rows * i / G.parts, G.rows * (i + 1) / G.parts);
+}
+
+/* Block until a job newer than `seen` is published; its generation. */
+static uint32_t next_job(uint32_t seen)
+{
+    int64_t until = now_ns() + SPIN_NS;
+    for (unsigned k = 1;; k++) {
+        uint32_t gen = atomic_load_explicit(&G.ticket, memory_order_acquire) >> 32;
+        if (gen != seen)
+            return gen;
+        if (k % 64 == 0 && now_ns() > until)
+            break;
+        cpu_relax();
+    }
+    pthread_mutex_lock(&G.mu);
+    atomic_fetch_add(&G.sleepers, 1);
+    uint32_t gen;
+    while ((gen = atomic_load(&G.ticket) >> 32) == seen)
+        pthread_cond_wait(&G.wake, &G.mu);
+    atomic_fetch_sub(&G.sleepers, 1);
+    pthread_mutex_unlock(&G.mu);
+    return gen;
+}
+
+static void *helper(void *arg)
+{
+    uint32_t gen = (uint32_t)(uintptr_t)arg;
+    for (;;) {
+        gen = next_job(gen);
+        for (int64_t i; (i = claim(gen)) >= 0;) {
+            run_part(i);
+            atomic_fetch_add_explicit(&thiim_helper_parts, 1, memory_order_relaxed);
+            atomic_fetch_add_explicit(&G.done, 1, memory_order_release);
+        }
+    }
+    return 0;
+}
+
+static void split(const thiim_op *op, const int64_t *box, int64_t rows,
+                  int64_t parts)
+{
+    G.op = op;
+    G.box = box;
+    G.rows = rows;
+    G.parts = parts;
+    atomic_store_explicit(&G.done, 0, memory_order_relaxed);
+    uint32_t gen = (uint32_t)(atomic_load(&G.ticket) >> 32) + 1;
+    /* Part 0 is the caller's before anyone may claim. */
+    atomic_store(&G.ticket, (uint64_t)gen << 32 | (uint64_t)parts << 16 | 1);
+    if (atomic_load(&G.sleepers)) {
+        pthread_mutex_lock(&G.mu);
+        pthread_cond_broadcast(&G.wake);
+        pthread_mutex_unlock(&G.mu);
+    }
+    int64_t mine = 1;
+    run_part(0);
+    for (int64_t i; (i = claim(gen)) >= 0; mine++)
+        run_part(i);
+    for (unsigned k = 1;
+         atomic_load_explicit(&G.done, memory_order_acquire) < parts - mine; k++)
+        if (k % 1024)
+            cpu_relax();
+        else
+            sched_yield();
+}
+
+static void reset_in_child(void)
+{
+    pthread_mutex_init(&G.mu, 0);
+    pthread_cond_init(&G.wake, 0);
+    atomic_store(&G.sleepers, 0);
+    G.helpers = thiim_helper_cap = 0;
+    atomic_store(&thiim_borrowed, 0);
+}
+
+/* Start the helpers (once per process); how many run. */
+int thiim_start(void)
+{
+    if (G.helpers)
+        return G.helpers;
+    int cpus = 1;
+#ifdef __linux__
+    cpu_set_t mask;
+    if (sched_getaffinity(0, sizeof mask, &mask) == 0)
+        cpus = CPU_COUNT(&mask);
+#endif
+    if (cpus < 2 || pthread_atfork(0, 0, reset_in_child))
+        return 0;
+    /* Helpers take no signals: they stay with the interpreter's threads. */
+    sigset_t all, old;
+    sigfillset(&all);
+    pthread_sigmask(SIG_SETMASK, &all, &old);
+    uintptr_t gen = (uintptr_t)(atomic_load(&G.ticket) >> 32);
+    while (G.helpers < cpus - 1 && G.helpers < MAX_HELPERS) {
+        pthread_t t;
+        if (pthread_create(&t, 0, helper, (void *)gen))
+            break;
+        pthread_detach(t);
+#ifdef __linux__
+        pthread_setname_np(t, "thiim-helper");
+#endif
+        G.helpers++;
+    }
+    pthread_sigmask(SIG_SETMASK, &old, 0);
+    return thiim_helper_cap = G.helpers;
 }
 
 /* Update `box` = (z0, z1, y0, y1, x0, x1).  Returns 0, or -1 without
@@ -175,9 +386,17 @@ int64_t thiim_update(const thiim_op *op, const int64_t *box)
         return 0;
     if (thiim_fused < 0)
         thiim_fused = CPU_HAS_FMA() ? 1 : 0;
-    if (thiim_fused)
-        box_fused(op, box);
-    else
-        box_plain(op, box);
+    const int64_t rows = op->lanes * (box[1] - box[0]) * (box[3] - box[2]);
+    int64_t parts = 1 + (int64_t)thiim_helper_cap;
+    parts = parts < rows ? parts : rows;
+    int idle = 0;
+    if (parts > 1 && parts <= 0xffff
+        && rows * (box[5] - box[4]) >= thiim_split_min
+        && atomic_compare_exchange_strong(&thiim_borrowed, &idle, 1)) {
+        split(op, box, rows, parts);
+        atomic_store_explicit(&thiim_borrowed, 0, memory_order_release);
+    } else {
+        run_rows(op, box, 0, rows);
+    }
     return 0;
 }

@@ -15,15 +15,16 @@ Keeping a single implementation for all traversals is what makes the
 bit-identical bodies: NumPy (oracle and fallback) and the probe-gated
 compiled pass ``_thiim_kernel.c`` (DESIGN.md section 2).
 
-Host thread group
------------------
-A whole-domain half step (the naive and the spatially blocked sweep,
-point or stacked lanes) splits its six independent component updates
-over a process-wide group of helper threads -- the paper's component
-dimension of intra-tile parallelism (``component_groups``), run on the
-host.  Every component still goes through :func:`update_component` and
-one half step's components write disjoint arrays, so the result is
-bit-identical by construction.  See :class:`_HostGroup`.
+Helper group
+------------
+The compiled pass splits any box of at least ``thiim_split_min`` (16,384)
+cells x lanes over a process-wide group of helper threads, all inside the
+one :func:`update_component` call: the box's ``(lane, z, y)`` rows are
+cut into contiguous ranges, z first -- the paper's wavefront dimension of
+intra-tile parallelism, run on the host.  Every cell runs the same
+instructions on whichever thread takes it, so the result is bit-identical
+by construction.  The group lives in ``_thiim_kernel.c``; the NumPy body
+runs serial.
 
 Region semantics
 ----------------
@@ -50,7 +51,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import itertools
 import math
 import os
 import threading
@@ -62,8 +62,7 @@ from .. import nativelib, telemetry
 from .coefficients import BatchedCoefficientSet, CoefficientSet
 from .fields import BatchedFieldState, FieldState
 from .grid import Grid
-from .specs import (ALL_COMPONENTS, E_COMPONENTS, H_COMPONENTS, SPECS, ComponentSpec,
-                    component_groups)
+from .specs import ALL_COMPONENTS, E_COMPONENTS, H_COMPONENTS, SPECS, ComponentSpec
 
 __all__ = [
     "Region",
@@ -285,6 +284,23 @@ _OPERANDS = {n: (*s.reads, s.coeff_t, s.coeff_c, s.source) for n, s in SPECS.ite
 _THIIM = None
 _THIIM_LOCK = threading.Lock()
 
+#: Whether this process may start the helper group: not in a forked child
+#: (processes or threads, never both -- a forked rank or worker runs its
+#: sweeps serial, and the C library's own fork handler drops the helpers
+#: of a parent that had started them).
+_MAY_START = True
+
+
+def _after_fork_in_child() -> None:
+    # A fork while another thread loads or probes the library must not
+    # leave the child a lock that nobody in it will release.
+    global _THIIM_LOCK, _MAY_START
+    _THIIM_LOCK = threading.Lock()
+    _MAY_START = False
+
+
+os.register_at_fork(after_in_child=_after_fork_in_child)
+
 
 class BoundRegion(tuple):
     """A :data:`Region` carrying its box packed for the compiled pass, so
@@ -299,8 +315,9 @@ class BoundRegion(tuple):
 
 
 def _native():
-    """Load and probe the compiled pass (once per process); the callable,
-    or ``False`` (vetoed, no compiler, or not bit-identical here)."""
+    """Load and probe the compiled pass (once per process) and start its
+    helper group; the callable, or ``False`` (vetoed, no compiler, or not
+    bit-identical here)."""
     global _THIIM
     with _THIIM_LOCK:
         if _THIIM is None:
@@ -308,23 +325,28 @@ def _native():
             call = lib is not None and lib.thiim_update
             if call:
                 call.restype, call.argtypes = ctypes.c_int64, [ctypes.c_void_p] * 2
-                if not _probe(call):
+                if not _probe(call, lib):
                     telemetry.count_event("native_degraded")
                     call = False
+                elif _MAY_START:
+                    lib.thiim_start.restype, lib.thiim_start.argtypes = ctypes.c_int, []
+                    lib.thiim_start()
             _THIIM = call
     return _THIIM
 
 
-def _probe(call) -> bool:
+def _probe(call, lib) -> bool:
     """Bitwise oracle, NumPy body against ``call``: every component (four
     carry ``src``) over the full box and a 1-cell-wide edge box as
     :func:`clip_region` leaves them on a periodic and on a bounded odd-sized
     grid, two lanes and one; then once more on the periodic grid with the
     coefficients of each component contracted to ``(nz, 1, 1)``,
     ``(1, 1, 1)``, ``(1, 1, nx)`` or kept full, so a stride the pass
-    misreads fails here.  Every op must have bound to the pass.  NumPy's
-    complex multiply rounds as its CPU dispatch decides (fused on FMA
-    hardware), so this is measured."""
+    misreads fails here; and every grid once more with every box split
+    four ways (on the caller alone: the group starts after the probe), so
+    a split whose rows overlap or leave gaps fails too.  Every op must
+    have bound to the pass.  NumPy's complex multiply rounds as its CPU
+    dispatch decides (fused on FMA hardware), so this is measured."""
     names = sorted({c for spec in SPECS.values() for c in spec.coeff_names})
     shape = (6, 7, 7)
     x = 0.37 * np.arange(1.0, 1 + (len(names) + 12) * 2 * math.prod(shape))
@@ -337,23 +359,30 @@ def _probe(call) -> bool:
         for cname in SPECS[comp].coeff_names:
             contracted[cname] = np.ascontiguousarray(constants[cname][
                 (slice(None),) + tuple(slice(None) if k else slice(0, 1) for k in keep)])
-    for wrap, consts in ((True, constants), (False, constants), (True, contracted)):
-        grid = Grid(*shape, periodic=(wrap,) * 3)
-        coeffs = BatchedCoefficientSet(grid, [1.0, 1.0], [0.1, 0.1], consts)
-        oracle = BatchedFieldState(grid, arrays=state)  # evolves on across grids
-        fields = oracle.copy()
-        for want, got, cs in ((oracle, fields, coeffs),
-                              (oracle.lane(0), fields.lane(0), coeffs.lane(0))):
-            for name in ALL_COMPONENTS:
-                for box in ((None,) * 3, ((0, 1), (2, 5), (6, 7))):
-                    region = clip_region(grid, SPECS[name], *box)
-                    if region:
-                        _update_numpy(name, want, cs, region)
-                        _update_native(call, name, got, cs, region)
-            if any(op[0] is None for op in got._bound.values()):
-                return False  # an op fell back to NumPy: nothing was probed
-        if any(oracle[f].tobytes() != fields[f].tobytes() for f in ALL_COMPONENTS):
-            return False
+    gate, cap = (ctypes.c_int.in_dll(lib, n) for n in ("thiim_split_min", "thiim_helper_cap"))
+    saved = gate.value, cap.value
+    try:
+        for split in (saved, (0, 3)):
+            gate.value, cap.value = split
+            for wrap, consts in ((True, constants), (False, constants), (True, contracted)):
+                grid = Grid(*shape, periodic=(wrap,) * 3)
+                coeffs = BatchedCoefficientSet(grid, [1.0, 1.0], [0.1, 0.1], consts)
+                oracle = BatchedFieldState(grid, arrays=state)  # evolves on across grids
+                fields = oracle.copy()
+                for want, got, cs in ((oracle, fields, coeffs),
+                                      (oracle.lane(0), fields.lane(0), coeffs.lane(0))):
+                    for name in ALL_COMPONENTS:
+                        for box in ((None,) * 3, ((0, 1), (2, 5), (6, 7))):
+                            region = clip_region(grid, SPECS[name], *box)
+                            if region:
+                                _update_numpy(name, want, cs, region)
+                                _update_native(call, name, got, cs, region)
+                    if any(op[0] is None for op in got._bound.values()):
+                        return False  # an op fell back to NumPy: nothing was probed
+                if any(oracle[f].tobytes() != fields[f].tobytes() for f in ALL_COMPONENTS):
+                    return False
+    finally:
+        gate.value, cap.value = saved
     return True
 
 
@@ -423,149 +452,6 @@ def _update_native(call, name, fields, coeffs, region: Region) -> None:
         raise IndexError(f"region {tuple(region)} leaves the grid {grid.shape}")
 
 
-# -- the host thread group ----------------------------------------------------
-
-#: Smallest half step the group splits, in cells x lanes per component
-#: update: below it the hand-off and the join cost about what a helper
-#: saves (the measured crossover, EXPERIMENTS.md § *The component split
-#: on the host*).  Solve jobs of ``grid`` 24 and 32 (48 x 24 x 24 and
-#: 64 x 32 x 32 cells) split; serve-sized ``grid`` 10 jobs stay serial.
-SPLIT_MIN_CELLS = 16384
-
-#: Ways to split a half step: ``None`` is the observed group size (tests
-#: set 1, 2, 3 or 6).
-_WAYS = None
-
-#: The process-wide :class:`_HostGroup`: ``None`` until the first half
-#: step large enough to split, ``False`` where this process runs serial
-#: (one CPU, or a forked child).
-_GROUP = None
-_GROUP_LOCK = threading.Lock()
-
-
-class _HostGroup:
-    """Helper threads for whole half steps, one per CPU of the affinity
-    mask beyond the first: helper ``i`` pins itself to ``cpus[i + 1]``.
-    ``ways`` is the largest of 1/2/3/6 that fits the mask.
-
-    A half step borrows only idle helpers and never waits for one to
-    start.  Solver threads inside a split half step plus the helpers
-    they borrowed stay within the mask, so concurrent solves (serve
-    nodes, ``workers > 1``) run serial instead of queueing on each
-    other.  One caller at a time that borrowed helpers is held to
-    ``cpus[0]`` until its join and then given its own mask back: a free
-    caller that once runs on its helper's CPU stays there, woken by the
-    helper each half step, and the split runs slower than serial
-    (EXPERIMENTS.md).  The bench turns both pins off through the flags."""
-
-    def __init__(self, cpus: Sequence[int], pin_helpers: bool = True,
-                 hold_caller: bool = True):
-        self.cpus = tuple(cpus)
-        self.ways = max(w for w in (1, 2, 3, 6) if w <= len(self.cpus))
-        self._pin_helpers = pin_helpers
-        self._next_cpu = itertools.count(1)
-        self._lock = threading.Lock()
-        self._idle = len(self.cpus) - 1
-        self._busy = 0
-        self._home_free = hold_caller
-        # Imported here: a process that never splits a half step (a tuner,
-        # a node serving small jobs) does not load it, nor its logging.
-        from concurrent.futures import ThreadPoolExecutor
-
-        self.pool = ThreadPoolExecutor(
-            self._idle, "repro-half-step", initializer=self._pin_helper)
-
-    def _pin_helper(self) -> None:
-        cpu = self.cpus[next(self._next_cpu)]
-        if self._pin_helpers:
-            _set_affinity({cpu})
-
-    def run(self, shares: Sequence[list], fields, coeffs) -> None:
-        """Run each share (a list of ``(component, region)``) once: the
-        caller the first, borrowed helpers the rest round robin; a part
-        no helper has started when the caller gets to it is the caller's
-        (``Future.cancel``).  One join."""
-        with self._lock:
-            lend = max(0, min(len(shares) - 1, self._idle,
-                              len(self.cpus) - self._busy - 1))
-            self._idle -= lend
-            self._busy += 1 + lend
-            home = lend > 0 and self._home_free
-            self._home_free &= not home
-        parts = [[op for share in shares[1 + i::lend] for op in share]
-                 for i in range(lend)]
-        futures = []
-        mask = _set_affinity(self.cpus[:1]) if home else None
-        try:
-            for part in parts:
-                futures.append(self._submit(part, fields, coeffs))
-            _run_ops(shares[0] if lend else [op for s in shares for op in s],
-                     fields, coeffs)
-            for future, part in reversed(list(zip(futures, parts))):
-                if future.cancel():
-                    _run_ops(part, fields, coeffs)
-            for future in futures:
-                if not future.cancelled():
-                    future.result()  # the join; a helper's exception is ours
-        except BaseException:
-            from concurrent.futures import wait
-
-            for future in futures:
-                future.cancel()
-            wait(futures)  # no helper writes on after the caller has left
-            raise
-        finally:
-            if mask is not None:
-                _set_affinity(mask)
-            with self._lock:
-                self._idle += lend
-                self._busy -= 1 + lend
-                self._home_free |= home
-
-    def _submit(self, part, fields, coeffs):
-        try:
-            return self.pool.submit(_run_ops, part, fields, coeffs)
-        except RuntimeError:  # the interpreter is exiting: the part stays ours
-            from concurrent.futures import Future
-
-            future = Future()
-            future.cancel()
-            return future
-
-
-def _set_affinity(cpus):
-    """Move the calling thread to ``cpus``; its previous mask, or ``None``
-    if the move was refused (the mask shrank since)."""
-    try:
-        mask = os.sched_getaffinity(0)
-        os.sched_setaffinity(0, cpus)
-        return mask
-    except OSError:
-        return None
-
-
-def _host_group():
-    """The process-wide group, built on first use; ``False`` to run serial."""
-    global _GROUP
-    if _GROUP is None:
-        with _GROUP_LOCK:
-            if _GROUP is None:
-                cpus = (sorted(os.sched_getaffinity(0))
-                        if hasattr(os, "sched_getaffinity") else [0])
-                _GROUP = _HostGroup(cpus) if len(cpus) > 1 else False
-    return _GROUP
-
-
-def _after_fork_in_child() -> None:
-    # Processes or threads, never both: the helpers did not survive the
-    # fork, and a forked rank or worker runs its sweeps serial.
-    global _GROUP
-    _GROUP = False
-
-
-os.register_at_fork(after_in_child=_after_fork_in_child)
-
-
 @functools.lru_cache(maxsize=256)
 def _clipped_ops(grid: Grid, components: tuple, z, y, x) -> tuple:
     """``((component, BoundRegion), ...)`` of the components whose clip of
@@ -579,11 +465,6 @@ def _clipped_ops(grid: Grid, components: tuple, z, y, x) -> tuple:
     return tuple(ops), sum(region_lups(region) for _, region in ops)
 
 
-def _run_ops(ops, fields, coeffs) -> None:
-    for name, region in ops:
-        update_component(name, fields, coeffs, region)
-
-
 def _update_group(
     components: Sequence[str],
     fields: FieldState,
@@ -594,22 +475,11 @@ def _update_group(
 ) -> int:
     """Update a group of components over a clipped box; returns cell-updates
     performed (for the performance counters).  Batched state counts every
-    lane (``k`` LUPs per cell for a width-``k`` batch).  A box of at least
-    :data:`SPLIT_MIN_CELLS` cells x lanes is split over the host group."""
+    lane (``k`` LUPs per cell for a width-``k`` batch)."""
     ops, cells = _clipped_ops(fields.grid, tuple(components), z, y, x)
-    done = cells * fields.batch_width
-    group = len(ops) > 1 and done >= len(ops) * SPLIT_MIN_CELLS and _host_group()
-    ways = (_WAYS or group.ways) if group else 1
-    if ways == 1:
-        _run_ops(ops, fields, coeffs)
-        return done
-    if _native() if _THIIM is None else _THIIM:
-        for name, _ in ops:  # bind here: the helpers only read the binding
-            _binding(name, fields, coeffs)
-    shares = [[ops[i] for i in idx if i < len(ops)]
-              for idx in component_groups(ways)]
-    group.run([share for share in shares if share], fields, coeffs)
-    return done
+    for name, region in ops:
+        update_component(name, fields, coeffs, region)
+    return cells * fields.batch_width
 
 
 def update_h(

@@ -23,7 +23,7 @@ SOURCES = {
     "_des_kernel": (os.path.join(_HERE, "machine", "_des_kernel.c"),
                     ("-O2", "-ffp-contract=off")),
     "_thiim_kernel": (os.path.join(_HERE, "fdfd", "_thiim_kernel.c"),
-                      ("-O3", "-ffp-contract=off", "-lm")),
+                      ("-O3", "-ffp-contract=off", "-pthread", "-lm")),
 }
 
 

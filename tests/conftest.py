@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import sys
 import threading
@@ -10,11 +11,11 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from repro import telemetry
+from repro import nativelib, telemetry
 from repro.core.wavefront import RowJob, level_offsets
-from repro.fdfd import (ALL_COMPONENTS, SPECS, BatchedCoefficientSet, BatchedTHIIMSolver,
-                        CoefficientSet, FieldState, Grid, Scene, THIIMSolver, kernels,
-                        random_coefficients)
+from repro.fdfd import (ALL_COMPONENTS, SPECS, BatchedCoefficientSet, BatchedFieldState,
+                        BatchedTHIIMSolver, CoefficientSet, FieldState, Grid, Scene,
+                        THIIMSolver, kernels, random_coefficients)
 from repro.fdfd.materials import A_SI_H, SILVER
 from repro.fdfd.pml import pml_profile
 from repro.service.jobs import _solve_geometry
@@ -53,16 +54,27 @@ def numpy_kernels():
         kernels._THIIM = saved
 
 
+def thiim_int(name: str, ctype=ctypes.c_int):
+    """The compiled pass's exported C variable ``name`` (the pass loaded)."""
+    return ctype.in_dll(nativelib.load("_thiim_kernel"), name)
+
+
 @contextmanager
-def split_ways(ways, min_cells: int = 0):
-    """Split whole half steps ``ways`` ways over the host thread group
-    (1 = serial), from boxes of ``min_cells`` cells x lanes up."""
-    saved = kernels._WAYS, kernels.SPLIT_MIN_CELLS
-    kernels._WAYS, kernels.SPLIT_MIN_CELLS = ways, min_cells
+def split_ways(ways):
+    """Split every compiled update, whatever its size, into ``ways`` row
+    ranges over the helper group (1 = serial; ranges beyond the helpers
+    are the caller's).  Without the compiled pass this changes nothing:
+    the NumPy body runs serial."""
+    if not kernels._native():
+        yield
+        return
+    gate, cap = thiim_int("thiim_split_min"), thiim_int("thiim_helper_cap")
+    saved = gate.value, cap.value
+    gate.value, cap.value = 0, ways - 1
     try:
         yield
     finally:
-        kernels._WAYS, kernels.SPLIT_MIN_CELLS = saved
+        gate.value, cap.value = saved
 
 
 @pytest.fixture(params=["native", "numpy"])
@@ -80,6 +92,24 @@ def kernel_backend(request):
 
 def random_state(grid: Grid, seed: int = 0) -> FieldState:
     return FieldState(grid).fill_random(np.random.default_rng(seed))
+
+
+def contracted_problem(grid, k, seed, keeps):
+    """Fields, and coefficients stored at one broadcast shape per component
+    (``keeps``: 12 triples, a kept axis is full); plain for k = 1, ``k``
+    stacked lanes else."""
+    rng = np.random.default_rng(seed)
+    arrays = {}
+    for comp, keep in zip(ALL_COMPONENTS, keeps):
+        shape = (k,) + tuple(n if kept else 1 for n, kept in zip(grid.shape, keep))
+        for name in SPECS[comp].coeff_names:
+            arrays[name] = (rng.standard_normal(shape)
+                            + 1j * rng.standard_normal(shape)) * 0.5
+    coeffs = BatchedCoefficientSet(grid, [1.0] * k, [0.1] * k, arrays)
+    states = [random_state(grid, seed + 1 + i) for i in range(k)]
+    if k == 1:
+        return states[0], coeffs.lane(0)
+    return BatchedFieldState.stack(states), coeffs
 
 
 def full_coefficients(grid, omega, tau, eps=1.0, sigma=0.0, *, mu=1.0,

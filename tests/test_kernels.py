@@ -31,8 +31,8 @@ from repro.fdfd.kernels import BoundRegion, full_region, region_lups
 from repro.fdfd.specs import SPECS
 from repro.resilience import faults
 
-from conftest import (expanded, numpy_kernels, random_state, run_concurrently,
-                      service_solver)
+from conftest import (contracted_problem, expanded, numpy_kernels, random_state,
+                      run_concurrently, service_solver)
 
 needs_native = pytest.mark.skipif(
     not kernels._native(), reason="compiled THIIM kernel unavailable")
@@ -490,23 +490,6 @@ _KEEPS = st.lists(st.tuples(st.booleans(), st.booleans(), st.booleans()),
                   min_size=12, max_size=12)
 
 
-def _contracted_problem(grid, k, seed, keeps):
-    """Fields, and coefficients stored at one drawn broadcast shape per
-    component (plain for k = 1, ``k`` stacked lanes else)."""
-    rng = np.random.default_rng(seed)
-    arrays = {}
-    for comp, keep in zip(ALL_COMPONENTS, keeps):
-        shape = (k,) + tuple(n if kept else 1 for n, kept in zip(grid.shape, keep))
-        for name in SPECS[comp].coeff_names:
-            arrays[name] = (rng.standard_normal(shape)
-                            + 1j * rng.standard_normal(shape)) * 0.5
-    coeffs = BatchedCoefficientSet(grid, [1.0] * k, [0.1] * k, arrays)
-    states = [random_state(grid, seed + 1 + i) for i in range(k)]
-    if k == 1:
-        return states[0], coeffs.lane(0)
-    return BatchedFieldState.stack(states), coeffs
-
-
 def _bodies():
     return [False] + ([kernels._native()] if kernels._native() else [])
 
@@ -520,7 +503,7 @@ class TestContractedCoefficients:
     @settings(max_examples=60, deadline=None)
     def test_contracted_equals_full_bitwise(self, problem, k, seed, keeps):
         grid, (z, y, x) = problem
-        fields, coeffs = _contracted_problem(grid, k, seed, keeps)
+        fields, coeffs = contracted_problem(grid, k, seed, keeps)
         runs = []
         for body in _bodies():
             for cs in (coeffs, expanded(coeffs)):
