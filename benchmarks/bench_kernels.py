@@ -130,7 +130,7 @@ def _best(fn, repeats=3):
 
 
 def _thiim_int(name):
-    return ctypes.c_int.in_dll(nativelib.load("_thiim_kernel"), name)
+    return ctypes.c_int.in_dll(nativelib._open("_thiim_kernel"), name)
 
 
 @contextmanager

@@ -174,7 +174,6 @@ def _rank_main(index: int, coord: Coord, layout: RankLayout, solver,
     """Entry point of one rank process (fork: everything is inherited,
     the job context included).  Ranks publish no progress: the parent
     does; their spans and counts go home with the ``bye``."""
-    faults.set_in_child(True)
     faults.set_attempt(attempt)
     telemetry.fork_child()
     telemetry.disable()

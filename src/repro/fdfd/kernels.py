@@ -52,13 +52,12 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-import os
 import threading
 from typing import Sequence
 
 import numpy as np
 
-from .. import nativelib, telemetry
+from .. import forksafe, nativelib, telemetry
 from .coefficients import BatchedCoefficientSet, CoefficientSet
 from .fields import BatchedFieldState, FieldState
 from .grid import Grid
@@ -280,26 +279,9 @@ class _Op(ctypes.Structure):
 _OPERANDS = {n: (*s.reads, s.coeff_t, s.coeff_c, s.source) for n, s in SPECS.items()}
 
 #: The compiled pass ``thiim_update(op, box)``; ``None`` until the first
-#: kernel call, ``False`` when this process stays on the NumPy body.
+#: kernel call, ``False`` on the NumPy body.  It mirrors the pass's entry
+#: in the :func:`nativelib.load` memo, so a kernel call reads one global.
 _THIIM = None
-_THIIM_LOCK = threading.Lock()
-
-#: Whether this process may start the helper group: not in a forked child
-#: (processes or threads, never both -- a forked rank or worker runs its
-#: sweeps serial, and the C library's own fork handler drops the helpers
-#: of a parent that had started them).
-_MAY_START = True
-
-
-def _after_fork_in_child() -> None:
-    # A fork while another thread loads or probes the library must not
-    # leave the child a lock that nobody in it will release.
-    global _THIIM_LOCK, _MAY_START
-    _THIIM_LOCK = threading.Lock()
-    _MAY_START = False
-
-
-os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 class BoundRegion(tuple):
@@ -315,24 +297,25 @@ class BoundRegion(tuple):
 
 
 def _native():
-    """Load and probe the compiled pass (once per process) and start its
-    helper group; the callable, or ``False`` (vetoed, no compiler, or not
-    bit-identical here)."""
+    """The compiled pass (see :func:`_bind_pass`), or ``False``."""
     global _THIIM
-    with _THIIM_LOCK:
-        if _THIIM is None:
-            lib = nativelib.load("_thiim_kernel")
-            call = lib is not None and lib.thiim_update
-            if call:
-                call.restype, call.argtypes = ctypes.c_int64, [ctypes.c_void_p] * 2
-                if not _probe(call, lib):
-                    telemetry.count_event("native_degraded")
-                    call = False
-                elif _MAY_START:
-                    lib.thiim_start.restype, lib.thiim_start.argtypes = ctypes.c_int, []
-                    lib.thiim_start()
-            _THIIM = call
+    _THIIM = nativelib.load("_thiim_kernel", _bind_pass)
     return _THIIM
+
+
+def _bind_pass(lib):
+    """Declare and probe the pass (``False``: vetoed, no compiler, or not
+    bit-identical here), then start its helper group, except in a forked
+    child: it runs serial (the library's fork handler drops any helpers)."""
+    call = lib.thiim_update
+    call.restype, call.argtypes = ctypes.c_int64, [ctypes.c_void_p] * 2
+    if not _probe(call, lib):
+        telemetry.count_event("native_degraded")
+        return False
+    if not forksafe.forked:
+        lib.thiim_start.restype, lib.thiim_start.argtypes = ctypes.c_int, []
+        lib.thiim_start()
+    return call
 
 
 def _probe(call, lib) -> bool:

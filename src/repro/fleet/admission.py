@@ -27,9 +27,10 @@ from __future__ import annotations
 
 import collections
 import math
-import threading
 import time
 from typing import Callable, Optional, Tuple
+
+from .. import forksafe
 
 __all__ = ["TokenBucket", "TenantQuotas", "RetryBudget",
            "ANONYMOUS_TENANT", "TENANT_HEADER"]
@@ -58,7 +59,7 @@ class TokenBucket:
         self._clock = clock
         self._tokens = self.burst
         self._stamp = clock()
-        self._lock = threading.Lock()
+        self._lock = forksafe.lock("fleet.bucket")
 
     def _refill_locked(self, now: float) -> None:
         elapsed = max(0.0, now - self._stamp)
@@ -102,7 +103,7 @@ class TenantQuotas:
         self._clock = clock
         self._buckets: "collections.OrderedDict[str, TokenBucket]" = \
             collections.OrderedDict()
-        self._lock = threading.Lock()
+        self._lock = forksafe.lock("fleet.quotas")
 
     @property
     def enabled(self) -> bool:

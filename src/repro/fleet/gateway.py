@@ -74,12 +74,11 @@ from __future__ import annotations
 import collections
 import json
 import math
-import threading
 import time
 from http.server import ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 
-from .. import telemetry
+from .. import forksafe, telemetry
 from ..resilience import faults
 from ..resilience.errors import NodeUnavailable, QuotaExceeded, ReproError
 from ..service.jobs import JobSpec
@@ -115,7 +114,7 @@ class FleetServer(ThreadingHTTPServer):
                              budget=self.retry_budget)
         self.node_timeout_s = node_timeout_s
         self.spec_cache_size = max(1, int(spec_cache_size))
-        self._lock = threading.Lock()
+        self._lock = forksafe.lock("fleet.gateway")
         #: job id -> spec dict of submits this gateway routed, so a job
         #: that died with its node can be resubmitted to a replica
         #: (LRU-bounded at ``spec_cache_size``; evictions are counted).

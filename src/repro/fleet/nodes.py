@@ -46,7 +46,7 @@ import urllib.request
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .. import telemetry
+from .. import forksafe, telemetry
 from .ring import DEFAULT_VNODES, HashRing
 
 __all__ = ["NodeInfo", "NodeRegistry", "ShardMap",
@@ -115,7 +115,7 @@ class NodeRegistry:
                              "(or a lease directory)")
         if len(set(urls)) != len(urls):
             raise ValueError(f"duplicate node URLs: {urls}")
-        self._lock = threading.Lock()
+        self._lock = forksafe.lock("fleet.nodes")
         self._nodes: Dict[str, NodeInfo] = {u: NodeInfo(u) for u in urls}
         #: Statically configured members: a missing lease never removes
         #: them (operators pinned these URLs on purpose).

@@ -18,11 +18,12 @@ scheduler workers and ranks count in their own copy-on-write copies.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+
+from .. import forksafe
 
 __all__ = ["SubstrateCounters", "SUBSTRATE_COUNTERS", "timed_section"]
 
@@ -53,9 +54,11 @@ class SubstrateCounters:
     #: for re-entrant timed_section; never serialized).
     _depths: threading.local = field(default_factory=threading.local,
                                      repr=False, compare=False)
-    #: Serializes the read-modify-write of ``section_seconds``.
-    _lock: threading.Lock = field(default_factory=threading.Lock,
-                                  repr=False, compare=False)
+    #: Serializes every update and read of the counters: tuning threads
+    #: add while a server thread takes snapshots for ``/metrics``.
+    _lock: threading.Lock = field(
+        default_factory=lambda: forksafe.lock("counters.substrate"),
+        repr=False, compare=False)
 
     @property
     def _section_depth(self) -> dict:
@@ -70,10 +73,19 @@ class SubstrateCounters:
         n = self.stream_memo_hits + self.stream_memo_misses
         return self.stream_memo_hits / n if n else 0.0
 
+    def count_replay(self, jobs: int, accesses: int, misses: int) -> None:
+        """Account one replayed schedule (``misses``: new shape classes)."""
+        with self._lock:
+            self.jobs_replayed += jobs
+            self.accesses_replayed += accesses
+            self.stream_memo_misses += misses
+            self.stream_memo_hits += jobs - misses
+
     def snapshot(self) -> dict:
-        d = {f: getattr(self, f) for f in _COUNTER_FIELDS}
-        d["section_seconds"] = dict(self.section_seconds)
-        d["stream_memo_rate"] = round(self.stream_memo_rate, 4)
+        with self._lock:
+            d = {f: getattr(self, f) for f in _COUNTER_FIELDS}
+            d["section_seconds"] = dict(self.section_seconds)
+            d["stream_memo_rate"] = round(self.stream_memo_rate, 4)
         return d
 
     def sections_by_time(self) -> list:
@@ -81,24 +93,17 @@ class SubstrateCounters:
         return sorted(self.section_seconds.items(), key=lambda kv: -kv[1])
 
     def reset(self) -> None:
-        for f in _COUNTER_FIELDS:
-            setattr(self, f, 0)
-        self.section_seconds = {}
+        with self._lock:
+            for f in _COUNTER_FIELDS:
+                setattr(self, f, 0)
+            self.section_seconds = {}
         self._depths = threading.local()
 
 
 #: Process-global counters.  The batched emitter adds a replayed schedule's
-#: totals under the shape-table lock of :mod:`repro.machine.streams`, so
-#: concurrent tuning threads lose no update.
+#: totals through :meth:`SubstrateCounters.count_replay`, so concurrent
+#: tuning threads lose no update.
 SUBSTRATE_COUNTERS = SubstrateCounters()
-
-
-def _after_fork_in_child() -> None:
-    # A sibling thread of the forking one may have held the lock mid-update.
-    SUBSTRATE_COUNTERS._lock = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 @contextmanager

@@ -30,10 +30,6 @@ __all__ = ["NativeLRU", "make_lru", "native_available"]
 #: would; this cap keeps it under ~200 MB).
 MAX_KEY_SPACE = 8 * 1024 * 1024
 
-_LIB = None
-_LIB_TRIED = False
-
-
 _P64 = ctypes.POINTER(ctypes.c_int64)
 _PU8 = ctypes.POINTER(ctypes.c_uint8)
 
@@ -59,38 +55,32 @@ class _LruState(ctypes.Structure):
     ]
 
 
-def _get_library():
-    """Load (once; compiled on first use) the kernel: the CDLL or None."""
-    global _LIB, _LIB_TRIED
-    if not _LIB_TRIED:
-        _LIB_TRIED = True
-        lib = nativelib.load("_lru_kernel")
-        if lib is not None:
-            i64 = ctypes.c_int64
-            lib.lru_replay.restype = i64
-            lib.lru_replay.argtypes = [
-                ctypes.POINTER(_LruState),
-                _P64, _P64,  # rel, seg_start
-                _P64, _P64, _PU8,  # seg_prebase, seg_size, seg_write
-                i64, i64, i64,  # n_seg, base, key_space
-                _P64,  # bad
-            ]
-            lib.lru_replay_jobs.restype = i64
-            lib.lru_replay_jobs.argtypes = [
-                ctypes.POINTER(_LruState),
-                _P64,  # seg
-                _P64, _P64, i64,  # group_base, group_size, n_groups
-                i64, i64,  # nz, key_space
-                _P64, _P64, _P64, i64,  # job_lo, job_hi, job_base, n_jobs
-                _P64,  # bad
-            ]
-        _LIB = lib
-    return _LIB
+def _bind(lib):
+    """Declare the kernel's two entry points (see :func:`nativelib.load`)."""
+    i64 = ctypes.c_int64
+    lib.lru_replay.restype = i64
+    lib.lru_replay.argtypes = [
+        ctypes.POINTER(_LruState),
+        _P64, _P64,  # rel, seg_start
+        _P64, _P64, _PU8,  # seg_prebase, seg_size, seg_write
+        i64, i64, i64,  # n_seg, base, key_space
+        _P64,  # bad
+    ]
+    lib.lru_replay_jobs.restype = i64
+    lib.lru_replay_jobs.argtypes = [
+        ctypes.POINTER(_LruState),
+        _P64,  # seg
+        _P64, _P64, i64,  # group_base, group_size, n_groups
+        i64, i64,  # nz, key_space
+        _P64, _P64, _P64, i64,  # job_lo, job_hi, job_base, n_jobs
+        _P64,  # bad
+    ]
+    return lib
 
 
 def native_available() -> bool:
     """Whether the compiled replay kernel can be used on this machine."""
-    return _get_library() is not None
+    return bool(nativelib.load("_lru_kernel", _bind))
 
 
 def _as_i64(x) -> np.ndarray:
@@ -119,8 +109,8 @@ class NativeLRU:
             raise ValueError("capacity must be positive")
         if key_space < 1:
             raise ValueError("key_space must be >= 1")
-        lib = _get_library()
-        if lib is None:
+        lib = nativelib.load("_lru_kernel", _bind)
+        if not lib:
             raise EngineUnavailable(
                 "native LRU kernel unavailable "
                 "(no compiler, build failure, or REPRO_NO_NATIVE)")

@@ -40,7 +40,6 @@ plan's packed DAG, used whenever it loads.
 from __future__ import annotations
 
 import ctypes
-import threading
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -182,7 +181,7 @@ def simulate_tiled(
            spec.sync_ns * 1e-9)
 
     rec = telemetry.recorder()
-    des = None if rec is not None else _native_des() if _DES is None else _DES
+    des = None if rec is not None else nativelib.load("_des_kernel", _bind_des)
     if des:
         now, total_lups, total_bytes = _native_run(
             des, plan, n_groups, front_syncs, par)
@@ -294,25 +293,13 @@ def _python_des(plan: TilingPlan, n_groups: int, front_syncs: int, par: tuple,
     return now, total_lups, total_bytes
 
 
-#: ``des_run`` of ``_des_kernel.c``; ``None`` until the first simulation,
-#: ``False`` when this process stays on :func:`_python_des`.
-_DES = None
-_DES_LOCK = threading.Lock()
-
-
-def _native_des():
-    """Load the compiled event loop (once per process)."""
-    global _DES
-    with _DES_LOCK:
-        if _DES is None:
-            lib = nativelib.load("_des_kernel")
-            run = lib is not None and lib.des_run
-            if run:
-                run.restype = ctypes.c_int64
-                run.argtypes = ([ctypes.c_int64] * 2 + [ctypes.c_void_p] * 6
-                                + [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 4)
-            _DES = run
-    return _DES
+def _bind_des(lib):
+    """``des_run`` of ``_des_kernel.c``, declared (:func:`nativelib.load`)."""
+    run = lib.des_run
+    run.restype = ctypes.c_int64
+    run.argtypes = ([ctypes.c_int64] * 2 + [ctypes.c_void_p] * 6
+                    + [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 4)
+    return run
 
 
 def _native_run(des, plan: TilingPlan, n_groups: int, front_syncs: int,

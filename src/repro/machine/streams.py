@@ -38,13 +38,12 @@ Write counting follows the paper's Section III-A convention (see
 from __future__ import annotations
 
 import itertools
-import os
-import threading
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
+from .. import forksafe
 from ..fdfd.specs import (
     ALL_COMPONENTS,
     AXIS_Y,
@@ -393,8 +392,9 @@ SHAPE_TABLE_MAX_BYTES = 32 * 2**20
 #: plus int object), for the byte accounting of :class:`ShapeTable`.
 _PY_KEY_BYTES = 40
 
-#: Guards every mutation of the shape table and of the replay counters.
-_TABLE_LOCK = threading.Lock()
+#: Guards every mutation of the shape table.  A child forked while another
+#: thread held it starts from an empty table: that append may be torn.
+_TABLE_LOCK = forksafe.lock("streams.table", if_held=lambda: clear_shape_table())
 
 
 class ShapeTable:
@@ -509,30 +509,6 @@ def clear_shape_table() -> None:
         _TABLE = ShapeTable()
 
 
-def _after_fork_in_child() -> None:
-    # The forking thread never holds the lock, but a sibling thread may
-    # have been mid-append: then the inherited table may be torn and the
-    # inherited lock is held by a thread that does not exist here.
-    global _TABLE, _TABLE_LOCK
-    if _TABLE_LOCK.locked():
-        _TABLE = ShapeTable()
-    _TABLE_LOCK = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_after_fork_in_child)
-
-
-def _count_replay(jobs: int, accesses: int, misses: int) -> None:
-    """Account one replayed schedule (emitters of concurrent tuning threads
-    share the process-global counters)."""
-    with _TABLE_LOCK:
-        c = SUBSTRATE_COUNTERS
-        c.jobs_replayed += jobs
-        c.accesses_replayed += accesses
-        c.stream_memo_misses += misses
-        c.stream_memo_hits += jobs - misses
-
-
 def round_robin(lengths: Sequence[int]) -> np.ndarray:
     """Order that interleaves concatenated streams of the given lengths
     round-robin -- every live stream's k-th item before any stream's
@@ -618,4 +594,4 @@ class BatchStreamEmitter(StreamEmitter):
                                self.nz, lo, hi, base)
         self.cells += repeat * int(((y_hi - y_lo) * (z_hi - z_lo)).sum())
         # A class this call added missed once; every other row hit.
-        _count_replay(repeat * len(recipe), repeat * accesses, misses)
+        SUBSTRATE_COUNTERS.count_replay(repeat * len(recipe), repeat * accesses, misses)

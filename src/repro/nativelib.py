@@ -1,7 +1,7 @@
 """Compile-on-first-use C libraries: sha-tagged builds in ``machine/_build``
-(or ``REPRO_NATIVE_BUILD_DIR``), each ``dlopen``-ed when its owner first
-needs it.  A missing build compiles *every* library, so one warm-up call
-leaves no compile for later."""
+(or ``REPRO_NATIVE_BUILD_DIR``), each ``dlopen``-ed and bound by its owner
+once per process through :func:`load`.  A missing build compiles *every*
+library, so one warm-up call leaves no compile for later."""
 
 from __future__ import annotations
 
@@ -9,8 +9,9 @@ import ctypes
 import hashlib
 import os
 import subprocess
+import threading
 
-from . import config, telemetry
+from . import config, forksafe, telemetry
 from .resilience import faults
 
 _HERE = os.path.dirname(__file__)
@@ -43,7 +44,7 @@ def _build(name: str) -> str:
     so_path = os.path.join(build_dir, f"{name}-{tag}.so")
     if not os.path.exists(so_path):
         os.makedirs(build_dir, exist_ok=True)
-        tmp = so_path + f".tmp{os.getpid()}"
+        tmp = so_path + f".tmp{os.getpid()}-{threading.get_ident()}"
         compile_source(name, tmp)
         os.replace(tmp, so_path)  # atomic vs concurrent builders
         for other in SOURCES:  # its own failure is counted by its owner
@@ -84,7 +85,7 @@ def retain_heap() -> bool:
                 and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD))
 
 
-def load(name: str):
+def _open(name: str):
     """The ``CDLL`` of ``name``, or ``None``: vetoed by ``REPRO_NO_NATIVE``,
     or degraded (no compiler, build failure, read-only tree, ...) -- the
     first link of the chain native -> pure Python, counted for /metrics."""
@@ -96,3 +97,26 @@ def load(name: str):
     except Exception:
         telemetry.count_event("native_degraded")
         return None
+
+
+#: name -> what its ``bind`` returned (a handle), or ``False``: vetoed,
+#: degraded, or refused by the bind.  Absent until the first :func:`load`.
+_LOADED: dict = {}
+#: One lock per library: a bind may run a while (the THIIM probe runs
+#: kernel code) and must not hold up the other libraries' loads.
+_LOAD_LOCKS = {name: forksafe.lock(f"nativelib.{name}") for name in SOURCES}
+
+
+def load(name: str, bind):
+    """``bind(lib)`` over ``name``'s library, once per process: the handle
+    it returned, or ``False`` when the library did not open or ``bind``
+    returned something false.  Concurrent first callers wait for the one
+    that loads, so none of them sees a half-done load."""
+    got = _LOADED.get(name)
+    if got is None:
+        with _LOAD_LOCKS[name]:
+            got = _LOADED.get(name)
+            if got is None:
+                lib = _open(name)
+                got = _LOADED[name] = lib is not None and bind(lib) or False
+    return got

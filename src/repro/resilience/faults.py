@@ -42,7 +42,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional
 
-from .. import config, telemetry
+from .. import config, forksafe, telemetry
 from .errors import InjectedFault
 
 __all__ = [
@@ -55,7 +55,6 @@ __all__ = [
     "uninstall",
     "hit",
     "trigger",
-    "set_in_child",
     "set_attempt",
     "fired_summary",
     "patched_env",
@@ -127,7 +126,7 @@ class FaultPlan:
         self.specs = specs
         self._counts: Dict[str, int] = {}
         self._fired: List[str] = []
-        self._lock = threading.Lock()
+        self._lock = forksafe.lock("faults.plan")
 
     @classmethod
     def parse(cls, text: str) -> "FaultPlan":
@@ -186,7 +185,6 @@ class FaultPlan:
 _INSTALLED: Optional[FaultPlan] = None
 _ENV_PLAN: Optional[FaultPlan] = None
 _ENV_SRC: Optional[str] = None
-_IN_CHILD = False
 
 
 class _Attempt(threading.local):
@@ -231,32 +229,24 @@ def hit(site: str) -> Optional[str]:
     return plan.hit(site)
 
 
-def set_in_child(value: bool = True) -> None:
-    """Mark this process as a forked worker: ``crash`` kinds really
-    ``os._exit`` instead of degrading to an exception."""
-    global _IN_CHILD
-    _IN_CHILD = value
-
-
 def set_attempt(n: int) -> None:
     """Record the current job attempt (thread-local) for attempt-scoped
     fault specs."""
     _ATTEMPT.n = n
 
 
-def trigger(site: str, kind: str, reason: str = "",
-            in_child: Optional[bool] = None) -> Optional[str]:
+def trigger(site: str, kind: str, reason: str = "") -> Optional[str]:
     """Apply a fault action -- the one mechanism behind scheduled faults
     *and* the legacy JobSpec ``fault`` flags.
 
     ``raise`` raises :class:`InjectedFault`; ``crash`` kills a forked
-    worker outright (no cleanup, no spool file -- indistinguishable from
-    SIGKILL) and degrades to ``raise`` inline; anything else is returned
-    for the call site to apply.
+    worker or rank outright (no cleanup, no spool file -- indistinguishable
+    from SIGKILL) and degrades to ``raise`` in a process nobody forked;
+    anything else is returned for the call site to apply.
     """
     suffix = f" ({reason})" if reason else ""
     if kind == "crash":
-        if _IN_CHILD if in_child is None else in_child:
+        if forksafe.forked:
             os._exit(CRASH_EXIT_CODE)
         raise InjectedFault(f"injected crash at {site}{suffix} (inline worker)",
                             site=site)

@@ -363,23 +363,20 @@ def machine_spec_for(spec: JobSpec):
     return m
 
 
-def _inject_fault(spec: JobSpec, attempt: int, in_child: bool) -> None:
+def _inject_fault(spec: JobSpec, attempt: int) -> None:
     """Apply a spec-level legacy fault flag through the one shared
     mechanism (:func:`repro.resilience.faults.trigger`); the reason keeps
     the legacy flag name in the message for backward compatibility."""
     if spec.fault is None:
         return
     if spec.fault == "always_fail":
-        faults.trigger("job.fault", "raise", reason="always_fail",
-                       in_child=in_child)
+        faults.trigger("job.fault", "raise", reason="always_fail")
     if attempt == 1 and spec.fault == "fail_once":
-        faults.trigger("job.fault", "raise", reason="fail_once",
-                       in_child=in_child)
+        faults.trigger("job.fault", "raise", reason="fail_once")
     if attempt == 1 and spec.fault == "crash_once":
         # In a forked worker this dies like a SIGKILLed process: no
         # cleanup, no spool file.  Inline it degrades to an exception.
-        faults.trigger("job.fault", "crash", reason="crash_once",
-                       in_child=in_child)
+        faults.trigger("job.fault", "crash", reason="crash_once")
 
 
 def _field_checksum(fields) -> str:
@@ -643,7 +640,6 @@ def run_job(
     spec: JobSpec,
     registry=None,
     attempt: int = 1,
-    in_child: bool = False,
     checkpoint_dir: Optional[str] = None,
     store=None,
 ) -> Dict[str, Any]:
@@ -679,7 +675,7 @@ def run_job(
         args={"kind": spec.kind, "attempt": attempt, "grid": spec.grid},
     ):
         faults.hit("job.run")
-        _inject_fault(spec, attempt, in_child)
+        _inject_fault(spec, attempt)
         if spec.kind == "tune":
             return _run_tune(spec, registry)
         if spec.kind == "batch":

@@ -29,7 +29,7 @@ import os
 import threading
 from typing import Any, Dict, List, Optional, Tuple
 
-from .. import telemetry
+from .. import forksafe, telemetry
 from ..core.autotuner import point_from_json, point_to_json
 from ..ioutil import atomic_write_json, corrupt_file, read_json, read_json_checked
 from ..machine.counters import timed_section
@@ -55,7 +55,7 @@ class PlanRegistry:
         self.root = root
         self.node_id = node_id
         self._mem: Dict[str, Optional[dict]] = {}
-        self._lock = threading.Lock()
+        self._lock = forksafe.lock("service.registry")
         #: Single-flight guard: key -> Event while a tuner is in flight,
         #: so N concurrent workers asking for one key tune it once.
         self._inflight: Dict[str, threading.Event] = {}

@@ -43,7 +43,6 @@ from typing import Dict, List, Optional
 
 from .. import telemetry
 from ..ioutil import atomic_write_json, read_json, read_json_checked
-from ..resilience import faults
 from ..resilience.checkpoint import latest_lag_s, take_report
 from ..resilience.errors import RankCrash, ReproError, error_from_kind
 from .jobs import Job, JobSpec, JobState, run_job
@@ -87,15 +86,13 @@ def _child_entry(spec_dict: dict, attempt: int, registry_root: Optional[str],
     replays the fan-out puts from the returned batch result, which is
     what covers in-memory stores.
     """
-    faults.set_in_child(True)
     telemetry.fork_child(events_dir)
     spec = JobSpec.from_dict(spec_dict)
     registry = PlanRegistry(registry_root)
     store = ResultStore(store_root) if store_root else None
     try:
         result = run_job(spec, registry=registry, attempt=attempt,
-                         in_child=True, checkpoint_dir=checkpoint_dir,
-                         store=store)
+                         checkpoint_dir=checkpoint_dir, store=store)
         payload = {"ok": True, "result": result}
     except BaseException as exc:  # noqa: BLE001 - the envelope is the report
         payload = {"ok": False, "error": f"{type(exc).__name__}: {exc}",

@@ -15,9 +15,9 @@ process-local dict with the same interface.
 from __future__ import annotations
 
 import os
-import threading
 from typing import Any, Dict, List, Optional
 
+from .. import forksafe
 from ..ioutil import atomic_write_json, corrupt_file, read_json_checked
 from ..resilience import faults
 
@@ -41,7 +41,7 @@ class ResultStore:
         self.root = root
         self.node_id = node_id
         self._mem: Dict[str, Dict[str, Any]] = {}
-        self._lock = threading.Lock()
+        self._lock = forksafe.lock("service.store")
         self.hits = 0
         self.misses = 0
         self.puts = 0

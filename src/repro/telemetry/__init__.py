@@ -34,7 +34,6 @@ trivially intact (telemetry only ever *reads* solver state).
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from typing import Dict, Optional
 
@@ -210,10 +209,6 @@ def fork_child(events_dir: Optional[str] = None) -> None:
     parent's readers can tail a live child; and records spans into a
     private recorder when the parent was tracing.
     """
-    # Only the forking thread survives a fork: a registry lock another
-    # parent thread held at that instant would stay held here forever.
-    METRICS._lock = threading.Lock()
-    PROGRESS._lock = threading.Lock()
     METRICS.reset()
     PROGRESS.reset()
     if _STATE.on and events_dir is not None:

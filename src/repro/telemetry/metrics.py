@@ -32,8 +32,9 @@ time instead of double-counting on every event.
 from __future__ import annotations
 
 import math
-import threading
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+from .. import forksafe
 
 __all__ = [
     "Counter",
@@ -75,7 +76,7 @@ class _Child:
     __slots__ = ("_lock", "value", "sum", "count", "buckets")
 
     def __init__(self, edges: Optional[Tuple[float, ...]] = None):
-        self._lock = threading.Lock()
+        self._lock = forksafe.lock("metrics.series")
         self.value = 0.0
         self.sum = 0.0
         self.count = 0
@@ -94,7 +95,7 @@ class _Instrument:
         self.help = help
         self.labelnames = tuple(labelnames)
         self._children: Dict[Tuple[str, ...], _Child] = {}
-        self._lock = threading.Lock()
+        self._lock = forksafe.lock("metrics.instrument")
         self._edges: Optional[Tuple[float, ...]] = None
         if not self.labelnames:
             # Unlabelled instruments get their single child eagerly so the
@@ -245,7 +246,7 @@ class MetricsRegistry:
     def __init__(self, prefix: str = "repro"):
         self.prefix = prefix
         self._instruments: Dict[str, _Instrument] = {}
-        self._lock = threading.Lock()
+        self._lock = forksafe.lock("metrics.registry")
         self._collectors: List[Callable[[], None]] = []
 
     # -- creation (idempotent by name) -----------------------------------------

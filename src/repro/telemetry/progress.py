@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import time
 from collections import deque
 from typing import Dict, List, Optional, Tuple
+
+from .. import forksafe
 
 __all__ = ["RingBuffer", "ProgressHub", "event_file"]
 
@@ -52,7 +53,7 @@ class RingBuffer:
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        self._lock = threading.Lock()
+        self._lock = forksafe.lock("progress.ring")
         self._events: deque = deque(maxlen=capacity)
         self._next_seq = 0
         #: Events discarded because the ring was full.
@@ -96,7 +97,7 @@ class ProgressHub:
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         self.capacity = capacity
-        self._lock = threading.Lock()
+        self._lock = forksafe.lock("progress.hub")
         self._buffers: Dict[str, RingBuffer] = {}
         # -- child (sink) side --
         self._sink_dir: Optional[str] = None

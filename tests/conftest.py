@@ -56,7 +56,25 @@ def numpy_kernels():
 
 def thiim_int(name: str, ctype=ctypes.c_int):
     """The compiled pass's exported C variable ``name`` (the pass loaded)."""
-    return ctype.in_dll(nativelib.load("_thiim_kernel"), name)
+    return ctype.in_dll(nativelib._open("_thiim_kernel"), name)
+
+
+@pytest.fixture
+def reload_native(monkeypatch):
+    """``reload(name)`` makes the next use of compiled library ``name``
+    load and bind it again (it drops ``name`` from the one load memo,
+    :func:`repro.nativelib.load`) and returns the ``native_degraded``
+    count at that moment; the memo is put back afterwards."""
+    monkeypatch.setattr(nativelib, "_LOADED", dict(nativelib._LOADED))
+    monkeypatch.setattr(kernels, "_THIIM", kernels._THIIM)
+
+    def reload(name):
+        nativelib._LOADED.pop(name, None)
+        if name == "_thiim_kernel":
+            kernels._THIIM = None  # the kernel's mirror of its memo entry
+        return telemetry.resilience_counts().get("native_degraded", 0)
+
+    return reload
 
 
 @contextmanager

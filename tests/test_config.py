@@ -134,7 +134,7 @@ class TestAccessors:
             monkeypatch.setenv("REPRO_NO_NATIVE", raw)
             assert config.get("REPRO_NO_NATIVE") is vetoed
             degraded = telemetry.resilience_counts().get("native_degraded", 0)
-            assert nativelib.load("_lru_kernel") is None
+            assert nativelib._open("_lru_kernel") is None
             # Not vetoed: the load was attempted (and failed on the path).
             after = telemetry.resilience_counts().get("native_degraded", 0)
             assert after - degraded == (0 if vetoed else 1)

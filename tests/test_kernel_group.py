@@ -286,39 +286,6 @@ class TestForkedChildRunsSerial:
         assert job.result == serial
 
 
-def _solve_g10(conn):
-    t0 = time.perf_counter()
-    doc = run_job(JobSpec(kind="solve", preset="vacuum", grid=10, wavelength=10.0,
-                          tol=1e-12, max_steps=4))
-    conn.send((doc["checksum"], time.perf_counter() - t0))
-
-
-def test_a_fork_inside_the_kernel_load_does_not_hang(monkeypatch):
-    """A rank forked while another thread holds ``_THIIM_LOCK`` (loading,
-    compiling or probing the pass) gets a fresh lock: it loads the pass
-    itself and finishes a g10 solve within 2 s."""
-    spec = JobSpec(kind="solve", preset="vacuum", grid=10, wavelength=10.0,
-                   tol=1e-12, max_steps=4)
-    expected = run_job(spec)["checksum"]
-    monkeypatch.setattr(kernels, "_THIIM", None)  # mid-load, as the fork sees it
-    held, release = threading.Event(), threading.Event()
-
-    def hold():
-        with kernels._THIIM_LOCK:
-            held.set()
-            release.wait(30)
-
-    holder = threading.Thread(target=hold)
-    holder.start()
-    try:
-        assert held.wait(10)
-        checksum, seconds = _in_fork(_solve_g10, timeout=2.0)
-    finally:
-        release.set()
-        holder.join(30)
-    assert checksum == expected and seconds < 2.0
-
-
 @needs_helpers
 def test_concurrent_solves_share_the_group():
     """Thread stress: four threads solve four g24 points through the one

@@ -422,17 +422,10 @@ class TestScratchPool:
 
 
 @pytest.fixture
-def reload_kernel(monkeypatch):
+def reload_kernel(reload_native):
     """``reload()`` makes the next kernel call load and probe the library
-    again and returns the ``native_degraded`` count at that moment; the
-    loaded state is put back afterwards."""
-    monkeypatch.setattr(kernels, "_THIIM", kernels._THIIM)
-
-    def reload():
-        kernels._THIIM = None
-        return _degraded()
-
-    return reload
+    again; see ``conftest.reload_native``."""
+    return lambda: reload_native("_thiim_kernel")
 
 
 def _degraded():
@@ -453,7 +446,7 @@ class TestFallback:
     @needs_native
     def test_failed_probe(self, reload_kernel):
         expected = self._checksum()
-        fused = ctypes.c_int.in_dll(nativelib.load("_thiim_kernel"), "thiim_fused")
+        fused = ctypes.c_int.in_dll(nativelib._open("_thiim_kernel"), "thiim_fused")
         saved = fused.value
         fused.value = 0 if saved else 1  # the multiply NumPy does not use
         try:

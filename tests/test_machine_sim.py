@@ -3,7 +3,7 @@ simulator and the calibration -- including the paper-shape contracts of
 DESIGN.md section 4."""
 
 import dataclasses
-from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from conftest import run_concurrently
@@ -18,7 +18,7 @@ from repro.core import (
     spatial_code_balance,
 )
 from repro.core.autotuner import tune_spatial, tune_tiled
-from repro import telemetry
+from repro import nativelib, telemetry
 from repro.machine import (
     HASWELL_EP,
     MachineSpec,
@@ -172,34 +172,22 @@ class TestExecutionSimulator:
         assert narrow < wide
 
 
-@contextmanager
 def python_des():
     """Run the enclosed simulations on the Python event loop (the oracle)."""
-    saved, simulator._DES = simulator._DES, False
-    try:
-        yield
-    finally:
-        simulator._DES = saved
+    return mock.patch.dict(nativelib._LOADED, _des_kernel=False)
 
 
 @pytest.fixture
 def native_des():
-    if not simulator._native_des():
+    if not nativelib.load("_des_kernel", simulator._bind_des):
         pytest.skip("compiled DES unavailable")
 
 
 @pytest.fixture
-def reload_des(monkeypatch):
-    """``reload()`` makes the next simulation load the library again and
-    returns the ``native_degraded`` count at that moment; the loaded state
-    is put back afterwards."""
-    monkeypatch.setattr(simulator, "_DES", simulator._DES)
-
-    def reload():
-        simulator._DES = None
-        return telemetry.resilience_counts().get("native_degraded", 0)
-
-    return reload
+def reload_des(reload_native):
+    """``reload()`` makes the next simulation load the library again; see
+    ``conftest.reload_native``."""
+    return lambda: reload_native("_des_kernel")
 
 
 def _hand_built(plan, keep=lambda idx: True):
@@ -300,7 +288,7 @@ class TestNativeDES:
         cfg = ThreadGroupConfig(x_threads=19)
         with pytest.raises(ValueError, match="exceeds 18 cores"):
             self._run(cfg=cfg)
-        assert simulator._DES is None  # raised before any library load
+        assert "_des_kernel" not in nativelib._LOADED  # raised before any load
         with python_des(), pytest.raises(ValueError, match="exceeds 18 cores"):
             self._run(cfg=cfg)
 
@@ -309,7 +297,7 @@ class TestNativeDES:
         monkeypatch.setenv("REPRO_NO_NATIVE", "1")
         before = reload_des()
         assert self._run() == expected
-        assert simulator._DES is False
+        assert nativelib._LOADED["_des_kernel"] is False
         # a veto is not a degradation
         assert telemetry.resilience_counts().get("native_degraded", 0) == before
 
@@ -325,7 +313,7 @@ class TestNativeDES:
             assert self._run(balance=900.0) == self._run(balance=900.0)
         finally:
             faults.uninstall()
-        assert simulator._DES is False
+        assert nativelib._LOADED["_des_kernel"] is False
         assert telemetry.resilience_counts().get("native_degraded", 0) == before + 1  # once
         assert native_available() == lru  # the replay engine is untouched
 

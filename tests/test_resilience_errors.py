@@ -160,44 +160,6 @@ class TestCounters:
         assert after["test_child"] == before.get("test_child", 0) + 1
         assert after["test_inherited"] == before["test_inherited"]
 
-    def test_fork_while_another_thread_holds_the_locks(self):
-        """A serving parent's threads take the registry locks on every
-        publish and scrape; a fork that lands while one is held must not
-        leave the child blocked at entry."""
-        import multiprocessing as mp
-        import threading
-
-        held, release = threading.Event(), threading.Event()
-
-        def holder():
-            with telemetry.METRICS._lock, telemetry.PROGRESS._lock:
-                held.set()
-                release.wait(60)
-
-        def child(conn):
-            telemetry.fork_child()
-            telemetry.count_event("test_after_fork")
-            conn.send(telemetry.child_report()["metrics"] != {})
-            conn.close()
-
-        thread = threading.Thread(target=holder, daemon=True)
-        thread.start()
-        assert held.wait(10)
-        ctx = mp.get_context("fork")
-        parent_conn, child_conn = ctx.Pipe()
-        proc = ctx.Process(target=child, args=(child_conn,))
-        try:
-            proc.start()
-            finished = parent_conn.poll(30)
-        finally:
-            release.set()
-            thread.join(10)
-            if proc.is_alive() and not finished:
-                proc.terminate()
-            proc.join(10)
-        assert finished, "forked child blocked on an inherited lock"
-        assert parent_conn.recv() is True
-
 
 class TestChecksummedJson:
     def test_checksum_roundtrip(self, tmp_path):

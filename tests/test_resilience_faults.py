@@ -125,7 +125,7 @@ class TestTrigger:
 
     def test_inline_crash_degrades_to_exception(self):
         with pytest.raises(InjectedFault, match="inline worker"):
-            faults.trigger("s", "crash", in_child=False)
+            faults.trigger("s", "crash")
 
     def test_crash_exit_code_distinct_from_legacy(self):
         assert CRASH_EXIT_CODE == 43

@@ -205,7 +205,7 @@ class TestFaultInjection:
         # (os._exit would kill the test runner).
         spec = JobSpec(**FAST_SOLVE, fault="crash_once")
         with pytest.raises(RuntimeError, match="crash_once"):
-            run_job(spec, attempt=1, in_child=False)
+            run_job(spec, attempt=1)
         assert run_job(spec, attempt=2)["kind"] == "solve"
 
     def test_fault_names_are_frozen(self):

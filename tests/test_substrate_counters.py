@@ -200,19 +200,31 @@ class TestSharedShapeTable:
     def test_concurrent_tunes_equal_serial(self, cold_substrate):
         """Four threads tuning different points at once, on a shortened
         switch interval, give the serial points and the serial totals: a
-        lost counter update or a torn table entry would break either."""
+        lost counter update or a torn table entry would break either.  A
+        fifth thread takes snapshots meanwhile, as ``/metrics`` does: each
+        one is a whole number of replays (every replayed row a hit or a
+        miss), and none runs backwards."""
         from conftest import run_concurrently
         from repro.machine import HASWELL_EP, clear_substrate_caches
 
         serial = {p: _cold_tune(*p) for p in self.POINTS}
         clear_substrate_caches()
         SUBSTRATE_COUNTERS.reset()
-        got = {}
+        got, snaps = {}, []
 
         def work(point):
-            got[point] = _tune(HASWELL_EP, *point)
+            if point is not None:
+                got[point] = _tune(HASWELL_EP, *point)
+                return
+            while len(got) < len(self.POINTS):
+                snaps.append(SUBSTRATE_COUNTERS.snapshot())
 
-        run_concurrently(work, self.POINTS)
+        run_concurrently(work, self.POINTS + (None,))
+        assert len(snaps) > 1
+        jobs = [s["jobs_replayed"] for s in snaps]
+        assert jobs == sorted(jobs)
+        assert all(s["stream_memo_hits"] + s["stream_memo_misses"] == s["jobs_replayed"]
+                   for s in snaps)
         for p in self.POINTS:
             assert got[p] == serial[p][0], p
         assert SUBSTRATE_COUNTERS.jobs_replayed == sum(s[1] for s in serial.values())
