@@ -8,9 +8,11 @@ quotes: NumPy vs compiled for the half steps, the naive sweep and the
 tiled executor, the cost of one region update, MWD against the naive
 sweep on a grid larger than the L2 with a registry-tuned plan, the
 naive sweep serial against its boxes split over the compiled pass's
-helper group (helpers free, and pinned one per CPU), and the tandem
-scene's coefficients domain-sized against contracted
-(``build_coefficients``' layout) under both traversals.
+helper group (helpers free, and pinned one per CPU), tiled passes with
+their calls immediate against streamed to the group's first helper, what
+the compiled path adds to a raw ctypes call, and the tandem scene's
+coefficients domain-sized against contracted (``build_coefficients``'
+layout) under both traversals.
 """
 
 import ctypes
@@ -53,6 +55,11 @@ GROUP_GRIDS = {
 LAYOUT_GRIDS = (24, 32, 64)
 #: The split rows' columns, measured in turn, two rounds.
 SPLITS = ("serial", "helpers free", "helpers pinned")
+#: The stream rows: (label, service grid or cube edge, lanes, dw, bz).  The
+#: g24 rows run the plan the registry serves the tandem scene (dw 24, bz
+#: 4: every row box below the gate); at 48^3 with bz 16 the largest row
+#: boxes reach it, drain the ring and split.
+STREAMS = (("g24", 24, 1, 24, 4), ("g24", 24, 3, 24, 4), (f"{GRID_N}^3", GRID_N, 1, 24, 16))
 
 
 @pytest.fixture(params=["native", "numpy"])
@@ -134,18 +141,32 @@ def _thiim_int(name):
 
 
 @contextmanager
-def _serial():
-    """Every box on the calling thread (no helper group; the NumPy body
-    has none)."""
+def _thiim_ints(**values):
+    """Set exported C ints of the compiled pass for the block (the NumPy
+    body has no helper group)."""
     if not kernels._native():
         yield
         return
-    cap = _thiim_int("thiim_helper_cap")
-    saved, cap.value = cap.value, 0
+    ints = {name: _thiim_int(name) for name in values}
+    saved = {name: var.value for name, var in ints.items()}
+    for name, var in ints.items():
+        var.value = values[name]
     try:
         yield
     finally:
-        cap.value = saved
+        for name, var in ints.items():
+            var.value = saved[name]
+
+
+def _serial():
+    """Every box on the calling thread: no split, no stream window."""
+    return _thiim_ints(thiim_helper_cap=0, thiim_ring_cap=0)
+
+
+def _immediate():
+    """No stream window: every call runs before it returns (boxes at the
+    gate still split)."""
+    return _thiim_ints(thiim_ring_cap=0)
 
 
 def _pin_helpers(pinned: bool, cpus):
@@ -179,6 +200,74 @@ def _split_seconds(grid, steps=10):
     finally:
         _pin_helpers(False, cpus)
     return seconds
+
+
+def _stream_case(n, lanes, dw, bz):
+    """Fields, coefficients and plan of one stream row: the tandem scene
+    at service grid ``n`` (``lanes`` stacked wavelengths), or random
+    coefficients on the ``n``^3 cube for ``n == GRID_N``."""
+    from repro.fdfd import BatchedCoefficientSet, BatchedFieldState, THIIMSolver
+    from repro.service import JobSpec
+    from repro.service.jobs import _solve_geometry
+
+    if n == GRID_N:
+        grid = Grid.cube(n)
+        coeffs = random_coefficients(grid, seed=8)
+    else:
+        spec = JobSpec(kind="solve", preset="tandem", grid=n, wavelength=10.0, tiled=True)
+        grid, scene, _, source, pml = _solve_geometry(spec)
+        coeffs = BatchedCoefficientSet.stack([
+            THIIMSolver(grid, 2 * np.pi / w, scene=scene, source=source,
+                        pml=pml).coefficients for w in (10.0, 11.0, 12.0)[:lanes]])
+    states = [FieldState(grid).fill_random(np.random.default_rng(9 + i)) for i in range(lanes)]
+    fields = BatchedFieldState.stack(states) if lanes > 1 else states[0]
+    if lanes == 1 and n != GRID_N:
+        coeffs = coeffs.lane(0)
+    plan = TilingPlan.build(ny=grid.ny, nz=grid.nz, timesteps=dw, dw=dw, bz=bz)
+    return fields, coeffs, plan
+
+
+def _stream_seconds(n, lanes, dw, bz):
+    """Seconds per tiled pass with every call immediate and with the
+    calls streamed, best of 3 over two alternating rounds; the share of
+    the pass's calls whose box reaches the split gate."""
+    fields, coeffs, plan = _stream_case(n, lanes, dw, bz)
+    executor = TiledExecutor(fields, coeffs, plan)
+    executor.run()  # bind, fault the pages in
+    seconds = {"immediate": float("inf"), "streamed": float("inf")}
+    for _ in range(2):
+        for label in seconds:
+            with _immediate() if label == "immediate" else nullcontext():
+                seconds[label] = min(seconds[label], _best(executor.run))
+    gate = _thiim_int("thiim_split_min").value
+    boxes = [n for ops, _ in plan.compiled(fields.grid).values() for _, _, n in ops]
+    seconds["at gate"] = sum(n * lanes >= gate for n in boxes) / len(boxes)
+    return seconds
+
+
+def _dispatch_us(calls=200_000):
+    """Microseconds per call of a 1-cell compiled update through
+    ``update_component`` (immediate) and of the raw ctypes call it ends in."""
+    from repro.fdfd.kernels import BoundRegion, update_component
+
+    grid = Grid.cube(8)
+    coeffs = random_coefficients(grid, seed=10)
+    fields = FieldState(grid).fill_random(np.random.default_rng(11))
+    region = BoundRegion((slice(3, 4), slice(3, 4), slice(3, 4)))
+    update_component("Hxy", fields, coeffs, region)  # bind
+    raw, ref = kernels._THIIM, fields._bound["Hxy"][0]
+
+    def dispatched():
+        for _ in range(calls):
+            update_component("Hxy", fields, coeffs, region)
+
+    def direct():
+        for _ in range(calls):
+            raw(ref, region.box)
+
+    with _immediate():
+        return {label: 1e6 * _best(fn, 5) / calls
+                for label, fn in (("update_component", dispatched), ("raw call", direct))}
 
 
 def _layout_seconds(n):
@@ -258,6 +347,8 @@ def test_bench_host_kernels_report(setup, capsys):
 
     helpers = _thiim_int("thiim_helper_cap").value if kernels._native() else 0
     split = {name: _split_seconds(g) for name, g in GROUP_GRIDS.items()} if helpers else {}
+    streams = {row: _stream_seconds(*row[1:]) for row in STREAMS} if helpers else {}
+    dispatch = _dispatch_us() if kernels._native() else {}
     layouts = {n: _layout_seconds(n) for n in LAYOUT_GRIDS}
 
     with capsys.disabled():
@@ -289,6 +380,19 @@ def test_bench_host_kernels_report(setup, capsys):
             for label in SPLITS[1:]:
                 line += f" | {label} {1e3 * row[label]:6.2f} {row['serial'] / row[label]:4.2f}x"
             print(line)
+        if streams:
+            print("[tiled passes, calls immediate vs streamed to the first helper, "
+                  "native kernel; ms per pass, best of 3 over 2 rounds]")
+        for (name, _, lanes, dw, bz), row in streams.items():
+            print(f"  {name:<5} {lanes} lane{'s' if lanes > 1 else ' '} dw={dw:<2} bz={bz:<2} "
+                  f"immediate {1e3 * row['immediate']:7.2f} | streamed "
+                  f"{1e3 * row['streamed']:7.2f} {row['immediate'] / row['streamed']:4.2f}x"
+                  f" | {100 * row['at gate']:4.1f} % of calls at the gate")
+        if dispatch:
+            print(f"[per-op dispatch, 1-cell box, immediate] update_component "
+                  f"{dispatch['update_component']:.3f} us, raw ctypes call "
+                  f"{dispatch['raw call']:.3f} us, compiled path adds "
+                  f"{dispatch['update_component'] - dispatch['raw call']:.3f} us")
         print(f"[tandem coefficients domain-sized vs contracted, service grids, "
               f"registry-tuned plans, serial, {backends[-1]} kernel; "
               f"MLUP/s, best of 2]")
@@ -305,3 +409,5 @@ def test_bench_host_kernels_report(setup, capsys):
             print(line)
     assert all(s > 0 for s in seconds.values())
     assert all(s > 0 for row in split.values() for s in row.values())
+    assert all(row[label] > 0 for row in streams.values()
+               for label in ("immediate", "streamed"))

@@ -12,6 +12,15 @@ single Python thread executes the same job stream in an equivalent order
 (inter-tile concurrency is validated through randomized topological
 orders, and modelled for performance purposes by
 :mod:`repro.machine.simulator`).
+
+Within a tile the work is shared with the compiled kernel's helper group:
+:meth:`TiledExecutor.execute_tile` makes its kernel calls inside one
+:func:`repro.fdfd.kernels.stream` window, so the group's first helper
+runs each row job's update while this thread dispatches the next one,
+and a box large enough to split drains the queue and splits over every
+thread.  The calls, their order and each cell's instructions are those of
+the immediate path, so the result is bit-identical; the tile is complete
+when the call returns.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ import numpy as np
 from .. import telemetry
 from ..fdfd.coefficients import CoefficientSet
 from ..fdfd.fields import FieldState
-from ..fdfd.kernels import update_component
+from ..fdfd.kernels import stream, update_component
 from ..resilience import faults
 from .plan import TileIndex, TilingPlan
 
@@ -56,15 +65,17 @@ class TiledExecutor:
 
     def execute_tile(self, idx: TileIndex) -> None:
         """Run one tile's row jobs: one kernel call per (row job, component)
-        on a region clipped and packed when the plan was compiled."""
+        on a region clipped and packed when the plan was compiled, streamed
+        to the kernel's helper group; every update is applied on return."""
         faults.hit("tile.execute")
         ops, n_jobs = self._tiles[idx]
         fields, coeffs = self.fields, self.coeffs
         with telemetry.span(f"tile t={idx[0]} r={idx[1]}", "exec.tile") as sp:
             lups = 0
-            for name, region, n in ops:
-                update_component(name, fields, coeffs, region)
-                lups += n
+            with stream():
+                for name, region, n in ops:
+                    update_component(name, fields, coeffs, region)
+                    lups += n
             lups *= fields.batch_width  # every lane of a stack counts
             self.lups_done += lups
             self.jobs_done += n_jobs

@@ -23,11 +23,20 @@
  * first and helpers the rest.  Every cell runs the same instructions on
  * whichever thread takes its row, so a split box is bit-identical to a
  * serial one.
+ *
+ * Between thiim_open and thiim_close a caller streams its boxes: one
+ * below the split gate is checked, copied by value into a ring, and run
+ * by the group's first helper in submission order while the caller goes
+ * on to its next call (thiim_update returns at once).  A box at or above
+ * the gate drains the ring, then splits as above.  The same rows run the
+ * same instructions in the same order on one thread, so a streamed pass
+ * is bit-identical to an immediate one.
  */
 #define _GNU_SOURCE
 #include <pthread.h>
 #include <sched.h>
 #include <signal.h>
+#include <stdalign.h>
 #include <stdatomic.h>
 #include <stdint.h>
 #include <time.h>
@@ -198,11 +207,13 @@ static void run_rows(const thiim_op *op, const int64_t *bx, int64_t r0,
  * caller gets to it is the caller's, and the caller never waits for a
  * helper to wake.  Helpers spin for SPIN_NS after their last part and then
  * sleep on `wake`; the caller's join spins, yielding now and then.  One
- * caller at a time borrows the group (a CAS on thiim_borrowed); any other
- * runs its box serial.  A forked child keeps no helpers (reset_in_child):
- * processes or threads, never both.
+ * caller at a time borrows the group (a CAS on thiim_borrowed), for one
+ * split or for a whole stream window; any other runs its box serial.
+ * Helper 0 also runs the window's ring (below).  A forked child keeps no
+ * helpers, ring or window (reset_in_child): processes or threads, never
+ * both.
  *
- * The four ints below are exported so that a test can split any box any
+ * The ints below are exported so that a test can split any box any
  * number of ways, see which parts helpers ran, and hold the group. */
 
 /* Smallest box split, in cells x lanes: below it the hand-off costs about
@@ -223,6 +234,8 @@ static struct {
     pthread_mutex_t mu;
     pthread_cond_t wake;
     atomic_int sleepers;
+    atomic_int consumer_asleep; /* helper 0 sleeps on `wake` */
+    uint32_t gen0;              /* the ticket's generation at thiim_start */
     _Atomic uint64_t ticket;
     atomic_int done;            /* helpers' parts of the job finished */
     const thiim_op *op;         /* the job, read once a part is claimed */
@@ -245,6 +258,92 @@ static int64_t now_ns(void)
     return ts.tv_sec * 1000000000LL + ts.tv_nsec;
 }
 
+/* -- the stream window ---------------------------------------------------
+ *
+ * A ring of ops by value with one producer, the thread that holds the
+ * window (thiim_update), and one consumer, helper 0.  `head` counts the
+ * ops submitted, `tail` the ops run.  The owner waits while the ring
+ * holds `cap` ops, and drains it (waits for tail == head) before a box
+ * at or above the gate, before a refused box returns, and at
+ * thiim_close; kernels.py drains it (thiim_drain) before a NumPy-body
+ * op and before it rebinds a state, which may free arrays a queued op
+ * points into. */
+
+#define RING_SLOTS 256
+
+/* Ops a window's ring holds (read at thiim_open, at most RING_SLOTS); 0:
+ * no window opens and every call is immediate. */
+int thiim_ring_cap = RING_SLOTS;
+/* Ops helper 0 has run from a ring. */
+_Atomic int64_t thiim_stream_ops = 0;
+
+typedef struct {
+    thiim_op op;
+    int64_t box[6];
+} entry;
+
+static struct {
+    alignas(64) _Atomic int64_t head;
+    alignas(64) _Atomic int64_t tail;
+    alignas(64) int64_t cap;
+    entry ring[RING_SLOTS];
+} W;
+
+/* 1 on the thread that holds the window. */
+static _Thread_local int streaming;
+
+static int ring_pending(void)
+{
+    return atomic_load(&W.tail) != atomic_load(&W.head);
+}
+
+/* Helper 0: run the ring's ops in order until it is empty. */
+static void run_ring(void)
+{
+    int64_t t = atomic_load_explicit(&W.tail, memory_order_relaxed);
+    while (t != atomic_load_explicit(&W.head, memory_order_acquire)) {
+        const entry *e = &W.ring[t % RING_SLOTS];
+        run_rows(&e->op, e->box, 0,
+                 e->op.lanes * (e->box[1] - e->box[0]) * (e->box[3] - e->box[2]));
+        atomic_fetch_add_explicit(&thiim_stream_ops, 1, memory_order_relaxed);
+        atomic_store_explicit(&W.tail, ++t, memory_order_release);
+    }
+}
+
+/* The owner: wait until helper 0 has run the first `n` ops. */
+static void wait_ring(int64_t n)
+{
+    for (unsigned k = 1; atomic_load_explicit(&W.tail, memory_order_acquire) < n; k++)
+        if (k % 1024)
+            cpu_relax();
+        else
+            sched_yield();
+}
+
+static void drain(void)
+{
+    wait_ring(atomic_load_explicit(&W.head, memory_order_relaxed));
+}
+
+/* The owner: queue one op, waking helper 0 if it sleeps. */
+static void submit(const thiim_op *op, const int64_t *box)
+{
+    const int64_t h = atomic_load_explicit(&W.head, memory_order_relaxed);
+    wait_ring(h + 1 - W.cap);
+    entry *e = &W.ring[h % RING_SLOTS];
+    e->op = *op;
+    for (int i = 0; i < 6; i++)
+        e->box[i] = box[i];
+    /* Sequentially consistent, as helper 0's consumer_asleep store and
+     * head load are: one of the two sees the other. */
+    atomic_store(&W.head, h + 1);
+    if (atomic_load(&G.consumer_asleep)) {
+        pthread_mutex_lock(&G.mu);
+        pthread_cond_broadcast(&G.wake);
+        pthread_mutex_unlock(&G.mu);
+    }
+}
+
 /* The next unstarted part of job `gen`, or -1. */
 static int64_t claim(uint32_t gen)
 {
@@ -262,13 +361,14 @@ static void run_part(int64_t i)
     run_rows(G.op, G.box, G.rows * i / G.parts, G.rows * (i + 1) / G.parts);
 }
 
-/* Block until a job newer than `seen` is published; its generation. */
-static uint32_t next_job(uint32_t seen)
+/* Block until a job newer than `seen` is published or, for helper 0
+ * (`consumer`), the ring holds an op; the newest generation. */
+static uint32_t next_job(uint32_t seen, int consumer)
 {
     int64_t until = now_ns() + SPIN_NS;
     for (unsigned k = 1;; k++) {
         uint32_t gen = atomic_load_explicit(&G.ticket, memory_order_acquire) >> 32;
-        if (gen != seen)
+        if (gen != seen || (consumer && ring_pending()))
             return gen;
         if (k % 64 == 0 && now_ns() > until)
             break;
@@ -276,9 +376,13 @@ static uint32_t next_job(uint32_t seen)
     }
     pthread_mutex_lock(&G.mu);
     atomic_fetch_add(&G.sleepers, 1);
+    if (consumer)
+        atomic_store(&G.consumer_asleep, 1);
     uint32_t gen;
-    while ((gen = atomic_load(&G.ticket) >> 32) == seen)
+    while ((gen = atomic_load(&G.ticket) >> 32) == seen && !(consumer && ring_pending()))
         pthread_cond_wait(&G.wake, &G.mu);
+    if (consumer)
+        atomic_store(&G.consumer_asleep, 0);
     atomic_fetch_sub(&G.sleepers, 1);
     pthread_mutex_unlock(&G.mu);
     return gen;
@@ -286,9 +390,12 @@ static uint32_t next_job(uint32_t seen)
 
 static void *helper(void *arg)
 {
-    uint32_t gen = (uint32_t)(uintptr_t)arg;
+    const int consumer = arg != 0;
+    uint32_t gen = G.gen0;
     for (;;) {
-        gen = next_job(gen);
+        gen = next_job(gen, consumer);
+        if (consumer)
+            run_ring();
         for (int64_t i; (i = claim(gen)) >= 0;) {
             run_part(i);
             atomic_fetch_add_explicit(&thiim_helper_parts, 1, memory_order_relaxed);
@@ -331,8 +438,13 @@ static void reset_in_child(void)
     pthread_mutex_init(&G.mu, 0);
     pthread_cond_init(&G.wake, 0);
     atomic_store(&G.sleepers, 0);
+    atomic_store(&G.consumer_asleep, 0);
     G.helpers = thiim_helper_cap = 0;
     atomic_store(&thiim_borrowed, 0);
+    /* A window another thread held dies with that thread. */
+    atomic_store(&W.head, 0);
+    atomic_store(&W.tail, 0);
+    streaming = 0;
 }
 
 /* Start the helpers (once per process); how many run. */
@@ -352,10 +464,11 @@ int thiim_start(void)
     sigset_t all, old;
     sigfillset(&all);
     pthread_sigmask(SIG_SETMASK, &all, &old);
-    uintptr_t gen = (uintptr_t)(atomic_load(&G.ticket) >> 32);
+    G.gen0 = (uint32_t)(atomic_load(&G.ticket) >> 32);
     while (G.helpers < cpus - 1 && G.helpers < MAX_HELPERS) {
         pthread_t t;
-        if (pthread_create(&t, 0, helper, (void *)gen))
+        /* Helper 0 is the ring's consumer. */
+        if (pthread_create(&t, 0, helper, (void *)(uintptr_t)(G.helpers == 0)))
             break;
         pthread_detach(t);
 #ifdef __linux__
@@ -367,19 +480,52 @@ int thiim_start(void)
     return thiim_helper_cap = G.helpers;
 }
 
-/* Update `box` = (z0, z1, y0, y1, x0, x1).  Returns 0, or -1 without
- * touching memory when the box leaves the grid or its far read leaves a
- * non-periodic axis. */
+/* Open a stream window on the calling thread, borrowing the group for
+ * it: 1, or 0 (no helper, the group or this thread's window already
+ * open, or thiim_ring_cap 0), and every call stays immediate. */
+int thiim_open(void)
+{
+    int idle = 0;
+    if (streaming || G.helpers < 1 || thiim_ring_cap < 1
+        || !atomic_compare_exchange_strong(&thiim_borrowed, &idle, 1))
+        return 0;
+    W.cap = thiim_ring_cap < RING_SLOTS ? thiim_ring_cap : RING_SLOTS;
+    streaming = 1;
+    return 1;
+}
+
+/* Run every op the calling thread's window holds (no window: nothing). */
+void thiim_drain(void)
+{
+    if (streaming)
+        drain();
+}
+
+/* Drain the calling thread's window, close it and release the group. */
+void thiim_close(void)
+{
+    if (!streaming)
+        return;
+    drain();
+    streaming = 0;
+    atomic_store_explicit(&thiim_borrowed, 0, memory_order_release);
+}
+
+/* Update `box` = (z0, z1, y0, y1, x0, x1); in a window, a box below the
+ * gate is queued instead.  Returns 0, or -1 without touching memory when
+ * the box leaves the grid or its far read leaves a non-periodic axis (in
+ * a window, once every op queued before it has run). */
 int64_t thiim_update(const thiim_op *op, const int64_t *box)
 {
     int empty = 0;
     for (int ax = 0; ax < 3; ax++) {
         int64_t lo = box[2 * ax], hi = box[2 * ax + 1];
-        if (lo < 0 || hi < lo || hi > op->n[ax])
+        if ((lo < 0 || hi < lo || hi > op->n[ax])
+            || (ax == op->axis && !op->periodic && lo < hi
+                && (lo + op->shift < 0 || hi + op->shift > op->n[ax]))) {
+            thiim_drain();
             return -1;
-        if (ax == op->axis && !op->periodic && lo < hi
-            && (lo + op->shift < 0 || hi + op->shift > op->n[ax]))
-            return -1;
+        }
         empty |= lo == hi;
     }
     if (empty)
@@ -387,14 +533,22 @@ int64_t thiim_update(const thiim_op *op, const int64_t *box)
     if (thiim_fused < 0)
         thiim_fused = CPU_HAS_FMA() ? 1 : 0;
     const int64_t rows = op->lanes * (box[1] - box[0]) * (box[3] - box[2]);
+    const int big = rows * (box[5] - box[4]) >= thiim_split_min;
+    if (streaming) {
+        if (!big) {
+            submit(op, box);
+            return 0;
+        }
+        drain();
+    }
     int64_t parts = 1 + (int64_t)thiim_helper_cap;
     parts = parts < rows ? parts : rows;
     int idle = 0;
-    if (parts > 1 && parts <= 0xffff
-        && rows * (box[5] - box[4]) >= thiim_split_min
-        && atomic_compare_exchange_strong(&thiim_borrowed, &idle, 1)) {
+    if (parts > 1 && parts <= 0xffff && big
+        && (streaming || atomic_compare_exchange_strong(&thiim_borrowed, &idle, 1))) {
         split(op, box, rows, parts);
-        atomic_store_explicit(&thiim_borrowed, 0, memory_order_release);
+        if (!streaming)
+            atomic_store_explicit(&thiim_borrowed, 0, memory_order_release);
     } else {
         run_rows(op, box, 0, rows);
     }

@@ -26,6 +26,14 @@ instructions on whichever thread takes it, so the result is bit-identical
 by construction.  The group lives in ``_thiim_kernel.c``; the NumPy body
 runs serial.
 
+Inside :func:`stream` the calling thread's compiled calls below that gate
+are checked, queued by value and run in submission order by the group's
+first helper, so compiled compute runs beside the caller's Python
+dispatch; a box at the gate, a NumPy-body op, a rebind and the end of the
+window first wait for the queue to empty.  The same rows run the same
+instructions in the same order on one thread: a streamed pass is
+bit-identical to an immediate one.
+
 Region semantics
 ----------------
 A region is a triple of ``slice`` objects ``(z, y, x)``.  Kernels assume
@@ -49,6 +57,7 @@ is built on: one pass over the shared stencil working set updates all
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import math
@@ -70,6 +79,7 @@ __all__ = [
     "full_region",
     "region_lups",
     "update_component",
+    "stream",
     "update_h",
     "update_e",
     "step",
@@ -216,7 +226,33 @@ def update_component(
     if call:
         _update_native(call, name, fields, coeffs, region)
     else:
+        _drain()  # the NumPy body reads what queued ops write
         _update_numpy(name, fields, coeffs, region)
+
+
+@contextlib.contextmanager
+def stream():
+    """Stream the calling thread's compiled updates to the helper group
+    until the block ends: each call returns once its box is checked and
+    queued, and every update has been applied when the block exits (also
+    on an exception).  No window opens on the NumPy body, on a host or in
+    a forked child without helpers, or while another caller holds the
+    group: calls are immediate there.  A nested block leaves the outer
+    window to its owner."""
+    call = _native() if _THIIM is None else _THIIM
+    opened = bool(call) and _WINDOW[0]()
+    try:
+        yield
+    finally:
+        if opened:
+            _WINDOW[1]()
+
+
+def _drain() -> None:
+    """Wait until the calling thread's window, if one is open, has run
+    every op it queued."""
+    if _WINDOW:
+        _WINDOW[2]()
 
 
 def _update_numpy(name, fields, coeffs, region: Region) -> None:
@@ -282,6 +318,9 @@ _OPERANDS = {n: (*s.reads, s.coeff_t, s.coeff_c, s.source) for n, s in SPECS.ite
 #: kernel call, ``False`` on the NumPy body.  It mirrors the pass's entry
 #: in the :func:`nativelib.load` memo, so a kernel call reads one global.
 _THIIM = None
+#: ``(thiim_open, thiim_close, thiim_drain)`` of the pass once it has
+#: bound (:func:`stream`).
+_WINDOW = None
 
 
 class BoundRegion(tuple):
@@ -306,15 +345,21 @@ def _native():
 def _bind_pass(lib):
     """Declare and probe the pass (``False``: vetoed, no compiler, or not
     bit-identical here), then start its helper group, except in a forked
-    child: it runs serial (the library's fork handler drops any helpers)."""
+    child: it runs serial (the library's fork handler drops any helpers,
+    and ``thiim_open`` opens no window without one).  Every argument is a
+    ``byref``, which ctypes passes as a pointer with no ``argtypes``
+    conversion: half the cost of a call."""
+    global _WINDOW
     call = lib.thiim_update
-    call.restype, call.argtypes = ctypes.c_int64, [ctypes.c_void_p] * 2
+    call.restype = ctypes.c_int64
     if not _probe(call, lib):
         telemetry.count_event("native_degraded")
         return False
+    lib.thiim_open.restype = lib.thiim_start.restype = ctypes.c_int
+    lib.thiim_close.restype = lib.thiim_drain.restype = None
     if not forksafe.forked:
-        lib.thiim_start.restype, lib.thiim_start.argtypes = ctypes.c_int, []
         lib.thiim_start()
+    _WINDOW = lib.thiim_open, lib.thiim_close, lib.thiim_drain
     return call
 
 
@@ -402,30 +447,29 @@ def _bind(fields, coeffs) -> dict:
     return bound
 
 
-def _binding(name, fields, coeffs) -> tuple:
-    """``name``'s entry of ``fields._bound``, rebinding every component
-    first when an array it points into was replaced."""
-    fa, ca = fields.components(), coeffs.arrays
-    ra, rb, t, c, src = _OPERANDS[name]
-    bound = fields._bound
-    op = bound[name] if bound else None
-    if op is None or not (
-            fa[name] is op[1] and fa[ra] is op[2] and fa[rb] is op[3]
-            and ca[t] is op[4] and ca[c] is op[5]
-            and (src is None or ca[src] is op[6])):
-        # First use, or an array was replaced (lane compaction, a restore).
-        bound = fields._bound = _bind(fields, coeffs)
-        op = bound[name]
-    return op
-
-
 def _update_native(call, name, fields, coeffs, region: Region) -> None:
-    op = _binding(name, fields, coeffs)
-    if op[0] is None:
+    """One compiled call through ``fields._bound``: every component is
+    bound again first when an array its op points into was replaced (the
+    six identity checks inline: this is the hot path)."""
+    try:
+        ref, f, a, b, t, c, s = fields._bound[name]
+    except TypeError:  # never bound
+        ref = f = None
+    fa, ca = fields._arrays, coeffs.arrays
+    ka, kb, kt, kc, ks = _OPERANDS[name]
+    if not (fa[name] is f and fa[ka] is a and fa[kb] is b and ca[kt] is t
+            and ca[kc] is c and (ks is None or ca[ks] is s)):
+        # First use, or an array was replaced (lane compaction, a restore):
+        # queued ops may point into arrays the old binding holds.
+        _drain()
+        bound = fields._bound = _bind(fields, coeffs)
+        ref = bound[name][0]
+    if ref is None:
+        _drain()
         return _update_numpy(name, fields, coeffs, region)
     if type(region) is not BoundRegion:
         region = BoundRegion(region)
-    if call(op[0], region.box):
+    if call(ref, region.box):
         # The pass refused the box and touched nothing; a far read off a
         # non-periodic axis fails in _shifted_read's words, as on NumPy.
         spec, grid = SPECS[name], fields.grid

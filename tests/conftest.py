@@ -78,21 +78,34 @@ def reload_native(monkeypatch):
 
 
 @contextmanager
-def split_ways(ways):
-    """Split every compiled update, whatever its size, into ``ways`` row
-    ranges over the helper group (1 = serial; ranges beyond the helpers
-    are the caller's).  Without the compiled pass this changes nothing:
-    the NumPy body runs serial."""
+def thiim_ints(**values):
+    """Set exported C ints of the compiled pass for the block (without the
+    compiled pass this changes nothing: the NumPy body runs serial)."""
     if not kernels._native():
         yield
         return
-    gate, cap = thiim_int("thiim_split_min"), thiim_int("thiim_helper_cap")
-    saved = gate.value, cap.value
-    gate.value, cap.value = 0, ways - 1
+    ints = {name: thiim_int(name) for name in values}
+    saved = {name: var.value for name, var in ints.items()}
+    for name, var in ints.items():
+        var.value = values[name]
     try:
         yield
     finally:
-        gate.value, cap.value = saved
+        for name, var in ints.items():
+            var.value = saved[name]
+
+
+def split_ways(ways):
+    """Split every compiled update, whatever its size, into ``ways`` row
+    ranges over the helper group (1 = serial; ranges beyond the helpers
+    are the caller's)."""
+    return thiim_ints(thiim_split_min=0, thiim_helper_cap=ways - 1)
+
+
+def immediate():
+    """Open no stream window: every compiled call of the block runs before
+    it returns (:func:`repro.fdfd.kernels.stream` queues nothing)."""
+    return thiim_ints(thiim_ring_cap=0)
 
 
 @pytest.fixture(params=["native", "numpy"])

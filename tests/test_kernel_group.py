@@ -1,10 +1,13 @@
-"""The helper group of the compiled pass: one box split by rows.
+"""The helper group of the compiled pass: one box split by rows, and a
+tile's calls streamed to its first helper.
 
 Every split must equal the serial update -- and the NumPy oracle -- as raw
 bytes (each cell runs the same instructions on whichever thread takes its
 row); a caller never waits for a busy group; a part no helper has started
 is the caller's; a forked child runs serial; concurrent solves through the
 one group each equal their serial solve; an idle helper burns no CPU.
+A streamed tile pass equals the immediate one and the oracle as raw
+bytes, and every rule that drains the queue holds when its call returns.
 """
 
 import ctypes
@@ -14,10 +17,12 @@ import threading
 import time
 from contextlib import nullcontext
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import TiledExecutor, TiledTHIIM, TilingPlan
 from repro.fdfd import (
     ALL_COMPONENTS,
     SPECS,
@@ -32,10 +37,11 @@ from repro.fdfd import (
     update_component,
     update_h,
 )
+from repro.fdfd.kernels import BoundRegion, stream
 from repro.service import JobSpec, JobState, Scheduler, run_job
 
-from conftest import (contracted_problem, numpy_kernels, random_state, run_concurrently,
-                      split_ways, thiim_int)
+from conftest import (contracted_problem, immediate, numpy_kernels, random_state,
+                      run_concurrently, service_solver, split_ways, thiim_int, thiim_ints)
 
 HELPER = "thiim-helper"
 #: The solve service's geometry of ``grid=24`` (27,648 cells: it splits).
@@ -70,6 +76,11 @@ def _problem(grid, k, seed):
 
 def _helper_parts():
     return thiim_int("thiim_helper_parts", ctypes.c_int64).value
+
+
+def _stream_ops():
+    """Ops the first helper has run from a stream window's ring."""
+    return thiim_int("thiim_stream_ops", ctypes.c_int64).value
 
 
 def _helper_ticks() -> dict:
@@ -302,3 +313,175 @@ def test_concurrent_solves_share_the_group():
     assert got == serial
     assert _helper_parts() > before
     assert thiim_int("thiim_borrowed").value == 0
+
+
+# -- the stream window ---------------------------------------------------------
+
+#: Every full-box op here (at most 16,000 cells) stays just under the gate,
+#: so a few queued ops keep the first helper busy for milliseconds.
+HEAVY = Grid(nz=40, ny=20, nx=20, periodic=(False, False, True))
+
+
+@st.composite
+def _tiled_cases(draw):
+    grid = Grid(nz=draw(st.integers(4, 14)), ny=draw(st.integers(4, 14)),
+                nx=draw(st.integers(3, 8)), periodic=(False, False, draw(st.booleans())))
+    plan = TilingPlan.build(ny=grid.ny, nz=grid.nz, timesteps=draw(st.integers(1, 6)),
+                            dw=draw(st.sampled_from((2, 4, 6, 8))), bz=draw(st.integers(1, 5)))
+    return grid, plan, draw(st.integers(1, 3)), draw(st.integers(0, 1000))
+
+
+def _queue_then(fields, coeffs, then):
+    """Two naive steps over HEAVY queued in a window (24 ops), then
+    ``then()`` inside the same window; the ring ops run when it returned."""
+    before = _stream_ops()
+    with stream():
+        naive_sweep(fields, coeffs, 2)
+        then()
+        ran = _stream_ops() - before
+    return ran
+
+
+class TestStreamEqualsImmediate:
+    """Streamed, immediate and NumPy tile passes: raw-byte equal."""
+
+    @given(case=_tiled_cases(), keeps=st.lists(st.sampled_from(_LAYOUTS), min_size=12,
+                                               max_size=12),
+           gate=st.sampled_from((16384, 64)), ring=st.sampled_from((1, 3, 256)))
+    @settings(max_examples=60, deadline=None)
+    def test_tile_passes_equal_the_oracle(self, case, keeps, gate, ring):
+        """Random grids, 1-3 lanes, D_w / B_z, topological orders,
+        contracted coefficients, ring sizes, and a gate low enough that
+        some boxes drain the ring and split inside the window."""
+        grid, plan, k, seed = case
+        fields, coeffs = contracted_problem(grid, k, seed, keeps)
+        order = plan.random_topological_order(np.random.default_rng(seed))
+        runs, streamed = {}, 0
+        for mode, ints in (("numpy", None), ("immediate", 0), ("streamed", ring)):
+            f = fields.copy()
+            before = _stream_ops() if kernels._native() else 0
+            with (numpy_kernels() if ints is None
+                  else thiim_ints(thiim_split_min=gate, thiim_ring_cap=ints)):
+                TiledExecutor(f, coeffs, plan).run(order)
+            if mode == "streamed" and kernels._native():
+                streamed = _stream_ops() - before
+            runs[mode] = _bits(f)
+        assert runs["immediate"] == runs["numpy"]
+        assert runs["streamed"] == runs["numpy"]
+        if gate == 16384 and kernels._native() and thiim_int("thiim_helper_cap").value:
+            assert streamed > 0
+
+    @needs_helpers
+    @pytest.mark.parametrize("ring", [1, 2, None])
+    def test_a_window_holds_more_ops_than_the_ring(self, ring):
+        """A spatially blocked sweep inside one window queues thousands of
+        ops through a ring of 256 slots (or fewer): the caller waits for a
+        free slot, and the result is the immediate one."""
+        ring = ring or thiim_int("thiim_ring_cap").value
+        grid = Grid(nz=20, ny=12, nx=10, periodic=(False, False, True))
+        fields, coeffs = _problem(grid, 2, 14)
+        oracle = fields.copy()
+        with immediate():
+            lups = spatial_blocked_sweep(oracle, coeffs, 4, 2, 2)
+        before = _stream_ops()
+        with thiim_ints(thiim_ring_cap=ring), stream():
+            assert spatial_blocked_sweep(fields, coeffs, 4, 2, 2) == lups
+        assert _stream_ops() - before > 4 * 256
+        assert _bits(fields) == _bits(oracle)
+
+    @needs_helpers
+    def test_a_refused_box_raises_once_the_queue_ran(self):
+        """A box that leaves the grid is refused on the caller and raises
+        ``IndexError``; by then every op queued before it has been
+        applied, and nothing of the refused box was written."""
+        fields, coeffs = _problem(HEAVY, 1, 12)
+        oracle = fields.copy()
+        with numpy_kernels():
+            naive_sweep(oracle, coeffs, 2)
+        outside = BoundRegion((slice(0, HEAVY.nz + 1), slice(0, 2), slice(0, 2)))
+        seen = {}
+
+        def refused():
+            with pytest.raises(IndexError):
+                update_component("Hxy", fields, coeffs, outside)
+            seen["bits"] = _bits(fields)  # still inside the window
+
+        assert _queue_then(fields, coeffs, refused) == 24
+        assert seen["bits"] == _bits(oracle)
+
+    @needs_helpers
+    @pytest.mark.parametrize("then", ["numpy body", "rebind"])
+    def test_a_numpy_op_and_a_rebind_drain_first(self, then):
+        """A NumPy-body op reads what queued ops write, and a rebind drops
+        the arrays queued ops point into: both wait for the ring first."""
+        fields, coeffs = _problem(HEAVY, 1, 13)
+        oracle = fields.copy()
+        region = clip_region(HEAVY, SPECS["Hxy"])
+        with numpy_kernels():
+            naive_sweep(oracle, coeffs, 2)
+            update_component("Hxy", oracle, coeffs, region)
+        t = SPECS["Hxy"].coeff_t
+
+        def op():
+            if then == "numpy body":
+                with numpy_kernels():
+                    update_component("Hxy", fields, coeffs, region)
+            else:
+                coeffs.arrays[t] = coeffs.arrays[t].copy()  # the old one goes with the binding
+                update_component("Hxy", fields, coeffs, region)
+
+        ran = _queue_then(fields, coeffs, op)
+        assert ran == 24 if then == "numpy body" else ran >= 24
+        assert _bits(fields) == _bits(oracle)
+
+    @needs_helpers
+    def test_a_streaming_and_an_immediate_solve_at_once(self):
+        """One thread holds a window over its whole tiled run while
+        another runs: the second opens none (the group is borrowed) and
+        runs immediate, the first streams every op, and each equals its
+        serial run."""
+        def build(wavelength):
+            solver = service_solver("tandem", 16, wavelengths=(wavelength,), tiled=True)
+            return solver, TiledTHIIM(solver, dw=8, bz=2)
+
+        serial = {}
+        with immediate():
+            for w in (10.0, 12.0):
+                solver, tiled = build(w)
+                tiled.run(16)
+                serial[w] = _bits(solver.fields)
+        runs = {w: build(w) for w in serial}
+        solver, tiled = runs[10.0]
+        calls = sum(len(ops) for ops, _ in tiled.plan.compiled(solver.grid).values())
+        opened, done = threading.Event(), threading.Event()
+        before = _stream_ops()
+
+        def solve(w):
+            solver, tiled = runs[w]
+            if w == 10.0:
+                with stream():
+                    assert thiim_int("thiim_borrowed").value == 1
+                    opened.set()
+                    tiled.run(16)
+                    assert done.wait(60)
+            else:
+                assert opened.wait(60)
+                tiled.run(16)
+                done.set()
+
+        run_concurrently(solve, list(serial))
+        assert _stream_ops() - before == 2 * calls  # both passes of the first, none of the second
+        assert {w: _bits(solver.fields) for w, (solver, _) in runs.items()} == serial
+        assert thiim_int("thiim_borrowed").value == 0
+
+    @needs_helpers
+    def test_an_idle_helper_burns_no_cpu_after_a_window(self):
+        fields, coeffs = _problem(HEAVY, 1, 15)
+        before = _stream_ops()
+        with stream():
+            naive_sweep(fields, coeffs, 2)
+        assert _stream_ops() > before
+        time.sleep(0.05)  # past the spin
+        ticks = _helper_ticks()
+        time.sleep(0.2)
+        assert ticks and _helper_ticks() == ticks

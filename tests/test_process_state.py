@@ -15,6 +15,7 @@ shared caches under threads.
 """
 
 import multiprocessing as mp
+import os
 import pathlib
 import re
 import threading
@@ -37,10 +38,12 @@ from repro.resilience import faults
 from repro.service import JobSpec, PlanRegistry, ResultStore, run_job
 from repro.telemetry import RingBuffer
 
-from conftest import random_state, run_concurrently, service_solver
+from conftest import random_state, run_concurrently, service_solver, thiim_int
 
 G10 = JobSpec(kind="solve", preset="vacuum", grid=10, wavelength=10.0,
               tol=1e-12, max_steps=4)
+G10_TILED = JobSpec(kind="solve", preset="vacuum", grid=10, wavelength=10.0,
+                    tol=1e-12, max_steps=8, tiled=True)
 #: The fault site the child passes under the installed plan.
 SITE = "fork.rule"
 #: How much longer than in the parent the child's work may take.
@@ -206,6 +209,47 @@ def test_a_fork_while_a_lock_is_held(row, expected, reload_native):
     assert forked and not forksafe.forked
     assert (child_table != table) == (row == "streams.table")
     assert seconds < work_s + CHILD_S, (seconds, work_s)
+
+
+def _tiled_child(conn):
+    borrowed = thiim_int("thiim_borrowed").value if kernels._native() else 0
+    conn.send((run_job(G10_TILED)["checksum"], borrowed,
+               len(os.listdir("/proc/self/task"))))
+
+
+def test_a_fork_while_another_thread_streams():
+    """The kernel's fork handler drops the ring and the window with the
+    helpers: a child forked while another thread holds a stream window
+    open (the group borrowed, ops maybe queued) finds the group free and
+    finishes a tiled g10 solve alone, with the parent's checksum."""
+    want = run_job(G10_TILED)["checksum"]
+    held, release = threading.Event(), threading.Event()
+
+    def hold():
+        fields = random_state(Grid(nz=40, ny=20, nx=20), 3)
+        with kernels.stream():
+            spatial_blocked_sweep(fields, random_coefficients(fields.grid, seed=4), 1, 5)
+            held.set()
+            release.wait(60)
+
+    holder = threading.Thread(target=hold, daemon=True)
+    holder.start()
+    assert held.wait(30)
+    fork = mp.get_context("fork")
+    parent, child = fork.Pipe()
+    proc = fork.Process(target=_tiled_child, args=(child,))
+    proc.start()
+    child.close()
+    try:
+        assert parent.poll(60), "child blocked on the stream window"
+        checksum, borrowed, threads = parent.recv()
+    finally:
+        release.set()
+        holder.join(30)
+        proc.join(10)
+        if proc.is_alive():
+            proc.kill()
+    assert (checksum, borrowed, threads) == (want, 0, 1)
 
 
 # -- one load-once path --------------------------------------------------------
