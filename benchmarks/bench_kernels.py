@@ -12,7 +12,9 @@ helper group (helpers free, and pinned one per CPU), tiled passes with
 their calls immediate against streamed to the group's first helper, what
 the compiled path adds to a raw ctypes call, and the tandem scene's
 coefficients domain-sized against contracted (``build_coefficients``'
-layout) under both traversals.
+layout) under both traversals, the compiled pass's ns per component update
+on its vector and its scalar body, and the split gate's break-even: one
+box serial against split, at 8k, 16k and 32k cells.
 """
 
 import ctypes
@@ -60,6 +62,14 @@ SPLITS = ("serial", "helpers free", "helpers pinned")
 #: 4: every row box below the gate); at 48^3 with bz 16 the largest row
 #: boxes reach it, drain the ring and split.
 STREAMS = (("g24", 24, 1, 24, 4), ("g24", 24, 3, 24, 4), (f"{GRID_N}^3", GRID_N, 1, 24, 16))
+#: The per-update rows: service grids whose slab of ``UPDATE_PLANES`` z
+#: planes (every component: 3 x 16 B per cell of fields, contracted
+#: coefficients) stays in a 2 MiB L2.
+UPDATE_GRIDS = (24, 32)
+UPDATE_PLANES = 4
+#: Cells of the boxes the break-even rows split: z slabs of g32 (1,024
+#: cells a plane), half, equal to and twice the split gate.
+BREAK_EVEN_CELLS = (8192, 16384, 32768)
 
 
 @pytest.fixture(params=["native", "numpy"])
@@ -245,6 +255,69 @@ def _stream_seconds(n, lanes, dw, bz):
     return seconds
 
 
+def _slab_seconds(fields, coeffs, planes, reps):
+    """Seconds per update of every component over a slab of ``planes`` z
+    planes mid-grid, through the raw compiled calls (no Python dispatch
+    in the timing), best of 5."""
+    from repro.fdfd import ALL_COMPONENTS, SPECS, clip_region
+    from repro.fdfd.kernels import BoundRegion, update_component
+
+    grid = fields.grid
+    z0 = (grid.nz - planes) // 2
+    ops = [(name, BoundRegion(clip_region(grid, SPECS[name], z=(z0, z0 + planes))))
+           for name in ALL_COMPONENTS]
+    for name, region in ops:
+        update_component(name, fields, coeffs, region)  # bind
+    call = kernels._THIIM
+    raw = [(fields._bound[name][0], region.box) for name, region in ops]
+
+    def run():
+        for _ in range(reps):
+            for ref, box in raw:
+                call(ref, box)
+
+    return _best(run, 5) / reps
+
+
+def _ns_per_update(n):
+    """ns per component update over an L2-resident slab of the tandem
+    scene at service grid ``n``, serial, on the vector and on the scalar
+    body of the compiled pass (``thiim_vector`` 1 and 0; the two are one
+    body where the CPU has no AVX2 and FMA)."""
+    from repro.fdfd import SPECS, clip_region
+    from repro.fdfd.kernels import region_lups
+
+    fields, coeffs, _ = _stream_case(n, 1, 2, 1)
+    z0 = (fields.grid.nz - UPDATE_PLANES) // 2
+    cells = sum(region_lups(clip_region(fields.grid, spec, z=(z0, z0 + UPDATE_PLANES)))
+                for spec in SPECS.values())
+    out = {"cells": cells // len(SPECS)}
+    with _serial():
+        for body in ("vector", "scalar"):
+            with _thiim_ints(thiim_vector=int(body == "vector")):
+                out[body] = 1e9 * _slab_seconds(fields, coeffs, UPDATE_PLANES, 200) / cells
+    return out
+
+
+def _break_even_us():
+    """Microseconds per update of every component over a z slab of the
+    tandem scene at g32 of each size in ``BREAK_EVEN_CELLS``, serial and
+    split over the helper group (the gate lowered to 0), alternating
+    twice."""
+    fields, coeffs, _ = _stream_case(32, 1, 2, 1)
+    plane = fields.grid.ny * fields.grid.nx
+    out = {}
+    for cells in BREAK_EVEN_CELLS:
+        row = {"serial": float("inf"), "split": float("inf")}
+        for _ in range(2):
+            for label in row:
+                with _serial() if label == "serial" else _thiim_ints(thiim_split_min=0):
+                    row[label] = min(row[label], 1e6 * _slab_seconds(
+                        fields, coeffs, cells // plane, 50))
+        out[cells] = row
+    return out
+
+
 def _dispatch_us(calls=200_000):
     """Microseconds per call of a 1-cell compiled update through
     ``update_component`` (immediate) and of the raw ctypes call it ends in."""
@@ -349,6 +422,8 @@ def test_bench_host_kernels_report(setup, capsys):
     split = {name: _split_seconds(g) for name, g in GROUP_GRIDS.items()} if helpers else {}
     streams = {row: _stream_seconds(*row[1:]) for row in STREAMS} if helpers else {}
     dispatch = _dispatch_us() if kernels._native() else {}
+    per_update = {n: _ns_per_update(n) for n in UPDATE_GRIDS} if kernels._native() else {}
+    break_even = _break_even_us() if helpers else {}
     layouts = {n: _layout_seconds(n) for n in LAYOUT_GRIDS}
 
     with capsys.disabled():
@@ -393,6 +468,21 @@ def test_bench_host_kernels_report(setup, capsys):
                   f"{dispatch['update_component']:.3f} us, raw ctypes call "
                   f"{dispatch['raw call']:.3f} us, compiled path adds "
                   f"{dispatch['update_component'] - dispatch['raw call']:.3f} us")
+        if per_update:
+            print(f"[ns per component update, tandem scene, {UPDATE_PLANES} z planes of "
+                  f"every component (L2-resident), serial raw calls; best of 5]")
+        for n, row in per_update.items():
+            print(f"  g{n:<3} {row['cells']:5,d} cells  vector {row['vector']:5.2f} | "
+                  f"scalar {row['scalar']:5.2f}  vector {row['scalar'] / row['vector']:.2f}x "
+                  f"of scalar")
+        if break_even:
+            gate = _thiim_int("thiim_split_min").value
+            print(f"[split break-even, tandem g32 z slabs, every component, serial vs "
+                  f"split over {helpers} helper(s) + the caller; us per slab update, "
+                  f"best of 5 over 2 rounds; gate {gate:,d} cells]")
+        for cells, row in break_even.items():
+            print(f"  {cells:6,d} cells  serial {row['serial']:8.1f} | split "
+                  f"{row['split']:8.1f}  {row['serial'] / row['split']:4.2f}x")
         print(f"[tandem coefficients domain-sized vs contracted, service grids, "
               f"registry-tuned plans, serial, {backends[-1]} kernel; "
               f"MLUP/s, best of 2]")
@@ -411,3 +501,5 @@ def test_bench_host_kernels_report(setup, capsys):
     assert all(s > 0 for row in split.values() for s in row.values())
     assert all(row[label] > 0 for row in streams.values()
                for label in ("immediate", "streamed"))
+    assert all(row[body] > 0 for row in per_update.values() for body in ("vector", "scalar"))
+    assert all(s > 0 for row in break_even.values() for s in row.values())

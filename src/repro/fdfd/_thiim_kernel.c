@@ -3,14 +3,22 @@
  *     F = t * ((A' + B') - (A + B)) + c * F (+ src)          (H: far - near)
  *     F = t * ((A + B) - (A' + B')) + c * F (+ src)          (E: near - far)
  *
- * where X' is X displaced by `shift` along the derivative axis, wrapping
- * on a periodic axis.  It is the compiled twin of the NumPy body in
- * kernels.py and must round exactly as that does, operation for
+ * where X' is X displaced by `shift` (+1 / -1) along the derivative axis,
+ * wrapping on a periodic axis.  It is the compiled twin of the NumPy body
+ * in kernels.py and must round exactly as that does, operation for
  * operation: compile with -ffp-contract=off so that nothing fuses except
- * the two fma() calls spelled out below -- NumPy's SIMD complex multiply
- * computes re = fma(ar, br, -(ai*bi)), im = fma(ar, bi, ai*br) on a CPU
- * with FMA and the plain four-multiply form on one without.  kernels.py
- * compares this pass with NumPy bit for bit before it trusts it.
+ * the fma() calls and fmaddsub instructions spelled out below.  NumPy's
+ * SIMD complex multiply computes re = fma(ar, br, -(ai*bi)),
+ * im = fma(ar, bi, ai*br) on a CPU with FMA (the fused form) and the plain
+ * four-multiply form on one without.  kernels.py compares this pass with
+ * NumPy bit for bit before it trusts it.
+ *
+ * Three bodies compute a row: the vector body (x86 with AVX2 and FMA,
+ * fused form: two complex numbers per 256-bit vector), and the scalar
+ * row() in the fused form (hardware or libm fma, both correctly rounded)
+ * or the plain one.  The vector body leaves a row's odd last cell and the
+ * one cell a periodic x axis wraps to the scalar fused row.  All three run
+ * under one box walker.
  *
  * Arrays are C-contiguous complex128, addressed as interleaved doubles:
  * the fields of shape (lanes,) + n, the coefficients t, c and src of one
@@ -56,15 +64,22 @@ typedef struct {
 /* Multiply form: 1 fused (the form above), 0 plain, -1 not yet asked of
  * the CPU.  Exported so a test can force the form NumPy does not use. */
 int thiim_fused = -1;
+/* The body of the fused form: 1 the vector body, 0 the scalar body with
+ * the CPU's fma instruction (either only where the CPU has AVX2 and FMA),
+ * -1 the scalar body with libm's fma, as a CPU without them runs it.
+ * Exported so that a test can hold the bodies to each other. */
+int thiim_vector = 1;
+/* Whether the CPU has AVX2 and FMA (-1: not yet asked). */
+static int has_fma = -1;
 
 #if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#define VECTOR_BODY
 #define FMA_TARGET __attribute__((target("avx2,fma")))
 #define CPU_HAS_FMA() (__builtin_cpu_supports("fma") && __builtin_cpu_supports("avx2"))
 #elif defined(__FP_FAST_FMA)
-#define FMA_TARGET
 #define CPU_HAS_FMA() 1
 #else
-#define FMA_TARGET
 #define CPU_HAS_FMA() 0
 #endif
 
@@ -74,7 +89,7 @@ int thiim_fused = -1;
  * read, t / c / s advance along x only when `xstep` (else one value
  * serves the row).  Adds and subtracts follow update_component's order.
  * Inlined with constant `s == 0`, `far_minus_near`, `fused` and `xstep`,
- * so that the loop body is branch-free and vectorises. */
+ * so that the loop body is branch-free. */
 INLINE void row(double *restrict f, const double *a, const double *b,
                 const double *fa, const double *fb, const double *t,
                 const double *c, const double *s, int64_t cells,
@@ -110,65 +125,113 @@ INLINE void row(double *restrict f, const double *a, const double *b,
     }
 }
 
-/* One row span at field offset `o`, its far read at `p`, its
- * coefficients at `k` (all in doubles). */
-INLINE void span(const thiim_op *op, int64_t o, int64_t p, int64_t k,
-                 int64_t cells, int fused)
+/* A body's row: row() itself, or row_vector. */
+typedef void row_fn(double *restrict f, const double *a, const double *b,
+                    const double *fa, const double *fb, const double *t,
+                    const double *c, const double *s, int64_t cells,
+                    int far_minus_near, int fused, int xstep);
+
+#ifdef VECTOR_BODY
+/* x * y for the two complex numbers (re, im, re, im) of each vector:
+ * fmaddsub(dup(xr), y, dup(xi) * swap(y)) is re = fma(xr, yr, -(xi*yi))
+ * and im = fma(xr, yi, xi*yr), each rounded once -- the fused form. */
+FMA_TARGET INLINE __m256d cmul(__m256d x, __m256d y)
 {
-#define ROW(S, PLUS, X) row(op->f + o, op->a + o, op->b + o, op->a + p, \
-                            op->b + p, op->t + k, op->c + k, S, cells, \
-                            PLUS, fused, X)
-#define ROWS(X)                                 \
-    if (op->src && op->shift > 0)               \
-        ROW(op->src + k, 1, X);                 \
-    else if (op->src)                           \
-        ROW(op->src + k, 0, X);                 \
-    else if (op->shift > 0)                     \
-        ROW(0, 1, X);                           \
-    else                                        \
-        ROW(0, 0, X)
-    if (op->cs[3]) {
-        ROWS(1);
-    } else {
-        ROWS(0);
-    }
-#undef ROWS
-#undef ROW
+    return _mm256_fmaddsub_pd(_mm256_movedup_pd(x), y,
+                              _mm256_mul_pd(_mm256_permute_pd(x, 0xf),
+                                            _mm256_permute_pd(y, 0x5)));
 }
 
-/* Rows [r0, r1) of the box's flattened (lane, z, y) rows. */
-INLINE void box_update(const thiim_op *op, const int64_t *bx, int64_t r0,
-                       int64_t r1, int fused)
+/* row() in the fused form, two cells per step; an odd last cell goes to
+ * row().  `fused` is 1. */
+FMA_TARGET INLINE void row_vector(double *restrict f, const double *a,
+                                  const double *b, const double *fa,
+                                  const double *fb, const double *t,
+                                  const double *c, const double *s,
+                                  int64_t cells, int far_minus_near, int fused,
+                                  int xstep)
+{
+    const int64_t pairs = 4 * (cells / 2);
+    /* One value serves the row unless `xstep` (then one is read per step:
+     * a row of no cells reads none). */
+    const __m256d zero = _mm256_setzero_pd();
+    __m256d tv = xstep ? zero : _mm256_broadcast_pd((const __m128d *)t);
+    __m256d cv = xstep ? zero : _mm256_broadcast_pd((const __m128d *)c);
+    __m256d sv = xstep || !s ? zero : _mm256_broadcast_pd((const __m128d *)s);
+    for (int64_t i = 0; i < pairs; i += 4) {
+        const __m256d near = _mm256_add_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i));
+        const __m256d far = _mm256_add_pd(_mm256_loadu_pd(fa + i), _mm256_loadu_pd(fb + i));
+        const __m256d d = far_minus_near ? _mm256_sub_pd(far, near) : _mm256_sub_pd(near, far);
+        if (xstep) {
+            tv = _mm256_loadu_pd(t + i);
+            cv = _mm256_loadu_pd(c + i);
+            if (s)
+                sv = _mm256_loadu_pd(s + i);
+        }
+        __m256d r = _mm256_add_pd(cmul(tv, d), cmul(cv, _mm256_loadu_pd(f + i)));
+        if (s)
+            r = _mm256_add_pd(r, sv);
+        _mm256_storeu_pd(f + i, r);
+    }
+    const int64_t k = xstep ? pairs : 0;
+    row(f + pairs, a + pairs, b + pairs, fa + pairs, fb + pairs, t + k, c + k,
+        s ? s + k : 0, cells % 2, far_minus_near, fused, xstep);
+}
+#endif
+
+/* `i` moved back into [0, n) across at most one edge. */
+INLINE int64_t wrap(int64_t i, int64_t n)
+{
+    return i < 0 ? i + n : i >= n ? i - n : i;
+}
+
+/* The box walker every body shares: rows [r0, r1) of the box's flattened
+ * (lane, z, y) rows, each handed to `row` as one span of x cells and, on
+ * an x axis whose far read leaves the row, the one cell that wraps (at
+ * most one: the shift is one cell).  Offsets advance by addition and far
+ * reads wrap by compare-and-add.  Inlined with constant `row`, `fused`,
+ * and `has_src`, `plus` (shift > 0) and `xstep`, chosen once per box by
+ * walk_box. */
+INLINE void walk(const thiim_op *op, const int64_t *bx, int64_t r0, int64_t r1,
+                 row_fn *row, int fused, int has_src, int plus, int xstep)
 {
     const int64_t nz = op->n[0], ny = op->n[1], nx = op->n[2];
     const int64_t z0 = bx[0], z1 = bx[1], y0 = bx[2], y1 = bx[3];
     int64_t x0 = bx[4], x1 = bx[5];
-    const int64_t axis = op->axis, shift = op->shift;
+    const int64_t axis = op->axis, shift = plus ? 1 : -1;
     const int64_t *cs = op->cs;
-    /* On the x axis at most one cell of a row wraps: peel it off. */
+    /* Strides of the fields in doubles: y row, z plane, lane. */
+    const int64_t sy = 2 * nx, sz = sy * ny, sl = sz * nz;
     int64_t wrap_x = -1;
     if (axis == 2 && x0 + shift < 0)
         wrap_x = x0++;
     else if (axis == 2 && x1 + shift > nx)
         wrap_x = --x1;
-    /* Row r0 is (lane, z, ya); then whole (lane, z) planes of y rows. */
+    /* From a cell to its far read along x: the span's, the wrap cell's. */
+    const int64_t dx = axis == 2 ? 2 * shift : 0;
+    const int64_t dxw = wrap_x < 0 ? 0 : 2 * (wrap(wrap_x + shift, nx) - wrap_x);
+    /* The wrap cell from the span's first cell: field, coefficients. */
+    const int64_t ow = 2 * (wrap_x - x0), kw = (wrap_x - x0) * cs[3];
+    /* Row r0 is (lane, z, y); then whole (lane, z) planes of y rows. */
     const int64_t ylen = y1 - y0, plane = ylen * (z1 - z0);
-    int64_t lane = r0 / plane, z = z0 + r0 % plane / ylen, ya = y0 + r0 % ylen;
-    for (int64_t left = r1 - r0; left > 0; ya = y0) {
-        const int64_t yb = ya + (left < y1 - ya ? left : y1 - ya);
-        const int64_t zf = axis == 0 ? (z + shift + nz) % nz : z;
-        for (int64_t y = ya; y < yb; y++) {
-            int64_t yf = axis == 1 ? (y + shift + ny) % ny : y;
-            int64_t r = 2 * (((lane * nz + z) * ny + y) * nx);
-            int64_t q = 2 * (((lane * nz + zf) * ny + yf) * nx);
-            int64_t k = lane * cs[0] + z * cs[1] + y * cs[2];
-            span(op, r + 2 * x0, q + 2 * (x0 + (axis == 2 ? shift : 0)),
-                 k + x0 * cs[3], x1 - x0, fused);
+    int64_t lane = r0 / plane, z = z0 + r0 % plane / ylen, y = y0 + r0 % ylen;
+    for (int64_t left = r1 - r0; left > 0; y = y0) {
+        const int64_t yb = y + (left < y1 - y ? left : y1 - y);
+        const int64_t dz = axis == 0 ? (wrap(z + shift, nz) - z) * sz : 0;
+        int64_t o = lane * sl + z * sz + y * sy + 2 * x0;
+        int64_t k = lane * cs[0] + z * cs[1] + y * cs[2] + x0 * cs[3];
+        for (int64_t j = y; j < yb; j++, o += sy, k += cs[2]) {
+            const int64_t p = o + dz + (axis == 1 ? (wrap(j + shift, ny) - j) * sy : 0);
+            row(op->f + o, op->a + o, op->b + o, op->a + p + dx, op->b + p + dx,
+                op->t + k, op->c + k, has_src ? op->src + k : 0, x1 - x0, plus, fused,
+                xstep);
             if (wrap_x >= 0)
-                span(op, r + 2 * wrap_x, q + 2 * ((wrap_x + shift + nx) % nx),
-                     k + wrap_x * cs[3], 1, fused);
+                row(op->f + o + ow, op->a + o + ow, op->b + o + ow,
+                    op->a + p + ow + dxw, op->b + p + ow + dxw, op->t + k + kw,
+                    op->c + k + kw, has_src ? op->src + k + kw : 0, 1, plus, fused,
+                    xstep);
         }
-        left -= yb - ya;
+        left -= yb - y;
         if (++z == z1) {
             z = z0;
             lane++;
@@ -176,25 +239,63 @@ INLINE void box_update(const thiim_op *op, const int64_t *bx, int64_t r0,
     }
 }
 
-FMA_TARGET static void rows_fused(const thiim_op *op, const int64_t *bx,
-                                  int64_t r0, int64_t r1)
+INLINE void walk_box(const thiim_op *op, const int64_t *bx, int64_t r0,
+                     int64_t r1, row_fn *row, int fused)
 {
-    box_update(op, bx, r0, r1, 1);
+#define WALK(S, P, X) walk(op, bx, r0, r1, row, fused, S, P, X)
+    switch ((op->src != 0) << 2 | (op->shift > 0) << 1 | (op->cs[3] != 0)) {
+    case 0: WALK(0, 0, 0); break;
+    case 1: WALK(0, 0, 1); break;
+    case 2: WALK(0, 1, 0); break;
+    case 3: WALK(0, 1, 1); break;
+    case 4: WALK(1, 0, 0); break;
+    case 5: WALK(1, 0, 1); break;
+    case 6: WALK(1, 1, 0); break;
+    default: WALK(1, 1, 1);
+    }
+#undef WALK
+}
+
+#ifdef VECTOR_BODY
+FMA_TARGET static void rows_vector(const thiim_op *op, const int64_t *bx,
+                                   int64_t r0, int64_t r1)
+{
+    walk_box(op, bx, r0, r1, row_vector, 1);
+}
+
+/* The scalar body with the CPU's fma instruction. */
+FMA_TARGET static void rows_fma(const thiim_op *op, const int64_t *bx,
+                                int64_t r0, int64_t r1)
+{
+    walk_box(op, bx, r0, r1, row, 1);
+}
+#endif
+
+static void rows_fused(const thiim_op *op, const int64_t *bx, int64_t r0,
+                       int64_t r1)
+{
+    walk_box(op, bx, r0, r1, row, 1);
 }
 
 static void rows_plain(const thiim_op *op, const int64_t *bx, int64_t r0,
                        int64_t r1)
 {
-    box_update(op, bx, r0, r1, 0);
+    walk_box(op, bx, r0, r1, row, 0);
 }
 
 static void run_rows(const thiim_op *op, const int64_t *bx, int64_t r0,
                      int64_t r1)
 {
-    if (thiim_fused)
-        rows_fused(op, bx, r0, r1);
-    else
+    if (!thiim_fused)
         rows_plain(op, bx, r0, r1);
+#ifdef VECTOR_BODY
+    else if (has_fma && thiim_vector > 0)
+        rows_vector(op, bx, r0, r1);
+    else if (has_fma && thiim_vector == 0)
+        rows_fma(op, bx, r0, r1);
+#endif
+    else
+        rows_fused(op, bx, r0, r1);
 }
 
 /* -- the helper group ----------------------------------------------------
@@ -530,8 +631,10 @@ int64_t thiim_update(const thiim_op *op, const int64_t *box)
     }
     if (empty)
         return 0;
+    if (has_fma < 0)
+        has_fma = CPU_HAS_FMA() ? 1 : 0;
     if (thiim_fused < 0)
-        thiim_fused = CPU_HAS_FMA() ? 1 : 0;
+        thiim_fused = has_fma;
     const int64_t rows = op->lanes * (box[1] - box[0]) * (box[3] - box[2]);
     const int big = rows * (box[5] - box[4]) >= thiim_split_min;
     if (streaming) {

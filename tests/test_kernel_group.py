@@ -8,6 +8,8 @@ is the caller's; a forked child runs serial; concurrent solves through the
 one group each equal their serial solve; an idle helper burns no CPU.
 A streamed tile pass equals the immediate one and the oracle as raw
 bytes, and every rule that drains the queue holds when its call returns.
+The vector and the scalar body of the pass equal each other and the
+oracle the same way, however their calls run.
 """
 
 import ctypes
@@ -166,6 +168,56 @@ class TestSplitEqualsSerial:
         with split_ways(ways):
             assert spatial_blocked_sweep(fields, coeffs, steps, *block) == lups
         assert _bits(fields) == _bits(oracle)
+
+
+@st.composite
+def _body_cases(draw):
+    """A grid whose boxes have rows of 1 to 10 cells, each axis periodic or
+    not; a box that spans each axis whole (so that a far read wraps where
+    the axis is periodic) or a random part of it; 1-3 lanes; one
+    coefficient layout per component."""
+    grid = Grid(draw(st.integers(3, 5)), draw(st.integers(3, 5)), draw(st.integers(3, 10)),
+                periodic=tuple(draw(st.booleans()) for _ in range(3)))
+    box = [(0, n) if draw(st.booleans()) else span
+           for n, span in zip(grid.shape, draw(_boxes(grid)))]
+    keeps = draw(st.lists(st.sampled_from(_LAYOUTS), min_size=12, max_size=12))
+    return grid, box, keeps, draw(st.integers(1, 3)), draw(st.integers(0, 1000))
+
+
+#: ``thiim_vector`` of each compiled body of the fused form: the vector
+#: body and the scalar body with the CPU's fma (both only where the CPU has
+#: AVX2 and FMA; the next body elsewhere), the scalar body with libm's fma.
+_BODIES = {"vector": 1, "scalar": 0, "portable": -1}
+
+
+class TestVectorEqualsScalar:
+    """The compiled pass's vector body (two complex numbers per AVX2
+    instruction) against its scalar bodies, which a test reaches through
+    the exported ``thiim_vector``, and the NumPy body: raw-byte equal,
+    with the calls immediate, split or streamed."""
+
+    @needs_native
+    @given(case=_body_cases(), mode=st.sampled_from(("immediate", "split", "streamed")),
+           ways=st.integers(2, MAX_WAYS))
+    @settings(max_examples=80, deadline=None)
+    def test_every_body_equals_the_oracle(self, case, mode, ways):
+        grid, box, keeps, k, seed = case
+        fields, coeffs = contracted_problem(grid, k, seed, keeps)
+        regions = [(name, clip_region(grid, SPECS[name], *box)) for name in ALL_COMPONENTS]
+        calls = {"immediate": immediate, "split": lambda: split_ways(ways),
+                 "streamed": stream}[mode]
+        runs = {}
+        for body in ("numpy", *_BODIES):
+            f = fields.copy()
+            with (numpy_kernels() if body == "numpy"
+                  else thiim_ints(thiim_vector=_BODIES[body])), calls():
+                for _ in range(2):
+                    for name, region in regions:
+                        if region is not None:
+                            update_component(name, f, coeffs, region)
+            runs[body] = _bits(f)
+        for body in _BODIES:
+            assert runs[body] == runs["numpy"], body
 
 
 def _serial_child(conn, ways):
