@@ -9,16 +9,21 @@ tiled executor, the cost of one region update, MWD against the naive
 sweep on a grid larger than the L2 with a registry-tuned plan, the
 naive sweep serial against its boxes split over the compiled pass's
 helper group (helpers free, and pinned one per CPU), tiled passes with
-their calls immediate against streamed to the group's first helper, what
+their calls immediate against streamed to the group's job queue, what
 the compiled path adds to a raw ctypes call, and the tandem scene's
 coefficients domain-sized against contracted (``build_coefficients``'
 layout) under both traversals, the compiled pass's ns per component update
 on its vector and its scalar body, and the split gate's break-even: one
 box serial against split, at 8k, 16k and 32k cells.
+``test_bench_beside_a_hog_report`` prints the split and stream rows again
+with one busy-looping process beside them.
 """
 
 import ctypes
+import functools
 import os
+import subprocess
+import sys
 import time
 from contextlib import contextmanager, nullcontext
 
@@ -60,13 +65,17 @@ SPLITS = ("serial", "helpers free", "helpers pinned")
 #: The stream rows: (label, service grid or cube edge, lanes, dw, bz).  The
 #: g24 rows run the plan the registry serves the tandem scene (dw 24, bz
 #: 4: every row box below the gate); at 48^3 with bz 16 the largest row
-#: boxes reach it, drain the ring and split.
+#: boxes reach it and are queued as jobs of several parts.
 STREAMS = (("g24", 24, 1, 24, 4), ("g24", 24, 3, 24, 4), (f"{GRID_N}^3", GRID_N, 1, 24, 16))
 #: The per-update rows: service grids whose slab of ``UPDATE_PLANES`` z
 #: planes (every component: 3 x 16 B per cell of fields, contracted
 #: coefficients) stays in a 2 MiB L2.
 UPDATE_GRIDS = (24, 32)
 UPDATE_PLANES = 4
+#: The rows beside a hog: the split rows of these grids and the g24
+#: stream rows.
+HOG_GRIDS = ("g24", "g32")
+HOG_STREAMS = STREAMS[:2]
 #: Cells of the boxes the break-even rows split: z slabs of g32 (1,024
 #: cells a plane), half, equal to and twice the split gate.
 BREAK_EVEN_CELLS = (8192, 16384, 32768)
@@ -210,6 +219,17 @@ def _split_seconds(grid, steps=10):
     finally:
         _pin_helpers(False, cpus)
     return seconds
+
+
+@contextmanager
+def _hog():
+    """One busy-looping process beside the block."""
+    proc = subprocess.Popen([sys.executable, "-c", "while True: pass"])
+    try:
+        yield
+    finally:
+        proc.kill()
+        proc.wait()
 
 
 def _stream_case(n, lanes, dw, bz):
@@ -456,7 +476,7 @@ def test_bench_host_kernels_report(setup, capsys):
                 line += f" | {label} {1e3 * row[label]:6.2f} {row['serial'] / row[label]:4.2f}x"
             print(line)
         if streams:
-            print("[tiled passes, calls immediate vs streamed to the first helper, "
+            print("[tiled passes, calls immediate vs streamed to the job queue, "
                   "native kernel; ms per pass, best of 3 over 2 rounds]")
         for (name, _, lanes, dw, bz), row in streams.items():
             print(f"  {name:<5} {lanes} lane{'s' if lanes > 1 else ' '} dw={dw:<2} bz={bz:<2} "
@@ -503,3 +523,47 @@ def test_bench_host_kernels_report(setup, capsys):
                for label in ("immediate", "streamed"))
     assert all(row[body] > 0 for row in per_update.values() for body in ("vector", "scalar"))
     assert all(s > 0 for row in break_even.values() for s in row.values())
+
+
+def _median_ms(cases, runs=15):
+    """Median ms per run of each case (label -> (context, fn)), the cases
+    taking turns run by run."""
+    ms = {label: [] for label in cases}
+    for _ in range(runs):
+        for label, (context, fn) in cases.items():
+            with context():
+                t0 = time.perf_counter()
+                fn()
+                ms[label].append(1e3 * (time.perf_counter() - t0))
+    return {label: float(np.median(runs)) for label, runs in ms.items()}
+
+
+def test_bench_beside_a_hog_report(capsys):
+    """The split and the stream beside one busy-looping process (so the
+    helpers and the caller share the CPUs with it): ms per naive step
+    serial vs split at g24 and g32, and per g24 tiled pass (1 and 3
+    lanes) immediate vs streamed; medians of 15 runs each."""
+    if not kernels._native() or _thiim_int("thiim_helper_cap").value < 1:
+        pytest.skip("no helper group: one CPU, or no compiled kernel")
+    rows = {}
+    for name in HOG_GRIDS:
+        grid = GROUP_GRIDS[name]
+        coeffs = random_coefficients(grid, seed=5)
+        fields = FieldState(grid).fill_random(np.random.default_rng(6))
+        step = functools.partial(naive_sweep, fields, coeffs, 1)
+        step()  # bind, fault the pages in
+        rows[f"{name} naive step"] = {"serial": (_serial, step), "split": (nullcontext, step)}
+    for name, n, lanes, dw, bz in HOG_STREAMS:
+        executor = TiledExecutor(*_stream_case(n, lanes, dw, bz))
+        executor.run()  # bind, fault the pages in
+        rows[f"{name} pass, {lanes} lane{'s' if lanes > 1 else ''}"] = {
+            "immediate": (_immediate, executor.run), "streamed": (nullcontext, executor.run)}
+    with _hog():
+        ms = {label: _median_ms(cases) for label, cases in rows.items()}
+    with capsys.disabled():
+        print("\n[beside one busy-looping process, native kernel; ms per run, median "
+              "of 15, the two columns alternating; x = the second over the first]")
+        for label, row in ms.items():
+            (first, a), (second, b) = row.items()
+            print(f"  {label:<18} {first:<9} {a:7.2f} | {second:<8} {b:7.2f}  {b / a:4.2f}x")
+    assert all(v > 0 for row in ms.values() for v in row.values())

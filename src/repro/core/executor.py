@@ -15,10 +15,12 @@ orders, and modelled for performance purposes by
 
 Within a tile the work is shared with the compiled kernel's helper group:
 :meth:`TiledExecutor.execute_tile` makes its kernel calls inside one
-:func:`repro.fdfd.kernels.stream` window, so the group's first helper
-runs each row job's update while this thread dispatches the next one,
-and a box large enough to split drains the queue and splits over every
-thread.  The calls, their order and each cell's instructions are those of
+:func:`repro.fdfd.kernels.stream` window, so each row job's update is
+queued as a job that a helper runs while this thread dispatches the next
+one.  Jobs run one at a time in submission order; a box large enough to
+split is a job of several parts that every thread claims, this one
+included, and this thread claims jobs itself whenever it waits for the
+queue.  The calls, their order and each cell's instructions are those of
 the immediate path, so the result is bit-identical; the tile is complete
 when the call returns.
 """

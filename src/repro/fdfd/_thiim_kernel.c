@@ -25,20 +25,18 @@
  * shape that broadcasts to it, read through the strides cs (0 on a
  * broadcast axis, so one stored value serves the whole axis).
  *
- * A box of at least `thiim_split_min` cells x lanes is split over the
- * process-wide helper group (thiim_start): its flattened (lane, z, y)
- * rows are cut into contiguous ranges, z before y, the caller runs the
- * first and helpers the rest.  Every cell runs the same instructions on
- * whichever thread takes its row, so a split box is bit-identical to a
- * serial one.
- *
- * Between thiim_open and thiim_close a caller streams its boxes: one
- * below the split gate is checked, copied by value into a ring, and run
- * by the group's first helper in submission order while the caller goes
- * on to its next call (thiim_update returns at once).  A box at or above
- * the gate drains the ring, then splits as above.  The same rows run the
- * same instructions in the same order on one thread, so a streamed pass
- * is bit-identical to an immediate one.
+ * The process-wide helper group (thiim_start) runs one queue of jobs that
+ * every thread claims parts from, the caller included, one job at a time
+ * in submission order.  A box of at least `thiim_split_min` cells x lanes
+ * is a job of several parts: its flattened (lane, z, y) rows cut into
+ * contiguous ranges, z before y.  Between thiim_open and thiim_close a
+ * caller streams its boxes: each is checked, copied by value into the
+ * queue, and the caller goes on to its next call while a box below the
+ * gate, a one-part job, runs; a big box waits for the queue to empty.
+ * A caller that waits claims parts too.  Every cell runs the same
+ * instructions on whichever thread takes its row, after every op queued
+ * before it, so split and streamed passes are bit-identical to serial,
+ * immediate ones.
  */
 #define _GNU_SOURCE
 #include <pthread.h>
@@ -301,49 +299,69 @@ static void run_rows(const thiim_op *op, const int64_t *bx, int64_t r0,
 /* -- the helper group ----------------------------------------------------
  *
  * One helper thread per CPU of the affinity mask beyond the first, started
- * once by thiim_start and never joined.  A split box is a job: the caller
- * publishes it in `ticket` (generation << 32 | parts << 16 | next part),
- * and every thread, the caller included, claims the next unstarted part
- * with a CAS on the ticket, so a part no helper has started when the
- * caller gets to it is the caller's, and the caller never waits for a
- * helper to wake.  Helpers spin for SPIN_NS after their last part and then
- * sleep on `wake`; the caller's join spins, yielding now and then.  One
- * caller at a time borrows the group (a CAS on thiim_borrowed), for one
- * split or for a whole stream window; any other runs its box serial.
- * Helper 0 also runs the window's ring (below).  A forked child keeps no
- * helpers, ring or window (reset_in_child): processes or threads, never
- * both.
+ * once by thiim_start and never joined, and one queue of jobs: an op by
+ * value, its box, its rows and its parts.  Every thread, the caller
+ * included, claims the next (job, part) with a CAS on `ticket` (job << 16
+ * | part).  The parts of a job are claimable once the job before it is
+ * done: whichever thread finishes a job's last part moves the ticket on
+ * to the next job, so jobs run one at a time in submission order.  A
+ * helper spins for SPIN_NS after its last part, then sleeps on `wake`
+ * while the queue is empty; queuing a job wakes the sleepers.  A caller
+ * that waits -- for the queue to empty (a drain) or for room in it --
+ * claims parts itself (a one-part job once the queue stands still), so
+ * it waits only for parts other threads hold.
+ *
+ * One caller at a time borrows the group (a CAS on thiim_borrowed), for
+ * one big box or for a whole stream window; any other runs its box
+ * immediate and serial.  A forked child keeps no helpers, queue or window
+ * (reset_in_child): processes or threads, never both.
  *
  * The ints below are exported so that a test can split any box any
- * number of ways, see which parts helpers ran, and hold the group. */
+ * number of ways, size the queue, see what ran where, and hold the
+ * group. */
+
+#define SLOTS 256
+#define PART_BITS 16
+#define MAX_HELPERS 63
+#define SPIN_NS 200000
+#define PATIENCE 1024
 
 /* Smallest box split, in cells x lanes: below it the hand-off costs about
  * what a helper saves (EXPERIMENTS.md). */
 int thiim_split_min = 16384;
-/* Parts of a split box beyond the caller's: the helpers started (0, so
+/* Parts of a split box beyond the first: the helpers started (0, so
  * serial, until thiim_start). */
 int thiim_helper_cap = 0;
-/* Parts helpers have run. */
+/* Jobs a window's queue holds (read at thiim_open, at most SLOTS); 0: no
+ * window opens and every call is immediate. */
+int thiim_ring_cap = SLOTS;
+/* Parts of split boxes helpers have run. */
 _Atomic int64_t thiim_helper_parts = 0;
+/* Queued jobs run, by any thread. */
+_Atomic int64_t thiim_stream_ops = 0;
 /* 1 while a caller holds the group. */
 atomic_int thiim_borrowed = 0;
 
-#define MAX_HELPERS 63
-#define SPIN_NS 200000
+typedef struct {
+    thiim_op op;
+    int64_t box[6], rows;
+    _Atomic int64_t parts;      /* read before a claim, so atomic */
+} job;
 
 static struct {
     pthread_mutex_t mu;
     pthread_cond_t wake;
     atomic_int sleepers;
-    atomic_int consumer_asleep; /* helper 0 sleeps on `wake` */
-    uint32_t gen0;              /* the ticket's generation at thiim_start */
-    _Atomic uint64_t ticket;
-    atomic_int done;            /* helpers' parts of the job finished */
-    const thiim_op *op;         /* the job, read once a part is claimed */
-    const int64_t *box;
-    int64_t rows, parts;
     int helpers;
-} G = {.mu = PTHREAD_MUTEX_INITIALIZER, .wake = PTHREAD_COND_INITIALIZER};
+    int64_t cap;                        /* jobs the window may queue */
+    alignas(64) _Atomic int64_t pub;    /* jobs queued */
+    alignas(64) _Atomic int64_t ticket; /* the next (job, part) to claim */
+    alignas(64) _Atomic int64_t fin;    /* parts done of the ticket's split box */
+    job q[SLOTS];
+} Q = {.mu = PTHREAD_MUTEX_INITIALIZER, .wake = PTHREAD_COND_INITIALIZER};
+
+/* 1 on the thread that holds the window. */
+static _Thread_local int streaming;
 
 static void cpu_relax(void)
 {
@@ -359,200 +377,147 @@ static int64_t now_ns(void)
     return ts.tv_sec * 1000000000LL + ts.tv_nsec;
 }
 
-/* -- the stream window ---------------------------------------------------
- *
- * A ring of ops by value with one producer, the thread that holds the
- * window (thiim_update), and one consumer, helper 0.  `head` counts the
- * ops submitted, `tail` the ops run.  The owner waits while the ring
- * holds `cap` ops, and drains it (waits for tail == head) before a box
- * at or above the gate, before a refused box returns, and at
- * thiim_close; kernels.py drains it (thiim_drain) before a NumPy-body
- * op and before it rebinds a state, which may free arrays a queued op
- * points into. */
-
-#define RING_SLOTS 256
-
-/* Ops a window's ring holds (read at thiim_open, at most RING_SLOTS); 0:
- * no window opens and every call is immediate. */
-int thiim_ring_cap = RING_SLOTS;
-/* Ops helper 0 has run from a ring. */
-_Atomic int64_t thiim_stream_ops = 0;
-
-typedef struct {
-    thiim_op op;
-    int64_t box[6];
-} entry;
-
-static struct {
-    alignas(64) _Atomic int64_t head;
-    alignas(64) _Atomic int64_t tail;
-    alignas(64) int64_t cap;
-    entry ring[RING_SLOTS];
-} W;
-
-/* 1 on the thread that holds the window. */
-static _Thread_local int streaming;
-
-static int ring_pending(void)
+/* Claim the next part of the ticket's job: 0 when no job is queued or
+ * every part of it is claimed.  A job's slot is reused only once the job
+ * is done, and then the ticket has moved and the CAS fails. */
+static int claim(int64_t *j, int64_t *p)
 {
-    return atomic_load(&W.tail) != atomic_load(&W.head);
-}
-
-/* Helper 0: run the ring's ops in order until it is empty. */
-static void run_ring(void)
-{
-    int64_t t = atomic_load_explicit(&W.tail, memory_order_relaxed);
-    while (t != atomic_load_explicit(&W.head, memory_order_acquire)) {
-        const entry *e = &W.ring[t % RING_SLOTS];
-        run_rows(&e->op, e->box, 0,
-                 e->op.lanes * (e->box[1] - e->box[0]) * (e->box[3] - e->box[2]));
-        atomic_fetch_add_explicit(&thiim_stream_ops, 1, memory_order_relaxed);
-        atomic_store_explicit(&W.tail, ++t, memory_order_release);
-    }
-}
-
-/* The owner: wait until helper 0 has run the first `n` ops. */
-static void wait_ring(int64_t n)
-{
-    for (unsigned k = 1; atomic_load_explicit(&W.tail, memory_order_acquire) < n; k++)
-        if (k % 1024)
-            cpu_relax();
-        else
-            sched_yield();
-}
-
-static void drain(void)
-{
-    wait_ring(atomic_load_explicit(&W.head, memory_order_relaxed));
-}
-
-/* The owner: queue one op, waking helper 0 if it sleeps. */
-static void submit(const thiim_op *op, const int64_t *box)
-{
-    const int64_t h = atomic_load_explicit(&W.head, memory_order_relaxed);
-    wait_ring(h + 1 - W.cap);
-    entry *e = &W.ring[h % RING_SLOTS];
-    e->op = *op;
-    for (int i = 0; i < 6; i++)
-        e->box[i] = box[i];
-    /* Sequentially consistent, as helper 0's consumer_asleep store and
-     * head load are: one of the two sees the other. */
-    atomic_store(&W.head, h + 1);
-    if (atomic_load(&G.consumer_asleep)) {
-        pthread_mutex_lock(&G.mu);
-        pthread_cond_broadcast(&G.wake);
-        pthread_mutex_unlock(&G.mu);
-    }
-}
-
-/* The next unstarted part of job `gen`, or -1. */
-static int64_t claim(uint32_t gen)
-{
-    uint64_t t = atomic_load_explicit(&G.ticket, memory_order_acquire);
-    while ((uint32_t)(t >> 32) == gen && (t & 0xffff) < (t >> 16 & 0xffff))
-        if (atomic_compare_exchange_weak_explicit(&G.ticket, &t, t + 1,
+    int64_t t = atomic_load_explicit(&Q.ticket, memory_order_acquire);
+    for (;;) {
+        *j = t >> PART_BITS;
+        *p = t & ((1 << PART_BITS) - 1);
+        if (*j == atomic_load_explicit(&Q.pub, memory_order_acquire)
+            || *p >= atomic_load_explicit(&Q.q[*j % SLOTS].parts, memory_order_relaxed))
+            return 0;
+        if (atomic_compare_exchange_weak_explicit(&Q.ticket, &t, t + 1,
                                                   memory_order_acq_rel,
                                                   memory_order_acquire))
-            return (int64_t)(t & 0xffff);
-    return -1;
-}
-
-static void run_part(int64_t i)
-{
-    run_rows(G.op, G.box, G.rows * i / G.parts, G.rows * (i + 1) / G.parts);
-}
-
-/* Block until a job newer than `seen` is published or, for helper 0
- * (`consumer`), the ring holds an op; the newest generation. */
-static uint32_t next_job(uint32_t seen, int consumer)
-{
-    int64_t until = now_ns() + SPIN_NS;
-    for (unsigned k = 1;; k++) {
-        uint32_t gen = atomic_load_explicit(&G.ticket, memory_order_acquire) >> 32;
-        if (gen != seen || (consumer && ring_pending()))
-            return gen;
-        if (k % 64 == 0 && now_ns() > until)
-            break;
-        cpu_relax();
+            return 1;
     }
-    pthread_mutex_lock(&G.mu);
-    atomic_fetch_add(&G.sleepers, 1);
-    if (consumer)
-        atomic_store(&G.consumer_asleep, 1);
-    uint32_t gen;
-    while ((gen = atomic_load(&G.ticket) >> 32) == seen && !(consumer && ring_pending()))
-        pthread_cond_wait(&G.wake, &G.mu);
-    if (consumer)
-        atomic_store(&G.consumer_asleep, 0);
-    atomic_fetch_sub(&G.sleepers, 1);
-    pthread_mutex_unlock(&G.mu);
-    return gen;
+}
+
+/* After the `k`-th claim in a row that failed: pause, and now and then
+ * yield, since the part awaited may be held by a thread this one's CPU
+ * also runs. */
+static void backoff(unsigned k)
+{
+    if (k % 1024)
+        cpu_relax();
+    else
+        sched_yield();
+}
+
+/* Run part `p` of job `j`; the thread that finishes the job's last part
+ * moves the ticket on, publishing every part's writes to the next job. */
+static void run_part(int64_t j, int64_t p, int helper)
+{
+    const job *b = &Q.q[j % SLOTS];
+    const int64_t parts = atomic_load_explicit(&b->parts, memory_order_relaxed);
+    run_rows(&b->op, b->box, b->rows * p / parts, b->rows * (p + 1) / parts);
+    if (parts > 1) {
+        if (helper)
+            atomic_fetch_add_explicit(&thiim_helper_parts, 1, memory_order_relaxed);
+        if (atomic_fetch_add_explicit(&Q.fin, 1, memory_order_acq_rel) < parts - 1)
+            return;
+        atomic_store_explicit(&Q.fin, 0, memory_order_relaxed);
+    }
+    atomic_fetch_add_explicit(&thiim_stream_ops, 1, memory_order_relaxed);
+    atomic_store_explicit(&Q.ticket, (j + 1) << PART_BITS, memory_order_release);
+}
+
+/* The borrower: claim and run parts until the queue holds at most `keep`
+ * jobs.  It claims a part of a job of several at once, but a one-part job
+ * only once the ticket has stood still for PATIENCE spins or right after
+ * running the job before it: while a helper runs one-part jobs back to
+ * back, taking turns with it would only move the fields between cores. */
+static void drain_to(int64_t keep)
+{
+    const int64_t pub = atomic_load_explicit(&Q.pub, memory_order_relaxed);
+    int64_t j, p, seen = -1;
+    for (unsigned k = 0;;) {
+        const int64_t t = atomic_load_explicit(&Q.ticket, memory_order_acquire);
+        if (pub - (t >> PART_BITS) <= keep)
+            return;
+        if (t != seen) {
+            seen = t;
+            k = 0;
+        }
+        if ((k >= PATIENCE || atomic_load_explicit(&Q.q[(t >> PART_BITS) % SLOTS].parts,
+                                                   memory_order_relaxed) > 1)
+            && claim(&j, &p)) {
+            run_part(j, p, 0);
+            seen = atomic_load_explicit(&Q.ticket, memory_order_relaxed);
+        } else {
+            backoff(++k);
+        }
+    }
+}
+
+/* The borrower: queue a job, waking the helpers that sleep. */
+static void enqueue(const thiim_op *op, const int64_t *box, int64_t rows,
+                    int64_t parts)
+{
+    const int64_t n = atomic_load_explicit(&Q.pub, memory_order_relaxed);
+    job *b = &Q.q[n % SLOTS];
+    b->op = *op;
+    for (int i = 0; i < 6; i++)
+        b->box[i] = box[i];
+    b->rows = rows;
+    atomic_store_explicit(&b->parts, parts, memory_order_relaxed);
+    /* Sequentially consistent, as a helper's sleepers count and its check
+     * of the queue are: one of the two sees the other. */
+    atomic_store(&Q.pub, n + 1);
+    if (atomic_load(&Q.sleepers)) {
+        pthread_mutex_lock(&Q.mu);
+        pthread_cond_broadcast(&Q.wake);
+        pthread_mutex_unlock(&Q.mu);
+    }
 }
 
 static void *helper(void *arg)
 {
-    const int consumer = arg != 0;
-    uint32_t gen = G.gen0;
-    for (;;) {
-        gen = next_job(gen, consumer);
-        if (consumer)
-            run_ring();
-        for (int64_t i; (i = claim(gen)) >= 0;) {
-            run_part(i);
-            atomic_fetch_add_explicit(&thiim_helper_parts, 1, memory_order_relaxed);
-            atomic_fetch_add_explicit(&G.done, 1, memory_order_release);
+    (void)arg;
+    int64_t j, p, until = now_ns() + SPIN_NS;
+    for (unsigned k = 1;; k++) {
+        if (claim(&j, &p)) {
+            run_part(j, p, 1);
+            until = now_ns() + SPIN_NS;
+            continue;
         }
+        if (k % 64 || now_ns() < until) {
+            backoff(k);
+            continue;
+        }
+        pthread_mutex_lock(&Q.mu);
+        atomic_fetch_add(&Q.sleepers, 1);
+        while (atomic_load(&Q.ticket) >> PART_BITS == atomic_load(&Q.pub))
+            pthread_cond_wait(&Q.wake, &Q.mu);
+        atomic_fetch_sub(&Q.sleepers, 1);
+        pthread_mutex_unlock(&Q.mu);
+        until = now_ns() + SPIN_NS;
     }
     return 0;
 }
 
-static void split(const thiim_op *op, const int64_t *box, int64_t rows,
-                  int64_t parts)
-{
-    G.op = op;
-    G.box = box;
-    G.rows = rows;
-    G.parts = parts;
-    atomic_store_explicit(&G.done, 0, memory_order_relaxed);
-    uint32_t gen = (uint32_t)(atomic_load(&G.ticket) >> 32) + 1;
-    /* Part 0 is the caller's before anyone may claim. */
-    atomic_store(&G.ticket, (uint64_t)gen << 32 | (uint64_t)parts << 16 | 1);
-    if (atomic_load(&G.sleepers)) {
-        pthread_mutex_lock(&G.mu);
-        pthread_cond_broadcast(&G.wake);
-        pthread_mutex_unlock(&G.mu);
-    }
-    int64_t mine = 1;
-    run_part(0);
-    for (int64_t i; (i = claim(gen)) >= 0; mine++)
-        run_part(i);
-    for (unsigned k = 1;
-         atomic_load_explicit(&G.done, memory_order_acquire) < parts - mine; k++)
-        if (k % 1024)
-            cpu_relax();
-        else
-            sched_yield();
-}
-
 static void reset_in_child(void)
 {
-    pthread_mutex_init(&G.mu, 0);
-    pthread_cond_init(&G.wake, 0);
-    atomic_store(&G.sleepers, 0);
-    atomic_store(&G.consumer_asleep, 0);
-    G.helpers = thiim_helper_cap = 0;
+    pthread_mutex_init(&Q.mu, 0);
+    pthread_cond_init(&Q.wake, 0);
+    atomic_store(&Q.sleepers, 0);
+    Q.helpers = thiim_helper_cap = 0;
     atomic_store(&thiim_borrowed, 0);
     /* A window another thread held dies with that thread. */
-    atomic_store(&W.head, 0);
-    atomic_store(&W.tail, 0);
+    atomic_store(&Q.pub, 0);
+    atomic_store(&Q.ticket, 0);
+    atomic_store(&Q.fin, 0);
     streaming = 0;
 }
 
 /* Start the helpers (once per process); how many run. */
 int thiim_start(void)
 {
-    if (G.helpers)
-        return G.helpers;
+    if (Q.helpers)
+        return Q.helpers;
     int cpus = 1;
 #ifdef __linux__
     cpu_set_t mask;
@@ -565,20 +530,18 @@ int thiim_start(void)
     sigset_t all, old;
     sigfillset(&all);
     pthread_sigmask(SIG_SETMASK, &all, &old);
-    G.gen0 = (uint32_t)(atomic_load(&G.ticket) >> 32);
-    while (G.helpers < cpus - 1 && G.helpers < MAX_HELPERS) {
+    while (Q.helpers < cpus - 1 && Q.helpers < MAX_HELPERS) {
         pthread_t t;
-        /* Helper 0 is the ring's consumer. */
-        if (pthread_create(&t, 0, helper, (void *)(uintptr_t)(G.helpers == 0)))
+        if (pthread_create(&t, 0, helper, 0))
             break;
         pthread_detach(t);
 #ifdef __linux__
         pthread_setname_np(t, "thiim-helper");
 #endif
-        G.helpers++;
+        Q.helpers++;
     }
     pthread_sigmask(SIG_SETMASK, &old, 0);
-    return thiim_helper_cap = G.helpers;
+    return thiim_helper_cap = Q.helpers;
 }
 
 /* Open a stream window on the calling thread, borrowing the group for
@@ -587,19 +550,19 @@ int thiim_start(void)
 int thiim_open(void)
 {
     int idle = 0;
-    if (streaming || G.helpers < 1 || thiim_ring_cap < 1
+    if (streaming || Q.helpers < 1 || thiim_ring_cap < 1
         || !atomic_compare_exchange_strong(&thiim_borrowed, &idle, 1))
         return 0;
-    W.cap = thiim_ring_cap < RING_SLOTS ? thiim_ring_cap : RING_SLOTS;
+    Q.cap = thiim_ring_cap < SLOTS ? thiim_ring_cap : SLOTS;
     streaming = 1;
     return 1;
 }
 
-/* Run every op the calling thread's window holds (no window: nothing). */
+/* Run every job the calling thread's window queued (no window: nothing). */
 void thiim_drain(void)
 {
     if (streaming)
-        drain();
+        drain_to(0);
 }
 
 /* Drain the calling thread's window, close it and release the group. */
@@ -607,15 +570,18 @@ void thiim_close(void)
 {
     if (!streaming)
         return;
-    drain();
+    drain_to(0);
     streaming = 0;
     atomic_store_explicit(&thiim_borrowed, 0, memory_order_release);
 }
 
-/* Update `box` = (z0, z1, y0, y1, x0, x1); in a window, a box below the
- * gate is queued instead.  Returns 0, or -1 without touching memory when
- * the box leaves the grid or its far read leaves a non-periodic axis (in
- * a window, once every op queued before it has run). */
+/* Update `box` = (z0, z1, y0, y1, x0, x1): a box below the gate is one
+ * part, one at or above it 1 + thiim_helper_cap parts.  In a window the
+ * box is queued as a job, and a big one is drained; outside one a box of
+ * more than one part borrows the group and is drained, and any other
+ * runs here.  Returns 0, or -1 without touching memory when the box
+ * leaves the grid or its far read leaves a non-periodic axis (in a
+ * window, once every job queued before it has run). */
 int64_t thiim_update(const thiim_op *op, const int64_t *box)
 {
     int empty = 0;
@@ -637,23 +603,20 @@ int64_t thiim_update(const thiim_op *op, const int64_t *box)
         thiim_fused = has_fma;
     const int64_t rows = op->lanes * (box[1] - box[0]) * (box[3] - box[2]);
     const int big = rows * (box[5] - box[4]) >= thiim_split_min;
-    if (streaming) {
-        if (!big) {
-            submit(op, box);
-            return 0;
-        }
-        drain();
-    }
-    int64_t parts = 1 + (int64_t)thiim_helper_cap;
+    int64_t parts = big ? 1 + (int64_t)thiim_helper_cap : 1;
     parts = parts < rows ? parts : rows;
+    parts = parts < (1 << PART_BITS) - 1 ? parts : (1 << PART_BITS) - 1;
     int idle = 0;
-    if (parts > 1 && parts <= 0xffff && big
-        && (streaming || atomic_compare_exchange_strong(&thiim_borrowed, &idle, 1))) {
-        split(op, box, rows, parts);
-        if (!streaming)
-            atomic_store_explicit(&thiim_borrowed, 0, memory_order_release);
-    } else {
+    if (streaming) {
+        drain_to(Q.cap - 1);
+    } else if (parts < 2 || !atomic_compare_exchange_strong(&thiim_borrowed, &idle, 1)) {
         run_rows(op, box, 0, rows);
+        return 0;
     }
+    enqueue(op, box, rows, parts);
+    if (big)
+        drain_to(0);
+    if (!streaming)
+        atomic_store_explicit(&thiim_borrowed, 0, memory_order_release);
     return 0;
 }

@@ -17,22 +17,31 @@ compiled pass ``_thiim_kernel.c`` (DESIGN.md section 2).
 
 Helper group
 ------------
-The compiled pass splits any box of at least ``thiim_split_min`` (16,384)
-cells x lanes over a process-wide group of helper threads, all inside the
-one :func:`update_component` call: the box's ``(lane, z, y)`` rows are
-cut into contiguous ranges, z first -- the paper's wavefront dimension of
-intra-tile parallelism, run on the host.  Every cell runs the same
-instructions on whichever thread takes it, so the result is bit-identical
-by construction.  The group lives in ``_thiim_kernel.c``; the NumPy body
-runs serial.
+The compiled pass runs one queue of jobs over a process-wide group of
+helper threads, all inside the one :func:`update_component` call, and
+every thread claims the next (job, part) from it, the caller included.
+A box of at least ``thiim_split_min`` (16,384) cells x lanes is a job of
+several parts: its ``(lane, z, y)`` rows cut into contiguous ranges, z
+first -- the paper's wavefront dimension of intra-tile parallelism, run
+on the host.  Outside :func:`stream` such a box borrows the group, is
+queued alone and drained before the call returns; a smaller box runs on
+the caller.  Every cell runs the same instructions on whichever thread
+takes it, so the result is bit-identical by construction.  The group
+lives in ``_thiim_kernel.c``; the NumPy body runs serial.
 
-Inside :func:`stream` the calling thread's compiled calls below that gate
-are checked, queued by value and run in submission order by the group's
-first helper, so compiled compute runs beside the caller's Python
-dispatch; a box at the gate, a NumPy-body op, a rebind and the end of the
-window first wait for the queue to empty.  The same rows run the same
-instructions in the same order on one thread: a streamed pass is
-bit-identical to an immediate one.
+Inside :func:`stream` every compiled call of the calling thread is
+checked and queued by value; the call returns while a box below the
+gate, a one-part job, runs, so compiled compute runs beside the caller's
+Python dispatch.  The parts of a job wait until the job before it is
+done: ops run one at a time in submission order, and each reads what the
+ops before it wrote, so a streamed pass is bit-identical to an immediate
+one.  A drain -- a box at the gate, a refused box, a NumPy-body op, a
+rebind, the end of the window -- is the caller claiming jobs until the
+queue is empty, and a full queue makes it claim until there is room.  It
+claims the parts of a big box at once and a one-part job once the queue
+has stood still for a moment (while a helper runs one-part jobs back to
+back, taking turns would only move the fields between cores); so the
+caller waits only for a part another thread holds.
 
 Region semantics
 ----------------

@@ -1,5 +1,6 @@
-"""The helper group of the compiled pass: one box split by rows, and a
-tile's calls streamed to its first helper.
+"""The helper group of the compiled pass and its one job queue: a big box
+is one job of several parts cut by rows, and a tile's calls are streamed
+to the queue as jobs that every thread claims, the caller included.
 
 Every split must equal the serial update -- and the NumPy oracle -- as raw
 bytes (each cell runs the same instructions on whichever thread takes its
@@ -7,14 +8,18 @@ row); a caller never waits for a busy group; a part no helper has started
 is the caller's; a forked child runs serial; concurrent solves through the
 one group each equal their serial solve; an idle helper burns no CPU.
 A streamed tile pass equals the immediate one and the oracle as raw
-bytes, and every rule that drains the queue holds when its call returns.
-The vector and the scalar body of the pass equal each other and the
-oracle the same way, however their calls run.
+bytes, every rule that drains the queue holds when its call returns, and
+a helper the OS does not run holds the caller up by at most the part it
+holds.  The vector and the scalar body of the pass equal each other and
+the oracle the same way, however their calls run.
 """
 
 import ctypes
+import math
 import multiprocessing as mp
 import os
+import subprocess
+import sys
 import threading
 import time
 from contextlib import nullcontext
@@ -81,23 +86,33 @@ def _helper_parts():
 
 
 def _stream_ops():
-    """Ops the first helper has run from a stream window's ring."""
+    """Jobs run from the queue, by any thread."""
     return thiim_int("thiim_stream_ops", ctypes.c_int64).value
+
+
+def _helper_tids() -> list:
+    """Thread ids of the helper threads."""
+    tids = []
+    for tid in os.listdir("/proc/self/task"):
+        try:
+            with open(f"/proc/self/task/{tid}/comm") as f:
+                if f.read().strip() == HELPER:
+                    tids.append(int(tid))
+        except FileNotFoundError:
+            continue
+    return tids
 
 
 def _helper_ticks() -> dict:
     """tid -> user + system CPU ticks of each helper thread."""
     ticks = {}
-    for tid in os.listdir("/proc/self/task"):
+    for tid in _helper_tids():
         try:
-            with open(f"/proc/self/task/{tid}/comm") as f:
-                if f.read().strip() != HELPER:
-                    continue
             with open(f"/proc/self/task/{tid}/stat") as f:
                 fields = f.read().rsplit(")", 1)[1].split()
         except FileNotFoundError:
             continue
-        ticks[tid] = int(fields[11]) + int(fields[12])  # utime, stime
+        ticks[str(tid)] = int(fields[11]) + int(fields[12])  # utime, stime
     return ticks
 
 
@@ -370,7 +385,7 @@ def test_concurrent_solves_share_the_group():
 # -- the stream window ---------------------------------------------------------
 
 #: Every full-box op here (at most 16,000 cells) stays just under the gate,
-#: so a few queued ops keep the first helper busy for milliseconds.
+#: so a few queued ops keep a helper busy for milliseconds.
 HEAVY = Grid(nz=40, ny=20, nx=20, periodic=(False, False, True))
 
 
@@ -385,7 +400,7 @@ def _tiled_cases(draw):
 
 def _queue_then(fields, coeffs, then):
     """Two naive steps over HEAVY queued in a window (24 ops), then
-    ``then()`` inside the same window; the ring ops run when it returned."""
+    ``then()`` inside the same window; the queued ops run when it returned."""
     before = _stream_ops()
     with stream():
         naive_sweep(fields, coeffs, 2)
@@ -403,8 +418,9 @@ class TestStreamEqualsImmediate:
     @settings(max_examples=60, deadline=None)
     def test_tile_passes_equal_the_oracle(self, case, keeps, gate, ring):
         """Random grids, 1-3 lanes, D_w / B_z, topological orders,
-        contracted coefficients, ring sizes, and a gate low enough that
-        some boxes drain the ring and split inside the window."""
+        contracted coefficients, queue capacities, and a gate low enough
+        that some boxes are queued as jobs of several parts and drained
+        inside the window."""
         grid, plan, k, seed = case
         fields, coeffs = contracted_problem(grid, k, seed, keeps)
         order = plan.random_topological_order(np.random.default_rng(seed))
@@ -427,8 +443,8 @@ class TestStreamEqualsImmediate:
     @pytest.mark.parametrize("ring", [1, 2, None])
     def test_a_window_holds_more_ops_than_the_ring(self, ring):
         """A spatially blocked sweep inside one window queues thousands of
-        ops through a ring of 256 slots (or fewer): the caller waits for a
-        free slot, and the result is the immediate one."""
+        ops through a queue of 256 jobs (or fewer): the caller claims jobs
+        until there is room, and the result is the immediate one."""
         ring = ring or thiim_int("thiim_ring_cap").value
         grid = Grid(nz=20, ny=12, nx=10, periodic=(False, False, True))
         fields, coeffs = _problem(grid, 2, 14)
@@ -465,7 +481,7 @@ class TestStreamEqualsImmediate:
     @pytest.mark.parametrize("then", ["numpy body", "rebind"])
     def test_a_numpy_op_and_a_rebind_drain_first(self, then):
         """A NumPy-body op reads what queued ops write, and a rebind drops
-        the arrays queued ops point into: both wait for the ring first."""
+        the arrays queued ops point into: both drain the queue first."""
         fields, coeffs = _problem(HEAVY, 1, 13)
         oracle = fields.copy()
         region = clip_region(HEAVY, SPECS["Hxy"])
@@ -537,3 +553,79 @@ class TestStreamEqualsImmediate:
         ticks = _helper_ticks()
         time.sleep(0.2)
         assert ticks and _helper_ticks() == ticks
+
+
+def _sched_idle_reversible() -> bool:
+    """Whether a thread of this process may enter ``SCHED_IDLE`` and leave
+    it again (leaving it needs ``CAP_SYS_NICE`` or a high ``RLIMIT_NICE``);
+    tried on a thread of the test's own."""
+    ok = []
+
+    def probe():
+        try:
+            os.sched_setscheduler(0, os.SCHED_IDLE, os.sched_param(0))
+            os.sched_setscheduler(0, os.SCHED_OTHER, os.sched_param(0))
+            ok.append(True)
+        except PermissionError:
+            pass
+
+    thread = threading.Thread(target=probe)
+    thread.start()
+    thread.join()
+    return bool(ok)
+
+
+@needs_helpers
+def test_a_starved_helper_does_not_hold_the_caller():
+    """Beside one busy-looping process, every helper pinned to the hog's
+    CPU at ``SCHED_IDLE`` (so it runs only in the scraps of time the hog
+    leaves): streamed HEAVY tile passes equal the immediate pass as raw
+    bytes and take at most a generous multiple of their unstarved time.
+    The caller claims the queued jobs itself, so a helper the OS is not
+    running delays it by at most the part that helper holds."""
+    if not _sched_idle_reversible():
+        pytest.skip("this process may not leave SCHED_IDLE once in it")
+    fields, coeffs = _problem(HEAVY, 1, 16)
+    plan = TilingPlan.build(ny=HEAVY.ny, nz=HEAVY.nz, timesteps=8, dw=8, bz=4)
+    oracle = fields.copy()
+    with immediate():
+        TiledExecutor(oracle, coeffs, plan).run()
+
+    def passes(n):
+        """Seconds for ``n`` streamed passes, each from ``fields``; their
+        results."""
+        runs = [TiledExecutor(fields.copy(), coeffs, plan) for _ in range(n)]
+        t0 = time.perf_counter()
+        for run in runs:
+            run.run()
+        return time.perf_counter() - t0, [_bits(run.fields) for run in runs]
+
+    unstarved = min(passes(1)[0] for _ in range(3))
+    n = max(3, math.ceil(0.1 / unstarved))  # at least 0.1 s of work
+    limit = 100 * n * unstarved
+    cpus = os.sched_getaffinity(0)
+    hog_cpu = max(cpus)
+    tids = _helper_tids()
+    starved = []
+    runner = threading.Thread(target=lambda: starved.extend(passes(n)))
+    hog = subprocess.Popen([sys.executable, "-c", "while True: pass"])
+    try:
+        os.sched_setaffinity(hog.pid, {hog_cpu})
+        for tid in tids:
+            os.sched_setaffinity(tid, {hog_cpu})
+            os.sched_setscheduler(tid, os.SCHED_IDLE, os.sched_param(0))
+        runner.start()
+        runner.join(limit)
+        held = runner.is_alive()
+    finally:
+        hog.kill()
+        hog.wait()
+        for tid in tids:
+            os.sched_setscheduler(tid, os.SCHED_OTHER, os.sched_param(0))
+            os.sched_setaffinity(tid, cpus)
+        if runner.ident is not None:
+            runner.join()
+    seconds, bits = starved
+    assert not held, (f"{n} starved passes took {seconds:.2f} s, over {limit:.2f} s "
+                      f"(100 x {n} x {1e3 * unstarved:.1f} ms unstarved)")
+    assert all(b == _bits(oracle) for b in bits)

@@ -218,7 +218,7 @@ def _tiled_child(conn):
 
 
 def test_a_fork_while_another_thread_streams():
-    """The kernel's fork handler drops the ring and the window with the
+    """The kernel's fork handler drops the job queue and the window with the
     helpers: a child forked while another thread holds a stream window
     open (the group borrowed, ops maybe queued) finds the group free and
     finishes a tiled g10 solve alone, with the parent's checksum."""
