@@ -19,7 +19,7 @@ from .decomposition import (
     step_bytes_by_axis,
 )
 from .distributed import CommStats, DistributedTHIIM
-from .runtime import clear_checkpoints, run_distributed
+from .runtime import run_distributed
 from .transport import ShmTransport
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "Subdomain",
     "candidate_layouts",
     "choose_decomposition",
-    "clear_checkpoints",
     "run_distributed",
     "step_bytes_by_axis",
 ]

@@ -17,7 +17,8 @@ Section VI (thin domains, non-contiguous x halos).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from functools import partial
+from typing import Callable, Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -34,7 +35,14 @@ from ..fdfd.specs import (
 )
 from .decomposition import Coord, RankLayout, Subdomain
 
-__all__ = ["CommStats", "DistributedTHIIM", "component_region"]
+__all__ = ["CommStats", "DistributedTHIIM", "HALF_STEPS", "component_region"]
+
+#: Fig. 3's time step, for every kind of rank: per half step the
+#: components updated, the class their stencils read across a face and
+#: the neighbour whose boundary plane fills that ghost (H reads E at +1,
+#: high-face ghosts; E reads H at -1, low-face ghosts).
+HALF_STEPS = ((H_COMPONENTS, E_COMPONENTS, +1),
+              (E_COMPONENTS, H_COMPONENTS, -1))
 
 
 @dataclass
@@ -158,8 +166,17 @@ class _Rank:
         return self._plane(
             axis, 1 + self.sub.shape[axis] if direction > 0 else 0)
 
-    def update(self, components: Tuple[str, ...]) -> None:
-        """One half step of ``components`` over the owned cells."""
+    def half_step(self, half, exchange: Callable[..., Iterable[int]],
+                  stats: CommStats) -> None:
+        """One row of :data:`HALF_STEPS` on this rank: ``exchange(names,
+        direction)`` fills the ghosts the update reads and returns the
+        axis of each face it filled (received or wrapped locally), which
+        is counted receiver-side, as the cost model counts it; then the
+        update over the owned cells."""
+        components, names, direction = half
+        for axis in exchange(names, direction):
+            for _ in names:
+                stats.record(axis, self.sub.face_cells(axis) * BYTES_PER_NUMBER)
         for name in components:
             if self.regions[name] is not None:
                 update_component(name, self.fields, self.coeffs,
@@ -190,35 +207,33 @@ class DistributedTHIIM:
         self.stats = CommStats()
         self.steps_done = 0
 
-    def _exchange(self, names: Tuple[str, ...], direction: int) -> None:
-        """Fill ghosts of ``names`` from the neighbour in ``direction``
-        (+1: high-face ghosts from the next rank's first owned plane;
-        -1: low-face ghosts from the previous rank's last owned plane)."""
-        for coord, rank in self.ranks.items():
-            for axis in range(3):
-                nb_coord = self.layout.neighbor(coord, axis, direction)
-                if nb_coord is None:
-                    continue
-                nb = self.ranks[nb_coord]
-                dst, src = rank.ghost(axis, direction), nb.boundary(axis, direction)
-                for name in names:
-                    rank.fields[name][dst] = nb.fields[name][src]
-                    self.stats.record(
-                        axis, rank.sub.face_cells(axis) * BYTES_PER_NUMBER)
+    def _exchange(self, coord: Coord, names: Tuple[str, ...],
+                  direction: int) -> List[int]:
+        """The in-process transport: fill ``coord``'s ghosts of ``names``
+        by copying the neighbour's boundary planes."""
+        rank, axes = self.ranks[coord], []
+        for axis in range(3):
+            nb_coord = self.layout.neighbor(coord, axis, direction)
+            if nb_coord is None:
+                continue
+            nb = self.ranks[nb_coord]
+            dst, src = rank.ghost(axis, direction), nb.boundary(axis, direction)
+            for name in names:
+                rank.fields[name][dst] = nb.fields[name][src]
+            axes.append(axis)
+        return axes
 
     def step(self, n: int = 1) -> None:
         """Advance ``n`` full THIIM time steps across all ranks."""
         if n < 0:
             raise ValueError("n must be >= 0")
         for _ in range(n):
-            # H half step reads E at +1 -> high-face E ghosts; E half
-            # step reads H at -1 -> low-face H ghosts.
-            for components, read_class, direction in (
-                    (H_COMPONENTS, E_COMPONENTS, +1),
-                    (E_COMPONENTS, H_COMPONENTS, -1)):
-                self._exchange(read_class, direction)
-                for rank in self.ranks.values():
-                    rank.update(components)
+            # A half step writes only the class its ghosts do not read,
+            # so the ranks may take it one after another.
+            for half in HALF_STEPS:
+                for coord, rank in self.ranks.items():
+                    rank.half_step(half, partial(self._exchange, coord),
+                                   self.stats)
             self.steps_done += 1
 
     def gather(self) -> FieldState:

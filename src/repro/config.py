@@ -86,9 +86,6 @@ FLAGS: Dict[str, Flag] = {
         Flag("REPRO_CHECKPOINT_DIR", "path", None,
              "directory for solver checkpoint snapshots (crash/resume); "
              "unset = no checkpoints"),
-        Flag("REPRO_CLUSTER_PIN", "bool", False,
-             "pin each distributed rank process to one CPU "
-             "(sched_setaffinity, round-robin)"),
         Flag("REPRO_NODE_ID", "str", None,
              "stable node identity a fleet parent gives a spawned repro "
              "serve (/healthz, X-Repro-Node); unset = random per process"),

@@ -535,13 +535,17 @@ def _solve_points(spec: JobSpec, wavelengths, registry,
         driver, cadence = solver, {"check_every": 20}
     directory = checkpoint_dir or config.get("REPRO_CHECKPOINT_DIR")
     every = config.get("REPRO_CHECKPOINT_EVERY")
-    if not directory or every < 1:  # checkpointing is off
-        directory, every = None, 0
+    # One snapshot of the global state for every kind: a distributed
+    # solve's is a point solve's, valid under any rank layout.
+    ckpt = (CheckpointManager(
+        directory, name=spec.job_id, every=every,
+        token=solver_token(solver, tol=spec.tol, max_steps=spec.max_steps,
+                           **cadence))
+        if directory and every >= 1 else None)
 
     t0 = time.perf_counter()
     if spec.kind == "distributed":
-        from ..cluster import RankLayout, choose_decomposition
-        from ..cluster.runtime import clear_checkpoints, run_distributed
+        from ..cluster import RankLayout, choose_decomposition, run_distributed
 
         mode, value = _parse_ranks(spec.ranks)
         layout = (RankLayout(grid, *value) if mode == "dims"
@@ -551,13 +555,8 @@ def _solve_points(spec: JobSpec, wavelengths, registry,
                                              "grid": spec.grid}):
             solved, _info = run_distributed(
                 layout, solver, tol=spec.tol, max_steps=spec.max_steps,
-                name=spec.job_id, checkpoint_dir=directory, every=every,
-                attempt=attempt, **cadence, **policy)
+                checkpoint=ckpt, attempt=attempt, **cadence, **policy)
     else:
-        ckpt = directory and CheckpointManager(
-            directory, name=spec.job_id, every=every,
-            token=solver_token(solver, tol=spec.tol,
-                               max_steps=spec.max_steps, **cadence))
         solved = driver.solve(tol=spec.tol, max_steps=spec.max_steps,
                               checkpoint=ckpt, **policy)
     results, reasons = ((solved.results, solved.diverged) if batch
@@ -566,9 +565,7 @@ def _solve_points(spec: JobSpec, wavelengths, registry,
     # The solve is complete; its results are about to be stored.  The
     # snapshot has served its purpose (a crash after this point requeues
     # the job, which the result store then serves).
-    if spec.kind == "distributed":
-        clear_checkpoints(layout, directory, spec.job_id)
-    elif ckpt:
+    if ckpt is not None:
         ckpt.clear()
     docs = [None if reason is not None else
             _point_doc(grid, omega, plan, result, lane.sigma, scene,

@@ -631,7 +631,7 @@ class Scheduler:
 
     def _on_failure(self, job: Job, attempt: int, exc: Exception) -> None:
         # A dead rank process is a crash like a dead worker: the retry
-        # resumes the surviving ranks' checkpoints through the marker.
+        # resumes the job's one snapshot, as after any crash.
         crashed = isinstance(exc, (WorkerCrash, RankCrash))
         retryable = attempt <= job.spec.max_retries
         if isinstance(exc, ReproError) and not exc.retryable:

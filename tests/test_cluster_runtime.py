@@ -20,6 +20,7 @@ import pytest
 from repro.cluster import RankLayout, step_bytes_by_axis
 from repro.cluster.runtime import run_distributed
 from repro.cluster.transport import ShmTransport, edge_shapes, shared_arrays
+from repro.resilience.checkpoint import CheckpointManager, solver_token
 from repro.resilience.errors import RankCrash
 from repro.fdfd import ALL_COMPONENTS, Grid, PlaneWaveSource, PMLSpec, THIIMSolver
 from repro.fdfd.presets import preset_scene
@@ -47,6 +48,13 @@ def _make_solver(n=10, periodic=(False, True, True)):
         source=PlaneWaveSource(z_plane=max(nz // 8, 12), z_width=2.0),
         pml={"z": PMLSpec(thickness=max(nz // 10, 6))},
     )
+
+
+def _checkpoint(solver, directory):
+    """The point solve's manager: a distributed snapshot is a point
+    snapshot, valid under any layout."""
+    return CheckpointManager(str(directory), "cluster", every=20,
+                             token=solver_token(solver))
 
 
 class TestRunDistributed:
@@ -261,9 +269,9 @@ class TestPingPong:
 class TestControlPlane:
     @pytest.mark.parametrize("kind", TRANSPORTS)
     def test_no_array_rides_a_control_pipe(self, kind, monkeypatch, tmp_path):
-        """Every control message, either direction, checkpoint saves
-        included, pickles to < 4 KiB at g16 (one owned slab is 64 KiB);
-        an oversized send fails the solve, in the parent or in a rank."""
+        """Every control message, either direction, of a checkpointed
+        solve pickles to < 4 KiB at g16 (one owned slab is 64 KiB); an
+        oversized send fails the solve, in the parent or in a rank."""
         send = Connection.send
         sent = []
 
@@ -278,69 +286,34 @@ class TestControlPlane:
         solver = _make_solver(16)
         result, info = run_distributed(
             RankLayout(solver.grid, 2, 1, 1), solver, tol=1e-12, max_steps=60,
-            checkpoint_dir=str(tmp_path), every=20)
+            checkpoint=_checkpoint(solver, tmp_path))
         assert info["saves"] == 3 and info["transport"] == kind
-        commands = ["begin"] + 3 * ["step", "save"] + ["stop"]
+        commands = 3 * ["step"] + ["stop"]
         assert sent == [c for c in commands for _rank in range(2)]
         for name in ALL_COMPONENTS:
             assert np.array_equal(result.fields[name], scalar.fields[name])
         with pytest.raises(AssertionError, match="control message"):
             bounded_send(None, {"type": "check", "fields": np.zeros(512)})
 
-    def test_restored_slabs_reach_the_parent_through_the_plane(self, tmp_path):
+    def test_a_resume_at_the_final_boundary_forks_no_rank(self, tmp_path):
         """A resume at the final boundary runs zero sweeps on a fresh
-        (all-zero) solver, so its fields can only be the ranks' restored
-        slabs, written to the plane at ``begin`` and gathered."""
+        (all-zero) solver: no rank is forked, and the fields and history
+        are the first run's, restored by the one checkpoint loop."""
         def solve():
             solver = _make_solver()
             return run_distributed(
                 RankLayout(solver.grid, 2, 1, 1), solver, tol=1e-12,
-                max_steps=40, checkpoint_dir=str(tmp_path), every=20)
+                max_steps=40, checkpoint=_checkpoint(solver, tmp_path))
 
         first, info = solve()
         assert info["resumed_from"] is None and info["saves"] == 2
         again, info = solve()
         assert info["resumed_from"] == 40 and again.iterations == 40
+        assert info["pids"] == []
         assert again.residual_history == first.residual_history
         assert any(again.fields[name].any() for name in ALL_COMPONENTS)
         for name in ALL_COMPONENTS:
             assert np.array_equal(again.fields[name], first.fields[name])
-
-
-class TestCpuPinning:
-    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
-                        reason="no sched_setaffinity on this platform")
-    def test_pinning_reported_and_bit_identical(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CLUSTER_PIN", "1")
-        scalar = _make_solver().solve(tol=1e-12, max_steps=40)
-        solver = _make_solver()
-        result, info = run_distributed(RankLayout(solver.grid, 2, 1, 1),
-                                       solver, tol=1e-12, max_steps=40)
-        pins = info["cpu_pins"]
-        allowed = os.sched_getaffinity(0)
-        assert len(pins) == 2
-        assert all(cpu in allowed for cpu in pins)
-        # Round-robin over the allowed set: distinct CPUs when there
-        # are at least as many CPUs as ranks.
-        if len(allowed) >= 2:
-            assert len(set(pins)) == 2
-        # Pinning is a placement hint only -- the numerics are untouched.
-        for name in ALL_COMPONENTS:
-            assert np.array_equal(result.fields[name], scalar.fields[name])
-
-    def test_pinning_off_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CLUSTER_PIN", raising=False)
-        solver = _make_solver()
-        _, info = run_distributed(RankLayout(solver.grid, 2, 1, 1),
-                                  solver, tol=1e-6, max_steps=20)
-        assert "cpu_pins" not in info
-
-    @pytest.mark.parametrize("off", ["0", "off", "false", "no"])
-    def test_falsey_values_disable_pinning(self, monkeypatch, off):
-        from repro import config
-
-        monkeypatch.setenv("REPRO_CLUSTER_PIN", off)
-        assert config.get("REPRO_CLUSTER_PIN") is False
 
 
 class TestDistributedJobSpec:
@@ -414,13 +387,13 @@ class TestRankCrashResume:
 
         monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "100")
         ckpt_dir = tempfile.mkdtemp(prefix="repro-test-worker-kill-")
-        marker = os.path.join(ckpt_dir, f"ckpt-{spec.job_id}.cluster.json")
+        snapshot = os.path.join(ckpt_dir, f"ckpt-{spec.job_id}.npz")
         sched = Scheduler(workers=1, mode="process", retry_base_s=0.001,
                           checkpoint_dir=ckpt_dir).start()
         try:
             job = sched.submit(spec)
             deadline = time.monotonic() + 60.0
-            while not os.path.exists(marker):     # mid-solve, resumable
+            while not os.path.exists(snapshot):   # mid-solve, resumable
                 assert time.monotonic() < deadline and not job.terminal
                 time.sleep(0.005)
             workers = [p for p in _children(os.getpid()) if _children(p)]

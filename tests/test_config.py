@@ -24,7 +24,6 @@ ROWS = {
     "REPRO_TELEMETRY": (None, None),
     "REPRO_CHECKPOINT_EVERY": (0, "four"),
     "REPRO_CHECKPOINT_DIR": (None, ""),
-    "REPRO_CLUSTER_PIN": (False, None),
     "REPRO_NODE_ID": (None, ""),
 }
 
@@ -139,8 +138,7 @@ class TestAccessors:
             after = telemetry.resilience_counts().get("native_degraded", 0)
             assert after - degraded == (0 if vetoed else 1)
 
-    @pytest.mark.parametrize("name", ["REPRO_NO_NATIVE", "REPRO_TELEMETRY",
-                                      "REPRO_CLUSTER_PIN"])
+    @pytest.mark.parametrize("name", ["REPRO_NO_NATIVE", "REPRO_TELEMETRY"])
     def test_one_boolean_grammar(self, name, monkeypatch):
         for off in ("", "0", "off", "false", "no", "OFF", "False", " no "):
             monkeypatch.setenv(name, off)

@@ -299,6 +299,12 @@ def _outcome(results, reasons, counters, resumed_from):
     }
 
 
+def _manager(directory, solver, cadence):
+    """The one snapshot manager every row passes its entry point."""
+    return directory and CheckpointManager(
+        directory, NAME, token=solver_token(solver, **cadence), every=CHECK)
+
+
 def _solve_in_process(batched, tiled, directory=None, poison=False,
                       on_divergence="return"):
     solver = _build(batched, poison)
@@ -307,8 +313,7 @@ def _solve_in_process(batched, tiled, directory=None, poison=False,
         driver = (BatchedTiledTHIIM if batched else TiledTHIIM)(
             solver, dw=4, bz=2, chunk=CHECK)
         cadence = {"chunk": CHECK}
-    ckpt = directory and CheckpointManager(
-        directory, NAME, token=solver_token(solver, **cadence), every=CHECK)
+    ckpt = _manager(directory, solver, cadence)
     kw = dict(tol=1e-15, max_steps=MAX_STEPS, checkpoint=ckpt)
     if not tiled:
         kw["check_every"] = CHECK
@@ -324,14 +329,15 @@ def _solve_in_process(batched, tiled, directory=None, poison=False,
 
 
 def _solve_distributed(directory=None, poison=False,
-                       on_divergence="return"):
+                       on_divergence="return", dims=(2, 1, 1)):
     solver = _build(poison=poison)
-    result, info = run_distributed(
-        RankLayout(solver.grid, 2, 1, 1), solver, tol=1e-15,
-        max_steps=MAX_STEPS, check_every=CHECK, name=NAME,
-        checkpoint_dir=directory, every=CHECK if directory else 0,
+    ckpt = _manager(directory, solver, {"check_every": CHECK})
+    result, _info = run_distributed(
+        RankLayout(solver.grid, *dims), solver, tol=1e-15,
+        max_steps=MAX_STEPS, check_every=CHECK, checkpoint=ckpt,
         on_divergence=on_divergence)
-    return _outcome([result], None, None, info["resumed_from"])
+    return _outcome([result], None, None,
+                    ckpt.resumed_from if ckpt else None)
 
 
 ENTRY_POINTS = {
@@ -423,11 +429,6 @@ class TestEveryEntryPoint:
         faults.uninstall()
         monkeypatch.undo()
         planted = [f for f in os.listdir(directory) if f.endswith(".npz")]
-        if foreign == "width" and name == "distributed":
-            # Rank snapshots have their own names; plant under one.
-            os.rename(os.path.join(directory, planted[0]),
-                      os.path.join(directory, f"ckpt-{NAME}.r0-0-0.npz"))
-            planted = [f"ckpt-{NAME}.r0-0-0.npz"]
         assert planted
 
         got = ENTRY_POINTS[name](directory)
@@ -436,6 +437,26 @@ class TestEveryEntryPoint:
         for fname in planted:
             assert os.path.exists(os.path.join(directory,
                                                fname + ".corrupt"))
+
+
+@pytest.mark.parametrize("resume_as", ["1x2x1 ranks", "a plain solve"])
+def test_a_distributed_snapshot_resumes_under_any_layout(resume_as, clean,
+                                                         tmp_path):
+    """A distributed snapshot is a point snapshot: the global state,
+    valid under every layout (each is bit-identical to the single
+    domain).  A 2x1x1 solve killed entering check 3 resumes from the
+    same directory, name and token across other ranks or none."""
+    boundary = 3
+    faults.install(faults.FaultPlan.parse(f"solver.sweep:raise:{boundary}"))
+    with pytest.raises(InjectedFault):
+        _solve_distributed(str(tmp_path))
+    faults.uninstall()
+    if resume_as == "a plain solve":
+        resumed = ENTRY_POINTS["scalar"](str(tmp_path))
+    else:
+        resumed = _solve_distributed(str(tmp_path), dims=(1, 2, 1))
+    assert resumed["resumed_from"] == boundary * CHECK
+    _assert_same_solve(resumed, clean["distributed"])
 
 
 def test_point_solve_and_width_one_batch_share_snapshots(tmp_path):
