@@ -95,7 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="advance through the wavefront-diamond traversal")
     s.add_argument("--dw", type=int, default=4)
     s.add_argument("--bz", type=int, default=2)
-    s.add_argument("--save", metavar="FILE.npz", help="checkpoint the final fields")
+    s.add_argument("--save", metavar="DIR",
+                   help="checkpoint the final fields into DIR")
     s.add_argument("--vtk", metavar="FILE.vtk", help="export |E|,|H| for visualization")
     _add_perf_group(s)
 
@@ -379,10 +380,10 @@ def _cmd_solve(args) -> int:
     print(f"solve: preset={args.preset} grid={grid.shape} omega={omega:.4f} "
           f"tau={solver.tau:.4f} tiled={args.tiled}")
 
-    if args.tiled:
-        driver = TiledTHIIM(solver, dw=args.dw, bz=args.bz)
-        result = driver.solve(tol=args.tol, max_steps=args.max_steps)
-        print(driver.describe())
+    tiled = TiledTHIIM(solver, dw=args.dw, bz=args.bz) if args.tiled else None
+    if tiled is not None:
+        result = tiled.solve(tol=args.tol, max_steps=args.max_steps)
+        print(tiled.describe())
     else:
         result = solver.solve(tol=args.tol, max_steps=args.max_steps)
 
@@ -394,8 +395,12 @@ def _cmd_solve(args) -> int:
         print(f"absorbed power: {total:.4f} (incident {inc:.4f})")
 
     if args.save:
-        from .io import save_state
-        print(f"checkpoint -> {save_state(solver.fields, args.save)}")
+        path = _save_solved(args.save, spec, solver, tiled, result)
+        if path is None:
+            print(f"checkpoint: could not write into {args.save}",
+                  file=sys.stderr)
+            return 1
+        print(f"checkpoint -> {path}")
     if args.vtk:
         from .io import export_vtk
         print(f"vtk -> {export_vtk(solver.fields, args.vtk)}")
@@ -412,6 +417,26 @@ def _cmd_solve(args) -> int:
         print()
         print(GLOBAL_PMU.report(args.perf_group, regions=["solve"]))
     return 0 if result.converged else 2
+
+
+def _save_solved(directory, spec, solver, tiled, result):
+    """Write the solved state as the checkpoint a served job of ``spec``
+    writes (``ckpt-<job id>.npz`` under its ``solver_token``, with the
+    loop's lane record and, when ``tiled`` ran it, the tiled solve's
+    work counters), so that job resumes from it like from any snapshot
+    of its own.  Returns the path, or ``None`` when the write failed."""
+    from .resilience.checkpoint import CheckpointManager, solver_token
+
+    cadence = ({"chunk": tiled.chunk} if tiled is not None
+               else {"check_every": 20})
+    ckpt = CheckpointManager(
+        directory, spec.job_id,
+        token=solver_token(solver, tol=spec.tol, max_steps=spec.max_steps,
+                           **cadence))
+    extras = {"lanes": {"reasons": [None], "done": {}},
+              **(tiled._counters() if tiled is not None else {})}
+    return ckpt.save(solver.fields, result.iterations,
+                     [result.residual_history], extras=extras)
 
 
 def _cmd_tune(args) -> int:

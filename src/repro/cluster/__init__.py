@@ -1,13 +1,14 @@
-"""Distributed-memory layer: decomposition, simulated ranks, real ranks.
+"""Distributed-memory layer: decomposition and rank processes.
 
 The paper's production code is hybrid MPI+OpenMP; its Section VI
 discusses decomposition geometry (non-contiguous x halos, thin domains).
 This package provides the Cartesian decomposition with a communication
-cost model, a functional halo-exchanged solver over simulated ranks that
-reproduces the single-domain sweep bit for bit, and (in
-:mod:`~repro.cluster.runtime` / :mod:`~repro.cluster.transport`) the
-promotion of that layer to real ``multiprocessing`` rank processes the
-serving stack runs ``kind="distributed"`` jobs on.
+cost model (:mod:`~repro.cluster.decomposition`), one rank's slab and
+halo exchange (:mod:`~repro.cluster.distributed`), and the forked rank
+processes over a shared-memory data plane (:mod:`~repro.cluster.runtime`
+/ :mod:`~repro.cluster.transport`) that reproduce the single-domain
+sweep bit for bit -- what the serving stack runs ``kind="distributed"``
+jobs on.
 """
 
 from .decomposition import (
@@ -18,14 +19,13 @@ from .decomposition import (
     choose_decomposition,
     step_bytes_by_axis,
 )
-from .distributed import CommStats, DistributedTHIIM
+from .distributed import CommStats
 from .runtime import run_distributed
 from .transport import ShmTransport
 
 __all__ = [
     "CommCostModel",
     "CommStats",
-    "DistributedTHIIM",
     "RankLayout",
     "ShmTransport",
     "Subdomain",

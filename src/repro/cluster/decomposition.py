@@ -10,8 +10,8 @@ while keeping a favourable surface-to-volume ratio.
 
 This module provides the decomposition geometry (who owns which slab,
 which faces have neighbours) and a transfer-cost model that prices each
-face by volume and contiguity; :mod:`repro.cluster.distributed` runs a
-real (simulated-rank) halo-exchanged solve on top of it.
+face by volume and contiguity; the rank processes of
+:mod:`repro.cluster.runtime` run a halo-exchanged solve on top of it.
 """
 
 from __future__ import annotations

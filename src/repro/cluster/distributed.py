@@ -1,24 +1,24 @@
-"""Functional distributed-memory THIIM: simulated ranks + halo exchange.
+"""One rank of the distributed THIIM: its slab, its halo edges and the
+Fig. 3 half step.
 
-Runs the solver decomposed over a Cartesian process grid *inside one
-process*: every rank owns a ghosted slab of the twelve field arrays and
-the coefficient arrays, ghosts are exchanged before each half step
-(exactly the planes the dependency structure requires -- E ghosts on the
-*high* faces before an H step, H ghosts on the *low* faces before an E
-step, Fig. 3 of the paper), and the result is bit-identical to the
-single-domain sweep.
+Every rank owns a ghosted slab of the twelve field arrays and of the
+coefficient arrays; ghosts are exchanged before each half step (exactly
+the planes the dependency structure requires -- E ghosts on the *high*
+faces before an H step, H ghosts on the *low* faces before an E step,
+Fig. 3 of the paper) through the shared-memory
+:class:`~repro.cluster.transport.ShmTransport`, so a decomposed run is
+bit-identical to the single-domain sweep.  :mod:`repro.cluster.runtime`
+forks one process per rank and drives them.
 
-This is the MPI layer of the production code with the transport replaced
-by array copies; the byte/message counters it keeps are the inputs to
-the :class:`repro.cluster.decomposition.CommCostModel` analysis of
-Section VI (thin domains, non-contiguous x halos).
+The byte/message counters a rank keeps are the inputs to the
+:class:`repro.cluster.decomposition.CommCostModel` analysis of Section VI
+(thin domains, non-contiguous x halos).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -34,13 +34,14 @@ from ..fdfd.specs import (
     SPECS,
 )
 from .decomposition import Coord, RankLayout, Subdomain
+from .transport import ShmTransport, edge_shapes
 
-__all__ = ["CommStats", "DistributedTHIIM", "HALF_STEPS", "component_region"]
+__all__ = ["CommStats", "HALF_STEPS", "component_region"]
 
-#: Fig. 3's time step, for every kind of rank: per half step the
-#: components updated, the class their stencils read across a face and
-#: the neighbour whose boundary plane fills that ghost (H reads E at +1,
-#: high-face ghosts; E reads H at -1, low-face ghosts).
+#: Fig. 3's time step: per half step the components updated, the class
+#: their stencils read across a face and the neighbour whose boundary
+#: plane fills that ghost (H reads E at +1, high-face ghosts; E reads H
+#: at -1, low-face ghosts).
 HALF_STEPS = ((H_COMPONENTS, E_COMPONENTS, +1),
               (E_COMPONENTS, H_COMPONENTS, -1))
 
@@ -115,13 +116,16 @@ def component_region(global_grid: Grid, sub: Subdomain, name: str):
 
 class _Rank:
     """One rank's ghosted slab -- local fields + coefficients (slabbed
-    along their full axes only) -- and the index geometry the simulated
-    and the process ranks both exchange by."""
+    along their full axes only) -- and its halo edges over ``transport``
+    (built in the parent before the ranks start, so every rank shares
+    its buffers and semaphores)."""
 
-    def __init__(self, global_grid: Grid, sub: Subdomain,
-                 global_fields: FieldState, global_coeffs: CoefficientSet):
+    def __init__(self, layout: RankLayout, coord: Coord,
+                 global_fields: FieldState, global_coeffs: CoefficientSet,
+                 transport: ShmTransport):
+        global_grid = layout.grid
+        self.sub = sub = layout.subdomain(coord)
         nz, ny, nx = sub.shape
-        self.sub = sub
         # Ghost ring of one cell on every face (unused faces stay zero,
         # which doubles as the homogeneous Dirichlet value).
         self.grid = Grid(nz + 2, ny + 2, nx + 2)
@@ -148,6 +152,23 @@ class _Rank:
             arrays={n: slab(a) for n, a in global_coeffs.arrays.items()},
         )
 
+        # The halo edges, each set keyed by exchange direction: the
+        # transported edges this rank sends and receives, and its local
+        # self-edges (a periodic axis with a single rank: the ghost is
+        # our own far face).
+        keys = list(edge_shapes(layout))
+
+        def by_direction(edges) -> Dict[int, List[Tuple[Coord, int, int]]]:
+            return {d: [key for key in edges if key[2] == d] for d in (-1, +1)}
+
+        self.transport = transport
+        self._send = by_direction(
+            [k for k in keys if layout.neighbor(*k) == coord])
+        self._recv = by_direction([k for k in keys if k[0] == coord])
+        self._self = by_direction(
+            [(coord, axis, d) for axis in range(3) for d in (-1, +1)
+             if layout.neighbor(coord, axis, d) == coord])
+
     def owned(self, name: str) -> np.ndarray:
         return self.fields[name][self.inner]
 
@@ -166,85 +187,35 @@ class _Rank:
         return self._plane(
             axis, 1 + self.sub.shape[axis] if direction > 0 else 0)
 
-    def half_step(self, half, exchange: Callable[..., Iterable[int]],
-                  stats: CommStats) -> None:
-        """One row of :data:`HALF_STEPS` on this rank: ``exchange(names,
-        direction)`` fills the ghosts the update reads and returns the
-        axis of each face it filled (received or wrapped locally), which
-        is counted receiver-side, as the cost model counts it; then the
-        update over the owned cells."""
+    def _fill_ghosts(self, names: Tuple[str, ...], direction: int) -> List[int]:
+        """Fill the ghosts of ``names`` read from ``direction``: send our
+        boundary planes, wrap the self-edges, receive and unpack (the
+        order the ping-pong invariant of :mod:`~repro.cluster.transport`
+        rests on).  Returns the axis of every face filled."""
+        fields = self.fields
+        for key in self._send[direction]:
+            src = self.boundary(key[1], direction)
+            self.transport.send(key, [fields[name][src] for name in names])
+        for _, axis, _ in self._self[direction]:
+            dst, src = self.ghost(axis, direction), self.boundary(axis, direction)
+            for name in names:
+                fields[name][dst] = fields[name][src]
+        for key in self._recv[direction]:
+            block = self.transport.recv(key)
+            dst = self.ghost(key[1], direction)
+            for i, name in enumerate(names):
+                fields[name][dst] = block[i]
+        return [key[1] for key in self._self[direction] + self._recv[direction]]
+
+    def half_step(self, half, stats: CommStats) -> None:
+        """One row of :data:`HALF_STEPS` on this rank: fill the ghosts
+        the update reads, count every filled face receiver-side (as the
+        cost model counts it), then update the owned cells."""
         components, names, direction = half
-        for axis in exchange(names, direction):
+        for axis in self._fill_ghosts(names, direction):
             for _ in names:
                 stats.record(axis, self.sub.face_cells(axis) * BYTES_PER_NUMBER)
         for name in components:
             if self.regions[name] is not None:
                 update_component(name, self.fields, self.coeffs,
                                  self.regions[name])
-
-
-class DistributedTHIIM:
-    """Halo-exchanged THIIM over simulated ranks.
-
-    Parameters
-    ----------
-    layout:
-        The Cartesian decomposition.
-    fields, coeffs:
-        Global initial state and coefficients (as for the naive sweep).
-    """
-
-    def __init__(self, layout: RankLayout, fields: FieldState, coeffs: CoefficientSet):
-        if fields.grid.shape != layout.grid.shape:
-            raise ValueError("fields do not match the layout's grid")
-        if coeffs.grid.shape != layout.grid.shape:
-            raise ValueError("coefficients do not match the layout's grid")
-        self.layout = layout
-        self.ranks: Dict[Coord, _Rank] = {
-            c: _Rank(layout.grid, layout.subdomain(c), fields, coeffs)
-            for c in layout.coords()
-        }
-        self.stats = CommStats()
-        self.steps_done = 0
-
-    def _exchange(self, coord: Coord, names: Tuple[str, ...],
-                  direction: int) -> List[int]:
-        """The in-process transport: fill ``coord``'s ghosts of ``names``
-        by copying the neighbour's boundary planes."""
-        rank, axes = self.ranks[coord], []
-        for axis in range(3):
-            nb_coord = self.layout.neighbor(coord, axis, direction)
-            if nb_coord is None:
-                continue
-            nb = self.ranks[nb_coord]
-            dst, src = rank.ghost(axis, direction), nb.boundary(axis, direction)
-            for name in names:
-                rank.fields[name][dst] = nb.fields[name][src]
-            axes.append(axis)
-        return axes
-
-    def step(self, n: int = 1) -> None:
-        """Advance ``n`` full THIIM time steps across all ranks."""
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        for _ in range(n):
-            # A half step writes only the class its ghosts do not read,
-            # so the ranks may take it one after another.
-            for half in HALF_STEPS:
-                for coord, rank in self.ranks.items():
-                    rank.half_step(half, partial(self._exchange, coord),
-                                   self.stats)
-            self.steps_done += 1
-
-    def gather(self) -> FieldState:
-        """Assemble the global field state from the ranks."""
-        out = FieldState(self.layout.grid)
-        for rank in self.ranks.values():
-            for name in ALL_COMPONENTS:
-                out[name][rank.sub.own] = rank.owned(name)
-        return out
-
-    def halo_bytes_per_step(self) -> float:
-        if self.steps_done == 0:
-            return 0.0
-        return self.stats.bytes_total / self.steps_done

@@ -1,13 +1,12 @@
-"""Real multiprocess distributed THIIM: ranks and halos.
+"""The distributed THIIM's rank runtime: forked rank processes.
 
-The promotion of :mod:`repro.cluster.distributed` from simulated ranks
-to actual OS processes.  One parent (the scheduler's worker, or a thread
-worker's call frame) forks ``layout.n_ranks`` rank processes; each rank
-owns the same ghosted slab a simulated ``_Rank`` would, exchanges halos
-through :mod:`repro.cluster.transport` (shared memory), and advances the
-one Fig. 3 half-step sequence, :data:`~repro.cluster.distributed.
-HALF_STEPS`, with the shared :func:`~repro.cluster.distributed.
-component_region` clipping.
+One parent (the scheduler's worker, or a thread worker's call frame)
+forks ``layout.n_ranks`` rank processes; each builds its
+:class:`~repro.cluster.distributed._Rank` -- the ghosted slab, its halo
+edges over the shared-memory :mod:`repro.cluster.transport` -- and
+advances the one Fig. 3 half-step sequence, :data:`~repro.cluster.
+distributed.HALF_STEPS`, with the shared :func:`~repro.cluster.
+distributed.component_region` clipping.
 
 Parent and ranks talk over a *control plane* -- one pipe per rank,
 small dicts only: the parent sends ``step`` and ``stop``, a rank answers
@@ -73,22 +72,6 @@ def _rank_label(coord: Coord) -> str:
 # -- rank side -----------------------------------------------------------------
 
 
-def _rank_edges(layout: RankLayout, coord: Coord):
-    """This rank's halo edges, each set keyed by exchange direction: the
-    transported edges it sends and receives, and its local self-edges (a
-    periodic axis with a single rank: the ghost is our own far face)."""
-    keys = list(edge_shapes(layout))
-
-    def by_direction(edges):
-        return {d: [key for key in edges if key[2] == d] for d in (-1, +1)}
-
-    return (
-        by_direction([k for k in keys if layout.neighbor(*k) == coord]),
-        by_direction([k for k in keys if k[0] == coord]),
-        by_direction([(coord, axis, d) for axis in range(3) for d in (-1, +1)
-                      if layout.neighbor(coord, axis, d) == coord]))
-
-
 def _rank_main(index: int, coord: Coord, layout: RankLayout, solver,
                transport, plane: Dict[str, np.ndarray], conn,
                attempt: int) -> None:
@@ -109,28 +92,9 @@ def _rank_main(index: int, coord: Coord, layout: RankLayout, solver,
         return conn.recv()
 
     try:
-        sub = layout.subdomain(coord)
-        rank = _Rank(layout.grid, sub, solver.fields, solver.coefficients)
+        rank = _Rank(layout, coord, solver.fields, solver.coefficients,
+                     transport)
         stats = CommStats()
-        send_edges, recv_edges, self_edges = _rank_edges(layout, coord)
-
-        def exchange(names: Tuple[str, ...], direction: int) -> List[int]:
-            for key in send_edges[direction]:
-                src = rank.boundary(key[1], direction)
-                transport.send(key, [rank.fields[name][src] for name in names])
-            for _, axis, _ in self_edges[direction]:
-                dst = rank.ghost(axis, direction)
-                src = rank.boundary(axis, direction)
-                for name in names:
-                    rank.fields[name][dst] = rank.fields[name][src]
-            for key in recv_edges[direction]:
-                block = transport.recv(key)
-                dst = rank.ghost(key[1], direction)
-                for i, name in enumerate(names):
-                    rank.fields[name][dst] = block[i]
-            return [key[1] for key in self_edges[direction]
-                    + recv_edges[direction]]
-
         conn.send({"type": "hello", "pid": os.getpid()})
         while True:
             msg = next_command()
@@ -142,10 +106,10 @@ def _rank_main(index: int, coord: Coord, layout: RankLayout, solver,
                                     args={"n": msg["n"]}):
                     for _ in range(msg["n"]):
                         for half in HALF_STEPS:
-                            rank.half_step(half, exchange, stats)
+                            rank.half_step(half, stats)
                 # This rank's half of the gather: owned slabs into the plane.
                 for name in ALL_COMPONENTS:
-                    plane[name][sub.own] = rank.owned(name)
+                    plane[name][rank.sub.own] = rank.owned(name)
                 conn.send({"type": "check", "stats": stats.to_dict()})
             elif t == "stop":
                 conn.send({"type": "bye", "stats": stats.to_dict(),
@@ -246,6 +210,8 @@ def run_distributed(
         raise ValueError("solver periodicity does not match the layout's grid")
     if check_every < 1:
         raise ValueError("check_every must be >= 1")
+    if max_steps < 0:
+        raise ValueError("max_steps must be >= 0")
 
     coords = list(layout.coords())
     fields = solver.fields

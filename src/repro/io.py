@@ -1,97 +1,22 @@
-"""Persistence and export of simulation state.
+"""Export of simulation state for visualization.
 
-A production optical-simulation campaign (thousands of runs, Section VI
-of the paper) needs checkpointing and post-processing hooks:
-
-* :func:`save_state` / :func:`load_state` -- lossless checkpoints of a
-  :class:`FieldState` (NumPy ``.npz``, complex128, with grid metadata);
-* :func:`save_coefficients` / :func:`load_coefficients` -- the 28
-  coefficient arrays plus scheme metadata, so a sweep can resume without
-  re-rasterizing the scene;
-* :func:`export_vtk` -- legacy-ASCII VTK structured-points export of the
-  recombined physical fields (|E|, |H|, per-component real/imag) for
-  ParaView-style inspection;
-* :func:`cross_section` -- axis-aligned slices of a derived quantity.
+:func:`export_vtk` writes a legacy-ASCII VTK structured-points file of
+the recombined physical fields (|E|, |H|, per-component real/imag) for
+ParaView-style inspection.  Snapshots of a solve are checkpoints
+(:class:`repro.resilience.checkpoint.CheckpointManager`), the one
+versioned, token-guarded state format.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, Mapping
+from typing import Dict
 
 import numpy as np
 
-from .fdfd.coefficients import CoefficientSet
 from .fdfd.fields import FieldState
-from .fdfd.grid import Grid
-from .fdfd.specs import ALL_COMPONENTS
+from .ioutil import atomic_write
 
-__all__ = [
-    "save_state",
-    "load_state",
-    "save_coefficients",
-    "load_coefficients",
-    "export_vtk",
-    "cross_section",
-]
-
-
-def _grid_meta(grid: Grid) -> Dict[str, np.ndarray]:
-    return {
-        "_shape": np.array(grid.shape, dtype=np.int64),
-        "_spacing": np.array(grid.spacing, dtype=np.float64),
-        "_periodic": np.array(grid.periodic, dtype=np.bool_),
-    }
-
-
-def _grid_from_meta(data: Mapping[str, np.ndarray]) -> Grid:
-    nz, ny, nx = (int(v) for v in data["_shape"])
-    dz, dy, dx = (float(v) for v in data["_spacing"])
-    pz, py, px = (bool(v) for v in data["_periodic"])
-    return Grid(nz=nz, ny=ny, nx=nx, dz=dz, dy=dy, dx=dx, periodic=(pz, py, px))
-
-
-def save_state(fields: FieldState, path: str) -> str:
-    """Checkpoint the twelve component arrays plus grid metadata."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    arrays = {name: fields[name] for name in ALL_COMPONENTS}
-    np.savez_compressed(path, **arrays, **_grid_meta(fields.grid))
-    return path
-
-
-def load_state(path: str) -> FieldState:
-    """Restore a checkpoint written by :func:`save_state`."""
-    with np.load(path) as data:
-        grid = _grid_from_meta(data)
-        arrays = {name: np.ascontiguousarray(data[name]) for name in ALL_COMPONENTS}
-    return FieldState(grid, arrays)
-
-
-def save_coefficients(coeffs: CoefficientSet, path: str) -> str:
-    """Checkpoint the 28 coefficient arrays plus scheme metadata."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    meta = _grid_meta(coeffs.grid)
-    meta["_omega"] = np.array(coeffs.omega)
-    meta["_tau"] = np.array(coeffs.tau)
-    if coeffs.back_mask is not None:
-        meta["_back_mask"] = coeffs.back_mask
-    np.savez_compressed(path, **coeffs.arrays, **meta)
-    return path
-
-
-def load_coefficients(path: str) -> CoefficientSet:
-    with np.load(path) as data:
-        grid = _grid_from_meta(data)
-        arrays = {
-            k: np.ascontiguousarray(data[k])
-            for k in data.files
-            if not k.startswith("_")
-        }
-        back = data["_back_mask"] if "_back_mask" in data.files else None
-        omega = float(data["_omega"])
-        tau = float(data["_tau"])
-    return CoefficientSet(grid=grid, omega=omega, tau=tau, arrays=arrays,
-                          back_mask=back)
+__all__ = ["export_vtk"]
 
 
 def export_vtk(fields: FieldState, path: str, quantities: tuple[str, ...] = ("Emag", "Hmag")) -> str:
@@ -122,44 +47,19 @@ def export_vtk(fields: FieldState, path: str, quantities: tuple[str, ...] = ("Em
         else:
             raise ValueError(f"unknown quantity {q!r}")
 
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 3.0\n")
-        fh.write("repro THIIM field export\n")
-        fh.write("ASCII\n")
-        fh.write("DATASET STRUCTURED_POINTS\n")
-        fh.write(f"DIMENSIONS {nx} {ny} {nz}\n")
-        fh.write("ORIGIN 0 0 0\n")
-        fh.write(f"SPACING {grid.dx:g} {grid.dy:g} {grid.dz:g}\n")
-        fh.write(f"POINT_DATA {nx * ny * nz}\n")
+    def write(f) -> None:
+        f.write((
+            "# vtk DataFile Version 3.0\n"
+            "repro THIIM field export\n"
+            "ASCII\n"
+            "DATASET STRUCTURED_POINTS\n"
+            f"DIMENSIONS {nx} {ny} {nz}\n"
+            "ORIGIN 0 0 0\n"
+            f"SPACING {grid.dx:g} {grid.dy:g} {grid.dz:g}\n"
+            f"POINT_DATA {nx * ny * nz}\n").encode())
         for name, arr in scalars.items():
-            fh.write(f"SCALARS {name} double 1\n")
-            fh.write("LOOKUP_TABLE default\n")
+            f.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n".encode())
             flat = arr.astype(np.float64).ravel()  # (z, y, x) C-order = x fastest
-            np.savetxt(fh, flat, fmt="%.9g")
-    return path
+            np.savetxt(f, flat, fmt="%.9g")
 
-
-def cross_section(fields: FieldState, quantity: str, axis: str, index: int) -> np.ndarray:
-    """An axis-aligned slice of |E|, |H| or a physical component magnitude.
-
-    ``axis`` is ``"z"``, ``"y"`` or ``"x"``; returns a 2-D real array.
-    """
-    if quantity == "Emag":
-        comps = fields.e_vector()
-        data = np.sqrt(sum(np.abs(c) ** 2 for c in comps))
-    elif quantity == "Hmag":
-        comps = fields.h_vector()
-        data = np.sqrt(sum(np.abs(c) ** 2 for c in comps))
-    elif quantity[0] in "EH" and len(quantity) == 2:
-        data = np.abs(fields.combined(quantity))
-    else:
-        raise ValueError(f"unknown quantity {quantity!r}")
-    axes = {"z": 0, "y": 1, "x": 2}
-    if axis not in axes:
-        raise ValueError(f"axis must be one of z/y/x, got {axis!r}")
-    a = axes[axis]
-    n = fields.grid.axis_len(a)
-    if not (0 <= index < n):
-        raise IndexError(f"index {index} outside axis of {n} cells")
-    return np.take(data, index, axis=a)
+    return atomic_write(path, write)

@@ -125,6 +125,25 @@ def random_state(grid: Grid, seed: int = 0) -> FieldState:
     return FieldState(grid).fill_random(np.random.default_rng(seed))
 
 
+def run_ranks(layout, fields: FieldState, coeffs: CoefficientSet,
+              steps: int) -> dict:
+    """Exactly ``steps`` sweeps of ``(fields, coeffs)`` on ``layout``'s
+    forked rank processes -- the runtime a distributed job runs, with
+    its one convergence check after the last sweep.  ``fields`` ends up
+    holding the gathered result; returns ``run_distributed``'s info."""
+    from types import SimpleNamespace
+
+    from repro.cluster import run_distributed
+
+    solver = SimpleNamespace(grid=fields.grid, fields=fields,
+                             coefficients=coeffs)
+    result, info = run_distributed(layout, solver, tol=1e-300,
+                                   max_steps=steps,
+                                   check_every=max(steps, 1))
+    assert result.iterations == steps
+    return info
+
+
 def contracted_problem(grid, k, seed, keeps):
     """Fields, and coefficients stored at one broadcast shape per component
     (``keeps``: 12 triples, a kept axis is full); plain for k = 1, ``k``

@@ -63,15 +63,38 @@ class TestFiguresCommand:
 
 class TestSolveCommand:
     def test_vacuum_solve_with_checkpoint(self, tmp_path, capsys):
-        ckpt = str(tmp_path / "state.npz")
+        """``--save DIR`` writes the checkpoint a served job of the same
+        spec writes: its name, its token, the solver's fields bit for bit."""
+        import numpy as np
+
+        from repro.fdfd import THIIMSolver
+        from repro.resilience.checkpoint import CheckpointManager, solver_token
+        from repro.service.jobs import JobSpec, _solve_geometry
+
         vtk = str(tmp_path / "field.vtk")
         rc = main(["solve", "--preset", "vacuum", "--grid", "10",
                    "--wavelength", "10", "--tol", "1e-4", "--max-steps", "1500",
-                   "--save", ckpt, "--vtk", vtk])
+                   "--save", str(tmp_path / "ckpt"), "--vtk", vtk])
         assert rc == 0
-        assert os.path.exists(ckpt) and os.path.exists(vtk)
         out = capsys.readouterr().out
-        assert "converged" in out
+        assert "converged" in out and os.path.exists(vtk)
+
+        spec = JobSpec(kind="solve", preset="vacuum", grid=10,
+                       wavelength=10.0, tol=1e-4, max_steps=1500)
+        grid, scene, _, source, pml = _solve_geometry(spec)
+        solver = THIIMSolver(grid, 2 * np.pi / 10.0, scene=scene,
+                             source=source, pml=pml)
+        result = solver.solve(tol=1e-4, max_steps=1500)
+        ckpt = CheckpointManager(
+            str(tmp_path / "ckpt"), spec.job_id, strict=True,
+            token=solver_token(solver, tol=1e-4, max_steps=1500,
+                               check_every=20))
+        assert f"checkpoint -> {ckpt.path}" in out
+        saved = ckpt.load()
+        assert saved.steps == result.iterations
+        assert saved.history == [result.residual_history]
+        for name in solver.fields:
+            assert saved.arrays[name].tobytes() == solver.fields[name].tobytes()
 
     def test_tiled_solve(self, capsys):
         rc = main(["solve", "--preset", "absorber", "--grid", "10",

@@ -1,8 +1,6 @@
 """Tests for the distributed-memory layer: decomposition geometry, the
-communication cost model, and bitwise equality of the halo-exchanged
-multi-rank run with the single-domain sweep."""
-
-from functools import partial
+communication cost model, one rank's slab and halo exchange, and bitwise
+equality of the forked multi-rank run with the single-domain sweep."""
 
 import numpy as np
 import pytest
@@ -10,16 +8,27 @@ import pytest
 from repro.cluster import (
     CommCostModel,
     CommStats,
-    DistributedTHIIM,
     RankLayout,
+    ShmTransport,
     candidate_layouts,
     choose_decomposition,
     step_bytes_by_axis,
 )
 from repro.cluster.decomposition import _split
+from repro.cluster.distributed import _Rank
+from repro.cluster.transport import edge_shapes, shared_arrays
 from repro.fdfd import FieldState, Grid, naive_sweep, random_coefficients
 
-from conftest import random_state, service_solver
+from conftest import random_state, run_concurrently, run_ranks, service_solver
+
+
+def _ranks(layout, fields, coeffs):
+    """Every rank of ``layout`` built in this process over one real
+    transport (what the forked ranks each build for themselves)."""
+    transport = ShmTransport(layout, shared_arrays(edge_shapes(layout)),
+                             timeout_s=10.0)
+    return {c: _Rank(layout, c, fields, coeffs, transport)
+            for c in layout.coords()}
 
 
 class TestRankLayout:
@@ -102,6 +111,9 @@ class TestCommCostModel:
 
 
 class TestDistributedEqualsGlobal:
+    """Every layout on forked rank processes (:func:`conftest.run_ranks`)
+    equals the single-domain sweep bit for bit."""
+
     @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2),
                                        (2, 2, 1), (2, 2, 2), (3, 2, 1)])
     def test_bitwise_equality(self, dims):
@@ -111,12 +123,8 @@ class TestDistributedEqualsGlobal:
         f_dist = f_global.copy()
 
         naive_sweep(f_global, coeffs, 3)
-
-        layout = RankLayout(grid, *dims)
-        dist = DistributedTHIIM(layout, f_dist, coeffs)
-        dist.step(3)
-        gathered = dist.gather()
-        assert f_global.max_abs_difference(gathered) == 0.0
+        run_ranks(RankLayout(grid, *dims), f_dist, coeffs, 3)
+        assert f_global.max_abs_difference(f_dist) == 0.0
 
     @pytest.mark.parametrize("scene", ["tandem", "sphere"])
     def test_scene_coefficients_equal_single_domain(self, scene):
@@ -128,11 +136,10 @@ class TestDistributedEqualsGlobal:
         f_global = random_state(grid, seed=7)
         f_dist = f_global.copy()
         naive_sweep(f_global, coeffs, 3)
-        dist = DistributedTHIIM(RankLayout(grid, 2, 2, 1), f_dist, coeffs)
-        dist.step(3)
-        gathered = dist.gather()
-        assert all(gathered[n].tobytes() == f_global[n].tobytes() for n in gathered)
-        for rank in dist.ranks.values():
+        layout = RankLayout(grid, 2, 2, 1)
+        run_ranks(layout, f_dist, coeffs, 3)
+        assert all(f_dist[n].tobytes() == f_global[n].tobytes() for n in f_dist)
+        for rank in _ranks(layout, f_dist, coeffs).values():
             for name, a in rank.coeffs.arrays.items():
                 assert a.shape == tuple(m if n > 1 else 1 for n, m in zip(
                     coeffs[name].shape, rank.grid.shape)), name
@@ -144,9 +151,8 @@ class TestDistributedEqualsGlobal:
         f_dist = f_global.copy()
         naive_sweep(f_global, coeffs, 2)
         layout = RankLayout(grid, 2, 1, 2)  # also decomposes the periodic axis
-        dist = DistributedTHIIM(layout, f_dist, coeffs)
-        dist.step(2)
-        assert f_global.max_abs_difference(dist.gather()) == 0.0
+        run_ranks(layout, f_dist, coeffs, 2)
+        assert f_global.max_abs_difference(f_dist) == 0.0
 
     def test_periodic_undecomposed_axis(self):
         grid = Grid(nz=8, ny=8, nx=8, periodic=(False, True, False))
@@ -155,31 +161,33 @@ class TestDistributedEqualsGlobal:
         f_dist = f_global.copy()
         naive_sweep(f_global, coeffs, 2)
         layout = RankLayout(grid, 2, 1, 1)  # periodic y stays on one rank
-        dist = DistributedTHIIM(layout, f_dist, coeffs)
-        dist.step(2)
-        assert f_global.max_abs_difference(dist.gather()) == 0.0
+        run_ranks(layout, f_dist, coeffs, 2)
+        assert f_global.max_abs_difference(f_dist) == 0.0
 
     @pytest.mark.parametrize("dims", [(2, 1, 1), (1, 2, 1), (1, 1, 2),
                                       (3, 2, 1)])
     def test_ghosts_are_the_adjacent_global_planes(self, dims):
-        """The slab geometry the simulated and the process ranks share:
-        after an exchange from ``direction``, a rank's ghost plane holds
-        the global plane next to its slab (wrapping on periodic axes --
-        with two ranks there both faces meet the same peer), which is
-        its neighbour's ``boundary`` plane."""
+        """The slab geometry of a rank: after an exchange from
+        ``direction`` over a real transport (one thread per rank here),
+        a rank's ghost plane holds the global plane next to its slab
+        (wrapping on periodic axes -- with two ranks there both faces
+        meet the same peer), which is its neighbour's ``boundary``
+        plane."""
         grid = Grid(nz=9, ny=8, nx=6, periodic=(False, True, True))
         fields = FieldState(grid)
         cells = np.arange(grid.n_cells, dtype=np.complex128).reshape(grid.shape)
         for name in fields:
             fields[name] = cells
         layout = RankLayout(grid, *dims)
-        dist = DistributedTHIIM(layout, fields, random_coefficients(grid))
+        ranks = _ranks(layout, fields, random_coefficients(grid))
+        stats = {coord: CommStats() for coord in ranks}
         for direction in (-1, +1):
             # A half step that updates nothing: the exchange and its count.
-            for coord, rank in dist.ranks.items():
-                rank.half_step(((), ("Exy",), direction),
-                               partial(dist._exchange, coord), dist.stats)
-            for coord, rank in dist.ranks.items():
+            half = ((), ("Exy",), direction)
+            run_concurrently(
+                lambda coord: ranks[coord].half_step(half, stats[coord]),
+                list(ranks), timeout=30.0)
+            for coord, rank in ranks.items():
                 bounds = (rank.sub.z, rank.sub.y, rank.sub.x)
                 for axis in range(3):
                     if layout.neighbor(coord, axis, direction) is None:
@@ -190,36 +198,36 @@ class TestDistributedEqualsGlobal:
                         tuple(s for a, s in enumerate(rank.sub.own) if a != axis)]
                     got = rank.fields["Exy"][rank.ghost(axis, direction)]
                     assert np.array_equal(got, want), (coord, axis, direction)
-        assert dist.stats.bytes_by_axis == {
+        total = CommStats()
+        for rank_stats in stats.values():
+            total.merge(rank_stats)
+        assert total.bytes_by_axis == {
             a: b // 6 for a, b in step_bytes_by_axis(layout).items()}
 
     def test_comm_stats_accumulate(self):
         grid = Grid(nz=8, ny=8, nx=8)
         coeffs = random_coefficients(grid, seed=35)
         layout = RankLayout(grid, 2, 1, 1)
-        dist = DistributedTHIIM(layout, random_state(grid, seed=36), coeffs)
-        dist.step(2)
+        halo = run_ranks(layout, random_state(grid, seed=36), coeffs, 2)["halo"]
         # Two ranks, one internal z face: 6 arrays per half step per
         # direction-relevant rank; both half steps, 2 steps.
-        assert dist.stats.messages == 2 * 2 * 6
-        assert dist.stats.bytes_total == dist.stats.messages * 8 * 8 * 16
-        assert dist.halo_bytes_per_step() == dist.stats.bytes_total / 2
-        assert dist.stats.bytes_by_axis[0] == dist.stats.bytes_total
-        assert dist.stats.bytes_by_axis[2] == 0
+        assert halo["messages"] == 2 * 2 * 6
+        assert halo["bytes_total"] == halo["messages"] * 8 * 8 * 16
+        assert halo["bytes_by_axis"]["0"] == halo["bytes_total"]
+        assert halo["bytes_by_axis"]["2"] == 0
 
     def test_mismatched_grid_rejected(self):
         grid = Grid(nz=8, ny=8, nx=8)
         other = Grid(nz=10, ny=8, nx=8)
         layout = RankLayout(grid, 2, 1, 1)
         with pytest.raises(ValueError):
-            DistributedTHIIM(layout, FieldState(other), random_coefficients(other))
+            run_ranks(layout, FieldState(other), random_coefficients(other), 1)
 
     def test_negative_steps_rejected(self):
         grid = Grid(nz=8, ny=8, nx=8)
         layout = RankLayout(grid, 1, 1, 1)
-        dist = DistributedTHIIM(layout, FieldState(grid), random_coefficients(grid))
         with pytest.raises(ValueError):
-            dist.step(-1)
+            run_ranks(layout, FieldState(grid), random_coefficients(grid), -1)
 
 
 class TestSplitEdges:
@@ -289,24 +297,23 @@ class TestCandidateLayouts:
     def test_x_halo_bytes_match_cost_model(self):
         """The non-contiguous x halo's byte count: 6 arrays per half
         step per internal face, complex128 -- measured traffic of the
-        simulated ranks equals the model's per-step figure exactly."""
+        rank processes equals the model's per-step figure exactly."""
         grid = Grid(nz=8, ny=8, nx=10)
         layout = RankLayout(grid, 1, 1, 2)
         expected = step_bytes_by_axis(layout)
         assert expected[2] == 2 * 6 * 8 * 8 * 16  # both directions
-        dist = DistributedTHIIM(layout, random_state(grid, seed=46),
-                                random_coefficients(grid, seed=45))
         steps = 3
-        dist.step(steps)
-        assert dist.stats.bytes_by_axis[2] == steps * expected[2]
-        assert dist.stats.bytes_by_axis[0] == dist.stats.bytes_by_axis[1] == 0
+        by_axis = run_ranks(layout, random_state(grid, seed=46),
+                            random_coefficients(grid, seed=45),
+                            steps)["halo"]["bytes_by_axis"]
+        assert by_axis["2"] == steps * expected[2]
+        assert by_axis["0"] == by_axis["1"] == 0
 
     def test_bytes_by_axis_covers_every_internal_face(self):
         grid = Grid(nz=20, ny=10, nx=10, periodic=(False, True, True))
         layout = RankLayout(grid, 2, 2, 1)
         expected = step_bytes_by_axis(layout)
-        dist = DistributedTHIIM(layout, random_state(grid, seed=56),
-                                random_coefficients(grid, seed=55))
-        dist.step(2)
-        assert dist.stats.bytes_by_axis == {a: 2 * b
-                                            for a, b in expected.items()}
+        halo = run_ranks(layout, random_state(grid, seed=56),
+                         random_coefficients(grid, seed=55), 2)["halo"]
+        assert halo["bytes_by_axis"] == {str(a): 2 * b
+                                         for a, b in expected.items()}

@@ -1,7 +1,7 @@
 """End-to-end integration: the whole pipeline on one small problem.
 
 Scene -> coefficients -> THIIM solve -> temporally blocked re-run ->
-distributed re-run -> checkpoint/restore -> observables -> performance
+distributed re-run on forked ranks -> checkpoint/restore -> observables -> performance
 projection.  Everything a downstream user chains together, in one test
 module, with cross-checks at every hand-off.
 """
@@ -9,11 +9,12 @@ module, with cross-checks at every hand-off.
 import numpy as np
 import pytest
 
-from repro.cluster import DistributedTHIIM, RankLayout
+from repro.cluster import RankLayout
 from repro.core import TiledTHIIM, TilingPlan, TiledExecutor, tune_spatial, tune_tiled
 from repro.fdfd import (
     A_SI_H,
     SILVER,
+    FieldState,
     Grid,
     PMLSpec,
     PlaneWaveSource,
@@ -24,8 +25,10 @@ from repro.fdfd import (
     naive_sweep,
     poynting_flux_z,
 )
-from repro.io import load_state, save_state
 from repro.machine import HASWELL_EP
+from repro.resilience.checkpoint import CheckpointManager, solver_token
+
+from conftest import run_ranks
 
 
 @pytest.fixture(scope="module")
@@ -76,15 +79,15 @@ class TestFullPipeline:
         TiledTHIIM(tiled, dw=4, bz=2, chunk=steps).run(steps)
         assert ref.fields.max_abs_difference(tiled.fields) == 0.0
 
-        dist_solver = fresh()
-        dist = DistributedTHIIM(RankLayout(grid, 2, 2, 1), dist_solver.fields,
-                                dist_solver.coefficients)
-        dist.step(steps)
-        assert ref.fields.max_abs_difference(dist.gather()) == 0.0
+        dist = fresh()
+        run_ranks(RankLayout(grid, 2, 2, 1), dist.fields, dist.coefficients,
+                  steps)
+        assert ref.fields.max_abs_difference(dist.fields) == 0.0
 
     def test_checkpoint_across_execution_paths(self, problem, tmp_path):
-        """Checkpoint a naive run, restore, continue with the tiled
-        executor: the trajectory is unchanged."""
+        """Checkpoint a naive run through the solves' checkpoint manager,
+        restore into fresh fields, continue with the tiled executor: the
+        trajectory is unchanged."""
         grid, omega, scene, _ = problem
         solver = THIIMSolver(
             grid, omega, scene=scene,
@@ -95,7 +98,11 @@ class TestFullPipeline:
         naive_sweep(straight, solver.coefficients, 10)
 
         naive_sweep(solver.fields, solver.coefficients, 5)
-        restored = load_state(save_state(solver.fields, str(tmp_path / "mid.npz")))
+        ckpt = CheckpointManager(str(tmp_path), "mid", strict=True,
+                                 token=solver_token(solver))
+        assert ckpt.save(solver.fields, 5, [[]]) is not None
+        restored = FieldState(grid)
+        assert ckpt.resume(restored).steps == 5
         plan = TilingPlan.build(ny=grid.ny, nz=grid.nz, timesteps=5, dw=4, bz=1)
         TiledExecutor(restored, solver.coefficients, plan).run()
         assert straight.max_abs_difference(restored) == 0.0

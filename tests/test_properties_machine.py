@@ -2,7 +2,7 @@
 
 Complements test_properties.py (which covers the tiling core): here
 hypothesis drives the LRU cache, the water-filling allocator, the
-decomposition geometry and the distributed solver.
+decomposition geometry and the forked rank processes.
 """
 
 import numpy as np
@@ -10,10 +10,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import RankLayout
-from repro.cluster.distributed import DistributedTHIIM
 from repro.fdfd import FieldState, Grid, naive_sweep, random_coefficients
 from repro.machine import LRUCache, StreamEmitter
 from repro.machine.simulator import _water_fill
+
+from conftest import run_ranks
 
 COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -117,9 +118,8 @@ def test_distributed_equals_global_random(seed, pz, py, steps):
     f_global = FieldState(grid).fill_random(np.random.default_rng(seed))
     f_dist = f_global.copy()
     naive_sweep(f_global, coeffs, steps)
-    dist = DistributedTHIIM(RankLayout(grid, pz, py, 1), f_dist, coeffs)
-    dist.step(steps)
-    assert f_global.max_abs_difference(dist.gather()) == 0.0
+    run_ranks(RankLayout(grid, pz, py, 1), f_dist, coeffs, steps)
+    assert f_global.max_abs_difference(f_dist) == 0.0
 
 
 @given(

@@ -1,7 +1,5 @@
 """Tests for the temporally blocked solver driver and the I/O module."""
 
-import os
-
 import numpy as np
 import pytest
 
@@ -13,19 +11,10 @@ from repro.fdfd import (
     PlaneWaveSource,
     Scene,
     THIIMSolver,
-    build_coefficients,
-    random_coefficients,
 )
-from repro.io import (
-    cross_section,
-    export_vtk,
-    load_coefficients,
-    load_state,
-    save_coefficients,
-    save_state,
-)
+from repro.io import export_vtk
 
-from conftest import random_state, service_solver
+from conftest import random_state
 
 
 def make_solver(tiled_ok=True):
@@ -92,55 +81,6 @@ class TestTiledTHIIM:
         assert "TiledTHIIM" in tiled.describe()
 
 
-class TestStateIO:
-    def test_roundtrip_state(self, tmp_path, rng):
-        grid = Grid(nz=6, ny=5, nx=4, dz=0.5, periodic=(False, True, False))
-        fields = random_state(grid, seed=3)
-        path = save_state(fields, str(tmp_path / "ckpt.npz"))
-        restored = load_state(path)
-        assert restored.grid == grid
-        assert fields.max_abs_difference(restored) == 0.0
-
-    def test_roundtrip_coefficients(self, tmp_path):
-        grid = Grid(nz=8, ny=5, nx=4)
-        eps = np.ones(grid.shape)
-        eps[4:] = -9.0
-        coeffs = build_coefficients(grid, omega=0.7, tau=0.2, eps=eps, sigma=0.5)
-        path = save_coefficients(coeffs, str(tmp_path / "coeffs.npz"))
-        restored = load_coefficients(path)
-        assert restored.omega == coeffs.omega
-        assert restored.tau == coeffs.tau
-        assert restored.back_mask is not None
-        assert np.array_equal(restored.back_mask, coeffs.back_mask)
-        for name, arr in coeffs.arrays.items():
-            assert np.array_equal(restored.arrays[name], arr), name
-
-    def test_roundtrip_keeps_contracted_shapes(self, tmp_path):
-        coeffs = service_solver("tandem").coefficients
-        restored = load_coefficients(
-            save_coefficients(coeffs, str(tmp_path / "coeffs.npz")))
-        assert restored.back_mask.shape == coeffs.back_mask.shape
-        for name, arr in coeffs.arrays.items():
-            assert restored.arrays[name].shape == arr.shape, name
-            assert restored.arrays[name].tobytes() == arr.tobytes(), name
-
-    def test_checkpoint_resume_equivalence(self, tmp_path):
-        """Saving mid-run and resuming gives the same trajectory."""
-        grid = Grid(nz=10, ny=6, nx=5)
-        coeffs = random_coefficients(grid, seed=9)
-        from repro.fdfd import naive_sweep
-
-        straight = random_state(grid, seed=10)
-        naive_sweep(straight, coeffs, 6)
-
-        resumed = random_state(grid, seed=10)
-        naive_sweep(resumed, coeffs, 3)
-        p = save_state(resumed, str(tmp_path / "mid.npz"))
-        resumed = load_state(p)
-        naive_sweep(resumed, coeffs, 3)
-        assert straight.max_abs_difference(resumed) == 0.0
-
-
 class TestVTKExport:
     def test_vtk_structure(self, tmp_path, rng):
         grid = Grid(nz=4, ny=3, nx=5)
@@ -162,28 +102,3 @@ class TestVTKExport:
         fields = random_state(Grid(nz=3, ny=3, nx=3), seed=1)
         with pytest.raises(ValueError):
             export_vtk(fields, str(tmp_path / "x.vtk"), quantities=("bogus",))
-
-
-class TestCrossSection:
-    def test_shapes(self, rng):
-        grid = Grid(nz=6, ny=5, nx=4)
-        fields = random_state(grid, seed=2)
-        assert cross_section(fields, "Emag", "z", 2).shape == (5, 4)
-        assert cross_section(fields, "Hmag", "y", 0).shape == (6, 4)
-        assert cross_section(fields, "Ex", "x", 3).shape == (6, 5)
-
-    def test_values_match_direct_computation(self, rng):
-        grid = Grid(nz=6, ny=5, nx=4)
-        fields = random_state(grid, seed=2)
-        got = cross_section(fields, "Ex", "z", 1)
-        want = np.abs(fields.combined("Ex"))[1]
-        assert np.array_equal(got, want)
-
-    def test_validation(self, rng):
-        fields = random_state(Grid(nz=4, ny=4, nx=4), seed=1)
-        with pytest.raises(ValueError):
-            cross_section(fields, "bogus", "z", 0)
-        with pytest.raises(ValueError):
-            cross_section(fields, "Emag", "w", 0)
-        with pytest.raises(IndexError):
-            cross_section(fields, "Emag", "z", 99)
