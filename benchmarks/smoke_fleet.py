@@ -6,16 +6,18 @@ thickness x wavelength campaign through it, asserting the fleet
 contract:
 
 * **bit-identity**: every per-point result fetched through the gateway
-  equals an in-process ``run_job`` of the same spec, byte for byte
-  (cross-shard batches are scattered per home node and gathered back);
+  equals an in-process ``run_job`` of the same spec, byte for byte (the
+  gateway submits each point of a batch as its own job on its home
+  node and assembles the batch from them);
 * **node death mid-campaign**: one node is SIGKILLed between campaign
   phases; the remaining points route to replicas (the shard-map version
   bumps, failovers are counted) and the campaign still completes with
   identical bytes;
-* **exactly-once results**: resubmitting a served batch is answered
-  without a single extra execution (content-hash dedup, fleet-wide),
-  and re-running the whole campaign after the node death still returns
-  the same canonical bytes for every point.
+* **exactly-once results**: resubmitting a served batch, or each of its
+  points on its own, is answered without a single extra execution
+  (content-hash dedup, fleet-wide), and re-running the whole campaign
+  after the node death still returns the same canonical bytes for every
+  point.
 
 Writes gateway-routed throughput to
 ``benchmarks/output/BENCH_fleet.json``.
@@ -111,7 +113,7 @@ def main() -> int:
         t0 = time.perf_counter()
         status, doc = _request("POST", f"{base}/jobs", first.to_dict())
         assert status == 202, f"submit: HTTP {status} {doc}"
-        scattered = "scatter" in doc
+        homes = len({p["node"] for p in doc["points"]})
         done = _poll(base, first.job_id)
         elapsed = time.perf_counter() - t0
         _assert_points_identical(done["result"], clean[first.job_id],
@@ -120,9 +122,9 @@ def main() -> int:
                      for p in done["result"]["points"])
         rows.append({"phase": "healthy", "seconds": round(elapsed, 4),
                      "points_per_second": round(points / elapsed, 1),
-                     "scattered": scattered})
+                     "point_homes": homes})
         print(f"fleet smoke: phase 1 bit-identical through the gateway "
-              f"({'scattered' if scattered else 'single-shard'}, "
+              f"({len(WAVELENGTHS)} points on {homes} home node(s), "
               f"{elapsed:.2f}s)", flush=True)
 
         # Exactly-once while healthy: resubmitting the served batch
@@ -136,6 +138,18 @@ def main() -> int:
         assert _fleet_executed(base) == executed0, (
             "resubmitting a completed batch re-executed work")
         print("fleet smoke: resubmission fully dedup'd "
+              "(0 extra executions)", flush=True)
+
+        # ...and so does each of its points submitted on its own: every
+        # point is stored on its home, where a point submit lands.
+        for w in WAVELENGTHS:
+            point = first.point_spec(w)
+            status, doc = _request("POST", f"{base}/jobs", point.to_dict())
+            assert status == 202, f"point resubmit: HTTP {status} {doc}"
+            _poll(base, point.job_id)
+        assert _fleet_executed(base) == executed0, (
+            "resubmitting a served batch's points re-executed work")
+        print("fleet smoke: per-point resubmission fully dedup'd "
               "(0 extra executions)", flush=True)
 
         # Phase 2: kill the home of the second batch's first point

@@ -425,6 +425,7 @@ def _save_solved(directory, spec, solver, tiled, result):
     loop's lane record and, when ``tiled`` ran it, the tiled solve's
     work counters), so that job resumes from it like from any snapshot
     of its own.  Returns the path, or ``None`` when the write failed."""
+    from .fdfd.thiim import lane_record
     from .resilience.checkpoint import CheckpointManager, solver_token
 
     cadence = ({"chunk": tiled.chunk} if tiled is not None
@@ -433,7 +434,7 @@ def _save_solved(directory, spec, solver, tiled, result):
         directory, spec.job_id,
         token=solver_token(solver, tol=spec.tol, max_steps=spec.max_steps,
                            **cadence))
-    extras = {"lanes": {"reasons": [None], "done": {}},
+    extras = {"lanes": lane_record([result], [None]),
               **(tiled._counters() if tiled is not None else {})}
     return ckpt.save(solver.fields, result.iterations,
                      [result.residual_history], extras=extras)

@@ -23,7 +23,7 @@ equations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -381,11 +381,13 @@ def _converge(
             results[idx] = SolveResult(
                 fields.extract(idx), iterations, histories[idx][-1],
                 reasons[idx] is None, list(histories[idx]), start)
+        if counters is not None:
+            counters[1](restored.extras)
+        if not active:  # a finished snapshot: nothing left to sweep
+            return BatchSolveResult(results=list(results), diverged=reasons)
         if len(active) != width:
             fields.compact(active)
             coeffs.compact(active)
-        if counters is not None:
-            counters[1](restored.extras)
 
     previous: Optional[Dict[str, np.ndarray]] = None
     while steps < max_steps and active:
@@ -444,16 +446,25 @@ def _converge(
     return BatchSolveResult(results=list(results), diverged=reasons)
 
 
+def lane_record(results: Sequence[Optional[SolveResult]],
+                reasons: Sequence[Optional[str]]) -> Dict[str, Any]:
+    """The lane record a snapshot carries (``extras["lanes"]``): every
+    lane's divergence reason, and the sweep count of each lane that
+    finished -- converged or diverged -- which a resume restores as
+    finished instead of sweeping it again."""
+    return {"reasons": list(reasons),
+            "done": {str(idx): int(r.iterations)
+                     for idx, r in enumerate(results)
+                     if r is not None and (r.converged
+                                           or reasons[idx] is not None)}}
+
+
 def _save(checkpoint, fields, grid, width, active, results, reasons,
           histories, steps, counters) -> None:
     """One full-width snapshot of the loop state (see :func:`_converge`),
     in its own frame so that a stacked copy is freed when the save
     returns instead of living on through the next chunk."""
-    extras = {"lanes": {
-        "reasons": list(reasons),
-        "done": {str(idx): int(r.iterations)
-                 for idx, r in enumerate(results) if r is not None},
-    }}
+    extras = {"lanes": lane_record(results, reasons)}
     if counters is not None:
         extras.update(counters[0]())
     if len(active) == width:

@@ -20,8 +20,8 @@ same home), and the gateway fails over to the replica when a node dies.
 * :mod:`~repro.fleet.admission` -- per-tenant token-bucket quotas and
   the retry budget (gateway admission control).
 * :mod:`~repro.fleet.gateway` -- the HTTP front door (``repro fleet
-  serve``): routed submits/lookups/cancels, scattered cross-shard
-  batches, proxied event streams, write replication of completed
+  serve``): routed submits/lookups/cancels, batches submitted as their
+  points (each point its own job on its home), proxied event streams, write replication of completed
   results, fleet-level ``/metrics``/``/healthz``.
 * :mod:`~repro.fleet.local` -- spawn (and respawn, for warm-reboot
   chaos) a real local N-node fleet for tests, chaos and benches, and

@@ -11,15 +11,18 @@ bit-identical to a direct single-node run** (the gateway annotates job
 Method    Path                    Meaning
 ========  ======================  =========================================
 POST      ``/jobs``               route a submit to the owning node; a
-                                  batch whose points span shards is
-                                  scattered as per-shard sub-batches
+                                  batch is submitted as its points, each
+                                  point its own solve job on its home
 GET       ``/jobs``               scatter-gather job listings of every
                                   live node
 GET       ``/jobs/<id>``          routed lookup (tries the replica on 404
                                   after a failover; resubmits a job the
-                                  gateway saw if its home died holding it)
-GET       ``/jobs/<id>/events``   proxied NDJSON progress stream
-DELETE    ``/jobs/<id>``          routed cancel
+                                  gateway saw if its home died holding it);
+                                  a batch id is assembled from its points
+GET       ``/jobs/<id>/events``   proxied NDJSON progress stream; a batch
+                                  id answers 404 naming its points
+DELETE    ``/jobs/<id>``          routed cancel; a batch id cancels its
+                                  points
 GET       ``/metrics``            the gateway's own ``repro_fleet_*``
                                   series (Prometheus text);
                                   ``?format=json`` adds every node's JSON
@@ -29,6 +32,16 @@ GET       ``/healthz``            fleet health: per-node liveness,
                                   flags and the shard-map version
 GET       ``/fleet``              the versioned shard map itself
 ========  ======================  =========================================
+
+A batch behind the gateway is its points: every wavelength is submitted
+as ``spec.point_spec(w)`` through the path a direct point submit takes
+(routing, store dedup, per-point replication, failover, loss
+resubmission), so each point is stored on its own home exactly once and
+reads back by its point id.  The batch costs one admission token; its
+spec waits in the spec cache, from which ``GET`` builds the document a
+node's batch job returns.  A batch whose spec was evicted answers 404
+while every point stays readable; resubmitting it rebuilds it with no
+execution.
 
 Failure contract: connection-dead nodes fail over to the replica (and
 are marked dead, bumping the shard-map version); when home *and* replica
@@ -74,14 +87,13 @@ from __future__ import annotations
 import collections
 import json
 import math
-import time
 from http.server import ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 
 from .. import forksafe, telemetry
 from ..resilience import faults
 from ..resilience.errors import NodeUnavailable, QuotaExceeded, ReproError
-from ..service.jobs import JobSpec
+from ..service.jobs import JobSpec, JobState
 from ..service.server import REQUEST_TIMEOUT_S, JsonHandler
 from .admission import ANONYMOUS_TENANT, TENANT_HEADER, RetryBudget, \
     TenantQuotas
@@ -120,8 +132,6 @@ class FleetServer(ThreadingHTTPServer):
         #: (LRU-bounded at ``spec_cache_size``; evictions are counted).
         self.spec_cache: "collections.OrderedDict[str, dict]" = \
             collections.OrderedDict()
-        #: batch id -> scatter record for batches split across shards.
-        self.scatter: Dict[str, dict] = {}
         #: job ids whose results this gateway already replicated to every
         #: live co-owner (LRU-bounded alongside the spec cache).
         self._replicated: "collections.OrderedDict[str, None]" = \
@@ -152,14 +162,6 @@ class FleetServer(ThreadingHTTPServer):
     def forget_spec(self, job_id: str) -> None:
         with self._lock:
             self.spec_cache.pop(job_id, None)
-
-    def remember_scatter(self, batch_id: str, record: dict) -> None:
-        with self._lock:
-            self.scatter[batch_id] = record
-
-    def recall_scatter(self, batch_id: str) -> Optional[dict]:
-        with self._lock:
-            return self.scatter.get(batch_id)
 
     # -- write replication -----------------------------------------------------
 
@@ -263,10 +265,8 @@ class _GatewayHandler(JsonHandler):
             return
         self._admit(spec)
         if spec.kind == "batch":
-            groups = self._scatter_groups(spec)
-            if len(groups) > 1:
-                self._scatter_submit(spec, groups)
-                return
+            self._submit_batch(spec)
+            return
         status, doc, url = self._submit_to_owner(spec)
         self._count("submit", status)
         if status == 202:
@@ -306,118 +306,91 @@ class _GatewayHandler(JsonHandler):
                 "POST", "/jobs", spec.job_id, payload=spec.to_dict(),
                 headers={"X-Repro-Trace-Id": trace_id})
 
-    # -- batch scatter-gather --------------------------------------------------
+    # -- batches: a fan-out of points -----------------------------------------
 
-    def _scatter_groups(self, spec: JobSpec) -> "collections.OrderedDict":
-        """home URL -> wavelengths of this batch, in batch order."""
-        smap = self._registry.shard_map()
-        groups: "collections.OrderedDict[str, list]" = \
-            collections.OrderedDict()
-        for w in spec.wavelengths or ():
-            home = smap.owners(spec.point_spec(w).job_id)[0]
-            groups.setdefault(home, []).append(w)
-        return groups
+    def _recall_batch(self, job_id: str) -> Optional[JobSpec]:
+        """The batch spec this gateway submitted under ``job_id``, if it
+        is still in the spec cache."""
+        spec = self.server.recall_spec(job_id)
+        if spec is None or spec["kind"] != "batch":
+            return None
+        return JobSpec.from_dict(spec)
 
-    def _scatter_submit(self, spec: JobSpec, groups) -> None:
-        """Split a cross-shard batch into per-shard sub-batches.
-
-        Each sub-batch keeps the parent's computational fields, so its
-        per-point job ids -- and therefore the per-point result
-        documents -- are exactly what the unsplit batch would produce;
-        only the batch *envelope* (which the gateway reassembles) is
-        gateway-specific.
-        """
-        parts: List[dict] = []
-        for home, ws in groups.items():
-            sub = spec.subset_spec(ws)
-            status, doc, url = self._submit_to_owner(sub)
+    def _submit_batch(self, spec: JobSpec) -> None:
+        """Submit every wavelength of a batch as that point's own solve
+        job (:meth:`_submit_to_owner`), then cache the batch spec for
+        ``GET``.  A refused point refuses the batch; the points already
+        submitted are content-addressed, so a retry dedups onto them."""
+        points = []
+        for point in map(spec.point_spec, spec.wavelengths):
+            status, doc, url = self._submit_to_owner(point)
             if status not in (200, 202):
-                # One shard refused (e.g. backpressure): surface its
-                # answer; already-submitted parts are harmless -- their
-                # ids are content hashes a retry will dedup against.
                 self._count("submit", status)
-                self._send(status, dict(doc, scatter_part=home))
+                self._send(status, dict(doc, point=point.job_id))
                 return
-            parts.append({"id": sub.job_id, "wavelengths": list(ws),
-                          "node": url})
-        record = {"spec": spec.to_dict(), "parts": parts,
-                  "created_at": time.time()}
-        self.server.remember_scatter(spec.job_id, record)
+            points.append({"wavelength": point.wavelength,
+                           "id": point.job_id, "node": url})
+        self.server.remember_spec(spec.job_id, spec.to_dict())
         self._count("submit", 202)
-        self._send(202, {
-            "id": spec.job_id,
-            "state": "queued",
-            "spec": spec.to_dict(),
-            "scatter": {"parts": parts,
-                        "shards": len(parts)},
-        })
+        self._send(202, {"id": spec.job_id, "state": JobState.QUEUED,
+                         "spec": spec.to_dict(), "points": points})
 
-    def _scatter_get(self, batch_id: str, record: dict) -> None:
-        """Gather a scattered batch: poll every part, assemble the batch
-        document once all are terminal (per-point docs untouched)."""
-        spec = JobSpec.from_dict(record["spec"])
-        part_docs: List[dict] = []
-        for part in record["parts"]:
-            status, doc, url = self._lookup_job(part["id"])
+    def _get_batch(self, spec: JobSpec) -> None:
+        """The batch document from its points' jobs, in the shape a
+        node's batch job returns (``jobs._run_batch_solve``): ``done``
+        once every point is terminal, a failed or cancelled point listed
+        with its ``error`` as a diverged lane is."""
+        envelope, points = [], []
+        for point in map(spec.point_spec, spec.wavelengths):
+            status, doc, url = self._lookup_job(point.job_id,
+                                                point.to_dict())
             if status != 200:
-                self._send(status, dict(doc, scatter_part=part["id"]))
+                self._count("get", status)
+                self._send(status, dict(doc, point=point.job_id))
                 return
-            part_docs.append(doc)
-        states = [d.get("state") for d in part_docs]
-        out = {
-            "id": batch_id,
-            "state": "done" if all(s == "done" for s in states) else (
-                "failed" if "failed" in states else "running"),
-            "spec": record["spec"],
-            "scatter": {
-                "parts": [
-                    {"id": p["id"], "node": p["node"], "state": s}
-                    for p, s in zip(record["parts"], states)],
-                "shards": len(part_docs),
-            },
-        }
-        if out["state"] == "done":
-            out["result"] = self._assemble_batch(spec, record, part_docs)
+            envelope.append({"id": point.job_id, "node": url,
+                             "state": doc["state"]})
+            entry = {"wavelength": point.wavelength, "id": point.job_id,
+                     "from_store": bool(doc.get("from_store")),
+                     "result": doc.get("result")}
+            if doc["state"] in (JobState.FAILED, JobState.CANCELLED):
+                entry["error"] = doc.get("error") or doc["state"]
+            points.append(entry)
+        states = {p["state"] for p in envelope}
+        out = {"id": spec.job_id, "spec": spec.to_dict(), "points": envelope,
+               "state": (JobState.DONE if states <= set(JobState.TERMINAL)
+                         else JobState.QUEUED if states == {JobState.QUEUED}
+                         else JobState.RUNNING)}
+        if out["state"] == JobState.DONE:
+            dedup_hits = sum(p["from_store"] for p in points)
+            out["result"] = {
+                "kind": "batch",
+                "batch_width": len(points),
+                "plan": next((p["result"]["plan"] for p in points
+                              if p["result"]), None),
+                "dedup_hits": dedup_hits,
+                "solved": len(points) - dedup_hits,
+                "failed": sum("error" in p for p in points),
+                "points": points,
+            }
+        self._count("get", 200)
         self._send(200, out)
-
-    @staticmethod
-    def _assemble_batch(spec: JobSpec, record: dict,
-                        part_docs: List[dict]) -> dict:
-        """The parent batch's result document from its parts' results.
-
-        Points come back in the parent's wavelength order and each
-        point entry is taken verbatim from its shard; the envelope
-        counters are summed across shards (``plan`` is shared -- the
-        tiling plan does not depend on wavelength).
-        """
-        by_wavelength: Dict[float, dict] = {}
-        results = [d.get("result") or {} for d in part_docs]
-        for res in results:
-            for point in res.get("points", ()):
-                by_wavelength[point["wavelength"]] = point
-        return {
-            "kind": "batch",
-            "batch_width": len(spec.wavelengths or ()),
-            "plan": results[0].get("plan") if results else None,
-            "dedup_hits": sum(r.get("dedup_hits", 0) for r in results),
-            "solved": sum(r.get("solved", 0) for r in results),
-            "failed": sum(r.get("failed", 0) for r in results),
-            "points": [by_wavelength[w]
-                       for w in (spec.wavelengths or ())],
-        }
 
     # -- lookups ---------------------------------------------------------------
 
-    def _lookup_job(self, job_id: str) -> Tuple[int, dict, str]:
+    def _lookup_job(self, job_id: str, spec_dict: Optional[dict] = None
+                    ) -> Tuple[int, dict, str]:
         """Routed GET with loss recovery: when no owner knows a job this
         gateway submitted, resubmit it to a surviving owner (content-
         addressed ids + store dedup keep this exactly-once in results).
+        ``spec_dict`` is the job's spec when the caller knows it (a
+        batch's point), used should the spec cache have dropped it.
         Resubmissions draw from the global retry budget, and a job first
         seen ``done`` has its result replicated to the other owners."""
         status, doc, url = self._router.forward(
             "GET", f"/jobs/{job_id}", job_id, retry_404=True)
         if status == 404:
-            spec_dict = self.server.recall_spec(job_id)
+            spec_dict = self.server.recall_spec(job_id) or spec_dict
             if spec_dict is not None:
                 self._take_resubmit_budget(job_id)
                 if telemetry.enabled():
@@ -457,9 +430,9 @@ class _GatewayHandler(JsonHandler):
             return
         job_id = self._job_path_id()
         if job_id is not None:
-            record = self.server.recall_scatter(job_id)
-            if record is not None:
-                self._scatter_get(job_id, record)
+            batch = self._recall_batch(job_id)
+            if batch is not None:
+                self._get_batch(batch)
                 return
             status, doc, url = self._lookup_job(job_id)
             self._count("get", status)
@@ -562,10 +535,13 @@ class _GatewayHandler(JsonHandler):
     # -- event-stream proxy ----------------------------------------------------
 
     def _proxy_events(self, job_id: str) -> None:
-        if self.server.recall_scatter(job_id) is not None:
+        batch = self._recall_batch(job_id)
+        if batch is not None:
             self._send(404, {
-                "error": "a scattered batch has no single event stream; "
-                         "tail its parts (see GET /jobs/<id> .scatter)"})
+                "error": "a batch behind the gateway has no single "
+                         "event stream: tail each of its points",
+                "points": [p.job_id
+                           for p in map(batch.point_spec, batch.wavelengths)]})
             return
         query = self.path.split("?", 1)
         suffix = f"?{query[1]}" if len(query) > 1 else ""
@@ -614,13 +590,31 @@ class _GatewayHandler(JsonHandler):
         if job_id is None:
             self._send(404, {"error": f"no such endpoint: DELETE {self.path}"})
             return
+        batch = self._recall_batch(job_id)
+        if batch is None:
+            status, doc = self._cancel(job_id)
+        else:
+            # Every point's own cancel; the batch answers 200 when any
+            # point was still queued, 409 when none was.
+            points = []
+            for point in map(batch.point_spec, batch.wavelengths):
+                st, out = self._cancel(point.job_id)
+                points.append({"id": point.job_id, "status": st,
+                               "state": out.get("state")})
+            status = 200 if any(p["status"] == 200 for p in points) else 409
+            doc = {"id": job_id, "points": points}
+        self._count("cancel", status)
+        self._send(status, doc)
+
+    def _cancel(self, job_id: str) -> Tuple[int, dict]:
+        """Routed cancel of one job; a cancelled job's spec is dropped so
+        a loss is never resubmitted."""
         status, doc, url = self._router.forward(
             "DELETE", f"/jobs/{job_id}", job_id, retry_404=True)
-        self._count("cancel", status)
         if status == 200:
             self.server.forget_spec(job_id)
             doc["node"] = url
-        self._send(status, doc)
+        return status, doc
 
 
 def make_gateway(registry: NodeRegistry, host: str = "127.0.0.1",

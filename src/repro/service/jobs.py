@@ -216,28 +216,6 @@ class JobSpec:
             self, kind="solve", wavelength=float(wavelength), wavelengths=None
         )
 
-    def subset_spec(self, wavelengths) -> "JobSpec":
-        """A batch over a subset of this batch's wavelength set.
-
-        The fleet gateway scatters one campaign batch across shards by
-        splitting its wavelengths by the home node of each
-        :meth:`point_spec` id; every sub-batch keeps the parent's
-        computational fields, so the per-point job ids (and therefore
-        the per-point result documents) are exactly those the parent
-        batch -- or a direct per-point submission -- would produce.
-        """
-        if self.kind != "batch":
-            raise ValueError("subset_spec is only meaningful on batch jobs")
-        ws = tuple(float(w) for w in wavelengths)
-        if not ws:
-            raise ValueError("subset_spec needs at least one wavelength")
-        have = set(self.wavelengths or ())
-        missing = [w for w in ws if w not in have]
-        if missing:
-            raise ValueError(
-                f"wavelengths {missing} are not in this batch")
-        return dataclasses.replace(self, wavelengths=ws)
-
     def single_domain_spec(self) -> "JobSpec":
         """The scalar solve of the same computation: identical in every
         numeric field, so its result document is the bytes a distributed

@@ -31,7 +31,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from .. import forksafe, telemetry
 from ..core.autotuner import point_from_json, point_to_json
-from ..ioutil import atomic_write_json, corrupt_file, read_json, read_json_checked
+from ..ioutil import atomic_write_json, corrupt_file, read_json_checked
 from ..machine.counters import timed_section
 from ..machine.spec import MachineSpec
 from ..resilience import faults
@@ -40,6 +40,17 @@ __all__ = ["PlanRegistry", "REGISTRY_VERSION"]
 
 #: Bump to invalidate persisted plans (key or payload format change).
 REGISTRY_VERSION = 1
+
+
+def _read_plan(path: str) -> Optional[dict]:
+    """A persisted plan document ``lookup`` would serve, else ``None``:
+    malformed or checksum-mismatched files are quarantined to
+    ``<path>.corrupt`` (the tuner simply recomputes the plan) and other
+    versions read as a miss."""
+    doc = read_json_checked(path)
+    if not doc or doc.get("version") != REGISTRY_VERSION:
+        return None
+    return doc
 
 
 class PlanRegistry:
@@ -108,11 +119,8 @@ class PlanRegistry:
                 return None
             if faults.hit("registry.read") == "corrupt":
                 corrupt_file(path)
-            # Malformed or checksum-mismatched entries are quarantined to
-            # ``<path>.corrupt`` and read as a miss, so the tuner simply
-            # recomputes the plan instead of the service crashing.
-            doc = read_json_checked(path)
-            if not doc or doc.get("version") != REGISTRY_VERSION:
+            doc = _read_plan(path)
+            if doc is None:
                 return None
             with self._lock:
                 self._mem[key] = doc
@@ -220,8 +228,8 @@ class PlanRegistry:
                 if fname.startswith("plan-") and fname.endswith(".json"):
                     key = fname[len("plan-"):-len(".json")]
                     if key not in docs:
-                        doc = read_json(os.path.join(self.root, fname))
-                        if doc:
+                        doc = _read_plan(os.path.join(self.root, fname))
+                        if doc is not None:
                             docs[key] = doc
         return docs
 

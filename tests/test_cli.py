@@ -95,6 +95,16 @@ class TestSolveCommand:
         assert saved.history == [result.residual_history]
         for name in solver.fields:
             assert saved.arrays[name].tobytes() == solver.fields[name].tobytes()
+        # The served job resumes the snapshot as finished: no sweep runs
+        # (any would raise), and the document is the direct run's.
+        from repro.resilience import faults
+        from repro.service import run_job
+
+        direct = run_job(spec)
+        with faults.patched_env(REPRO_CHECKPOINT_EVERY="20",
+                                REPRO_FAULTS="solver.sweep:raise"):
+            assert run_job(spec, checkpoint_dir=str(tmp_path / "ckpt")) \
+                == direct
 
     def test_tiled_solve(self, capsys):
         rc = main(["solve", "--preset", "absorber", "--grid", "10",

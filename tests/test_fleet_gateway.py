@@ -6,8 +6,9 @@ ephemeral port; the gateway routes by job content hash.  The tests
 cover the fleet contract: gateway-served results are bit-identical to
 direct ``run_job`` runs, dedup survives the extra hop, node death fails
 over to the replica (bumping the shard-map version) with exactly-once
-results, cross-shard batches scatter and gather losslessly, and the
-health endpoints expose membership and staleness."""
+results, a batch scatters into its points -- each its own job on its
+own home -- and gathers back losslessly, and the health endpoints expose
+membership and staleness."""
 
 import json
 import urllib.request
@@ -134,11 +135,11 @@ class TestFailover:
 
 
 class TestScatterGather:
-    def _cross_shard_batch(self, fleet, k=4):
+    def _cross_shard_batch(self, fleet, k=4, start=10):
         """A batch whose points span at least two home shards."""
         smap = fleet.registry.shard_map()
         ws, homes = [], set()
-        for w in range(10, 200):
+        for w in range(start, 200):
             spec = JobSpec(**dict(FAST, wavelength=float(w)))
             ws.append(float(w))
             homes.add(smap.owners(spec.job_id)[0])
@@ -149,13 +150,30 @@ class TestScatterGather:
                 if key not in ("wavelength", "kind")}
         return JobSpec(kind="batch", wavelengths=tuple(ws), **base)
 
+    def _served_points(self, fleet, batches=3):
+        """Submit ``batches`` cross-shard batches through the gateway,
+        poll each to done -> their point specs."""
+        specs = [self._cross_shard_batch(fleet, start=10 + 10 * i)
+                 for i in range(batches)]
+        for spec in specs:
+            assert _request("POST", f"{fleet.base}/jobs",
+                            spec.to_dict())[0] == 202
+        for spec in specs:
+            assert _poll(fleet.base, spec.job_id)["state"] == "done"
+        return [spec.point_spec(w) for spec in specs
+                for w in spec.wavelengths]
+
     def test_cross_shard_batch_scatters_and_gathers(self, fleet):
         spec = self._cross_shard_batch(fleet)
         clean = run_job(spec)
         status, doc, _ = _request("POST", f"{fleet.base}/jobs",
                                   spec.to_dict())
         assert status == 202
-        assert doc["scatter"]["shards"] > 1
+        # The 202 envelope names every point and the home it went to.
+        smap = fleet.registry.shard_map()
+        assert [(p["id"], p["node"]) for p in doc["points"]] == [
+            (p["id"], smap.owners(p["id"])[0]) for p in clean["points"]]
+        assert len({p["node"] for p in doc["points"]}) > 1
         done = _poll(fleet.base, spec.job_id)
         assert done["state"] == "done"
         got = done["result"]
@@ -171,12 +189,83 @@ class TestScatterGather:
             assert mine["id"] == theirs["id"]
             assert mine["result"] == theirs["result"]
 
+    def test_every_point_is_stored_on_its_home(self, fleet):
+        smap = fleet.registry.shard_map()
+        for point in self._served_points(fleet):
+            owners = smap.owners(point.job_id)
+            holders = {n.url for n in fleet.nodes
+                       if n.sched.store.get(point.job_id) is not None}
+            assert owners[0] in holders
+            assert holders <= set(owners)
+
+    def test_resubmitting_the_points_executes_nothing(self, fleet):
+        points = self._served_points(fleet)
+        executed = sum(n.sched.stats()["executed"] for n in fleet.nodes)
+        for point in points:
+            status, doc, _ = _request("POST", f"{fleet.base}/jobs",
+                                      point.to_dict())
+            assert status == 202
+            assert _poll(fleet.base, doc["id"])["state"] == "done"
+        assert sum(n.sched.stats()["executed"]
+                   for n in fleet.nodes) == executed
+
+    def test_a_dead_home_serves_the_point_from_the_replica(self, fleet):
+        point = self._served_points(fleet, batches=1)[0]
+        owners = fleet.registry.shard_map().owners(point.job_id)
+        replica = _node_by_url(fleet, owners[1])
+        executed = replica.sched.stats()["executed"]
+        _node_by_url(fleet, owners[0]).kill()
+        status, doc, _ = _request("GET", f"{fleet.base}/jobs/{point.job_id}")
+        assert status == 200
+        assert doc["from_store"] is True and doc["node"] == owners[1]
+        assert doc["result"] == run_job(point)
+        assert replica.sched.stats()["executed"] == executed
+
+    def test_cancelling_a_batch_cancels_its_queued_points(self, fleet):
+        for node in fleet.nodes:
+            node.sched.stop()  # workers retire: every submit stays queued
+        spec = self._cross_shard_batch(fleet)
+        _request("POST", f"{fleet.base}/jobs", spec.to_dict())
+        status, doc, _ = _request("DELETE",
+                                  f"{fleet.base}/jobs/{spec.job_id}")
+        assert status == 200
+        assert [(p["id"], p["status"], p["state"]) for p in doc["points"]] \
+            == [(spec.point_spec(w).job_id, 200, "cancelled")
+                for w in spec.wavelengths]
+        for w in spec.wavelengths:
+            _, point, _ = _request(
+                "GET", f"{fleet.base}/jobs/{spec.point_spec(w).job_id}")
+            assert point["state"] == "cancelled"
+        done = _poll(fleet.base, spec.job_id)["result"]
+        assert done["failed"] == len(spec.wavelengths)
+        assert all(p["error"] == "cancelled" for p in done["points"])
+
+    @pytest.mark.parametrize("fleet", [{"spec_cache_size": 1}],
+                             indirect=True)
+    def test_an_evicted_batch_is_rebuilt_from_its_points(self, fleet):
+        spec = self._cross_shard_batch(fleet)
+        _request("POST", f"{fleet.base}/jobs", spec.to_dict())
+        _poll(fleet.base, spec.job_id)
+        _request("POST", f"{fleet.base}/jobs", FAST)  # evicts the batch
+        assert _request("GET", f"{fleet.base}/jobs/{spec.job_id}")[0] == 404
+        for w in spec.wavelengths:
+            point_id = spec.point_spec(w).job_id
+            assert _request("GET", f"{fleet.base}/jobs/{point_id}")[0] == 200
+        executed = sum(n.sched.stats()["executed"] for n in fleet.nodes)
+        assert _request("POST", f"{fleet.base}/jobs",
+                        spec.to_dict())[0] == 202
+        assert _poll(fleet.base, spec.job_id)["state"] == "done"
+        assert sum(n.sched.stats()["executed"]
+                   for n in fleet.nodes) == executed
+
     def test_scattered_batch_has_no_single_event_stream(self, fleet):
         spec = self._cross_shard_batch(fleet)
         _request("POST", f"{fleet.base}/jobs", spec.to_dict())
         status, doc, _ = _request(
             "GET", f"{fleet.base}/jobs/{spec.job_id}/events")
-        assert status == 404 and "scattered" in doc["error"]
+        assert status == 404
+        assert doc["points"] == [spec.point_spec(w).job_id
+                                 for w in spec.wavelengths]
         _poll(fleet.base, spec.job_id)
 
 

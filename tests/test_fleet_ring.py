@@ -75,7 +75,8 @@ class TestBalance:
 
     def test_real_job_ids_spread(self):
         """Actual content-addressed job ids (wavelength sweep) land on
-        more than one node -- the property batch scattering needs."""
+        more than one node: a batch's points, each its own job on its
+        home, spread over the fleet."""
         ring = HashRing(NODES)
         homes = {
             ring.home(JobSpec(kind="solve", preset="vacuum", grid=10,

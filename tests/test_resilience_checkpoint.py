@@ -17,6 +17,7 @@ from repro.fdfd import (
     PlaneWaveSource,
     THIIMSolver,
 )
+from repro.fdfd.thiim import lane_record
 from repro.resilience import faults
 from repro.resilience.checkpoint import (
     CheckpointManager,
@@ -486,3 +487,38 @@ def test_point_solve_and_width_one_batch_share_snapshots(tmp_path):
     assert lane.residual_history == clean.residual_history
     for name in clean.fields:
         assert np.array_equal(lane.fields[name], clean.fields[name])
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["point", "batch1"])
+def test_a_finished_snapshot_resumes_as_finished(tmp_path, batched):
+    """A snapshot whose every lane finished -- what ``repro solve --save``
+    writes -- resumes to the saved result without a sweep."""
+    grid = Grid(nz=24, ny=8, nx=6)
+    kw = dict(source=PlaneWaveSource(z_plane=6, z_width=2.0),
+              pml={"z": PMLSpec(thickness=6)})
+
+    def build():
+        return (BatchedTHIIMSolver(grid, OMEGAS[:1], **kw) if batched
+                else THIIMSolver(grid, OMEGAS[0], **kw))
+
+    solve = dict(tol=1e-3, max_steps=400, check_every=CHECK)
+    solver = build()
+    out = solver.solve(**solve)
+    results, reasons = ((out.results, out.diverged) if batched
+                        else ([out], [None]))
+    saved = results[0]
+    assert saved.converged and saved.iterations < solve["max_steps"]
+    token = solver_token(solver, check_every=CHECK)
+    CheckpointManager(str(tmp_path), NAME, token=token).save(
+        solver.fields, saved.iterations, [saved.residual_history],
+        extras={"lanes": lane_record(results, reasons)})
+
+    faults.install(faults.FaultPlan.parse("solver.sweep:raise"))
+    out = build().solve(checkpoint=CheckpointManager(
+        str(tmp_path), NAME, token=token), **solve)
+    got = out.results[0] if batched else out
+    assert got.converged
+    assert got.iterations == got.resumed_from == saved.iterations
+    assert got.residual_history == saved.residual_history
+    for name in saved.fields:
+        assert got.fields[name].tobytes() == saved.fields[name].tobytes()

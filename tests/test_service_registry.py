@@ -125,6 +125,24 @@ class TestRegistryGetOrTune:
         assert good["point"]["mlups"] > 0
         assert not by_grid[8]["feasible"] and by_grid[8]["point"] is None
 
+    def test_entries_list_only_plans_lookup_serves(self, tmp_path):
+        root = str(tmp_path)
+        PlanRegistry(root).get_or_tune(HASWELL_EP, 16, 2)
+        key = PlanRegistry.key(HASWELL_EP, 16, 2)
+        path = os.path.join(root, f"plan-{key}.json")
+        with open(path) as f:
+            doc = json.load(f)
+        doc["meta"]["grid"] = 32  # edited in place: the checksum is stale
+        with open(path, "w") as f:
+            json.dump(doc, f)
+        other = PlanRegistry.key(HASWELL_EP, 8, 2)
+        with open(os.path.join(root, f"plan-{other}.json"), "w") as f:
+            json.dump({"version": REGISTRY_VERSION + 1, "key": other,
+                       "point": None, "meta": {"grid": 8}}, f)
+        assert PlanRegistry(root).entries() == []
+        assert PlanRegistry(root).lookup(key) is None
+        assert PlanRegistry(root).lookup(other) is None
+
 
 class TestResultStore:
     def test_roundtrip_and_counters(self):
