@@ -12,7 +12,9 @@ through the seed configuration (the per-access reference emitter over
 ``LRUCache``, swapped in for the host's engine as the emitter factory the
 measurement memos hand their uncached bodies) and once through the
 optimized path; the tuned points must be identical, and the speedups are
-recorded as JSON under ``benchmarks/output/substrate_speed.json``.
+recorded as JSON under ``benchmarks/output/substrate_speed.json``.  It
+also counts the candidates the plan registry's cold 24^3 / 18-thread
+warm-up tune scores (at most :data:`MAX_REGISTRY_SCORED`).
 
 Runs standalone (``python benchmarks/bench_substrate_speed.py``) or as a
 pytest test; CI runs the pytest form as the speed smoke.
@@ -36,6 +38,11 @@ FIXED_THREADS = 18
 #: a path that falls back to one engine call per row, to generating key
 #: arrays per shape or to the Python event loop.
 MIN_SPEEDUP = {"tune_tiled": 18.0, "tune_spatial": 25.0}
+#: The registry's cold 24^3 / 18-thread warm-up tune has 86 candidates
+#: (62 distinct measurements); the tuner's bound must leave at most this
+#: many to score (2 observed).
+MAX_REGISTRY_SCORED = 4
+
 
 def time_fixed_point(tuner: str, reference: bool):
     """Cold wall-clock of the fixed Fig. 6 point, on the reference
@@ -56,6 +63,27 @@ def time_fixed_point(tuner: str, reference: bool):
     return seconds, point, SUBSTRATE_COUNTERS.snapshot()
 
 
+def registry_tune() -> dict:
+    """Candidates scored and measurements made by the cold registry
+    warm-up tune, read from its ``tune_tiled`` span."""
+    from repro import telemetry
+    from repro.core import autotuner
+    from repro.machine import HASWELL_EP, clear_substrate_caches, measure
+
+    clear_substrate_caches()
+    rec = telemetry.start_trace()
+    try:
+        point = autotuner.tune_variant(HASWELL_EP, 24, 18)
+    finally:
+        telemetry.stop_trace()
+    [span] = [e for e in rec._events if e["name"].startswith("tune_tiled ")]
+    return {"grid_n": 24, "threads": 18,
+            **{k: span["args"][k] for k in ("candidates", "scored", "pruned")},
+            "measurements": measure._measure_tiled_cached.cache_info().misses,
+            "max_scored": MAX_REGISTRY_SCORED,
+            "tuned": point.describe()}
+
+
 def collect() -> dict:
     """Seed-vs-optimized timings of the fixed point, plus telemetry."""
     rows = {"fixed_point": {"grid_n": FIXED_GRID, "threads": FIXED_THREADS}}
@@ -71,6 +99,7 @@ def collect() -> dict:
             "tuned": seed_point.describe() if seed_point else None,
             "substrate_counters": counters,
         }
+    rows["registry_tune"] = registry_tune()
     return rows
 
 
@@ -83,6 +112,10 @@ def failures(rows: dict) -> list:
         if row["speedup"] < floor:
             out.append(f"{tuner}: substrate speedup {row['speedup']:.2f}x "
                        f"below the {floor:g}x acceptance floor")
+    scored = rows["registry_tune"]["scored"]
+    if scored > MAX_REGISTRY_SCORED:
+        out.append(f"registry tune scored {scored} candidates, more than "
+                   f"{MAX_REGISTRY_SCORED}")
     return out
 
 
@@ -95,6 +128,9 @@ def test_substrate_speed(output_dir):
         row = rows[tuner]
         print(f"\n[substrate speed, {tuner}: seed {row['seed_seconds']:.2f}s -> "
               f"fast {row['fast_seconds']:.3f}s = {row['speedup']:.1f}x]")
+    reg = rows["registry_tune"]
+    print(f"[registry tune 24^3/18t: scored {reg['scored']} of "
+          f"{reg['candidates']} candidates, {reg['measurements']} measurements]")
     print(f"[saved -> {path}]")
     failed = failures(rows)
     assert not failed, failed

@@ -16,17 +16,30 @@ The search space per variant:
   count (MWD searches all; kWD pins one), wavefront width, diamond width
   and the multi-dimensional intra-tile split.
 
-Pruning: for each (TG size, B_z) only diamond widths whose *total*
+Enumeration: for each (TG size, B_z) only diamond widths whose *total*
 concurrent footprint ``n_groups * C_s(D_w, B_z)`` stays within a slack
-factor of the usable L3 are evaluated (Eq. 11); the slack lets the
+factor of the usable L3 are candidates (Eq. 11); the slack lets the
 measured cache behaviour decide borderline cases.  Scoring runs the
 measured code balance through the execution simulator.
 
-One serial, pure search
------------------------
-Candidates are *enumerated* first (canonical nested-loop order), *scored*
-one after the other as pure calls and merged with a strict ``>``: the
-first best candidate in enumeration order wins.  Scoring shares
+One serial, pure search, pruned by an exact bound
+-------------------------------------------------
+Candidates are *enumerated* first (canonical nested-loop order).  Each
+gets an upper bound ``U`` on the MLUP/s any measured code balance could
+give it (:func:`~repro.machine.simulator.tiled_mlups_bound`: its LUPs
+over the larger of the DAG's critical path and its total work per group,
+every tile at the code-balance-0 rate -- a theorem about the DES, no
+replay, microseconds per candidate).  Candidates are then *scored* as
+pure calls in order of decreasing ``U`` (ties by enumeration index), and
+the search stops at the first one with ``U * (1 + BOUND_SLACK)`` below
+the best score so far: neither it nor any later one can win.  The winner
+is the maximum of ``(mlups, -index)`` -- the first best candidate in
+enumeration order, exactly the point scoring every candidate with a
+strict ``>`` returns (DESIGN.md section 5; ``tests/test_tuner_bound.py``
+holds the search to that exhaustive loop).  The plan registry's 24^3 /
+18-thread warm-up scores 2 of its 86 candidates.  ``tune_spatial``
+scores its five block sizes: the closed-form sweep model bounds them all
+alike.  Scoring shares
 :mod:`repro.machine`'s process-wide measurement memos and shape table
 across candidates, variants and bandwidth sweeps, which is why the search
 stays in one process (EXPERIMENTS.md, *Substrate performance*).  Within a
@@ -46,7 +59,8 @@ from typing import List, Tuple
 from .. import telemetry
 from ..machine.counters import timed_section
 from ..machine.measure import measure_sweep_code_balance, measure_tiled_code_balance
-from ..machine.simulator import SimResult, simulate_sweep, simulate_tiled, tg_efficiency
+from ..machine.simulator import (SimResult, simulate_sweep, simulate_tiled,
+                                 tg_efficiency, tiled_mlups_bound)
 from ..machine.spec import MachineSpec
 from .models import max_diamond_width
 from .plan import TilingPlan
@@ -75,6 +89,9 @@ DW_CAP = 32
 CACHE_SLACK = 1.1
 #: Per-(TG size, B_z) only the largest fitting widths are scored.
 TOP_DW_PER_BZ = 2
+#: Relative slack on :func:`~repro.machine.simulator.tiled_mlups_bound`
+#: when pruning: the simulation's float sums round, the bound does not.
+BOUND_SLACK = 1e-9
 #: A candidate's schedule is simulated over this many diamond widths of
 #: time steps (at least 8): long enough for the pipeline to fill.
 SIM_STEPS_FACTOR = 2
@@ -211,9 +228,22 @@ def _dw_candidates(
     return out
 
 
+def _plan(grid_n: int, dw: int, bz: int) -> TilingPlan:
+    """The schedule a candidate is simulated over."""
+    return TilingPlan.build(ny=grid_n, nz=grid_n,
+                            timesteps=max(SIM_STEPS_FACTOR * dw, 8), dw=dw, bz=bz)
+
+
+def _bound_tiled(machine, grid_n: int, cand: tuple) -> float:
+    """The most MLUP/s any replay of ``cand`` could be scored at."""
+    label, s, n_groups, bz, dw, cfg = cand
+    return tiled_mlups_bound(machine, _plan(grid_n, dw, bz), nx=grid_n,
+                             tg_config=cfg)
+
+
 def _score_tiled(spec, machine, grid_n: int, threads: int, cand: tuple) -> TunedPoint:
     label, s, n_groups, bz, dw, cfg = cand
-    nx = ny = nz = grid_n
+    nx = grid_n
     with timed_section("tune.score"), telemetry.span(
         f"candidate {label} Dw={dw} Bz={bz} TG={cfg.label()}", "autotune",
         args={"variant": label, "grid": grid_n, "threads": threads,
@@ -223,11 +253,8 @@ def _score_tiled(spec, machine, grid_n: int, threads: int, cand: tuple) -> Tuned
         traffic = measure_tiled_code_balance(
             spec, nx=nx, dw=dw, bz=bz, n_streams=n_groups
         )
-        plan = TilingPlan.build(
-            ny=ny, nz=nz, timesteps=max(SIM_STEPS_FACTOR * dw, 8), dw=dw, bz=bz
-        )
         res = simulate_tiled(
-            machine, plan, nx=nx, tg_config=cfg,
+            machine, _plan(grid_n, dw, bz), nx=nx, tg_config=cfg,
             code_balance=traffic.bytes_per_lup,
         )
         sp.set(mlups=round(res.mlups, 1), code_balance=round(traffic.bytes_per_lup, 1))
@@ -295,11 +322,19 @@ def tune_tiled(
         f"tune_tiled g={grid_n} t={threads} tg={tg_size or 'MWD'}", "autotune",
         args={"grid": grid_n, "threads": threads, "tg_size": tg_size,
               "variant": variant, "candidates": len(candidates)},
-    ):
-        return max(
-            (_score_tiled(spec, machine, grid_n, threads, cand) for cand in candidates),
-            key=lambda point: point.mlups, default=None,
-        )
+    ) as sp:
+        bounds = [_bound_tiled(machine, grid_n, cand) for cand in candidates]
+        best = best_key = None
+        scored = 0
+        for k in sorted(range(len(candidates)), key=lambda k: (-bounds[k], k)):
+            if best is not None and bounds[k] * (1 + BOUND_SLACK) < best.mlups:
+                break  # neither this candidate nor any after it can win
+            point = _score_tiled(spec, machine, grid_n, threads, candidates[k])
+            scored += 1
+            if best is None or (point.mlups, -k) > best_key:
+                best, best_key = point, (point.mlups, -k)
+        sp.set(scored=scored, pruned=len(candidates) - scored)
+    return best
 
 
 def tune_variant(

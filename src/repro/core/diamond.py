@@ -50,11 +50,12 @@ from typing import Dict, Tuple
 __all__ = ["RowSpan", "DiamondTile", "enumerate_tiles", "node_tile_index"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RowSpan:
     """The nodes of one sub-step inside a tile: rows ``y in [y_lo, y_hi)``.
 
-    ``tau`` even -> magnetic half step, odd -> electric half step.
+    ``tau`` even -> magnetic half step, odd -> electric half step.  A
+    tessellation holds thousands of them (no per-instance ``__dict__``).
     """
 
     tau: int

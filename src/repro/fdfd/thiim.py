@@ -348,7 +348,9 @@ def _converge(
     ``resume`` / ``due`` / ``save``; the snapshot is always full width
     (every lane's arrays and history, divergence reasons, finished
     lanes, the driver's ``counters`` ``(get, restore)`` pair), so a
-    resumed run continues bit-identically.
+    resumed run continues bit-identically.  A due check at the step
+    budget saves nothing (the loop ends there; a crash before the result
+    is stored resumes from the previous snapshot to the same result).
 
     ``publish`` is the entry point's per-check event; ``on_divergence``
     ``"raise"`` turns a diverged lane into
@@ -433,7 +435,7 @@ def _converge(
             active = [active[p] for p in keep]
             if not active:
                 break
-        if checkpoint is not None and checkpoint.due(steps):
+        if checkpoint is not None and steps < max_steps and checkpoint.due(steps):
             _save(checkpoint, fields, grid, width, active, results, reasons,
                   histories, steps, counters)
 

@@ -34,7 +34,9 @@ dependency stalls appear mechanistically in the aggregate MLUP/s.
 The event loop has two bodies with bitwise-equal results (DESIGN.md
 section 2): :func:`_python_des`, the oracle, which also records the
 per-tile timeline while a trace is active, and ``_des_kernel.c`` over the
-plan's packed DAG, used whenever it loads.
+plan's packed DAG, used whenever it loads.  :func:`tiled_mlups_bound`
+runs the same loop at code balance 0 with one group per tile: the
+tuner's bound on what any code balance can score.
 """
 
 from __future__ import annotations
@@ -52,7 +54,8 @@ from ..core.threadgroups import ThreadGroupConfig
 from ..fdfd.specs import component_groups, flops_for_component, E_COMPONENTS, H_COMPONENTS
 from .spec import MachineSpec
 
-__all__ = ["SimResult", "tg_efficiency", "simulate_tiled", "simulate_sweep"]
+__all__ = ["SimResult", "tg_efficiency", "simulate_tiled", "simulate_sweep",
+           "tiled_mlups_bound"]
 
 
 @dataclass(frozen=True)
@@ -166,19 +169,9 @@ def simulate_tiled(
     groups is ``spec.cores // tg_config.size``.
     """
     s = tg_config.size
-    if s > spec.cores:
-        raise ValueError(f"thread group of {s} exceeds {spec.cores} cores")
-    n_groups = spec.cores // s
-    eff = tg_efficiency(tg_config, nx=nx, nz=plan.nz, bz=plan.bz)
-    t_core = spec.t_lup_core_ns * 1e-9 * spec.tiled_overhead
-    per_thread = t_core + code_balance / (spec.core_bandwidth_gbs * 1e9)
-    cap_rate = s * eff / per_thread  # LUP/s standalone
+    n_groups, front_syncs, par = _des_inputs(spec, plan, nx, tg_config,
+                                             code_balance)
     label = label or f"{n_groups}x{tg_config.label()}"
-    # Fixed per-tile overheads: queue critical region + per-front syncs
-    # (a group of one has no fronts to synchronize: -1).
-    front_syncs = -(-plan.nz // plan.bz) if s > 1 else -1
-    par = (nx, cap_rate, code_balance, spec.bandwidth_gbs * 1e9,
-           spec.sync_ns * 1e-9)
 
     rec = telemetry.recorder()
     des = None if rec is not None else nativelib.load("_des_kernel", _bind_des)
@@ -201,6 +194,58 @@ def simulate_tiled(
         threads=spec.cores,
         label=label,
     )
+
+
+def _des_inputs(spec: MachineSpec, plan: TilingPlan, nx: int,
+                tg_config: ThreadGroupConfig, code_balance: float):
+    """``(n_groups, front_syncs, par)`` of the event loop for one
+    configuration (``par``: nx, standalone cap rate, code balance,
+    socket bandwidth, sync cost)."""
+    s = tg_config.size
+    if s > spec.cores:
+        raise ValueError(f"thread group of {s} exceeds {spec.cores} cores")
+    eff = tg_efficiency(tg_config, nx=nx, nz=plan.nz, bz=plan.bz)
+    t_core = spec.t_lup_core_ns * 1e-9 * spec.tiled_overhead
+    per_thread = t_core + code_balance / (spec.core_bandwidth_gbs * 1e9)
+    cap_rate = s * eff / per_thread  # LUP/s standalone
+    # Fixed per-tile overheads: queue critical region + per-front syncs
+    # (a group of one has no fronts to synchronize: -1).
+    front_syncs = -(-plan.nz // plan.bz) if s > 1 else -1
+    return spec.cores // s, front_syncs, (
+        nx, cap_rate, code_balance, spec.bandwidth_gbs * 1e9,
+        spec.sync_ns * 1e-9)
+
+
+def tiled_mlups_bound(spec: MachineSpec, plan: TilingPlan, nx: int,
+                      tg_config: ThreadGroupConfig) -> float:
+    """An upper bound on ``simulate_tiled(spec, plan, nx, tg_config,
+    code_balance).mlups`` that holds for *every* code balance.
+
+    A running tile progresses at ``rate <= cap_rate(B_c) <= cap_rate(0)``
+    after its rate-independent overhead prefix, starts only once its
+    predecessors finish, and shares the socket with at most ``n_groups``
+    others.  With ``dur_i`` its overhead plus its LUPs at ``cap_rate(0)``,
+    no run finishes before the critical path ``CP`` of ``dur_i`` over the
+    plan's DAG, nor before ``sum(dur_i) / n_groups``; the bound is the
+    run's LUPs over the larger of the two.  ``CP`` is the makespan of the
+    event loop itself at code balance 0 with one group per tile (every
+    tile then runs the moment it is ready, at ``cap_rate(0)``).  At code
+    balance 0 a run can reach the bound, and its float sums may then land
+    a few ulps above it: prune with a relative slack
+    (``autotuner.BOUND_SLACK``).
+    """
+    n_groups, front_syncs, par = _des_inputs(spec, plan, nx, tg_config, 0.0)
+    n = plan.n_tiles
+    des = nativelib.load("_des_kernel", _bind_des)
+    if des:
+        cp, _, _ = _native_run(des, plan, n, front_syncs, par)
+    else:
+        cp, _, _ = _python_des(plan, n, front_syncs, par, None, "", 0)
+    lups, rows = plan.packed[:2]
+    syncs = 0 if front_syncs < 0 else front_syncs + rows
+    work = lups * nx
+    busy = float(np.sum(par[4] * (2 + syncs) + work / par[1]))
+    return float(np.sum(work)) / max(cp, busy / n_groups) / 1e6
 
 
 _DEADLOCK = "deadlock: no running tiles but queue not exhausted"

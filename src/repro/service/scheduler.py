@@ -162,6 +162,7 @@ class Scheduler:
 
         if self._threads:
             return self
+        self._stopping = False  # a stopped scheduler starts again
         # Job latency must not depend on what the process freed before.
         nativelib.retain_heap()
         # Serving implies telemetry (REPRO_TELEMETRY=0 still vetoes).
@@ -343,7 +344,8 @@ class Scheduler:
             if telemetry.enabled():
                 telemetry.jobs_submitted().inc()
             existing = self._jobs.get(spec.job_id)
-            if existing is not None and existing.state != JobState.FAILED:
+            if existing is not None and existing.state not in (
+                    JobState.FAILED, JobState.CANCELLED):
                 existing.dedup_count += 1
                 self.n_dedup += 1
                 if telemetry.enabled():
@@ -400,7 +402,7 @@ class Scheduler:
         job.queued_ts_us = rec.now_us() if rec is not None else None
 
     def _register(self, job: Job) -> None:
-        if job.id not in self._jobs:  # a FAILED job may be resubmitted
+        if job.id not in self._jobs:  # a failed or cancelled job may be resubmitted
             self._order.append(job.id)
         self._jobs[job.id] = job
 
@@ -416,6 +418,9 @@ class Scheduler:
                 raise ValueError(f"job {job_id} is {job.state}, not cancellable")
             job.transition(JobState.CANCELLED)
             self.n_cancelled += 1
+            # Its heap entry goes too: a resubmitted spec is a new entry.
+            self._heap = [e for e in self._heap if e[2] != job_id]
+            heapq.heapify(self._heap)
             return job
 
     # -- queries ---------------------------------------------------------------

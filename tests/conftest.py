@@ -7,6 +7,7 @@ import dataclasses
 import sys
 import threading
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -281,6 +282,28 @@ def plan_oracle_jobs(plan, order=None):
     default): the oracle of ``TilingPlan.rows``."""
     for idx in plan.fifo_order() if order is None else order:
         yield from front_stepping_jobs(plan.tiles[idx], plan.nz, plan.bz)
+
+
+def exhaustive_tune_tiled(spec, grid_n, threads, tg_size=None, variant=None):
+    """The tuner's search without its bound -- enumerate, score every
+    candidate, keep the first maximum in enumeration order (a strict
+    ``>``): the oracle of the pruned ``autotuner.tune_tiled``, and the
+    widest set of schedules any search of that point can replay."""
+    from repro.core import autotuner
+
+    machine = spec.with_cores(threads) if threads != spec.cores else spec
+    best = None
+    for cand in autotuner._tiled_candidates(spec, grid_n, threads, tg_size,
+                                            variant):
+        point = autotuner._score_tiled(spec, machine, grid_n, threads, cand)
+        if best is None or point.mlups > best.mlups:
+            best = point
+    return best
+
+
+def python_des():
+    """Run the enclosed simulations on the Python event loop (the oracle)."""
+    return mock.patch.dict(nativelib._LOADED, _des_kernel=False)
 
 
 def batch_emitter(capacity, layout, ny, nz, nx):

@@ -287,7 +287,7 @@ class TestControlPlane:
         result, info = run_distributed(
             RankLayout(solver.grid, 2, 1, 1), solver, tol=1e-12, max_steps=60,
             checkpoint=_checkpoint(solver, tmp_path))
-        assert info["saves"] == 3 and info["transport"] == kind
+        assert info["saves"] == 2 and info["transport"] == kind
         commands = 3 * ["step"] + ["stop"]
         assert sent == [c for c in commands for _rank in range(2)]
         for name in ALL_COMPONENTS:
@@ -298,16 +298,20 @@ class TestControlPlane:
     def test_a_resume_at_the_final_boundary_forks_no_rank(self, tmp_path):
         """A resume at the final boundary runs zero sweeps on a fresh
         (all-zero) solver: no rank is forked, and the fields and history
-        are the first run's, restored by the one checkpoint loop."""
-        def solve():
+        are those of a run to that boundary, restored by the one
+        checkpoint loop.  The loop saves nothing at its own budget, so a
+        longer run leaves the snapshot."""
+        def solve(max_steps, checkpoint=True):
             solver = _make_solver()
             return run_distributed(
                 RankLayout(solver.grid, 2, 1, 1), solver, tol=1e-12,
-                max_steps=40, checkpoint=_checkpoint(solver, tmp_path))
+                max_steps=max_steps,
+                checkpoint=_checkpoint(solver, tmp_path) if checkpoint else None)
 
-        first, info = solve()
+        first, _ = solve(40, checkpoint=False)
+        _, info = solve(60)
         assert info["resumed_from"] is None and info["saves"] == 2
-        again, info = solve()
+        again, info = solve(40)
         assert info["resumed_from"] == 40 and again.iterations == 40
         assert info["pids"] == []
         assert again.residual_history == first.residual_history

@@ -240,6 +240,22 @@ class TestScatterGather:
         assert done["failed"] == len(spec.wavelengths)
         assert all(p["error"] == "cancelled" for p in done["points"])
 
+    def test_a_cancelled_batch_runs_when_resubmitted(self, fleet):
+        for node in fleet.nodes:
+            node.sched.stop()  # workers retire: every submit stays queued
+        spec = self._cross_shard_batch(fleet)
+        _request("POST", f"{fleet.base}/jobs", spec.to_dict())
+        assert _request("DELETE", f"{fleet.base}/jobs/{spec.job_id}")[0] == 200
+        for node in fleet.nodes:
+            node.sched.start()
+        executed = sum(n.sched.stats()["executed"] for n in fleet.nodes)
+        assert _request("POST", f"{fleet.base}/jobs",
+                        spec.to_dict())[0] == 202
+        done = _poll(fleet.base, spec.job_id)["result"]
+        assert (done["failed"], done["solved"]) == (0, len(spec.wavelengths))
+        assert sum(n.sched.stats()["executed"]
+                   for n in fleet.nodes) == executed + len(spec.wavelengths)
+
     @pytest.mark.parametrize("fleet", [{"spec_cache_size": 1}],
                              indirect=True)
     def test_an_evicted_batch_is_rebuilt_from_its_points(self, fleet):

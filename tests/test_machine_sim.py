@@ -3,10 +3,9 @@ simulator and the calibration -- including the paper-shape contracts of
 DESIGN.md section 4."""
 
 import dataclasses
-from unittest import mock
 
 import pytest
-from conftest import run_concurrently
+from conftest import python_des, run_concurrently
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -170,11 +169,6 @@ class TestExecutionSimulator:
         wide = tg_efficiency(ThreadGroupConfig(x_threads=2), nx=384, nz=384, bz=1)
         narrow = tg_efficiency(ThreadGroupConfig(x_threads=18), nx=384, nz=384, bz=1)
         assert narrow < wide
-
-
-def python_des():
-    """Run the enclosed simulations on the Python event loop (the oracle)."""
-    return mock.patch.dict(nativelib._LOADED, _des_kernel=False)
 
 
 @pytest.fixture

@@ -387,6 +387,21 @@ class TestEveryEntryPoint:
                                                      tmp_path):
         _assert_same_solve(ENTRY_POINTS[name](str(tmp_path)), clean[name])
 
+    def test_no_snapshot_at_the_step_budget(self, name, clean, tmp_path,
+                                            monkeypatch):
+        """Every due check but the last saves: at the budget the loop
+        ends, and the caller stores the result and clears at once."""
+        saved = []
+        save = CheckpointManager.save
+
+        def counted(self, fields, steps, *args, **kwargs):
+            saved.append(steps)
+            return save(self, fields, steps, *args, **kwargs)
+
+        monkeypatch.setattr(CheckpointManager, "save", counted)
+        _assert_same_solve(ENTRY_POINTS[name](str(tmp_path)), clean[name])
+        assert saved == list(range(CHECK, MAX_STEPS, CHECK))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_coefficient_stops_at_the_first_check(self, name, clean):
         """A poisoned lane is reported diverged after one check by every
@@ -438,6 +453,50 @@ class TestEveryEntryPoint:
         for fname in planted:
             assert os.path.exists(os.path.join(directory,
                                                fname + ".corrupt"))
+
+
+@pytest.mark.parametrize("tiled", [False, True], ids=["naive", "tiled"])
+def test_a_crash_before_the_store_resumes_to_the_same_document(
+        tmp_path, monkeypatch, tiled):
+    """A job whose snapshot cadence divides its step budget writes
+    ``max_steps / every - 1`` snapshots; killed after its loop but before
+    its result is stored (here: at the snapshot clear, which precedes the
+    store put), the rerun resumes from the last one and stores the
+    uninterrupted run's document."""
+    from repro.service import JobSpec, run_job
+
+    every, max_steps = (8, 24) if tiled else (20, 60)
+    spec = JobSpec(kind="solve", preset="vacuum", grid=10, wavelength=10.0,
+                   tol=1e-15, max_steps=max_steps,
+                   **(dict(tiled=True, dw=4, bz=2) if tiled else {}))
+    direct = run_job(spec)
+    saved, resumed = [], []
+    save, resume = CheckpointManager.save, CheckpointManager.resume
+
+    def counted(self, fields, steps, *args, **kwargs):
+        saved.append(steps)
+        return save(self, fields, steps, *args, **kwargs)
+
+    def noted(self, fields):
+        restored = resume(self, fields)
+        resumed.append(restored and restored.steps)
+        return restored
+
+    def crash(self):
+        raise InjectedFault("killed before the store put")
+
+    directory = str(tmp_path)
+    monkeypatch.setattr(CheckpointManager, "save", counted)
+    monkeypatch.setattr(CheckpointManager, "resume", noted)
+    with faults.patched_env(REPRO_CHECKPOINT_EVERY=str(every)):
+        with monkeypatch.context() as m:
+            m.setattr(CheckpointManager, "clear", crash)
+            with pytest.raises(InjectedFault):
+                run_job(spec, checkpoint_dir=directory)
+        assert saved == list(range(every, max_steps, every))
+        assert run_job(spec, checkpoint_dir=directory) == direct
+    assert resumed == [None, max_steps - every]
+    assert os.listdir(directory) == []
 
 
 @pytest.mark.parametrize("resume_as", ["1x2x1 ranks", "a plain solve"])

@@ -116,6 +116,39 @@ class TestCancel:
         assert job.state == JobState.CANCELLED
         assert sched.stats()["cancelled"] == 1
 
+    def test_a_cancelled_spec_runs_when_resubmitted(self):
+        sched = _sched(workers=1)
+        spec = JobSpec(**FAST_TUNE)
+        job = sched.submit(spec)
+        sched.cancel(job.id)
+        sched.start()
+        try:
+            again = sched.submit(spec)
+            assert again is not job  # a fresh Job record, same id
+            assert sched.wait(again.id, timeout=30.0).state == JobState.DONE
+        finally:
+            sched.stop()
+        assert job.state == JobState.CANCELLED
+        assert sched.stats()["executed"] == 1
+        assert len(sched.jobs()) == 1  # listing stays deduplicated by id
+
+    def test_a_resubmitted_cancelled_spec_is_queued_once(self, tmp_path):
+        sched = _sched(workers=1)  # not started: inspect the queue
+        spec = JobSpec(**FAST_TUNE)
+        sched.cancel(sched.submit(spec).id)
+        assert sched.submit(spec).state == JobState.QUEUED
+        assert sched.persist_queue(str(tmp_path / "queue.json")) == 1
+
+    def test_a_stopped_scheduler_starts_again(self):
+        sched = _sched(workers=1).start()
+        sched.stop()
+        sched.start()
+        try:
+            job = sched.submit(JobSpec(**FAST_TUNE))
+            assert sched.wait(job.id, timeout=30.0).state == JobState.DONE
+        finally:
+            sched.stop()
+
     def test_cancel_terminal_raises(self):
         sched = _sched(workers=1)
         job = sched.submit(JobSpec(**FAST_TUNE))

@@ -261,7 +261,12 @@ class TestSharedShapeTable:
         """The 24^3 / 18-thread registry tune (D_w up to 24: the most
         shape classes of any tune the ledger runs, behind ``setup_s`` @
         ``tiled_campaign``) finishes on the table it started with -- no
-        shape is generated twice, with room to spare in the budget."""
+        shape is generated twice, with room to spare in the budget.  The
+        tuner's bound prunes all but a few of its candidates, so the
+        budget is held against the exhaustive search of that point: every
+        schedule any search of it can replay."""
+        from conftest import exhaustive_tune_tiled
+
         from repro.core import autotuner
         from repro.machine import (HASWELL_EP, clear_substrate_caches,
                                    native_available, streams)
@@ -271,11 +276,12 @@ class TestSharedShapeTable:
         clear_substrate_caches()
         SUBSTRATE_COUNTERS.reset()
         table = streams.shape_table()
-        point = autotuner.tune_variant(HASWELL_EP, 24, 18)
+        point = exhaustive_tune_tiled(HASWELL_EP, 24, 18)
         assert (point.dw, point.bz) == (24, 4)
         assert streams.shape_table() is table
         assert SUBSTRATE_COUNTERS.stream_memo_misses == len(table.shapes) > 5000
         assert table.nbytes < streams.SHAPE_TABLE_MAX_BYTES // 2
+        assert autotuner.tune_variant(HASWELL_EP, 24, 18) == point
 
     def test_table_is_replaced_when_over_budget(self, cold_substrate, monkeypatch):
         """Past its byte budget the table starts over; a tune under a
