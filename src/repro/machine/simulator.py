@@ -241,10 +241,11 @@ def tiled_mlups_bound(spec: MachineSpec, plan: TilingPlan, nx: int,
         cp, _, _ = _native_run(des, plan, n, front_syncs, par)
     else:
         cp, _, _ = _python_des(plan, n, front_syncs, par, None, "", 0)
+    _, cap_rate, _, _, sync = par
     lups, rows = plan.packed[:2]
     syncs = 0 if front_syncs < 0 else front_syncs + rows
     work = lups * nx
-    busy = float(np.sum(par[4] * (2 + syncs) + work / par[1]))
+    busy = float(np.sum(sync * (2 + syncs) + work / cap_rate))
     return float(np.sum(work)) / max(cp, busy / n_groups) / 1e6
 
 
