@@ -8,7 +8,7 @@ Fifteen subcommands cover the library's workflows::
     repro plan     --ny 64 --nz 64 --steps 16 --dw 8 --bz 4
     repro bench    tune --top 20
     repro counters --workload tiled --group MEM,CACHE
-    repro serve    --port 8642 --workers 4 --registry plans/
+    repro serve    --port 8642 --workers 4 --data-dir node/
     repro submit   --url http://127.0.0.1:8642 --preset tandem --wait
     repro campaign --preset tandem --wavelengths 10:16:0.5 --batch
     repro tail     <job-id> --url http://127.0.0.1:8642
@@ -28,8 +28,12 @@ the shard-map version, and ``fleet spawn`` just launches nodes.
 a stdlib HTTP JSON API.  ``repro serve`` shuts down gracefully on
 SIGTERM/SIGINT: it stops accepting requests, drains in-flight jobs
 (bounded by ``--drain-timeout``), spools still-queued jobs to
-``--queue-file`` for the next process, and exits 0.  ``repro
-chaos`` runs the seeded scenario table of
+``queue.json`` under ``--data-dir`` for the next process, and exits 0.
+``--data-dir`` is the node's one state root: the plan registry
+(``registry/``), the result store (``results/``), solver checkpoints
+(``checkpoints/``) and the queue spool all live under it; without it
+the registry and the store live in memory and nothing is spooled.
+``repro chaos`` runs the seeded scenario table of
 :mod:`repro.resilience.scenarios` (worker, rank and node kills,
 corrupted artifacts) and reports, per scenario, which named invariants
 held.  ``repro env`` documents every ``REPRO_*`` environment flag.
@@ -158,24 +162,15 @@ def build_parser() -> argparse.ArgumentParser:
                     help="bounded queue depth (backpressure beyond this)")
     sv.add_argument("--mode", choices=("thread", "process"), default="process",
                     help="worker isolation (process survives worker crashes)")
-    sv.add_argument("--registry", default=None, metavar="DIR",
-                    help="plan registry dir (default: in-memory)")
-    sv.add_argument("--results", default=None, metavar="DIR",
-                    help="result store dir (default: in-memory)")
-    sv.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                    help="solver checkpoint dir (needs "
-                         "REPRO_CHECKPOINT_EVERY > 0; default: "
-                         "REPRO_CHECKPOINT_DIR, else a temp dir)")
     sv.add_argument("--drain-timeout", type=float, default=10.0,
                     metavar="SECONDS",
                     help="graceful-shutdown drain budget")
-    sv.add_argument("--queue-file", default=None, metavar="FILE",
-                    help="spool queued jobs here on shutdown and restore "
-                         "them on start")
     sv.add_argument("--data-dir", default=None, metavar="DIR",
-                    help="one persistent per-node state root: derives the "
-                         "registry/results/checkpoint dirs and queue file "
-                         "unless given explicitly")
+                    help="the node's one persistent state root: registry/, "
+                         "results/, checkpoints/ (with REPRO_CHECKPOINT_EVERY "
+                         "> 0) and the queue spool queue.json (default: "
+                         "in-memory, checkpoints in REPRO_CHECKPOINT_DIR "
+                         "else a temp dir)")
     sv.add_argument("--lease-dir", default=None, metavar="DIR",
                     help="heartbeat a membership lease file here so "
                          "lease-driven gateways discover this node")
@@ -706,19 +701,17 @@ def _cmd_serve(args) -> int:
     node_id = config.get("REPRO_NODE_ID") or uuid.uuid4().hex[:12]
 
     def _in_data(piece: str):
-        """--data-dir is one root for every piece of persistent node
-        state; an explicit per-piece flag wins."""
+        """--data-dir is the one root of every piece of node state."""
         return os.path.join(args.data_dir, piece) if args.data_dir else None
 
-    registry = PlanRegistry(args.registry or _in_data("registry"),
-                            node_id=node_id)
-    store = ResultStore(args.results or _in_data("results"), node_id=node_id)
+    registry = PlanRegistry(_in_data("registry"), node_id=node_id)
+    store = ResultStore(_in_data("results"), node_id=node_id)
     sched = Scheduler(
         workers=args.workers, queue_size=args.queue_size,
         registry=registry, store=store, mode=args.mode,
-        checkpoint_dir=args.checkpoint_dir or _in_data("checkpoints"),
+        checkpoint_dir=_in_data("checkpoints"),
     ).start()
-    queue_file = args.queue_file or _in_data("queue.json")
+    queue_file = _in_data("queue.json")
     if queue_file and os.path.exists(queue_file):
         restored = sched.restore_queue(queue_file)
         if restored:

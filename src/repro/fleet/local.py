@@ -105,7 +105,6 @@ def spawn_local_fleet(n: int, *, workers: int = 1, mode: str = "thread",
                       host: str = "127.0.0.1",
                       data_root: Optional[str] = None,
                       lease_dir: Optional[str] = None,
-                      extra_args: Optional[List[str]] = None,
                       startup_timeout_s: float = 30.0) -> List[LocalNode]:
     """Start ``n`` independent serve nodes on ephemeral ports.
 
@@ -126,8 +125,7 @@ def spawn_local_fleet(n: int, *, workers: int = 1, mode: str = "thread",
             node_env = dict(env, REPRO_NODE_ID=f"node{i}")
             cmd = [sys.executable, "-m", "repro", "serve",
                    "--host", host, "--port", "0",
-                   "--workers", str(workers), "--mode", mode,
-                   *(extra_args or [])]
+                   "--workers", str(workers), "--mode", mode]
             if data_root:
                 cmd += ["--data-dir", os.path.join(data_root, f"node{i}")]
             if lease_dir:

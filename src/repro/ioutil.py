@@ -168,9 +168,11 @@ def read_json_checked(path: str):
 
 def corrupt_file(path: str) -> None:
     """Scribble over an artifact in place (truncated JSON garbage) --
-    the chaos harness's ``corrupt`` fault kind and test helper."""
+    the chaos harness's ``corrupt`` fault kind and test helper.  A
+    missing artifact stays missing."""
     try:
-        with open(path, "w", encoding="utf-8") as f:
+        with open(path, "r+", encoding="utf-8") as f:
+            f.truncate()
             f.write('{"torn": [1, 2,')
     except OSError:
         pass

@@ -1,9 +1,9 @@
 """Deterministic fault-injection registry.
 
-One seedable, schedule-based mechanism replaces the ad-hoc
-``fail_once``/``crash_once`` flags that used to live in
-``service/jobs.py``: a :class:`FaultPlan` is a list of
-:class:`FaultSpec` schedules, each naming a **site** (a stable string a
+One seedable, schedule-based mechanism is the only way to inject a
+fault anywhere in the stack (a job spec carries none): a
+:class:`FaultPlan` is a list of :class:`FaultSpec` schedules, each
+naming a **site** (a stable string a
 code path passes to :func:`hit`), a **kind** (what happens when it
 fires) and **when** it fires (the ``after_n``-th pass through the site,
 on a given job attempt).  The plan is parsed from the ``REPRO_FAULTS``
@@ -81,8 +81,8 @@ SITES = (
 
 KINDS = ("raise", "crash", "corrupt")
 
-#: Exit code of an injected worker crash (distinct from the legacy 42 of
-#: ``crash_once`` so post-mortems can tell the two apart).
+#: Exit code of an injected worker crash (post-mortems tell it apart
+#: from a real one).
 CRASH_EXIT_CODE = 43
 
 
@@ -236,8 +236,7 @@ def set_attempt(n: int) -> None:
 
 
 def trigger(site: str, kind: str, reason: str = "") -> Optional[str]:
-    """Apply a fault action -- the one mechanism behind scheduled faults
-    *and* the legacy JobSpec ``fault`` flags.
+    """Apply a fault action -- what a scheduled fault does when it fires.
 
     ``raise`` raises :class:`InjectedFault`; ``crash`` kills a forked
     worker or rank outright (no cleanup, no spool file -- indistinguishable

@@ -13,7 +13,9 @@ but cheap to reuse.  This subsystem gives that shape a serving layer:
     (grid, machine-spec hash, thread count) -- repeat jobs skip tuning.
 ``store``
     Content-addressed result store: identical job specs dedup to one
-    execution and serve cached results bit-identically.
+    execution and serve cached results bit-identically.  Its
+    ``DocumentStore`` is how a node persists any keyed, immutable JSON
+    document -- results and tuned plans alike.
 ``scheduler``
     Priority-FIFO scheduler over thread or process workers with a
     bounded queue (backpressure), crash recovery (crashed solves resume

@@ -29,23 +29,18 @@ from typing import Any, Dict, Optional, Tuple
 from .. import telemetry
 from ..resilience import faults
 
-__all__ = ["JobSpec", "Job", "JobState", "run_job", "FAULTS"]
+__all__ = ["JobSpec", "Job", "JobState", "run_job"]
 
 KINDS = ("solve", "tune", "batch", "distributed")
 TUNING_POLICIES = ("spec", "registry")
 VARIANTS = ("spatial", "1wd", "mwd")
-#: Test hooks for the retry machinery.  ``fail_once`` raises on the first
-#: attempt; ``crash_once`` kills the worker *process* on the first
-#: attempt (simulating a mid-job worker death); ``always_fail`` raises on
-#: every attempt (exhausts the retry budget).
-FAULTS = ("fail_once", "crash_once", "always_fail")
 
 #: Fields that define *what* is computed (hashed into the job id).
 #: Everything else on JobSpec is execution policy.
 _IDENTITY_FIELDS = (
     "kind", "preset", "grid", "wavelength", "thickness", "tol", "max_steps",
     "tiled", "dw", "bz", "threads", "variant", "tg_size", "bandwidth",
-    "tuning", "fault",
+    "tuning",
 )
 
 
@@ -123,8 +118,6 @@ class JobSpec:
     priority: int = 0
     max_retries: int = 2
     timeout_s: Optional[float] = None
-    # -- test hook (part of the identity: it changes behaviour) --------------
-    fault: Optional[str] = None
 
     def __post_init__(self) -> None:
         from ..fdfd.presets import PRESETS
@@ -183,8 +176,6 @@ class JobSpec:
             raise ValueError(f"tuning must be one of {TUNING_POLICIES}")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.fault is not None and self.fault not in FAULTS:
-            raise ValueError(f"fault must be one of {FAULTS} or None")
 
     # -- identity --------------------------------------------------------------
 
@@ -341,22 +332,6 @@ def machine_spec_for(spec: JobSpec):
     return m
 
 
-def _inject_fault(spec: JobSpec, attempt: int) -> None:
-    """Apply a spec-level legacy fault flag through the one shared
-    mechanism (:func:`repro.resilience.faults.trigger`); the reason keeps
-    the legacy flag name in the message for backward compatibility."""
-    if spec.fault is None:
-        return
-    if spec.fault == "always_fail":
-        faults.trigger("job.fault", "raise", reason="always_fail")
-    if attempt == 1 and spec.fault == "fail_once":
-        faults.trigger("job.fault", "raise", reason="fail_once")
-    if attempt == 1 and spec.fault == "crash_once":
-        # In a forked worker this dies like a SIGKILLed process: no
-        # cleanup, no spool file.  Inline it degrades to an exception.
-        faults.trigger("job.fault", "crash", reason="crash_once")
-
-
 def _field_checksum(fields) -> str:
     """SHA-256 over the raw bytes of all twelve components, in canonical
     order -- the bit-identity witness for served results.  Each array's
@@ -371,21 +346,27 @@ def _field_checksum(fields) -> str:
     return h.hexdigest()
 
 
+def _registry_plan(spec: JobSpec, registry):
+    """The registry's tuned point for the spec's key -> ``(point, hit)``,
+    tuning on a miss: the one lookup of tune jobs and tiled solves."""
+    with telemetry.span("tune", "service", args={
+            "grid": spec.grid, "variant": spec.variant}) as sp:
+        point, hit = registry.get_or_tune(
+            machine_spec_for(spec), spec.grid, spec.threads,
+            tg_size=spec.tg_size, variant=spec.variant,
+        )
+        sp.set(registry_hit=hit)
+    return point, hit
+
+
 def _run_tune(spec: JobSpec, registry) -> Dict[str, Any]:
     from ..core.autotuner import point_to_json, tune_variant
 
-    m = machine_spec_for(spec)
     hit = False
     if registry is not None:
-        with telemetry.span("tune", "service", args={
-                "grid": spec.grid, "variant": spec.variant}) as sp:
-            point, hit = registry.get_or_tune(
-                m, spec.grid, spec.threads, tg_size=spec.tg_size,
-                variant=spec.variant
-            )
-            sp.set(registry_hit=hit)
+        point, hit = _registry_plan(spec, registry)
     else:
-        point = tune_variant(m, spec.grid, spec.threads,
+        point = tune_variant(machine_spec_for(spec), spec.grid, spec.threads,
                              variant=spec.variant, tg_size=spec.tg_size)
     return {
         "kind": "tune",
@@ -402,13 +383,7 @@ def _resolve_plan(spec: JobSpec, registry) -> Dict[str, Any]:
     if spec.tuning == "spec" or registry is None:
         return {"tiled": True, "dw": spec.dw, "bz": spec.bz,
                 "source": "spec", "registry_hit": False}
-    with telemetry.span("tune", "service", args={
-            "grid": spec.grid, "variant": spec.variant}) as sp:
-        point, hit = registry.get_or_tune(
-            machine_spec_for(spec), spec.grid, spec.threads,
-            tg_size=spec.tg_size, variant=spec.variant,
-        )
-        sp.set(registry_hit=hit)
+    point, hit = _registry_plan(spec, registry)
     if point is None:  # no feasible tuned plan: fall back to the spec's
         return {"tiled": True, "dw": spec.dw, "bz": spec.bz,
                 "source": "fallback", "registry_hit": hit}
@@ -650,7 +625,6 @@ def run_job(
         args={"kind": spec.kind, "attempt": attempt, "grid": spec.grid},
     ):
         faults.hit("job.run")
-        _inject_fault(spec, attempt)
         if spec.kind == "tune":
             return _run_tune(spec, registry)
         if spec.kind == "batch":

@@ -8,10 +8,12 @@ so every later job with the same key skips tuning entirely.  It is the
 only place a tuned point persists: the tuners themselves memoize per
 process and keep nothing on disk.
 
-Entries persist as one JSON file per key under ``root`` (``repro
-serve --registry``), written atomically so concurrent service
-workers and nodes can never interleave a torn file.  Without a root the
-registry is a process-local dict with the same interface.
+Entries persist through the node's one document store
+(:class:`~repro.service.store.DocumentStore`: one checksummed
+``plan-<key>.json`` per key under ``root``, ``repro serve --data-dir``'s
+``registry/``), written atomically so concurrent service workers and
+nodes can never interleave a torn file.  Without a root the registry is
+a process-local dict with the same interface.
 
 Hit/miss/store counters feed the observability layer: every lookup runs
 inside a :func:`~repro.machine.counters.timed_section` (visible in
@@ -25,32 +27,19 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 import threading
 from typing import Any, Dict, List, Optional, Tuple
 
 from .. import forksafe, telemetry
 from ..core.autotuner import point_from_json, point_to_json
-from ..ioutil import atomic_write_json, corrupt_file, read_json_checked
 from ..machine.counters import timed_section
 from ..machine.spec import MachineSpec
-from ..resilience import faults
+from .store import DocumentStore
 
 __all__ = ["PlanRegistry", "REGISTRY_VERSION"]
 
 #: Bump to invalidate persisted plans (key or payload format change).
 REGISTRY_VERSION = 1
-
-
-def _read_plan(path: str) -> Optional[dict]:
-    """A persisted plan document ``lookup`` would serve, else ``None``:
-    malformed or checksum-mismatched files are quarantined to
-    ``<path>.corrupt`` (the tuner simply recomputes the plan) and other
-    versions read as a miss."""
-    doc = read_json_checked(path)
-    if not doc or doc.get("version") != REGISTRY_VERSION:
-        return None
-    return doc
 
 
 class PlanRegistry:
@@ -65,16 +54,15 @@ class PlanRegistry:
                  node_id: Optional[str] = None):
         self.root = root
         self.node_id = node_id
-        self._mem: Dict[str, Optional[dict]] = {}
         self._lock = forksafe.lock("service.registry")
+        self._docs = DocumentStore(root, "plan", REGISTRY_VERSION,
+                                   "registry", self._lock)
         #: Single-flight guard: key -> Event while a tuner is in flight,
         #: so N concurrent workers asking for one key tune it once.
         self._inflight: Dict[str, threading.Event] = {}
         self.hits = 0
         self.misses = 0
         self.stores = 0
-        if root:
-            os.makedirs(root, exist_ok=True)
 
     # -- keys ------------------------------------------------------------------
 
@@ -99,58 +87,28 @@ class PlanRegistry:
         )
         return hashlib.sha1(payload.encode()).hexdigest()[:20]
 
-    def _path(self, key: str) -> Optional[str]:
-        return os.path.join(self.root, f"plan-{key}.json") if self.root else None
-
     # -- lookup / store --------------------------------------------------------
 
     def lookup(self, key: str):
         """The memoized point for ``key`` -> ``(point,)`` or ``None``.
 
         A hit may carry ``point=None`` (the tuner proved no feasible
-        configuration); that negative result is memoized too.
+        configuration); that negative result is memoized too.  A corrupt
+        or foreign-version file reads as a miss (the tuner simply
+        recomputes the plan).
         """
         with timed_section("registry.lookup"):
-            with self._lock:
-                if key in self._mem:
-                    return (point_from_json(self._mem[key]["point"]),)
-            path = self._path(key)
-            if path is None:
-                return None
-            if faults.hit("registry.read") == "corrupt":
-                corrupt_file(path)
-            doc = _read_plan(path)
-            if doc is None:
-                return None
-            with self._lock:
-                self._mem[key] = doc
-            try:
-                return (point_from_json(doc["point"]),)
-            except (KeyError, TypeError):
-                return None  # foreign/corrupt payload: treat as a miss
+            doc = self._docs.get(key)
+            return None if doc is None else (point_from_json(doc["point"]),)
 
     def store(self, key: str, point, meta: Optional[Dict[str, Any]] = None) -> None:
         meta = dict(meta or {})
         if self.node_id and "node" not in meta:
             meta["node"] = self.node_id
-        doc = {
-            "version": REGISTRY_VERSION,
-            "key": key,
-            "point": point_to_json(point),
-            "meta": meta,
-        }
         with self._lock:
-            self._mem[key] = doc
             self.stores += 1
-        path = self._path(key)
-        if path is not None:
-            try:
-                kind = faults.hit("registry.write")
-                atomic_write_json(path, doc, checksum=True)
-                if kind == "corrupt":
-                    corrupt_file(path)
-            except OSError:
-                pass  # read-only/full disk: persistence is best-effort
+        self._docs.put(key, {"key": key, "point": point_to_json(point),
+                             "meta": meta})
 
     def _count(self, hit: bool) -> None:
         with self._lock:
@@ -210,9 +168,10 @@ class PlanRegistry:
     # -- readout ---------------------------------------------------------------
 
     def counters(self) -> Dict[str, int]:
+        entries = len(self._docs.items())
         with self._lock:
             return {"hits": self.hits, "misses": self.misses,
-                    "stores": self.stores, "entries": len(self._entries_mem())}
+                    "stores": self.stores, "entries": entries}
 
     def merge_counters(self, d: Dict[str, int]) -> None:
         """Fold a child worker's counter deltas into this registry."""
@@ -221,24 +180,10 @@ class PlanRegistry:
             self.misses += int(d.get("misses", 0))
             self.stores += int(d.get("stores", 0))
 
-    def _entries_mem(self) -> Dict[str, dict]:
-        docs = dict(self._mem)
-        if self.root and os.path.isdir(self.root):
-            for fname in os.listdir(self.root):
-                if fname.startswith("plan-") and fname.endswith(".json"):
-                    key = fname[len("plan-"):-len(".json")]
-                    if key not in docs:
-                        doc = _read_plan(os.path.join(self.root, fname))
-                        if doc is not None:
-                            docs[key] = doc
-        return docs
-
     def entries(self) -> List[Dict[str, Any]]:
         """Registry listing for ``GET /registry`` (summaries, no fields)."""
         out: List[Dict[str, Any]] = []
-        with self._lock:
-            docs = self._entries_mem()
-        for key, doc in sorted(docs.items()):
+        for key, doc in self._docs.items():
             point = doc.get("point")
             summary = None
             if point:

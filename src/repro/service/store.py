@@ -1,4 +1,14 @@
-"""Content-addressed result store with dedup semantics.
+"""How a node persists keyed, immutable JSON documents -- and the
+content-addressed result store built on it.
+
+:class:`DocumentStore` is the one on-disk format behind the result
+store and the plan registry: one ``<prefix>-<key>.json`` file per key,
+written atomically with an embedded checksum, read back through a
+version gate (corrupt files quarantine to ``<path>.corrupt`` and read as
+a miss), cached in memory, with the ``<site>.read`` / ``<site>.write``
+fault sites and their ``corrupt`` hooks.  It lists exactly the documents
+it serves.  Without a root it is a process-local dict with the same
+interface.
 
 Results are keyed by the content-addressed job id (a hash of the spec's
 computational fields), so *identical* job specs map to one stored
@@ -6,25 +16,101 @@ result: the scheduler consults the store before executing and serves
 repeats from it bit-identically -- ``run_job`` is deterministic and the
 stored JSON round-trips floats exactly, so a cached response compares
 equal to a fresh execution.
-
-With a ``root`` directory (``repro serve --results``) results persist
-across restarts, written atomically; without one the store is a
-process-local dict with the same interface.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, List, Optional
+import threading
+from typing import Any, Dict, List, Optional, Tuple
 
 from .. import forksafe
 from ..ioutil import atomic_write_json, corrupt_file, read_json_checked
 from ..resilience import faults
 
-__all__ = ["ResultStore", "STORE_VERSION"]
+__all__ = ["DocumentStore", "ResultStore", "STORE_VERSION"]
 
 #: Bump to invalidate persisted results (payload format change).
 STORE_VERSION = 1
+
+
+class DocumentStore:
+    """Key -> immutable JSON document, optionally one file per key.
+
+    ``prefix`` names the files (``<prefix>-<key>.json``), ``version``
+    gates what is served, ``site`` names the fault sites
+    (``<site>.read`` on a disk lookup, ``<site>.write`` on a store), and
+    ``lock`` is the owner's lock, which also guards its counters.
+    """
+
+    def __init__(self, root: Optional[str], prefix: str, version: int,
+                 site: str, lock: threading.Lock):
+        self.root = root
+        self.prefix = prefix
+        self.version = version
+        self.site = site
+        self._lock = lock
+        self._mem: Dict[str, Dict[str, Any]] = {}
+        if root:
+            os.makedirs(root, exist_ok=True)
+
+    def _path(self, key: str) -> str:
+        return os.path.join(self.root, f"{self.prefix}-{key}.json")
+
+    def _scribble(self, kind: Optional[str], path: str) -> None:
+        """Apply a fired ``corrupt`` fault to the file (a missing file
+        stays missing)."""
+        if kind == "corrupt":
+            corrupt_file(path)
+
+    def _read(self, key: str) -> Optional[Dict[str, Any]]:
+        """The key's file if it passes the checksum and version gate,
+        cached; a corrupt file quarantines and reads as a miss."""
+        doc = read_json_checked(self._path(key))
+        if not doc or doc.get("version") != self.version:
+            return None
+        with self._lock:
+            return self._mem.setdefault(key, doc)
+
+    def get(self, key: str) -> Optional[Dict[str, Any]]:
+        """The document for ``key`` (memory, then disk), else ``None``."""
+        with self._lock:
+            doc = self._mem.get(key)
+        if doc is None and self.root:
+            self._scribble(faults.hit(f"{self.site}.read"), self._path(key))
+            doc = self._read(key)
+        return doc
+
+    def put(self, key: str, body: Dict[str, Any]) -> None:
+        """Store ``body`` (stamped with the version) under ``key``;
+        persistence is best-effort (a read-only or full disk keeps the
+        document in memory only)."""
+        doc = {"version": self.version, **body}
+        with self._lock:
+            self._mem[key] = doc
+        if self.root:
+            path = self._path(key)
+            try:
+                kind = faults.hit(f"{self.site}.write")
+                atomic_write_json(path, doc, checksum=True)
+                self._scribble(kind, path)
+            except OSError:
+                pass
+
+    def items(self) -> List[Tuple[str, Dict[str, Any]]]:
+        """Every ``(key, document)`` that :meth:`get` serves, by key.
+        Listing passes through no fault site."""
+        if self.root and os.path.isdir(self.root):
+            head, tail = f"{self.prefix}-", ".json"
+            with self._lock:
+                known = set(self._mem)
+            for name in os.listdir(self.root):
+                if name.startswith(head) and name.endswith(tail):
+                    key = name[len(head):-len(tail)]
+                    if key not in known:
+                        self._read(key)
+        with self._lock:
+            return sorted(self._mem.items())
 
 
 class ResultStore:
@@ -40,49 +126,33 @@ class ResultStore:
                  node_id: Optional[str] = None):
         self.root = root
         self.node_id = node_id
-        self._mem: Dict[str, Dict[str, Any]] = {}
         self._lock = forksafe.lock("service.store")
+        self._docs = DocumentStore(root, "result", STORE_VERSION, "store",
+                                   self._lock)
         self.hits = 0
         self.misses = 0
         self.puts = 0
         self.replica_puts = 0
-        if root:
-            os.makedirs(root, exist_ok=True)
 
-    def _path(self, job_id: str) -> Optional[str]:
-        return os.path.join(self.root, f"result-{job_id}.json") if self.root else None
-
-    def _load(self, job_id: str) -> Optional[Dict[str, Any]]:
-        """Load one full document (memory, then disk) without touching
-        the hit/miss counters -- the shared machinery of :meth:`get`,
-        :meth:`get_doc` and the idempotence check of
-        :meth:`put_replica`."""
-        with self._lock:
-            doc = self._mem.get(job_id)
-        if doc is None:
-            path = self._path(job_id)
-            if path is not None:
-                if os.path.exists(path) and \
-                        faults.hit("store.read") == "corrupt":
-                    corrupt_file(path)
-                # Corrupt entries quarantine to ``<path>.corrupt`` and
-                # read as a miss: the job simply re-executes (run_job is
-                # deterministic, so the recomputed result is identical).
-                disk = read_json_checked(path)
-                if disk and disk.get("version") == STORE_VERSION:
-                    doc = disk
-                    with self._lock:
-                        self._mem[job_id] = doc
-        return doc
-
-    def get(self, job_id: str) -> Optional[Dict[str, Any]]:
-        """The stored result, counting the lookup as a hit or miss."""
-        doc = self._load(job_id)
+    def _lookup(self, job_id: str) -> Optional[Dict[str, Any]]:
+        """The full document, counting the lookup as a hit or miss."""
+        doc = self._docs.get(job_id)
         with self._lock:
             if doc is None:
                 self.misses += 1
             else:
                 self.hits += 1
+        return doc
+
+    def _body(self, job_id: str, result: Dict[str, Any]) -> Dict[str, Any]:
+        body = {"id": job_id, "result": result}
+        if self.node_id:
+            body["node"] = self.node_id
+        return body
+
+    def get(self, job_id: str) -> Optional[Dict[str, Any]]:
+        """The stored result, counting the lookup as a hit or miss."""
+        doc = self._lookup(job_id)
         return None if doc is None else doc["result"]
 
     def get_doc(self, job_id: str) -> Optional[Dict[str, Any]]:
@@ -90,33 +160,12 @@ class ResultStore:
         ``replicated_from``), counting the lookup like :meth:`get`.
         Serving layers use this to answer warm reads after a reboot or a
         replica promotion without losing the provenance trail."""
-        doc = self._load(job_id)
-        with self._lock:
-            if doc is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-        return doc
-
-    def _commit(self, job_id: str, doc: Dict[str, Any]) -> None:
-        path = self._path(job_id)
-        if path is not None:
-            try:
-                kind = faults.hit("store.write")
-                atomic_write_json(path, doc, checksum=True)
-                if kind == "corrupt":
-                    corrupt_file(path)
-            except OSError:
-                pass  # persistence is best-effort
+        return self._lookup(job_id)
 
     def put(self, job_id: str, result: Dict[str, Any]) -> None:
-        doc = {"version": STORE_VERSION, "id": job_id, "result": result}
-        if self.node_id:
-            doc["node"] = self.node_id
         with self._lock:
-            self._mem[job_id] = doc
             self.puts += 1
-        self._commit(job_id, doc)
+        self._docs.put(job_id, self._body(job_id, result))
 
     def put_replica(self, job_id: str, result: Dict[str, Any],
                     replicated_from: Optional[str] = None) -> bool:
@@ -127,43 +176,24 @@ class ResultStore:
         content-addressed, so the bytes are the same either way.
         Returns ``True`` when the copy was actually stored.
         """
-        if self._load(job_id) is not None:
+        if self._docs.get(job_id) is not None:
             return False
-        doc = {"version": STORE_VERSION, "id": job_id, "result": result}
-        if self.node_id:
-            doc["node"] = self.node_id
+        body = self._body(job_id, result)
         if replicated_from:
-            doc["replicated_from"] = replicated_from
+            body["replicated_from"] = replicated_from
         with self._lock:
-            self._mem[job_id] = doc
             self.replica_puts += 1
-        self._commit(job_id, doc)
+        self._docs.put(job_id, body)
         return True
 
     def __contains__(self, job_id: str) -> bool:
-        with self._lock:
-            if job_id in self._mem:
-                return True
-        path = self._path(job_id)
-        return path is not None and os.path.exists(path)
+        return self._docs.get(job_id) is not None
 
     def __len__(self) -> int:
-        with self._lock:
-            ids = set(self._mem)
-        if self.root and os.path.isdir(self.root):
-            for fname in os.listdir(self.root):
-                if fname.startswith("result-") and fname.endswith(".json"):
-                    ids.add(fname[len("result-"):-len(".json")])
-        return len(ids)
+        return len(self._docs.items())
 
     def ids(self) -> List[str]:
-        with self._lock:
-            ids = set(self._mem)
-        if self.root and os.path.isdir(self.root):
-            for fname in os.listdir(self.root):
-                if fname.startswith("result-") and fname.endswith(".json"):
-                    ids.add(fname[len("result-"):-len(".json")])
-        return sorted(ids)
+        return [job_id for job_id, _ in self._docs.items()]
 
     def counters(self) -> Dict[str, int]:
         entries = len(self)

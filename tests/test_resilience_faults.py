@@ -120,8 +120,8 @@ class TestActivation:
 
 class TestTrigger:
     def test_raise_message_names_site_and_reason(self):
-        with pytest.raises(InjectedFault, match=r"at job.fault \(fail_once\)"):
-            faults.trigger("job.fault", "raise", reason="fail_once")
+        with pytest.raises(InjectedFault, match=r"at job.run \(pass 0\)"):
+            faults.trigger("job.run", "raise", reason="pass 0")
 
     def test_inline_crash_degrades_to_exception(self):
         with pytest.raises(InjectedFault, match="inline worker"):

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.resilience import faults
+from repro.resilience.errors import InjectedFault
 from repro.service.jobs import (
-    FAULTS,
     Job,
     JobSpec,
     JobState,
@@ -27,11 +28,6 @@ class TestContentAddressing:
                        dict(max_steps=31), dict(threads=4)):
             assert JobSpec(**{**FAST_SOLVE, **change}).job_id != a.job_id
 
-    def test_fault_is_part_of_identity(self):
-        a = JobSpec(**FAST_SOLVE)
-        b = JobSpec(**FAST_SOLVE, fault="fail_once")
-        assert a.job_id != b.job_id
-
     def test_id_is_stable_hex(self):
         a = JobSpec(**FAST_SOLVE)
         assert a.job_id == JobSpec(**FAST_SOLVE).job_id
@@ -54,7 +50,6 @@ class TestValidation:
         dict(variant="2.5wd"),
         dict(tuning="psychic"),
         dict(max_retries=-1),
-        dict(fault="segfault"),
     ])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
@@ -188,25 +183,36 @@ class TestRunJob:
 
 
 class TestFaultInjection:
+    """A job fails through a fault plan on the ``job.run`` site; a spec
+    carries no fault of its own."""
+
+    @pytest.fixture(autouse=True)
+    def _plan(self):
+        faults.uninstall()
+        yield
+        faults.uninstall()
+
     def test_fail_once(self):
-        spec = JobSpec(**FAST_SOLVE, fault="fail_once")
-        with pytest.raises(RuntimeError, match="fail_once"):
+        faults.install(faults.FaultPlan.parse("job.run:raise:0:1"))
+        spec = JobSpec(**FAST_SOLVE)
+        with pytest.raises(InjectedFault, match="at job.run"):
             run_job(spec, attempt=1)
         assert run_job(spec, attempt=2)["kind"] == "solve"
 
     def test_always_fail(self):
-        spec = JobSpec(**FAST_SOLVE, fault="always_fail")
+        # A spec fires once per pass count: one raise per attempt.
+        faults.install(faults.FaultPlan.parse(
+            "job.run:raise:0:*,job.run:raise:1:*,job.run:raise:2:*"))
+        spec = JobSpec(**FAST_SOLVE)
         for attempt in (1, 2, 3):
-            with pytest.raises(RuntimeError, match="always_fail"):
+            with pytest.raises(InjectedFault, match="at job.run"):
                 run_job(spec, attempt=attempt)
 
     def test_crash_once_inline_raises(self):
         # Outside a child process the crash degrades to an exception
         # (os._exit would kill the test runner).
-        spec = JobSpec(**FAST_SOLVE, fault="crash_once")
-        with pytest.raises(RuntimeError, match="crash_once"):
+        faults.install(faults.FaultPlan.parse("job.run:crash:0:1"))
+        spec = JobSpec(**FAST_SOLVE)
+        with pytest.raises(InjectedFault, match="inline worker"):
             run_job(spec, attempt=1)
         assert run_job(spec, attempt=2)["kind"] == "solve"
-
-    def test_fault_names_are_frozen(self):
-        assert FAULTS == ("fail_once", "crash_once", "always_fail")

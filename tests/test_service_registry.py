@@ -140,6 +140,7 @@ class TestRegistryGetOrTune:
             json.dump({"version": REGISTRY_VERSION + 1, "key": other,
                        "point": None, "meta": {"grid": 8}}, f)
         assert PlanRegistry(root).entries() == []
+        assert PlanRegistry(root).counters()["entries"] == 0
         assert PlanRegistry(root).lookup(key) is None
         assert PlanRegistry(root).lookup(other) is None
 
@@ -183,3 +184,43 @@ class TestResultStore:
         assert store.get("torn") is None
         assert store.get("old") is None
         assert store.counters()["misses"] == 2
+
+
+class TestOneDocumentFormat:
+    """Both stores persist through one document store: the result store
+    lists exactly the documents it serves (the registry's listing is
+    held above), and a read fault on a document that is not there leaves
+    nothing behind."""
+
+    def test_the_store_lists_exactly_what_it_serves(self, tmp_path):
+        root = str(tmp_path)
+        ResultStore(root).put("good", {"ok": True})
+        with open(os.path.join(root, "result-old.json"), "w") as f:
+            json.dump({"version": STORE_VERSION + 1, "id": "old",
+                       "result": {}}, f)
+        with open(os.path.join(root, "result-torn.json"), "w") as f:
+            f.write('{"version"')
+        names = ("good", "old", "torn")
+        assert ResultStore(root).ids() == ["good"]  # quarantines the torn one
+        assert len(ResultStore(root)) == 1
+        assert ResultStore(root).counters()["entries"] == 1
+        assert [i for i in names if i in ResultStore(root)] == ["good"]
+        assert [i for i in names
+                if ResultStore(root).get(i) is not None] == ["good"]
+
+    def test_a_read_fault_on_a_missing_document_writes_nothing(
+            self, tmp_path):
+        from repro.resilience import faults
+
+        for site in ("registry.read", "store.read"):
+            root = tmp_path / site
+            faults.install(faults.FaultPlan.parse(f"{site}:corrupt:0:*"))
+            try:
+                if site == "registry.read":
+                    assert PlanRegistry(str(root)).lookup("absent") is None
+                else:
+                    assert ResultStore(str(root)).get("absent") is None
+                assert faults.active().fired() == [f"{site}:corrupt:0:*"]
+            finally:
+                faults.uninstall()
+            assert os.listdir(root) == []

@@ -202,29 +202,88 @@ class TestDrainAndSpool:
         assert low.id != high.id
 
 
+def _serve(data_dir, env=None):
+    """A `repro serve` process over one data root, its startup lines
+    read: ``(proc, lines)``, the last line the service banner."""
+    env = dict(os.environ, **(env or {}))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in ("src", env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+         "--workers", "1", "--mode", "thread", "--data-dir", str(data_dir),
+         "--drain-timeout", "30"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        text=True, env=env, cwd=os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))),
+    )
+    lines = [proc.stdout.readline()]
+    while lines[-1].startswith("restored "):
+        lines.append(proc.stdout.readline())
+    return proc, lines
+
+
+def _sigterm(proc):
+    """SIGTERM a serve process; its remaining output once it exited."""
+    try:
+        proc.send_signal(signal.SIGTERM)
+        out, _ = proc.communicate(timeout=60.0)
+    except Exception:
+        proc.kill()
+        raise
+    assert proc.returncode == 0, out
+    return out
+
+
 class TestServeGracefulShutdown:
     def test_sigterm_drains_spools_and_exits_zero(self, tmp_path):
         """End-to-end: `repro serve` under SIGTERM finishes in-flight
         work, spools the queue, and exits 0."""
-        queue_file = str(tmp_path / "queue.json")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in ("src", env.get("PYTHONPATH")) if p)
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
-             "--workers", "1", "--queue-file", queue_file,
-             "--drain-timeout", "30"],
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-            text=True, env=env, cwd=os.path.dirname(os.path.dirname(
-                os.path.abspath(__file__))),
-        )
-        try:
-            banner = proc.stdout.readline()
-            assert "repro service on http://" in banner
-            proc.send_signal(signal.SIGTERM)
-            out, _ = proc.communicate(timeout=60.0)
-        except Exception:
-            proc.kill()
-            raise
-        assert proc.returncode == 0, out
+        proc, lines = _serve(tmp_path / "node")
+        assert "repro service on http://" in lines[-1]
+        out = _sigterm(proc)
         assert "shutdown: drained" in out
+
+    def test_data_dir_holds_every_piece_of_node_state(self, tmp_path):
+        """--data-dir is the node's one state root: the registry, the
+        results and the checkpoints land under it, and it spools its
+        queue there and restores it on the next start."""
+        import json
+        import urllib.request
+
+        root = tmp_path / "node"
+        spool = str(root / "queue.json")
+        # A solve long enough to be running at SIGTERM (checkpointed),
+        # and a tune queued behind it.
+        slow = JobSpec(kind="solve", preset="vacuum", grid=20,
+                       wavelength=10.0, tol=1e-12, max_steps=3000,
+                       priority=1)
+        tune = JobSpec(**FAST_TUNE)
+        seed = Scheduler(workers=1)
+        seed.submit(slow)
+        seed.submit(tune)
+        assert seed.persist_queue(spool) == 2
+
+        proc, lines = _serve(root, env={"REPRO_CHECKPOINT_EVERY": "1000"})
+        assert lines[0] == f"restored 2 queued job(s) from {spool}\n"
+        out = _sigterm(proc)
+        assert f"shutdown: drained; spooled 1 queued job(s) -> {spool}" in out
+
+        proc, lines = _serve(root)
+        assert lines[0] == f"restored 1 queued job(s) from {spool}\n"
+        base = lines[-1].split(" on ")[1].split()[0]
+        deadline = time.monotonic() + 60.0
+        while True:
+            with urllib.request.urlopen(f"{base}/jobs/{tune.job_id}") as r:
+                if json.load(r)["state"] == "done":
+                    break
+            assert time.monotonic() < deadline
+            time.sleep(0.05)
+        assert "shutdown: drained" in _sigterm(proc)
+
+        assert sorted(os.listdir(root)) == [
+            "checkpoints", "queue.json", "registry", "results"]
+        assert os.listdir(root / "checkpoints") == []  # cleared once stored
+        assert ResultStore(str(root / "results")).ids() == sorted(
+            [slow.job_id, tune.job_id])
+        assert PlanRegistry(str(root / "registry")).counters()["entries"] == 1
+        assert Scheduler(workers=1).restore_queue(spool) == 0

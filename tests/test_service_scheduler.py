@@ -3,6 +3,7 @@ and crash recovery."""
 
 import pytest
 
+from repro.resilience import faults
 from repro.service import (
     JobSpec,
     JobState,
@@ -17,6 +18,26 @@ FAST_SOLVE = dict(kind="solve", preset="vacuum", grid=10, wavelength=10.0,
 #: grid 8 makes the tuner bail instantly (infeasible) -- the cheapest
 #: real job for exercising the scheduler machinery.
 FAST_TUNE = dict(kind="tune", grid=8, threads=2)
+
+#: Fault plans on the ``job.run`` site.  A spec fires once, at one pass
+#: count: thread workers count passes across attempts, while each forked
+#: worker counts from its parent's (which runs no job), so "always" is
+#: one raise per pass -- each firing on any attempt -- and holds in both
+#: modes.
+FAIL_ONCE = "job.run:raise:0:1"
+CRASH_ONCE = "job.run:crash:0:1"
+ALWAYS_FAIL = ",".join(f"job.run:raise:{n}:*" for n in range(3))
+
+
+@pytest.fixture(autouse=True)
+def _no_plan():
+    faults.uninstall()
+    yield
+    faults.uninstall()
+
+
+def _plan(text):
+    faults.install(faults.FaultPlan.parse(text))
 
 
 def _sched(**kw):
@@ -53,9 +74,10 @@ class TestDedup:
         assert st["store_hits"] == 1 and st["executed"] == 0
 
     def test_failed_job_can_be_resubmitted(self):
+        _plan(ALWAYS_FAIL)
         sched = _sched(workers=1).start()
         try:
-            spec = JobSpec(**FAST_TUNE, fault="always_fail", max_retries=0)
+            spec = JobSpec(**FAST_TUNE, max_retries=0)
             job = sched.submit(spec)
             assert sched.wait(job.id, timeout=30.0).state == JobState.FAILED
             retry = sched.submit(spec)
@@ -158,12 +180,12 @@ class TestCancel:
 
 
 class TestRetry:
-    def test_fail_once_retries_to_success(self):
-        sched = _sched(workers=1).start()
+    def _fail_once(self, mode):
+        _plan(FAIL_ONCE)
+        sched = _sched(workers=1, mode=mode).start()
         try:
-            job = sched.submit(JobSpec(**FAST_TUNE, fault="fail_once",
-                                       max_retries=2))
-            done = sched.wait(job.id, timeout=30.0)
+            job = sched.submit(JobSpec(**FAST_TUNE, max_retries=2))
+            done = sched.wait(job.id, timeout=60.0)
             assert done.state == JobState.DONE
             assert done.attempts == 2
             assert done.result["kind"] == "tune"
@@ -172,12 +194,12 @@ class TestRetry:
         st = sched.stats()
         assert st["retries"] == 1 and st["worker_crashes"] == 0
 
-    def test_always_fail_exhausts_budget(self):
-        sched = _sched(workers=1).start()
+    def _always_fail(self, mode):
+        _plan(ALWAYS_FAIL)
+        sched = _sched(workers=1, mode=mode).start()
         try:
-            job = sched.submit(JobSpec(**FAST_TUNE, fault="always_fail",
-                                       max_retries=2))
-            done = sched.wait(job.id, timeout=30.0)
+            job = sched.submit(JobSpec(**FAST_TUNE, max_retries=2))
+            done = sched.wait(job.id, timeout=60.0)
         finally:
             sched.stop()
         assert done.state == JobState.FAILED
@@ -185,11 +207,23 @@ class TestRetry:
         assert "retry budget 2 exhausted" in done.error
         assert sched.stats()["retries"] == 2
 
+    def test_fail_once_retries_to_success(self):
+        self._fail_once("thread")
+
+    def test_fail_once_retries_to_success_in_forked_workers(self):
+        self._fail_once("process")
+
+    def test_always_fail_exhausts_budget(self):
+        self._always_fail("thread")
+
+    def test_always_fail_exhausts_budget_in_forked_workers(self):
+        self._always_fail("process")
+
     def test_zero_budget_fails_first_error(self):
+        _plan(FAIL_ONCE)
         sched = _sched(workers=1).start()
         try:
-            job = sched.submit(JobSpec(**FAST_TUNE, fault="fail_once",
-                                       max_retries=0))
+            job = sched.submit(JobSpec(**FAST_TUNE, max_retries=0))
             done = sched.wait(job.id, timeout=30.0)
         finally:
             sched.stop()
@@ -201,10 +235,10 @@ class TestCrashRecovery:
         # The acceptance-criteria scenario: the worker process dies
         # mid-job (os._exit in the child -- no result, nonzero exit); the
         # dispatcher must count a crash and requeue until the job lands.
+        _plan(CRASH_ONCE)
         sched = _sched(workers=1, mode="process").start()
         try:
-            job = sched.submit(JobSpec(**FAST_TUNE, fault="crash_once",
-                                       max_retries=2))
+            job = sched.submit(JobSpec(**FAST_TUNE, max_retries=2))
             done = sched.wait(job.id, timeout=60.0)
             assert done.state == JobState.DONE
             assert done.attempts == 2
@@ -228,15 +262,15 @@ class TestCrashRecovery:
         assert done.result == run_job(JobSpec(**FAST_SOLVE))
 
     def test_deterministic_failure_in_child_is_not_a_crash(self):
+        _plan(ALWAYS_FAIL)
         sched = _sched(workers=1, mode="process").start()
         try:
-            job = sched.submit(JobSpec(**FAST_TUNE, fault="always_fail",
-                                       max_retries=0))
+            job = sched.submit(JobSpec(**FAST_TUNE, max_retries=0))
             done = sched.wait(job.id, timeout=30.0)
         finally:
             sched.stop()
         assert done.state == JobState.FAILED
-        assert "always_fail" in done.error
+        assert "injected failure at job.run" in done.error
         assert sched.stats()["worker_crashes"] == 0
 
 

@@ -92,6 +92,16 @@ class TestSubmission:
             assert status == 400
             assert "invalid job spec" in doc["error"]
 
+    def test_a_fault_field_is_an_unknown_field(self, service):
+        """A spec carries no fault: no client can make a node fail or
+        kill its worker by asking (faults come from fault plans)."""
+        base, sched = service
+        status, doc = _request("POST", f"{base}/jobs",
+                               dict(FAST_TUNE, fault="crash_once"))
+        assert status == 400
+        assert "unknown job spec fields: ['fault']" in doc["error"]
+        assert sched.stats()["submitted"] == 0
+
     def test_empty_body_is_400(self, service):
         base, _ = service
         status, _doc = _request("POST", f"{base}/jobs", None)
