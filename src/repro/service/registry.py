@@ -55,8 +55,9 @@ class PlanRegistry:
         self.root = root
         self.node_id = node_id
         self._lock = forksafe.lock("service.registry")
-        self._docs = DocumentStore(root, "plan", REGISTRY_VERSION,
-                                   "registry", self._lock)
+        self._docs = DocumentStore(
+            root, "plan", REGISTRY_VERSION, "registry", self._lock,
+            check=lambda doc: point_from_json(doc["point"]))
         #: Single-flight guard: key -> Event while a tuner is in flight,
         #: so N concurrent workers asking for one key tune it once.
         self._inflight: Dict[str, threading.Event] = {}
@@ -93,9 +94,9 @@ class PlanRegistry:
         """The memoized point for ``key`` -> ``(point,)`` or ``None``.
 
         A hit may carry ``point=None`` (the tuner proved no feasible
-        configuration); that negative result is memoized too.  A corrupt
-        or foreign-version file reads as a miss (the tuner simply
-        recomputes the plan).
+        configuration); that negative result is memoized too.  A corrupt,
+        foreign-version or undecodable file reads as a miss (the tuner
+        simply recomputes the plan and overwrites it).
         """
         with timed_section("registry.lookup"):
             doc = self._docs.get(key)
@@ -168,7 +169,7 @@ class PlanRegistry:
     # -- readout ---------------------------------------------------------------
 
     def counters(self) -> Dict[str, int]:
-        entries = len(self._docs.items())
+        entries = len(self._docs.keys())
         with self._lock:
             return {"hits": self.hits, "misses": self.misses,
                     "stores": self.stores, "entries": entries}

@@ -6,9 +6,10 @@ store and the plan registry: one ``<prefix>-<key>.json`` file per key,
 written atomically with an embedded checksum, read back through a
 version gate (corrupt files quarantine to ``<path>.corrupt`` and read as
 a miss), cached in memory, with the ``<site>.read`` / ``<site>.write``
-fault sites and their ``corrupt`` hooks.  It lists exactly the documents
-it serves.  Without a root it is a process-local dict with the same
-interface.
+fault sites and their ``corrupt`` hooks.  A document its owner's
+``check`` cannot decode reads as a miss too, and the store lists exactly
+the documents it serves.  Without a root it is a process-local dict
+with the same interface.
 
 Results are keyed by the content-addressed job id (a hash of the spec's
 computational fields), so *identical* job specs map to one stored
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .. import forksafe
 from ..ioutil import atomic_write_json, corrupt_file, read_json_checked
@@ -39,17 +40,21 @@ class DocumentStore:
 
     ``prefix`` names the files (``<prefix>-<key>.json``), ``version``
     gates what is served, ``site`` names the fault sites
-    (``<site>.read`` on a disk lookup, ``<site>.write`` on a store), and
-    ``lock`` is the owner's lock, which also guards its counters.
+    (``<site>.read`` on a disk lookup, ``<site>.write`` on a store),
+    ``lock`` is the owner's lock, which also guards its counters, and
+    ``check`` decodes a document read from disk, raising ``KeyError`` or
+    ``TypeError`` on one its owner cannot serve.
     """
 
     def __init__(self, root: Optional[str], prefix: str, version: int,
-                 site: str, lock: threading.Lock):
+                 site: str, lock: threading.Lock,
+                 check: Callable[[Dict[str, Any]], Any]):
         self.root = root
         self.prefix = prefix
         self.version = version
         self.site = site
         self._lock = lock
+        self._check = check
         self._mem: Dict[str, Dict[str, Any]] = {}
         if root:
             os.makedirs(root, exist_ok=True)
@@ -64,11 +69,16 @@ class DocumentStore:
             corrupt_file(path)
 
     def _read(self, key: str) -> Optional[Dict[str, Any]]:
-        """The key's file if it passes the checksum and version gate,
-        cached; a corrupt file quarantines and reads as a miss."""
+        """The key's file if it passes the checksum, the version gate and
+        the owner's check, cached; a corrupt file quarantines and reads
+        as a miss."""
         doc = read_json_checked(self._path(key))
-        if not doc or doc.get("version") != self.version:
+        if not isinstance(doc, dict) or doc.get("version") != self.version:
             return None
+        try:
+            self._check(doc)
+        except (KeyError, TypeError):
+            return None  # a foreign payload: the owner recomputes it
         with self._lock:
             return self._mem.setdefault(key, doc)
 
@@ -97,9 +107,9 @@ class DocumentStore:
             except OSError:
                 pass
 
-    def items(self) -> List[Tuple[str, Dict[str, Any]]]:
-        """Every ``(key, document)`` that :meth:`get` serves, by key.
-        Listing passes through no fault site."""
+    def keys(self) -> List[str]:
+        """Every key that :meth:`get` serves, unordered: reads each file
+        not yet cached first.  Listing passes through no fault site."""
         if self.root and os.path.isdir(self.root):
             head, tail = f"{self.prefix}-", ".json"
             with self._lock:
@@ -110,7 +120,11 @@ class DocumentStore:
                     if key not in known:
                         self._read(key)
         with self._lock:
-            return sorted(self._mem.items())
+            return list(self._mem)
+
+    def items(self) -> List[Tuple[str, Dict[str, Any]]]:
+        """Every ``(key, document)`` that :meth:`get` serves, by key."""
+        return [(key, self._mem[key]) for key in sorted(self.keys())]
 
 
 class ResultStore:
@@ -128,7 +142,7 @@ class ResultStore:
         self.node_id = node_id
         self._lock = forksafe.lock("service.store")
         self._docs = DocumentStore(root, "result", STORE_VERSION, "store",
-                                   self._lock)
+                                   self._lock, check=lambda doc: doc["result"])
         self.hits = 0
         self.misses = 0
         self.puts = 0
@@ -190,10 +204,10 @@ class ResultStore:
         return self._docs.get(job_id) is not None
 
     def __len__(self) -> int:
-        return len(self._docs.items())
+        return len(self._docs.keys())
 
     def ids(self) -> List[str]:
-        return [job_id for job_id, _ in self._docs.items()]
+        return sorted(self._docs.keys())
 
     def counters(self) -> Dict[str, int]:
         entries = len(self)

@@ -82,6 +82,24 @@ class TestRegistryGetOrTune:
                        "point": {"bogus": True}, "meta": {}}, f)
         assert PlanRegistry(root).lookup(key) is None
 
+    def test_undecodable_plan_is_retuned_not_raised(self, tmp_path):
+        """A current-version plan without a checksum whose point does not
+        decode reads as a miss: it is not listed, and the next request
+        re-tunes and overwrites it."""
+        root = str(tmp_path)
+        key = PlanRegistry.key(HASWELL_EP, 16, 2)
+        path = os.path.join(root, f"plan-{key}.json")
+        with open(path, "w") as f:
+            json.dump({"version": REGISTRY_VERSION, "key": key,
+                       "point": {"bogus": True}, "meta": {}}, f)
+        reg = PlanRegistry(root)
+        assert reg.entries() == [] and reg.counters()["entries"] == 0
+        point, hit = reg.get_or_tune(HASWELL_EP, 16, 2)
+        assert not hit and point is not None
+        fresh = PlanRegistry(root)
+        assert fresh.get_or_tune(HASWELL_EP, 16, 2) == (point, True)
+        assert [e["key"] for e in fresh.entries()] == [key]
+
     def test_concurrent_requests_tune_once(self):
         """Single-flight: N workers racing on one fresh key must produce
         exactly one tuning (one miss, one store) -- the campaign's
@@ -180,10 +198,14 @@ class TestResultStore:
         with open(os.path.join(root, "result-old.json"), "w") as f:
             json.dump({"version": STORE_VERSION + 1, "id": "old",
                        "result": {}}, f)
+        with open(os.path.join(root, "result-bare.json"), "w") as f:
+            json.dump({"version": STORE_VERSION, "id": "bare"}, f)
         store = ResultStore(root)
         assert store.get("torn") is None
         assert store.get("old") is None
-        assert store.counters()["misses"] == 2
+        assert store.get("bare") is None and "bare" not in store
+        assert store.counters()["misses"] == 3
+        assert store.ids() == []
 
 
 class TestOneDocumentFormat:

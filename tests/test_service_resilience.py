@@ -202,16 +202,17 @@ class TestDrainAndSpool:
         assert low.id != high.id
 
 
-def _serve(data_dir, env=None):
-    """A `repro serve` process over one data root, its startup lines
-    read: ``(proc, lines)``, the last line the service banner."""
+def _serve(data_dir, env=None, mode=None):
+    """A `repro serve` process over one data root (the default worker
+    mode unless ``mode`` names one), its startup lines read:
+    ``(proc, lines)``, the last line the service banner."""
     env = dict(os.environ, **(env or {}))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in ("src", env.get("PYTHONPATH")) if p)
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
-         "--workers", "1", "--mode", "thread", "--data-dir", str(data_dir),
-         "--drain-timeout", "30"],
+         "--workers", "1", "--data-dir", str(data_dir),
+         "--drain-timeout", "30"] + (["--mode", mode] if mode else []),
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         text=True, env=env, cwd=os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))),
@@ -263,12 +264,13 @@ class TestServeGracefulShutdown:
         seed.submit(tune)
         assert seed.persist_queue(spool) == 2
 
-        proc, lines = _serve(root, env={"REPRO_CHECKPOINT_EVERY": "1000"})
+        proc, lines = _serve(root, env={"REPRO_CHECKPOINT_EVERY": "1000"},
+                             mode="thread")
         assert lines[0] == f"restored 2 queued job(s) from {spool}\n"
         out = _sigterm(proc)
         assert f"shutdown: drained; spooled 1 queued job(s) -> {spool}" in out
 
-        proc, lines = _serve(root)
+        proc, lines = _serve(root, mode="thread")
         assert lines[0] == f"restored 1 queued job(s) from {spool}\n"
         base = lines[-1].split(" on ")[1].split()[0]
         deadline = time.monotonic() + 60.0
