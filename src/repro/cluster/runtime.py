@@ -73,13 +73,11 @@ def _rank_label(coord: Coord) -> str:
 
 
 def _rank_main(index: int, coord: Coord, layout: RankLayout, solver,
-               transport, plane: Dict[str, np.ndarray], conn,
-               attempt: int) -> None:
+               transport, plane: Dict[str, np.ndarray], conn) -> None:
     """Entry point of one rank process (fork: everything is inherited,
     the job context and the resumed global fields included).  Ranks
     publish no progress: the parent does; their spans and counts go home
     with the ``bye``."""
-    faults.set_attempt(attempt)
     telemetry.fork_child()
     telemetry.disable()
 
@@ -189,7 +187,6 @@ def run_distributed(
     max_steps: int,
     check_every: int = 20,
     checkpoint: Optional[CheckpointManager] = None,
-    attempt: int = 1,
     timeout_s: float = SYNC_TIMEOUT_S,
     on_divergence: str = "return",
 ) -> Tuple[SolveResult, Dict]:
@@ -248,7 +245,7 @@ def run_distributed(
             proc = ctx.Process(
                 target=_rank_main,
                 args=(index, coord, layout, solver, transport, plane,
-                      child_conn, attempt),
+                      child_conn),
                 daemon=True,
                 name=f"repro-rank-{coord[0]}-{coord[1]}-{coord[2]}",
             )

@@ -122,7 +122,8 @@ class QuotaExceeded(ReproError):
 
 
 #: Name -> class map used to rehydrate typed errors that crossed a
-#: process boundary as strings (forked-worker spool files).
+#: process boundary as strings (a forked worker's envelope, a rank's
+#: ``error`` message).
 _TAXONOMY = {
     cls.__name__: cls
     for cls in (ReproError, SolverDiverged, CorruptArtifact,
@@ -132,7 +133,7 @@ _TAXONOMY = {
 
 
 def error_from_kind(kind: Optional[str], message: str) -> Exception:
-    """Rebuild a typed error from its class name (spool round trip).
+    """Rebuild a typed error from its class name (a fork round trip).
 
     Unknown/absent kinds come back as plain ``RuntimeError`` so foreign
     error strings never gain retry semantics they did not have.

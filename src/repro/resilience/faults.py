@@ -6,9 +6,11 @@ fault anywhere in the stack (a job spec carries none): a
 naming a **site** (a stable string a
 code path passes to :func:`hit`), a **kind** (what happens when it
 fires) and **when** it fires (the ``after_n``-th pass through the site,
-on a given job attempt).  The plan is parsed from the ``REPRO_FAULTS``
-environment variable so it crosses process boundaries for free -- forked
-service workers and ``repro serve`` subprocesses inherit the schedule.
+on a given job attempt: the current
+:class:`~repro.telemetry.JobContext`'s, 1 outside any job).  The plan
+is parsed from the ``REPRO_FAULTS`` environment variable so it crosses
+process boundaries for free -- forked service workers and ``repro
+serve`` subprocesses inherit the schedule.
 
 Syntax::
 
@@ -37,7 +39,6 @@ injection points.
 from __future__ import annotations
 
 import os
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional
@@ -55,7 +56,6 @@ __all__ = [
     "uninstall",
     "hit",
     "trigger",
-    "set_attempt",
     "fired_summary",
     "patched_env",
 ]
@@ -165,12 +165,14 @@ class FaultPlan:
         it owns.  Returns ``None`` when nothing fired.
         """
         due: Optional[FaultSpec] = None
+        ctx = telemetry.current()
+        attempt = 1 if ctx is None else ctx.attempt
         with self._lock:
             n = self._counts.get(site, 0)
             self._counts[site] = n + 1
             for spec in self.specs:
                 if (spec.site == site and spec.after_n == n
-                        and (spec.attempt is None or spec.attempt == _ATTEMPT.n)):
+                        and (spec.attempt is None or spec.attempt == attempt)):
                     due = spec
                     self._fired.append(spec.describe())
                     break
@@ -185,13 +187,6 @@ class FaultPlan:
 _INSTALLED: Optional[FaultPlan] = None
 _ENV_PLAN: Optional[FaultPlan] = None
 _ENV_SRC: Optional[str] = None
-
-
-class _Attempt(threading.local):
-    n = 1
-
-
-_ATTEMPT = _Attempt()
 
 
 def install(plan: FaultPlan) -> FaultPlan:
@@ -229,17 +224,11 @@ def hit(site: str) -> Optional[str]:
     return plan.hit(site)
 
 
-def set_attempt(n: int) -> None:
-    """Record the current job attempt (thread-local) for attempt-scoped
-    fault specs."""
-    _ATTEMPT.n = n
-
-
 def trigger(site: str, kind: str, reason: str = "") -> Optional[str]:
     """Apply a fault action -- what a scheduled fault does when it fires.
 
     ``raise`` raises :class:`InjectedFault`; ``crash`` kills a forked
-    worker or rank outright (no cleanup, no spool file -- indistinguishable
+    worker or rank outright (no cleanup, no envelope -- indistinguishable
     from SIGKILL) and degrades to ``raise`` in a process nobody forked;
     anything else is returned for the call site to apply.
     """

@@ -173,7 +173,7 @@ def worker_fault(p: Mapping[str, Any], seed: int, grid: int, say: Say) -> dict:
             patched_env(**dict(NEUTRAL, REPRO_FAULTS=plan.env_value(),
                                REPRO_CHECKPOINT_EVERY=str(SNAPSHOT_EVERY))), \
             telemetry.switched_on():  # Scheduler.start() opens the gate
-        sched = Scheduler(workers=1, mode="process", spool_dir=root,
+        sched = Scheduler(workers=1, mode="process",
                           checkpoint_dir=os.path.join(root, "ckpt")).start()
         try:
             job = sched.submit(spec)

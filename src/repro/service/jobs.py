@@ -450,7 +450,7 @@ def _note_solve_rates(grid, results, elapsed: float) -> None:
 
 
 def _solve_points(spec: JobSpec, wavelengths, registry,
-                  checkpoint_dir: Optional[str], attempt: int = 1):
+                  checkpoint_dir: Optional[str]):
     """Solve ``wavelengths`` of ``spec``'s scene the way its kind asks --
     one point, one point across rank processes, or all of them as lanes
     of one batched loop -- through one body (build, plan, checkpoint,
@@ -508,7 +508,7 @@ def _solve_points(spec: JobSpec, wavelengths, registry,
                                              "grid": spec.grid}):
             solved, _info = run_distributed(
                 layout, solver, tol=spec.tol, max_steps=spec.max_steps,
-                checkpoint=ckpt, attempt=attempt, **cadence, **policy)
+                checkpoint=ckpt, **cadence, **policy)
     else:
         solved = driver.solve(tol=spec.tol, max_steps=spec.max_steps,
                               checkpoint=ckpt, **policy)
@@ -610,9 +610,9 @@ def run_job(
     the duration, so solver progress events and every nested span carry
     the job's trace id: the caller's (the scheduler's context, inherited
     across a fork), else a fresh one (progress/metrics stay off the
-    result dict -- bit-identity is untouched).
+    result dict -- bit-identity is untouched).  Its ``attempt`` is the
+    one attempt-pinned fault specs match, here and in forked ranks.
     """
-    faults.set_attempt(attempt)
     outer = telemetry.current()
     ctx = telemetry.JobContext(
         job_id=spec.job_id,
@@ -635,5 +635,5 @@ def run_job(
         # model factorizes): byte-identical documents, the latter stored
         # under the layout-namespaced job id.
         _plan, docs, _reasons = _solve_points(
-            spec, [spec.wavelength], registry, checkpoint_dir, attempt)
+            spec, [spec.wavelength], registry, checkpoint_dir)
         return docs[0]

@@ -19,12 +19,15 @@ Execution path
 --------------
 ``workers`` dispatcher threads pop jobs and execute them either inline
 (``mode="thread"``) or in a forked child process (``mode="process"``).
-A process worker writes its result atomically into a spool file and
-exits 0; a child that dies mid-job (nonzero exit, signal, timeout)
-leaves no result, the dispatcher counts it as a crash and *requeues* the
-job with exponential backoff until the spec's retry budget is spent --
-the crash-recovery contract.  Deterministic job failures (exceptions)
-consume the same budget.
+Both run one attempt body (:meth:`Scheduler._attempt`): :func:`run_job`
+over the scheduler's registry, store and checkpoint directory, then the
+checkpoint report.  A forked worker inherits those objects and reports
+home over one pipe: each progress event as it publishes it, then one
+envelope with the outcome.  A child that dies mid-job (nonzero exit,
+signal, timeout) sends no envelope; the dispatcher counts it as a crash
+and *requeues* the job with exponential backoff until the spec's retry
+budget is spent -- the crash-recovery contract.  Deterministic job
+failures (exceptions) consume the same budget.
 
 Telemetry: every attempt runs under its job's
 :class:`~repro.telemetry.JobContext` in a trace span, retries/rejections
@@ -42,7 +45,7 @@ import time
 from typing import Dict, List, Optional
 
 from .. import telemetry
-from ..ioutil import atomic_write_json, read_json, read_json_checked
+from ..ioutil import atomic_write_json, read_json_checked
 from ..resilience.checkpoint import latest_lag_s, take_report
 from ..resilience.errors import RankCrash, ReproError, error_from_kind
 from .jobs import Job, JobSpec, JobState, run_job
@@ -67,41 +70,86 @@ class WorkerCrash(RuntimeError):
     """A worker process died mid-job (no result produced)."""
 
 
-def _child_entry(spec_dict: dict, attempt: int, registry_root: Optional[str],
-                 out_path: str, checkpoint_dir: Optional[str] = None,
-                 store_root: Optional[str] = None,
-                 events_dir: Optional[str] = None) -> None:
-    """Forked worker body: run the job, spool the outcome atomically.
+def _child_entry(sched: "Scheduler", spec: JobSpec, attempt: int,
+                 conn) -> None:
+    """Forked worker body: a thread worker's attempt, reported over ``conn``.
 
-    Exits 0 with an ``{"ok": ...}`` envelope for both success and
-    deterministic failure; only a genuine crash (or an injected ``crash``
-    fault) leaves no file behind.  The envelope carries everything the
-    parent needs to reconstruct what happened: the typed error kind
-    (rehydrated via :func:`~repro.resilience.errors.error_from_kind`),
-    the checkpoint report (path / saves / resume point -- how crashed
-    jobs get resumed), and the child's :func:`telemetry.child_report`.
-
-    ``store_root`` gives batch jobs a root-backed result store for
-    per-point dedup/fan-out inside the child; the parent additionally
-    replays the fan-out puts from the returned batch result, which is
-    what covers in-memory stores.
+    The fork inherits the scheduler, so the child runs
+    :meth:`Scheduler._attempt` over the same registry, store and
+    checkpoint directory a thread worker uses.  Each progress event it
+    publishes goes home as ``("event", job_id, event)`` while it runs;
+    then one ``("envelope", {...})``: the result or the typed error
+    (kind and message, rehydrated via
+    :func:`~repro.resilience.errors.error_from_kind`), the checkpoint
+    report (how crashed jobs get resumed), the registry's counter delta
+    since the fork and :func:`telemetry.child_report`.  Only a genuine
+    crash (or an injected ``crash`` fault) sends no envelope.
     """
-    telemetry.fork_child(events_dir)
-    spec = JobSpec.from_dict(spec_dict)
-    registry = PlanRegistry(registry_root)
-    store = ResultStore(store_root) if store_root else None
-    try:
-        result = run_job(spec, registry=registry, attempt=attempt,
-                         checkpoint_dir=checkpoint_dir, store=store)
-        payload = {"ok": True, "result": result}
-    except BaseException as exc:  # noqa: BLE001 - the envelope is the report
-        payload = {"ok": False, "error": f"{type(exc).__name__}: {exc}",
-                   "error_kind": type(exc).__name__}
-    payload["registry_counters"] = registry.counters()
-    payload["checkpoint"] = take_report()
-    payload["telemetry"] = telemetry.child_report()
-    atomic_write_json(out_path, payload)
+    telemetry.fork_child(
+        lambda job_id, event: conn.send(("event", job_id, event)))
+    counted = ("hits", "misses", "stores")
+    before = [getattr(sched.registry, name) for name in counted]
+    result, error, report = sched._attempt(spec, attempt)
+    conn.send(("envelope", {
+        "result": result,
+        "error": None if error is None else (
+            type(error).__name__, f"{type(error).__name__}: {error}"),
+        "checkpoint": report,
+        "registry_counters": {name: getattr(sched.registry, name) - n
+                              for name, n in zip(counted, before)},
+        "telemetry": telemetry.child_report(),
+    }))
     os._exit(0)
+
+
+def _receive(proc, conn, timeout_s: Optional[float]) -> Optional[dict]:
+    """Parent side of a forked worker's hand-off: republish each progress
+    event into :data:`telemetry.PROGRESS` as it arrives and return the
+    envelope (``None`` when the worker exited without one, or mid-send).
+
+    The worker's exit (``proc.sentinel``) ends the wait, never EOF: rank
+    processes it forks inherit the pipe's write end.  Reading while
+    waiting keeps a worker that sends more than the pipe holds from
+    blocking; what is left once the sentinel fires is drained.  A worker
+    that outlives ``timeout_s`` is terminated: :class:`WorkerCrash`.
+    """
+    from multiprocessing.connection import wait
+
+    deadline = None if timeout_s is None else time.monotonic() + timeout_s
+    envelope: Optional[dict] = None
+    watched = [conn, proc.sentinel]
+
+    def take() -> bool:
+        """Read one message; False once the pipe is closed or torn."""
+        nonlocal envelope
+        try:
+            msg = conn.recv()
+        except (EOFError, OSError):
+            watched.remove(conn)
+            return False
+        if msg[0] == "event":
+            _, job_id, event = msg
+            event.pop("seq", None)  # the parent's ring re-stamps
+            telemetry.PROGRESS.publish(job_id, event.pop("kind"), **event)
+        else:
+            envelope = msg[1]
+        return True
+
+    while True:
+        remaining = (None if deadline is None
+                     else max(deadline - time.monotonic(), 0.0))
+        ready = wait(watched, remaining)
+        if not ready:
+            proc.terminate()
+            proc.join(timeout=5.0)
+            raise WorkerCrash(f"worker timed out after {timeout_s}s")
+        if proc.sentinel in ready:
+            break
+        take()
+    while conn in watched and conn.poll(0) and take():
+        pass
+    proc.join()
+    return envelope
 
 
 class Scheduler:
@@ -115,7 +163,6 @@ class Scheduler:
         store: Optional[ResultStore] = None,
         mode: str = "thread",
         retry_base_s: float = 0.05,
-        spool_dir: Optional[str] = None,
         checkpoint_dir: Optional[str] = None,
     ):
         if workers < 1:
@@ -130,7 +177,6 @@ class Scheduler:
         self.queue_size = queue_size
         self.mode = mode
         self.retry_base_s = retry_base_s
-        self._spool_dir = spool_dir
         self.checkpoint_dir = checkpoint_dir
         self._heap: List[tuple] = []  # (-priority, seq, job_id)
         self._jobs: Dict[str, Job] = {}
@@ -140,7 +186,6 @@ class Scheduler:
         self._stopping = False
         self._draining = False
         self._threads: List[threading.Thread] = []
-        self._events_dir: Optional[str] = None
         self._collector = None
         # -- counters (all guarded by _cv) --
         self.n_submitted = 0
@@ -167,12 +212,6 @@ class Scheduler:
         nativelib.retain_heap()
         # Serving implies telemetry (REPRO_TELEMETRY=0 still vetoes).
         telemetry.enable()
-        if self.mode == "process" and self._spool_dir is None:
-            self._spool_dir = tempfile.mkdtemp(prefix="repro-spool-")
-        if self.mode == "process" and telemetry.enabled():
-            self._events_dir = os.path.join(self._spool_dir, "events")
-            os.makedirs(self._events_dir, exist_ok=True)
-            telemetry.PROGRESS.configure_tail(self._events_dir)
         if telemetry.enabled():
             self._register_metrics()
         if (self.checkpoint_dir is None
@@ -302,8 +341,7 @@ class Scheduler:
             queued = [self._jobs[job_id]
                       for _, _, job_id in sorted(self._heap)
                       if self._jobs[job_id].state == JobState.QUEUED]
-        docs = [{"spec": j.spec.to_dict(), "attempts": j.attempts}
-                for j in queued]
+        docs = [{"spec": j.spec.to_dict()} for j in queued]
         atomic_write_json(
             path, {"version": QUEUE_SPOOL_VERSION, "jobs": docs},
             checksum=True)
@@ -522,41 +560,44 @@ class Scheduler:
                                       state=JobState.RUNNING, attempt=attempt)
                 self._run_attempt(job, attempt)
 
+    def _attempt(self, spec: JobSpec, attempt: int):
+        """One attempt's body, in a worker thread or a forked child:
+        ``(result, error, checkpoint report)``, ``error`` being what the
+        job raised (``None`` on success)."""
+        try:
+            result, error = run_job(spec, registry=self.registry,
+                                    attempt=attempt,
+                                    checkpoint_dir=self.checkpoint_dir,
+                                    store=self.store), None
+        except Exception as exc:  # noqa: BLE001 - converted to job outcome
+            result, error = None, exc
+        return result, error, take_report()
+
     def _run_attempt(self, job: Job, attempt: int) -> None:
-        report: Optional[dict] = None
         t0 = time.perf_counter()
         try:
             with telemetry.span(
                 f"attempt {job.id[:12]}#{attempt}", "service",
                 args={"kind": job.spec.kind, "mode": self.mode},
             ):
-                if self.mode == "process":
-                    result, report = self._execute_in_child(job.spec,
-                                                            attempt)
-                else:
-                    try:
-                        result = run_job(job.spec, registry=self.registry,
-                                         attempt=attempt,
-                                         checkpoint_dir=self.checkpoint_dir,
-                                         store=self.store)
-                    finally:
-                        report = take_report()
-        except Exception as exc:  # noqa: BLE001 - converted to job outcome
-            if telemetry.enabled():
-                telemetry.solve_latency().labels(kind=job.spec.kind).observe(
-                    time.perf_counter() - t0)
-            self._note_checkpoint(
-                job, report or getattr(exc, "checkpoint_report", None))
-            self._on_failure(job, attempt, exc)
-            return
+                run = (self._execute_in_child if self.mode == "process"
+                       else self._attempt)
+                result, error, report = run(job.spec, attempt)
+        except Exception as exc:  # noqa: BLE001 - a worker that died or never started
+            result, error, report = None, exc, None
         if telemetry.enabled():
             telemetry.solve_latency().labels(kind=job.spec.kind).observe(
                 time.perf_counter() - t0)
+        if error is not None:
+            self._note_checkpoint(job, report)
+            self._on_failure(job, attempt, error)
+            return
         if self.mode == "process" and result.get("kind") == "batch":
             # Replay the batch's per-point fan-out into this scheduler's
-            # store: the child only shares root-backed stores, so this is
-            # what covers in-memory stores (and is idempotent -- the docs
-            # are the exact ones a root-backed child already wrote).
+            # store: the child's puts reach a root-backed store's files
+            # but not this process's memory, so this is what covers
+            # in-memory stores (and is idempotent -- the docs are the
+            # exact ones the child stored).
             for point in result.get("points") or []:
                 if not point.get("from_store") and point.get("result"):
                     self.store.put(point["id"], point["result"])
@@ -570,9 +611,6 @@ class Scheduler:
             self._cv.notify_all()
         if telemetry.enabled():
             telemetry.job_outcomes().labels(outcome="done").inc()
-            # Pull any events a forked worker wrote before the terminal
-            # event, so readers that stop on "end" see the whole stream.
-            telemetry.PROGRESS.sync_job(job.id)
         telemetry.publish_for(job.id, "end", state=JobState.DONE,
                               attempts=attempt,
                               resumed_from=job.resumed_from)
@@ -592,47 +630,35 @@ class Scheduler:
             self.n_resumed += 1
 
     def _execute_in_child(self, spec: JobSpec, attempt: int):
+        """:meth:`_attempt` in a forked child: the same triple, from its
+        envelope; :class:`WorkerCrash` when the child sends none."""
         import multiprocessing as mp
 
-        assert self._spool_dir is not None
-        out_path = os.path.join(
-            self._spool_dir, f"{spec.job_id}.{attempt}.{os.getpid()}.json"
-        )
         ctx = mp.get_context("fork")
-        proc = ctx.Process(
-            target=_child_entry,
-            args=(spec.to_dict(), attempt, self.registry.root, out_path,
-                  self.checkpoint_dir, self.store.root, self._events_dir),
-        )
-        proc.start()
-        proc.join(timeout=spec.timeout_s)
-        if proc.is_alive():
-            proc.terminate()
-            proc.join(timeout=5.0)
-            raise WorkerCrash(f"worker timed out after {spec.timeout_s}s")
-        payload = read_json(out_path)
+        conn, child_conn = ctx.Pipe(duplex=False)
         try:
-            os.unlink(out_path)
-        except OSError:
-            pass
-        if payload is None:
+            proc = ctx.Process(target=_child_entry,
+                               args=(self, spec, attempt, child_conn))
+            proc.start()
+            child_conn.close()  # the parent only reads
+            envelope = _receive(proc, conn, spec.timeout_s)
+        finally:
+            conn.close()
+            child_conn.close()
+        if envelope is None:
             raise WorkerCrash(
                 f"worker died mid-job (exit code {proc.exitcode}, no result)"
             )
-        self.registry.merge_counters(payload.get("registry_counters") or {})
+        self.registry.merge_counters(envelope["registry_counters"])
         # The merged Chrome trace shows the forked solve on its own
         # process lane, re-based onto the parent timeline.
-        telemetry.merge_child(payload.get("telemetry"),
+        telemetry.merge_child(envelope["telemetry"],
                               label=f"worker {spec.job_id[:12]}#{attempt}")
-        report = payload.get("checkpoint")
-        if not payload.get("ok"):
-            # Rehydrate the typed error so retryability survives the
-            # process boundary (a diverged solve must not burn retries).
-            exc = error_from_kind(payload.get("error_kind"),
-                                  payload.get("error") or "job failed in worker")
-            exc.checkpoint_report = report
-            raise exc
-        return payload["result"], report
+        # A rehydrated typed error keeps its retryability across the
+        # process boundary (a diverged solve must not burn retries).
+        error = (None if envelope["error"] is None
+                 else error_from_kind(*envelope["error"]))
+        return envelope["result"], error, envelope["checkpoint"]
 
     def _on_failure(self, job: Job, attempt: int, exc: Exception) -> None:
         # A dead rank process is a crash like a dead worker: the retry
@@ -679,6 +705,5 @@ class Scheduler:
         else:
             if telemetry.enabled():
                 telemetry.job_outcomes().labels(outcome="failed").inc()
-                telemetry.PROGRESS.sync_job(job.id)
             telemetry.publish_for(job.id, "end", state=JobState.FAILED,
                                   attempts=attempt, error=job.error)

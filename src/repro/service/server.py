@@ -392,8 +392,8 @@ class _Handler(JsonHandler):
 
     def _stream_events(self, job_id: str) -> None:
         """Chunked NDJSON stream of a job's progress events; follows the
-        ring (and any forked worker's event file) until the terminal
-        ``end`` event, then closes."""
+        ring (a forked worker's events arrive there too) until the
+        terminal ``end`` event, then closes."""
         if not telemetry.enabled():
             self._send(503, {"error": "telemetry is disabled "
                                       "(REPRO_TELEMETRY=0)"})

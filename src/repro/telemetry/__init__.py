@@ -24,7 +24,8 @@ The one owner of program telemetry; every other layer goes through it:
   context (no-op without a context or with telemetry off).
 * :func:`fork_child` / :func:`child_report` / :func:`merge_child` --
   how a forked scheduler worker or rank process hands its spans and
-  counts home.
+  counts home over its pipe; a worker forwards its progress events
+  there as it publishes them.
 
 Solvers, the scheduler and the checkpoint manager never import the
 metrics classes directly; they call the helpers here, which keeps the
@@ -35,7 +36,7 @@ trivially intact (telemetry only ever *reads* solver state).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from .. import config
 from .context import JobContext, current, new_trace_id, set_current, use
@@ -46,7 +47,7 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
 )
-from .progress import ProgressHub, RingBuffer, event_file
+from .progress import ProgressHub, RingBuffer
 from .trace import (
     WALL_PID,
     TraceRecorder,
@@ -77,7 +78,6 @@ __all__ = [
     "disable",
     "enable",
     "enabled",
-    "event_file",
     "fork_child",
     "instant",
     "merge_child",
@@ -94,7 +94,7 @@ __all__ = [
 ]
 
 #: Process-global registries (children after a fork mutate their own
-#: copy-on-write copies; progress crosses back via the file sink).
+#: copy-on-write copies; a worker's progress goes home over its pipe).
 METRICS = MetricsRegistry()
 PROGRESS = ProgressHub()
 
@@ -200,26 +200,25 @@ def resilience_counts() -> Dict[str, int]:
 # -- the fork hand-off ---------------------------------------------------------
 
 
-def fork_child(events_dir: Optional[str] = None) -> None:
+def fork_child(forward: Optional[Callable[[str, dict], None]] = None,
+               ) -> None:
     """Child side of a fork, first thing after it.
 
     Drops the inherited metrics and progress rings, so what
-    :func:`child_report` hands home is this child's own delta; mirrors
-    progress into ``events_dir`` (when the parent publishes) so the
-    parent's readers can tail a live child; and records spans into a
-    private recorder when the parent was tracing.
+    :func:`child_report` hands home is this child's own delta; hands
+    every progress event the child publishes to ``forward(job_id,
+    event)`` (a worker's pipe home); and records spans into a private
+    recorder when the parent was tracing.
     """
     METRICS.reset()
     PROGRESS.reset()
-    if _STATE.on and events_dir is not None:
-        PROGRESS.configure_sink(events_dir)
+    PROGRESS.forward = forward
     if recorder() is not None:
         start_trace(None)
 
 
 def child_report() -> dict:
     """What a forked child hands home at exit (JSON-able)."""
-    PROGRESS.close_sink()
     rec = recorder()
     return {"trace": rec.export() if rec is not None else None,
             "metrics": METRICS.snapshot()}

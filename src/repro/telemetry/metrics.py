@@ -369,7 +369,7 @@ class MetricsRegistry:
         """Fold a :meth:`snapshot` from another registry into this one.
 
         Forked workers reset their (copy-on-write) registry at entry, so
-        the snapshot they spool home is a pure delta: counters and
+        the snapshot they send home is a pure delta: counters and
         histogram buckets add, gauges adopt the child's last value --
         the metrics analogue of ``TraceRecorder.merge_child``.
         """

@@ -10,7 +10,6 @@ import os
 import pickle
 import random
 import signal
-import tempfile
 import time
 from multiprocessing.connection import Connection
 
@@ -377,7 +376,7 @@ class TestDistributedJobs:
 
 class TestRankCrashResume:
     def test_killed_worker_leaves_no_ranks_and_the_retry_resumes(
-            self, monkeypatch):
+            self, monkeypatch, tmp_path):
         """SIGKILL of a process-mode worker mid-solve (no ``finally``
         runs, no EOF reaches the ranks): every rank is gone within 2 s,
         and the scheduler's retry resumes bit-identically."""
@@ -390,7 +389,7 @@ class TestRankCrashResume:
         clean = run_job(spec)
 
         monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "100")
-        ckpt_dir = tempfile.mkdtemp(prefix="repro-test-worker-kill-")
+        ckpt_dir = str(tmp_path)
         snapshot = os.path.join(ckpt_dir, f"ckpt-{spec.job_id}.npz")
         sched = Scheduler(workers=1, mode="process", retry_base_s=0.001,
                           checkpoint_dir=ckpt_dir).start()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import telemetry
 from repro.resilience import faults
 from repro.resilience.errors import InjectedFault
 from repro.resilience.faults import CRASH_EXIT_CODE, KINDS, SITES, FaultPlan, FaultSpec
@@ -11,10 +12,8 @@ from repro.resilience.faults import CRASH_EXIT_CODE, KINDS, SITES, FaultPlan, Fa
 def _clean_plan(monkeypatch):
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
     faults.uninstall()
-    faults.set_attempt(1)
     yield
     faults.uninstall()
-    faults.set_attempt(1)
 
 
 class TestFaultSpecParsing:
@@ -97,11 +96,20 @@ class TestActivation:
 
     def test_attempt_filter(self):
         faults.install(FaultPlan.parse("s:raise:0:1"))
-        faults.set_attempt(2)
-        assert faults.hit("s") is None  # attempt 2: spec pinned to 1
-        faults.install(FaultPlan.parse("s:raise:0:*"))
-        with pytest.raises(InjectedFault):
-            faults.hit("s")
+        with telemetry.use(telemetry.JobContext("j", "t", attempt=2)):
+            assert faults.hit("s") is None  # attempt 2: spec pinned to 1
+            faults.install(FaultPlan.parse("s:raise:0:*"))
+            with pytest.raises(InjectedFault):
+                faults.hit("s")
+
+    def test_a_site_outside_any_job_is_on_attempt_one(self):
+        """The attempt is the current job context's: a job that ran its
+        second attempt on this thread leaves no attempt behind it."""
+        from repro.service import JobSpec, run_job
+
+        run_job(JobSpec(kind="tune", grid=8, threads=2), attempt=2)
+        faults.install(FaultPlan.parse("registry.read:corrupt"))
+        assert faults.hit("registry.read") == "corrupt"
 
     def test_corrupt_kind_returned_to_site(self):
         faults.install(FaultPlan.parse("s:corrupt"))

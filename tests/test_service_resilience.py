@@ -124,7 +124,7 @@ class TestFailFast:
     def test_retryable_kind_survives_the_process_boundary(
             self, monkeypatch):
         """An InjectedFault raised in the child comes back typed (via the
-        spool's error_kind) and is retried until the budget runs out."""
+        envelope's error kind) and is retried until the budget runs out."""
         monkeypatch.setenv("REPRO_FAULTS", "job.run:raise:0:*")
         spec = JobSpec(**dict(FAST_TUNE, max_retries=1))
         sched = Scheduler(workers=1, mode="process",
@@ -200,6 +200,22 @@ class TestDrainAndSpool:
         grids = [e["spec"]["grid"] for e in doc["jobs"]]
         assert grids == [10, 8]  # high priority first
         assert low.id != high.id
+
+    def test_a_spool_entry_is_its_spec_and_older_entries_restore(
+            self, tmp_path):
+        from repro.ioutil import atomic_write_json, read_json_checked
+        from repro.service.scheduler import QUEUE_SPOOL_VERSION
+
+        spool = str(tmp_path / "queue.json")
+        cold = Scheduler(workers=1)
+        cold.submit(JobSpec(**FAST_TUNE))
+        cold.persist_queue(spool)
+        assert [set(e) for e in read_json_checked(spool)["jobs"]] == [{"spec"}]
+        # A spool written with the former per-entry attempt count.
+        atomic_write_json(spool, {"version": QUEUE_SPOOL_VERSION, "jobs": [
+            {"spec": JobSpec(**FAST_TUNE).to_dict(), "attempts": 2}]},
+            checksum=True)
+        assert Scheduler(workers=1).restore_queue(spool) == 1
 
 
 def _serve(data_dir, env=None, mode=None):

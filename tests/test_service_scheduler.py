@@ -1,23 +1,33 @@
 """Tests for the priority-FIFO scheduler: dedup, backpressure, retry,
 and crash recovery."""
 
+import os
+import struct
+import tempfile
+
 import pytest
 
+from repro import telemetry
 from repro.resilience import faults
 from repro.service import (
     JobSpec,
     JobState,
+    PlanRegistry,
     QueueFullError,
     ResultStore,
     Scheduler,
     run_job,
 )
+from repro.service import scheduler as scheduler_module
+from repro.service.scheduler import WorkerCrash
 
 FAST_SOLVE = dict(kind="solve", preset="vacuum", grid=10, wavelength=10.0,
                   tol=1e-4, max_steps=20)
 #: grid 8 makes the tuner bail instantly (infeasible) -- the cheapest
 #: real job for exercising the scheduler machinery.
 FAST_TUNE = dict(kind="tune", grid=8, threads=2)
+FAST_BATCH = dict(kind="batch", preset="absorber", grid=10, tol=1e-4,
+                  max_steps=40, threads=2, wavelengths=(10.0, 12.0))
 
 #: Fault plans on the ``job.run`` site.  A spec fires once, at one pass
 #: count: thread workers count passes across attempts, while each forked
@@ -258,7 +268,7 @@ class TestCrashRecovery:
             assert done.state == JobState.DONE
         finally:
             sched.stop()
-        # The spooled result matches an in-process execution exactly.
+        # The result the worker sent home matches an in-process run exactly.
         assert done.result == run_job(JobSpec(**FAST_SOLVE))
 
     def test_deterministic_failure_in_child_is_not_a_crash(self):
@@ -272,6 +282,94 @@ class TestCrashRecovery:
         assert done.state == JobState.FAILED
         assert "injected failure at job.run" in done.error
         assert sched.stats()["worker_crashes"] == 0
+
+
+class TestForkedWorkerBody:
+    """A forked worker runs a thread worker's attempt over the objects it
+    inherits: the node's registry and store, not copies rebuilt from
+    their roots."""
+
+    def test_a_tuned_plan_names_the_node(self, tmp_path):
+        registry = PlanRegistry(str(tmp_path), node_id="nodeA")
+        sched = _sched(workers=1, mode="process", registry=registry).start()
+        try:
+            job = sched.submit(JobSpec(**FAST_TUNE))
+            assert sched.wait(job.id, timeout=60.0).state == JobState.DONE
+        finally:
+            sched.stop()
+        assert [e["meta"].get("node") for e in registry.entries()] == ["nodeA"]
+        assert registry.counters()["misses"] == 1  # the child's delta came home
+
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_a_batch_dedups_against_an_in_memory_store(self, mode):
+        spec = JobSpec(**FAST_BATCH)
+        first = spec.point_spec(FAST_BATCH["wavelengths"][0])
+        store = ResultStore()
+        store.put(first.job_id, run_job(first))
+        sched = _sched(workers=1, mode=mode, store=store).start()
+        try:
+            job = sched.submit(spec)
+            done = sched.wait(job.id, timeout=120.0)
+        finally:
+            sched.stop()
+        assert done.state == JobState.DONE, done.error
+        assert (done.result["dedup_hits"], done.result["solved"]) == (1, 1)
+
+    def test_a_process_worker_makes_no_temp_dir(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a temp dir was made")
+
+        monkeypatch.setattr(tempfile, "mkdtemp", refuse)
+        sched = _sched(workers=1, mode="process").start()
+        try:
+            job = sched.submit(JobSpec(**FAST_SOLVE))
+            assert sched.wait(job.id, timeout=60.0).state == JobState.DONE
+        finally:
+            sched.stop()
+
+
+class TestHandOff:
+    """A forked worker's one pipe home: its events while it runs, then
+    one envelope; an exit without a whole envelope is a crash."""
+
+    def test_more_than_the_pipe_holds_arrives_whole(self, monkeypatch):
+        spec = JobSpec(**FAST_TUNE)
+        blob = "x" * 4096
+
+        def flood(sched, spec, attempt):  # 256 x 4 KiB: 1 MiB of events
+            for i in range(256):
+                telemetry.PROGRESS.publish(spec.job_id, "progress", i=i,
+                                           blob=blob)
+            return {"kind": "tune"}, None, {"saves": 0}
+
+        monkeypatch.setattr(Scheduler, "_attempt", flood)
+        telemetry.PROGRESS.forget(spec.job_id)
+        try:
+            outcome = Scheduler(mode="process")._execute_in_child(spec, 1)
+            events, _, missed = telemetry.PROGRESS.events_since(spec.job_id)
+        finally:
+            telemetry.PROGRESS.forget(spec.job_id)
+        assert outcome == ({"kind": "tune"}, None, {"saves": 0})
+        assert [e["i"] for e in events] == list(range(256)) and missed == 0
+        assert all(e["blob"] == blob for e in events)
+
+    def test_an_exit_without_an_envelope_is_a_crash(self, monkeypatch):
+        monkeypatch.setattr(Scheduler, "_attempt",
+                            lambda sched, spec, attempt: os._exit(3))
+        with pytest.raises(WorkerCrash, match="exit code 3"):
+            Scheduler(mode="process")._execute_in_child(
+                JobSpec(**FAST_TUNE), 1)
+
+    def test_an_exit_mid_send_is_a_crash(self, monkeypatch):
+        def torn(sched, spec, attempt, conn):
+            # A message header announcing 1 MiB, then 64 bytes of it.
+            os.write(conn.fileno(), struct.pack("!i", 1 << 20) + b"x" * 64)
+            os._exit(0)
+
+        monkeypatch.setattr(scheduler_module, "_child_entry", torn)
+        with pytest.raises(WorkerCrash, match="no result"):
+            Scheduler(mode="process")._execute_in_child(
+                JobSpec(**FAST_TUNE), 1)
 
 
 class TestWaiting:

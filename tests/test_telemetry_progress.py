@@ -1,15 +1,13 @@
-"""Ring buffers, the forked-worker event sink, and the disabled-path
-overhead contract of the progress hub."""
+"""Ring buffers, the forward hook a forked worker sends its events home
+through, and the disabled-path overhead contract of the progress hub."""
 
-import json
-import os
 import time
 
 import pytest
 
 from repro import telemetry
 from repro.telemetry import JobContext
-from repro.telemetry.progress import ProgressHub, RingBuffer, event_file
+from repro.telemetry.progress import ProgressHub, RingBuffer
 
 
 @pytest.fixture(autouse=True)
@@ -110,59 +108,16 @@ class TestProgressHub:
         assert hub.buffer("job-1").closed
 
 
-class TestFileSink:
-    """The forked-worker path: child appends JSONL, parent tails."""
-
-    def test_sink_and_tail_round_trip(self, tmp_path):
-        child = ProgressHub()
-        child.configure_sink(str(tmp_path))
-        child.publish("job-1", "progress", sweeps=20, residual=0.25)
-        child.publish("job-1", "checkpoint", sweeps=40)
-        child.close_sink()
-
-        parent = ProgressHub()
-        parent.configure_tail(str(tmp_path))
-        events, _, missed = parent.events_since("job-1")
-        assert [e["kind"] for e in events] == ["progress", "checkpoint"]
-        assert events[0]["residual"] == 0.25
-        assert missed == 0
-        # Parent re-stamps seq in its own ring.
-        assert [e["seq"] for e in events] == [0, 1]
-
-    def test_tail_is_incremental(self, tmp_path):
-        child = ProgressHub()
-        child.configure_sink(str(tmp_path))
-        parent = ProgressHub()
-        parent.configure_tail(str(tmp_path))
-
-        child.publish("j", "progress", sweeps=1)
-        assert parent.sync_job("j") == 1
-        child.publish("j", "progress", sweeps=2)
-        child.publish("j", "progress", sweeps=3)
-        assert parent.sync_job("j") == 2
-        assert parent.sync_job("j") == 0
-
-    def test_torn_tail_line_is_deferred(self, tmp_path):
-        parent = ProgressHub()
-        parent.configure_tail(str(tmp_path))
-        path = event_file(str(tmp_path), "j")
-        with open(path, "w") as f:
-            f.write(json.dumps({"kind": "progress", "sweeps": 1}) + "\n")
-            f.write('{"kind": "progress", "swee')  # torn mid-write
-        assert parent.sync_job("j") == 1
-        with open(path, "a") as f:
-            f.write('ps": 2}\n')
-        assert parent.sync_job("j") == 1
-        events, _, _ = parent.events_since("j")
-        assert [e["sweeps"] for e in events] == [1, 2]
-
-    def test_missing_file_is_a_quiet_noop(self, tmp_path):
-        parent = ProgressHub()
-        parent.configure_tail(str(tmp_path))
-        assert parent.sync_job("nope") == 0
-
-    def test_sink_file_name(self, tmp_path):
-        assert event_file(str(tmp_path), "abc").endswith("events-abc.jsonl")
+    def test_forward_sees_every_published_event(self):
+        hub = ProgressHub()
+        sent = []
+        hub.forward = lambda job_id, event: sent.append((job_id, event))
+        hub.publish("job-1", "progress", sweeps=20)
+        hub.end("job-1", state="done")
+        events, _, _ = hub.events_since("job-1")
+        assert sent == [("job-1", e) for e in events]
+        hub.reset()
+        assert hub.forward is None
 
 
 class TestGate:

@@ -2,6 +2,8 @@
 forked worker's sweeps and a distributed job's ranks, merged back into a
 single Chrome trace, and one counter series per resilience event."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,31 @@ class TestForkedWorkerPropagation:
                      if e["kind"] == "progress"]
         assert residuals and all(r >= 0 for r in residuals)
         telemetry.PROGRESS.forget(job.id)
+
+    def test_progress_arrives_while_the_worker_runs(self):
+        """The parent republishes a forked worker's events as they come,
+        not when the job ends: a reader sees them mid-solve."""
+        telemetry.enable(force=True)
+        spec = JobSpec(kind="solve", preset="vacuum", grid=16,
+                       wavelength=10.0, tol=1e-12, max_steps=4000)
+        sched = Scheduler(workers=1, mode="process").start()
+        try:
+            job = sched.submit(spec)
+            seen_running = False
+            deadline = time.monotonic() + 120.0
+            while not job.terminal and time.monotonic() < deadline:
+                events, _, _ = telemetry.PROGRESS.events_since(job.id)
+                if (any(e["kind"] == "progress" for e in events)
+                        and job.state == JobState.RUNNING):
+                    seen_running = True
+                    break
+                time.sleep(0.01)
+            sched.wait(job.id, timeout=120.0)
+        finally:
+            sched.stop()
+            telemetry.PROGRESS.forget(job.id)
+        assert job.state == JobState.DONE, job.error
+        assert seen_running, "no progress event reached the parent mid-solve"
 
 
 def _two_rank_solver():
