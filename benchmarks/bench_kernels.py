@@ -348,7 +348,7 @@ def _dispatch_us(calls=200_000):
     fields = FieldState(grid).fill_random(np.random.default_rng(11))
     region = BoundRegion((slice(3, 4), slice(3, 4), slice(3, 4)))
     update_component("Hxy", fields, coeffs, region)  # bind
-    raw, ref = kernels._THIIM, fields._bound["Hxy"][0]
+    raw, ref = kernels._HELD, fields._bound["Hxy"][0]
 
     def dispatched():
         for _ in range(calls):

@@ -43,6 +43,19 @@ has stood still for a moment (while a helper runs one-part jobs back to
 back, taking turns would only move the fields between cores); so the
 caller waits only for a part another thread holds.
 
+The GIL
+-------
+The pass is called through two ``ctypes`` handles of one library: the
+``CDLL`` handle releases the GIL for the call, a ``PyDLL`` handle keeps
+it.  A box below ``thiim_split_min`` -- one part, a few microseconds --
+goes through the ``PyDLL`` handle: released, each of the ~500 calls of a
+tiny solve could wait up to a switch interval (5 ms) to take the GIL back
+from any CPU-bound Python thread (20 g10 sweeps beside one on a 2-vCPU
+KVM guest: 1.2 s, not 1 ms).  A split box, and ``thiim_close`` /
+``thiim_drain`` (they wait on the helper threads), go through the
+``CDLL`` handle, so Python threads run while they do.  Both handles call the same symbol with the
+same globals, so the result does not depend on the handle.
+
 Region semantics
 ----------------
 A region is a triple of ``slice`` objects ``(z, y, x)``.  Kernels assume
@@ -323,10 +336,17 @@ class _Op(ctypes.Structure):
 #: component -> names of its operands: (read a, read b, t, c, src or None).
 _OPERANDS = {n: (*s.reads, s.coeff_t, s.coeff_c, s.source) for n, s in SPECS.items()}
 
-#: The compiled pass ``thiim_update(op, box)``; ``None`` until the first
-#: kernel call, ``False`` on the NumPy body.  It mirrors the pass's entry
-#: in the :func:`nativelib.load` memo, so a kernel call reads one global.
+#: The compiled pass ``thiim_update(op, box)`` through the ``CDLL``
+#: handle (it releases the GIL); ``None`` until the first kernel call,
+#: ``False`` on the NumPy body.  It mirrors the pass's entry in the
+#: :func:`nativelib.load` memo, so a kernel call reads one global.
 _THIIM = None
+#: The same symbol through a ``PyDLL`` handle (it keeps the GIL): the
+#: call of a box below :data:`_GATE` (module docstring, *The GIL*).
+_HELD = None
+#: The library's ``thiim_split_min``: a box of fewer cells x lanes runs
+#: as one part.
+_GATE = None
 #: ``(thiim_open, thiim_close, thiim_drain)`` of the pass once it has
 #: bound (:func:`stream`).
 _WINDOW = None
@@ -341,6 +361,7 @@ class BoundRegion(tuple):
         z, y, x = region
         self.box = ctypes.byref((ctypes.c_int64 * 6)(
             z.start, z.stop, y.start, y.stop, x.start, x.stop))
+        self.cells = region_lups(region)
         return self
 
 
@@ -357,10 +378,12 @@ def _bind_pass(lib):
     child: it runs serial (the library's fork handler drops any helpers,
     and ``thiim_open`` opens no window without one).  Every argument is a
     ``byref``, which ctypes passes as a pointer with no ``argtypes``
-    conversion: half the cost of a call."""
-    global _WINDOW
-    call = lib.thiim_update
-    call.restype = ctypes.c_int64
+    conversion: half the cost of a call.  The probe calls through both
+    handles, as :func:`_update_native` picks them."""
+    global _WINDOW, _HELD, _GATE
+    call, _HELD = lib.thiim_update, nativelib.gil_kept(lib).thiim_update
+    call.restype = _HELD.restype = ctypes.c_int64
+    _GATE = ctypes.c_int.in_dll(lib, "thiim_split_min")
     if not _probe(call, lib):
         telemetry.count_event("native_degraded")
         return False
@@ -396,11 +419,11 @@ def _probe(call, lib) -> bool:
         for cname in SPECS[comp].coeff_names:
             contracted[cname] = np.ascontiguousarray(constants[cname][
                 (slice(None),) + tuple(slice(None) if k else slice(0, 1) for k in keep)])
-    gate, cap = (ctypes.c_int.in_dll(lib, n) for n in ("thiim_split_min", "thiim_helper_cap"))
-    saved = gate.value, cap.value
+    cap = ctypes.c_int.in_dll(lib, "thiim_helper_cap")
+    saved = _GATE.value, cap.value
     try:
         for split in (saved, (0, 3)):
-            gate.value, cap.value = split
+            _GATE.value, cap.value = split
             for wrap, consts in ((True, constants), (False, constants), (True, contracted)):
                 grid = Grid(*shape, periodic=(wrap,) * 3)
                 coeffs = BatchedCoefficientSet(grid, [1.0, 1.0], [0.1, 0.1], consts)
@@ -419,17 +442,19 @@ def _probe(call, lib) -> bool:
                 if any(oracle[f].tobytes() != fields[f].tobytes() for f in ALL_COMPONENTS):
                     return False
     finally:
-        gate.value, cap.value = saved
+        _GATE.value, cap.value = saved
     return True
 
 
 def _bind(fields, coeffs) -> dict:
     """component -> (op reference, the six arrays it points into -- held,
-    so no address is recycled while the binding lives).  The fields share
+    so no address is recycled while the binding lives -- and the lanes
+    of the fields).  The fields share
     one shape, ``t`` / ``c`` / ``src`` another that broadcasts to it;
     arrays the pass cannot address bind to ``None`` and take the NumPy
     body."""
     grid = fields.grid
+    lanes = fields.batch_width
     bound = {}
     for name, (ra, rb, t, c, src) in _OPERANDS.items():
         spec = SPECS[name]
@@ -450,18 +475,19 @@ def _bind(fields, coeffs) -> dict:
                 s // 8 if n > 1 else 0 for n, s in zip(cshape, arrays[3].strides))
             ref = ctypes.byref(_Op(
                 *(a.ctypes.data if a is not None else None for a in arrays),
-                grid.shape, shape[0] if len(shape) == 4 else 1,
-                spec.deriv_axis, spec.shift, grid.periodic[spec.deriv_axis], cs))
-        bound[name] = (ref,) + arrays
+                grid.shape, lanes, spec.deriv_axis, spec.shift,
+                grid.periodic[spec.deriv_axis], cs))
+        bound[name] = (ref, *arrays, lanes)
     return bound
 
 
 def _update_native(call, name, fields, coeffs, region: Region) -> None:
     """One compiled call through ``fields._bound``: every component is
     bound again first when an array its op points into was replaced (the
-    six identity checks inline: this is the hot path)."""
+    six identity checks inline: this is the hot path).  A box that runs
+    as one part goes through :data:`_HELD`, a split one through ``call``."""
     try:
-        ref, f, a, b, t, c, s = fields._bound[name]
+        ref, f, a, b, t, c, s, lanes = fields._bound[name]
     except TypeError:  # never bound
         ref = f = None
     fa, ca = fields._arrays, coeffs.arrays
@@ -472,12 +498,14 @@ def _update_native(call, name, fields, coeffs, region: Region) -> None:
         # queued ops may point into arrays the old binding holds.
         _drain()
         bound = fields._bound = _bind(fields, coeffs)
-        ref = bound[name][0]
+        ref, lanes = bound[name][0], bound[name][-1]
     if ref is None:
         _drain()
         return _update_numpy(name, fields, coeffs, region)
     if type(region) is not BoundRegion:
         region = BoundRegion(region)
+    if region.cells * lanes < _GATE.value:
+        call = _HELD
     if call(ref, region.box):
         # The pass refused the box and touched nothing; a far read off a
         # non-periodic axis fails in _shifted_read's words, as on NumPy.

@@ -87,14 +87,13 @@ from __future__ import annotations
 import collections
 import json
 import math
-from http.server import ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 
 from .. import forksafe, telemetry
 from ..resilience import faults
 from ..resilience.errors import NodeUnavailable, QuotaExceeded, ReproError
 from ..service.jobs import JobSpec, JobState
-from ..service.server import REQUEST_TIMEOUT_S, JsonHandler
+from ..service.server import JsonHandler, JsonServer
 from .admission import ANONYMOUS_TENANT, TENANT_HEADER, RetryBudget, \
     TenantQuotas
 from .nodes import ALIVE, NodeRegistry
@@ -106,14 +105,9 @@ __all__ = ["FleetServer", "make_gateway", "RETRY_AFTER_S"]
 RETRY_AFTER_S = 2
 
 
-class FleetServer(ThreadingHTTPServer):
+class FleetServer(JsonServer):
     """The gateway HTTP server; handlers reach the fleet via
     ``self.server``."""
-
-    daemon_threads = True
-    allow_reuse_address = True
-    request_queue_size = 32
-    request_timeout = REQUEST_TIMEOUT_S
 
     def __init__(self, addr: Tuple[str, int], registry: NodeRegistry,
                  node_timeout_s: float, quota: float, quota_burst: float,

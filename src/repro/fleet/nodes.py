@@ -38,11 +38,9 @@ detection instead of a probe/lease tug-of-war.
 
 from __future__ import annotations
 
-import json
+import http.client
 import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -201,20 +199,22 @@ class NodeRegistry:
     def check_once(self) -> None:
         """Probe every node's ``/healthz`` once, synchronously (after a
         membership sync when a lease directory is configured)."""
+        from .router import http_request  # router imports this module
+
         leases = self.sync_leases()
         stale_leases = {url for url, info in leases.items()
                         if not info["fresh"]}
         for url in list(self._nodes):
             if url in stale_leases:
                 continue  # the stale lease already marked it dead
-            req = urllib.request.Request(
-                f"{url}/healthz",
-                headers={"X-Repro-Shard-Version": str(self.version)})
             try:
-                with urllib.request.urlopen(
-                        req, timeout=self.timeout_s) as resp:
-                    doc = json.loads(resp.read())
-            except (urllib.error.URLError, OSError, ValueError):
+                status, doc, _ = http_request(
+                    "GET", f"{url}/healthz",
+                    headers={"X-Repro-Shard-Version": str(self.version)},
+                    timeout=self.timeout_s)
+            except (OSError, ValueError, http.client.HTTPException):
+                status = None
+            if status != 200:
                 self.mark_failure(url)
                 continue
             self.mark_alive(url, doc)

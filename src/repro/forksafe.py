@@ -23,16 +23,19 @@ __all__ = ["forked", "lock"]
 #: both).
 forked = False
 
-#: Every live lock -> (its row of the table, its ``if_held`` rule).
+#: Every live lock -> (its row of the table, its ``if_held`` and
+#: ``in_child`` rules).
 _LOCKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def lock(row: str, if_held=None) -> threading.Lock:
-    """A new lock that every forked child gets back released.  ``if_held()``
-    runs in a child forked while another thread held it, once every lock
-    is fresh: for state the lock guards that may have been left torn."""
+def lock(row: str, if_held=None, in_child=None) -> threading.Lock:
+    """A new lock that every forked child gets back released.  Once every
+    lock is fresh, ``if_held()`` runs in a child forked while another
+    thread held it, for state the lock guards that may have been left
+    torn, and ``in_child()`` runs in every child, for state that must not
+    cross a fork at all (the parent's open sockets)."""
     new = threading.Lock()
-    _LOCKS[new] = (row, if_held)
+    _LOCKS[new] = (row, if_held, in_child)
     return new
 
 
@@ -40,11 +43,12 @@ def _in_child() -> None:
     global forked
     forked = True
     rules = list(_LOCKS.items())
-    torn = [if_held for held, (_, if_held) in rules if if_held and held.locked()]
+    run = [in_child for _, (_, _, in_child) in rules if in_child]
+    run += [if_held for held, (_, if_held, _) in rules if if_held and held.locked()]
     for held, _ in rules:
         held._at_fork_reinit()
-    for if_held in torn:
-        if_held()
+    for rule in run:
+        rule()
 
 
 os.register_at_fork(after_in_child=_in_child)

@@ -99,6 +99,12 @@ def _open(name: str):
         return None
 
 
+def gil_kept(lib):
+    """``lib`` opened once more as a ``PyDLL``: the same library (the
+    same globals), whose calls keep the GIL where ``lib``'s release it."""
+    return ctypes.PyDLL(lib._name)
+
+
 #: name -> what its ``bind`` returned (a handle), or ``False``: vetoed,
 #: degraded, or refused by the bind.  Absent until the first :func:`load`.
 _LOADED: dict = {}

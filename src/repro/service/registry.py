@@ -34,7 +34,7 @@ from .. import forksafe, telemetry
 from ..core.autotuner import point_from_json, point_to_json
 from ..machine.counters import timed_section
 from ..machine.spec import MachineSpec
-from .store import DocumentStore
+from .store import Counted, DocumentStore
 
 __all__ = ["PlanRegistry", "REGISTRY_VERSION"]
 
@@ -42,13 +42,15 @@ __all__ = ["PlanRegistry", "REGISTRY_VERSION"]
 REGISTRY_VERSION = 1
 
 
-class PlanRegistry:
+class PlanRegistry(Counted):
     """Keyed, optionally persistent store of tuned points.
 
     ``node_id`` (optional) stamps stored plans' ``meta`` with the node
     that tuned them, so a sharded fleet's registries stay auditable
     (``GET /registry`` shows which shard paid for which tune).
     """
+
+    COUNTERS = ("hits", "misses", "stores")
 
     def __init__(self, root: Optional[str] = None,
                  node_id: Optional[str] = None):
@@ -167,19 +169,6 @@ class PlanRegistry:
         return point, False
 
     # -- readout ---------------------------------------------------------------
-
-    def counters(self) -> Dict[str, int]:
-        entries = len(self._docs.keys())
-        with self._lock:
-            return {"hits": self.hits, "misses": self.misses,
-                    "stores": self.stores, "entries": entries}
-
-    def merge_counters(self, d: Dict[str, int]) -> None:
-        """Fold a child worker's counter deltas into this registry."""
-        with self._lock:
-            self.hits += int(d.get("hits", 0))
-            self.misses += int(d.get("misses", 0))
-            self.stores += int(d.get("stores", 0))
 
     def entries(self) -> List[Dict[str, Any]]:
         """Registry listing for ``GET /registry`` (summaries, no fields)."""

@@ -81,22 +81,24 @@ def _child_entry(sched: "Scheduler", spec: JobSpec, attempt: int,
     then one ``("envelope", {...})``: the result or the typed error
     (kind and message, rehydrated via
     :func:`~repro.resilience.errors.error_from_kind`), the checkpoint
-    report (how crashed jobs get resumed), the registry's counter delta
-    since the fork and :func:`telemetry.child_report`.  Only a genuine
-    crash (or an injected ``crash`` fault) sends no envelope.
+    report (how crashed jobs get resumed), the registry's and the
+    store's counter deltas since the fork and the documents they added
+    (a plan the child tuned, the points of a batch: an in-memory
+    registry or store has them nowhere else) and
+    :func:`telemetry.child_report`.  Only a genuine crash (or an
+    injected ``crash`` fault) sends no envelope.
     """
     telemetry.fork_child(
         lambda job_id, event: conn.send(("event", job_id, event)))
-    counted = ("hits", "misses", "stores")
-    before = [getattr(sched.registry, name) for name in counted]
+    marks = sched.registry.fork_mark(), sched.store.fork_mark()
     result, error, report = sched._attempt(spec, attempt)
     conn.send(("envelope", {
         "result": result,
         "error": None if error is None else (
             type(error).__name__, f"{type(error).__name__}: {error}"),
         "checkpoint": report,
-        "registry_counters": {name: getattr(sched.registry, name) - n
-                              for name, n in zip(counted, before)},
+        "registry": sched.registry.fork_report(marks[0]),
+        "store": sched.store.fork_report(marks[1]),
         "telemetry": telemetry.child_report(),
     }))
     os._exit(0)
@@ -592,15 +594,6 @@ class Scheduler:
             self._note_checkpoint(job, report)
             self._on_failure(job, attempt, error)
             return
-        if self.mode == "process" and result.get("kind") == "batch":
-            # Replay the batch's per-point fan-out into this scheduler's
-            # store: the child's puts reach a root-backed store's files
-            # but not this process's memory, so this is what covers
-            # in-memory stores (and is idempotent -- the docs are the
-            # exact ones the child stored).
-            for point in result.get("points") or []:
-                if not point.get("from_store") and point.get("result"):
-                    self.store.put(point["id"], point["result"])
         with telemetry.span(f"store {job.id[:12]}", "service"):
             self.store.put(job.id, result)
         with self._cv:
@@ -649,7 +642,8 @@ class Scheduler:
             raise WorkerCrash(
                 f"worker died mid-job (exit code {proc.exitcode}, no result)"
             )
-        self.registry.merge_counters(envelope["registry_counters"])
+        self.registry.merge_report(envelope["registry"])
+        self.store.merge_report(envelope["store"])
         # The merged Chrome trace shows the forked solve on its own
         # process lane, re-based onto the parent timeline.
         telemetry.merge_child(envelope["telemetry"],

@@ -48,6 +48,17 @@ server's ``request_timeout``, :data:`REQUEST_TIMEOUT_S`) and the listen
 backlog is bounded, so a stalled or malicious client can neither wedge a
 handler thread forever nor queue unbounded connections.
 
+Connections are HTTP/1.1 and stay open between requests (the gateway
+keeps its node connections alive: :mod:`repro.fleet.router`); one idle
+for ``request_timeout`` is closed.  Every request's body is read whole
+before its route runs, read or not, so the next request on the
+connection starts where this one ended.  Nagle's algorithm is off: a
+response leaves as two writes, headers and body, and with it on the body
+would wait for the client's delayed ACK of the headers -- 40 ms per
+kept-alive round trip.  :meth:`JsonServer.server_close` also shuts down
+the connections still open, so a stopped server stops answering like a
+dead process does, kept-alive clients included.
+
 Typed failures (:class:`~repro.resilience.errors.ReproError`) escaping a
 handler map to their ``http_status`` with the error's JSON ``payload()``
 as the body, so a diverged solve reads as 422, an unavailable engine as
@@ -66,6 +77,7 @@ the fleet gateway, which speaks the same API.
 from __future__ import annotations
 
 import json
+import socket
 import time
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -73,15 +85,15 @@ from typing import Dict, List, Optional, Tuple
 
 import uuid
 
-from .. import config, telemetry
+from .. import config, forksafe, telemetry
 from ..resilience import faults
 from ..resilience.checkpoint import latest_lag_s
 from ..resilience.errors import ReproError
 from .jobs import JobSpec
 from .scheduler import QueueFullError, Scheduler
 
-__all__ = ["JsonHandler", "REQUEST_TIMEOUT_S", "ServiceServer",
-           "make_server"]
+__all__ = ["JsonHandler", "JsonServer", "REQUEST_TIMEOUT_S",
+           "ServiceServer", "make_server"]
 
 #: Per-request socket timeout of a node and of the gateway: a client
 #: that stops reading or writing is disconnected after this many idle
@@ -97,9 +109,9 @@ EVENTS_IDLE_TIMEOUT_S = 60.0
 BACKPRESSURE_RETRY_AFTER_S = 2
 
 
-class ServiceServer(ThreadingHTTPServer):
-    """HTTP server carrying its scheduler (handlers reach it via
-    ``self.server.scheduler``)."""
+class JsonServer(ThreadingHTTPServer):
+    """The threading HTTP server of a node and of the gateway: it knows
+    its open connections, and :meth:`server_close` shuts them down."""
 
     daemon_threads = True
     allow_reuse_address = True
@@ -107,6 +119,38 @@ class ServiceServer(ThreadingHTTPServer):
     #: the kernel refuses, instead of queueing clients without limit.
     request_queue_size = 32
     request_timeout = REQUEST_TIMEOUT_S
+
+    def __init__(self, addr: Tuple[str, int], handler) -> None:
+        super().__init__(addr, handler)
+        self._open_lock = forksafe.lock("service.connections")
+        self._open: set = set()
+
+    def process_request(self, request, client_address) -> None:
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Close the listening socket and shut down every open
+        connection: its handler thread reads end-of-file and ends."""
+        super().server_close()
+        with self._open_lock:
+            still_open = list(self._open)
+        for request in still_open:
+            try:
+                request.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the client closed it first
+
+
+class ServiceServer(JsonServer):
+    """HTTP server carrying its scheduler (handlers reach it via
+    ``self.server.scheduler``)."""
 
     def __init__(self, addr: Tuple[str, int], scheduler: Scheduler,
                  node_id: Optional[str] = None):
@@ -126,11 +170,12 @@ class ServiceServer(ThreadingHTTPServer):
 
 
 class JsonHandler(BaseHTTPRequestHandler):
-    """Request plumbing of the JSON API, for a server that carries a
-    ``request_timeout``.  A subclass supplies ``_post`` / ``_get`` /
-    ``_delete`` and :meth:`_identity_headers`."""
+    """Request plumbing of the JSON API, for a :class:`JsonServer`.  A
+    subclass supplies ``_post`` / ``_get`` / ``_delete`` and
+    :meth:`_identity_headers`."""
 
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
 
     def setup(self) -> None:
         # Per-request socket timeout *before* the stream wrappers exist:
@@ -160,11 +205,9 @@ class JsonHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_body(self):
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
+        if not self._body:
             raise ValueError("empty request body")
-        return json.loads(raw)
+        return json.loads(self._body)
 
     def _path_parts(self) -> List[str]:
         return [p for p in self.path.split("?")[0].split("/") if p]
@@ -194,14 +237,23 @@ class JsonHandler(BaseHTTPRequestHandler):
         except ReproError as exc:
             self._send(exc.http_status, exc.payload())
 
+    def _route(self, handler) -> None:
+        """Read the request's body whole, then run ``handler`` guarded."""
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length, self.close_connection = 0, True  # no request boundary
+        self._body = self.rfile.read(length) if length > 0 else b""
+        self._guard(handler)
+
     def do_POST(self) -> None:
-        self._guard(self._post)
+        self._route(self._post)
 
     def do_GET(self) -> None:
-        self._guard(self._get)
+        self._route(self._get)
 
     def do_DELETE(self) -> None:
-        self._guard(self._delete)
+        self._route(self._delete)
 
 
 class _Handler(JsonHandler):
@@ -234,7 +286,7 @@ class _Handler(JsonHandler):
     # -- routes ----------------------------------------------------------------
 
     def do_PUT(self) -> None:
-        self._guard(self._put)
+        self._route(self._put)
 
     def _post(self) -> None:
         if self.path.split("?")[0] != "/jobs":

@@ -29,7 +29,7 @@ from .. import forksafe
 from ..ioutil import atomic_write_json, corrupt_file, read_json_checked
 from ..resilience import faults
 
-__all__ = ["DocumentStore", "ResultStore", "STORE_VERSION"]
+__all__ = ["Counted", "DocumentStore", "ResultStore", "STORE_VERSION"]
 
 #: Bump to invalidate persisted results (payload format change).
 STORE_VERSION = 1
@@ -126,8 +126,64 @@ class DocumentStore:
         """Every ``(key, document)`` that :meth:`get` serves, by key."""
         return [(key, self._mem[key]) for key in sorted(self.keys())]
 
+    def cached(self) -> Dict[str, Dict[str, Any]]:
+        """The documents in memory: stored here or read from disk."""
+        with self._lock:
+            return dict(self._mem)
 
-class ResultStore:
+    def adopt(self, docs: Dict[str, Dict[str, Any]]) -> None:
+        """Take documents another process stored (into its memory, and
+        into files under this root if it has one) into memory, as if they
+        had been stored here; a document already held wins."""
+        with self._lock:
+            for key, doc in docs.items():
+                self._mem.setdefault(key, doc)
+
+
+class Counted:
+    """The counters of a document store's owner, and what a forked worker
+    sends home of it: :meth:`fork_mark` before the job,
+    :meth:`fork_report` after it (counter deltas and the documents it
+    added), :meth:`merge_report` in the parent.  ``COUNTERS`` names the
+    counters; ``_lock`` guards them and ``_docs`` is the store."""
+
+    COUNTERS: Tuple[str, ...] = ()
+    _lock: threading.Lock
+    _docs: DocumentStore
+
+    def counters(self) -> Dict[str, int]:
+        """The counters, and ``entries``: the documents served."""
+        entries = len(self._docs.keys())
+        with self._lock:
+            return {**{name: getattr(self, name) for name in self.COUNTERS},
+                    "entries": entries}
+
+    def merge_counters(self, d: Dict[str, int]) -> None:
+        """Fold a child worker's counter deltas into these counters."""
+        with self._lock:
+            for name in self.COUNTERS:
+                setattr(self, name, getattr(self, name) + int(d.get(name, 0)))
+
+    def fork_mark(self) -> Tuple[List[int], set]:
+        with self._lock:
+            counts = [getattr(self, name) for name in self.COUNTERS]
+        return counts, set(self._docs.cached())
+
+    def fork_report(self, mark: Tuple[List[int], set]) -> Dict[str, dict]:
+        counts, keys = mark
+        with self._lock:
+            delta = {name: getattr(self, name) - n
+                     for name, n in zip(self.COUNTERS, counts)}
+        docs = {key: doc for key, doc in self._docs.cached().items()
+                if key not in keys}
+        return {"counters": delta, "docs": docs}
+
+    def merge_report(self, report: Dict[str, dict]) -> None:
+        self.merge_counters(report["counters"])
+        self._docs.adopt(report["docs"])
+
+
+class ResultStore(Counted):
     """Job-id -> result-dict map, optionally persisted one file per id.
 
     ``node_id`` (optional) stamps every persisted document with the
@@ -135,6 +191,8 @@ class ResultStore:
     stamp lives *next to* the ``result`` payload, never inside it, so
     results stay bit-identical no matter which node produced them.
     """
+
+    COUNTERS = ("hits", "misses", "puts", "replica_puts")
 
     def __init__(self, root: Optional[str] = None,
                  node_id: Optional[str] = None):
@@ -208,10 +266,3 @@ class ResultStore:
 
     def ids(self) -> List[str]:
         return sorted(self._docs.keys())
-
-    def counters(self) -> Dict[str, int]:
-        entries = len(self)
-        with self._lock:
-            return {"hits": self.hits, "misses": self.misses,
-                    "puts": self.puts, "replica_puts": self.replica_puts,
-                    "entries": entries}

@@ -10,15 +10,18 @@ results, a batch scatters into its points -- each its own job on its
 own home -- and gathers back losslessly, and the health endpoints expose
 membership and staleness."""
 
+import http.client
 import json
+import time
 import urllib.request
 
 import pytest
 
-from conftest import (FAST, fleet_poll as _poll, node_by_url as _node_by_url,
+from conftest import (FAST, FleetNode, fleet_poll as _poll,
+                      node_by_url as _node_by_url,
                       spec_homed_on as _spec_homed_on)
-from repro.fleet import NodeRegistry
-from repro.fleet.router import http_request as _request, poll_job
+from repro.fleet import NodeRegistry, router
+from repro.fleet.router import Router, http_request as _request, poll_job
 from repro.service import JobSpec, run_job
 
 
@@ -364,3 +367,97 @@ class TestRegistryUnit:
             NodeRegistry([])
         with pytest.raises(ValueError):
             NodeRegistry(["http://a", "http://a/"])
+
+
+class TestNodeConnections:
+    """The gateway's node hops reuse kept-alive connections: a node
+    accepts one connection for many forwards, closing an idle one is not
+    its death, and a stopped node's open connections die with it."""
+
+    @pytest.fixture()
+    def node(self):
+        node = FleetNode(0)
+        node.accepts = 0
+        serve = node.server.process_request
+
+        def counted(request, client_address):
+            node.accepts += 1
+            serve(request, client_address)
+
+        node.server.process_request = counted
+        yield node
+        node.kill()
+
+    @staticmethod
+    def _router(node):
+        registry = NodeRegistry([node.url], dead_after=1, timeout_s=10.0,
+                                interval_s=3600.0)
+        return registry, Router(registry)
+
+    def test_sequential_forwards_open_one_connection(self, node):
+        registry, hops = self._router(node)
+        registry.check_once()
+        for _ in range(10):
+            assert hops.forward("GET", "/healthz", "job")[0] == 200
+        assert node.accepts == 1
+
+    def test_an_idle_connection_the_node_closed_is_not_its_death(self, node):
+        node.server.request_timeout = 0.2
+        registry, hops = self._router(node)
+        registry.check_once()
+        version = registry.version
+        assert hops.forward("GET", "/healthz", "job")[0] == 200
+        time.sleep(0.6)  # the node closes the pooled connection
+        assert hops.forward("GET", "/healthz", "job")[0] == 200
+        assert node.accepts == 2
+        assert registry.node(node.url).state == "alive"
+        assert registry.version == version  # no death, so no failover
+
+    def test_kept_alive_round_trips_wait_on_no_delayed_ack(self, node):
+        """Headers and body leave in two writes; with Nagle's algorithm on
+        the node, the body waits ~40 ms for the client's delayed ACK."""
+        conn = http.client.HTTPConnection("127.0.0.1", node.server.server_port,
+                                          timeout=10.0)
+        try:
+            t0 = time.perf_counter()
+            for _ in range(20):
+                conn.request("GET", "/healthz")
+                resp = conn.getresponse()
+                assert resp.status == 200 and json.loads(resp.read())["ok"]
+            elapsed = time.perf_counter() - t0
+        finally:
+            conn.close()
+        assert node.accepts == 1
+        assert elapsed < 20 * 0.040 / 2
+
+    def test_an_unread_body_leaves_the_connection_usable(self, node):
+        """A route that answers without reading the body (an unknown
+        endpoint) must not leave the body to be parsed as the next
+        request on a kept-alive connection."""
+        conn = http.client.HTTPConnection("127.0.0.1", node.server.server_port,
+                                          timeout=10.0)
+        try:
+            conn.request("POST", "/nowhere", body=json.dumps(FAST).encode(),
+                         headers={"Content-Type": "application/json"})
+            resp = conn.getresponse()
+            assert resp.status == 404 and b"no such endpoint" in resp.read()
+            conn.request("GET", "/healthz")
+            resp = conn.getresponse()
+            assert resp.status == 200 and json.loads(resp.read())["ok"]
+        finally:
+            conn.close()
+        assert node.accepts == 1
+
+    def test_a_pooled_hop_fails_over_after_a_kill(self, fleet):
+        victim = fleet.nodes[0]
+        spec = _spec_homed_on(fleet, victim.url)
+        clean = run_job(spec)
+        _, doc, _ = _request("POST", f"{fleet.base}/jobs", spec.to_dict())
+        _poll(fleet.base, doc["id"])
+        port = int(victim.url.rsplit(":", 1)[1])
+        assert router._IDLE.get(("127.0.0.1", port))  # the hop stayed open
+        victim.kill()
+        done = _poll(fleet.base, doc["id"])
+        assert done["result"] == clean
+        assert done["node"] != victim.url
+        assert fleet.registry.node(victim.url).state == "dead"

@@ -2,6 +2,9 @@
 boundary handling, periodic wrap-around."""
 
 import ctypes
+import statistics
+import threading
+import time
 from contextlib import nullcontext
 
 import numpy as np
@@ -30,9 +33,10 @@ from repro.fdfd import kernels, observables
 from repro.fdfd.kernels import BoundRegion, full_region, region_lups
 from repro.fdfd.specs import SPECS
 from repro.resilience import faults
+from repro.service import JobSpec, run_job
 
 from conftest import (contracted_problem, expanded, numpy_kernels, random_state,
-                      run_concurrently, service_solver)
+                      run_concurrently, service_solver, thiim_int)
 
 needs_native = pytest.mark.skipif(
     not kernels._native(), reason="compiled THIIM kernel unavailable")
@@ -559,3 +563,74 @@ class TestContractedCoefficients:
         got = {}
         run_concurrently(lambda case: got.__setitem__(case, run(case)), cases)
         assert got == serial
+
+
+@needs_native
+class TestGilHandles:
+    """A box the pass runs as one part goes through the handle that keeps
+    the GIL, a split box through the one that releases it (kernels.py,
+    *The GIL*)."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Every compiled call from here on, as ``(handle, cells x lanes)``."""
+        calls = []
+
+        def counting(handle, call):
+            def counted(ref, box):
+                z0, z1, y0, y1, x0, x1 = box._obj
+                calls.append((handle, (z1 - z0) * (y1 - y0) * (x1 - x0) * ref._obj.lanes))
+                return call(ref, box)
+            return counted
+
+        monkeypatch.setattr(kernels, "_HELD", counting("kept", kernels._HELD))
+        monkeypatch.setattr(kernels, "_THIIM", counting("released", kernels._THIIM))
+        return calls
+
+    def test_a_small_solve_keeps_the_gil_on_every_call(self, calls):
+        for tiled in (False, True):
+            run_job(JobSpec(kind="solve", preset="vacuum", grid=10, wavelength=10.0,
+                            tol=1e-12, max_steps=4, tiled=tiled))
+        assert calls and {handle for handle, _ in calls} == {"kept"}
+
+    def test_a_split_box_releases_it(self, calls):
+        run_job(JobSpec(kind="solve", preset="vacuum", grid=32, wavelength=10.0,
+                        tol=1e-12, max_steps=2))
+        gate = thiim_int("thiim_split_min").value
+        assert "released" in {handle for handle, _ in calls}
+        assert all((handle == "released") == (cells >= gate) for handle, cells in calls)
+
+    def test_both_handles_read_one_gate(self):
+        lib = nativelib._open("_thiim_kernel")
+        gates = [ctypes.c_int.in_dll(h, "thiim_split_min")
+                 for h in (lib, nativelib.gil_kept(lib))]
+        saved = gates[0].value
+        try:
+            gates[1].value = saved + 1
+            assert gates[0].value == kernels._GATE.value == saved + 1
+        finally:
+            gates[0].value = saved
+
+    def test_a_small_solve_beside_a_busy_thread(self):
+        """Released, each of the solve's 480 calls would wait a switch
+        interval (5 ms) for the GIL: ~0.5-1.4 s instead of ~2 ms."""
+        solver = service_solver("vacuum", 10)
+        naive_sweep(solver.fields, solver.coefficients, 1)  # bind
+        stop = threading.Event()
+
+        def busy():
+            while not stop.is_set():
+                pass
+
+        spinner = threading.Thread(target=busy)
+        spinner.start()
+        seconds = []
+        try:
+            for _ in range(3):
+                t0 = time.perf_counter()
+                naive_sweep(solver.fields, solver.coefficients, 20)
+                seconds.append(time.perf_counter() - t0)
+        finally:
+            stop.set()
+            spinner.join()
+        assert statistics.median(seconds) < 0.25, seconds

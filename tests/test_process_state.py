@@ -14,6 +14,7 @@ shared caches under threads.
   result bytewise under :func:`conftest.run_concurrently`.
 """
 
+import http.client
 import multiprocessing as mp
 import os
 import pathlib
@@ -30,7 +31,7 @@ from repro.core.diamond import enumerate_tiles
 from repro.core.wavefront import tile_rows
 from repro.fdfd import (ALL_COMPONENTS, Grid, kernels, random_coefficients,
                         spatial_blocked_sweep)
-from repro.fleet import NodeRegistry, make_gateway
+from repro.fleet import NodeRegistry, make_gateway, router
 from repro.fleet.admission import TenantQuotas, TokenBucket
 from repro.machine import (HASWELL_EP, SUBSTRATE_COUNTERS, clear_substrate_caches,
                            make_lru, native, native_available, streams)
@@ -97,6 +98,23 @@ def _gateway(ctx):
     return server
 
 
+def _pool(ctx):
+    """The idle connection list, holding a connection: the child starts
+    with none (its sockets would be the parent's)."""
+    node = ("127.0.0.1", 9)
+    router._IDLE[node] = [http.client.HTTPConnection(*node)]
+    ctx.finalizers.append(lambda: router._IDLE.pop(node, None))
+
+    def touch():
+        assert router._IDLE == {}, router._IDLE
+    return router._IDLE_LOCK, touch
+
+
+def _connections(ctx):
+    server = _gateway(ctx)
+    return server._open_lock, server.server_close
+
+
 #: Row of the fork table -> ``row(ctx)`` returning the lock to hold and
 #: what the child does with its object beyond the common workload.
 ROWS = {
@@ -122,6 +140,8 @@ ROWS = {
     "fleet.quotas": _instance(lambda ctx: TenantQuotas(10.0),
                               lambda q: q.try_take("tenant")),
     "fleet.gateway": _instance(_gateway, lambda g: g.remember_spec("job", {})),
+    "fleet.pool": _pool,
+    "service.connections": _connections,
 }
 
 

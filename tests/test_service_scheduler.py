@@ -315,6 +315,39 @@ class TestForkedWorkerBody:
         assert done.state == JobState.DONE, done.error
         assert (done.result["dedup_hits"], done.result["solved"]) == (1, 1)
 
+    def test_a_plan_a_worker_tuned_serves_the_next_job(self):
+        """The plan document comes home in the envelope: the tiled solve
+        after the tune hits an in-memory registry in process mode too."""
+        registry = PlanRegistry()
+        sched = _sched(workers=1, mode="process", registry=registry).start()
+        try:
+            for spec in (JobSpec(kind="tune", grid=10, threads=2),
+                         JobSpec(**dict(FAST_SOLVE, max_steps=8, tiled=True,
+                                        threads=2, tuning="registry"))):
+                done = sched.wait(sched.submit(spec).id, timeout=60.0)
+                assert done.state == JobState.DONE, done.error
+        finally:
+            sched.stop()
+        assert registry.counters() == {"hits": 1, "misses": 1, "stores": 1,
+                                       "entries": 1}
+
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_a_batch_counts_its_store_lookups(self, mode):
+        """The batch's own lookup misses here; its points' lookups (one
+        hit, one miss) are counted wherever the worker runs."""
+        spec = JobSpec(**FAST_BATCH)
+        first = spec.point_spec(FAST_BATCH["wavelengths"][0])
+        store = ResultStore()
+        store.put(first.job_id, run_job(first))
+        sched = _sched(workers=1, mode=mode, store=store).start()
+        try:
+            done = sched.wait(sched.submit(spec).id, timeout=120.0)
+        finally:
+            sched.stop()
+        assert done.state == JobState.DONE, done.error
+        counters = store.counters()
+        assert (counters["hits"], counters["misses"], counters["puts"]) == (1, 2, 3)
+
     def test_a_process_worker_makes_no_temp_dir(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a temp dir was made")
