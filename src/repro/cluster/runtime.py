@@ -1,16 +1,19 @@
 """The distributed THIIM's rank runtime: forked rank processes.
 
 One parent (the scheduler's worker, or a thread worker's call frame)
-forks ``layout.n_ranks`` rank processes; each builds its
+forks ``layout.n_ranks`` rank processes, each a
+:class:`~repro.forksafe.Child`; each builds its
 :class:`~repro.cluster.distributed._Rank` -- the ghosted slab, its halo
 edges over the shared-memory :mod:`repro.cluster.transport` -- and
 advances the one Fig. 3 half-step sequence, :data:`~repro.cluster.
 distributed.HALF_STEPS`, with the shared :func:`~repro.cluster.
 distributed.component_region` clipping.
 
-Parent and ranks talk over a *control plane* -- one pipe per rank,
+Parent and ranks talk over a *control plane* -- each child's one pipe,
 small dicts only: the parent sends ``step`` and ``stop``, a rank answers
-``hello``, ``check``, ``bye`` or a typed ``error`` -- and the
+``check`` or ``bye`` (or the child's typed ``error``), and the parent
+waits on one rank's reply while watching every rank's exit
+(:meth:`Child.recv <repro.forksafe.Child.recv>`) -- and the
 shared-memory *data plane* of :mod:`repro.cluster.transport`.
 
 Bit-identity with the single-domain sweep is preserved by construction:
@@ -49,18 +52,14 @@ from .. import telemetry
 from ..fdfd.observables import relative_change
 from ..fdfd.specs import ALL_COMPONENTS, E_COMPONENTS
 from ..fdfd.thiim import SolveResult, _converge
+from ..forksafe import Child
 from ..resilience import faults
 from ..resilience.checkpoint import CheckpointManager
-from ..resilience.errors import RankCrash, SolverDiverged, error_from_kind
+from ..resilience.errors import RankCrash, SolverDiverged
 from .decomposition import Coord, RankLayout
 from .distributed import HALF_STEPS, CommStats, _Rank
-from .transport import (
-    SYNC_TIMEOUT_S,
-    WAIT_SLICE_S,
-    ShmTransport,
-    edge_shapes,
-    shared_arrays,
-)
+from .transport import (SYNC_TIMEOUT_S, WAIT_SLICE_S, ShmTransport,
+                        edge_shapes, shared_arrays)
 
 __all__ = ["run_distributed"]
 
@@ -72,13 +71,12 @@ def _rank_label(coord: Coord) -> str:
 # -- rank side -----------------------------------------------------------------
 
 
-def _rank_main(index: int, coord: Coord, layout: RankLayout, solver,
-               transport, plane: Dict[str, np.ndarray], conn) -> None:
-    """Entry point of one rank process (fork: everything is inherited,
-    the job context and the resumed global fields included).  Ranks
-    publish no progress: the parent does; their spans and counts go home
-    with the ``bye``."""
-    telemetry.fork_child()
+def _rank_main(conn, index: int, coord: Coord, layout: RankLayout, solver,
+               transport, plane: Dict[str, np.ndarray]) -> None:
+    """Body of one rank process, a :class:`~repro.forksafe.Child` (fork:
+    everything is inherited, the job context and the resumed global
+    fields included).  Ranks publish no progress: the parent does; their
+    spans and counts go home with the ``bye``."""
     telemetry.disable()
 
     def next_command() -> dict:
@@ -89,95 +87,28 @@ def _rank_main(index: int, coord: Coord, layout: RankLayout, solver,
                 os._exit(1)
         return conn.recv()
 
-    try:
-        rank = _Rank(layout, coord, solver.fields, solver.coefficients,
-                     transport)
-        stats = CommStats()
-        conn.send({"type": "hello", "pid": os.getpid()})
-        while True:
-            msg = next_command()
-            t = msg.get("type")
-            if t == "step":
-                faults.hit("cluster.rank")
-                faults.hit(f"cluster.rank.{index}")
-                with telemetry.span(f"{_rank_label(coord)} sweep", "cluster",
-                                    args={"n": msg["n"]}):
-                    for _ in range(msg["n"]):
-                        for half in HALF_STEPS:
-                            rank.half_step(half, stats)
-                # This rank's half of the gather: owned slabs into the plane.
-                for name in ALL_COMPONENTS:
-                    plane[name][rank.sub.own] = rank.owned(name)
-                conn.send({"type": "check", "stats": stats.to_dict()})
-            elif t == "stop":
-                conn.send({"type": "bye", "stats": stats.to_dict(),
-                           "telemetry": telemetry.child_report()})
-                break
-            else:
-                raise RuntimeError(f"unknown command {t!r}")
-        conn.close()
-        os._exit(0)
-    except EOFError:
-        os._exit(1)
-    except BaseException as exc:  # surface typed errors to the parent
-        try:
-            conn.send({"type": "error", "kind": type(exc).__name__,
-                       "message": str(exc),
+    rank = _Rank(layout, coord, solver.fields, solver.coefficients, transport)
+    stats = CommStats()
+    while True:
+        msg = next_command()
+        if msg["type"] == "stop":
+            conn.send({"type": "bye", "stats": stats.to_dict(),
                        "telemetry": telemetry.child_report()})
-        except OSError:
-            pass
-        os._exit(1)
+            return
+        faults.hit("cluster.rank")
+        faults.hit(f"cluster.rank.{index}")
+        with telemetry.span(f"{_rank_label(coord)} sweep", "cluster",
+                            args={"n": msg["n"]}):
+            for _ in range(msg["n"]):
+                for half in HALF_STEPS:
+                    rank.half_step(half, stats)
+        # This rank's half of the gather: owned slabs into the plane.
+        for name in ALL_COMPONENTS:
+            plane[name][rank.sub.own] = rank.owned(name)
+        conn.send({"type": "check", "stats": stats.to_dict()})
 
 
 # -- parent side ---------------------------------------------------------------
-
-
-def _recv(coord: Coord, conns: Dict[Coord, object],
-          procs: Dict[Coord, object], timeout_s: float) -> dict:
-    """One checked message from a rank, watching *every* rank's health
-    (a dead sibling stalls its neighbours' halo waits, so waiting on one
-    pipe must not mask another rank's crash; clean exits don't count)."""
-    conn = conns[coord]
-    deadline = time.monotonic() + timeout_s
-    while True:
-        try:
-            if conn.poll(0.05):
-                return _check_payload(conn.recv(), coord)
-            if procs[coord].exitcode is not None:
-                if conn.poll(0.2):
-                    return _check_payload(conn.recv(), coord)
-                raise RankCrash(
-                    f"rank {coord} exited with code "
-                    f"{procs[coord].exitcode} mid-solve",
-                    coord=list(coord), exitcode=procs[coord].exitcode)
-        except (EOFError, OSError):
-            raise RankCrash(
-                f"rank {coord} closed its pipe mid-solve", coord=list(coord))
-        for c, proc in procs.items():
-            if c == coord or proc.exitcode in (None, 0):
-                continue
-            # Prefer the sibling's own typed error, if it sent one
-            # before dying; otherwise report the death itself.
-            try:
-                if conns[c].poll(0.1):
-                    _check_payload(conns[c].recv(), c)
-            except (EOFError, OSError):
-                pass
-            raise RankCrash(
-                f"rank {c} exited with code {proc.exitcode} mid-solve",
-                coord=list(c), exitcode=proc.exitcode)
-        if time.monotonic() > deadline:
-            raise RankCrash(
-                f"rank {coord} unresponsive for {timeout_s:.0f}s",
-                coord=list(coord))
-
-
-def _check_payload(msg: dict, coord: Coord) -> dict:
-    if msg.get("type") == "error":
-        telemetry.merge_child(msg.get("telemetry"), label=_rank_label(coord))
-        raise error_from_kind(msg.get("kind"),
-                              f"rank {coord}: {msg.get('message')}")
-    return msg
 
 
 def run_distributed(
@@ -199,8 +130,6 @@ def run_distributed(
     point and checkpoint saves.  ``checkpoint`` snapshots the global
     state, so the same manager resumes under any layout or none.
     """
-    import multiprocessing as mp
-
     if tuple(solver.grid.shape) != tuple(layout.grid.shape):
         raise ValueError("solver grid does not match the layout's grid")
     if tuple(solver.grid.periodic) != tuple(layout.grid.periodic):
@@ -217,22 +146,20 @@ def run_distributed(
     shapes = dict.fromkeys(ALL_COMPONENTS, fields.grid.shape)
     plane = shared_arrays({**shapes, **edge_shapes(layout)})
     transport = ShmTransport(layout, plane, timeout_s=timeout_s)
-    ctx = mp.get_context("fork")
-    procs: Dict[Coord, object] = {}
-    conns: Dict[Coord, object] = {}
+    ranks: Dict[Coord, Child] = {}
     pids: List[int] = []
     stats = CommStats()
 
-    def command(msg: Optional[dict],
-                into_fields: bool = False) -> Dict[Coord, dict]:
-        """Send ``msg`` (if any) to every rank, collect one checked reply
-        each; ``into_fields`` then copies the field plane (every rank
-        wrote its owned slabs there before replying) into ``fields``."""
-        if msg is not None:
-            for coord in procs:
-                conns[coord].send(msg)
-        replies = {coord: _recv(coord, conns, procs, timeout_s)
-                   for coord in procs}
+    def command(msg: dict, into_fields: bool = False) -> Dict[Coord, dict]:
+        """Send ``msg`` to every rank, collect one reply each while
+        watching them all; ``into_fields`` then copies the field plane
+        (every rank wrote its owned slabs there before replying) into
+        ``fields``."""
+        for rank in ranks.values():
+            rank.conn.send(msg)
+        deadline = time.monotonic() + timeout_s
+        replies = {coord: rank.recv(deadline, watch=ranks.values())
+                   for coord, rank in ranks.items()}
         if into_fields:
             for name in ALL_COMPONENTS:
                 fields[name] = plane[name]
@@ -241,20 +168,10 @@ def run_distributed(
     def start_ranks() -> None:
         """Fork every rank from the current (possibly resumed) fields."""
         for index, coord in enumerate(coords):
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(
-                target=_rank_main,
-                args=(index, coord, layout, solver, transport, plane,
-                      child_conn),
-                daemon=True,
-                name=f"repro-rank-{coord[0]}-{coord[1]}-{coord[2]}",
-            )
-            proc.start()
-            child_conn.close()
-            procs[coord] = proc
-            conns[coord] = parent_conn
-        hellos = command(None)
-        pids.extend(int(hellos[c]["pid"]) for c in coords)
+            ranks[coord] = Child(_rank_main, index, coord, layout, solver,
+                                 transport, plane, name=_rank_label(coord),
+                                 crash=RankCrash)
+        pids.extend(rank.proc.pid for rank in ranks.values())
         resumed_from = checkpoint and checkpoint.resumed_from
         if telemetry.enabled():
             telemetry.cluster_ranks().set(layout.n_ranks)
@@ -272,17 +189,14 @@ def run_distributed(
         """Graceful stop: collect stats and telemetry from every rank."""
         for coord, bye in command({"type": "stop"}).items():
             stats.merge(CommStats.from_dict(bye["stats"]))
-            telemetry.merge_child(bye.get("telemetry"),
-                                  label=_rank_label(coord))
-        for proc in procs.values():
-            proc.join(timeout=timeout_s)
+            telemetry.merge_child(bye["telemetry"], label=ranks[coord].name)
 
     try:
         checks: Dict[Coord, dict] = {}
         published = CommStats()
 
         def advance(n: int) -> None:
-            if not procs:
+            if not ranks:
                 start_ranks()
             checks.update(command({"type": "step", "n": n},
                                   into_fields=True))
@@ -344,13 +258,5 @@ def run_distributed(
                               ranks=layout.n_ranks)
         raise
     finally:
-        for proc in procs.values():
-            if proc.exitcode is None:
-                proc.terminate()
-        for proc in procs.values():
-            proc.join(timeout=5.0)
-        for conn in conns.values():
-            try:
-                conn.close()
-            except OSError:
-                pass
+        for rank in ranks.values():
+            rank.stop()

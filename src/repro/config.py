@@ -3,7 +3,7 @@
 A setting has exactly one route.  It is an environment flag only where
 the library reads it at a depth no caller's argument reaches (the
 compiled-code veto, tracing, fault schedules, checkpoint cadence under
-``run_job``, rank pinning) or where a parent labels a process it spawns
+``run_job``) or where a parent labels a process it spawns
 (``REPRO_NODE_ID``); everything else is a CLI flag feeding a constructor
 keyword whose default is a literal in the signature.  What the host has
 is observed, not set: the replay engine is the compiled one whenever it

@@ -132,10 +132,6 @@ class TilingPlan:
         return len(self.tiles)
 
     @property
-    def total_nodes(self) -> int:
-        return sum(t.n_nodes for t in self.tiles.values())
-
-    @property
     def bands(self) -> List[int]:
         return sorted({t.band for t in self.tiles.values()})
 

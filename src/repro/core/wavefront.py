@@ -59,11 +59,6 @@ class RowJob(NamedTuple):
     def is_h(self) -> bool:
         return self.tau % 2 == 0
 
-    @property
-    def cells_per_x(self) -> int:
-        """Node-cells covered (multiply by nx for grid cells)."""
-        return (self.y_hi - self.y_lo) * (self.z_hi - self.z_lo)
-
 
 def level_offsets(tile: DiamondTile) -> List[int]:
     """Cumulative z-trailing offset of each sub-step level of the tile."""

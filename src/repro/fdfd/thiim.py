@@ -274,10 +274,6 @@ class BatchSolveResult:
     def batch_width(self) -> int:
         return len(self.results)
 
-    @property
-    def all_converged(self) -> bool:
-        return all(r.converged for r in self.results)
-
 
 def _publish_progress(steps: int, residuals: Dict[str, float], **event) -> None:
     """The per-check event of a point solve."""

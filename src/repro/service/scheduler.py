@@ -21,13 +21,15 @@ Execution path
 (``mode="thread"``) or in a forked child process (``mode="process"``).
 Both run one attempt body (:meth:`Scheduler._attempt`): :func:`run_job`
 over the scheduler's registry, store and checkpoint directory, then the
-checkpoint report.  A forked worker inherits those objects and reports
-home over one pipe: each progress event as it publishes it, then one
-envelope with the outcome.  A child that dies mid-job (nonzero exit,
-signal, timeout) sends no envelope; the dispatcher counts it as a crash
-and *requeues* the job with exponential backoff until the spec's retry
-budget is spent -- the crash-recovery contract.  Deterministic job
-failures (exceptions) consume the same budget.
+checkpoint report.  A forked worker is a :class:`~repro.forksafe.Child`
+(the package's one fork site, shared with cluster ranks): it inherits
+those objects and reports home over the child's pipe -- each progress
+event as it publishes it, then one envelope with the outcome.  A child
+that dies mid-job (nonzero exit, signal, timeout) sends no envelope;
+the dispatcher counts it as a crash and *requeues* the job with
+exponential backoff until the spec's retry budget is spent -- the
+crash-recovery contract.  Deterministic job failures (exceptions)
+consume the same budget.
 
 Telemetry: every attempt runs under its job's
 :class:`~repro.telemetry.JobContext` in a trace span, retries/rejections
@@ -39,12 +41,14 @@ from __future__ import annotations
 
 import heapq
 import os
+import shutil
 import tempfile
 import threading
 import time
 from typing import Dict, List, Optional
 
 from .. import telemetry
+from ..forksafe import Child
 from ..ioutil import atomic_write_json, read_json_checked
 from ..resilience.checkpoint import latest_lag_s, take_report
 from ..resilience.errors import RankCrash, ReproError, error_from_kind
@@ -70,16 +74,16 @@ class WorkerCrash(RuntimeError):
     """A worker process died mid-job (no result produced)."""
 
 
-def _child_entry(sched: "Scheduler", spec: JobSpec, attempt: int,
-                 conn) -> None:
-    """Forked worker body: a thread worker's attempt, reported over ``conn``.
+def _child_entry(conn, sched: "Scheduler", spec: JobSpec,
+                 attempt: int) -> None:
+    """Forked worker body (a :class:`~repro.forksafe.Child`): a thread
+    worker's attempt, reported home in one envelope.
 
     The fork inherits the scheduler, so the child runs
     :meth:`Scheduler._attempt` over the same registry, store and
-    checkpoint directory a thread worker uses.  Each progress event it
-    publishes goes home as ``("event", job_id, event)`` while it runs;
-    then one ``("envelope", {...})``: the result or the typed error
-    (kind and message, rehydrated via
+    checkpoint directory a thread worker uses; its progress events go
+    home as it publishes them.  The envelope carries the result or the
+    typed error (kind and message, rehydrated via
     :func:`~repro.resilience.errors.error_from_kind`), the checkpoint
     report (how crashed jobs get resumed), the registry's and the
     store's counter deltas since the fork and the documents they added
@@ -88,11 +92,10 @@ def _child_entry(sched: "Scheduler", spec: JobSpec, attempt: int,
     :func:`telemetry.child_report`.  Only a genuine crash (or an
     injected ``crash`` fault) sends no envelope.
     """
-    telemetry.fork_child(
-        lambda job_id, event: conn.send(("event", job_id, event)))
     marks = sched.registry.fork_mark(), sched.store.fork_mark()
     result, error, report = sched._attempt(spec, attempt)
-    conn.send(("envelope", {
+    conn.send({
+        "type": "envelope",
         "result": result,
         "error": None if error is None else (
             type(error).__name__, f"{type(error).__name__}: {error}"),
@@ -100,58 +103,7 @@ def _child_entry(sched: "Scheduler", spec: JobSpec, attempt: int,
         "registry": sched.registry.fork_report(marks[0]),
         "store": sched.store.fork_report(marks[1]),
         "telemetry": telemetry.child_report(),
-    }))
-    os._exit(0)
-
-
-def _receive(proc, conn, timeout_s: Optional[float]) -> Optional[dict]:
-    """Parent side of a forked worker's hand-off: republish each progress
-    event into :data:`telemetry.PROGRESS` as it arrives and return the
-    envelope (``None`` when the worker exited without one, or mid-send).
-
-    The worker's exit (``proc.sentinel``) ends the wait, never EOF: rank
-    processes it forks inherit the pipe's write end.  Reading while
-    waiting keeps a worker that sends more than the pipe holds from
-    blocking; what is left once the sentinel fires is drained.  A worker
-    that outlives ``timeout_s`` is terminated: :class:`WorkerCrash`.
-    """
-    from multiprocessing.connection import wait
-
-    deadline = None if timeout_s is None else time.monotonic() + timeout_s
-    envelope: Optional[dict] = None
-    watched = [conn, proc.sentinel]
-
-    def take() -> bool:
-        """Read one message; False once the pipe is closed or torn."""
-        nonlocal envelope
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):
-            watched.remove(conn)
-            return False
-        if msg[0] == "event":
-            _, job_id, event = msg
-            event.pop("seq", None)  # the parent's ring re-stamps
-            telemetry.PROGRESS.publish(job_id, event.pop("kind"), **event)
-        else:
-            envelope = msg[1]
-        return True
-
-    while True:
-        remaining = (None if deadline is None
-                     else max(deadline - time.monotonic(), 0.0))
-        ready = wait(watched, remaining)
-        if not ready:
-            proc.terminate()
-            proc.join(timeout=5.0)
-            raise WorkerCrash(f"worker timed out after {timeout_s}s")
-        if proc.sentinel in ready:
-            break
-        take()
-    while conn in watched and conn.poll(0) and take():
-        pass
-    proc.join()
-    return envelope
+    })
 
 
 class Scheduler:
@@ -180,6 +132,7 @@ class Scheduler:
         self.mode = mode
         self.retry_base_s = retry_base_s
         self.checkpoint_dir = checkpoint_dir
+        self._own_checkpoint_dir: Optional[str] = None
         self._heap: List[tuple] = []  # (-priority, seq, job_id)
         self._jobs: Dict[str, Job] = {}
         self._order: List[str] = []  # submission order (listing)
@@ -218,10 +171,10 @@ class Scheduler:
             self._register_metrics()
         if (self.checkpoint_dir is None
                 and config.get("REPRO_CHECKPOINT_EVERY") > 0):
-            self.checkpoint_dir = (
-                config.get("REPRO_CHECKPOINT_DIR")
-                or tempfile.mkdtemp(prefix="repro-ckpt-")
-            )
+            self.checkpoint_dir = config.get("REPRO_CHECKPOINT_DIR")
+            if not self.checkpoint_dir:  # ours: stop() removes it
+                self.checkpoint_dir = self._own_checkpoint_dir = (
+                    tempfile.mkdtemp(prefix="repro-ckpt-"))
         for i in range(self.workers):
             t = threading.Thread(
                 target=self._worker_loop, name=f"repro-worker-{i}", daemon=True
@@ -240,6 +193,9 @@ class Scheduler:
         if self._collector is not None:
             telemetry.METRICS.unregister_collector(self._collector)
             self._collector = None
+        if self._own_checkpoint_dir is not None:
+            shutil.rmtree(self._own_checkpoint_dir, ignore_errors=True)
+            self.checkpoint_dir = self._own_checkpoint_dir = None
 
     def _register_metrics(self) -> None:
         """Reflect existing counter sources into gauges at scrape time.
@@ -625,23 +581,14 @@ class Scheduler:
     def _execute_in_child(self, spec: JobSpec, attempt: int):
         """:meth:`_attempt` in a forked child: the same triple, from its
         envelope; :class:`WorkerCrash` when the child sends none."""
-        import multiprocessing as mp
-
-        ctx = mp.get_context("fork")
-        conn, child_conn = ctx.Pipe(duplex=False)
+        deadline = (None if spec.timeout_s is None
+                    else time.monotonic() + spec.timeout_s)
+        child = Child(_child_entry, self, spec, attempt, name="worker",
+                      crash=WorkerCrash)
         try:
-            proc = ctx.Process(target=_child_entry,
-                               args=(self, spec, attempt, child_conn))
-            proc.start()
-            child_conn.close()  # the parent only reads
-            envelope = _receive(proc, conn, spec.timeout_s)
+            envelope = child.recv(deadline)
         finally:
-            conn.close()
-            child_conn.close()
-        if envelope is None:
-            raise WorkerCrash(
-                f"worker died mid-job (exit code {proc.exitcode}, no result)"
-            )
+            child.stop()
         self.registry.merge_report(envelope["registry"])
         self.store.merge_report(envelope["store"])
         # The merged Chrome trace shows the forked solve on its own

@@ -19,8 +19,9 @@ import pytest
 from repro.cluster import RankLayout, step_bytes_by_axis
 from repro.cluster.runtime import run_distributed
 from repro.cluster.transport import ShmTransport, edge_shapes, shared_arrays
+from repro.resilience import faults
 from repro.resilience.checkpoint import CheckpointManager, solver_token
-from repro.resilience.errors import RankCrash
+from repro.resilience.errors import InjectedFault, RankCrash
 from repro.fdfd import ALL_COMPONENTS, Grid, PlaneWaveSource, PMLSpec, THIIMSolver
 from repro.fdfd.presets import preset_scene
 from repro.service.jobs import JobSpec, run_job
@@ -263,6 +264,23 @@ class TestPingPong:
             assert np.array_equal(result.fields[name], scalar.fields[name])
         assert info["halo"]["bytes_by_axis"] == {
             str(a): 40 * b for a, b in step_bytes_by_axis(layout).items()}
+
+
+class TestRankErrors:
+    def test_a_rank_error_comes_home_typed_and_no_rank_outlives_it(self):
+        """A rank that raises sends its typed error home: the parent
+        raises it naming the rank (not a :class:`RankCrash` for the
+        death that follows), and stops every rank before it returns."""
+        before = set(_children(os.getpid()))
+        solver = _make_solver()
+        faults.install(faults.FaultPlan.parse("cluster.rank.1:raise"))
+        try:
+            with pytest.raises(InjectedFault, match="^rank 1,0,0: "):
+                run_distributed(RankLayout(solver.grid, 2, 1, 1), solver,
+                                tol=1e-12, max_steps=40)
+        finally:
+            faults.uninstall()
+        assert set(_children(os.getpid())) <= before
 
 
 class TestControlPlane:

@@ -394,7 +394,7 @@ class TestHandOff:
                 JobSpec(**FAST_TUNE), 1)
 
     def test_an_exit_mid_send_is_a_crash(self, monkeypatch):
-        def torn(sched, spec, attempt, conn):
+        def torn(conn, sched, spec, attempt):
             # A message header announcing 1 MiB, then 64 bytes of it.
             os.write(conn.fileno(), struct.pack("!i", 1 << 20) + b"x" * 64)
             os._exit(0)
@@ -429,6 +429,31 @@ class TestWaiting:
             Scheduler(queue_size=0)
         with pytest.raises(ValueError):
             Scheduler(mode="coroutine")
+
+
+class TestCheckpointDir:
+    def test_the_dir_a_scheduler_made_goes_with_stop(self, monkeypatch,
+                                                     tmp_path):
+        """Checkpointing on with no directory named: each start makes a
+        fresh ``repro-ckpt-*`` dir and its stop removes it, while a
+        directory the caller named is left alone."""
+        monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "10")
+        monkeypatch.delenv("REPRO_CHECKPOINT_DIR", raising=False)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+        os.mkdir(tmp_path / "tmp")
+        sched = _sched(workers=1)
+        made = []
+        for _ in range(3):
+            sched.start()
+            made.append(sched.checkpoint_dir)
+            assert os.path.isdir(made[-1])
+            sched.stop()
+        assert len(set(made)) == 3
+        assert os.listdir(tmp_path / "tmp") == []
+        named = _sched(workers=1, checkpoint_dir=str(tmp_path))
+        named.start().stop()
+        assert named.checkpoint_dir == str(tmp_path)
+        assert os.path.isdir(tmp_path)
 
 
 class TestAllocatorPolicy:
