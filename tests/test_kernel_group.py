@@ -262,6 +262,18 @@ def _in_fork(target, *args, timeout=60.0):
             proc.kill()
 
 
+def _until_a_helper_runs(work, bound_s=5.0):
+    """Repeat ``work()`` until a helper has run a part, failing only
+    after ``bound_s``: the callers claim parts from the same queue as the
+    helpers, so one pass may leave them none."""
+    before = _helper_parts()
+    deadline = time.monotonic() + bound_s
+    work()
+    while _helper_parts() == before and time.monotonic() < deadline:
+        work()
+    assert _helper_parts() > before, f"no helper ran a part within {bound_s} s"
+
+
 def _serial_g24():
     fields, coeffs = _problem(G24, 1, 7)
     with split_ways(1):
@@ -282,9 +294,12 @@ class TestWhoRuns:
 
         monkeypatch.setattr(kernels, "update_component", recording)
         fields, coeffs = _problem(G24, 1, 3)
-        before = _helper_parts()
-        naive_sweep(fields, coeffs, 4)
-        assert _helper_parts() > before
+
+        def sweep():
+            calls.clear()
+            naive_sweep(fields, coeffs, 4)
+
+        _until_a_helper_runs(sweep)
         assert len(calls) == 4 * 12  # one call per component: the split is inside
 
     def test_serve_sized_jobs_stay_serial(self):
@@ -341,9 +356,7 @@ class TestForkedChildRunsSerial:
 
     @pytest.fixture(autouse=True)
     def parent_split(self):
-        before = _helper_parts()
-        naive_sweep(*_problem(G24, 1, 6), 2)
-        assert _helper_parts() > before
+        _until_a_helper_runs(lambda: naive_sweep(*_problem(G24, 1, 6), 2))
 
     def test_fork_context_child(self):
         bits, cap, helper_parts, helpers, threads = _in_fork(_serial_child, None)
@@ -374,11 +387,9 @@ def test_concurrent_solves_share_the_group():
     with split_ways(1):
         serial = {s.wavelength: run_job(s)["checksum"] for s in specs}
     got = {}
-    before = _helper_parts()
-    run_concurrently(lambda s: got.__setitem__(s.wavelength, run_job(s)["checksum"]),
-                     specs)
+    _until_a_helper_runs(lambda: run_concurrently(
+        lambda s: got.__setitem__(s.wavelength, run_job(s)["checksum"]), specs))
     assert got == serial
-    assert _helper_parts() > before
     assert thiim_int("thiim_borrowed").value == 0
 
 
