@@ -37,6 +37,10 @@
  * instructions on whichever thread takes its row, after every op queued
  * before it, so split and streamed passes are bit-identical to serial,
  * immediate ones.
+ *
+ * At the end: the convergence residual's two sums (thiim_residual, as
+ * NumPy rounds them) and the copy a small solve's snapshot and fields
+ * take (thiim_copy), run on the caller.
  */
 #define _GNU_SOURCE
 #include <pthread.h>
@@ -45,6 +49,7 @@
 #include <stdalign.h>
 #include <stdatomic.h>
 #include <stdint.h>
+#include <string.h>
 #include <time.h>
 
 typedef struct {
@@ -279,6 +284,16 @@ static void rows_plain(const thiim_op *op, const int64_t *bx, int64_t r0,
                        int64_t r1)
 {
     walk_box(op, bx, r0, r1, row, 0);
+}
+
+/* Ask the CPU for FMA once, and take its form as the multiply form unless
+ * a test set one. */
+static void init_form(void)
+{
+    if (has_fma < 0)
+        has_fma = CPU_HAS_FMA() ? 1 : 0;
+    if (thiim_fused < 0)
+        thiim_fused = has_fma;
 }
 
 static void run_rows(const thiim_op *op, const int64_t *bx, int64_t r0,
@@ -597,10 +612,7 @@ int64_t thiim_update(const thiim_op *op, const int64_t *box)
     }
     if (empty)
         return 0;
-    if (has_fma < 0)
-        has_fma = CPU_HAS_FMA() ? 1 : 0;
-    if (thiim_fused < 0)
-        thiim_fused = has_fma;
+    init_form();
     const int64_t rows = op->lanes * (box[1] - box[0]) * (box[3] - box[2]);
     const int big = rows * (box[5] - box[4]) >= thiim_split_min;
     int64_t parts = big ? 1 + (int64_t)thiim_helper_cap : 1;
@@ -619,4 +631,232 @@ int64_t thiim_update(const thiim_op *op, const int64_t *box)
     if (!streaming)
         atomic_store_explicit(&thiim_borrowed, 0, memory_order_release);
     return 0;
+}
+
+/* -- the convergence residual ----------------------------------------------
+ *
+ * relative_change's two sums of one E component, Σ|now - prev|² and
+ * Σ|now|², each rounded as NumPy's np.sum(np.square(np.abs(z))) rounds
+ * it.  |z| is NumPy's SIMD complex abs: an infinite part makes it inf, a
+ * NaN part (else) NaN, and otherwise
+ *
+ *     |z| = larger * sqrt(fma(r, r, 1)),   r = smaller / larger
+ *
+ * over the parts' magnitudes (r = 0 where larger is 0), with r * r + 1 in
+ * the plain form, as NumPy's muladd on a CPU without FMA.  The squares are
+ * added in NumPy's pairwise order (DOUBLE_pairwise_sum): below 8 terms one
+ * running sum from 0; up to 128, eight accumulators over strided terms,
+ * combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the
+ * last n % 8 terms; above 128, the sum of the halves split at n / 2
+ * rounded down to a multiple of 8.  The vector body computes eight terms of
+ * each sum per step, one per accumulator: the same operations lane by
+ * lane, so the same bits.  kernels.py compares both bodies with NumPy on
+ * its probe before it trusts them. */
+
+/* |re + i im| as NumPy's SIMD complex abs computes it, squared. */
+INLINE double abs2(double re, double im, int fused)
+{
+    const double inf = __builtin_inf();
+    re = __builtin_fabs(re);
+    im = __builtin_fabs(im);
+    const int re_inf = re == inf, im_inf = im == inf;
+    if (re_inf)
+        im = inf;
+    if (im_inf)
+        re = inf;
+    const int re_nan = re != re, im_nan = im != im;
+    if (re_nan)
+        im = __builtin_nan("");
+    if (im_nan)
+        re = __builtin_nan("");
+    const double larger = re > im ? re : im, smaller = im < re ? im : re;
+    const int quot = !(larger == 0.0 || smaller == inf);
+    const double r = (quot ? smaller : 0.0) / (quot ? larger : 1.0);
+    const double a = __builtin_sqrt(fused ? __builtin_fma(r, r, 1.0) : r * r + 1.0) * larger;
+    return a * a;
+}
+
+/* The two terms of cell i: |now - prev|², |now|². */
+INLINE void terms(const double *now, const double *prev, int64_t i, int fused,
+                  double *d, double *m)
+{
+    const double re = now[2 * i], im = now[2 * i + 1];
+    *d = abs2(re - prev[2 * i], im - prev[2 * i + 1], fused);
+    *m = abs2(re, im, fused);
+}
+
+/* The sums of a leaf of the pairwise tree: n <= 128 cells. */
+INLINE void leaf(const double *now, const double *prev, int64_t n, int fused,
+                 double *sums)
+{
+    double d, m;
+    if (n < 8) {
+        double sd = 0.0, sm = 0.0;
+        for (int64_t i = 0; i < n; i++) {
+            terms(now, prev, i, fused, &d, &m);
+            sd += d;
+            sm += m;
+        }
+        sums[0] = sd;
+        sums[1] = sm;
+        return;
+    }
+    double rd[8], rm[8];
+    for (int j = 0; j < 8; j++)
+        terms(now, prev, j, fused, &rd[j], &rm[j]);
+    int64_t i = 8;
+    for (; i < n - n % 8; i += 8)
+        for (int j = 0; j < 8; j++) {
+            terms(now, prev, i + j, fused, &d, &m);
+            rd[j] += d;
+            rm[j] += m;
+        }
+    double sd = ((rd[0] + rd[1]) + (rd[2] + rd[3])) + ((rd[4] + rd[5]) + (rd[6] + rd[7]));
+    double sm = ((rm[0] + rm[1]) + (rm[2] + rm[3])) + ((rm[4] + rm[5]) + (rm[6] + rm[7]));
+    for (; i < n; i++) {
+        terms(now, prev, i, fused, &d, &m);
+        sd += d;
+        sm += m;
+    }
+    sums[0] = sd;
+    sums[1] = sm;
+}
+
+#ifdef VECTOR_BODY
+/* abs2 of four complex numbers, split into their parts, as NumPy's
+ * simd_cabsolute_f64 selects and rounds. */
+FMA_TARGET INLINE __m256d abs2_vector(__m256d re, __m256d im)
+{
+    const __m256d inf = _mm256_set1_pd(__builtin_inf());
+    const __m256d one = _mm256_set1_pd(1.0), zero = _mm256_setzero_pd();
+    const __m256d sign = _mm256_set1_pd(-0.0);
+    re = _mm256_andnot_pd(sign, re);
+    im = _mm256_andnot_pd(sign, im);
+    const __m256d re_inf = _mm256_cmp_pd(re, inf, _CMP_EQ_OQ);
+    const __m256d im_inf = _mm256_cmp_pd(im, inf, _CMP_EQ_OQ);
+    im = _mm256_blendv_pd(im, inf, re_inf);
+    re = _mm256_blendv_pd(re, inf, im_inf);
+    const __m256d nan = _mm256_set1_pd(__builtin_nan(""));
+    const __m256d re_nan = _mm256_cmp_pd(re, re, _CMP_UNORD_Q);
+    const __m256d im_nan = _mm256_cmp_pd(im, im, _CMP_UNORD_Q);
+    im = _mm256_blendv_pd(im, nan, re_nan);
+    re = _mm256_blendv_pd(re, nan, im_nan);
+    const __m256d larger = _mm256_max_pd(re, im), smaller = _mm256_min_pd(im, re);
+    const __m256d skip = _mm256_or_pd(_mm256_cmp_pd(larger, zero, _CMP_EQ_OQ),
+                                      _mm256_cmp_pd(smaller, inf, _CMP_EQ_OQ));
+    const __m256d r = _mm256_div_pd(_mm256_blendv_pd(smaller, zero, skip),
+                                    _mm256_blendv_pd(larger, one, skip));
+    const __m256d a = _mm256_mul_pd(_mm256_sqrt_pd(_mm256_fmadd_pd(r, r, one)), larger);
+    return _mm256_mul_pd(a, a);
+}
+
+/* The terms of cells i .. i + 7, lanes (i, i+2, i+1, i+3) in `lo` and
+ * (i+4, i+6, i+5, i+7) in `hi`: the order unpacklo / unpackhi leave the
+ * parts in. */
+FMA_TARGET INLINE void terms_vector(const double *now, const double *prev, int64_t i,
+                                    __m256d *d_lo, __m256d *d_hi, __m256d *m_lo,
+                                    __m256d *m_hi)
+{
+    const double *p = now + 2 * i, *q = prev + 2 * i;
+    for (int h = 0; h < 2; h++, p += 8, q += 8) {
+        const __m256d a0 = _mm256_loadu_pd(p), a1 = _mm256_loadu_pd(p + 4);
+        const __m256d b0 = _mm256_loadu_pd(q), b1 = _mm256_loadu_pd(q + 4);
+        const __m256d re = _mm256_unpacklo_pd(a0, a1), im = _mm256_unpackhi_pd(a0, a1);
+        const __m256d d = abs2_vector(_mm256_sub_pd(re, _mm256_unpacklo_pd(b0, b1)),
+                                      _mm256_sub_pd(im, _mm256_unpackhi_pd(b0, b1)));
+        const __m256d m = abs2_vector(re, im);
+        *(h ? d_hi : d_lo) = d;
+        *(h ? m_hi : m_lo) = m;
+    }
+}
+
+/* leaf() with the eight accumulators of each sum in two vectors. */
+FMA_TARGET static void leaf_vector(const double *now, const double *prev, int64_t n,
+                                   double *sums)
+{
+    if (n < 8) {
+        leaf(now, prev, n, 1, sums);
+        return;
+    }
+    __m256d d_lo, d_hi, m_lo, m_hi, e_lo, e_hi, w_lo, w_hi;
+    terms_vector(now, prev, 0, &d_lo, &d_hi, &m_lo, &m_hi);
+    int64_t i = 8;
+    for (; i < n - n % 8; i += 8) {
+        terms_vector(now, prev, i, &e_lo, &e_hi, &w_lo, &w_hi);
+        d_lo = _mm256_add_pd(d_lo, e_lo);
+        d_hi = _mm256_add_pd(d_hi, e_hi);
+        m_lo = _mm256_add_pd(m_lo, w_lo);
+        m_hi = _mm256_add_pd(m_hi, w_hi);
+    }
+    double r[4][4];
+    _mm256_storeu_pd(r[0], d_lo);
+    _mm256_storeu_pd(r[1], d_hi);
+    _mm256_storeu_pd(r[2], m_lo);
+    _mm256_storeu_pd(r[3], m_hi);
+    /* Accumulator j of a sum sits at lane (0, 2, 1, 3)[j % 4] of lo / hi. */
+    for (int k = 0; k < 2; k++) {
+        const double *lo = r[2 * k], *hi = r[2 * k + 1];
+        sums[k] = ((lo[0] + lo[2]) + (lo[1] + lo[3])) + ((hi[0] + hi[2]) + (hi[1] + hi[3]));
+    }
+    double d, m;
+    for (; i < n; i++) {
+        terms(now, prev, i, 1, &d, &m);
+        sums[0] += d;
+        sums[1] += m;
+    }
+}
+
+/* leaf() with the CPU's fma instruction. */
+FMA_TARGET static void leaf_fma(const double *now, const double *prev, int64_t n,
+                                double *sums)
+{
+    leaf(now, prev, n, 1, sums);
+}
+#endif
+
+/* The pairwise tree over n cells, each leaf summed by the body `body`
+ * (thiim_vector's values in the fused form, 2 the plain form). */
+static void pairwise(const double *now, const double *prev, int64_t n, int body,
+                     double *sums)
+{
+    if (n > 128) {
+        int64_t half = n / 2;
+        half -= half % 8;
+        double right[2];
+        pairwise(now, prev, half, body, sums);
+        pairwise(now + 2 * half, prev + 2 * half, n - half, body, right);
+        sums[0] += right[0];
+        sums[1] += right[1];
+        return;
+    }
+    switch (body) {
+#ifdef VECTOR_BODY
+    case 1: leaf_vector(now, prev, n, sums); break;
+    case 0: leaf_fma(now, prev, n, sums); break;
+#endif
+    case 2: leaf(now, prev, n, 0, sums); break;
+    default: leaf(now, prev, n, 1, sums);
+    }
+}
+
+/* sums = (Σ|now - prev|², Σ|now|²) over n cells of two C-contiguous
+ * complex128 arrays. */
+void thiim_residual(const double *now, const double *prev, int64_t n, double *sums)
+{
+    init_form();
+    int body = 2;
+    if (thiim_fused)
+        body = has_fma ? (thiim_vector > 0 ? 1 : thiim_vector) : -1;
+    pairwise(now, prev, n, body, sums);
+}
+
+/* Copy n doubles from src to dst, or zero them when src is NULL: the
+ * snapshot refresh and field allocation of a small solve, through a handle
+ * that keeps the GIL. */
+void thiim_copy(double *dst, const double *src, int64_t n)
+{
+    if (src)
+        memcpy(dst, src, (size_t)n * sizeof *dst);
+    else
+        memset(dst, 0, (size_t)n * sizeof *dst);
 }

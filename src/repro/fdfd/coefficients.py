@@ -230,12 +230,36 @@ def _contracted(value, grid: Grid, what: str, dtype) -> np.ndarray:
         raise ValueError(
             f"{what} has shape {a.shape}, expected one that broadcasts to "
             f"{grid.shape}")
+    from .kernels import keeps_gil  # kernels imports this module
+
+    if keeps_gil(a.size):
+        return a[_uniform_axes(a)]
     bits = np.ascontiguousarray(a)[..., None].view(np.uint8)
     for axis in range(3):
         first = (slice(None),) * axis + (slice(0, 1),)
         if a.shape[axis] > 1 and (bits == bits[first]).all():
             a, bits = a[first], bits[first]
     return a
+
+
+def _uniform_axes(a: np.ndarray) -> tuple:
+    """The index that keeps the first slice of ``a`` along each axis on
+    which all its slices are bytewise equal, as :func:`_contracted`'s
+    loop finds them, axis after axis -- compared as ``bytes``, which
+    keeps the GIL (a comparison ufunc over 500 elements releases it).
+    ``starts`` are the offsets of the sub-arrays still to compare at the
+    current depth (one per index of the earlier axes that stay full);
+    each must be its first slice repeated."""
+    data = np.ascontiguousarray(a).tobytes()
+    starts, span, keep = [0], len(data), []
+    for n in a.shape:
+        step = span // n
+        keep.append(n > 1 and all(data[o:o + span] == data[o:o + step] * n
+                                  for o in starts))
+        if n > 1 and not keep[-1]:
+            starts = [o + i * step for o in starts for i in range(n)]
+        span = step
+    return tuple(slice(0, 1) if kept else slice(None) for kept in keep)
 
 
 def _axis_profile(grid: Grid, axis: int, spec: PMLSpec | None, staggered: bool) -> np.ndarray:

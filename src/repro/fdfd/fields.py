@@ -41,7 +41,11 @@ class FieldState:
         self.grid = grid
         self._bound = None
         if arrays is None:
-            arrays = {name: grid.zeros() for name in ALL_COMPONENTS}
+            from .kernels import zeros  # kernels imports this module
+
+            # Twelve allocations, not one block: components a whole array
+            # apart in one block alias the same cache sets in a sweep.
+            arrays = {name: zeros(grid.shape) for name in ALL_COMPONENTS}
         else:
             for name in ALL_COMPONENTS:
                 if name not in arrays:
@@ -192,11 +196,9 @@ class BatchedFieldState:
         if arrays is None:
             if width is None or width < 1:
                 raise ValueError("batch width must be >= 1")
-            shape = (width,) + grid.shape
-            arrays = {
-                name: np.zeros(shape, dtype=np.complex128)
-                for name in ALL_COMPONENTS
-            }
+            from .kernels import zeros
+
+            arrays = {name: zeros((width,) + grid.shape) for name in ALL_COMPONENTS}
         else:
             widths = set()
             for name in ALL_COMPONENTS:

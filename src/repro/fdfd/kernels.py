@@ -53,8 +53,13 @@ tiny solve could wait up to a switch interval (5 ms) to take the GIL back
 from any CPU-bound Python thread (20 g10 sweeps beside one on a 2-vCPU
 KVM guest: 1.2 s, not 1 ms).  A split box, and ``thiim_close`` /
 ``thiim_drain`` (they wait on the helper threads), go through the
-``CDLL`` handle, so Python threads run while they do.  Both handles call the same symbol with the
-same globals, so the result does not depend on the handle.
+``CDLL`` handle, so Python threads run while they do.  Both handles call
+the same symbol with the same globals, so the result does not depend on
+the handle.  The convergence residual (:func:`residual_sums`), the
+snapshot refresh (:func:`refresh`) and the fields' zeroing
+(:func:`zeros`) of a small solve take the ``PyDLL`` handle by the same
+gate (:func:`keeps_gil`); at or above it they release the GIL as the
+``CDLL`` handle and NumPy do.
 
 Region semantics
 ----------------
@@ -156,8 +161,8 @@ def region_lups(region: Region) -> int:
 #: Reusable work buffers of the NumPy body: one flat buffer per slot (two
 #: accumulators + two wrapped shifted reads alive at once), grown to the
 #: largest region seen and handed out reshaped, so the hot path allocates
-#: nothing; the convergence residual (:func:`observables.relative_change`)
-#: works in slots 200 and 201.  Thread-local: an executor is
+#: nothing; the NumPy residual (:func:`_residual_numpy`) works in slots
+#: 200 and 201.  Thread-local: an executor is
 #: single-threaded through a solve, but a serve node with ``workers > 1``
 #: (or several in-process node schedulers) runs concurrent solves, and
 #: solves sharing one buffer would race and corrupt each other's numerics.
@@ -350,6 +355,12 @@ _GATE = None
 #: ``(thiim_open, thiim_close, thiim_drain)`` of the pass once it has
 #: bound (:func:`stream`).
 _WINDOW = None
+#: ``thiim_residual`` through the ``CDLL`` and the ``PyDLL`` handle, in
+#: that order (:func:`residual_sums` indexes it with "below the gate").
+_RESIDUAL = None
+#: ``thiim_copy`` through the ``PyDLL`` handle (:func:`refresh`,
+#: :func:`zeros`).
+_COPY = None
 
 
 class BoundRegion(tuple):
@@ -378,13 +389,17 @@ def _bind_pass(lib):
     child: it runs serial (the library's fork handler drops any helpers,
     and ``thiim_open`` opens no window without one).  Every argument is a
     ``byref``, which ctypes passes as a pointer with no ``argtypes``
-    conversion: half the cost of a call.  The probe calls through both
-    handles, as :func:`_update_native` picks them."""
-    global _WINDOW, _HELD, _GATE
-    call, _HELD = lib.thiim_update, nativelib.gil_kept(lib).thiim_update
+    conversion: half the cost of a call.  The probes call through both
+    handles, as :func:`_update_native` and :func:`residual_sums` pick
+    them."""
+    global _WINDOW, _HELD, _GATE, _RESIDUAL, _COPY
+    held = nativelib.gil_kept(lib)
+    call, _HELD = lib.thiim_update, held.thiim_update
     call.restype = _HELD.restype = ctypes.c_int64
+    _RESIDUAL, _COPY = (lib.thiim_residual, held.thiim_residual), held.thiim_copy
+    _RESIDUAL[0].restype = _RESIDUAL[1].restype = _COPY.restype = None
     _GATE = ctypes.c_int.in_dll(lib, "thiim_split_min")
-    if not _probe(call, lib):
+    if not (_probe(call, lib) and _probe_residual()):
         telemetry.count_event("native_degraded")
         return False
     lib.thiim_open.restype = lib.thiim_start.restype = ctypes.c_int
@@ -443,6 +458,26 @@ def _probe(call, lib) -> bool:
                     return False
     finally:
         _GATE.value, cap.value = saved
+    return True
+
+
+def _probe_residual() -> bool:
+    """Bitwise oracle of the compiled residual, the NumPy body against
+    both handles: prefixes of every leaf shape of the pairwise tree
+    (below 8 cells, 8 accumulators with and without a tail, one and two
+    levels of halves) of full-mantissa values, equal values (a zero
+    difference), and the values scaled to 1e-300 and 1e300, whose
+    squares leave the doubles."""
+    x = 0.37 * np.arange(1.0, 601.0)
+    base = (np.sin(x) + 1j * np.cos(1.7 * x)).reshape(2, 300)
+    for scale in (1.0, 1e-300, 1e300):
+        now, prev = base[0] * scale, base[1] * scale
+        for n in (1, 7, 8, 9, 15, 16, 127, 128, 129, 136, 257, 300):
+            for a, b in ((now[:n], prev[:n]), (now[:n], now[:n].copy())):
+                with np.errstate(over="ignore"):
+                    want = _residual_numpy(a, b)
+                if any(_residual_native(a, b, handle) != want for handle in _RESIDUAL):
+                    return False
     return True
 
 
@@ -514,6 +549,80 @@ def _update_native(call, name, fields, coeffs, region: Region) -> None:
             _shifted_read(fields[spec.reads[0]], region, spec.deriv_axis,
                           spec.shift, False)
         raise IndexError(f"region {tuple(region)} leaves the grid {grid.shape}")
+
+
+# -- the convergence residual and the snapshot ---------------------------------
+
+#: Slots of the scratch pool the NumPy residual works in (the kernel
+#: bodies use 0, 1, 100 and 101): one component's difference and its
+#: squared magnitudes.
+_DIFF_SLOT, _MAG_SLOT = 200, 201
+
+
+def keeps_gil(cells: int) -> bool:
+    """Whether work over ``cells`` cells x lanes goes through the handle
+    that keeps the GIL: the compiled pass is in use (this loads nothing)
+    and ``cells`` is below :data:`_GATE` (module docstring, *The GIL*).
+    Work at or above the gate, or on the NumPy body, releases the GIL as
+    NumPy, ``hashlib`` and ``CDLL`` calls do."""
+    return bool(_THIIM) and cells < _GATE.value
+
+
+def _contiguous(*arrays) -> bool:
+    """Whether the compiled pass can read ``arrays`` as one run of
+    complex128 cells each, all of one shape."""
+    shape = arrays[0].shape
+    return all(a.dtype == np.complex128 and a.shape == shape and a.flags.c_contiguous
+               for a in arrays)
+
+
+def residual_sums(now: np.ndarray, prev: np.ndarray) -> tuple[float, float]:
+    """``(sum |now - prev|^2, sum |now|^2)`` of one component, each the bits
+    of ``np.sum(np.square(np.abs(.)))``: the compiled ``thiim_residual``
+    where both are C-contiguous complex128, through the handle that keeps
+    the GIL below :data:`_GATE` (module docstring, *The GIL*); else the
+    NumPy body, the oracle (slices, other dtypes, the NumPy kernels)."""
+    call = _native() if _THIIM is None else _THIIM
+    if call and _contiguous(now, prev):
+        return _residual_native(now, prev, _RESIDUAL[now.size < _GATE.value])
+    return _residual_numpy(now, prev)
+
+
+def _residual_native(now, prev, handle) -> tuple[float, float]:
+    sums = (ctypes.c_double * 2)()
+    handle(ctypes.c_void_p(now.ctypes.data), ctypes.c_void_p(prev.ctypes.data),
+           ctypes.c_int64(now.size), sums)
+    return sums[0], sums[1]
+
+
+def _residual_numpy(now, prev) -> tuple[float, float]:
+    """The oracle: the elementwise ops and pairwise sums of
+    ``np.sum(np.abs(now - prev) ** 2)`` (and of ``now``) in reused
+    thread-local scratch, so it allocates nothing per call."""
+    mag = _scratch(now.shape, np.float64, _MAG_SLOT)
+    diff = np.subtract(now, prev, out=_scratch(now.shape, now.dtype, _DIFF_SLOT))
+    num = float(np.sum(np.square(np.abs(diff, out=mag), out=mag)))
+    return num, float(np.sum(np.square(np.abs(now, out=mag), out=mag)))
+
+
+def refresh(dst: np.ndarray, src: np.ndarray) -> None:
+    """``np.copyto(dst, src)``, a ``thiim_copy`` where :func:`keeps_gil`."""
+    if keeps_gil(dst.size) and _contiguous(dst, src):
+        _COPY(ctypes.c_void_p(dst.ctypes.data), ctypes.c_void_p(src.ctypes.data),
+              ctypes.c_int64(2 * dst.size))
+    else:
+        np.copyto(dst, src)
+
+
+def zeros(shape: tuple) -> np.ndarray:
+    """``np.zeros(shape, complex128)``; where :func:`keeps_gil`, an empty
+    array that ``thiim_copy`` zeroes (``np.zeros`` of 1 KiB or more
+    releases the GIL around ``calloc``)."""
+    if not keeps_gil(math.prod(shape)):
+        return np.zeros(shape, np.complex128)
+    a = np.empty(shape, np.complex128)
+    _COPY(ctypes.c_void_p(a.ctypes.data), None, ctypes.c_int64(2 * a.size))
+    return a
 
 
 @functools.lru_cache(maxsize=256)

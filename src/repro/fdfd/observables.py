@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import FieldState
-from .kernels import _scratch
+from .kernels import residual_sums
 
 __all__ = [
     "field_energy",
@@ -85,34 +85,26 @@ def absorbed_power(fields: FieldState, sigma: np.ndarray | float, mask: np.ndarr
     return float(np.sum(dens) * grid.dz * grid.dy * grid.dx)
 
 
-#: Slots of the kernels' thread-local scratch pool the residual works in
-#: (the kernel bodies use 0, 1, 100 and 101): one component's difference
-#: and its squared magnitudes.
-_DIFF_SLOT, _MAG_SLOT = 200, 201
-
-
 def relative_change(current: FieldState, previous) -> float:
     """``|E_now - E_prev| / |E_now|`` over the electric components.
 
     The THIIM convergence monitor: the inverse iteration has converged to
     the time-harmonic solution when successive iterates stop changing.
     ``previous`` needs only the E components (any mapping of name to
-    array).  Each component's difference and squared magnitudes are
-    computed in reused thread-local scratch, with the elementwise ops and
-    pairwise sums of ``np.sum(np.abs(a - b) ** 2)``, so the residual is
-    bit-identical to that expression and allocates nothing per call.
+    array).  Each component's two sums come from
+    :func:`~repro.fdfd.kernels.residual_sums` -- the compiled pass where
+    it can read the arrays, else NumPy in reused scratch -- each the bits
+    of ``np.sum(np.abs(a - b) ** 2)``, so the residual is bit-identical to
+    that expression and allocates nothing per call.
     """
     num = 0.0
     den = 0.0
     for name in current:
         if not name.startswith("E"):
             continue
-        now = current[name]
-        mag = _scratch(now.shape, np.float64, _MAG_SLOT)
-        diff = np.subtract(now, previous[name],
-                           out=_scratch(now.shape, now.dtype, _DIFF_SLOT))
-        num += float(np.sum(np.square(np.abs(diff, out=mag), out=mag)))
-        den += float(np.sum(np.square(np.abs(now, out=mag), out=mag)))
+        d, m = residual_sums(current[name], previous[name])
+        num += d
+        den += m
     if den == 0.0:
         return 0.0 if num == 0.0 else np.inf
     return float(np.sqrt(num / den))

@@ -34,7 +34,7 @@ from .coefficients import BatchedCoefficientSet, CoefficientSet, build_coefficie
 from .fields import BatchedFieldState, FieldState
 from .geometry import Scene
 from .grid import Grid
-from .kernels import naive_sweep, spatial_blocked_sweep, step
+from .kernels import naive_sweep, refresh, spatial_blocked_sweep, step
 from .observables import relative_change
 from .pml import PMLSpec
 from .sources import PlaneWaveSource
@@ -297,11 +297,13 @@ def _snapshot_e(fields, snapshot: Optional[Dict[str, np.ndarray]]
                 ) -> Dict[str, np.ndarray]:
     """The E components of ``fields`` copied into ``snapshot`` in place --
     all the residual reads of the previous iterate.  New buffers only
-    when there are none (first check, or lane compaction dropped them)."""
+    when there are none (first check, or lane compaction dropped them);
+    each copy is :func:`~repro.fdfd.kernels.refresh`, which keeps the
+    GIL below the gate."""
     if snapshot is None:
-        return {name: fields[name].copy() for name in E_COMPONENTS}
+        snapshot = {name: np.empty_like(fields[name]) for name in E_COMPONENTS}
     for name, buf in snapshot.items():
-        np.copyto(buf, fields[name])
+        refresh(buf, fields[name])
     return snapshot
 
 

@@ -379,8 +379,10 @@ class _GatewayHandler(JsonHandler):
         addressed ids + store dedup keep this exactly-once in results).
         ``spec_dict`` is the job's spec when the caller knows it (a
         batch's point), used should the spec cache have dropped it.
-        Resubmissions draw from the global retry budget, and a job first
-        seen ``done`` has its result replicated to the other owners."""
+        Resubmissions draw from the global retry budget; one that lands on
+        a finished job is read back with a GET, so the answer carries the
+        result.  A job first seen ``done`` has its result replicated to
+        the other owners."""
         status, doc, url = self._router.forward(
             "GET", f"/jobs/{job_id}", job_id, retry_404=True)
         if status == 404:
@@ -398,6 +400,11 @@ class _GatewayHandler(JsonHandler):
                         headers={"X-Repro-Trace-Id": trace_id})
                 if status == 202:
                     status = 200  # poll answer: the job exists again
+                if status == 200 and doc.get("state") in JobState.TERMINAL:
+                    # A dedup onto a finished job or a store hit: the POST
+                    # answer is the envelope without the result.
+                    status, doc, url = self._router.forward(
+                        "GET", f"/jobs/{job_id}", job_id, retry_404=True)
         if (status == 200 and doc.get("state") == "done"
                 and doc.get("result") is not None):
             self.server.maybe_replicate(job_id, doc["result"], from_url=url)

@@ -20,6 +20,7 @@ builds and drives its own solver.)
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import time
@@ -216,15 +217,19 @@ class JobSpec:
                 "single_domain_spec is only meaningful on distributed jobs")
         return dataclasses.replace(self, kind="solve", ranks=None)
 
-    @property
+    @functools.cached_property
     def job_id(self) -> str:
+        """Hashed once per spec (the spec is frozen): a POST through the
+        gateway reads it several times."""
         payload = json.dumps(self.identity(), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:24]
 
     # -- (de)serialization -----------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
+        """``dataclasses.asdict(self)`` without its recursive deep copy:
+        every field is a scalar, a string or a tuple of floats."""
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "JobSpec":
@@ -332,17 +337,31 @@ def machine_spec_for(spec: JobSpec):
     return m
 
 
+#: The largest ``hashlib`` update that keeps the GIL (CPython releases it
+#: for 2048 bytes or more).
+_HASH_KEPT = 2047
+
+
 def _field_checksum(fields) -> str:
     """SHA-256 over the raw bytes of all twelve components, in canonical
     order -- the bit-identity witness for served results.  Each array's
-    buffer is hashed where it lies (a C-contiguous array is not copied)."""
+    buffer is hashed where it lies (a C-contiguous array is not copied);
+    a small one (:func:`kernels.keeps_gil`) in slices that keep the GIL,
+    which hash to the same digest."""
     import numpy as np
 
+    from ..fdfd import kernels
     from ..fdfd.specs import ALL_COMPONENTS
 
     h = hashlib.sha256()
     for name in ALL_COMPONENTS:
-        h.update(np.ascontiguousarray(fields[name]))
+        buf = np.ascontiguousarray(fields[name])
+        if kernels.keeps_gil(buf.size):
+            view = memoryview(buf).cast("B")
+            for i in range(0, len(view), _HASH_KEPT):
+                h.update(view[i:i + _HASH_KEPT])
+        else:
+            h.update(buf)
     return h.hexdigest()
 
 

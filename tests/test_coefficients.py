@@ -1,6 +1,8 @@
 """Tests for the THIIM coefficient builder: array accounting, stability
 properties (forward vs. back iteration), PML folding, source handling."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,10 +18,11 @@ from repro.fdfd import (
     Scene,
     build_coefficients,
     gaussian_beam_profile,
+    kernels,
     random_coefficients,
     sinusoidal_texture,
 )
-from repro.fdfd.coefficients import CoefficientSet
+from repro.fdfd.coefficients import CoefficientSet, _contracted
 from repro.fdfd.materials import A_SI_H
 from repro.fdfd.presets import PRESETS, preset_scene
 
@@ -276,6 +279,32 @@ class TestContraction:
             for axis in range(3):
                 assert (shape[axis] > 1) == any(_varies(a, axis) for a in arrays), (
                     comp, axis, shape)
+
+    @given(grid_shape=st.tuples(*[st.integers(3, 6)] * 3),
+           full=st.tuples(*[st.booleans()] * 3),
+           uniform=st.tuples(*[st.booleans()] * 3), seed=st.integers(0, 2**16),
+           special=st.sampled_from([None, -0.0, np.nan]), where=st.integers(0, 215))
+    @settings(max_examples=120, deadline=None)
+    def test_small_inputs_contract_as_big_ones(self, grid_shape, full, uniform, seed,
+                                               special, where):
+        """Below the gate a value is compared as ``bytes`` (no ufunc, so the
+        GIL is kept), above it with a comparison ufunc: the same axes
+        contract, to the same bits (-0.0 is not 0.0, a NaN equals its own
+        bits)."""
+        rng = np.random.default_rng(seed)
+        shape = tuple(n if f else 1 for n, f in zip(grid_shape, full))
+        base = rng.standard_normal(tuple(1 if u else n for u, n in zip(uniform, shape)))
+        value = np.broadcast_to(base, shape).copy()
+        if special is not None:
+            value.flat[where % value.size] = special
+        grid = Grid(*grid_shape)
+        got = {}
+        for small in (True, False):
+            with mock.patch.object(kernels, "keeps_gil", lambda cells: small):
+                got[small] = _contracted(value, grid, "value", np.float64)
+        assert got[True].shape == got[False].shape
+        assert got[True].tobytes() == got[False].tobytes()
+        assert np.broadcast_to(got[True], shape).tobytes() == value.tobytes()
 
     @pytest.mark.parametrize("preset", PRESETS)
     def test_layered_presets_store_profiles_and_scalars(self, preset):

@@ -490,6 +490,39 @@ class TestConcurrentFailover:
         survivors = [n for n in fleet.nodes if not n.dead]
         assert sum(n.sched.stats()["executed"] for n in survivors) <= 1
 
+    def test_a_resubmission_onto_a_finished_job_answers_its_result(
+            self, fleet, monkeypatch):
+        """The race above, made deterministic: the replica holds the
+        result, the owner dies, and the poll's routed GET misses (as one
+        that ran before the other poller's resubmission reached the
+        replica).  The resubmission lands on the finished job, whose POST
+        envelope carries no result; the gateway reads the job back, so
+        the poll still gets the result, and nothing runs again."""
+        victim_url = fleet.nodes[0].url
+        spec = _spec_homed_on(fleet, victim_url)
+        _request("POST", f"{fleet.base}/jobs", spec.to_dict())
+        clean = _poll(fleet.base, spec.job_id)["result"]  # replicates it
+        replica_url = next(u for u in fleet.gateway.router.candidates(spec.job_id)
+                           if u != victim_url)
+        replica = _node_by_url(fleet, replica_url)
+        assert replica.sched.store.get(spec.job_id) == clean
+        _node_by_url(fleet, victim_url).kill()
+
+        router = fleet.gateway.router
+        forward, missed = router.forward, []
+
+        def first_get_misses(method, path, job_id, **kwargs):
+            if method == "GET" and not missed:
+                missed.append(path)
+                return 404, {"error": f"no such job: {job_id}"}, replica_url
+            return forward(method, path, job_id, **kwargs)
+
+        monkeypatch.setattr(router, "forward", first_get_misses)
+        status, doc, _ = _request("GET", f"{fleet.base}/jobs/{spec.job_id}")
+        assert missed and status == 200
+        assert doc["state"] == "done" and doc["result"] == clean
+        assert replica.sched.stats()["executed"] == 0
+
 
 class TestWarmRestart:
     def test_rebooted_node_serves_committed_results_from_store(

@@ -29,7 +29,7 @@ from repro.fdfd import (
     update_e,
     update_h,
 )
-from repro.fdfd import kernels, observables
+from repro.fdfd import kernels
 from repro.fdfd.kernels import BoundRegion, full_region, region_lups
 from repro.fdfd.specs import SPECS
 from repro.resilience import faults
@@ -420,7 +420,7 @@ class TestScratchPool:
             executor.run()
         # The residual's two slots share the pool (filled by earlier
         # solves on this thread); the kernel body itself uses four.
-        residual = {observables._DIFF_SLOT, observables._MAG_SLOT}
+        residual = {kernels._DIFF_SLOT, kernels._MAG_SLOT}
         assert len(set(pool) - residual) <= 4
         assert {slot: id(buf) for slot, buf in pool.items()} == warm
 

@@ -1,5 +1,7 @@
 """Tests for service job specs, lifecycle, and deterministic execution."""
 
+import dataclasses
+
 import pytest
 
 from repro.resilience import faults
@@ -33,6 +35,38 @@ class TestContentAddressing:
         assert a.job_id == JobSpec(**FAST_SOLVE).job_id
         assert len(a.job_id) == 24
         int(a.job_id, 16)  # hex digest prefix
+
+    #: One spec of each kind and the id it has always had: computing the
+    #: id once per spec changes no id.
+    LITERAL_IDS = [
+        (dict(kind="solve", preset="vacuum", grid=10, wavelength=10.0,
+              max_steps=20), "cc15ddfda3c3bcfe6420d9c7"),
+        (dict(kind="batch", preset="absorber", grid=12,
+              wavelengths=(8.0, 11.5)), "0c192836540fbe2cd34b0785"),
+        (dict(kind="distributed", preset="vacuum", grid=10,
+              ranks=" 1x1X2 "), "18f27b3a99d20c5e17bb4049"),
+        (dict(kind="tune", grid=64, threads=6, variant="1wd",
+              tuning="registry"), "fdabd0e89feee44e95cb5da3"),
+    ]
+
+    @pytest.mark.parametrize("fields, job_id", LITERAL_IDS)
+    def test_literal_ids_are_unchanged(self, fields, job_id):
+        spec = JobSpec(**fields)
+        assert spec.job_id == job_id
+        assert JobSpec.from_dict(spec.to_dict()).job_id == job_id
+
+    @pytest.mark.parametrize("fields, _id", LITERAL_IDS)
+    def test_to_dict_is_asdict(self, fields, _id):
+        spec = JobSpec(**fields, priority=3, timeout_s=2.5)
+        assert spec.to_dict() == dataclasses.asdict(spec)
+        assert list(spec.to_dict()) == list(dataclasses.asdict(spec))
+
+    def test_a_replaced_spec_hashes_its_own_fields(self):
+        spec = JobSpec(**FAST_SOLVE)
+        assert spec.job_id  # cached on this instance
+        moved = dataclasses.replace(spec, wavelength=11.0)
+        assert moved.job_id == JobSpec(**{**FAST_SOLVE, "wavelength": 11.0}).job_id
+        assert moved.job_id != spec.job_id
 
 
 class TestValidation:

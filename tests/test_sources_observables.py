@@ -1,8 +1,14 @@
 """Tests for plane-wave sources and field observables."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import split_ways, thiim_ints
+from repro import telemetry
 from repro.core.tiled_solver import BatchedTiledTHIIM, TiledTHIIM
 from repro.fdfd import (
     E_COMPONENTS,
@@ -19,6 +25,7 @@ from repro.fdfd import (
     naive_sweep,
     poynting_flux_z,
     poynting_z,
+    kernels,
     relative_change,
 )
 from repro.fdfd.presets import preset_scene
@@ -304,3 +311,127 @@ class TestResidualOracle:
             self.CHECK, 3, slabs=slabs)
         assert result.residual_history == history
         assert published == per_rank
+
+
+_needs_native = pytest.mark.skipif(
+    not kernels._native(), reason="compiled THIIM kernel unavailable")
+
+#: Cell counts at the edges of the pairwise tree's leaves (8 and 128),
+#: and past NumPy's 8192-element buffer and the split gate.
+_SIZES = st.sampled_from([1, 7, 8, 9, 127, 128, 129, 300, 8193, 20000])
+#: Magnitudes whose squares underflow, stay normal and overflow.
+_SCALES = st.sampled_from([1.0, 5e-324, 1e-300, 1e-160, 1e150, 1e160, 1e300])
+
+
+def _values(n, seed, scale, spread):
+    """``n`` complex values over ``2 * spread`` decades around ``scale``."""
+    rng = np.random.default_rng(seed)
+    decades = 10.0 ** rng.uniform(-spread, spread, (2, n))
+    return (rng.standard_normal(n) * decades[0]
+            + 1j * rng.standard_normal(n) * decades[1]) * scale
+
+
+def _same(got, want):
+    """Equal bits, where a NaN need only be a NaN (its payload is the
+    CPU's, not NumPy's)."""
+    return all(g == w or (np.isnan(g) and np.isnan(w)) for g, w in zip(got, want))
+
+
+@_needs_native
+class TestCompiledResidual:
+    """``thiim_residual`` is bit for bit the NumPy body on every body of
+    the pass (vector, scalar with the CPU's fma, scalar with libm's), on
+    either side of the gate."""
+
+    @given(n=_SIZES, seed=st.integers(0, 2**32 - 1), scale=_SCALES,
+           spread=st.integers(0, 8), body=st.sampled_from([1, 0, -1]))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_numpy(self, n, seed, scale, spread, body):
+        now = _values(n, seed, scale, spread)
+        prev = now * (1 + 1e-3 * _values(n, seed + 1, 1.0, 0))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                thiim_ints(thiim_vector=body):
+            assert kernels.residual_sums(now, prev) == kernels._residual_numpy(now, prev)
+
+    @given(k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_lane_views_and_zeros(self, k, seed):
+        shape = (k, 6, 5, 7)
+        now = _values(math.prod(shape), seed, 1.0, 4).reshape(shape)
+        prev = _values(math.prod(shape), seed + 1, 1.0, 4).reshape(shape)
+        prev[0] = now[0]
+        zero = np.zeros(shape[1:], complex)
+        for lane in range(k):
+            pairs = ((now[lane], prev[lane]), (zero, now[lane]), (now[lane], zero),
+                     (zero, zero))
+            for a, b in pairs:
+                assert kernels.residual_sums(a, b) == kernels._residual_numpy(a, b)
+        assert kernels.residual_sums(now[0], prev[0])[0] == 0.0
+
+    @given(n=_SIZES, seed=st.integers(0, 2**32 - 1),
+           special=st.sampled_from([np.inf, -np.inf, np.nan]),
+           where=st.lists(st.integers(0, 2**16), min_size=1, max_size=4),
+           body=st.sampled_from([1, 0, -1]))
+    @settings(max_examples=60, deadline=None)
+    def test_inf_and_nan_are_classified_alike(self, n, seed, special, where, body):
+        now = _values(n, seed, 1.0, 2)
+        prev = _values(n, seed + 1, 1.0, 2)
+        for i, w in enumerate(where):
+            (now if i % 2 else prev).view(np.float64)[w % (2 * n)] = special
+        with np.errstate(invalid="ignore"), thiim_ints(thiim_vector=body):
+            got, want = kernels.residual_sums(now, prev), kernels._residual_numpy(now, prev)
+        assert _same(got, want), (got, want)
+        assert [np.isnan(v) for v in got] == [np.isnan(v) for v in want]
+
+    @given(n=st.sampled_from([129, 8193, 20000]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_the_handle_does_not_change_the_sums(self, n, seed):
+        """At the gate the call releases the GIL (a split box's handle);
+        below it, it keeps it: the same symbol, the same sums."""
+        now, prev = _values(n, seed, 1.0, 3), _values(n, seed + 1, 1.0, 3)
+        serial = kernels.residual_sums(now, prev)
+        with split_ways(3):
+            assert not kernels.keeps_gil(n)
+            assert kernels.residual_sums(now, prev) == serial
+
+
+class TestResidualFallback:
+    """Where the compiled residual cannot or may not run, the NumPy body
+    does, with the oracle's bits."""
+
+    @staticmethod
+    def _pair():
+        grid = Grid(nz=6, ny=5, nx=7)
+        return (FieldState(grid).fill_random(np.random.default_rng(1)),
+                FieldState(grid).fill_random(np.random.default_rng(2)))
+
+    def test_vetoed(self, reload_native, monkeypatch):
+        now, prev = self._pair()
+        monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+        reload_native("_thiim_kernel")
+        assert relative_change(now, prev) == oracle_relative_change(now, prev)
+        assert kernels._THIIM is False and not kernels.keeps_gil(1)
+
+    @_needs_native
+    def test_failed_probe(self, reload_native, monkeypatch):
+        now, prev = self._pair()
+        before = reload_native("_thiim_kernel")
+        numpy_body = kernels._residual_numpy
+        monkeypatch.setattr(kernels, "_residual_numpy", lambda a, b: tuple(
+            np.nextafter(v, np.inf) for v in numpy_body(a, b)))
+        assert kernels._native() is False
+        monkeypatch.setattr(kernels, "_residual_numpy", numpy_body)
+        assert telemetry.resilience_counts().get("native_degraded", 0) == before + 1
+        assert relative_change(now, prev) == oracle_relative_change(now, prev)
+
+    def test_non_contiguous_input(self, monkeypatch):
+        now, prev = self._pair()
+
+        def refuse(*args):
+            raise AssertionError("the compiled residual read a strided view")
+
+        monkeypatch.setattr(kernels, "_residual_native", refuse)
+        own = (slice(1, 5), slice(None), slice(0, 7, 2))
+        sliced = ({c: now[c][own] for c in E_COMPONENTS},
+                  {c: prev[c][own] for c in E_COMPONENTS})
+        assert relative_change(*sliced) == oracle_relative_change(*sliced)
