@@ -53,7 +53,8 @@ tiny solve could wait up to a switch interval (5 ms) to take the GIL back
 from any CPU-bound Python thread (20 g10 sweeps beside one on a 2-vCPU
 KVM guest: 1.2 s, not 1 ms).  A split box, and ``thiim_close`` /
 ``thiim_drain`` (they wait on the helper threads), go through the
-``CDLL`` handle, so Python threads run while they do.  Both handles call
+``CDLL`` handle, so Python threads run while they do; a thread with no
+window open has nothing to drain and makes no such call.  Both handles call
 the same symbol with the same globals, so the result does not depend on
 the handle.  The convergence residual (:func:`residual_sums`), the
 snapshot refresh (:func:`refresh`) and the fields' zeroing
@@ -268,17 +269,26 @@ def stream():
     window to its owner."""
     call = _native() if _THIIM is None else _THIIM
     opened = bool(call) and _WINDOW[0]()
+    if opened:
+        _OPEN.window = True
     try:
         yield
     finally:
         if opened:
             _WINDOW[1]()
+            _OPEN.window = False
+
+
+#: ``window``: whether the calling thread's :func:`stream` block holds an
+#: open window -- only then has it queued ops a drain waits for.
+_OPEN = threading.local()
 
 
 def _drain() -> None:
     """Wait until the calling thread's window, if one is open, has run
-    every op it queued."""
-    if _WINDOW:
+    every op it queued.  Without one there is nothing to wait for, and
+    the call into the library, which releases the GIL, is skipped."""
+    if getattr(_OPEN, "window", False):
         _WINDOW[2]()
 
 
@@ -355,6 +365,9 @@ _GATE = None
 #: ``(thiim_open, thiim_close, thiim_drain)`` of the pass once it has
 #: bound (:func:`stream`).
 _WINDOW = None
+#: The library the pass bound: its exported C variables are read through
+#: it, not through a library built from the source as it is now.
+_LIB = None
 #: ``thiim_residual`` through the ``CDLL`` and the ``PyDLL`` handle, in
 #: that order (:func:`residual_sums` indexes it with "below the gate").
 _RESIDUAL = None
@@ -392,7 +405,8 @@ def _bind_pass(lib):
     conversion: half the cost of a call.  The probes call through both
     handles, as :func:`_update_native` and :func:`residual_sums` pick
     them."""
-    global _WINDOW, _HELD, _GATE, _RESIDUAL, _COPY
+    global _WINDOW, _HELD, _GATE, _RESIDUAL, _COPY, _LIB
+    _LIB = lib
     held = nativelib.gil_kept(lib)
     call, _HELD = lib.thiim_update, held.thiim_update
     call.restype = _HELD.restype = ctypes.c_int64

@@ -1,7 +1,7 @@
 """Spawn a local N-node fleet: real ``repro serve`` processes.
 
-Used by ``repro fleet serve --spawn N`` / ``repro fleet spawn``, the
-fleet chaos scenarios and the fleet smokes.  Each node is a genuine subprocess
+Used by ``repro fleet serve --spawn N`` / ``repro fleet spawn`` and the
+fleet chaos scenarios.  Each node is a genuine subprocess
 running ``python -m repro serve --port 0`` (ephemeral port, parsed from
 the startup banner), so killing one is real node death: the socket
 refuses, the gateway's router fails over, and in-memory state is gone --
@@ -101,7 +101,7 @@ def _src_root() -> str:
     return os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
-def spawn_local_fleet(n: int, *, workers: int = 1, mode: str = "thread",
+def spawn_local_fleet(n: int, *, workers: int = 1, mode: Optional[str] = None,
                       host: str = "127.0.0.1",
                       data_root: Optional[str] = None,
                       lease_dir: Optional[str] = None,
@@ -111,8 +111,10 @@ def spawn_local_fleet(n: int, *, workers: int = 1, mode: str = "thread",
     Each node gets a stable ``REPRO_NODE_ID`` of ``node<i>`` (visible in
     ``/healthz`` and result provenance) -- the one setting that travels
     in the child's environment; everything else is in its argv:
-    ``data_root`` gives node *i* ``--data-dir <data_root>/node<i>`` and
-    ``lease_dir`` makes it heartbeat a membership lease.  Raises
+    ``mode`` its ``--mode`` (unnamed, the node runs ``repro serve``'s
+    default), ``data_root`` gives node *i* ``--data-dir
+    <data_root>/node<i>`` and ``lease_dir`` makes it heartbeat a
+    membership lease.  Raises
     ``RuntimeError`` -- after killing any nodes already up -- if a node
     fails to print its startup banner in time.
     """
@@ -124,8 +126,9 @@ def spawn_local_fleet(n: int, *, workers: int = 1, mode: str = "thread",
         for i in range(n):
             node_env = dict(env, REPRO_NODE_ID=f"node{i}")
             cmd = [sys.executable, "-m", "repro", "serve",
-                   "--host", host, "--port", "0",
-                   "--workers", str(workers), "--mode", mode]
+                   "--host", host, "--port", "0", "--workers", str(workers)]
+            if mode:
+                cmd += ["--mode", mode]
             if data_root:
                 cmd += ["--data-dir", os.path.join(data_root, f"node{i}")]
             if lease_dir:

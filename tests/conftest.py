@@ -56,8 +56,10 @@ def numpy_kernels():
 
 
 def thiim_int(name: str, ctype=ctypes.c_int):
-    """The compiled pass's exported C variable ``name`` (the pass loaded)."""
-    return ctype.in_dll(nativelib._open("_thiim_kernel"), name)
+    """The compiled pass's exported C variable ``name`` (the pass loaded),
+    read through the library the pass bound: a build of the source as it
+    is now may be another library, whose globals no kernel call uses."""
+    return ctype.in_dll(kernels._LIB, name)
 
 
 @pytest.fixture

@@ -378,7 +378,7 @@ class TestDistributedJobSpec:
 
 
 class TestDistributedJobs:
-    @pytest.mark.parametrize("ranks", ["2x1x1", "2"])
+    @pytest.mark.parametrize("ranks", ["2x1x1", "2", "2x2x1"])
     def test_run_job_matches_single_domain(self, ranks):
         spec = JobSpec(kind="distributed", preset="absorber", grid=10,
                        tol=1e-12, max_steps=60, ranks=ranks)

@@ -8,7 +8,8 @@ direct ``run_job`` runs, dedup survives the extra hop, node death fails
 over to the replica (bumping the shard-map version) with exactly-once
 results, a batch scatters into its points -- each its own job on its
 own home -- and gathers back losslessly, and the health endpoints expose
-membership and staleness."""
+membership and staleness.  One test spawns real ``repro serve`` nodes:
+they run the CLI's default worker mode unless a caller names one."""
 
 import http.client
 import json
@@ -20,7 +21,8 @@ import pytest
 from conftest import (FAST, FleetNode, fleet_poll as _poll,
                       node_by_url as _node_by_url,
                       spec_homed_on as _spec_homed_on)
-from repro.fleet import NodeRegistry, router
+from repro.cli import build_parser
+from repro.fleet import NodeRegistry, router, spawn_local_fleet
 from repro.fleet.router import Router, http_request as _request, poll_job
 from repro.service import JobSpec, run_job
 
@@ -192,6 +194,26 @@ class TestScatterGather:
             assert mine["id"] == theirs["id"]
             assert mine["result"] == theirs["result"]
 
+    def test_a_batch_after_a_home_died_completes_identically(self, fleet):
+        """A node dies mid-campaign: the next batch's points homed on it
+        go to their replicas, and every point is the direct run's bytes."""
+        spec = self._cross_shard_batch(fleet)
+        clean = run_job(spec)
+        victim = fleet.registry.shard_map().owners(
+            spec.point_spec(spec.wavelengths[0]).job_id)[0]
+        v0 = fleet.registry.version
+        _node_by_url(fleet, victim).kill()
+        status, doc, _ = _request("POST", f"{fleet.base}/jobs",
+                                  spec.to_dict())
+        assert status == 202
+        assert victim not in {p["node"] for p in doc["points"]}
+        got = _poll(fleet.base, spec.job_id)["result"]
+        assert got["failed"] == 0
+        assert [p["result"] for p in got["points"]] == \
+            [p["result"] for p in clean["points"]]
+        assert fleet.registry.node(victim).state == "dead"
+        assert fleet.registry.version > v0
+
     def test_every_point_is_stored_on_its_home(self, fleet):
         smap = fleet.registry.shard_map()
         for point in self._served_points(fleet):
@@ -340,6 +362,20 @@ class TestFleetIntrospection:
         with urllib.request.urlopen(req, timeout=30.0) as resp:
             assert resp.status == 200
             assert resp.headers["Content-Type"].startswith("text/plain")
+
+
+class TestSpawnedNodes:
+    def test_a_node_runs_the_serve_default_unless_a_mode_is_named(self):
+        default = build_parser().parse_args(["serve"]).mode
+        other = {"process": "thread", "thread": "process"}[default]
+        for kwargs, mode in (({}, default), ({"mode": other}, other)):
+            [node] = spawn_local_fleet(1, **kwargs)
+            try:
+                status, doc, _ = _request("GET",
+                                          f"{node.url}/metrics?format=json")
+            finally:
+                node.kill()
+            assert status == 200 and doc["scheduler"]["mode"] == mode
 
 
 class TestRegistryUnit:

@@ -489,10 +489,11 @@ class TestStreamEqualsImmediate:
         assert seen["bits"] == _bits(oracle)
 
     @needs_helpers
-    @pytest.mark.parametrize("then", ["numpy body", "rebind"])
+    @pytest.mark.parametrize("then", ["numpy body", "rebind", "nested rebind"])
     def test_a_numpy_op_and_a_rebind_drain_first(self, then):
         """A NumPy-body op reads what queued ops write, and a rebind drops
-        the arrays queued ops point into: both drain the queue first."""
+        the arrays queued ops point into: both drain the queue first --
+        also after a nested block, which leaves the window to its owner."""
         fields, coeffs = _problem(HEAVY, 1, 13)
         oracle = fields.copy()
         region = clip_region(HEAVY, SPECS["Hxy"])
@@ -506,12 +507,53 @@ class TestStreamEqualsImmediate:
                 with numpy_kernels():
                     update_component("Hxy", fields, coeffs, region)
             else:
+                if then == "nested rebind":
+                    with stream():
+                        pass
                 coeffs.arrays[t] = coeffs.arrays[t].copy()  # the old one goes with the binding
                 update_component("Hxy", fields, coeffs, region)
 
         ran = _queue_then(fields, coeffs, op)
         assert ran == 24 if then == "numpy body" else ran >= 24
         assert _bits(fields) == _bits(oracle)
+
+    @staticmethod
+    def _count_drains(monkeypatch) -> list:
+        """One entry per call of the library's ``thiim_drain`` from now."""
+        calls = []
+        opener, closer, drain = kernels._WINDOW
+        monkeypatch.setattr(kernels, "_WINDOW",
+                            (opener, closer, lambda: calls.append(drain())))
+        return calls
+
+    @needs_native
+    def test_no_window_no_drain_call(self, monkeypatch):
+        """A thread with no window has queued nothing: its first bind and
+        a NumPy-body op do not call the library's drain, which releases
+        the GIL."""
+        calls = self._count_drains(monkeypatch)
+        fields, coeffs = _problem(HEAVY, 1, 17)
+        region = clip_region(HEAVY, SPECS["Hxy"])
+        update_component("Hxy", fields, coeffs, region)  # binds
+        with numpy_kernels():
+            update_component("Hxy", fields, coeffs, region)
+        assert calls == []
+
+    @needs_helpers
+    def test_a_window_drains_after_a_nested_block(self, monkeypatch):
+        """A nested block leaves the window open: a rebind after it still
+        calls the drain, once."""
+        calls = self._count_drains(monkeypatch)
+        fields, coeffs = _problem(HEAVY, 1, 18)
+        region = clip_region(HEAVY, SPECS["Hxy"])
+        t = SPECS["Hxy"].coeff_t
+        update_component("Hxy", fields, coeffs, region)  # binds outside
+        with stream():
+            with stream():
+                update_component("Hxy", fields, coeffs, region)
+            coeffs.arrays[t] = coeffs.arrays[t].copy()
+            update_component("Hxy", fields, coeffs, region)  # rebinds
+        assert len(calls) == 1
 
     @needs_helpers
     def test_a_streaming_and_an_immediate_solve_at_once(self):

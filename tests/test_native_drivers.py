@@ -100,7 +100,7 @@ print(json.dumps({
 """
 
 #: The most GIL releases a g10 ``vacuum`` job of 20 sweeps and one check
-#: may make (19 measured; 111 when the residual, checksum, snapshot and
+#: may make (18 measured; 111 when the residual, checksum, snapshot and
 #: set-up released it per array).
 JOB_RELEASE_BUDGET = 35
 

@@ -4,17 +4,22 @@ The seeded worker-crash property itself (kill at a seeded sweep, retry
 resumes from the checkpoint, bit-identical, exactly once) is a row of
 the scenario table -- ``tests/test_chaos_scenarios.py`` runs it; this
 module covers what surrounds it: an unfaulted checkpointed run, the rate
-gauges after a resume, drain, spool and fail-fast.
+gauges after a resume, drain, spool and fail-fast -- and the `repro
+serve` process as shipped, over HTTP from boot to shutdown.
 """
 
+import json
 import os
 import signal
 import subprocess
 import sys
 import time
+import urllib.request
+from types import SimpleNamespace
 
 import pytest
 
+from repro.fleet.router import http_request, poll_job
 from repro.resilience import faults
 from repro.resilience.checkpoint import take_report
 from repro.resilience.errors import InjectedFault, SolverDiverged
@@ -305,3 +310,122 @@ class TestServeGracefulShutdown:
             [slow.job_id, tune.job_id])
         assert PlanRegistry(str(root / "registry")).counters()["entries"] == 1
         assert Scheduler(workers=1).restore_queue(spool) == 0
+
+
+#: What the shipped node is asked: a solve, a registry-tuned tiled solve,
+#: the first solve again and a three-lane batch.
+SERVED_SOLVE = dict(kind="solve", preset="vacuum", grid=10, wavelength=10.0,
+                    tol=1e-4, max_steps=30, threads=2)
+SERVED_TILED = dict(kind="solve", preset="absorber", grid=16, wavelength=12.0,
+                    tol=1e-4, max_steps=30, tiled=True, tuning="registry",
+                    threads=2)
+SERVED_BATCH = dict(kind="batch", preset="absorber", grid=12,
+                    wavelengths=[10.0, 12.0, 14.0], tol=1e-4, max_steps=120,
+                    threads=2)
+#: Counters that must rise between a scrape before and one after the jobs
+#: (sweeps and progress events happen in the forked workers).
+RISING = ("repro_jobs_submitted_total", "repro_solver_sweeps_total",
+          "repro_progress_events_total")
+
+
+def _scrape(base):
+    """One Prometheus text scrape of ``base`` -> ``{series: value}``."""
+    with urllib.request.urlopen(f"{base}/metrics", timeout=30.0) as resp:
+        text = resp.read().decode()
+    values = {}
+    for line in text.splitlines():
+        if line and not line.startswith("#"):
+            series, _, value = line.rpartition(" ")
+            values[series] = float(value)
+    return values
+
+
+def _events(base, job_id):
+    """The job's NDJSON event stream, read to its terminal event."""
+    with urllib.request.urlopen(f"{base}/jobs/{job_id}/events",
+                                timeout=300.0) as resp:
+        return [json.loads(line) for line in resp if line.strip()]
+
+
+class TestShippedServe:
+    """`repro serve` with its default worker mode (forked processes),
+    over HTTP: one run of four submissions between two ``/metrics``
+    scrapes, then the trace ``REPRO_TRACE`` makes it write at shutdown.
+    Each test reads one contract off that run."""
+
+    @pytest.fixture(scope="class")
+    def served(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("served")
+        trace = root / "trace.json"
+        proc, lines = _serve(root / "node", env={"REPRO_TRACE": str(trace)})
+        try:
+            base = lines[-1].split(" on ")[1].split()[0]
+            first = _scrape(base)
+            posts = [http_request("POST", f"{base}/jobs", spec)[:2]
+                     for spec in (SERVED_SOLVE, SERVED_TILED, SERVED_SOLVE,
+                                  SERVED_BATCH)]
+            events = _events(base, posts[-1][1]["id"])
+            done = [poll_job(base, doc["id"], strict=True)
+                    for _, doc in posts]
+            metrics = http_request("GET", f"{base}/metrics?format=json")[1]
+            second = _scrape(base)
+        finally:
+            _sigterm(proc)
+        with open(trace) as f:
+            trace_events = json.load(f)["traceEvents"]
+        return SimpleNamespace(
+            statuses=[status for status, _ in posts],
+            posted=[doc for _, doc in posts], done=done, events=events,
+            metrics=metrics, scrapes=(first, second), trace=trace_events)
+
+    def test_a_duplicate_coalesces_and_the_solve_equals_run_job(self, served):
+        solve, _, dup, _ = served.posted
+        assert served.statuses == [202] * 4
+        assert dup["id"] == solve["id"] and dup["dedup_count"] == 1
+        assert served.done[0]["result"] == run_job(JobSpec(**SERVED_SOLVE))
+
+    def test_the_tiled_solve_runs_a_registry_plan_bit_identically(
+            self, served):
+        result = served.done[1]["result"]
+        assert result["plan"]["source"] == "registry"
+        assert result == run_job(JobSpec(**SERVED_TILED),
+                                 registry=PlanRegistry())
+
+    def test_each_distinct_spec_executes_once_in_a_worker_process(
+            self, served):
+        sched = served.metrics["scheduler"]
+        assert sched["mode"] == "process"
+        assert (sched["submitted"], sched["executed"],
+                sched["deduplicated"]) == (4, 3, 1)
+        assert served.metrics["registry"]["stores"] >= 1
+
+    def test_a_batch_streams_every_lanes_residual_to_its_end(self, served):
+        kinds = [event["kind"] for event in served.events]
+        assert kinds[-1] == "end"
+        checks = [event for event in served.events if event["kind"] == "batch"]
+        assert checks, kinds
+        width = len(SERVED_BATCH["wavelengths"])
+        for check in checks:
+            assert check["residuals"]
+            assert check["active"] + check["frozen"] == width
+
+    def test_counters_rise_between_two_scrapes(self, served):
+        first, second = served.scrapes
+        for series in RISING:
+            assert second[series] > first.get(series, 0), series
+        assert second['repro_job_outcomes_total{outcome="done"}'] == 3
+
+    def test_the_trace_file_holds_a_job_on_the_parent_and_worker_lanes(
+            self, served):
+        trace_id = served.done[-1]["trace_id"]
+        spans = [e for e in served.trace if e.get("ph") == "X"
+                 and (e.get("args") or {}).get("trace") == trace_id]
+        pids = {name: {s["pid"] for s in spans
+                       if s["name"].split()[0] == name}
+                for name in ("queued", "attempt", "job")}
+        workers = {e["pid"] for e in served.trace if e.get("ph") == "M"
+                   and e["name"] == "process_name"
+                   and e["args"]["name"].startswith("worker")}
+        assert pids["queued"] and pids["attempt"], pids
+        assert pids["job"] and pids["job"] <= workers, (pids, workers)
+        assert not (pids["queued"] | pids["attempt"]) & workers

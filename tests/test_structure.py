@@ -375,7 +375,7 @@ RULES = [
         "src/repro/resilience only",
         Facts("call", r"FaultPlan\.seeded", PY + ("benchmarks/*.py",)),
         ("src/repro/resilience/",), None,
-        violation=("benchmarks/smoke_service.py",
+        violation=("benchmarks/bench_ablations.py",
                    "plan = FaultPlan.seeded(7, 'solver.sweep', 'crash')")),
     Row("scenario-table.no-cli-scenario", 10, "no chaos scenario is left in cli.py",
         Facts("def", r"_chaos_\w*", ("src/repro/cli.py",)),
