@@ -4,10 +4,15 @@
  * a capacity-managed LRU over variable-size chunks, write-allocate without
  * read-for-ownership, write-backs charged on dirty eviction.  The chunk key
  * space of one emitter is dense and small (n_groups * ny * nz), so the cache
- * is direct-mapped over preallocated arrays -- per key: flags (bit0 present,
- * bit1 dirty), byte size, and intrusive doubly-linked recency list (prev
- * toward LRU, next toward MRU).  One call replays a whole schedule: every
- * job of a band or of a sweep phase, in order.
+ * is direct-mapped over one preallocated node table: per key one 16-byte
+ * LruNode -- the intrusive doubly-linked recency list (prev toward LRU, next
+ * toward MRU), the chunk's byte size and its flags (bit0 present, bit1
+ * dirty) -- so a hit's relink touches one cache line per key, not four.
+ * A key that is not resident holds the all-zero node (links are only read
+ * while a key is resident; eviction zeroes its node), so a zeroed table is
+ * an empty cache and two tables hold the same LRU state exactly when they
+ * are equal byte for byte.  One call replays a whole schedule: every job of
+ * a band or of a sweep phase, in order.
  *
  * A segment of the shared shape table is a clipped rectangle of (y, z) rows
  * of one array group, relative to its job's anchor; the kernel walks the box
@@ -17,7 +22,8 @@
  *
  * Both entry points check every key against [0, key_space) *before* the
  * first access and return -1 with the state untouched when one falls
- * outside (bad[] then names the job and the segment).
+ * outside (bad[] then names the job and the segment).  Keys and chunk sizes
+ * fit in int32 (repro.machine.native checks both).
  *
  * Built on demand by repro.machine.native (cc -O2 -shared -fPIC); if that
  * fails, the pure-Python BatchLRU engine is used instead.
@@ -26,11 +32,18 @@
 #include <stdint.h>
 
 typedef struct {
-    /* per key: recency list links, chunk size, flags (see above) */
-    int64_t *next;
-    int64_t *prev;
-    int64_t *size;
-    uint8_t *flags;
+    int32_t next; /* toward MRU, -1 at the MRU end */
+    int32_t prev; /* toward LRU, -1 at the LRU end */
+    int32_t size; /* chunk bytes */
+    uint8_t flags; /* bit0 present, bit1 dirty; the node is all zero when
+                    * the key is not resident */
+    uint8_t pad[3];
+} LruNode;
+
+_Static_assert(sizeof(LruNode) == 16, "one node per key is 16 bytes");
+
+typedef struct {
+    LruNode *node;
     double capacity;
     int64_t used;
     int64_t mru;
@@ -52,9 +65,7 @@ enum { SEG_GROUP, SEG_WRITE, SEG_RY0, SEG_RY1, SEG_RZ0, SEG_RZ1, SEG_COLS };
  * the duration of a call (through a struct pointer every access would
  * reload and spill them: the relink chain of a hit is the critical path). */
 #define LRU_ENTER(st)                                                         \
-    int64_t *const next = (st)->next, *const prev = (st)->prev;               \
-    int64_t *const size = (st)->size;                                         \
-    uint8_t *const flags = (st)->flags;                                       \
+    LruNode *const node = (st)->node;                                         \
     int64_t mru = (st)->mru, lru = (st)->lru;                                 \
     int64_t used = (st)->used, count = (st)->count;                           \
     const double cap = (st)->capacity;                                        \
@@ -79,19 +90,20 @@ enum { SEG_GROUP, SEG_WRITE, SEG_RY0, SEG_RY1, SEG_RZ0, SEG_RZ1, SEG_COLS };
 #define LRU_ACCESS(k_, sz_, write_)                                           \
     do {                                                                      \
         const int64_t key = (k_);                                             \
-        if (flags[key] & 1) {                                                 \
+        LruNode *const nd = node + key;                                       \
+        if (nd->flags & 1) {                                                  \
             /* hit: refresh recency (unlink + relink at MRU) */               \
             if (key != mru) {                                                 \
-                const int64_t p = prev[key], q = next[key];                   \
-                if (p != -1) next[p] = q; else lru = q;                       \
-                prev[q] = p; /* q != -1 because key != mru */                 \
-                prev[key] = mru;                                              \
-                next[key] = -1;                                               \
-                next[mru] = key;                                              \
+                const int32_t p = nd->prev, q = nd->next;                     \
+                if (p != -1) node[p].next = q; else lru = q;                  \
+                node[q].prev = p; /* q != -1 because key != mru */            \
+                nd->prev = (int32_t)mru;                                      \
+                nd->next = -1;                                                \
+                node[mru].next = (int32_t)key;                                \
                 mru = key;                                                    \
             }                                                                 \
             if (write_) {                                                     \
-                flags[key] = 3;                                               \
+                nd->flags = 3;                                                \
                 wh++;                                                         \
             } else {                                                          \
                 rh++;                                                         \
@@ -99,32 +111,32 @@ enum { SEG_GROUP, SEG_WRITE, SEG_RY0, SEG_RY1, SEG_RZ0, SEG_RZ1, SEG_COLS };
         } else {                                                              \
             /* miss: install at MRU, then evict while over capacity */        \
             if (write_) {                                                     \
-                flags[key] = 3;                                               \
+                nd->flags = 3;                                                \
                 wm++;                                                         \
             } else {                                                          \
-                flags[key] = 1;                                               \
+                nd->flags = 1;                                                \
                 rm++;                                                         \
                 mrb += (sz_);                                                 \
             }                                                                 \
-            size[key] = (sz_);                                                \
-            prev[key] = mru;                                                  \
-            next[key] = -1;                                                   \
-            if (mru != -1) next[mru] = key; else lru = key;                   \
+            nd->size = (int32_t)(sz_);                                        \
+            nd->prev = (int32_t)mru;                                          \
+            nd->next = -1;                                                    \
+            if (mru != -1) node[mru].next = (int32_t)key; else lru = key;     \
             mru = key;                                                        \
             used += (sz_);                                                    \
             count++;                                                          \
             while ((double)used > cap) {                                      \
-                const int64_t e = lru;                                        \
-                const int64_t q = next[e];                                    \
+                LruNode *const ev = node + lru;                               \
+                const int32_t q = ev->next;                                   \
                 lru = q;                                                      \
-                if (q != -1) prev[q] = -1; else mru = -1;                     \
-                used -= size[e];                                              \
+                if (q != -1) node[q].prev = -1; else mru = -1;                \
+                used -= ev->size;                                             \
                 count--;                                                      \
-                if (flags[e] & 2) {                                           \
+                if (ev->flags & 2) {                                          \
                     wb++;                                                     \
-                    mwb += size[e];                                           \
+                    mwb += ev->size;                                          \
                 }                                                             \
-                flags[e] = 0;                                                 \
+                *ev = (LruNode){0};                                           \
             }                                                                 \
         }                                                                     \
     } while (0)

@@ -24,7 +24,7 @@ numbers = 2 written + 16 read").
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 
 __all__ = ["CacheStats", "LRUCache", "BatchLRU"]
 
@@ -54,6 +54,12 @@ class CacheStats:
     def hit_rate(self) -> float:
         n = self.accesses
         return 1.0 if n == 0 else (self.read_hits + self.write_hits) / n
+
+    def plus(self, other: "CacheStats", times: int = 1) -> "CacheStats":
+        """These counters plus ``times`` times ``other``'s (``times=-1``:
+        the difference)."""
+        return CacheStats(*(a + times * b
+                            for a, b in zip(astuple(self), astuple(other))))
 
 
 class LRUCache:
@@ -86,6 +92,12 @@ class LRUCache:
 
     def __contains__(self, key: int) -> bool:
         return key in self._entries
+
+    def snapshot(self) -> tuple:
+        """The LRU state (not the counters): equal snapshots replay every
+        stream alike."""
+        return self._used_bytes, tuple((k, size, dirty) for k, (size, dirty)
+                                       in self._entries.items())
 
     # -- the hot path ---------------------------------------------------------
 
@@ -186,6 +198,11 @@ class BatchLRU:
 
     def __contains__(self, key: int) -> bool:
         return key in self._entries
+
+    def snapshot(self) -> tuple:
+        """The LRU state (not the counters): equal snapshots replay every
+        stream alike."""
+        return self._used_bytes, tuple(self._entries.items())
 
     # -- the hot path -------------------------------------------------------
 

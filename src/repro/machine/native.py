@@ -15,6 +15,7 @@ force the pure-Python engine.
 from __future__ import annotations
 
 import ctypes
+from dataclasses import fields
 from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -25,10 +26,22 @@ from .cache import BatchLRU, CacheStats
 
 __all__ = ["NativeLRU", "make_lru", "native_available"]
 
-#: Direct mapping allocates a few small arrays per key; cap the key space
-#: so degenerate emitter domains cannot balloon memory (64M keys ~ 1.6 GB
-#: would; this cap keeps it under ~200 MB).
+#: Direct mapping allocates one 16-byte node per key; cap the key space
+#: so degenerate emitter domains cannot balloon memory (this cap keeps the
+#: node table at 128 MB).
 MAX_KEY_SPACE = 8 * 1024 * 1024
+
+#: The kernel's ``LruNode``: recency links, chunk bytes and flags of one key;
+#: all zero while the key is not resident (a zeroed table is an empty cache).
+_NODE = np.dtype([("next", np.int32), ("prev", np.int32), ("size", np.int32),
+                  ("flags", np.uint8), ("pad", np.uint8, 3)])
+
+#: Links and chunk sizes are int32 in a node.
+_INT32_MAX = 2**31 - 1
+
+#: The counter fields, in :class:`CacheStats` order (``_LruState`` names
+#: them alike).
+_STATS = tuple(f.name for f in fields(CacheStats))
 
 _P64 = ctypes.POINTER(ctypes.c_int64)
 _PU8 = ctypes.POINTER(ctypes.c_uint8)
@@ -36,10 +49,7 @@ _PU8 = ctypes.POINTER(ctypes.c_uint8)
 
 class _LruState(ctypes.Structure):
     _fields_ = [
-        ("next", _P64),
-        ("prev", _P64),
-        ("size", _P64),
-        ("flags", _PU8),
+        ("node", ctypes.c_void_p),
         ("capacity", ctypes.c_double),
         ("used", ctypes.c_int64),
         ("mru", ctypes.c_int64),
@@ -114,21 +124,17 @@ class NativeLRU:
             raise EngineUnavailable(
                 "native LRU kernel unavailable "
                 "(no compiler, build failure, or REPRO_NO_NATIVE)")
+        if key_space > _INT32_MAX:
+            raise ValueError("key_space must fit in int32 (the node links)")
         self._lib = lib
         self.capacity_bytes = float(capacity_bytes)
         self.key_space = int(key_space)
-        self._next = np.full(key_space, -1, dtype=np.int64)
-        self._prev = np.full(key_space, -1, dtype=np.int64)
-        self._size = np.zeros(key_space, dtype=np.int64)
-        self._flags = np.zeros(key_space, dtype=np.uint8)
+        self._nodes = np.zeros(key_space, dtype=_NODE)
         self._st = _LruState()
         self._st.capacity = self.capacity_bytes
         self._st.mru = -1
         self._st.lru = -1
-        self._st.next = self._next.ctypes.data_as(_P64)
-        self._st.prev = self._prev.ctypes.data_as(_P64)
-        self._st.size = self._size.ctypes.data_as(_P64)
-        self._st.flags = self._flags.ctypes.data_as(_PU8)
+        self._st.node = self._nodes.ctypes.data
         self._st_ref = ctypes.byref(self._st)
         self._lru_replay = lib.lru_replay
         # Where a refused replay names its out-of-range (job, segment).
@@ -139,15 +145,12 @@ class NativeLRU:
     @property
     def stats(self) -> CacheStats:
         st = self._st
-        return CacheStats(
-            read_hits=st.read_hits,
-            read_misses=st.read_misses,
-            write_hits=st.write_hits,
-            write_misses=st.write_misses,
-            writebacks=st.writebacks,
-            mem_read_bytes=st.mem_read_bytes,
-            mem_write_bytes=st.mem_write_bytes,
-        )
+        return CacheStats(*(getattr(st, name) for name in _STATS))
+
+    @stats.setter
+    def stats(self, stats: CacheStats) -> None:
+        for name in _STATS:
+            setattr(self._st, name, getattr(stats, name))
 
     @property
     def used_bytes(self) -> int:
@@ -157,16 +160,28 @@ class NativeLRU:
         return int(self._st.count)
 
     def __contains__(self, key: int) -> bool:
-        return 0 <= key < self.key_space and bool(self._flags[key] & 1)
+        return 0 <= key < self.key_space and bool(self._nodes["flags"][key] & 1)
 
     def keys_lru_to_mru(self) -> List[int]:
         """Resident keys in recency order (diagnostics / tests)."""
         out: List[int] = []
+        nxt = self._nodes["next"]
         k = int(self._st.lru)
         while k != -1:
             out.append(k)
-            k = int(self._next[k])
+            k = int(nxt[k])
         return out
+
+    def snapshot(self) -> tuple:
+        """The LRU state (not the counters): equal snapshots replay every
+        stream alike.  Every node but the resident keys' is all zero, so
+        the resident keys and their nodes stand for the whole table (and
+        take a fraction of its bytes: the cache holds a few thousand
+        chunks of a key space of up to millions)."""
+        st = self._st
+        resident = np.flatnonzero(self._nodes["flags"])
+        return (st.mru, st.lru, st.used, st.count, resident.tobytes(),
+                self._nodes[resident].tobytes())
 
     # -- the hot path -------------------------------------------------------
 
@@ -174,6 +189,8 @@ class NativeLRU:
         """Pack generic ``(prebase, size, write, rel_keys)`` segments into
         the flat arrays one kernel call consumes."""
         n_seg = len(segments)
+        if any(seg[1] > _INT32_MAX for seg in segments):
+            raise ValueError("a chunk size does not fit in int32")
         rels = [_as_i64(seg[3]) for seg in segments]
         rel = np.concatenate(rels) if rels else np.zeros(0, dtype=np.int64)
         seg_start = np.zeros(n_seg + 1, dtype=np.int64)
@@ -225,6 +242,8 @@ class NativeLRU:
             raise ValueError("job / group arrays differ in length")
         if nz < 1:
             raise ValueError("nz must be >= 1")
+        if len(gs) and gs.max() > _INT32_MAX:
+            raise ValueError("a chunk size does not fit in int32")
         if len(jl) and (jl.min() < 0 or jh.max() > table.n_segments):
             raise ValueError("job run outside the segment table")
         n = int(
@@ -248,13 +267,11 @@ class NativeLRU:
 
     def flush(self) -> None:
         """Write back all dirty chunks and empty the cache."""
-        dirty = self._flags == 3
+        dirty = self._nodes["flags"] == 3
         st = self._st
         st.writebacks += int(np.count_nonzero(dirty))
-        st.mem_write_bytes += int(self._size[dirty].sum())
-        self._flags[:] = 0
-        self._next[:] = -1
-        self._prev[:] = -1
+        st.mem_write_bytes += int(self._nodes["size"][dirty].sum(dtype=np.int64))
+        self._nodes.view(np.uint64).fill(0)
         st.used = 0
         st.count = 0
         st.mru = -1
@@ -264,9 +281,7 @@ class NativeLRU:
         """Return current stats and start a fresh counter epoch (cache
         contents are kept -- used to discard warm-up traffic)."""
         old = self.stats
-        st = self._st
-        st.read_hits = st.read_misses = st.write_hits = st.write_misses = 0
-        st.writebacks = st.mem_read_bytes = st.mem_write_bytes = 0
+        self.stats = CacheStats()
         return old
 
 

@@ -381,9 +381,9 @@ def shape_codes(recipe, y_lo, y_hi, z_lo, z_hi, ny: int, nz: int) -> np.ndarray:
 
 #: Byte budget of the shape table.  A segment is six integers whatever its
 #: rectangle covers, so the widest tune the service runs (24^3 / 18
-#: threads, D_w up to 24: 7,949 shape classes, 109k segments) holds 6 MB
+#: threads, D_w up to 24: 1,784 shape classes, 25k segments) holds 1.6 MB
 #: and is never regenerated mid-tune; entries depend on ``D_w``, ``B_z`` and
-#: block sizes, not on the grid, so more points add little.  What can
+#: block sizes, not on the grid or ``nz``, so more points add little.  What can
 #: outgrow the budget is the pure-Python engine's materialized key lists;
 #: a table that does is replaced by an empty one, see :func:`shape_table`.
 SHAPE_TABLE_MAX_BYTES = 32 * 2**20
@@ -407,9 +407,11 @@ class ShapeTable:
     the row anchor (never empty).  Nothing in an entry depends on the
     emitter's ``ny`` or ``nx`` -- the group's plane offset and row size
     enter per replay call, like the row stride ``nz`` that turns a
-    rectangle into keys ``ry * nz + rz`` -- but shapes are keyed by
-    ``(layout name, nz, shape code)``, so a segment is only ever replayed
-    at one ``nz``; they are shared by all candidates of a tuning run.
+    rectangle into keys ``ry * nz + rz`` -- so shapes are keyed by
+    ``(layout name, shape code)`` alone and shared by all candidates of a
+    tuning run, whatever their simulated ``nz``.  Only the materialized
+    key lists of the pure-Python engine depend on ``nz``; they are kept
+    per ``nz``.
 
     Entries are only ever appended, under :data:`_TABLE_LOCK`; readers take
     :meth:`segments` / :meth:`python_segments` after resolving their rows
@@ -419,15 +421,16 @@ class ShapeTable:
     """
 
     def __init__(self) -> None:
-        #: ``(layout name, nz, shape code) -> (lo, hi, n_accesses)``; read
+        #: ``(layout name, shape code) -> (lo, hi, n_accesses)``; read
         #: without the lock.
         self.shapes: Dict[tuple, Tuple[int, int, int]] = {}
         #: per segment ``(group, write, ry0, ry1, rz0, rz1)``.
         self._seg = np.empty((1 << 10, 6), dtype=np.int64)
         self.n_segments = 0
-        # Per segment ``(group, write, key list)`` for the consumers of
-        # explicit keys (the pure-Python engine), materialized on demand.
-        self._py: List[tuple | None] = []
+        # Per row stride ``nz``, per segment ``(group, write, key list)`` for
+        # the consumers of explicit keys (the pure-Python engine),
+        # materialized on demand.
+        self._py: Dict[int, List[tuple | None]] = {}
         self._extra_bytes = 0
 
     @property
@@ -451,7 +454,6 @@ class ShapeTable:
                     self._seg = grown
                 if segments:
                     self._seg[lo:hi] = segments
-                self._py.extend([None] * len(segments))
                 self.n_segments = hi
                 n = sum((ry1 - ry0) * (rz1 - rz0)
                         for _, _, ry0, ry1, rz0, rz1 in segments)
@@ -466,9 +468,13 @@ class ShapeTable:
 
     def python_segments(self, runs: Iterable[Tuple[int, int]],
                         nz: int) -> List[tuple]:
-        """The per-segment ``(group, write, key list)`` table with every
-        segment of ``runs`` expanded at row stride ``nz``."""
-        py = self._py
+        """The per-segment ``(group, write, key list)`` table at row stride
+        ``nz``, with every segment of ``runs`` expanded."""
+        py = self._py.get(nz)
+        if py is None or len(py) < self.n_segments:
+            with _TABLE_LOCK:
+                py = self._py.setdefault(nz, [])
+                py.extend([None] * (self.n_segments - len(py)))
         for lo, hi in runs:
             if None in py[lo:hi]:
                 with _TABLE_LOCK:
@@ -565,7 +571,7 @@ class BatchStreamEmitter(StreamEmitter):
         shapes = table.shapes
         entries, misses = [], 0
         for code, i in zip(classes.tolist(), first.tolist()):
-            key = (layout.name, nz, code)
+            key = (layout.name, code)
             entry = shapes.get(key)
             if entry is None:
                 entry, inserted = table.add_shape(key, _clipped_segments(

@@ -206,6 +206,12 @@ class Scheduler:
         ``/metrics`` renders.
         """
         m = telemetry.METRICS
+        # The counters a job adds to exist from the start, so a scrape
+        # before the first job reads them at 0 and a rate over a window
+        # that holds the first jobs counts them.
+        for counter in (telemetry.jobs_submitted, telemetry.sweeps_total,
+                        telemetry.events_published):
+            counter()
         queue_depth = m.gauge(
             "queue_depth", "Jobs waiting in the bounded priority queue")
         running = m.gauge("jobs_running", "Jobs currently executing")

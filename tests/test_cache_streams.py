@@ -279,8 +279,8 @@ class TestTileStreamResolve:
             key_of = {run[:2]: key for key, run in by_rows.shapes.items()}
             segments = by_rows.segments()
             for job, a, b in zip(jobs, lo.tolist(), hi.tolist()):
-                layout, key_nz, code = key_of[(a, b)]
-                assert (layout, key_nz) == ("fused", nz)
+                layout, code = key_of[(a, b)]
+                assert layout == "fused"
                 assert _decode(code) == (
                     job.tau & 1, job.y_hi - job.y_lo, job.z_hi - job.z_lo,
                     job.y_lo == 0, job.y_hi == ny, job.z_lo == 0, job.z_hi == nz)

@@ -8,6 +8,12 @@ runs twice: under ThreadSanitizer, which reports any access the queue
 leaves unordered, and under AddressSanitizer with UndefinedBehaviorSanitizer.
 Skipped where the C compiler lacks a sanitizer's runtime.
 
+``lru_replay_check.c`` replays streams recorded from the reference
+``LRUCache`` -- out-of-range ones, which both entry points must refuse,
+included -- through the compiled LRU kernel's ``lru_replay_jobs`` and
+``lru_replay`` under AddressSanitizer with UndefinedBehaviorSanitizer,
+and compares counters and recency order result for result.
+
 ``gil_releases.c`` counts a thread's GIL releases (``PyEval_SaveThread``
 interposed by ``LD_PRELOAD``) in a child ``python``: a small served job
 keeps the GIL through its kernel calls, residual, snapshot, checksum and
@@ -16,6 +22,7 @@ set-up, so it releases it only a budgeted few times.
 
 import json
 import os
+import random
 import subprocess
 import sys
 import sysconfig
@@ -23,6 +30,7 @@ import sysconfig
 import pytest
 
 from conftest import FAST
+from repro.machine.cache import LRUCache
 
 NATIVE = os.path.join(os.path.dirname(__file__), "native")
 CC = os.environ.get("CC", "cc")
@@ -63,6 +71,80 @@ def test_the_group_stress_driver_runs_clean(sanitizer, tmp_path):
     assert ran.returncode == 0, ran.stdout + ran.stderr[-4000:]
     assert "Sanitizer" not in ran.stderr, ran.stderr[-4000:]
     assert ran.stdout.rstrip().endswith(": ok"), ran.stdout
+
+
+def _record_lru_streams(seed: int, n_cases: int = 60) -> str:
+    """Random job streams over small shape tables and what the reference
+    ``LRUCache`` makes of them, call by call, in ``lru_replay_check.c``'s
+    input format."""
+    rng = random.Random(seed)
+    out = [n_cases]
+    for _ in range(n_cases):
+        ny, nz, n_groups = rng.randint(4, 8), rng.randint(2, 7), rng.randint(1, 4)
+        key_space = n_groups * ny * nz
+        group_base = [g * ny * nz for g in range(n_groups)]
+        group_size = [64 * (1 + g % 3) for g in range(n_groups)]
+        capacity = 64 * rng.randint(1, 2 * key_space)
+        # Rectangles with the -1 offsets the recipes' shifted reads make.
+        segs = []
+        for _ in range(rng.randint(1, 10)):
+            ry0, rz0 = rng.randint(-1, ny - 1), rng.randint(-1, nz - 1)
+            segs.append((rng.randrange(n_groups), rng.random() < 0.4, ry0,
+                         ry0 + rng.randint(1, 3), rz0, rz0 + rng.randint(1, 3)))
+        out += [nz, n_groups, key_space, capacity, *group_base, *group_size,
+                len(segs), *(int(v) for seg in segs for v in seg)]
+        cache = LRUCache(capacity)
+        n_calls = rng.randint(1, 12)
+        out.append(n_calls)
+        for _ in range(n_calls):
+            def keys(lo, hi, base):
+                return [(group_base[g] + base + ry * nz + rz, group_size[g], w)
+                        for g, w, ry0, ry1, rz0, rz1 in segs[lo:hi]
+                        for ry in range(ry0, ry1) for rz in range(rz0, rz1)]
+
+            jobs = []
+            for _ in range(rng.randint(1, 6)):
+                lo = rng.randrange(len(segs) + 1)
+                hi = min(lo + rng.randint(0, 3), len(segs))
+                inside = [b for b in range(ny * nz) if all(
+                    0 <= k < key_space for k, _, _ in keys(lo, hi, b))]
+                base = rng.choice(inside or range(ny * nz))
+                if rng.random() < 0.05:  # a job pushed out of the key space
+                    base += rng.choice((-1, 1)) * (ny + 2) * nz
+                jobs.append((lo, hi, base))
+            accesses = [a for job in jobs for a in keys(*job)]
+            refused = any(not 0 <= key < key_space for key, _, _ in accesses)
+            if not refused:
+                for access in accesses:
+                    cache.access(*access)
+            st = cache.stats
+            out += [len(jobs), *(v for job in jobs for v in job),
+                    -1 if refused else len(accesses),
+                    st.read_hits, st.read_misses, st.write_hits,
+                    st.write_misses, st.writebacks, st.mem_read_bytes,
+                    st.mem_write_bytes, cache.used_bytes, len(cache)]
+            out += [v for key, (size, dirty) in cache._entries.items()
+                    for v in (key, size, int(dirty))]
+    return " ".join(map(str, out)) + "\n"
+
+
+def test_the_lru_replay_driver_matches_the_reference(tmp_path):
+    sanitizer = "address,undefined"
+    missing = _runtime_missing(sanitizer, tmp_path)
+    if missing is not None:
+        pytest.skip(f"no -fsanitize={sanitizer} runtime: {missing.strip()[:200]}")
+    streams = tmp_path / "streams.txt"
+    streams.write_text(_record_lru_streams(seed=20261021))
+    exe = str(tmp_path / "lru_check")
+    built = _build(sanitizer, os.path.join(NATIVE, "lru_replay_check.c"), exe)
+    assert built.returncode == 0, built.stderr
+    ran = subprocess.run([exe, str(streams)], capture_output=True, text=True,
+                         timeout=300)
+    assert ran.returncode == 0, ran.stdout + ran.stderr[-4000:]
+    assert "Sanitizer" not in ran.stderr and "runtime error" not in ran.stderr, \
+        ran.stderr[-4000:]
+    last = ran.stdout.rstrip().splitlines()[-1]
+    assert last.endswith(": ok") and "(0 refused)" not in last, ran.stdout
 
 
 #: The child: a warm-up job (it compiles and probes the compiled pass),

@@ -412,7 +412,7 @@ class TestShippedServe:
     def test_counters_rise_between_two_scrapes(self, served):
         first, second = served.scrapes
         for series in RISING:
-            assert second[series] > first.get(series, 0), series
+            assert second[series] > first[series], series
         assert second['repro_job_outcomes_total{outcome="done"}'] == 3
 
     def test_the_trace_file_holds_a_job_on_the_parent_and_worker_lanes(

@@ -279,7 +279,7 @@ class TestSharedShapeTable:
         point = exhaustive_tune_tiled(HASWELL_EP, 24, 18)
         assert (point.dw, point.bz) == (24, 4)
         assert streams.shape_table() is table
-        assert SUBSTRATE_COUNTERS.stream_memo_misses == len(table.shapes) > 5000
+        assert SUBSTRATE_COUNTERS.stream_memo_misses == len(table.shapes) > 1500
         assert table.nbytes < streams.SHAPE_TABLE_MAX_BYTES // 2
         assert autotuner.tune_variant(HASWELL_EP, 24, 18) == point
 

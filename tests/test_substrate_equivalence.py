@@ -15,6 +15,8 @@ The whole file must also pass under ``REPRO_NO_NATIVE=1`` (the fast
 engine list then holds the pure-Python engine only).
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -30,6 +32,7 @@ from repro.machine import (
     BatchLRU,
     BatchStreamEmitter,
     LRUCache,
+    PMU,
     PerfRegion,
     StreamEmitter,
     measure,
@@ -43,6 +46,8 @@ from repro.machine.streams import (
     SWEEP_COMPONENTS,
     ShapeTable,
     _clipped_segments,
+    clear_shape_table,
+    shape_codes,
     shape_table,
 )
 
@@ -387,6 +392,51 @@ def test_tiled_plan_streams_identical_across_engines(
 @given(
     dw=st.sampled_from((2, 4)),
     k=st.integers(min_value=1, max_value=3),
+    nz=st.integers(min_value=2, max_value=12),
+    other_nz=st.integers(min_value=2, max_value=12),
+    bz=st.integers(min_value=1, max_value=4),
+    steps=st.integers(min_value=1, max_value=5),
+    capacity_rows=st.integers(min_value=1, max_value=64),
+)
+@example(dw=4, k=2, nz=12, other_nz=9, bz=3, steps=4, capacity_rows=20)
+@settings(max_examples=25, **COMMON)
+def test_a_shape_class_replays_alike_at_another_nz(
+    dw, k, nz, other_nz, bz, steps, capacity_rows
+):
+    """Shape classes are keyed without ``nz``: a plan at ``other_nz``
+    replayed after one at ``nz`` is handed the classes the first one
+    built, and replays access for access as the reference emitter does
+    at ``other_nz`` -- on every engine, the pure-Python engine's key
+    lists (materialized per ``nz``) included."""
+    plan, other = (_random_plan(dw, k, n, bz, steps) for n in (nz, other_nz))
+    nx = 5
+    capacity = capacity_rows * 16 * nx
+    rows, other_rows = _schedule(plan), _schedule(other)
+    ref_cache = LRUCache(capacity)
+    ref = StreamEmitter(ref_cache, ny=other.ny, nz=other_nz, nx=nx)
+    ref.emit_rows(*other_rows)
+
+    clear_shape_table()
+    built = None  # the classes the plan at ``nz`` built
+    key_space = BatchStreamEmitter.key_space
+    for first, cache in zip(_fast_engines(capacity, key_space(plan.ny, nz)),
+                            _fast_engines(capacity, key_space(other.ny, other_nz))):
+        BatchStreamEmitter(first, ny=plan.ny, nz=nz, nx=nx).emit_rows(*rows)
+        if built is None:
+            built = set(shape_table().shapes)
+        em = BatchStreamEmitter(cache, ny=other.ny, nz=other_nz, nx=nx)
+        em.emit_rows(*other_rows)
+        _assert_same_state(cache, ref_cache)
+        assert em.cells == ref.cells
+    shared = built & {("fused", code) for code in shape_codes(
+        *other_rows, other.ny, other_nz).tolist()}
+    if min(nz, other_nz) >= 3 * bz:  # both have rows off the z edges
+        assert shared
+
+
+@given(
+    dw=st.sampled_from((2, 4)),
+    k=st.integers(min_value=1, max_value=3),
     nz=st.integers(min_value=2, max_value=10),
     bz=st.integers(min_value=1, max_value=3),
     steps=st.integers(min_value=1, max_value=5),
@@ -593,6 +643,105 @@ def test_measure_sweep_engines_agree(nx, ny, block_y, threads):
     assert measure_sweep_code_balance(
         HASWELL_EP, nx=nx, ny=ny, block_y=block_y, threads=threads
     ) == got["reference"]
+
+
+def _full_replay(cache, emitter, rows, repeat):
+    """What ``measure._emit_until_steady`` stands in for: every repetition
+    replayed."""
+    emitter.emit_rows(*rows, repeat=repeat)
+
+
+def _counting(make, repeats):
+    """``make``, with every repetition its emitters replay appended to
+    ``repeats`` (as the ``repeat`` of a non-empty ``emit_rows``)."""
+    def counted(*args):
+        cache, emitter = make(*args)
+        emit = emitter.emit_rows
+
+        def emit_rows(*rows, repeat=1):
+            if len(rows[0]):
+                repeats.append(repeat)
+            emit(*rows, repeat=repeat)
+
+        emitter.emit_rows = emit_rows
+        return cache, emitter
+    return counted
+
+
+def _measured(measurement, *args, full=False):
+    """``measurement(*args)`` (a ``measure._measure_*`` or ``measure._replay``
+    body) and the ``GLOBAL_PMU`` it fed; ``full``: with every repetition
+    replayed."""
+    pmu = PMU()
+    emit = _full_replay if full else measure._emit_until_steady
+    with mock.patch.object(measure, "GLOBAL_PMU", pmu), \
+            mock.patch.object(measure, "_emit_until_steady", emit):
+        result = measurement(*args)
+    return result, pmu.to_json()
+
+
+@given(
+    ny=st.integers(min_value=1, max_value=20),
+    nz=st.integers(min_value=1, max_value=5),
+    block_y=st.one_of(st.none(), st.integers(min_value=1, max_value=8)),
+    threads=st.integers(min_value=1, max_value=6),
+    timesteps=st.integers(min_value=2, max_value=4),
+    # Up to 400 rows spill; from 4,000 (40 arrays x 20 x 5) the domain fits.
+    capacity_rows=st.integers(1, 400) | st.integers(4000, 5000),
+)
+@example(ny=20, nz=5, block_y=4, threads=3, timesteps=3, capacity_rows=4000)
+@settings(max_examples=40, **COMMON)
+def test_a_sweep_stopped_at_the_steady_state_equals_the_full_replay(
+    ny, nz, block_y, threads, timesteps, capacity_rows
+):
+    """A sweep measurement that stops once a measured step leaves the
+    cache as it found it gives the TrafficResult (PerfSample and cells
+    included) and the PMU sample of the replay of every step, on the
+    reference, batch and native engines -- domains that spill and
+    domains that fit in the cache."""
+    nx = 3
+    args = (16 * nx * capacity_rows, nx, ny, block_y, threads, nz, timesteps)
+    for name, make in REPLAY_ENGINES.items():
+        assert (_measured(measure._measure_sweep, make, *args)
+                == _measured(measure._measure_sweep, make, *args, full=True)), name
+
+
+#: The sweeps a cold pass over the pinned figure points measures:
+#: ``tune_spatial``'s five block sizes at Fig. 6 (384^3 at 1, 9 and 18
+#: threads), Fig. 7 (256^3 at 18) and the held-back point (352^3 at 12).
+PINNED_SWEEPS = [(grid, threads, block_y)
+                 for grid, threads in ((384, 1), (384, 9), (384, 18),
+                                       (256, 18), (352, 12))
+                 for block_y in (4, 8, 16, 32, 64)]
+
+
+@pytest.mark.parametrize("grid,threads,block_y", PINNED_SWEEPS)
+def test_a_pinned_sweep_stops_after_one_measured_step(grid, threads, block_y):
+    """Every pinned sweep is periodic after the warm-up step: on the host's
+    engine it replays the warm-up and one measured step, and its result is
+    the full replay's."""
+    repeats = []
+    args = (_counting(measure._host_emitter, repeats), CAPACITY, grid, grid,
+            block_y, threads, 12, 3)
+    steady = _measured(measure._measure_sweep, *args)
+    assert repeats == [1, 1]
+    assert steady == _measured(measure._measure_sweep, *args, full=True)
+
+
+def test_a_state_that_still_moves_replays_in_full():
+    """Measured from a cold cache (no warm-up), the first repetition ends
+    in a state other than the one it began in, so every repetition is
+    replayed -- and the result is the full replay's, on every engine."""
+    ny, nz, nx = 8, 3, 3
+    rows = _sweep_rows(ny, nz, 2, 2)
+    cold = tuple(a[:0] for a in rows)
+    for name, make in REPLAY_ENGINES.items():
+        repeats = []
+        args = (_counting(make, repeats), PER_COMPONENT, 16 * nx * 50, ny, nz,
+                nx, "measure.sweep", "cold", {}, lambda: (cold, rows, 3))
+        got = _measured(measure._replay, *args)
+        assert repeats == [1, 2], name
+        assert got == _measured(measure._replay, *args, full=True), name
 
 
 @pytest.mark.parametrize("case", [
